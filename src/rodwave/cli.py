@@ -3,7 +3,8 @@
 Configs are UTF-8 JSON.  Keys:
 
     N, M            mesh numbers (required)
-    P               samples per reference piece (odd, default 129)
+    P               samples per reference piece (default 129); P = 1 mod 4,
+                    so that a field grid can be aligned with the pieces
     preset          "paper_example" | "zero" | "trig"
     preset_params   for "trig": {"v0": [amp, freq], "r0": ..., "v1": ...,
                     "r1": ...} (missing profiles are zero)
@@ -12,7 +13,10 @@ Configs are UTF-8 JSON.  Keys:
     solver          "qp" | "el" | "both" (default "both")
     oracle          true/false (default false)
     oracle_points_per_segment, oracle_cfl
-    field_samples   samples per half-layer of the output field grid
+                    oracle resolution; unset, solve uses 125 and 0.9,
+                    verify 500 and 1.0
+    field_samples   samples per half-layer of the output field grid;
+                    (P - 1) must be a multiple of 2 * field_samples
     out_dir         artifact directory
     dump_matrices   true/false
 
@@ -30,7 +34,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -39,8 +43,8 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     InfeasibleError,
+    InvalidArgumentError,
     InvariantViolationError,
-    ReconstructionError,
     RodwaveError,
 )
 from .mesh import MeshConfig, RodParams, build_mesh, counts
@@ -63,6 +67,10 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_INVARIANT = 4
 
+# (oracle_cfl, oracle_points_per_segment) for settings a config leaves unset
+SOLVE_ORACLE = (0.9, 125)
+VERIFY_ORACLE = (1.0, 500)   # unit Courant number, where the scheme is sharpest
+
 _KNOWN_KEYS = {
     "N", "M", "P", "preset", "preset_params", "profiles", "solver",
     "oracle", "oracle_points_per_segment", "oracle_cfl", "field_samples",
@@ -81,8 +89,8 @@ class RunConfig:
     profiles: dict = field(default_factory=dict)
     solver: str = "both"
     oracle: bool = False
-    oracle_points_per_segment: int = 125
-    oracle_cfl: float = 0.9
+    oracle_points_per_segment: Optional[int] = None
+    oracle_cfl: Optional[float] = None
     field_samples: Optional[int] = None
     out_dir: str = "."
     dump_matrices: bool = False
@@ -125,6 +133,10 @@ def validate_config(raw) -> RunConfig:
     if not isinstance(p, int) or p < 5 or p % 2 == 0:
         errors.append("P: must be an odd integer >= 5")
         p = 129
+    elif (p - 1) % 4 != 0:
+        # (P-1)/2 needs an even divisor q for an aligned field grid
+        errors.append(f"P: {p} cannot align a field grid; use P = 1 mod 4")
+        p = 129
     solver = data.get("solver", "both")
     if solver not in ("qp", "el", "both"):
         errors.append("solver: must be one of qp, el, both")
@@ -150,17 +162,21 @@ def validate_config(raw) -> RunConfig:
     if not isinstance(oracle, bool):
         errors.append("oracle: must be true or false")
         oracle = False
-    opps = data.get("oracle_points_per_segment", 125)
-    if not isinstance(opps, int) or opps < 8:
+    opps = data.get("oracle_points_per_segment")
+    if opps is not None and (not isinstance(opps, int) or opps < 8):
         errors.append("oracle_points_per_segment: integer >= 8")
-        opps = 125
-    cfl = data.get("oracle_cfl", 0.9)
-    if not isinstance(cfl, (int, float)) or not (0 < cfl <= 1):
+        opps = None
+    cfl = data.get("oracle_cfl")
+    if cfl is not None and (not isinstance(cfl, (int, float)) or not (0 < cfl <= 1)):
         errors.append("oracle_cfl: must lie in (0, 1]")
-        cfl = 0.9
+        cfl = None
     fs = data.get("field_samples")
     if fs is not None and (not isinstance(fs, int) or fs < 2):
         errors.append("field_samples: integer >= 2")
+        fs = None
+    elif fs is not None and (p - 1) % (2 * fs) != 0:
+        errors.append(f"field_samples: {fs} cannot align a field grid; "
+                      f"(P - 1) = {p - 1} must be a multiple of {2 * fs}")
         fs = None
     out_dir = data.get("out_dir", ".")
     if not isinstance(out_dir, str):
@@ -174,7 +190,8 @@ def validate_config(raw) -> RunConfig:
         raise ConfigurationError(errors)
     return RunConfig(N=n, M=m, P=p, preset=preset, preset_params=preset_params,
                      profiles=profiles, solver=solver, oracle=oracle,
-                     oracle_points_per_segment=opps, oracle_cfl=float(cfl),
+                     oracle_points_per_segment=opps,
+                     oracle_cfl=None if cfl is None else float(cfl),
                      field_samples=fs, out_dir=out_dir, dump_matrices=dump)
 
 
@@ -408,26 +425,47 @@ def dump_matrices(result: dict, out_dir: str) -> None:
             writer.writerow([j, repr(key)])
 
 
+def _with_oracle_defaults(config: RunConfig, defaults) -> RunConfig:
+    """The config with unset oracle settings taken from ``defaults``."""
+    cfl, points = defaults
+    return replace(
+        config,
+        oracle_cfl=cfl if config.oracle_cfl is None else config.oracle_cfl,
+        oracle_points_per_segment=(points if config.oracle_points_per_segment is None
+                                   else config.oracle_points_per_segment))
+
+
+def _error_exit(exc: RodwaveError) -> int:
+    """Report a failed run on stderr and return its documented exit code."""
+    if isinstance(exc, (ConfigurationError, InvalidArgumentError)):
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if isinstance(exc, InfeasibleError):
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    print(f"invariant violation: {exc}", file=sys.stderr)
+    return EXIT_INVARIANT
+
+
 def run_solve(config: RunConfig) -> int:
     """Solve one instance and emit summary JSON plus CSV artifacts."""
+    config = _with_oracle_defaults(config, SOLVE_ORACLE)
     os.makedirs(config.out_dir, exist_ok=True)
     summary_path = os.path.join(config.out_dir, "summary.json")
     try:
         result = solve_pipeline(config)
+        summary = summarize(config, result)
+        if config.oracle:
+            summary["oracle"] = _run_oracle(config, result, out_dir=config.out_dir)
     except InfeasibleError as exc:
         summary = {"config": asdict(config), "feasible": False,
                    "reason": str(exc),
                    "timestamp": datetime.datetime.now().isoformat()}
         _write_json(summary_path, summary)
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (ReconstructionError, InvariantViolationError) as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return _error_exit(exc)
+    except RodwaveError as exc:
+        return _error_exit(exc)
 
-    summary = summarize(config, result)
-    if config.oracle:
-        summary["oracle"] = _run_oracle(config, result, out_dir=config.out_dir)
     summary["timestamp"] = datetime.datetime.now().isoformat()
     _write_json(summary_path, summary)
     rec.write_controls_csv(result["controls"],
@@ -527,13 +565,9 @@ def run_sweep(config: RunConfig, m_range, n_range, workers: Optional[int] = None
 def run_verify(config: RunConfig) -> int:
     """End-to-end verification of one instance: exact steering, energy
     consistency, constitutive residual, control structure, and the
-    finite-difference oracle ladder.  The oracle runs at unit Courant
-    number (where the scheme is sharpest) and 500 points per segment
-    unless the config explicitly overrides those settings."""
-    if config.oracle_cfl == 0.9:
-        config.oracle_cfl = 1.0
-    if config.oracle_points_per_segment == 125:
-        config.oracle_points_per_segment = 500
+    finite-difference oracle ladder.  Oracle settings the config leaves
+    unset are taken from ``VERIFY_ORACLE``."""
+    config = _with_oracle_defaults(config, VERIFY_ORACLE)
     checks = []
 
     def check(name, ok, detail=""):
@@ -542,9 +576,9 @@ def run_verify(config: RunConfig) -> int:
 
     try:
         result = solve_pipeline(config)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        oracle = _run_oracle(config, result)
+    except RodwaveError as exc:
+        return _error_exit(exc)
     terr = result["terminal"]
     mesh = result["mesh"]
     e_val = result["primary"].objective
@@ -561,7 +595,6 @@ def run_verify(config: RunConfig) -> int:
     if result["comparison"] is not None:
         check("QP objective <= stationary objective + 1e-8",
               result["comparison"].qp_not_worse)
-    oracle = _run_oracle(config, result)
     check("oracle momentum budget exact",
           oracle["momentum_budget_max"] <= 1e-8)
     check("oracle terminal energy error <= 2%",

@@ -169,20 +169,6 @@ class UnknownCatalog:
     def N_v(self) -> int:
         return len(self.entries)
 
-    def shift_halves(self, key) -> int:
-        """Coordinate shift of the entry's piece, in units of lambda/2.
-
-        Wave piece (side, k, m) covers absolute characteristic coordinates
-        ``z_side_k + m*lam/2 + [0, lam]``; jump piece (n, m) covers times
-        ``t_m + [0, lam]``.
-        """
-        if key[0] == "w":
-            _, side, k, m = key
-            base = (k - 1) if side == +1 else -(k + 1)
-            return base + m
-        _, _, m = key
-        return m
-
 
 def build_catalog(mesh: MeshConfig) -> UnknownCatalog:
     entries = []
@@ -246,13 +232,6 @@ class DataExpr:
                 self.gammas.pop(key, None)
             else:
                 self.gammas[key] = new
-
-    def reflected(self) -> "DataExpr":
-        """The expression composed with z -> lambda - z."""
-        out = DataExpr(consts=self.consts, gammas=self.gammas)
-        for (name, orient, shift), c in self.terms.items():
-            out.terms[(name, -orient, shift + 2 * orient)] = c
-        return out
 
     def is_zero(self) -> bool:
         return not self.terms and not self.consts and not self.gammas
@@ -504,9 +483,6 @@ class Parametrization:
         gamma = np.asarray(gamma, dtype=float)
         return (self.A @ y + (self.C_gamma @ gamma)[:, None]
                 + self.g_matrix(p))
-
-    def wave_rows(self) -> slice:
-        return slice(0, self.catalog.N_w)
 
 
 def _pivot_priority(mesh: MeshConfig, catalog: UnknownCatalog) -> list:

@@ -188,30 +188,30 @@ def evaluate_objective(par: Parametrization, weights: EnergyWeights,
     return float(np.sum(w_mid * wd * wd) * h / mesh.T)
 
 
-def blockwise_simpson(values: np.ndarray, h: float, splits) -> float:
-    """Composite Simpson split at the given interior sample indices.
+def blockwise_simpson_weights(n: int, h: float, splits) -> np.ndarray:
+    """Weights of composite Simpson split at the given interior sample indices.
 
     Each smooth block is integrated separately, so jump discontinuities
     located exactly at split samples cost no accuracy when the stored
     sample value is the jump midpoint (the one-sided panel errors of the
     two adjacent blocks cancel).  Blocks with an odd interval count lose
-    one Simpson panel to a trapezoid step.
+    one Simpson panel to a trapezoid step, taken at the block start.
     """
-    n = len(values)
     bounds = [0] + sorted({int(s) for s in splits if 0 < s < n - 1}) + [n - 1]
-    total = 0.0
+    w = np.zeros(n)
     for a, b in zip(bounds[:-1], bounds[1:]):
-        m = b - a
-        if m == 0:
-            continue
-        start = a
-        if m % 2 == 1:
-            total += 0.5 * h * (values[a] + values[a + 1])
-            start = a + 1
-            if start == b:
-                continue
-        total += float(simpson_weights(b - start + 1, h) @ values[start:b + 1])
-    return total
+        if (b - a) % 2 == 1:
+            w[a:a + 2] += 0.5 * h
+            a += 1
+        if b > a:
+            w[a:b + 1] += simpson_weights(b - a + 1, h)
+    return w
+
+
+def blockwise_simpson(values: np.ndarray, h: float, splits) -> float:
+    """Composite Simpson integral split at the given interior sample indices
+    (see :func:`blockwise_simpson_weights`)."""
+    return float(blockwise_simpson_weights(len(values), h, splits) @ values)
 
 
 def mean_energy(field_grid) -> float:
@@ -225,6 +225,10 @@ def mean_energy(field_grid) -> float:
     lines.  The density is the sector-averaged ``e_quad`` whose lattice
     samples carry jump midpoints, so the blockwise panels cancel the
     one-sided errors.
+
+    A row's weights depend only on its kink pattern, of which the lattice
+    has few, so the weights are built once per distinct pattern and each
+    segment is integrated row-wise in one product.
     """
     fg = field_grid
     ht = fg.t[1] - fg.t[0]
@@ -233,9 +237,15 @@ def mean_energy(field_grid) -> float:
     kinks = plus | minus
     nt = len(fg.t)
     profile = np.zeros(nt)
+    row_weights = {}     # kink pattern (mask row bytes) -> Simpson weights
     for (j0, j1), vals in zip(fg.segment_windows(), fg.e_quad_segments):
-        kseg = kinks[:, j0:j1 + 1]
-        for i in range(nt):
-            profile[i] += blockwise_simpson(vals[i], hx, np.flatnonzero(kseg[i]))
+        rows = []
+        for pattern in kinks[:, j0:j1 + 1]:
+            key = pattern.tobytes()
+            if key not in row_weights:
+                row_weights[key] = blockwise_simpson_weights(
+                    len(pattern), hx, np.flatnonzero(pattern))
+            rows.append(row_weights[key])
+        profile += np.einsum("ij,ij->i", vals, np.stack(rows))
     t_splits = np.arange(fg.qt, nt - 1, fg.qt)
     return blockwise_simpson(profile, ht, t_splits) / fg.mesh.T

@@ -78,10 +78,6 @@ class MeshConfig:
         return -(k + 1) * self.lam / 2.0
 
     @property
-    def x_n(self) -> np.ndarray:
-        return np.array([self.x(n) for n in self.J_x])
-
-    @property
     def t_m(self) -> np.ndarray:
         return np.array([self.t(m) for m in self.J_t])
 

@@ -131,20 +131,6 @@ class ControlSet:
     def piece_times(self, j: int) -> np.ndarray:
         return j * self.mesh.lam + np.linspace(0.0, self.mesh.lam, self.p)
 
-    def full_history(self, table: Dict[int, np.ndarray], key: int) -> SampledFunction:
-        arr = table[key]
-        n_pieces, p = arr.shape
-        out = np.empty(n_pieces * (p - 1) + 1)
-        for j in range(n_pieces):
-            out[j * (p - 1):(j + 1) * (p - 1) + 1] = arr[j]
-        return SampledFunction(0.0, self.mesh.T, out)
-
-    def integral_history(self, k: int) -> SampledFunction:
-        return self.full_history(self.integrals, k)
-
-    def jump_history(self, n: int) -> SampledFunction:
-        return self.full_history(self.jumps, n)
-
     def force_at(self, k: int, t, side: str = "right"):
         """Force f_k at time(s) t; one-sided limit at piece junctions."""
         t = np.asarray(t, dtype=float)
@@ -278,18 +264,14 @@ class FieldGrid:
         return [(i * 2 * self.qx, (i + 1) * 2 * self.qx)
                 for i in range(self.mesh.N)]
 
-    def segment_of_column(self, j: int) -> int:
-        return min(j // (2 * self.qx), self.mesh.N - 1)
-
     def kink_masks(self):
         """Boolean masks of the two characteristic-lattice families."""
-        nt, nx = len(self.t), len(self.x)
-        iu = np.arange(nt)[:, None]
-        ju = np.arange(nx)[None, :]
-        # t + x and t - x in units of the grid; lattice step = lam/2
-        plus = (iu * self.qx + (ju - self.mesh.N * self.qx) * self.qt) % (self.qt * self.qx)
-        minus = (iu * self.qx - (ju - self.mesh.N * self.qx) * self.qt) % (self.qt * self.qx)
-        return plus == 0, minus == 0
+        # t + x and t - x in units of the grid; lattice step = lam/2.  A
+        # sample is on a line when the t and x residues cancel modulo it.
+        step = self.qt * self.qx
+        t_res = (np.arange(len(self.t)) * self.qx % step)[:, None]
+        x_res = ((np.arange(len(self.x)) - self.mesh.N * self.qx) * self.qt % step)[None, :]
+        return t_res == (-x_res) % step, t_res == x_res
 
 
 def _gather(piece_arr: np.ndarray, units: np.ndarray, per_piece: int,
@@ -391,47 +373,53 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
 # ---------------------------------------------------------------------------
 
 
-def blockwise_derivative(values: np.ndarray, h: float,
-                         kink_mask: np.ndarray):
-    """Differentiate a 1D slice between kink samples.
+def _shifted(index: tuple, k: int) -> tuple:
+    """An ``np.nonzero`` index moved k samples along the last axis."""
+    return index[:-1] + (index[-1] + k,)
 
-    ``values`` is 1D; ``kink_mask`` marks samples where the derivative
-    jumps.  Within each smooth block the stencils are second order; at a
-    kink sample the right-sided limit is taken (left-sided at the final
-    sample).  Blocks of fewer than three samples cannot support a
-    second-order stencil: a first-order value is returned there and the
-    accompanying mask marks it invalid.
+
+def blockwise_derivative(values: np.ndarray, h: float, kink_mask: np.ndarray,
+                         axis: int = -1):
+    """Differentiate along ``axis`` between kink samples.
+
+    ``kink_mask`` (same shape as ``values``) marks samples where the
+    derivative jumps; every 1D slice along ``axis`` is split into smooth
+    blocks at its interior kinks.  Within each block the stencils are
+    second order: central differences inside, the forward three-point
+    formula at the block start (the right-sided limit at a kink), and the
+    backward three-point formula at the final sample.  Blocks of fewer than
+    three samples cannot support a second-order stencil: a first-order
+    value is returned there and the accompanying mask marks it invalid.
     """
-    n = len(values)
-    bounds = [0] + [i for i in range(1, n - 1) if kink_mask[i]] + [n - 1]
-    deriv = np.empty(n)
-    valid = np.ones(n, dtype=bool)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b - a >= 2:
-            seg = fd_derivative(values[a:b + 1], h)
-            deriv[a:b] = seg[:-1]
-            if b == n - 1:
-                deriv[b] = seg[-1]
-        else:
-            d1 = (values[b] - values[a]) / h
-            deriv[a] = d1
-            valid[a] = False
-            if b == n - 1:
-                deriv[b] = d1
-                valid[b] = False
-    return deriv, valid
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    kinks = np.moveaxis(np.asarray(kink_mask, dtype=bool), axis, -1)
+    if v.shape[-1] < 3:
+        raise InvalidArgumentError("need at least 3 samples to differentiate")
+    deriv = np.empty_like(v)
+    valid = np.ones(v.shape, dtype=bool)
+    deriv[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
 
+    # block bounds: sample 0, the interior kinks, the final sample
+    bound = kinks.copy()
+    bound[..., 0] = True
+    bound[..., -1] = True
+    start = bound[..., :-1]
+    short = start & bound[..., 1:]          # block of one interval
 
-def _axis_derivative(arr: np.ndarray, h: float, kinks: np.ndarray, axis: int):
-    out = np.empty_like(arr)
-    ok = np.empty(arr.shape, dtype=bool)
-    if axis == 0:
-        for j in range(arr.shape[1]):
-            out[:, j], ok[:, j] = blockwise_derivative(arr[:, j], h, kinks[:, j])
-    else:
-        for i in range(arr.shape[0]):
-            out[i], ok[i] = blockwise_derivative(arr[i], h, kinks[i])
-    return out, ok
+    fwd = np.nonzero(start & ~short)
+    deriv[fwd] = (-3.0 * v[fwd] + 4.0 * v[_shifted(fwd, 1)]
+                  - v[_shifted(fwd, 2)]) / (2.0 * h)
+    one = np.nonzero(short)
+    deriv[one] = (v[_shifted(one, 1)] - v[one]) / h
+    valid[one] = False
+
+    # final sample: backward stencil, or the short block's first-order value
+    last_short = start[..., -1]
+    deriv[..., -1] = np.where(
+        last_short, (v[..., -1] - v[..., -2]) / h,
+        (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h))
+    valid[..., -1] = ~last_short
+    return np.moveaxis(deriv, -1, axis), np.moveaxis(valid, -1, axis)
 
 
 def residual_Q(fg: FieldGrid, params: Optional[RodParams] = None) -> float:
@@ -444,7 +432,8 @@ def residual_Q(fg: FieldGrid, params: Optional[RodParams] = None) -> float:
     Samples on the characteristic lattice itself are excluded from the
     quadrature: there the stored derivative traces are one-sided and the
     difference of one-sided limits is not a discretization error.  On
-    exact solutions the retained integrand is O(h^4).
+    exact solutions the retained integrand is O(h^4).  Every temporary is
+    the size of one segment window.
     """
     rho = params.rho if params is not None else 1.0
     kappa = params.kappa if params is not None else 1.0
@@ -453,20 +442,18 @@ def residual_Q(fg: FieldGrid, params: Optional[RodParams] = None) -> float:
     plus, minus = fg.kink_masks()
     kinks = plus | minus
 
-    vt, ok_t = _axis_derivative(fg.v, ht, kinks, axis=0)
-    g_res = rho * vt - fg.p
-
-    nt = len(fg.t)
-    wt = simpson_weights(nt, ht)
+    wt = simpson_weights(len(fg.t), ht)
     total = 0.0
     for seg, (j0, j1) in enumerate(fg.segment_windows()):
         cols = slice(j0, j1 + 1)
         vseg = fg.v[:, cols]
         kseg = kinks[:, cols]
-        vx, ok_x = _axis_derivative(vseg, hx, kseg, axis=1)
+        vt, ok_t = blockwise_derivative(vseg, ht, kseg, axis=0)
+        vx, ok_x = blockwise_derivative(vseg, hx, kseg, axis=1)
+        g_res = rho * vt - fg.p[:, cols]
         h_res = kappa * vx - fg.s[:, cols] + fg.f_seg[seg][:, None]
-        q = g_res[:, cols] ** 2 / (4.0 * rho) + h_res ** 2 / (4.0 * kappa)
-        q = np.where(ok_t[:, cols] & ok_x & ~kseg, q, 0.0)
+        q = g_res ** 2 / (4.0 * rho) + h_res ** 2 / (4.0 * kappa)
+        q = np.where(ok_t & ok_x & ~kseg, q, 0.0)
         wx = simpson_weights(j1 - j0 + 1, hx)
         total += float(wt @ q @ wx)
     return total
@@ -535,14 +522,20 @@ def terminal_error(fg: FieldGrid, state: StateSpec) -> TerminalError:
 
 
 def write_fields_csv(fg: FieldGrid, path) -> None:
+    """One row per grid sample, t-major, in ``csv`` module format.
+
+    Rows are written one t-row at a time from a reused (nx, 7) block, so
+    memory stays at one grid row whatever the grid size.
+    """
+    block = np.empty((len(fg.x), 7))
+    block[:, 1] = fg.x
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "v", "r", "p", "s", "e"])
+        fh.write("t,x,v,r,p,s,e\r\n")
         for i, t in enumerate(fg.t):
-            for j, x in enumerate(fg.x):
-                writer.writerow([f"{val:.12g}" for val in
-                                 (t, x, fg.v[i, j], fg.r[i, j], fg.p[i, j],
-                                  fg.s[i, j], fg.e[i, j])])
+            block[:, 0] = t
+            for col, arr in enumerate((fg.v, fg.r, fg.p, fg.s, fg.e), start=2):
+                block[:, col] = arr[i]
+            np.savetxt(fh, block, fmt="%.12g", delimiter=",", newline="\r\n")
 
 
 def write_controls_csv(controls: ControlSet, path) -> None:

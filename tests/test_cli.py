@@ -15,6 +15,7 @@ from rodwave.cli import (
     monotonicity_report,
     run_solve,
     run_sweep,
+    run_verify,
     validate_config,
 )
 
@@ -122,6 +123,16 @@ class TestRunSolve:
         assert summary["E"] > 0.1
         assert summary["terminal_errors"]["v1_sup"] <= 1e-6
 
+    def test_bad_profile_exits_2(self, tmp_path, capsys):
+        # a profile short of [-1, 1] is found only while solving
+        (tmp_path / "v0.csv").write_text("-1,0\n0.5,1\n")
+        cfg = validate_config({"N": 2, "M": 2, "P": 33,
+                               "profiles": {"v0": str(tmp_path / "v0.csv")},
+                               "out_dir": str(tmp_path / "out")})
+        assert run_solve(cfg) == EXIT_CONFIG
+        assert run_verify(cfg) == EXIT_CONFIG
+        assert "must cover [-1, 1]" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_small_sweep(self, tmp_path):
@@ -156,6 +167,21 @@ class TestMainEntry:
             "N": 2, "M": 2, "preset": "paper_example", "P": 33,
             "out_dir": str(tmp_path / "out")}))
         assert main(["solve", "--config", str(cfgfile)]) == EXIT_OK
+
+    # (7 - 1)/2 = 3 has no even divisor, and 2*5 does not divide 129 - 1:
+    # no field grid fits the wave pieces
+    @pytest.mark.parametrize("extra, key", [({"P": 7}, "P"),
+                                            ({"P": 129, "field_samples": 5},
+                                             "field_samples")])
+    def test_unalignable_grid_exits_2(self, tmp_path, capsys, extra, key):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(dict(
+            {"N": 2, "M": 2, "preset": "paper_example",
+             "out_dir": str(tmp_path / "out")}, **extra)))
+        assert main(["solve", "--config", str(cfgfile)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}:")
+        assert "Traceback" not in err
 
     def test_missing_config_file(self):
         assert main(["solve", "--config", "/nonexistent/cfg.json"]) == EXIT_CONFIG
@@ -207,3 +233,36 @@ def test_sweep_continues_past_failed_cells(tmp_path):
     assert any(s.startswith("failed") for s in statuses)
     assert any(s == "ok" for s in statuses)
     assert code != EXIT_OK
+
+
+class TestOracleSettings:
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """(cfl, points per segment) of every oracle simulation run."""
+        import rodwave.cli as cli
+
+        calls = []
+        real = cli.simulate
+
+        def spy(mesh, params, controls, state, sim_config):
+            calls.append((sim_config.cfl, sim_config.points_per_segment))
+            return real(mesh, params, controls, state, sim_config)
+
+        monkeypatch.setattr(cli, "simulate", spy)
+        return calls
+
+    def test_verify_keeps_explicit_cfl(self, seen):
+        cfg = validate_config({"N": 2, "M": 2, "P": 33, "preset": "paper_example",
+                               "oracle_cfl": 0.9, "oracle_points_per_segment": 32})
+        run_verify(cfg)
+        assert seen == [(0.9, 8), (0.9, 16), (0.9, 32)]
+
+    def test_unset_settings_resolve_per_command(self, seen, tmp_path):
+        raw = {"N": 2, "M": 2, "P": 33, "preset": "paper_example"}
+        assert validate_config(raw).oracle_cfl is None
+        run_verify(validate_config(raw))
+        assert seen[-1] == (1.0, 500)
+        seen.clear()
+        assert run_solve(validate_config(dict(raw, oracle=True,
+                                              out_dir=str(tmp_path)))) == EXIT_OK
+        assert seen[-1] == (0.9, 125)

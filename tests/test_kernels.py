@@ -1,0 +1,123 @@
+"""Array kernels against their scalar loop forms (see loop_reference.py)."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from rodwave import reconstruct as rec
+from rodwave.energy import blockwise_simpson, blockwise_simpson_weights
+from rodwave.errors import InvalidArgumentError
+
+import loop_reference as ref
+
+
+@st.composite
+def masked_grids(draw):
+    """(values, kink mask) of shape (rows, n); kinks are dense enough that
+    length-1 blocks, adjacent kinks and kinks on the end samples occur."""
+    rows = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=3, max_value=24))
+    density = draw(st.sampled_from((0.0, 0.2, 0.5, 0.9, 1.0)))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, n)), rng.random((rows, n)) < density
+
+
+def _assert_same_derivative(values, kinks, h):
+    for axis, v, k in ((1, values, kinks), (0, values.T, kinks.T)):
+        got, ok = rec.blockwise_derivative(v, h, k, axis=axis)
+        want, want_ok = ref.axis_derivative(v, h, k, axis=axis)
+        assert np.array_equal(got, want)       # bit for bit, no tolerance
+        assert np.array_equal(ok, want_ok)
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_grids(), st.sampled_from((1.0, 0.1, 1.0 / 3.0)))
+def test_derivative_matches_loop_bit_for_bit(grid, h):
+    values, kinks = grid
+    _assert_same_derivative(values, kinks, h)
+
+
+@pytest.mark.parametrize("mask", [
+    [1, 0, 0, 0, 0, 0, 1],      # kinks on the first and last samples only
+    [0, 1, 1, 0, 0, 0, 0],      # adjacent kinks: a length-1 block
+    [0, 0, 0, 0, 0, 1, 0],      # kink next to the end: short final block
+    [0, 1, 0, 1, 0, 1, 0],      # every block of length 2
+    [1, 1, 1, 1, 1, 1, 1],      # every block of length 1
+    [0, 0, 0],                  # the shortest slice
+    [0, 1, 0],
+])
+def test_derivative_edge_masks(mask):
+    kinks = np.array([mask], dtype=bool)
+    values = np.random.default_rng(len(mask)).standard_normal(kinks.shape)
+    _assert_same_derivative(values, kinks, 0.25)
+
+
+def test_derivative_one_dimensional_and_too_short():
+    values = np.sin(np.linspace(0.0, 1.0, 9))
+    kinks = np.zeros(9, dtype=bool)
+    kinks[4] = True
+    got, ok = rec.blockwise_derivative(values, 0.125, kinks)
+    want, want_ok = ref.blockwise_derivative_1d(values, 0.125, kinks)
+    assert np.array_equal(got, want) and np.array_equal(ok, want_ok)
+    with pytest.raises(InvalidArgumentError):
+        rec.blockwise_derivative(values[:2], 0.125, kinks[:2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=60),
+       st.lists(st.integers(min_value=-2, max_value=62), max_size=12),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(65, [32], 0)
+@example(5, [1, 2, 3], 1)
+@example(2, [], 2)
+def test_simpson_weights_match_loop(n, splits, seed):
+    values = np.random.default_rng(seed).standard_normal(n)
+    h = 1.0 / 7.0
+    got = blockwise_simpson(values, h, splits)
+    want = ref.blockwise_simpson(values, h, splits)
+    scale = ref.blockwise_simpson(np.abs(values), h, splits)
+    assert abs(got - want) <= 1e-14 * max(scale, 1e-300)
+    weights = blockwise_simpson_weights(n, h, splits)
+    assert weights.sum() == pytest.approx((n - 1) * h, rel=1e-14, abs=1e-300)
+
+
+@pytest.fixture(scope="module")
+def field_grid(worked_example):
+    """Field grid of the worked example at (qt, qx) samples per half-layer."""
+    par, mesh, sol = (worked_example[k] for k in ("par", "mesh", "sol_qp"))
+    waves = rec.waves_from_solution(par, sol)
+    controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, sol))
+    return lambda qt, qx: rec.fields(waves, controls, mesh, qt=qt, qx=qx)
+
+
+@pytest.fixture(scope="module")
+def small_grid(field_grid):
+    return field_grid(2, 2)
+
+
+@pytest.mark.parametrize("qt, qx", [(2, 2), (4, 2), (2, 8), (32, 32)])
+def test_kink_masks_match_full_grid_residues(field_grid, qt, qx):
+    fg = field_grid(qt, qx)
+    for got, want in zip(fg.kink_masks(), ref.kink_masks(fg)):
+        assert np.array_equal(got, want)
+
+
+def test_residual_q_matches_loop_form(small_grid):
+    assert rec.residual_Q(small_grid) == ref.residual_Q(small_grid)
+
+
+def test_fields_csv_bytes_match_csv_writer(small_grid, tmp_path):
+    # special values exercise the %.12g formatting: signed zero, tiny,
+    # huge and integral magnitudes, and exponent boundaries
+    v = small_grid.v.copy()
+    v.flat[:8] = [-0.0, 5e-324, 1e300, -123456789012345.0, 1e16, 1e-5,
+                  0.1 + 0.2, -2.5]
+    grid = dataclasses.replace(small_grid, v=v)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    rec.write_fields_csv(grid, got)
+    ref.write_fields_csv(grid, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().startswith(b"t,x,v,r,p,s,e\r\n")

@@ -262,20 +262,31 @@ class TestResidualQ:
         assert rec.residual_Q(scaled) > 100 * max(base, 1e-12)
 
 
+class TestPinnedDiagnostics:
+    # values of the slice-by-slice kernels the array code replaced
+    Q = 1.0186399260719786e-08
+    E_GRID = 2.1500877735834076
+
+    def test_residual_q_unchanged(self, solved):
+        assert rec.residual_Q(solved["fg"]) == self.Q
+
+    def test_grid_energy_unchanged(self, solved):
+        assert mean_energy(solved["fg"]) == pytest.approx(self.E_GRID, rel=1e-14)
+
+
 def _retained_measure(fg, half_rows):
     """Quadrature weight of the retained samples in the corrupted strip."""
-    from rodwave.reconstruct import _axis_derivative
-
     ht = fg.t[1] - fg.t[0]
     hx = fg.x[1] - fg.x[0]
     plus, minus = fg.kink_masks()
     kinks = plus | minus
-    _, ok_t = _axis_derivative(fg.v, ht, kinks, axis=0)
+    _, ok_t = rec.blockwise_derivative(fg.v, ht, kinks, axis=0)
     wt = simpson_weights(len(fg.t), ht)
     total = 0.0
     for seg, (j0, j1) in enumerate(fg.segment_windows()):
         cols = slice(j0, j1 + 1)
-        _, ok_x = _axis_derivative(fg.v[:, cols], hx, kinks[:, cols], axis=1)
+        _, ok_x = rec.blockwise_derivative(fg.v[:, cols], hx, kinks[:, cols],
+                                           axis=1)
         keep = ok_t[:, cols] & ok_x & ~kinks[:, cols]
         keep[half_rows:] = False
         wx = simpson_weights(j1 - j0 + 1, hx)
