@@ -56,6 +56,7 @@ from .edge import (
     boundary_matrices,
     eliminate,
     feasibility_check,
+    guard_rows,
 )
 from .energy import assemble_qp, build_weights, mean_energy
 from .solver import compare_solvers, solve_euler_lagrange, solve_qp
@@ -272,6 +273,16 @@ def _state_from_files(config: RunConfig, mesh: MeshConfig) -> StateSpec:
 # ---------------------------------------------------------------------------
 
 
+def _inconsistency_report(bc, rows) -> str:
+    """Name the dependent essential rows whose data contradict the kept
+    rows (index in the stacked vertex + guard rows, and label)."""
+    bad = bc.inconsistent_rows
+    named = ", ".join(f"{i} {rows[i].label}" for i in bad[:8])
+    more = f" and {len(bad) - 8} more" if len(bad) > 8 else ""
+    return (f"{len(bad)} essential boundary row(s) contradict the data "
+            f"of the kept rows: {named}{more}")
+
+
 def solve_pipeline(config: RunConfig, reconstruct: bool = True):
     """Assemble, solve, reconstruct, and collect diagnostics (no I/O)."""
     mesh = build_mesh(config.N, config.M)
@@ -281,7 +292,11 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
     state = build_state(config, mesh)
     system = assemble_edge_constraints(mesh, state)
     par = eliminate(system)
-    bc = boundary_matrices(par, assemble_vertex_conditions(mesh))
+    vertex_rows = assemble_vertex_conditions(mesh)
+    bc = boundary_matrices(par, vertex_rows)
+    if bc.inconsistent_rows:
+        raise InvariantViolationError(_inconsistency_report(
+            bc, vertex_rows + guard_rows(mesh)))
     weights = build_weights(mesh, config.P)
 
     solutions = {}

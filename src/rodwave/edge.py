@@ -718,6 +718,9 @@ def guard_rows(mesh: MeshConfig) -> tuple:
     return tuple(rows)
 
 
+_SWEEP_BLOCK = 64     # rows projected per pair of matrix products in the rank sweep
+
+
 @dataclass(frozen=True)
 class EssentialBC:
     """Boundary condition B1 y(lambda) - B0 y(0) = B_gamma gamma + b0 on
@@ -748,7 +751,17 @@ def boundary_matrices(par: Parametrization, vertex_rows,
     """Rewrite vertex conditions through the parametrization and drop
     linearly dependent rows by a rank-revealing sweep (threshold
     1e-12 * largest row norm).  Guard rows are appended after the given
-    vertex rows and kept only if they add rank."""
+    vertex rows and kept only if they add rank.
+
+    The sweep keeps row i when it is independent of the rows kept before
+    it, exactly as a row-by-row Gram-Schmidt pass would, but works in
+    blocks of ``_SWEEP_BLOCK`` rows: each block is projected against the
+    accepted basis with two matrix products (classical Gram-Schmidt,
+    twice), and only the test against rows accepted inside the block runs
+    row by row.  A dependent row is consistent when its data part agrees
+    with the unique combination of kept rows that forms its homogeneous
+    part; one least-squares solve covers all dependent rows.
+    """
     mesh, cat = par.mesh, par.catalog
     p = par.state.grid_p(mesh)
     g = par.g_matrix(p)
@@ -759,67 +772,68 @@ def boundary_matrices(par: Parametrization, vertex_rows,
     n_vertex = len(all_rows)
     if include_guards:
         all_rows.extend(guard_rows(mesh))
+    n_rows = len(all_rows)
 
-    raw = []
-    for vrow in all_rows:
-        b1r = np.zeros(n_s)
-        b0r = np.zeros(n_s)
-        gr = np.zeros(n_g)
-        data = 0.0
-        for key, at, coef in vrow.terms:
-            e = cat.index[key]
-            if at == 1:
-                b1r += coef * par.A[e]
-            else:
-                b0r -= coef * par.A[e]
-            gr -= coef * par.C_gamma[e]
-            data += coef * g[e, -1 if at == 1 else 0]
-        # sum coef*entry(at) = 0  <=>  B1 y(lam) - B0 y(0) = B_gamma gamma + b0
-        raw.append((b1r, b0r, gr, -data))
+    # sum coef*entry(at) = 0  <=>  B1 y(lam) - B0 y(0) = B_gamma gamma + b0,
+    # accumulated term slot by term slot in each row's own term order
+    B1 = np.zeros((n_rows, n_s))
+    B0 = np.zeros((n_rows, n_s))
+    Bg = np.zeros((n_rows, n_g))
+    data = np.zeros(n_rows)
+    for slot in range(max((len(r.terms) for r in all_rows), default=0)):
+        hits = [(i, cat.index[r.terms[slot][0]], r.terms[slot][1], r.terms[slot][2])
+                for i, r in enumerate(all_rows) if slot < len(r.terms)]
+        rows, ents, ats, coefs = (np.array(col) for col in zip(*hits))
+        end = ats == 1
+        coefs = coefs.astype(float)
+        B1[rows[end]] += coefs[end, None] * par.A[ents[end]]
+        B0[rows[~end]] -= coefs[~end, None] * par.A[ents[~end]]
+        Bg[rows] -= coefs[:, None] * par.C_gamma[ents]
+        data[rows] += coefs * g[ents, np.where(end, -1, 0)]
+    rhs = -data
 
-    norms = [np.linalg.norm(np.concatenate([r[0], -r[1], -r[2]])) for r in raw]
-    tol = 1e-12 * max(max(norms), 1.0)
+    hom = np.concatenate([B1, -B0, -Bg], axis=1)
+    tol = 1e-12 * max(float(np.max(np.linalg.norm(hom, axis=1), initial=0.0)), 1.0)
+    basis = np.empty((0, hom.shape[1]))     # orthonormal rows spanning the kept rows
+    kept = []
+    for start in range(0, n_rows, _SWEEP_BLOCK):
+        w = hom[start:start + _SWEEP_BLOCK]
+        for _ in range(2):
+            w = w - (w @ basis.T) @ basis
+        fresh = []
+        for j, wj in enumerate(w):
+            if fresh:
+                q = np.array(fresh)
+                for _ in range(2):
+                    wj = wj - (q @ wj) @ q
+            nrm = np.linalg.norm(wj)
+            if nrm > tol:
+                fresh.append(wj / nrm)
+                kept.append(start + j)
+        if fresh:
+            basis = np.concatenate([basis, fresh])
+    kept = np.array(kept, dtype=int)
 
-    basis: list = []          # orthonormal rows over (B1, -B0, -B_gamma)
-    kept: list = []
-    inconsistent = []
-    kept_b0: list = []
-    guard_kept = 0
-    for i, (b1r, b0r, gr, b0c) in enumerate(raw):
-        v = np.concatenate([b1r, -b0r, -gr])
-        w = v.copy()
-        for q in basis:
-            w -= (q @ w) * q
-        for q in basis:
-            w -= (q @ w) * q
-        nrm = np.linalg.norm(w)
-        if nrm > tol:
-            basis.append(w / nrm)
-            kept.append(i)
-            kept_b0.append(b0c)
-            if i >= n_vertex:
-                guard_kept += 1
-        else:
-            # dependent in the homogeneous part; check the data part agrees
-            if kept:
-                mat = np.array([np.concatenate([raw[j][0], -raw[j][1], -raw[j][2]])
-                                for j in kept]).T
-                coef, *_ = np.linalg.lstsq(mat, v, rcond=None)
-                predicted = float(np.array(kept_b0) @ coef)
-                scale = max(1.0, abs(b0c), float(np.max(np.abs(kept_b0))) if kept_b0 else 1.0)
-                if abs(predicted - b0c) > 1e-8 * scale:
-                    inconsistent.append(i)
-            elif abs(b0c) > 1e-10:
-                inconsistent.append(i)
+    dependent = np.setdiff1d(np.arange(n_rows), kept)
+    n_before = np.searchsorted(kept, dependent)     # kept rows preceding each
+    bad = np.abs(rhs[dependent]) > 1e-10            # nothing kept before: b0 must vanish
+    late = n_before > 0
+    if np.any(late):
+        coef, *_ = np.linalg.lstsq(hom[kept].T, hom[dependent[late]].T, rcond=None)
+        predicted = rhs[kept] @ coef
+        running = np.maximum.accumulate(np.abs(rhs[kept]))[n_before[late] - 1]
+        own = rhs[dependent[late]]
+        scale = np.maximum(np.maximum(1.0, np.abs(own)), running)
+        bad[late] = np.abs(predicted - own) > 1e-8 * scale
 
     return EssentialBC(
-        B0=np.array([raw[i][1] for i in kept]).reshape(len(kept), n_s),
-        B1=np.array([raw[i][0] for i in kept]).reshape(len(kept), n_s),
-        B_gamma=np.array([raw[i][2] for i in kept]).reshape(len(kept), n_g),
-        b0=np.array([raw[i][3] for i in kept]),
+        B0=B0[kept],
+        B1=B1[kept],
+        B_gamma=Bg[kept],
+        b0=rhs[kept],
         rank=len(kept),
         n_vertex_rows=n_vertex,
-        n_assembled=len(all_rows),
-        guard_rows_kept=guard_kept,
-        inconsistent_rows=tuple(inconsistent),
+        n_assembled=n_rows,
+        guard_rows_kept=int(np.count_nonzero(kept >= n_vertex)),
+        inconsistent_rows=tuple(int(i) for i in dependent[bad]),
     )

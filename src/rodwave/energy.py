@@ -5,14 +5,19 @@ On a valid solution the energy density reduces to
 mean energy is a weighted integral of squared wave derivatives over the
 reference interval: each wave piece carries the cross-characteristic
 thickness of its strip as weight (the trapezoid of
-:func:`rodwave.mesh.delta_z_weight`), which is identically lambda on all
-interior layers and a linear ramp on the first/last layers.  Control-jump
-entries carry zero weight.
+:func:`rodwave.mesh.delta_z_weight`), which is lambda on all interior
+layers and a linear ramp on the first/last layers.  Control-jump entries
+carry zero weight.
+
+On interior layers the sampled weight is lambda only up to rounding: the
+trapezoid is evaluated from rounded domain offsets, so some pieces read a
+few ulps below lambda (1 ulp at N = M = 6, up to 10 at N = 7, M = 5).
+The assembled quadratic form keeps these values as they are.
 
 Since the first/last layer pieces are resolved purely from data, the
-y-dependent part of the functional sees the constant weight lambda only;
-the ramp layers contribute a data constant that is kept so that the
-reported optimum equals the true mean energy.
+y-dependent part of the functional sees the (rounded) constant weight
+lambda only; the ramp layers contribute a data constant that is kept so
+that the reported optimum equals the true mean energy.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix, lil_matrix
+from scipy.sparse import csr_matrix
 
 from .errors import AssemblyError, InvalidArgumentError
 from .mesh import MeshConfig, delta_z_weight
@@ -56,7 +61,8 @@ def build_weights(mesh: MeshConfig, p: int = 129) -> EnergyWeights:
 
     Piece (side, k, m) occupies offsets [m*lam/2, m*lam/2 + lam] of the
     wave domain, so its weight is z on the first layer, lam - z on the
-    last, and the constant lam in between.
+    last, and the constant lam in between, up to the rounding of the
+    offsets (a few ulps below lam on some interior pieces).
     """
     z = np.linspace(0.0, mesh.lam, p)
     table = {}
@@ -112,6 +118,14 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     sawtooth modes and the KKT solution would carry them as noise.  c1 is
     constant in z and drops out of the objective, entering through the
     constraints only.
+
+    The kernel A_w^T diag(w_q) A_w of cell q depends only on the cell's
+    weight column restricted to the rows where A_w is nonzero, and a mesh
+    has one to three distinct such columns, so one kernel is formed per
+    distinct column.  H is block tridiagonal in the samples and is written
+    straight into CSR: diagonal block q sums the kernels of cells q-1 and
+    q, the off-diagonal blocks carry the kernel of the cell between them,
+    and exact zeros are left out of the pattern.
     """
     mesh, cat = par.mesh, par.catalog
     if p != par.state.grid_p(mesh):
@@ -128,42 +142,75 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     w_nodes = weights.matrix(cat)[:n_w]
     w_mid = 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])
 
-    # per-cell quadratic kernels over the free vector
-    scale = np.full(p - 1, h / mesh.T)
-    kernels = np.einsum("ei,ep,ej->pij", a_w, w_mid * scale[None, :], a_w)
-    lin_cells = a_w.T @ (w_mid * scale[None, :] * g_d)     # (n_s, p-1)
-    c0 = float(np.sum(w_mid * scale[None, :] * g_d * g_d))
+    w_cells = w_mid * (h / mesh.T)
+    lin_cells = a_w.T @ (w_cells * g_d)    # (n_s, p-1)
+    c0 = float(np.sum(w_cells * g_d * g_d))
+
+    # one kernel per distinct weight column over the rows A_w touches
+    touched = np.any(a_w != 0.0, axis=1)
+    _, first, cell_class = np.unique(w_cells[touched].T, axis=0,
+                                     return_index=True, return_inverse=True)
+    cell_class = cell_class.reshape(-1)
+    kernels = np.einsum("ei,ep,ej->pij", a_w, w_cells[:, first], a_w)
+
+    # forward-difference stencil of a cell: lo at its left sample, hi at its right
+    lo, hi = -1.0 / h, 1.0 / h
+    block_rows: dict = {}    # (class of cell s-1, class of cell s) -> CSR rows of sample s
+
+    def block_row(left, right):
+        """Nonzeros of the block row of a sample between cells of the given
+        classes (None past either end), with columns relative to the sample."""
+        if (left, right) not in block_rows:
+            if left is None:
+                diag = (lo * lo) * kernels[right]
+            elif right is None:
+                diag = (hi * hi) * kernels[left]
+            else:
+                diag = (hi * hi) * kernels[left] + (lo * lo) * kernels[right]
+            parts = [diag]
+            if left is not None:
+                parts.insert(0, (hi * lo) * kernels[left])
+            if right is not None:
+                parts.append((lo * hi) * kernels[right])
+            dense = np.concatenate(parts, axis=1)
+            rows, cols = np.nonzero(dense)
+            shift = -n_s if left is not None else 0
+            block_rows[left, right] = (dense[rows, cols], cols + shift,
+                                       np.bincount(rows, minlength=n_s))
+        return block_rows[left, right]
+
+    classes = [None, *cell_class.tolist(), None]
+    data, indices, counts = [], [], []
+    for blk in range(p):
+        vals, cols, per_row = block_row(classes[blk], classes[blk + 1])
+        data.append(vals)
+        indices.append(cols + blk * n_s)
+        counts.append(per_row)
 
     n_gamma = par.n_gamma
     n_x = n_s * p + n_gamma
-    blocks: dict = {}
+    counts.append(np.zeros(n_gamma, dtype=np.intp))      # gamma rows are empty
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    hmat = csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
+                      shape=(n_x, n_x))
+
+    # lin accumulates cell by cell: sample s gets hi * l[s-1], then lo * l[s]
     lin = np.zeros(n_x)
-    for q in range(p - 1):
-        stencil = ((q, -1.0 / h), (q + 1, 1.0 / h))
-        kq = kernels[q]
-        lq = lin_cells[:, q]
-        for p1, c1v in stencil:
-            lin[p1 * n_s:(p1 + 1) * n_s] += c1v * lq
-            for p2, c2v in stencil:
-                key = (p1, p2)
-                if key in blocks:
-                    blocks[key] = blocks[key] + (c1v * c2v) * kq
-                else:
-                    blocks[key] = (c1v * c2v) * kq
+    lin_samples = lin[:n_s * p].reshape(p, n_s)
+    lin_samples[1:] += hi * lin_cells.T
+    lin_samples[:-1] += lo * lin_cells.T
 
-    hmat = lil_matrix((n_x, n_x))
-    for (p1, p2), block in blocks.items():
-        hmat[p1 * n_s:(p1 + 1) * n_s, p2 * n_s:(p2 + 1) * n_s] = block
-    hmat = hmat.tocsr()
-
+    # essential rows B1 y(lam) - B0 y(0) - B_gamma gamma = b0
     n_c = bc.n_rows
-    cmat = lil_matrix((n_c, n_x))
-    if n_c:
-        cmat[:, (p - 1) * n_s:p * n_s] = bc.B1
-        cmat[:, 0:n_s] += -bc.B0
-        cmat[:, n_s * p:] = -bc.B_gamma
+    rows_c = np.concatenate([-bc.B0, bc.B1, -bc.B_gamma], axis=1)
+    col_map = np.concatenate([np.arange(n_s), np.arange((p - 1) * n_s, p * n_s),
+                              np.arange(n_s * p, n_x)])
+    r_idx, c_idx = np.nonzero(rows_c)
+    cmat = csr_matrix((rows_c[r_idx, c_idx], col_map[c_idx],
+                       np.concatenate([[0], np.cumsum(np.bincount(r_idx, minlength=n_c))])),
+                      shape=(n_c, n_x))
     return QuadraticProgram(mesh=mesh, p=p, n_free=n_s, n_gamma=n_gamma,
-                            H=hmat, b=lin, c0=c0, C=cmat.tocsr(),
+                            H=hmat, b=lin, c0=c0, C=cmat,
                             d=bc.b0.copy() if n_c else np.zeros(0))
 
 

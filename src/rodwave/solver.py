@@ -154,33 +154,24 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
     y_part = -ata_inv @ (a_w.T @ g_w) if n_s else np.zeros((0, p))
 
     n_b = bc.n_rows
-    # unknown vector [alpha (n_s), beta (n_s), gamma (n_g), h (n_b)]
+    # unknown vector [alpha (n_s), beta (n_s), gamma (n_g), h (n_b)]; rows:
+    # essential (n_b), p(0) = B0^T h and p(lambda) = B1^T h (n_s each), and
+    # the gauge B_gamma^T h = 0 (n_g)
     n_unk = 2 * n_s + n_g + n_b
-    rows = []
-    rhs = []
+    c_beta, c_gamma, c_h = n_s, 2 * n_s, 2 * n_s + n_g
+    mat = np.zeros((n_b + 2 * n_s + n_g, n_unk))
+    vec = np.zeros(len(mat))
+    mat[:n_b, :c_beta] = bc.B1 - bc.B0
+    mat[:n_b, c_beta:c_gamma] = lam * bc.B1
+    mat[:n_b, c_gamma:c_h] = -bc.B_gamma
     yp0, ypl = y_part[:, 0], y_part[:, -1]
-    for i in range(n_b):
-        row = np.zeros(n_unk)
-        row[:n_s] = bc.B1[i] - bc.B0[i]
-        row[n_s:2 * n_s] = lam * bc.B1[i]
-        row[2 * n_s:2 * n_s + n_g] = -bc.B_gamma[i]
-        rows.append(row)
-        rhs.append(bc.b0[i] - bc.B1[i] @ ypl + bc.B0[i] @ yp0)
-    for bm in (bc.B0, bc.B1):        # p(0) = B0^T h, p(lambda) = B1^T h
-        for i in range(n_s):
-            row = np.zeros(n_unk)
-            row[n_s:2 * n_s] = ata[i]
-            row[2 * n_s + n_g:] = -bm[:, i]
-            rows.append(row)
-            rhs.append(0.0)
-    for j in range(n_g):             # gauge: B_gamma^T h = 0
-        row = np.zeros(n_unk)
-        row[2 * n_s + n_g:] = bc.B_gamma[:, j]
-        rows.append(row)
-        rhs.append(0.0)
+    for i in range(n_b):             # row-wise dots, as a GEMV may round differently
+        vec[i] = bc.b0[i] - bc.B1[i] @ ypl + bc.B0[i] @ yp0
+    for r, bm in ((n_b, bc.B0), (n_b + n_s, bc.B1)):
+        mat[r:r + n_s, c_beta:c_gamma] = ata
+        mat[r:r + n_s, c_h:] = -bm.T
+    mat[n_b + 2 * n_s:, c_h:] = bc.B_gamma.T
 
-    mat = np.array(rows)
-    vec = np.array(rhs)
     sol, _, rank, _ = np.linalg.lstsq(mat, vec, rcond=None)
     lstsq_residual = float(np.max(np.abs(mat @ sol - vec))) if len(vec) else 0.0
     scale = 1.0 + float(np.max(np.abs(vec))) if len(vec) else 1.0

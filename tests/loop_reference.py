@@ -1,4 +1,4 @@
-"""Scalar loop forms of the vectorized quadrature and differencing kernels.
+"""Scalar loop forms of the vectorized kernels and per-mesh assembly.
 
 These are the slice-by-slice implementations the package used before its
 kernels became whole-array code; tests compare the array kernels against
@@ -8,7 +8,11 @@ them (bit for bit where the arithmetic is unchanged).
 import csv
 
 import numpy as np
+from scipy.sparse import lil_matrix
 
+from rodwave.edge import EssentialBC, guard_rows
+from rodwave.energy import QuadraticProgram
+from rodwave.errors import AssemblyError
 from rodwave.sampled import fd_derivative, simpson_weights
 
 
@@ -108,3 +112,140 @@ def write_fields_csv(fg, path):
                 writer.writerow([f"{val:.12g}" for val in
                                  (t, x, fg.v[i, j], fg.r[i, j], fg.p[i, j],
                                   fg.s[i, j], fg.e[i, j])])
+
+
+def boundary_matrices(par, vertex_rows, include_guards=True):
+    """Essential rows by a row-by-row Gram-Schmidt sweep (threshold
+    1e-12 * largest row norm), with one least-squares consistency check
+    per dependent row against the rows kept before it."""
+    mesh, cat = par.mesh, par.catalog
+    p = par.state.grid_p(mesh)
+    g = par.g_matrix(p)
+    n_s = par.n_free
+    n_g = par.n_gamma
+
+    all_rows = list(vertex_rows)
+    n_vertex = len(all_rows)
+    if include_guards:
+        all_rows.extend(guard_rows(mesh))
+
+    raw = []
+    for vrow in all_rows:
+        b1r = np.zeros(n_s)
+        b0r = np.zeros(n_s)
+        gr = np.zeros(n_g)
+        data = 0.0
+        for key, at, coef in vrow.terms:
+            e = cat.index[key]
+            if at == 1:
+                b1r += coef * par.A[e]
+            else:
+                b0r -= coef * par.A[e]
+            gr -= coef * par.C_gamma[e]
+            data += coef * g[e, -1 if at == 1 else 0]
+        # sum coef*entry(at) = 0  <=>  B1 y(lam) - B0 y(0) = B_gamma gamma + b0
+        raw.append((b1r, b0r, gr, -data))
+
+    norms = [np.linalg.norm(np.concatenate([r[0], -r[1], -r[2]])) for r in raw]
+    tol = 1e-12 * max(max(norms), 1.0)
+
+    basis: list = []          # orthonormal rows over (B1, -B0, -B_gamma)
+    kept: list = []
+    inconsistent = []
+    kept_b0: list = []
+    guard_kept = 0
+    for i, (b1r, b0r, gr, b0c) in enumerate(raw):
+        v = np.concatenate([b1r, -b0r, -gr])
+        w = v.copy()
+        for q in basis:
+            w -= (q @ w) * q
+        for q in basis:
+            w -= (q @ w) * q
+        nrm = np.linalg.norm(w)
+        if nrm > tol:
+            basis.append(w / nrm)
+            kept.append(i)
+            kept_b0.append(b0c)
+            if i >= n_vertex:
+                guard_kept += 1
+        else:
+            # dependent in the homogeneous part; check the data part agrees
+            if kept:
+                mat = np.array([np.concatenate([raw[j][0], -raw[j][1], -raw[j][2]])
+                                for j in kept]).T
+                coef, *_ = np.linalg.lstsq(mat, v, rcond=None)
+                predicted = float(np.array(kept_b0) @ coef)
+                scale = max(1.0, abs(b0c), float(np.max(np.abs(kept_b0))) if kept_b0 else 1.0)
+                if abs(predicted - b0c) > 1e-8 * scale:
+                    inconsistent.append(i)
+            elif abs(b0c) > 1e-10:
+                inconsistent.append(i)
+
+    return EssentialBC(
+        B0=np.array([raw[i][1] for i in kept]).reshape(len(kept), n_s),
+        B1=np.array([raw[i][0] for i in kept]).reshape(len(kept), n_s),
+        B_gamma=np.array([raw[i][2] for i in kept]).reshape(len(kept), n_g),
+        b0=np.array([raw[i][3] for i in kept]),
+        rank=len(kept),
+        n_vertex_rows=n_vertex,
+        n_assembled=len(all_rows),
+        guard_rows_kept=guard_kept,
+        inconsistent_rows=tuple(inconsistent),
+    )
+
+
+def assemble_qp(par, bc, weights, p):
+    """Quadratic program with one kernel per cell, H accumulated as a dict
+    of blocks and written through a LIL matrix."""
+    mesh, cat = par.mesh, par.catalog
+    if p != par.state.grid_p(mesh):
+        raise AssemblyError(f"QP grid p={p} does not match the state grid")
+    if weights.p != p:
+        raise AssemblyError("weight grid does not match the QP grid")
+    n_s = par.n_free
+    n_w = cat.N_w
+    h = mesh.lam / (p - 1)
+
+    a_w = par.A[:n_w]                      # wave rows of A
+    g_w = par.g_matrix(p)[:n_w]
+    g_d = np.diff(g_w, axis=1) / h         # midpoint derivatives, (N_w, p-1)
+    w_nodes = weights.matrix(cat)[:n_w]
+    w_mid = 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])
+
+    # per-cell quadratic kernels over the free vector
+    scale = np.full(p - 1, h / mesh.T)
+    kernels = np.einsum("ei,ep,ej->pij", a_w, w_mid * scale[None, :], a_w)
+    lin_cells = a_w.T @ (w_mid * scale[None, :] * g_d)     # (n_s, p-1)
+    c0 = float(np.sum(w_mid * scale[None, :] * g_d * g_d))
+
+    n_gamma = par.n_gamma
+    n_x = n_s * p + n_gamma
+    blocks: dict = {}
+    lin = np.zeros(n_x)
+    for q in range(p - 1):
+        stencil = ((q, -1.0 / h), (q + 1, 1.0 / h))
+        kq = kernels[q]
+        lq = lin_cells[:, q]
+        for p1, c1v in stencil:
+            lin[p1 * n_s:(p1 + 1) * n_s] += c1v * lq
+            for p2, c2v in stencil:
+                key = (p1, p2)
+                if key in blocks:
+                    blocks[key] = blocks[key] + (c1v * c2v) * kq
+                else:
+                    blocks[key] = (c1v * c2v) * kq
+
+    hmat = lil_matrix((n_x, n_x))
+    for (p1, p2), block in blocks.items():
+        hmat[p1 * n_s:(p1 + 1) * n_s, p2 * n_s:(p2 + 1) * n_s] = block
+    hmat = hmat.tocsr()
+
+    n_c = bc.n_rows
+    cmat = lil_matrix((n_c, n_x))
+    if n_c:
+        cmat[:, (p - 1) * n_s:p * n_s] = bc.B1
+        cmat[:, 0:n_s] += -bc.B0
+        cmat[:, n_s * p:] = -bc.B_gamma
+    return QuadraticProgram(mesh=mesh, p=p, n_free=n_s, n_gamma=n_gamma,
+                            H=hmat, b=lin, c0=c0, C=cmat.tocsr(),
+                            d=bc.b0.copy() if n_c else np.zeros(0))

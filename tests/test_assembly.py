@@ -1,0 +1,102 @@
+"""Array-wide per-mesh assembly against the loop forms it replaced.
+
+``boundary_matrices`` (blocked rank sweep) and ``assemble_qp`` (one kernel
+per distinct weight column, H written straight into CSR) must return the
+same bits as the row-by-row sweep and the dict-of-blocks LIL assembly kept
+in ``loop_reference``.
+"""
+
+import numpy as np
+import pytest
+
+import loop_reference as ref
+from conftest import assemble_all
+from rodwave.edge import assemble_vertex_conditions, boundary_matrices
+from rodwave.energy import assemble_qp
+from rodwave.mesh import build_mesh
+from test_edge import random_state
+
+
+def assert_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_bc(new, old):
+    for name in ("B0", "B1", "B_gamma", "b0"):
+        assert_bits(getattr(new, name), getattr(old, name))
+    for name in ("rank", "n_vertex_rows", "n_assembled", "guard_rows_kept",
+                 "inconsistent_rows"):
+        assert getattr(new, name) == getattr(old, name)
+
+
+def assert_same_qp(new, old):
+    for name in ("H", "C"):
+        for part in ("data", "indices", "indptr"):
+            assert_bits(getattr(getattr(new, name), part),
+                        getattr(getattr(old, name), part))
+        assert getattr(new, name).shape == getattr(old, name).shape
+    assert_bits(new.b, old.b)
+    assert_bits(new.d, old.d)
+    assert new.c0.hex() == old.c0.hex()
+
+
+def distinct_weight_columns(par, weights, p):
+    """Distinct scaled cell weight columns over the wave rows A touches."""
+    n_w = par.catalog.N_w
+    w_nodes = weights.matrix(par.catalog)[:n_w]
+    w_cells = 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:]) * (par.mesh.lam / (p - 1) / par.mesh.T)
+    touched = np.any(par.A[:n_w] != 0.0, axis=1)
+    return len(np.unique(w_cells[touched].T, axis=0))
+
+
+def check_both(par, weights, p, vertex_rows, include_guards=True):
+    bc = boundary_matrices(par, vertex_rows, include_guards=include_guards)
+    assert_same_bc(bc, ref.boundary_matrices(par, vertex_rows,
+                                             include_guards=include_guards))
+    assert_same_qp(assemble_qp(par, bc, weights, p),
+                   ref.assemble_qp(par, bc, weights, p))
+    return bc
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (4, 2), (5, 3), (6, 3), (7, 2)])
+def test_odd_and_even_n(n, m):
+    mesh, _, _, par, _, weights = assemble_all(n, m, 17)
+    check_both(par, weights, 17, assemble_vertex_conditions(mesh))
+
+
+@pytest.mark.parametrize("n,m,columns", [(4, 4, 1), (3, 7, 2), (6, 6, 3)])
+def test_distinct_weight_columns(n, m, columns):
+    mesh, _, _, par, _, weights = assemble_all(n, m, 129)
+    assert distinct_weight_columns(par, weights, 129) == columns
+    check_both(par, weights, 129, assemble_vertex_conditions(mesh))
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 4)])
+def test_without_guards(n, m):
+    mesh, _, _, par, _, weights = assemble_all(n, m, 17)
+    check_both(par, weights, 17, assemble_vertex_conditions(mesh),
+               include_guards=False)
+
+
+def test_random_state():
+    mesh = build_mesh(5, 3)
+    _, _, _, par, _, weights = assemble_all(5, 3, 33, random_state(mesh, 33, seed=4))
+    check_both(par, weights, 33, assemble_vertex_conditions(mesh))
+
+
+@pytest.mark.parametrize("n,m,entry,flagged", [
+    (4, 4, 0, (16,)),                      # ("w", 1, -3, 0) against a guard row
+    (4, 4, 10, (10, 24)),                  # ("w", 1, -1, 0): a vertex and a guard row
+    (3, 3, 12, (15, 23, 30, 38)),          # ("w", 1, 0, 4), central segment
+    (2, 2, 3, (9, 13, 17)),                # ("w", -1, -1, 2)
+])
+def test_perturbed_data_flags_rows(n, m, entry, flagged):
+    # a shifted end sample of one entry's data part contradicts the
+    # dependent rows through it; the flagged rows are those of the loop sweep
+    mesh, _, _, par, clean, weights = assemble_all(n, m, 9)
+    assert clean.inconsistent_rows == ()
+    par.g_matrix(9)[entry, -1] += 0.5      # the cached data part, in place
+    bc = check_both(par, weights, 9, assemble_vertex_conditions(mesh))
+    assert bc.inconsistent_rows == flagged

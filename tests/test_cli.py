@@ -5,10 +5,12 @@ import os
 import numpy as np
 import pytest
 
+from rodwave.edge import Parametrization
 from rodwave.errors import ConfigurationError
 from rodwave.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
+    EXIT_INVARIANT,
     EXIT_OK,
     RunConfig,
     main,
@@ -233,6 +235,47 @@ def test_sweep_continues_past_failed_cells(tmp_path):
     assert any(s.startswith("failed") for s in statuses)
     assert any(s == "ok" for s in statuses)
     assert code != EXIT_OK
+
+
+class TestInconsistentBoundaryData:
+    """Data that contradict a dependent essential row stop the run."""
+
+    @pytest.fixture
+    def perturbed(self, monkeypatch):
+        # shift the end sample of the first wave entry's data part: the
+        # vertex rows through it no longer agree with the rows kept before
+        original = Parametrization.g_matrix
+
+        def g_matrix(self, p):
+            g = original(self, p).copy()
+            g[0, -1] += 0.5
+            return g
+
+        monkeypatch.setattr(Parametrization, "g_matrix", g_matrix)
+
+    def test_solve_and_verify_exit_4(self, perturbed, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "N": 4, "M": 4, "preset": "paper_example", "P": 17,
+            "out_dir": str(tmp_path / "out")}))
+        assert main(["solve", "--config", str(cfgfile)]) == EXIT_INVARIANT
+        assert main(["verify", "--config", str(cfgfile)]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        # row 16, the first guard row at (4, 4), joins that entry to the next layer
+        assert err.count("invariant violation: 1 essential boundary row(s) contradict "
+                         "the data of the kept rows: 16 ('guard_w', 1, -3, 2)") == 2
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "fields.csv").exists()
+
+    def test_sweep_rows_fail(self, perturbed, tmp_path):
+        cfg = RunConfig(N=2, M=2, preset="paper_example", P=17,
+                        out_dir=str(tmp_path), solver="el")
+        assert run_sweep(cfg, (2, 3), (2, 3), workers=1) == EXIT_INVARIANT
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(l for l in fh if not l.startswith("#")))
+        assert len(rows) == 4
+        assert all(r["status"].startswith("failed: ") and "contradict" in r["status"]
+                   for r in rows)
 
 
 class TestOracleSettings:

@@ -188,23 +188,27 @@ class TestVertexConditions:
         assert np.max(np.abs(bc.b0)) == 0.0
 
     def test_odd_n_vertex_rows_are_sufficient(self):
-        # for odd N the guard sweep never adds rank beyond the vertex rows
+        # for odd N the vertex rows are independent and complete: the guard
+        # sweep never adds rank beyond them
         for n, m in ((3, 2), (3, 3), (5, 3), (5, 4)):
-            _, _, _, par, bc, _ = assemble_all(n, m, 9)
-            assert bc.guard_rows_kept == 0
-
-    def test_even_n_needs_one_extra_row(self):
-        # the even-parity vertex set undershoots the junction-continuity
-        # space by exactly one independent condition; guards repair it
-        for n, m in ((2, 2), (4, 4), (6, 3)):
             mesh, _, _, par, bc, _ = assemble_all(n, m, 9)
             no_guard = boundary_matrices(
                 par, assemble_vertex_conditions(mesh), include_guards=False)
-            assert bc.guard_rows_kept >= 1
-            assert bc.rank == no_guard.rank + bc.guard_rows_kept
-            # the full junction-continuity space is one dimension larger
-            # than the printed vertex count for even N
-            assert bc.rank == counts(n, m).N_b + 1
+            assert bc.guard_rows_kept == 0
+            assert no_guard.rank == counts(n, m).N_b
+
+    def test_even_n_vertex_rows_need_three_guards(self):
+        # for even N the printed vertex rows have rank N_b - 2 (two of them
+        # are dependent), and the junction-continuity space has rank N_b + 1:
+        # exactly three guard rows repair the shortfall
+        for n, m in ((2, 2), (4, 4), (6, 3), (8, 8)):
+            mesh, _, _, par, bc, _ = assemble_all(n, m, 9)
+            no_guard = boundary_matrices(
+                par, assemble_vertex_conditions(mesh), include_guards=False)
+            n_b = counts(n, m).N_b
+            assert no_guard.rank == n_b - 2
+            assert bc.guard_rows_kept == 3
+            assert bc.rank == no_guard.rank + bc.guard_rows_kept == n_b + 1
 
     def test_no_inconsistent_rows_on_worked_example(self):
         *_, bc, _ = assemble_all(4, 4, P)
