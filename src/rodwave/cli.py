@@ -50,6 +50,8 @@ from .errors import (
 from .mesh import MeshConfig, RodParams, build_mesh, counts
 from .sampled import SampledFunction
 from .edge import (
+    BoundaryStructure,
+    Parametrization,
     StateSpec,
     assemble_edge_constraints,
     assemble_vertex_conditions,
@@ -58,8 +60,14 @@ from .edge import (
     feasibility_check,
     guard_rows,
 )
-from .energy import assemble_qp, build_weights, mean_energy
-from .solver import compare_solvers, solve_euler_lagrange, solve_qp
+from .energy import EnergyWeights, QPStructure, assemble_qp, build_weights, mean_energy
+from .solver import (
+    ELSystem,
+    KKTSystem,
+    compare_solvers,
+    solve_euler_lagrange,
+    solve_qp,
+)
 from . import reconstruct as rec
 from .oracle import SimConfig, compare as oracle_compare, simulate, write_sim_csv
 
@@ -283,28 +291,80 @@ def _inconsistency_report(bc, rows) -> str:
             f"of the kept rows: {named}{more}")
 
 
+@dataclass
+class SolveOperator:
+    """Everything a solve on one (N, M, P) computes that does not depend
+    on the state: the mesh, the vertex rows, the eliminated
+    parametrization (bound to the state it was first built with), the
+    essential-row structure, the energy weights, H and C, the KKT system
+    and the closed-form boundary system.  Each slot fills on first use."""
+
+    key: tuple
+    mesh: MeshConfig
+    vertex_rows: tuple
+    par: Optional[Parametrization] = None
+    boundary: Optional[BoundaryStructure] = None
+    weights: Optional[EnergyWeights] = None
+    qp: Optional[QPStructure] = None
+    kkt: Optional[KKTSystem] = None
+    el: Optional[ELSystem] = None
+
+
+_operator: Optional[SolveOperator] = None    # the one cache entry: the last mesh solved
+
+
+def solve_operator(n: int, m: int, p: int) -> SolveOperator:
+    """The cached operator of (n, m, p); another key replaces the entry."""
+    global _operator
+    if _operator is None or _operator.key != (n, m, p):
+        _operator = None           # release the old mesh's structure first
+        mesh = build_mesh(n, m)
+        _operator = SolveOperator(key=(n, m, p), mesh=mesh,
+                                  vertex_rows=assemble_vertex_conditions(mesh))
+    return _operator
+
+
+def clear_operator_cache() -> None:
+    global _operator
+    _operator = None
+
+
 def solve_pipeline(config: RunConfig, reconstruct: bool = True):
-    """Assemble, solve, reconstruct, and collect diagnostics (no I/O)."""
-    mesh = build_mesh(config.N, config.M)
+    """Assemble, solve, reconstruct, and collect diagnostics (no I/O).
+
+    State-independent work is done once per (N, M, P) and kept in the
+    :func:`solve_operator` cache, so a repeated mesh costs only the
+    state's data parts."""
     feas = feasibility_check(config.N, config.M)
     if not feas.feasible:
         raise InfeasibleError(feas.reason)
+    op = solve_operator(config.N, config.M, config.P)
+    mesh = op.mesh
     state = build_state(config, mesh)
     system = assemble_edge_constraints(mesh, state)
-    par = eliminate(system)
-    vertex_rows = assemble_vertex_conditions(mesh)
-    bc = boundary_matrices(par, vertex_rows)
+    if op.par is None:
+        op.par = par = eliminate(system)
+    else:
+        par = op.par.rebind(state)
+    bc = boundary_matrices(par, op.vertex_rows, structure=op.boundary)
+    op.boundary = bc.structure
     if bc.inconsistent_rows:
         raise InvariantViolationError(_inconsistency_report(
-            bc, vertex_rows + guard_rows(mesh)))
-    weights = build_weights(mesh, config.P)
+            bc, op.vertex_rows + guard_rows(mesh)))
+    if op.weights is None:
+        op.weights = build_weights(mesh, config.P)
+    weights = op.weights
 
     solutions = {}
     if config.solver in ("qp", "both"):
-        qp = assemble_qp(par, bc, weights, config.P)
-        solutions["qp"] = solve_qp(qp, par, bc, weights)
+        qp = assemble_qp(par, bc, weights, config.P, structure=op.qp)
+        op.qp = qp.structure
+        solutions["qp"] = solve_qp(qp, par, bc, weights, structure=op.kkt)
+        op.kkt = solutions["qp"].structure
     if config.solver in ("el", "both"):
-        solutions["el"] = solve_euler_lagrange(par, bc, weights, config.P)
+        solutions["el"] = solve_euler_lagrange(par, bc, weights, config.P,
+                                               structure=op.el)
+        op.el = solutions["el"].structure
     primary = solutions.get("qp", solutions.get("el"))
 
     comparison = None
@@ -372,6 +432,14 @@ def summarize(config: RunConfig, result: dict) -> dict:
             "jump_identity_max": controls.jump_identity_max(),
         },
         "interface_jumps": {"v": fg.interface_jump_v, "r": fg.interface_jump_r},
+        "sizes": {
+            "N_s": result["par"].n_free,
+            "A_nnz": int(np.count_nonzero(result["par"].A)),
+            "boundary_rank": result["bc"].rank,
+            "guard_rows_kept": result["bc"].guard_rows_kept,
+            "kkt_size": (result["solutions"]["qp"].diagnostics["kkt_size"]
+                         if "qp" in result["solutions"] else None),
+        },
         "solver": {},
     }
     for name, sol in result["solutions"].items():

@@ -24,6 +24,7 @@ right-boundary rows ``+r0(+1)``.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -453,9 +454,22 @@ class Parametrization:
                 a_mat[e, j] = float(c)
             for k, c in g_exprs[e].gammas.items():
                 c_mat[e, gamma_pos[k]] = float(c)
+        a_mat.setflags(write=False)           # shared by every rebound copy
+        c_mat.setflags(write=False)
         self.A = a_mat
         self.C_gamma = c_mat
         self._g_cache: dict = {}
+
+    def rebind(self, state: StateSpec) -> "Parametrization":
+        """The same parametrization over another state on the same mesh.
+
+        A, C_gamma and the data expressions depend only on the mesh, so
+        they are shared; the data part g is evaluated afresh for ``state``.
+        """
+        par = copy.copy(self)
+        par.state = state
+        par._g_cache = {}
+        return par
 
     @property
     def n_free(self) -> int:
@@ -725,7 +739,9 @@ _SWEEP_BLOCK = 64     # rows projected per pair of matrix products in the rank s
 class EssentialBC:
     """Boundary condition B1 y(lambda) - B0 y(0) = B_gamma gamma + b0 on
     the free functions, reduced to independent rows.  ``B_gamma`` carries
-    the coefficients of the per-segment free terminal constants."""
+    the coefficients of the per-segment free terminal constants.
+    ``structure`` is the state-independent part these rows came from; pass
+    it back to :func:`boundary_matrices` for another state on the same mesh."""
 
     B0: np.ndarray
     B1: np.ndarray
@@ -736,6 +752,8 @@ class EssentialBC:
     n_assembled: int
     guard_rows_kept: int
     inconsistent_rows: tuple
+    structure: Optional["BoundaryStructure"] = field(default=None, repr=False,
+                                                     compare=False)
 
     @property
     def n_rows(self) -> int:
@@ -746,8 +764,75 @@ class EssentialBC:
         return self.B_gamma.shape[1]
 
 
-def boundary_matrices(par: Parametrization, vertex_rows,
-                      include_guards: bool = True) -> EssentialBC:
+@dataclass(frozen=True)
+class BoundaryStructure:
+    """The state-independent part of the essential rows of one mesh.
+
+    ``slots`` gathers the data part: for each term slot, the rows that
+    have a term there, its catalog entry, its end sample (0 or -1) and its
+    coefficient.  ``kept`` and ``dependent`` index the stacked vertex and
+    guard rows; ``n_before`` counts the kept rows preceding each dependent
+    row, and ``coef`` writes the homogeneous part of every dependent row
+    with kept rows before it as a combination of the kept rows.
+    """
+
+    n_assembled: int
+    n_vertex_rows: int
+    slots: tuple = field(repr=False)
+    kept: np.ndarray = field(repr=False)
+    dependent: np.ndarray = field(repr=False)
+    n_before: np.ndarray = field(repr=False)
+    coef: Optional[np.ndarray] = field(repr=False)
+    B0: np.ndarray = field(repr=False)
+    B1: np.ndarray = field(repr=False)
+    B_gamma: np.ndarray = field(repr=False)
+
+    @property
+    def rank(self) -> int:
+        return len(self.kept)
+
+    def essential(self, par: Parametrization) -> EssentialBC:
+        """The essential rows for the state ``par`` is bound to: the data
+        part b0 of the kept rows, and the dependent rows whose data
+        contradict the kept rows.
+
+        A dependent row is consistent when its data part agrees with the
+        combination of kept rows that forms its homogeneous part, to
+        1e-8 * max(1, |own|, largest |b0| kept before it); with nothing
+        kept before it, its data must vanish to 1e-10.
+        """
+        g = par.g_matrix(par.state.grid_p(par.mesh))
+        data = np.zeros(self.n_assembled)
+        for rows, ents, ends, coefs in self.slots:
+            data[rows] += coefs * g[ents, ends]
+        rhs = -data
+
+        kept, dependent, n_before = self.kept, self.dependent, self.n_before
+        bad = np.abs(rhs[dependent]) > 1e-10
+        late = n_before > 0
+        if np.any(late):
+            predicted = rhs[kept] @ self.coef
+            running = np.maximum.accumulate(np.abs(rhs[kept]))[n_before[late] - 1]
+            own = rhs[dependent[late]]
+            scale = np.maximum(np.maximum(1.0, np.abs(own)), running)
+            bad[late] = np.abs(predicted - own) > 1e-8 * scale
+
+        return EssentialBC(
+            B0=self.B0,
+            B1=self.B1,
+            B_gamma=self.B_gamma,
+            b0=rhs[kept],
+            rank=self.rank,
+            n_vertex_rows=self.n_vertex_rows,
+            n_assembled=self.n_assembled,
+            guard_rows_kept=int(np.count_nonzero(kept >= self.n_vertex_rows)),
+            inconsistent_rows=tuple(int(i) for i in dependent[bad]),
+            structure=self,
+        )
+
+
+def boundary_structure(par: Parametrization, vertex_rows,
+                       include_guards: bool = True) -> BoundaryStructure:
     """Rewrite vertex conditions through the parametrization and drop
     linearly dependent rows by a rank-revealing sweep (threshold
     1e-12 * largest row norm).  Guard rows are appended after the given
@@ -758,13 +843,11 @@ def boundary_matrices(par: Parametrization, vertex_rows,
     blocks of ``_SWEEP_BLOCK`` rows: each block is projected against the
     accepted basis with two matrix products (classical Gram-Schmidt,
     twice), and only the test against rows accepted inside the block runs
-    row by row.  A dependent row is consistent when its data part agrees
-    with the unique combination of kept rows that forms its homogeneous
-    part; one least-squares solve covers all dependent rows.
+    row by row.  One least-squares solve writes every dependent row with
+    kept rows before it in terms of the kept rows.  Nothing here reads
+    the state's data.
     """
     mesh, cat = par.mesh, par.catalog
-    p = par.state.grid_p(mesh)
-    g = par.g_matrix(p)
     n_s = par.n_free
     n_g = par.n_gamma
 
@@ -779,7 +862,7 @@ def boundary_matrices(par: Parametrization, vertex_rows,
     B1 = np.zeros((n_rows, n_s))
     B0 = np.zeros((n_rows, n_s))
     Bg = np.zeros((n_rows, n_g))
-    data = np.zeros(n_rows)
+    slots = []
     for slot in range(max((len(r.terms) for r in all_rows), default=0)):
         hits = [(i, cat.index[r.terms[slot][0]], r.terms[slot][1], r.terms[slot][2])
                 for i, r in enumerate(all_rows) if slot < len(r.terms)]
@@ -789,8 +872,7 @@ def boundary_matrices(par: Parametrization, vertex_rows,
         B1[rows[end]] += coefs[end, None] * par.A[ents[end]]
         B0[rows[~end]] -= coefs[~end, None] * par.A[ents[~end]]
         Bg[rows] -= coefs[:, None] * par.C_gamma[ents]
-        data[rows] += coefs * g[ents, np.where(end, -1, 0)]
-    rhs = -data
+        slots.append((rows, ents, np.where(end, -1, 0), coefs))
 
     hom = np.concatenate([B1, -B0, -Bg], axis=1)
     tol = 1e-12 * max(float(np.max(np.linalg.norm(hom, axis=1), initial=0.0)), 1.0)
@@ -816,24 +898,29 @@ def boundary_matrices(par: Parametrization, vertex_rows,
 
     dependent = np.setdiff1d(np.arange(n_rows), kept)
     n_before = np.searchsorted(kept, dependent)     # kept rows preceding each
-    bad = np.abs(rhs[dependent]) > 1e-10            # nothing kept before: b0 must vanish
     late = n_before > 0
+    coef = None
     if np.any(late):
         coef, *_ = np.linalg.lstsq(hom[kept].T, hom[dependent[late]].T, rcond=None)
-        predicted = rhs[kept] @ coef
-        running = np.maximum.accumulate(np.abs(rhs[kept]))[n_before[late] - 1]
-        own = rhs[dependent[late]]
-        scale = np.maximum(np.maximum(1.0, np.abs(own)), running)
-        bad[late] = np.abs(predicted - own) > 1e-8 * scale
 
-    return EssentialBC(
-        B0=B0[kept],
-        B1=B1[kept],
-        B_gamma=Bg[kept],
-        b0=rhs[kept],
-        rank=len(kept),
-        n_vertex_rows=n_vertex,
-        n_assembled=n_rows,
-        guard_rows_kept=int(np.count_nonzero(kept >= n_vertex)),
-        inconsistent_rows=tuple(int(i) for i in dependent[bad]),
-    )
+    kept_rows = []
+    for mat in (B0, B1, Bg):
+        mat = mat[kept]
+        mat.setflags(write=False)       # shared by the rows of every state
+        kept_rows.append(mat)
+    return BoundaryStructure(
+        n_assembled=n_rows, n_vertex_rows=n_vertex, slots=tuple(slots),
+        kept=kept, dependent=dependent, n_before=n_before, coef=coef,
+        B0=kept_rows[0], B1=kept_rows[1], B_gamma=kept_rows[2])
+
+
+def boundary_matrices(par: Parametrization, vertex_rows,
+                      include_guards: bool = True,
+                      structure: Optional[BoundaryStructure] = None) -> EssentialBC:
+    """Essential rows of the state ``par`` is bound to: the structure of
+    :func:`boundary_structure` (built here unless ``structure`` is given,
+    in which case ``vertex_rows`` and ``include_guards`` are not read)
+    applied to the state's data."""
+    if structure is None:
+        structure = boundary_structure(par, vertex_rows, include_guards)
+    return structure.essential(par)

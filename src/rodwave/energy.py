@@ -23,6 +23,7 @@ that the reported optimum equals the true mean energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -76,11 +77,23 @@ def build_weights(mesh: MeshConfig, p: int = 129) -> EnergyWeights:
 
 
 @dataclass(frozen=True)
+class QPStructure:
+    """The state-independent part of one mesh's program: H, C and the
+    cell weights ``w_cells`` (midpoint weight times h / T) that the data
+    part is weighted with."""
+
+    w_cells: np.ndarray = field(repr=False)
+    H: csr_matrix = field(repr=False)
+    C: csr_matrix = field(repr=False)
+
+
+@dataclass(frozen=True)
 class QuadraticProgram:
     """Discretized functional  obj(x) = x^T H x + 2 b^T x + c0  over
     x = (y samples in sample-major order, then the per-segment terminal
     constants gamma), with equality constraints C x = d encoding the
-    essential boundary conditions."""
+    essential boundary conditions.  ``structure`` holds H and C for
+    another state on the same mesh."""
 
     mesh: MeshConfig
     p: int
@@ -91,6 +104,7 @@ class QuadraticProgram:
     c0: float
     C: csr_matrix = field(repr=False)
     d: np.ndarray = field(repr=False)
+    structure: Optional[QPStructure] = field(default=None, repr=False, compare=False)
 
     @property
     def n_x(self) -> int:
@@ -106,18 +120,9 @@ class QuadraticProgram:
         return y, x[ny:].copy()
 
 
-def assemble_qp(par: Parametrization, bc: EssentialBC,
-                weights: EnergyWeights, p: int) -> QuadraticProgram:
-    """Quadratic program in the sampled free functions and c1.
-
-    The objective is (1/T) * sum over wave entries of the midpoint-rule
-    quadrature of weight * (A_e y' + g_e')^2, with derivatives taken as
-    forward differences onto cell midpoints.  The midpoint form is second
-    order like the nodal stencils but strictly convex in the derivative
-    seminorm: a central-difference form would be blind to grid-scale
-    sawtooth modes and the KKT solution would carry them as noise.  c1 is
-    constant in z and drops out of the objective, entering through the
-    constraints only.
+def qp_structure(par: Parametrization, bc: EssentialBC,
+                 weights: EnergyWeights, p: int) -> QPStructure:
+    """H and C of the program in the sampled free functions and gamma.
 
     The kernel A_w^T diag(w_q) A_w of cell q depends only on the cell's
     weight column restricted to the rows where A_w is nonzero, and a mesh
@@ -125,26 +130,19 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     distinct column.  H is block tridiagonal in the samples and is written
     straight into CSR: diagonal block q sums the kernels of cells q-1 and
     q, the off-diagonal blocks carry the kernel of the cell between them,
-    and exact zeros are left out of the pattern.
+    and exact zeros are left out of the pattern.  C holds the essential
+    rows, which read the first and the last sample and gamma.
     """
     mesh, cat = par.mesh, par.catalog
-    if p != par.state.grid_p(mesh):
-        raise AssemblyError(f"QP grid p={p} does not match the state grid")
-    if weights.p != p:
-        raise AssemblyError("weight grid does not match the QP grid")
     n_s = par.n_free
     n_w = cat.N_w
     h = mesh.lam / (p - 1)
 
     a_w = par.A[:n_w]                      # wave rows of A
-    g_w = par.g_matrix(p)[:n_w]
-    g_d = np.diff(g_w, axis=1) / h         # midpoint derivatives, (N_w, p-1)
     w_nodes = weights.matrix(cat)[:n_w]
     w_mid = 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])
-
     w_cells = w_mid * (h / mesh.T)
-    lin_cells = a_w.T @ (w_cells * g_d)    # (n_s, p-1)
-    c0 = float(np.sum(w_cells * g_d * g_d))
+    w_cells.setflags(write=False)          # shared by the programs of every state
 
     # one kernel per distinct weight column over the rows A_w touches
     touched = np.any(a_w != 0.0, axis=1)
@@ -194,12 +192,6 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     hmat = csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
                       shape=(n_x, n_x))
 
-    # lin accumulates cell by cell: sample s gets hi * l[s-1], then lo * l[s]
-    lin = np.zeros(n_x)
-    lin_samples = lin[:n_s * p].reshape(p, n_s)
-    lin_samples[1:] += hi * lin_cells.T
-    lin_samples[:-1] += lo * lin_cells.T
-
     # essential rows B1 y(lam) - B0 y(0) - B_gamma gamma = b0
     n_c = bc.n_rows
     rows_c = np.concatenate([-bc.B0, bc.B1, -bc.B_gamma], axis=1)
@@ -209,9 +201,57 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     cmat = csr_matrix((rows_c[r_idx, c_idx], col_map[c_idx],
                        np.concatenate([[0], np.cumsum(np.bincount(r_idx, minlength=n_c))])),
                       shape=(n_c, n_x))
+    return QPStructure(w_cells=w_cells, H=hmat, C=cmat)
+
+
+def assemble_qp(par: Parametrization, bc: EssentialBC,
+                weights: EnergyWeights, p: int,
+                structure: Optional[QPStructure] = None) -> QuadraticProgram:
+    """Quadratic program in the sampled free functions and c1.
+
+    The objective is (1/T) * sum over wave entries of the midpoint-rule
+    quadrature of weight * (A_e y' + g_e')^2, with derivatives taken as
+    forward differences onto cell midpoints.  The midpoint form is second
+    order like the nodal stencils but strictly convex in the derivative
+    seminorm: a central-difference form would be blind to grid-scale
+    sawtooth modes and the KKT solution would carry them as noise.  c1 is
+    constant in z and drops out of the objective, entering through the
+    constraints only.
+
+    H and C come from :func:`qp_structure` (built here unless
+    ``structure`` is given); the linear term b, the constant c0 and the
+    constraint data d come from the state ``par`` is bound to.
+    """
+    mesh, cat = par.mesh, par.catalog
+    if p != par.state.grid_p(mesh):
+        raise AssemblyError(f"QP grid p={p} does not match the state grid")
+    if weights.p != p:
+        raise AssemblyError("weight grid does not match the QP grid")
+    if structure is None:
+        structure = qp_structure(par, bc, weights, p)
+    n_s = par.n_free
+    n_w = cat.N_w
+    h = mesh.lam / (p - 1)
+
+    a_w = par.A[:n_w]
+    g_w = par.g_matrix(p)[:n_w]
+    g_d = np.diff(g_w, axis=1) / h         # midpoint derivatives, (N_w, p-1)
+    w_cells = structure.w_cells
+    lin_cells = a_w.T @ (w_cells * g_d)    # (n_s, p-1)
+    c0 = float(np.sum(w_cells * g_d * g_d))
+
+    # lin accumulates cell by cell: sample s gets hi * l[s-1], then lo * l[s]
+    lo, hi = -1.0 / h, 1.0 / h
+    n_gamma = par.n_gamma
+    lin = np.zeros(n_s * p + n_gamma)
+    lin_samples = lin[:n_s * p].reshape(p, n_s)
+    lin_samples[1:] += hi * lin_cells.T
+    lin_samples[:-1] += lo * lin_cells.T
+
     return QuadraticProgram(mesh=mesh, p=p, n_free=n_s, n_gamma=n_gamma,
-                            H=hmat, b=lin, c0=c0, C=cmat,
-                            d=bc.b0.copy() if n_c else np.zeros(0))
+                            H=structure.H, b=lin, c0=c0, C=structure.C,
+                            d=bc.b0.copy() if bc.n_rows else np.zeros(0),
+                            structure=structure)
 
 
 def evaluate_objective(par: Parametrization, weights: EnergyWeights,

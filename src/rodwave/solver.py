@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -38,7 +37,9 @@ class Solution:
     ``gamma`` holds one free terminal-potential constant per segment; the
     single constant visible in the reconstructed terminal potential is
     gamma_k plus the segment's control integral at t = T (common to all
-    segments on any valid solution).
+    segments on any valid solution).  ``structure`` is the state-independent
+    part of the solve (:class:`KKTSystem` or :class:`ELSystem`), to pass
+    back for another state on the same mesh.
     """
 
     y: np.ndarray                  # (N_s, p) samples on [0, lambda]
@@ -48,6 +49,7 @@ class Solution:
     method: str
     p_conj: Optional[np.ndarray] = None   # (N_s, p) conjugate vector (EL path)
     diagnostics: dict = field(default_factory=dict)
+    structure: object = field(default=None, repr=False, compare=False)
 
     @property
     def n_free(self) -> int:
@@ -66,65 +68,120 @@ def constraint_residual(bc: EssentialBC, y: np.ndarray, gamma: np.ndarray) -> fl
 
 
 def check_feasible(bc: EssentialBC, y: np.ndarray, gamma: np.ndarray, method: str) -> float:
+    """Essential-row residual of a solution; above FEASIBILITY_TOL * (1 + |b0|)
+    it raises :class:`SolverError`."""
     res = constraint_residual(bc, y, gamma)
     scale = 1.0 + (float(np.max(np.abs(bc.b0))) if bc.n_rows else 0.0)
     if res > FEASIBILITY_TOL * scale:
-        warnings.warn(f"{method}: essential boundary residual {res:.3e} "
-                      f"exceeds {FEASIBILITY_TOL:.0e} * (1 + |b0|)")
+        raise SolverError(f"{method}: essential boundary residual {res:.3e} "
+                          f"exceeds {FEASIBILITY_TOL:.0e} * (1 + |b0|)")
     return res
 
 
+class KKTSystem:
+    """The KKT matrix [[2H, C^T], [C, 0]] of one mesh's program, and its
+    sparse LU.
+
+    The first solve factors the matrix and drops the factor; from the
+    second solve on, the factor is kept and reused.  A one-shot solve thus
+    holds no factor through the stages after it: at N = M = 12 the factor
+    has 6.7M nonzeros (about 81 MB).
+    """
+
+    def __init__(self, qp: QuadraticProgram):
+        self.matrix = sp.bmat([[2.0 * qp.H, qp.C.T], [qp.C, None]], format="csc")
+        self.lu = None
+        self.solves = 0
+
+    @property
+    def size(self) -> int:
+        return self.matrix.shape[0]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for one right-hand side; a failed factorization (any
+        warning counts), a non-finite solution or a residual above
+        1e-8 * (1 + |rhs|) raises :class:`SolverError`."""
+        self.solves += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                lu = self.lu if self.lu is not None else spla.splu(self.matrix)
+                sol = lu.solve(rhs)
+                if not np.all(np.isfinite(sol)):
+                    raise SolverError("singular KKT matrix (non-finite solve)")
+                resid = np.max(np.abs(self.matrix @ sol - rhs))
+            except (RuntimeError, ValueError, Warning) as exc:
+                raise SolverError(f"KKT factorization failed: {exc}") from exc
+        if resid > 1e-8 * (1.0 + np.max(np.abs(rhs))):
+            raise SolverError(f"KKT residual {resid:.3e}")
+        if self.solves > 1:
+            self.lu = lu
+        return sol
+
+
 def solve_qp(qp: QuadraticProgram, par: Parametrization, bc: EssentialBC,
-             weights: EnergyWeights) -> Solution:
+             weights: EnergyWeights,
+             structure: Optional[KKTSystem] = None) -> Solution:
     """KKT solve of the discretized program.
 
-    The KKT matrix [[2H, C^T], [C, 0]] is factored sparsely; if that
-    fails or leaves a poor residual (rank-deficient constraints or an
-    unpinned constant direction) a dense minimum-norm least-squares solve
-    takes over.
+    The KKT matrix of ``structure`` (built from the program unless given)
+    is factored sparsely; see :class:`KKTSystem` for when the factor is
+    kept and for the failures that raise :class:`SolverError`.
     """
-    n_x, n_c = qp.n_x, len(qp.d)
-    kkt = sp.bmat([[2.0 * qp.H, qp.C.T], [qp.C, None]], format="csc")
+    kkt = structure if structure is not None else KKTSystem(qp)
+    n_x = qp.n_x
     rhs = np.concatenate([-2.0 * qp.b, qp.d])
-    fallback = None
-    sol = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            sol = spla.splu(kkt).solve(rhs)
-            if not np.all(np.isfinite(sol)):
-                raise SolverError("singular KKT matrix (non-finite solve)")
-            resid = np.max(np.abs(kkt @ sol - rhs))
-            if resid > 1e-8 * (1.0 + np.max(np.abs(rhs))):
-                raise SolverError(f"KKT residual {resid:.3e}")
-        except Exception as exc:  # singular factorization or bad residual
-            fallback = str(exc)
-            sol = None
-    if sol is None:
-        dense = kkt.toarray()
-        sol, _, rank, svals = np.linalg.lstsq(dense, rhs, rcond=None)
-        resid = np.max(np.abs(dense @ sol - rhs))
-        if resid > 1e-6 * (1.0 + np.max(np.abs(rhs))):
-            cond = svals[0] / svals[-1] if svals[-1] > 0 else np.inf
-            raise SolverError(
-                f"KKT system unsolvable: residual {resid:.3e}, rank {rank} "
-                f"of {kkt.shape[0]}, condition {cond:.3e}; redundant "
-                f"constraints or grid too coarse")
+    sol = kkt.solve(rhs)
 
     y, gamma = qp.unpack(sol[:n_x])
     mult = sol[n_x:]
     res = check_feasible(bc, y, gamma, "qp")
     obj = evaluate_objective(par, weights, y)
-    diagnostics = {"kkt_size": kkt.shape[0], "feasibility_residual": res,
+    diagnostics = {"kkt_size": kkt.size, "feasibility_residual": res,
                    "objective_quadrature": qp.objective(sol[:n_x])}
-    if fallback:
-        diagnostics["dense_fallback"] = fallback
     return Solution(y=y, gamma=gamma, h=mult, objective=obj, method="qp",
-                    diagnostics=diagnostics)
+                    diagnostics=diagnostics, structure=kkt)
+
+
+class ELSystem:
+    """The state-independent part of the closed-form solve on one mesh:
+    A_w^T A_w and its pseudo-inverse, the boundary-system matrix, and the
+    rank of B_gamma.  A degenerate A_w^T A_w (smallest singular value at
+    most 1e-12 times the largest) raises :class:`SolverError`.
+
+    Unknowns (alpha, beta, gamma, h) of the boundary system solve the
+    essential rows (n_b), the natural conditions p(0) = B0^T h and
+    p(lambda) = B1^T h (n_s each), and the gauge B_gamma^T h = 0 (n_g).
+    """
+
+    def __init__(self, par: Parametrization, bc: EssentialBC):
+        n_s, n_g, n_b = par.n_free, par.n_gamma, bc.n_rows
+        lam = par.mesh.lam
+        a_w = par.A[:par.catalog.N_w]
+        ata = a_w.T @ a_w
+        svals = np.linalg.svd(ata, compute_uv=False) if n_s else np.array([])
+        if n_s and svals[-1] <= 1e-12 * svals[0]:
+            raise SolverError(f"euler_lagrange: A^T A is degenerate (singular "
+                              f"values {svals[0]:.3e} to {svals[-1]:.3e})")
+        self.ata = ata
+        self.ata_inv = np.linalg.pinv(ata, rcond=1e-12) if n_s else ata
+
+        c_beta, c_gamma, c_h = n_s, 2 * n_s, 2 * n_s + n_g
+        mat = np.zeros((n_b + 2 * n_s + n_g, 2 * n_s + n_g + n_b))
+        mat[:n_b, :c_beta] = bc.B1 - bc.B0
+        mat[:n_b, c_beta:c_gamma] = lam * bc.B1
+        mat[:n_b, c_gamma:c_h] = -bc.B_gamma
+        for r, bm in ((n_b, bc.B0), (n_b + n_s, bc.B1)):
+            mat[r:r + n_s, c_beta:c_gamma] = ata
+            mat[r:r + n_s, c_h:] = -bm.T
+        mat[n_b + 2 * n_s:, c_h:] = bc.B_gamma.T
+        self.mat = mat
+        self.b_gamma_rank = int(np.linalg.matrix_rank(bc.B_gamma)) if n_b else 0
 
 
 def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
-                         weights: EnergyWeights, p: int) -> Solution:
+                         weights: EnergyWeights, p: int,
+                         structure: Optional[ELSystem] = None) -> Solution:
     """Closed-form stationary solution plus a linear boundary solve.
 
     The stationary free vector is y(z) = -(A^T A)^+ A^T g(z) + alpha +
@@ -133,51 +190,35 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
     rows together with the natural conditions p(0) = B0^T h,
     p(lambda) = B1^T h and the gauge B_gamma^T h = 0 (the projected
     one-constant form of the natural conditions is recovered from these
-    by eliminating h along the gamma columns).  The combined system may
-    be rectangular and is solved in the least-squares sense; a large
-    residual is surfaced as a warning and in the diagnostics.
+    by eliminating h along the gamma columns).  The combined system of
+    ``structure`` (built here unless given) may be rectangular and is
+    solved in the least-squares sense; a residual above
+    1e-8 * (1 + |rhs|) raises :class:`SolverError`.
     """
+    el = structure if structure is not None else ELSystem(par, bc)
     mesh, cat = par.mesh, par.catalog
     n_s = par.n_free
     n_g = par.n_gamma
     n_w = cat.N_w
-    lam = mesh.lam
-    h_step = lam / (p - 1)
-    z = np.linspace(0.0, lam, p)
+    h_step = mesh.lam / (p - 1)
+    z = np.linspace(0.0, mesh.lam, p)
 
     a_w = par.A[:n_w]
     g_w = par.g_matrix(p)[:n_w]
-    ata = a_w.T @ a_w
-    svals = np.linalg.svd(ata, compute_uv=False) if n_s else np.array([])
-    degenerate = bool(n_s and svals[-1] <= 1e-12 * svals[0])
-    ata_inv = np.linalg.pinv(ata, rcond=1e-12) if n_s else ata
-    y_part = -ata_inv @ (a_w.T @ g_w) if n_s else np.zeros((0, p))
+    y_part = -el.ata_inv @ (a_w.T @ g_w) if n_s else np.zeros((0, p))
 
     n_b = bc.n_rows
-    # unknown vector [alpha (n_s), beta (n_s), gamma (n_g), h (n_b)]; rows:
-    # essential (n_b), p(0) = B0^T h and p(lambda) = B1^T h (n_s each), and
-    # the gauge B_gamma^T h = 0 (n_g)
-    n_unk = 2 * n_s + n_g + n_b
-    c_beta, c_gamma, c_h = n_s, 2 * n_s, 2 * n_s + n_g
-    mat = np.zeros((n_b + 2 * n_s + n_g, n_unk))
-    vec = np.zeros(len(mat))
-    mat[:n_b, :c_beta] = bc.B1 - bc.B0
-    mat[:n_b, c_beta:c_gamma] = lam * bc.B1
-    mat[:n_b, c_gamma:c_h] = -bc.B_gamma
+    vec = np.zeros(len(el.mat))
     yp0, ypl = y_part[:, 0], y_part[:, -1]
     for i in range(n_b):             # row-wise dots, as a GEMV may round differently
         vec[i] = bc.b0[i] - bc.B1[i] @ ypl + bc.B0[i] @ yp0
-    for r, bm in ((n_b, bc.B0), (n_b + n_s, bc.B1)):
-        mat[r:r + n_s, c_beta:c_gamma] = ata
-        mat[r:r + n_s, c_h:] = -bm.T
-    mat[n_b + 2 * n_s:, c_h:] = bc.B_gamma.T
 
-    sol, _, rank, _ = np.linalg.lstsq(mat, vec, rcond=None)
-    lstsq_residual = float(np.max(np.abs(mat @ sol - vec))) if len(vec) else 0.0
+    sol, _, rank, _ = np.linalg.lstsq(el.mat, vec, rcond=None)
+    lstsq_residual = float(np.max(np.abs(el.mat @ sol - vec))) if len(vec) else 0.0
     scale = 1.0 + float(np.max(np.abs(vec))) if len(vec) else 1.0
     if lstsq_residual > 1e-8 * scale:
-        warnings.warn(f"euler_lagrange: boundary system residual "
-                      f"{lstsq_residual:.3e} (rank {rank}/{n_unk})")
+        raise SolverError(f"euler_lagrange: boundary system residual "
+                          f"{lstsq_residual:.3e} (rank {rank}/{el.mat.shape[1]})")
 
     alpha = sol[:n_s]
     beta = sol[n_s:2 * n_s]
@@ -188,16 +229,16 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
 
     g_d = fd_derivative(g_w, h_step)
     y_d = fd_derivative(y, h_step)
-    p_conj = ata @ y_d + a_w.T @ g_d
+    p_conj = el.ata @ y_d + a_w.T @ g_d
     obj = evaluate_objective(par, weights, y)
     diag = {"feasibility_residual": res,
             "boundary_lstsq_residual": lstsq_residual,
             "boundary_rank": int(rank),
-            "ata_degenerate": degenerate,
-            "b_gamma_rank": int(np.linalg.matrix_rank(bc.B_gamma))
-            if n_b else 0}
+            "ata_degenerate": False,        # a degenerate A^T A raises
+            "b_gamma_rank": el.b_gamma_rank}
     return Solution(y=y, gamma=gamma, h=mult, objective=obj,
-                    method="euler_lagrange", p_conj=p_conj, diagnostics=diag)
+                    method="euler_lagrange", p_conj=p_conj, diagnostics=diag,
+                    structure=el)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rodwave import cli
 from rodwave.mesh import build_mesh
 from rodwave.edge import (
     StateSpec,
@@ -11,6 +12,15 @@ from rodwave.edge import (
 )
 from rodwave.energy import assemble_qp, build_weights
 from rodwave.solver import solve_euler_lagrange, solve_qp
+
+
+@pytest.fixture(autouse=True)
+def fresh_operator_cache():
+    """Every test starts and ends with an empty solve-operator cache, so no
+    test reuses structure built under another test's monkeypatches."""
+    cli.clear_operator_cache()
+    yield
+    cli.clear_operator_cache()
 
 
 def example_state(mesh, p):

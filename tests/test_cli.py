@@ -69,6 +69,22 @@ class TestRunSolve:
         assert (tmp_path / "fields.csv").exists()
         assert (tmp_path / "edge_C.csv").exists()
         assert (tmp_path / "parametrization_A.csv").exists()
+        sizes = summary["sizes"]
+        assert sizes["N_s"] == 12
+        assert sizes["boundary_rank"] == summary["boundary_rows_kept"]
+        assert sizes["guard_rows_kept"] == summary["guard_rows_kept"] == 3
+        assert sizes["kkt_size"] == 12 * 129 + 4 + sizes["boundary_rank"]
+        with open(tmp_path / "parametrization_A.csv") as fh:
+            assert sizes["A_nnz"] == sum(cell != "0" for line in fh
+                                         for cell in line.strip().split(","))
+
+    def test_sizes_without_the_kkt_path(self, tmp_path):
+        cfg = RunConfig(N=3, M=2, preset="paper_example", P=33, solver="el",
+                        out_dir=str(tmp_path))
+        assert run_solve(cfg) == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["sizes"]["kkt_size"] is None
+        assert summary["sizes"]["N_s"] == summary["counts"]["N_s"]
 
     def test_zero_preset_zero_energy(self, tmp_path):
         cfg = RunConfig(N=2, M=2, preset="zero", P=17, out_dir=str(tmp_path))

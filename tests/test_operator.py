@@ -1,0 +1,147 @@
+"""The one-entry solve-operator cache of ``cli.solve_pipeline``.
+
+A repeated (N, M, P) reuses the elimination, the essential-row structure,
+the weights, H and C, the KKT system and the closed-form boundary system;
+every output must carry the same bits as a cold run with an empty cache.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from rodwave import cli
+from rodwave.edge import Parametrization
+from rodwave.cli import EXIT_INVARIANT, EXIT_OK, main, solve_pipeline, validate_config
+
+P = 33
+
+
+def trig_config(n, m, seed, solver="both"):
+    rng = np.random.default_rng(seed)
+    params = {key: [float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 4.0))]
+              for key in ("v0", "r0", "v1", "r1")}
+    return validate_config({"N": n, "M": m, "P": P, "preset": "trig",
+                            "preset_params": params, "solver": solver})
+
+
+def cold(config, reconstruct=True):
+    cli.clear_operator_cache()
+    return solve_pipeline(config, reconstruct=reconstruct)
+
+
+def bits(a):
+    a = np.asarray(a)
+    return (a.dtype.str, a.shape, a.tobytes())
+
+
+def same_solution(new, old):
+    for name in ("y", "gamma", "h"):
+        assert bits(getattr(new, name)) == bits(getattr(old, name))
+    assert new.objective.hex() == old.objective.hex()
+    assert new.method == old.method
+    assert (new.p_conj is None) == (old.p_conj is None)
+    if new.p_conj is not None:
+        assert bits(new.p_conj) == bits(old.p_conj)
+    assert new.diagnostics.keys() == old.diagnostics.keys()
+    for key, val in new.diagnostics.items():
+        assert repr(val) == repr(old.diagnostics[key])
+
+
+def same_result(new, old):
+    assert new["solutions"].keys() == old["solutions"].keys()
+    for name in new["solutions"]:
+        same_solution(new["solutions"][name], old["solutions"][name])
+    for name in ("B0", "B1", "B_gamma", "b0"):
+        assert bits(getattr(new["bc"], name)) == bits(getattr(old["bc"], name))
+    for name in ("rank", "n_vertex_rows", "n_assembled", "guard_rows_kept",
+                 "inconsistent_rows"):
+        assert getattr(new["bc"], name) == getattr(old["bc"], name)
+    if "Q" in old:
+        assert float(new["Q"]).hex() == float(old["Q"]).hex()
+        assert float(new["E_grid"]).hex() == float(old["E_grid"]).hex()
+        assert bits(new["fields"].v) == bits(old["fields"].v)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Number of exact eliminations run through ``cli``."""
+    calls = []
+    real = cli.eliminate
+
+    def counting(system):
+        calls.append((system.mesh.N, system.mesh.M))
+        return real(system)
+
+    monkeypatch.setattr(cli, "eliminate", counting)
+    return calls
+
+
+def test_states_on_one_mesh_match_cold_runs(eliminations):
+    configs = [trig_config(4, 4, seed) for seed in range(5)]
+    warm = [solve_pipeline(c) for c in configs]
+    assert eliminations == [(4, 4)]
+    for config, result in zip(configs, warm):
+        same_result(result, cold(config))
+    assert eliminations == [(4, 4)] * 6
+
+
+def test_mesh_change_evicts_the_entry(eliminations):
+    first = solve_pipeline(trig_config(4, 4, 1), reconstruct=False)
+    other = solve_pipeline(trig_config(5, 3, 2), reconstruct=False)
+    again = solve_pipeline(trig_config(4, 4, 1), reconstruct=False)
+    assert eliminations == [(4, 4), (5, 3), (4, 4)]
+    same_result(again, first)
+    same_result(other, cold(trig_config(5, 3, 2), reconstruct=False))
+
+
+def test_solver_paths_share_the_operator(eliminations):
+    qp_only = solve_pipeline(trig_config(3, 3, 7, "qp"))
+    op = cli.solve_operator(3, 3, P)
+    assert op.qp is not None and op.kkt is not None and op.el is None
+    el_only = solve_pipeline(trig_config(3, 3, 7, "el"))
+    assert op.el is not None
+    both = solve_pipeline(trig_config(3, 3, 7, "both"))
+    assert cli.solve_operator(3, 3, P) is op
+    assert eliminations == [(3, 3)]
+    same_solution(both["solutions"]["qp"], qp_only["solutions"]["qp"])
+    same_solution(both["solutions"]["el"], el_only["solutions"]["el"])
+    same_result(both, cold(trig_config(3, 3, 7, "both")))
+
+
+def test_kkt_factor_kept_from_the_second_solve():
+    solve_pipeline(trig_config(4, 3, 1, "qp"), reconstruct=False)
+    kkt = cli.solve_operator(4, 3, P).kkt
+    assert kkt.lu is None
+    solve_pipeline(trig_config(4, 3, 2, "qp"), reconstruct=False)
+    assert cli.solve_operator(4, 3, P).kkt is kkt
+    lu = kkt.lu
+    assert lu is not None
+    third = solve_pipeline(trig_config(4, 3, 3, "qp"), reconstruct=False)
+    assert kkt.lu is lu
+    same_result(third, cold(trig_config(4, 3, 3, "qp"), reconstruct=False))
+
+
+def test_inconsistent_data_fail_on_a_cache_hit(monkeypatch, tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({
+        "N": 4, "M": 4, "preset": "paper_example", "P": 17,
+        "out_dir": str(tmp_path / "out")}))
+    assert main(["solve", "--config", str(cfgfile)]) == EXIT_OK
+    op = cli.solve_operator(4, 4, 17)
+    assert op.boundary is not None
+
+    original = Parametrization.g_matrix
+
+    def g_matrix(self, p):
+        g = original(self, p).copy()
+        g[0, -1] += 0.5
+        return g
+
+    monkeypatch.setattr(Parametrization, "g_matrix", g_matrix)
+    assert main(["verify", "--config", str(cfgfile)]) == EXIT_INVARIANT
+    assert cli.solve_operator(4, 4, 17) is op
+    err = capsys.readouterr().err
+    assert ("invariant violation: 1 essential boundary row(s) contradict the "
+            "data of the kept rows: 16 ('guard_w', 1, -3, 2)") in err
+    assert "Traceback" not in err

@@ -1,6 +1,12 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from rodwave import cli, solver
+from rodwave.cli import EXIT_INVARIANT, RunConfig, main, run_sweep
+from rodwave.errors import SolverError
 from rodwave.mesh import build_mesh
 from rodwave.edge import StateSpec
 from rodwave.energy import assemble_qp, evaluate_objective
@@ -188,3 +194,65 @@ def test_optimal_controls_are_trig_plus_polynomial(worked_example):
                    / max(np.linalg.norm(vals), 1e-12))
             worst = max(worst, rel)
     assert worst < 1e-2      # qualitative claim; measured ~1e-15
+
+
+class TestSolverErrors:
+    """A failed solve raises SolverError, which the CLI reports as exit 4."""
+
+    def run_solve(self, tmp_path, capsys, solver):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "N": 3, "M": 3, "preset": "paper_example", "P": P, "solver": solver,
+            "out_dir": str(tmp_path / "out")}))
+        code = main(["solve", "--config", str(cfgfile)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "fields.csv").exists()
+        return code, err
+
+    def test_singular_kkt_factor(self, monkeypatch, tmp_path, capsys):
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(solver.spla, "splu", singular)
+        code, err = self.run_solve(tmp_path, capsys, "qp")
+        assert code == EXIT_INVARIANT
+        assert "KKT factorization failed: Factor is exactly singular" in err
+
+        cfg = RunConfig(N=2, M=2, preset="paper_example", P=P,
+                        out_dir=str(tmp_path / "sweep"), solver="qp")
+        assert run_sweep(cfg, (2, 3), (2, 2), workers=1) == EXIT_INVARIANT
+        text = (tmp_path / "sweep" / "sweep.csv").read_text()
+        assert text.count(",failed: KKT factorization failed") == 2
+
+    def test_infeasible_solution(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(solver, "constraint_residual", lambda bc, y, gamma: 1.0)
+        for method in ("qp", "el"):
+            code, err = self.run_solve(tmp_path, capsys, method)
+            assert code == EXIT_INVARIANT
+            assert "essential boundary residual 1.000e+00 exceeds 1e-09" in err
+
+    def test_inconsistent_boundary_system(self, monkeypatch, tmp_path, capsys):
+        # a kept row repeated with other data: no (alpha, beta, gamma, h) fits both
+        real = cli.boundary_matrices
+
+        def doubled(par, vertex_rows, structure=None):
+            bc = real(par, vertex_rows, structure=structure)
+            twice = lambda a: np.concatenate([a, a[-1:]])
+            return replace(bc, B0=twice(bc.B0), B1=twice(bc.B1),
+                           B_gamma=twice(bc.B_gamma),
+                           b0=np.concatenate([bc.b0, bc.b0[-1:] + 1.0]),
+                           rank=bc.rank + 1)
+
+        monkeypatch.setattr(cli, "boundary_matrices", doubled)
+        code, err = self.run_solve(tmp_path, capsys, "el")
+        assert code == EXIT_INVARIANT
+        assert "euler_lagrange: boundary system residual" in err
+
+    def test_degenerate_ata(self, monkeypatch):
+        _, _, _, par, bc, weights = assemble_all(3, 3, P)
+        a = par.A.copy()
+        a[:, 0] = 0.0              # a free function no wave entry sees
+        monkeypatch.setattr(par, "A", a)
+        with pytest.raises(SolverError, match="A\\^T A is degenerate"):
+            solve_euler_lagrange(par, bc, weights, P)
