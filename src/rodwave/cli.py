@@ -7,10 +7,12 @@ Configs are UTF-8 JSON.  Keys:
                     so that a field grid can be aligned with the pieces
     preset          "paper_example" | "zero" | "trig"
     preset_params   for "trig": {"v0": [amp, freq], "r0": ..., "v1": ...,
-                    "r1": ...} (missing profiles are zero)
+                    "r1": ...}, each a list of at most two finite numbers
+                    (missing profiles and entries are zero)
     profiles        {"v0": csv_path, ...}; accepts p0/p1 in place of r0/r1
                     (cumulative integration, c0 = 0)
-    solver          "qp" | "el" | "both" (default "both")
+    solver          "el" (default): the closed-form solve; "both" adds the
+                    KKT program as a cross-check (verify always runs it)
     oracle          true/false (default false)
     oracle_points_per_segment, oracle_cfl
                     oracle resolution; unset, solve uses 125 and 0.9,
@@ -31,6 +33,7 @@ import concurrent.futures
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 import time
@@ -60,14 +63,8 @@ from .edge import (
     feasibility_check,
     guard_rows,
 )
-from .energy import EnergyWeights, QPStructure, assemble_qp, build_weights, mean_energy
-from .solver import (
-    ELSystem,
-    KKTSystem,
-    compare_solvers,
-    solve_euler_lagrange,
-    solve_qp,
-)
+from .energy import EnergyWeights, assemble_qp, build_weights, mean_energy
+from .solver import ELSystem, compare_solvers, solve_euler_lagrange, solve_qp
 from . import reconstruct as rec
 from .oracle import SimConfig, compare as oracle_compare, simulate, write_sim_csv
 
@@ -86,6 +83,7 @@ _KNOWN_KEYS = {
     "out_dir", "dump_matrices",
 }
 _PRESETS = ("paper_example", "zero", "trig")
+_SOLVERS = ("el", "both")
 
 
 @dataclass
@@ -96,7 +94,7 @@ class RunConfig:
     preset: Optional[str] = None
     preset_params: dict = field(default_factory=dict)
     profiles: dict = field(default_factory=dict)
-    solver: str = "both"
+    solver: str = "el"
     oracle: bool = False
     oracle_points_per_segment: Optional[int] = None
     oracle_cfl: Optional[float] = None
@@ -146,9 +144,9 @@ def validate_config(raw) -> RunConfig:
         # (P-1)/2 needs an even divisor q for an aligned field grid
         errors.append(f"P: {p} cannot align a field grid; use P = 1 mod 4")
         p = 129
-    solver = data.get("solver", "both")
-    if solver not in ("qp", "el", "both"):
-        errors.append("solver: must be one of qp, el, both")
+    solver = data.get("solver", "el")
+    if solver not in _SOLVERS:
+        errors.append(f"solver: must be one of {', '.join(_SOLVERS)}")
     preset = data.get("preset")
     if preset is not None and preset not in _PRESETS:
         errors.append(f"preset: unknown preset {preset!r}")
@@ -156,13 +154,22 @@ def validate_config(raw) -> RunConfig:
     if not isinstance(preset_params, dict):
         errors.append("preset_params: must be an object")
         preset_params = {}
+    for key, val in preset_params.items():
+        if key not in ("v0", "r0", "v1", "r1"):
+            errors.append(f"preset_params.{key}: unknown profile")
+        elif (not isinstance(val, list) or len(val) > 2
+              or not all(_finite_number(x) for x in val)):
+            errors.append(f"preset_params.{key}: must be a list of at most "
+                          f"two finite numbers [amp, freq]")
     profiles = data.get("profiles", {})
     if not isinstance(profiles, dict):
         errors.append("profiles: must be an object")
         profiles = {}
-    for key in profiles:
+    for key, val in profiles.items():
         if key not in ("v0", "r0", "p0", "v1", "r1", "p1"):
             errors.append(f"profiles.{key}: unknown profile")
+        elif not isinstance(val, str):
+            errors.append(f"profiles.{key}: must be a CSV file path")
     if preset is None and not profiles:
         errors.append("preset: either a preset or profiles must be given")
     if preset is not None and profiles:
@@ -204,6 +211,15 @@ def validate_config(raw) -> RunConfig:
                      field_samples=fs, out_dir=out_dir, dump_matrices=dump)
 
 
+def _finite_number(val) -> bool:
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:          # an int past the float range
+        return False
+
+
 # ---------------------------------------------------------------------------
 # State construction
 # ---------------------------------------------------------------------------
@@ -232,12 +248,26 @@ def build_state(config: RunConfig, mesh: MeshConfig) -> StateSpec:
 
 
 def _read_profile(path) -> SampledFunction:
+    """(x, value) rows of a CSV file; '#' lines are comments.  A file that
+    cannot be read, or a row that is not two finite numbers, raises
+    :class:`ConfigurationError` naming the file."""
     rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            rows.append((float(row[0]), float(row[1])))
+    try:
+        with open(path, newline="") as fh:
+            for line, row in enumerate(csv.reader(fh), start=1):
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                try:
+                    x, y = float(row[0]), float(row[1])
+                except (ValueError, IndexError):
+                    raise ConfigurationError(
+                        [f"{path}: line {line} is not two numbers x,value"]) from None
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ConfigurationError(
+                        [f"{path}: line {line} holds a non-finite number"])
+                rows.append((x, y))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError([f"{path}: cannot read profile: {exc}"]) from None
     rows.sort()
     xs = np.array([r[0] for r in rows])
     ys = np.array([r[1] for r in rows])
@@ -296,8 +326,9 @@ class SolveOperator:
     """Everything a solve on one (N, M, P) computes that does not depend
     on the state: the mesh, the vertex rows, the eliminated
     parametrization (bound to the state it was first built with), the
-    essential-row structure, the energy weights, H and C, the KKT system
-    and the closed-form boundary system.  Each slot fills on first use."""
+    essential-row structure, the energy weights and the closed-form
+    boundary system.  Each slot fills on first use.  The KKT cross-check
+    of ``solver: both`` keeps nothing here."""
 
     key: tuple
     mesh: MeshConfig
@@ -305,8 +336,6 @@ class SolveOperator:
     par: Optional[Parametrization] = None
     boundary: Optional[BoundaryStructure] = None
     weights: Optional[EnergyWeights] = None
-    qp: Optional[QPStructure] = None
-    kkt: Optional[KKTSystem] = None
     el: Optional[ELSystem] = None
 
 
@@ -332,9 +361,13 @@ def clear_operator_cache() -> None:
 def solve_pipeline(config: RunConfig, reconstruct: bool = True):
     """Assemble, solve, reconstruct, and collect diagnostics (no I/O).
 
-    State-independent work is done once per (N, M, P) and kept in the
-    :func:`solve_operator` cache, so a repeated mesh costs only the
-    state's data parts."""
+    The closed form gives the solution (``primary``).  With ``solver:
+    both`` the KKT program is solved too and must not exceed the closed
+    form's objective.  State-independent work of the closed form is done
+    once per (N, M, P) and kept in the :func:`solve_operator` cache, so a
+    repeated mesh costs only the state's data parts."""
+    if config.solver not in _SOLVERS:
+        raise ConfigurationError([f"solver: must be one of {', '.join(_SOLVERS)}"])
     feas = feasibility_check(config.N, config.M)
     if not feas.feasible:
         raise InfeasibleError(feas.reason)
@@ -355,20 +388,14 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
         op.weights = build_weights(mesh, config.P)
     weights = op.weights
 
-    solutions = {}
-    if config.solver in ("qp", "both"):
-        qp = assemble_qp(par, bc, weights, config.P, structure=op.qp)
-        op.qp = qp.structure
-        solutions["qp"] = solve_qp(qp, par, bc, weights, structure=op.kkt)
-        op.kkt = solutions["qp"].structure
-    if config.solver in ("el", "both"):
-        solutions["el"] = solve_euler_lagrange(par, bc, weights, config.P,
-                                               structure=op.el)
-        op.el = solutions["el"].structure
-    primary = solutions.get("qp", solutions.get("el"))
+    primary = solve_euler_lagrange(par, bc, weights, config.P, structure=op.el)
+    op.el = primary.structure
+    solutions = {"el": primary}
 
     comparison = None
-    if len(solutions) == 2:
+    if config.solver == "both":
+        qp = assemble_qp(par, bc, weights, config.P)
+        solutions["qp"] = solve_qp(qp, par, bc, weights)
         comparison = compare_solvers(solutions["qp"], solutions["el"], bc)
         if not comparison.qp_not_worse:
             raise InvariantViolationError(
@@ -533,9 +560,9 @@ def _error_exit(exc: RodwaveError) -> int:
 def run_solve(config: RunConfig) -> int:
     """Solve one instance and emit summary JSON plus CSV artifacts."""
     config = _with_oracle_defaults(config, SOLVE_ORACLE)
-    os.makedirs(config.out_dir, exist_ok=True)
     summary_path = os.path.join(config.out_dir, "summary.json")
     try:
+        _make_out_dir(config.out_dir)
         result = solve_pipeline(config)
         summary = summarize(config, result)
         if config.oracle:
@@ -561,6 +588,13 @@ def run_solve(config: RunConfig) -> int:
           f"Q = {summary['Q']:.3g}  worst terminal error = "
           f"{max(summary['terminal_errors'].values()):.3g}")
     return EXIT_OK
+
+
+def _make_out_dir(path) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError([f"out_dir: {exc}"]) from None
 
 
 def _write_json(path, payload) -> None:
@@ -609,7 +643,10 @@ def monotonicity_report(rows, slack: float = 1e-9):
 
 def run_sweep(config: RunConfig, m_range, n_range, workers: Optional[int] = None) -> int:
     """Solve every cell of the (M, N) grid and emit the T*E table."""
-    os.makedirs(config.out_dir, exist_ok=True)
+    try:
+        _make_out_dir(config.out_dir)
+    except ConfigurationError as exc:
+        return _error_exit(exc)
     cells = [(asdict(config), m_val, n_val)
              for m_val in range(m_range[0], m_range[1] + 1)
              for n_val in range(n_range[0], n_range[1] + 1)]
@@ -647,10 +684,11 @@ def run_sweep(config: RunConfig, m_range, n_range, workers: Optional[int] = None
 
 def run_verify(config: RunConfig) -> int:
     """End-to-end verification of one instance: exact steering, energy
-    consistency, constitutive residual, control structure, and the
+    consistency, constitutive residual, control structure, the KKT
+    cross-check of the closed form (whatever ``solver`` says), and the
     finite-difference oracle ladder.  Oracle settings the config leaves
     unset are taken from ``VERIFY_ORACLE``."""
-    config = _with_oracle_defaults(config, VERIFY_ORACLE)
+    config = replace(_with_oracle_defaults(config, VERIFY_ORACLE), solver="both")
     checks = []
 
     def check(name, ok, detail=""):
@@ -675,9 +713,8 @@ def run_verify(config: RunConfig) -> int:
     check("control integrals start at zero",
           controls.zero_start_max() <= 1e-9)
     check("forces sum to zero", controls.zero_sum_max() <= 1e-9)
-    if result["comparison"] is not None:
-        check("QP objective <= stationary objective + 1e-8",
-              result["comparison"].qp_not_worse)
+    check("QP objective <= stationary objective + 1e-8",
+          result["comparison"].qp_not_worse)
     check("oracle momentum budget exact",
           oracle["momentum_budget_max"] <= 1e-8)
     check("oracle terminal energy error <= 2%",
@@ -733,7 +770,8 @@ def main(argv=None) -> int:
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--p-grid", type=int, dest="p_grid",
                         help="samples per reference piece (odd)")
-        sp.add_argument("--solver", choices=("qp", "el", "both"))
+        sp.add_argument("--solver", choices=_SOLVERS,
+                        help="el: closed form (default); both: add the KKT cross-check")
         sp.add_argument("--oracle", action="store_true",
                         help="run the finite-difference verification")
         sp.add_argument("--dump-matrices", action="store_true",

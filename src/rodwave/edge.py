@@ -78,12 +78,6 @@ class StateSpec:
             raise ConfigurationError("state profiles must live on [-1, 1]")
 
     @classmethod
-    def from_momentum(cls, v0, p0, v1, p1) -> "StateSpec":
-        """Derive the potentials by cumulative integration, with c0 = 0."""
-        return cls(v0=v0, r0=p0.cumulative(), v1=v1, r1=p1.cumulative(),
-                   p0=p0, p1=p1)
-
-    @classmethod
     def from_callables(cls, mesh: MeshConfig, p: int, v0, r0, v1, r1) -> "StateSpec":
         pd = mesh.N * (p - 1) + 1
         make = lambda f: SampledFunction.from_vectorized(
@@ -233,9 +227,6 @@ class DataExpr:
                 self.gammas.pop(key, None)
             else:
                 self.gammas[key] = new
-
-    def is_zero(self) -> bool:
-        return not self.terms and not self.consts and not self.gammas
 
     def evaluate(self, state: StateSpec, mesh: MeshConfig, p: int,
                  gamma: Optional[dict] = None) -> np.ndarray:

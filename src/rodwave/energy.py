@@ -23,7 +23,6 @@ that the reported optimum equals the true mean energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -31,17 +30,20 @@ from scipy.sparse import csr_matrix
 from .errors import AssemblyError, InvalidArgumentError
 from .mesh import MeshConfig, delta_z_weight
 from .sampled import SampledFunction, simpson_weights
-from .edge import EssentialBC, Parametrization
+from .edge import EssentialBC, Parametrization, build_catalog
 
 
 @dataclass(frozen=True)
 class EnergyWeights:
     """Diagonal weight of the stacked quadratic form, one function per
-    wave entry on [0, lambda]; control entries weigh zero."""
+    wave entry on [0, lambda]; control entries weigh zero.  ``w_mid``
+    holds the wave entries' weights at the cell midpoints, in catalog
+    order, as the midpoint-rule quadrature reads them."""
 
     mesh: MeshConfig
     p: int
     table: dict = field(repr=False)  # wave entry key -> SampledFunction
+    w_mid: np.ndarray = field(repr=False, compare=False)  # (N_w, p - 1), read-only
 
     def weight_values(self, key) -> np.ndarray:
         if key[0] == "u":
@@ -73,18 +75,11 @@ def build_weights(mesh: MeshConfig, p: int = 129) -> EnergyWeights:
             for m in mesh.J_t:
                 vals = delta_z_weight(mesh, k, side, lo + m * mesh.lam / 2.0 + z)
                 table[("w", side, k, m)] = SampledFunction(0.0, mesh.lam, vals)
-    return EnergyWeights(mesh=mesh, p=p, table=table)
-
-
-@dataclass(frozen=True)
-class QPStructure:
-    """The state-independent part of one mesh's program: H, C and the
-    cell weights ``w_cells`` (midpoint weight times h / T) that the data
-    part is weighted with."""
-
-    w_cells: np.ndarray = field(repr=False)
-    H: csr_matrix = field(repr=False)
-    C: csr_matrix = field(repr=False)
+    cat = build_catalog(mesh)
+    w_nodes = np.array([table[key].values for key in cat.entries[:cat.N_w]])
+    w_mid = 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])
+    w_mid.setflags(write=False)
+    return EnergyWeights(mesh=mesh, p=p, table=table, w_mid=w_mid)
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,7 @@ class QuadraticProgram:
     """Discretized functional  obj(x) = x^T H x + 2 b^T x + c0  over
     x = (y samples in sample-major order, then the per-segment terminal
     constants gamma), with equality constraints C x = d encoding the
-    essential boundary conditions.  ``structure`` holds H and C for
-    another state on the same mesh."""
+    essential boundary conditions."""
 
     mesh: MeshConfig
     p: int
@@ -104,7 +98,6 @@ class QuadraticProgram:
     c0: float
     C: csr_matrix = field(repr=False)
     d: np.ndarray = field(repr=False)
-    structure: Optional[QPStructure] = field(default=None, repr=False, compare=False)
 
     @property
     def n_x(self) -> int:
@@ -120,9 +113,10 @@ class QuadraticProgram:
         return y, x[ny:].copy()
 
 
-def qp_structure(par: Parametrization, bc: EssentialBC,
-                 weights: EnergyWeights, p: int) -> QPStructure:
-    """H and C of the program in the sampled free functions and gamma.
+def _qp_matrices(par: Parametrization, bc: EssentialBC, w_cells: np.ndarray,
+                 p: int):
+    """H and C of the program in the sampled free functions and gamma,
+    for the cell weights ``w_cells`` (midpoint weight times h / T).
 
     The kernel A_w^T diag(w_q) A_w of cell q depends only on the cell's
     weight column restricted to the rows where A_w is nonzero, and a mesh
@@ -139,10 +133,6 @@ def qp_structure(par: Parametrization, bc: EssentialBC,
     h = mesh.lam / (p - 1)
 
     a_w = par.A[:n_w]                      # wave rows of A
-    w_nodes = weights.matrix(cat)[:n_w]
-    w_mid = 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])
-    w_cells = w_mid * (h / mesh.T)
-    w_cells.setflags(write=False)          # shared by the programs of every state
 
     # one kernel per distinct weight column over the rows A_w touches
     touched = np.any(a_w != 0.0, axis=1)
@@ -201,12 +191,11 @@ def qp_structure(par: Parametrization, bc: EssentialBC,
     cmat = csr_matrix((rows_c[r_idx, c_idx], col_map[c_idx],
                        np.concatenate([[0], np.cumsum(np.bincount(r_idx, minlength=n_c))])),
                       shape=(n_c, n_x))
-    return QPStructure(w_cells=w_cells, H=hmat, C=cmat)
+    return hmat, cmat
 
 
 def assemble_qp(par: Parametrization, bc: EssentialBC,
-                weights: EnergyWeights, p: int,
-                structure: Optional[QPStructure] = None) -> QuadraticProgram:
+                weights: EnergyWeights, p: int) -> QuadraticProgram:
     """Quadratic program in the sampled free functions and c1.
 
     The objective is (1/T) * sum over wave entries of the midpoint-rule
@@ -218,17 +207,15 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     constant in z and drops out of the objective, entering through the
     constraints only.
 
-    H and C come from :func:`qp_structure` (built here unless
-    ``structure`` is given); the linear term b, the constant c0 and the
-    constraint data d come from the state ``par`` is bound to.
+    H and C come from :func:`_qp_matrices`; the linear term b, the
+    constant c0 and the constraint data d come from the state ``par`` is
+    bound to.
     """
     mesh, cat = par.mesh, par.catalog
     if p != par.state.grid_p(mesh):
         raise AssemblyError(f"QP grid p={p} does not match the state grid")
     if weights.p != p:
         raise AssemblyError("weight grid does not match the QP grid")
-    if structure is None:
-        structure = qp_structure(par, bc, weights, p)
     n_s = par.n_free
     n_w = cat.N_w
     h = mesh.lam / (p - 1)
@@ -236,7 +223,8 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     a_w = par.A[:n_w]
     g_w = par.g_matrix(p)[:n_w]
     g_d = np.diff(g_w, axis=1) / h         # midpoint derivatives, (N_w, p-1)
-    w_cells = structure.w_cells
+    w_cells = weights.w_mid * (h / mesh.T)
+    hmat, cmat = _qp_matrices(par, bc, w_cells, p)
     lin_cells = a_w.T @ (w_cells * g_d)    # (n_s, p-1)
     c0 = float(np.sum(w_cells * g_d * g_d))
 
@@ -249,9 +237,8 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     lin_samples[:-1] += lo * lin_cells.T
 
     return QuadraticProgram(mesh=mesh, p=p, n_free=n_s, n_gamma=n_gamma,
-                            H=structure.H, b=lin, c0=c0, C=structure.C,
-                            d=bc.b0.copy() if bc.n_rows else np.zeros(0),
-                            structure=structure)
+                            H=hmat, b=lin, c0=c0, C=cmat,
+                            d=bc.b0.copy() if bc.n_rows else np.zeros(0))
 
 
 def evaluate_objective(par: Parametrization, weights: EnergyWeights,
@@ -270,9 +257,7 @@ def evaluate_objective(par: Parametrization, weights: EnergyWeights,
     n_w = cat.N_w
     h = mesh.lam / (p - 1)
     wd = np.diff(par.A[:n_w] @ y + par.g_matrix(p)[:n_w], axis=1) / h
-    w_nodes = weights.matrix(cat)[:n_w]
-    w_mid = 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])
-    return float(np.sum(w_mid * wd * wd) * h / mesh.T)
+    return float(np.sum(weights.w_mid * wd * wd) * h / mesh.T)
 
 
 def blockwise_simpson_weights(n: int, h: float, splits) -> np.ndarray:

@@ -35,19 +35,6 @@ def fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def derivative_matrix(p: int, h: float):
-    """Sparse matrix form of :func:`fd_derivative` (CSR, shape (p, p))."""
-    from scipy.sparse import lil_matrix
-
-    d = lil_matrix((p, p))
-    for i in range(1, p - 1):
-        d[i, i - 1] = -0.5 / h
-        d[i, i + 1] = 0.5 / h
-    d[0, 0], d[0, 1], d[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    d[p - 1, p - 1], d[p - 1, p - 2], d[p - 1, p - 3] = 1.5 / h, -2.0 / h, 0.5 / h
-    return d.tocsr()
-
-
 def simpson_weights(p: int, h: float) -> np.ndarray:
     """Composite Simpson weights for p uniform samples (p odd)."""
     if p < 3 or p % 2 == 0:
@@ -88,11 +75,6 @@ class SampledFunction:
             raise InvalidArgumentError("domain must satisfy b > a")
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def from_callable(cls, f: Callable, a: float, b: float, p: int) -> "SampledFunction":
-        grid = np.linspace(a, b, p)
-        return cls(a, b, np.asarray([float(f(x)) for x in grid]))
 
     @classmethod
     def from_vectorized(cls, f: Callable, a: float, b: float, p: int) -> "SampledFunction":

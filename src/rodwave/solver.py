@@ -1,15 +1,17 @@
-"""Two solution paths for the one-dimensional variational problem.
+"""The closed-form solve of the one-dimensional variational problem, and
+the KKT program it is cross-checked against.
 
-``solve_qp`` minimizes the discretized weighted functional directly via
-the KKT system of the equality-constrained quadratic program: this is the
-shipped default.  ``solve_euler_lagrange`` follows the stationarity route:
-the optimal free vector has the closed form
+``solve_euler_lagrange`` is the production path.  It follows the
+stationarity route: the optimal free vector has the closed form
 ``y(z) = -(A^T A)^+ A^T g(z) + alpha + beta z`` with constant vectors
 alpha, beta determined by the essential boundary conditions together with
 the natural conditions on the conjugate vector
 ``p = A^T A y' + A^T g'`` (which is constant in z along stationary
-solutions).  Both paths report the objective through the same weighted
-evaluator so they can be compared meaningfully.
+solutions).  ``solve_qp`` minimizes the discretized weighted functional
+directly via the KKT system of the equality-constrained quadratic
+program; it is the reference the closed form is checked against
+(``compare_solvers``).  Both paths report the objective through the same
+weighted evaluator so they can be compared meaningfully.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ class Solution:
     single constant visible in the reconstructed terminal potential is
     gamma_k plus the segment's control integral at t = T (common to all
     segments on any valid solution).  ``structure`` is the state-independent
-    part of the solve (:class:`KKTSystem` or :class:`ELSystem`), to pass
-    back for another state on the same mesh.
+    part of the closed-form solve (:class:`ELSystem`), to pass back for
+    another state on the same mesh.
     """
 
     y: np.ndarray                  # (N_s, p) samples on [0, lambda]
@@ -68,79 +70,48 @@ def constraint_residual(bc: EssentialBC, y: np.ndarray, gamma: np.ndarray) -> fl
 
 
 def check_feasible(bc: EssentialBC, y: np.ndarray, gamma: np.ndarray, method: str) -> float:
-    """Essential-row residual of a solution; above FEASIBILITY_TOL * (1 + |b0|)
-    it raises :class:`SolverError`."""
+    """Essential-row residual of a solution; above FEASIBILITY_TOL * (1 + |b0|),
+    or NaN, it raises :class:`SolverError`."""
     res = constraint_residual(bc, y, gamma)
     scale = 1.0 + (float(np.max(np.abs(bc.b0))) if bc.n_rows else 0.0)
-    if res > FEASIBILITY_TOL * scale:
+    if not res <= FEASIBILITY_TOL * scale:
         raise SolverError(f"{method}: essential boundary residual {res:.3e} "
                           f"exceeds {FEASIBILITY_TOL:.0e} * (1 + |b0|)")
     return res
 
 
-class KKTSystem:
-    """The KKT matrix [[2H, C^T], [C, 0]] of one mesh's program, and its
-    sparse LU.
-
-    The first solve factors the matrix and drops the factor; from the
-    second solve on, the factor is kept and reused.  A one-shot solve thus
-    holds no factor through the stages after it: at N = M = 12 the factor
-    has 6.7M nonzeros (about 81 MB).
-    """
-
-    def __init__(self, qp: QuadraticProgram):
-        self.matrix = sp.bmat([[2.0 * qp.H, qp.C.T], [qp.C, None]], format="csc")
-        self.lu = None
-        self.solves = 0
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for one right-hand side; a failed factorization (any
-        warning counts), a non-finite solution or a residual above
-        1e-8 * (1 + |rhs|) raises :class:`SolverError`."""
-        self.solves += 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                lu = self.lu if self.lu is not None else spla.splu(self.matrix)
-                sol = lu.solve(rhs)
-                if not np.all(np.isfinite(sol)):
-                    raise SolverError("singular KKT matrix (non-finite solve)")
-                resid = np.max(np.abs(self.matrix @ sol - rhs))
-            except (RuntimeError, ValueError, Warning) as exc:
-                raise SolverError(f"KKT factorization failed: {exc}") from exc
-        if resid > 1e-8 * (1.0 + np.max(np.abs(rhs))):
-            raise SolverError(f"KKT residual {resid:.3e}")
-        if self.solves > 1:
-            self.lu = lu
-        return sol
-
-
 def solve_qp(qp: QuadraticProgram, par: Parametrization, bc: EssentialBC,
-             weights: EnergyWeights,
-             structure: Optional[KKTSystem] = None) -> Solution:
-    """KKT solve of the discretized program.
+             weights: EnergyWeights) -> Solution:
+    """KKT solve of the discretized program, the cross-check of the closed
+    form.
 
-    The KKT matrix of ``structure`` (built from the program unless given)
-    is factored sparsely; see :class:`KKTSystem` for when the factor is
-    kept and for the failures that raise :class:`SolverError`.
+    The KKT matrix [[2H, C^T], [C, 0]] is factored sparsely once per call.
+    A failed factorization (any warning counts), a non-finite solution or
+    a residual above 1e-8 * (1 + |rhs|) raises :class:`SolverError`.
     """
-    kkt = structure if structure is not None else KKTSystem(qp)
+    kkt = sp.bmat([[2.0 * qp.H, qp.C.T], [qp.C, None]], format="csc")
     n_x = qp.n_x
     rhs = np.concatenate([-2.0 * qp.b, qp.d])
-    sol = kkt.solve(rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sol = spla.splu(kkt).solve(rhs)
+            if not np.all(np.isfinite(sol)):
+                raise SolverError("singular KKT matrix (non-finite solve)")
+            resid = np.max(np.abs(kkt @ sol - rhs))
+        except (RuntimeError, ValueError, Warning) as exc:
+            raise SolverError(f"KKT factorization failed: {exc}") from exc
+    if resid > 1e-8 * (1.0 + np.max(np.abs(rhs))):
+        raise SolverError(f"KKT residual {resid:.3e}")
 
     y, gamma = qp.unpack(sol[:n_x])
     mult = sol[n_x:]
     res = check_feasible(bc, y, gamma, "qp")
     obj = evaluate_objective(par, weights, y)
-    diagnostics = {"kkt_size": kkt.size, "feasibility_residual": res,
+    diagnostics = {"kkt_size": kkt.shape[0], "feasibility_residual": res,
                    "objective_quadrature": qp.objective(sol[:n_x])}
     return Solution(y=y, gamma=gamma, h=mult, objective=obj, method="qp",
-                    diagnostics=diagnostics, structure=kkt)
+                    diagnostics=diagnostics)
 
 
 class ELSystem:
@@ -193,7 +164,7 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
     by eliminating h along the gamma columns).  The combined system of
     ``structure`` (built here unless given) may be rectangular and is
     solved in the least-squares sense; a residual above
-    1e-8 * (1 + |rhs|) raises :class:`SolverError`.
+    1e-8 * (1 + |rhs|), or NaN, raises :class:`SolverError`.
     """
     el = structure if structure is not None else ELSystem(par, bc)
     mesh, cat = par.mesh, par.catalog
@@ -216,7 +187,7 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
     sol, _, rank, _ = np.linalg.lstsq(el.mat, vec, rcond=None)
     lstsq_residual = float(np.max(np.abs(el.mat @ sol - vec))) if len(vec) else 0.0
     scale = 1.0 + float(np.max(np.abs(vec))) if len(vec) else 1.0
-    if lstsq_residual > 1e-8 * scale:
+    if not lstsq_residual <= 1e-8 * scale:
         raise SolverError(f"euler_lagrange: boundary system residual "
                           f"{lstsq_residual:.3e} (rank {rank}/{el.mat.shape[1]})")
 

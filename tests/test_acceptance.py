@@ -138,7 +138,7 @@ def test_criterion_5_minimal_controllability_time(tmp_path):
     cfg1 = RunConfig(N=4, M=1, preset="paper_example",
                      out_dir=str(tmp_path / "m1"))
     code1 = run_solve(cfg1)
-    cfg2 = RunConfig(N=4, M=2, preset="paper_example", P=65, solver="qp",
+    cfg2 = RunConfig(N=4, M=2, preset="paper_example", P=65, solver="both",
                      out_dir=str(tmp_path / "m2"))
     code2 = run_solve(cfg2)
     summary = json.loads((tmp_path / "m2" / "summary.json").read_text())

@@ -26,7 +26,7 @@ class TestValidateConfig:
     def test_minimal_config_fills_defaults(self):
         cfg = validate_config('{"N": 4, "M": 4, "preset": "paper_example"}')
         assert cfg.P == 129
-        assert cfg.solver == "both"
+        assert cfg.solver == "el"
         assert cfg.oracle is False
 
     def test_zero_n_rejected_by_name(self):
@@ -49,6 +49,22 @@ class TestValidateConfig:
             validate_config('{"N": 2, "M": 2, "preset": "zero", "P": 10}')
         assert any(msg.startswith("P:") for msg in err.value.messages)
 
+    def test_qp_solver_rejected(self, tmp_path, capsys):
+        # the KKT program only cross-checks; it never solves alone
+        with pytest.raises(ConfigurationError) as err:
+            validate_config({"N": 2, "M": 2, "preset": "zero", "solver": "qp"})
+        assert err.value.messages == ["solver: must be one of el, both"]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"N": 2, "M": 2, "preset": "zero",
+                                       "solver": "qp", "out_dir": str(tmp_path)}))
+        assert main(["solve", "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: solver:")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--solver", "qp", "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--solver: invalid choice: 'qp'" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_preset_and_profiles_conflict(self):
         with pytest.raises(ConfigurationError):
             validate_config('{"N": 2, "M": 2, "preset": "zero", '
@@ -57,7 +73,7 @@ class TestValidateConfig:
 
 class TestRunSolve:
     def test_worked_example_artifacts(self, tmp_path):
-        cfg = RunConfig(N=4, M=4, preset="paper_example",
+        cfg = RunConfig(N=4, M=4, preset="paper_example", solver="both",
                         out_dir=str(tmp_path), dump_matrices=True)
         assert run_solve(cfg) == EXIT_OK
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -85,6 +101,39 @@ class TestRunSolve:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["sizes"]["kkt_size"] is None
         assert summary["sizes"]["N_s"] == summary["counts"]["N_s"]
+
+    def test_default_solve_runs_no_kkt(self, tmp_path, monkeypatch):
+        import rodwave.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "solve_qp", lambda *a: calls.append(a))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"N": 3, "M": 2, "P": 33,
+                                       "preset": "paper_example",
+                                       "out_dir": str(tmp_path)}))
+        assert main(["solve", "--config", str(cfgfile)]) == EXIT_OK
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert calls == []
+        assert summary["config"]["solver"] == "el"
+        assert summary["sizes"]["kkt_size"] is None
+        assert list(summary["solver"]) == ["el"]
+
+    def test_both_keeps_the_closed_form_solution(self, tmp_path):
+        out = {}
+        for solver in ("el", "both"):
+            out[solver] = tmp_path / solver
+            cfg = RunConfig(N=3, M=2, preset="paper_example", P=33,
+                            solver=solver, out_dir=str(out[solver]))
+            assert run_solve(cfg) == EXIT_OK
+        for name in ("controls.csv", "fields.csv"):
+            assert (out["el"] / name).read_bytes() == (out["both"] / name).read_bytes()
+        el, both = (json.loads((out[s] / "summary.json").read_text())
+                    for s in ("el", "both"))
+        for key in ("E", "TE", "Q", "E_grid", "gamma", "terminal_errors"):
+            assert both[key] == el[key]
+        assert both["solver"]["el"] == el["solver"]["el"]
+        assert set(both["solver"]) == {"el", "qp", "comparison"}
+        assert both["solver"]["comparison"]["qp_not_worse"] is True
 
     def test_zero_preset_zero_energy(self, tmp_path):
         cfg = RunConfig(N=2, M=2, preset="zero", P=17, out_dir=str(tmp_path))
@@ -155,7 +204,7 @@ class TestRunSolve:
 class TestSweep:
     def test_small_sweep(self, tmp_path):
         cfg = RunConfig(N=2, M=2, preset="paper_example", P=33,
-                        out_dir=str(tmp_path), solver="qp")
+                        out_dir=str(tmp_path), solver="both")
         assert run_sweep(cfg, (2, 3), (2, 3), workers=1) == EXIT_OK
         with open(tmp_path / "sweep.csv") as fh:
             lines = fh.read().splitlines()
@@ -208,10 +257,10 @@ class TestMainEntry:
 class TestParallelSweep:
     def test_worker_pool_matches_serial(self, tmp_path):
         cfg = RunConfig(N=2, M=2, preset="paper_example", P=33,
-                        out_dir=str(tmp_path / "par"), solver="qp")
+                        out_dir=str(tmp_path / "par"), solver="both")
         assert run_sweep(cfg, (2, 3), (2, 2), workers=2) == EXIT_OK
         cfg2 = RunConfig(N=2, M=2, preset="paper_example", P=33,
-                         out_dir=str(tmp_path / "ser"), solver="qp")
+                         out_dir=str(tmp_path / "ser"), solver="both")
         assert run_sweep(cfg2, (2, 3), (2, 2), workers=1) == EXIT_OK
 
         def table(path):
@@ -242,7 +291,7 @@ def test_dumped_parametrization_matrix_is_exact(tmp_path):
 def test_sweep_continues_past_failed_cells(tmp_path):
     # an infeasible cell is marked failed and the sweep keeps going
     cfg = RunConfig(N=2, M=2, preset="paper_example", P=33,
-                    out_dir=str(tmp_path), solver="qp")
+                    out_dir=str(tmp_path), solver="both")
     code = run_sweep(cfg, (1, 2), (2, 2), workers=1)
     with open(tmp_path / "sweep.csv") as fh:
         lines = [l for l in fh.read().splitlines()[1:]
@@ -315,6 +364,14 @@ class TestOracleSettings:
                                "oracle_cfl": 0.9, "oracle_points_per_segment": 32})
         run_verify(cfg)
         assert seen == [(0.9, 8), (0.9, 16), (0.9, 32)]
+
+    def test_verify_always_cross_checks(self, seen, capsys):
+        cfg = validate_config({"N": 2, "M": 2, "P": 33, "preset": "paper_example",
+                               "oracle_points_per_segment": 32})
+        assert cfg.solver == "el"
+        assert run_verify(cfg) == EXIT_OK
+        assert "  PASS  QP objective <= stationary objective + 1e-8\n" in capsys.readouterr().out
+        assert cfg.solver == "el"
 
     def test_unset_settings_resolve_per_command(self, seen, tmp_path):
         raw = {"N": 2, "M": 2, "P": 33, "preset": "paper_example"}

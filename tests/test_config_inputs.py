@@ -1,0 +1,192 @@
+"""Bad config inputs end in exit 2 naming the key or file, never a traceback.
+
+Every config that validates either solves or ends with a documented exit
+code (2 configuration, 3 infeasible, 4 invariant violation); the
+hypothesis test draws configs over the known keys on small meshes.
+"""
+
+import json
+import math
+
+import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
+
+from rodwave.cli import EXIT_CONFIG, main
+
+SMALL = {"N": 2, "M": 2, "P": 17}
+
+
+def run_main(path, config, capsys, command="solve"):
+    path.write_text(json.dumps(config))
+    code = main([command, "--config", str(path)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize("params, key", [
+    ({"v0": 5}, "v0"),
+    ({"v0": ["a", 1]}, "v0"),
+    ({"q9": [1, 2]}, "q9"),
+    ({"r1": [1, 2, 3]}, "r1"),
+    ({"v1": [True, 1]}, "v1"),
+    ({"r0": [1, math.nan]}, "r0"),
+    ({"v0": [1, math.inf]}, "v0"),
+    ({"v0": [10 ** 400, 1]}, "v0"),
+    ({"p0": [1, 2]}, "p0"),
+])
+def test_bad_preset_params_exit_2(tmp_path, capsys, params, key):
+    config = dict(SMALL, preset="trig", preset_params=params,
+                  out_dir=str(tmp_path / "out"))
+    code, err = run_main(tmp_path / "cfg.json", config, capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"config error: preset_params.{key}:")
+
+
+def test_short_preset_params_solve(tmp_path, capsys):
+    config = dict(SMALL, preset="trig", preset_params={"v0": [0.5], "r0": []},
+                  out_dir=str(tmp_path / "out"))
+    assert run_main(tmp_path / "cfg.json", config, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("value", [5, ["v0.csv"], None, {"path": "v0.csv"}])
+def test_profile_path_must_be_a_string(tmp_path, capsys, value):
+    config = dict(SMALL, profiles={"v0": value}, out_dir=str(tmp_path / "out"))
+    code, err = run_main(tmp_path / "cfg.json", config, capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: profiles.v0: must be a CSV file path")
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("missing.csv", None, "cannot read profile"),
+    ("a_directory", "dir", "cannot read profile"),
+    ("header.csv", "x,value\n-1,0\n1,1\n", "line 1 is not two numbers"),
+    ("one_column.csv", "-1,0\n0\n1,1\n", "line 2 is not two numbers"),
+    ("nan.csv", "-1,0\n0,nan\n1,1\n", "line 2 holds a non-finite number"),
+    ("binary.csv", b"\xff\xfe-1,0\n", "cannot read profile"),
+])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_unreadable_profile_exits_2(tmp_path, capsys, name, content, message,
+                                    command):
+    path = tmp_path / name
+    if content == "dir":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    config = dict(SMALL, profiles={"v0": str(path)}, out_dir=str(tmp_path / "out"))
+    code, err = run_main(tmp_path / "cfg.json", config, capsys, command)
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"config error: {path}: {message}")
+
+
+def test_unusable_out_dir_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    for command in ("solve", "sweep"):
+        config = dict(SMALL, preset="zero", out_dir=str(blocker / "out"))
+        code, err = run_main(tmp_path / "cfg.json", config, capsys, command)
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: out_dir:")
+
+
+# --- random configs -----------------------------------------------------------
+
+# any JSON value; floats include NaN, infinities and huge values
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+odd_numbers = st.floats() | st.booleans() | st.just(10 ** 400) | st.text(max_size=2)
+odd_keys = st.sampled_from(["p0", "q9", ""]) | st.text(max_size=3)
+
+
+def odd(*values):
+    """Some known-bad values of a key, or any JSON value."""
+    return st.sampled_from(values) | json_values
+
+
+@st.composite
+def mostly(draw, plausible, odd_values=json_values):
+    """A plausible value 19 times in 20, an odd one otherwise (the odd
+    branch is the larger integer, as hypothesis favours small ones)."""
+    return draw(plausible if draw(st.integers(0, 19)) < 19 else odd_values)
+
+
+@st.composite
+def configs(draw, files):
+    """Configs over the known keys, each value mostly plausible, so that
+    about half of them validate."""
+    raw = {
+        "N": draw(mostly(st.integers(1, 3))),
+        "M": draw(mostly(st.integers(1, 3))),
+        "P": draw(mostly(st.sampled_from([17, 9, 5]), odd(7, 16, 3, "17", 17.0))),
+        "out_dir": draw(mostly(st.just(files["out"]), odd(files["blocker"], ""))),
+    }
+    source = draw(mostly(st.sampled_from(["preset", "preset", "profiles"]),
+                         st.sampled_from(["both", "neither"])))
+    if source in ("preset", "both"):
+        raw["preset"] = draw(mostly(st.sampled_from(["paper_example", "zero", "trig"])))
+        if draw(st.booleans()):
+            number = mostly(st.floats(-4.0, 4.0) | st.integers(-5, 5), odd_numbers)
+            raw["preset_params"] = draw(mostly(st.dictionaries(
+                mostly(st.sampled_from(["v0", "r0", "v1", "r1"]), odd_keys),
+                mostly(st.lists(number, max_size=2), odd([1, 2, 3])),
+                max_size=4)))
+    if source in ("profiles", "both"):
+        raw["profiles"] = draw(mostly(st.dictionaries(
+            mostly(st.sampled_from(["v0", "r0", "v1", "r1", "p0", "p1"]), odd_keys),
+            mostly(st.sampled_from(files["good"]), odd(*files["bad"])),
+            min_size=1, max_size=4)))
+    optional = {
+        "solver": mostly(st.sampled_from(["el", "both"]), odd("qp")),
+        "oracle": mostly(st.booleans()),
+        # oracle costs scale with points per segment / cfl: keep them small
+        "oracle_points_per_segment": mostly(st.sampled_from([8, 16]), odd(4)),
+        "oracle_cfl": mostly(st.sampled_from([1.0, 0.5]), odd(0, 2)),
+        "field_samples": mostly(st.sampled_from([2, 4, 8]), odd(3, 1)),
+        "dump_matrices": mostly(st.booleans()),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            raw[key] = draw(values)
+    if draw(st.integers(0, 19)) == 19:
+        raw["bogus"] = 1
+    return raw
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("configs")
+    good = {
+        "cos.csv": "\n".join(f"{x / 8},{math.cos(3 * x / 8)}" for x in range(-8, 9)),
+        "sin.csv": "\n".join(f"{x / 8},{math.sin(x / 8)}" for x in range(-8, 9)),
+    }
+    bad = {
+        "short.csv": "-1,0\n0.5,1",
+        "header.csv": "x,v\n-1,0\n1,1",
+        "huge.csv": "-1,1e308\n0,-1e308\n1,1e308",
+    }
+    for name, text in {**good, **bad}.items():
+        (root / name).write_text(text + "\n")
+    (root / "blocker").write_text("")
+    return {"root": root, "out": str(root / "out"), "blocker": str(root / "blocker"),
+            "good": [str(root / n) for n in good],
+            "bad": [str(root / n) for n in bad] + [str(root / "missing.csv"), str(root)]}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_configs_exit_with_a_documented_code(files, capsys, data):
+    config = data.draw(configs(files))
+    path = files["root"] / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = main(["solve", "--config", str(path)])
+    err = capsys.readouterr().err
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), (config, code, err)
+    assert "Traceback" not in err

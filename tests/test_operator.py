@@ -1,8 +1,9 @@
 """The one-entry solve-operator cache of ``cli.solve_pipeline``.
 
 A repeated (N, M, P) reuses the elimination, the essential-row structure,
-the weights, H and C, the KKT system and the closed-form boundary system;
-every output must carry the same bits as a cold run with an empty cache.
+the weights and the closed-form boundary system; every output must carry
+the same bits as a cold run with an empty cache.  The KKT cross-check keeps
+nothing between solves.
 """
 
 import json
@@ -96,30 +97,18 @@ def test_mesh_change_evicts_the_entry(eliminations):
 
 
 def test_solver_paths_share_the_operator(eliminations):
-    qp_only = solve_pipeline(trig_config(3, 3, 7, "qp"))
+    both_first = solve_pipeline(trig_config(3, 3, 7, "both"))
     op = cli.solve_operator(3, 3, P)
-    assert op.qp is not None and op.kkt is not None and op.el is None
-    el_only = solve_pipeline(trig_config(3, 3, 7, "el"))
     assert op.el is not None
+    el_only = solve_pipeline(trig_config(3, 3, 7, "el"))
     both = solve_pipeline(trig_config(3, 3, 7, "both"))
     assert cli.solve_operator(3, 3, P) is op
     assert eliminations == [(3, 3)]
-    same_solution(both["solutions"]["qp"], qp_only["solutions"]["qp"])
+    assert el_only["primary"] is el_only["solutions"]["el"]
+    assert both["primary"] is both["solutions"]["el"]
+    same_solution(both["solutions"]["qp"], both_first["solutions"]["qp"])
     same_solution(both["solutions"]["el"], el_only["solutions"]["el"])
     same_result(both, cold(trig_config(3, 3, 7, "both")))
-
-
-def test_kkt_factor_kept_from_the_second_solve():
-    solve_pipeline(trig_config(4, 3, 1, "qp"), reconstruct=False)
-    kkt = cli.solve_operator(4, 3, P).kkt
-    assert kkt.lu is None
-    solve_pipeline(trig_config(4, 3, 2, "qp"), reconstruct=False)
-    assert cli.solve_operator(4, 3, P).kkt is kkt
-    lu = kkt.lu
-    assert lu is not None
-    third = solve_pipeline(trig_config(4, 3, 3, "qp"), reconstruct=False)
-    assert kkt.lu is lu
-    same_result(third, cold(trig_config(4, 3, 3, "qp"), reconstruct=False))
 
 
 def test_inconsistent_data_fail_on_a_cache_hit(monkeypatch, tmp_path, capsys):

@@ -6,7 +6,6 @@ from rodwave.errors import InvalidArgumentError
 from rodwave.sampled import (
     SampledFunction,
     cumulative_integral,
-    fd_derivative,
     simpson_weights,
 )
 
@@ -68,14 +67,6 @@ def test_interpolation_and_domain_error():
     assert f(0.125) == pytest.approx(0.125)
     with pytest.raises(InvalidArgumentError):
         f(1.5)
-
-
-def test_fd_derivative_matrix_rows_match_function():
-    from rodwave.sampled import derivative_matrix
-
-    p, h = 11, 0.3
-    vals = np.random.default_rng(3).standard_normal(p)
-    assert np.allclose(derivative_matrix(p, h) @ vals, fd_derivative(vals, h))
 
 
 def test_cumulative_integral_starts_at_zero():

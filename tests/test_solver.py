@@ -215,22 +215,26 @@ class TestSolverErrors:
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(solver.spla, "splu", singular)
-        code, err = self.run_solve(tmp_path, capsys, "qp")
+        code, err = self.run_solve(tmp_path, capsys, "both")
         assert code == EXIT_INVARIANT
         assert "KKT factorization failed: Factor is exactly singular" in err
 
         cfg = RunConfig(N=2, M=2, preset="paper_example", P=P,
-                        out_dir=str(tmp_path / "sweep"), solver="qp")
+                        out_dir=str(tmp_path / "sweep"), solver="both")
         assert run_sweep(cfg, (2, 3), (2, 2), workers=1) == EXIT_INVARIANT
         text = (tmp_path / "sweep" / "sweep.csv").read_text()
         assert text.count(",failed: KKT factorization failed") == 2
 
     def test_infeasible_solution(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(solver, "constraint_residual", lambda bc, y, gamma: 1.0)
-        for method in ("qp", "el"):
+        for method in ("both", "el"):
             code, err = self.run_solve(tmp_path, capsys, method)
             assert code == EXIT_INVARIANT
             assert "essential boundary residual 1.000e+00 exceeds 1e-09" in err
+        # the closed form fails first under "both"; the KKT path checks too
+        _, _, _, par, bc, weights = assemble_all(3, 3, P)
+        with pytest.raises(SolverError, match="qp: essential boundary residual"):
+            solve_qp(assemble_qp(par, bc, weights, P), par, bc, weights)
 
     def test_inconsistent_boundary_system(self, monkeypatch, tmp_path, capsys):
         # a kept row repeated with other data: no (alpha, beta, gamma, h) fits both
