@@ -16,7 +16,8 @@ Configs are UTF-8 JSON.  Keys:
     oracle          true/false (default false)
     oracle_points_per_segment, oracle_cfl
                     oracle resolution; unset, solve uses 125 and 0.9,
-                    verify 500 and 1.0
+                    verify 500 and 1.0; a finest rung past
+                    ORACLE_MAX_CELL_STEPS cells times steps exits 2
     field_samples   samples per half-layer of the output field grid;
                     (P - 1) must be a multiple of 2 * field_samples
     out_dir         artifact directory
@@ -66,7 +67,8 @@ from .edge import (
 from .energy import EnergyWeights, assemble_qp, build_weights, mean_energy
 from .solver import ELSystem, compare_solvers, solve_euler_lagrange, solve_qp
 from . import reconstruct as rec
-from .oracle import SimConfig, compare as oracle_compare, simulate, write_sim_csv
+from .oracle import (SimConfig, cell_steps, compare as oracle_compare, simulate,
+                     write_sim_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,6 +78,10 @@ EXIT_INVARIANT = 4
 # (oracle_cfl, oracle_points_per_segment) for settings a config leaves unset
 SOLVE_ORACLE = (0.9, 125)
 VERIFY_ORACLE = (1.0, 500)   # unit Courant number, where the scheme is sharpest
+# Largest oracle accepted, in cells times time steps of its finest rung
+# (oracle.cell_steps); it admits the verify settings up to N = M = 32.
+# solve and verify reject a larger one with exit 2 before any solve starts.
+ORACLE_MAX_CELL_STEPS = 256_000_000
 
 _KNOWN_KEYS = {
     "N", "M", "P", "preset", "preset_params", "profiles", "solver",
@@ -545,6 +551,17 @@ def _with_oracle_defaults(config: RunConfig, defaults) -> RunConfig:
                                    else config.oracle_points_per_segment))
 
 
+def _check_oracle_size(config: RunConfig) -> None:
+    """Reject resolved oracle settings whose finest rung exceeds
+    ``ORACLE_MAX_CELL_STEPS``."""
+    points, cfl = config.oracle_points_per_segment, config.oracle_cfl
+    if cell_steps(config.N, config.M, points, cfl) > ORACLE_MAX_CELL_STEPS:
+        raise ConfigurationError([
+            f"oracle_points_per_segment, oracle_cfl: the finest oracle rung "
+            f"({points} points per segment at CFL {cfl:g}, N = {config.N}, "
+            f"M = {config.M}) exceeds {ORACLE_MAX_CELL_STEPS:,} cell-steps"])
+
+
 def _error_exit(exc: RodwaveError) -> int:
     """Report a failed run on stderr and return its documented exit code."""
     if isinstance(exc, (ConfigurationError, InvalidArgumentError)):
@@ -562,6 +579,8 @@ def run_solve(config: RunConfig) -> int:
     config = _with_oracle_defaults(config, SOLVE_ORACLE)
     summary_path = os.path.join(config.out_dir, "summary.json")
     try:
+        if config.oracle:
+            _check_oracle_size(config)
         _make_out_dir(config.out_dir)
         result = solve_pipeline(config)
         summary = summarize(config, result)
@@ -696,6 +715,7 @@ def run_verify(config: RunConfig) -> int:
         print(f"  {'PASS' if ok else 'FAIL'}  {name}{': ' + detail if detail else ''}")
 
     try:
+        _check_oracle_size(config)
         result = solve_pipeline(config)
         oracle = _run_oracle(config, result)
     except RodwaveError as exc:

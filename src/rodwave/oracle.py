@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .mesh import MeshConfig, RodParams
-from .reconstruct import ControlSet, FieldGrid
+from .reconstruct import ControlSet, FieldGrid, csv_rows
 from .edge import StateSpec
 
 
@@ -86,6 +87,19 @@ def energy_norm(v: np.ndarray, p: np.ndarray, h: float,
     return math.sqrt(max(strain + kinetic, 0.0))
 
 
+def cell_steps(n: int, m: int, points_per_segment: int, cfl: float) -> int:
+    """Cells times time steps of a :func:`simulate` run at unit wave speed:
+    N·pps cells and 2M half-layers of ceil(pps / (2·cfl)) steps each.
+
+    The running time of a run grows with this count.  It is computed in
+    exact rationals, so any integer pps and any CFL number in (0, 1] give
+    a count without overflow; it can differ from ``simulate``'s float step
+    count only where pps / (2·cfl) lies within rounding of an integer.
+    """
+    steps_per_half = max(1, math.ceil(Fraction(points_per_segment) / (2 * Fraction(cfl))))
+    return n * points_per_segment * 2 * m * steps_per_half
+
+
 def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
              state: StateSpec, cfg: SimConfig) -> SimResult:
     """Drive the rod with the synthesized forces and report the terminal state.
@@ -125,58 +139,61 @@ def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
     f_left = force_series(-mesh.N - 1)
     f_right = force_series(mesh.N + 1)
 
+    # The piecewise-constant force contributes delta impulses exactly at
+    # the interface nodes and the boundary faces, one row per step.  The
+    # nodes are distinct, so one fancy-index add gives each a single add.
     interfaces = np.arange(1, mesh.N) * cfg.points_per_segment  # interior nodes
+    impulse_nodes = np.concatenate([interfaces, [0, n_cells]])
+    impulses = np.vstack([(f_seg[1:] - f_seg[:-1]) / h,
+                          (f_seg[0] - f_left) / (h / 2.0),
+                          (f_right - f_seg[-1]) / (h / 2.0)]).T.copy()
 
-    def p_rate(vv, n_step):
-        """Momentum rate s_x: elastic divergence plus force impulses.
+    def p_rate(dv, n_step):
+        """Momentum rate s_x from the node differences ``dv`` of v: elastic
+        divergence plus force impulses.
 
-        The piecewise-constant force contributes delta impulses exactly at
-        the interface nodes and the boundary faces.  At unit Courant
-        number these bare node impulses reproduce the continuum
-        transmission and Neumann relations node-for-node (method of
-        images), so the only time-discretization error left is the
+        At unit Courant number the bare node impulses reproduce the
+        continuum transmission and Neumann relations node-for-node (method
+        of images), so the only time-discretization error left is the
         midpoint rule on the smooth force histories.
         """
-        s_el = kappa * (vv[1:] - vv[:-1]) / h
-        rate = np.empty_like(vv)
+        s_el = kappa * dv / h
+        rate = np.empty(n_cells + 1)
         rate[1:-1] = (s_el[1:] - s_el[:-1]) / h
         rate[0] = s_el[0] / (h / 2.0)
         rate[-1] = -s_el[-1] / (h / 2.0)
-
-        f_cells = f_seg[:, n_step]
-        for node, jump in zip(interfaces, f_cells[1:] - f_cells[:-1]):
-            rate[node] += jump / h
-        rate[0] += (f_cells[0] - f_left[n_step]) / (h / 2.0)
-        rate[-1] += (f_right[n_step] - f_cells[-1]) / (h / 2.0)
+        rate[impulse_nodes] += impulses[n_step]
         return rate
 
-    def strain_energy(vv):
-        return kappa * float(np.sum(np.diff(vv) ** 2)) / (2.0 * h)
+    def strain_energy(dv):
+        return kappa * float(np.sum(dv ** 2)) / (2.0 * h)
 
     weights = _node_weights(n_cells + 1, h)
     v = state.v0(x)
+    dv = v[1:] - v[:-1]
     p0 = state.momentum_initial()(x)
-    p_half = p0 + (dt / 2.0) * p_rate(v, 0)
+    p_half = p0 + (dt / 2.0) * p_rate(dv, 0)
 
     budget_max = 0.0
     force_scale = max(1.0, float(np.max(np.abs(f_left))), float(np.max(np.abs(f_right))))
     energies = np.empty(n_steps + 1)
-    energies[0] = strain_energy(v) + float(weights @ (p0 ** 2)) / (2.0 * rho)
+    energies[0] = strain_energy(dv) + float(weights @ (p0 ** 2)) / (2.0 * rho)
 
     p_terminal = None
     for n in range(n_steps):
         v = v + dt * p_half / rho
+        dv = v[1:] - v[:-1]
         if n < n_steps - 1:
-            p_next = p_half + dt * p_rate(v, n + 1)
+            p_next = p_half + dt * p_rate(dv, n + 1)
             lhs = float(weights @ (p_next - p_half)) / dt
             rhs = float(f_right[n + 1] - f_left[n + 1])
             budget_max = max(budget_max, abs(lhs - rhs) / force_scale)
-            energies[n + 1] = strain_energy(v) + float(
+            energies[n + 1] = strain_energy(dv) + float(
                 weights @ (p_half * p_next)) / (2.0 * rho)
             p_half = p_next
         else:
-            p_terminal = p_half + (dt / 2.0) * p_rate(v, n_steps)
-            energies[n + 1] = strain_energy(v) + float(
+            p_terminal = p_half + (dt / 2.0) * p_rate(dv, n_steps)
+            energies[n + 1] = strain_energy(dv) + float(
                 weights @ (p_terminal ** 2)) / (2.0 * rho)
 
     v1 = state.v1(x)
@@ -194,19 +211,14 @@ def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
 
 
 def write_sim_csv(sim: SimResult, terminal_path, energy_path) -> None:
-    """Emit the terminal profiles and the discrete energy history."""
-    import csv
-
+    """Emit the terminal profiles (``x,v,p``) and the discrete energy
+    history (``t,energy``) as ``%.12g`` CSV with CRLF line ends."""
     with open(terminal_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "v", "p"])
-        for x, v, p in zip(sim.x, sim.v_terminal, sim.p_terminal):
-            writer.writerow([f"{x:.12g}", f"{v:.12g}", f"{p:.12g}"])
+        fh.write("x,v,p\r\n")
+        fh.write(csv_rows(np.column_stack([sim.x, sim.v_terminal, sim.p_terminal])))
     with open(energy_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "energy"])
-        for t, e in zip(sim.times, sim.energy_history):
-            writer.writerow([f"{t:.12g}", f"{e:.12g}"])
+        fh.write("t,energy\r\n")
+        fh.write(csv_rows(np.column_stack([sim.times, sim.energy_history])))
 
 
 @dataclass(frozen=True)

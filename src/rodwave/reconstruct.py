@@ -17,7 +17,6 @@ the kink samples themselves (right limit, except at domain ends).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -521,50 +520,53 @@ def terminal_error(fg: FieldGrid, state: StateSpec) -> TerminalError:
 # ---------------------------------------------------------------------------
 
 
-def write_fields_csv(fg: FieldGrid, path) -> None:
-    """One row per grid sample, t-major, in ``csv`` module format.
+def csv_rows(block: np.ndarray) -> str:
+    """The rows of a 2-D float array as CSV text: ``%.12g`` values, comma
+    separated, CRLF line ends.  These are the bytes ``csv.writer`` gives
+    for the same values (no value needs quoting) and ``np.savetxt`` with
+    ``fmt="%.12g", delimiter=",", newline="\\r\\n"``."""
+    n_rows, n_cols = block.shape
+    line = ",".join(["%.12g"] * n_cols) + "\r\n"
+    return line * n_rows % tuple(block.ravel().tolist())
 
-    Rows are written one t-row at a time from a reused (nx, 7) block, so
-    memory stays at one grid row whatever the grid size.
+
+def write_fields_csv(fg: FieldGrid, path) -> None:
+    """One row per grid sample, t-major: header ``t,x,v,r,p,s,e``, then
+    ``%.12g`` values, comma separated, CRLF line ends.
+
+    x is formatted once per file and t once per t-row.  Each t-row is one
+    ``%`` of a line template (t joined with the x strings) over the row's
+    five field values, copied into a reused (nx, 5) block, so memory stays
+    at one grid row whatever the grid size.  The bytes are those of
+    :func:`csv_rows` on the full (t, x, v, r, p, s, e) rows.
     """
-    block = np.empty((len(fg.x), 7))
-    block[:, 1] = fg.x
+    values = "%.12g,%.12g,%.12g,%.12g,%.12g\r\n"
+    tails = [",%.12g," % x + values for x in fg.x.tolist()]
+    block = np.empty((len(fg.x), 5))
     with open(path, "w", newline="") as fh:
         fh.write("t,x,v,r,p,s,e\r\n")
-        for i, t in enumerate(fg.t):
-            block[:, 0] = t
-            for col, arr in enumerate((fg.v, fg.r, fg.p, fg.s, fg.e), start=2):
+        for i, t in enumerate(fg.t.tolist()):
+            for col, arr in enumerate((fg.v, fg.r, fg.p, fg.s, fg.e)):
                 block[:, col] = arr[i]
-            np.savetxt(fh, block, fmt="%.12g", delimiter=",", newline="\r\n")
+            t_text = "%.12g" % t
+            template = t_text + t_text.join(tails)
+            fh.write(template % tuple(block.ravel().tolist()))
 
 
 def write_controls_csv(controls: ControlSet, path) -> None:
-    """Per-piece rows: junction instants appear twice (left then right)."""
+    """Per-piece rows: junction instants appear twice (left then right).
+
+    Header ``t,u_jump_<n>…,u_<k>…,f_<k>…``, then ``%.12g`` values, comma
+    separated, CRLF line ends (see :func:`csv_rows`).
+    """
     mesh = controls.mesh
     header = (["t"] + [f"u_jump_{n}" for n in mesh.J_x]
               + [f"u_{k}" for k in mesh.J_c] + [f"f_{k}" for k in mesh.J_c])
+    columns = [np.concatenate([controls.piece_times(j)
+                               for j in range(controls.n_pieces)])]
+    columns += [controls.jumps[n].ravel() for n in mesh.J_x]
+    columns += [controls.integrals[k].ravel() for k in mesh.J_c]
+    columns += [controls.forces[k].ravel() for k in mesh.J_c]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for j in range(controls.n_pieces):
-            times = controls.piece_times(j)
-            for i, t in enumerate(times):
-                row = [t]
-                row += [controls.jumps[n][j, i] for n in mesh.J_x]
-                row += [controls.integrals[k][j, i] for k in mesh.J_c]
-                row += [controls.forces[k][j, i] for k in mesh.J_c]
-                writer.writerow([f"{val:.12g}" for val in row])
-
-
-def read_fields_csv(path):
-    """Parse a fields CSV back into coordinate and value arrays."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = np.array([[float(v) for v in row] for row in reader])
-    t = np.unique(rows[:, 0])
-    x = np.unique(rows[:, 1])
-    out = {}
-    for col, name in enumerate(header[2:], start=2):
-        out[name] = rows[:, col].reshape(len(t), len(x))
-    return t, x, out
+        fh.write(",".join(header) + "\r\n")
+        fh.write(csv_rows(np.column_stack(columns)))

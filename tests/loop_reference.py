@@ -6,13 +6,15 @@ them (bit for bit where the arithmetic is unchanged).
 """
 
 import csv
+import math
 
 import numpy as np
 from scipy.sparse import lil_matrix
 
 from rodwave.edge import EssentialBC, guard_rows
 from rodwave.energy import QuadraticProgram
-from rodwave.errors import AssemblyError
+from rodwave.errors import AssemblyError, ConfigurationError
+from rodwave.oracle import SimResult, _node_weights, energy_norm
 from rodwave.sampled import fd_derivative, simpson_weights
 
 
@@ -112,6 +114,124 @@ def write_fields_csv(fg, path):
                 writer.writerow([f"{val:.12g}" for val in
                                  (t, x, fg.v[i, j], fg.r[i, j], fg.p[i, j],
                                   fg.s[i, j], fg.e[i, j])])
+
+
+def write_controls_csv(controls, path):
+    """The controls CSV written row by row through ``csv.writer``."""
+    mesh = controls.mesh
+    header = (["t"] + [f"u_jump_{n}" for n in mesh.J_x]
+              + [f"u_{k}" for k in mesh.J_c] + [f"f_{k}" for k in mesh.J_c])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for j in range(controls.n_pieces):
+            times = controls.piece_times(j)
+            for i, t in enumerate(times):
+                row = [t]
+                row += [controls.jumps[n][j, i] for n in mesh.J_x]
+                row += [controls.integrals[k][j, i] for k in mesh.J_c]
+                row += [controls.forces[k][j, i] for k in mesh.J_c]
+                writer.writerow([f"{val:.12g}" for val in row])
+
+
+def write_sim_csv(sim, terminal_path, energy_path):
+    """The oracle CSVs written row by row through ``csv.writer``."""
+    with open(terminal_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "v", "p"])
+        for x, v, p in zip(sim.x, sim.v_terminal, sim.p_terminal):
+            writer.writerow([f"{x:.12g}", f"{v:.12g}", f"{p:.12g}"])
+    with open(energy_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "energy"])
+        for t, e in zip(sim.times, sim.energy_history):
+            writer.writerow([f"{t:.12g}", f"{e:.12g}"])
+
+
+def simulate(mesh, params, controls, state, cfg):
+    """The leapfrog oracle with one impulse add per interface node and
+    ``np.diff`` taken separately for the force and the strain energy."""
+    rho, kappa = params.rho, params.kappa
+    wave_speed = math.sqrt(kappa / rho)
+    n_cells = mesh.N * cfg.points_per_segment
+    h = mesh.lam / cfg.points_per_segment
+    x = np.linspace(-1.0, 1.0, n_cells + 1)
+
+    half_layer = mesh.lam / 2.0
+    steps_per_half = max(1, math.ceil(half_layer * wave_speed / (cfg.cfl * h) - 1e-12))
+    dt = half_layer / steps_per_half
+    if dt * wave_speed > cfg.cfl * h * (1.0 + 1e-12):
+        raise ConfigurationError("CFL violation after step alignment")
+    n_steps = 2 * mesh.M * steps_per_half
+
+    times = np.arange(n_steps + 1) * dt
+    lo = np.clip(times - dt / 2.0, 0.0, mesh.T)
+    hi = np.clip(times + dt / 2.0, 0.0, mesh.T)
+
+    def force_series(k):
+        return np.asarray(controls.force_average(k, lo, hi), dtype=float)
+
+    f_seg = np.stack([force_series(k) for k in mesh.J_s])
+    f_left = force_series(-mesh.N - 1)
+    f_right = force_series(mesh.N + 1)
+
+    interfaces = np.arange(1, mesh.N) * cfg.points_per_segment
+
+    def p_rate(vv, n_step):
+        s_el = kappa * (vv[1:] - vv[:-1]) / h
+        rate = np.empty_like(vv)
+        rate[1:-1] = (s_el[1:] - s_el[:-1]) / h
+        rate[0] = s_el[0] / (h / 2.0)
+        rate[-1] = -s_el[-1] / (h / 2.0)
+
+        f_cells = f_seg[:, n_step]
+        for node, jump in zip(interfaces, f_cells[1:] - f_cells[:-1]):
+            rate[node] += jump / h
+        rate[0] += (f_cells[0] - f_left[n_step]) / (h / 2.0)
+        rate[-1] += (f_right[n_step] - f_cells[-1]) / (h / 2.0)
+        return rate
+
+    def strain_energy(vv):
+        return kappa * float(np.sum(np.diff(vv) ** 2)) / (2.0 * h)
+
+    weights = _node_weights(n_cells + 1, h)
+    v = state.v0(x)
+    p0 = state.momentum_initial()(x)
+    p_half = p0 + (dt / 2.0) * p_rate(v, 0)
+
+    budget_max = 0.0
+    force_scale = max(1.0, float(np.max(np.abs(f_left))), float(np.max(np.abs(f_right))))
+    energies = np.empty(n_steps + 1)
+    energies[0] = strain_energy(v) + float(weights @ (p0 ** 2)) / (2.0 * rho)
+
+    p_terminal = None
+    for n in range(n_steps):
+        v = v + dt * p_half / rho
+        if n < n_steps - 1:
+            p_next = p_half + dt * p_rate(v, n + 1)
+            lhs = float(weights @ (p_next - p_half)) / dt
+            rhs = float(f_right[n + 1] - f_left[n + 1])
+            budget_max = max(budget_max, abs(lhs - rhs) / force_scale)
+            energies[n + 1] = strain_energy(v) + float(
+                weights @ (p_half * p_next)) / (2.0 * rho)
+            p_half = p_next
+        else:
+            p_terminal = p_half + (dt / 2.0) * p_rate(v, n_steps)
+            energies[n + 1] = strain_energy(v) + float(
+                weights @ (p_terminal ** 2)) / (2.0 * rho)
+
+    v1 = state.v1(x)
+    p1 = state.momentum_terminal()(x)
+    err = energy_norm(v - v1, p_terminal - p1, h, rho, kappa)
+    ref = max(energy_norm(state.v0(x), p0, h, rho, kappa),
+              energy_norm(v1, p1, h, rho, kappa), 1e-300)
+    return SimResult(
+        x=x, v_terminal=v, p_terminal=p_terminal,
+        energy_history=energies, times=times,
+        momentum_budget_max=budget_max,
+        terminal_energy_error=float(err / ref),
+        terminal_v_sup=float(np.max(np.abs(v - v1))),
+        dt=dt, h=h)
 
 
 def boundary_matrices(par, vertex_rows, include_guards=True):

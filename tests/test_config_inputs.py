@@ -11,7 +11,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from rodwave.cli import EXIT_CONFIG, main
+from rodwave.cli import EXIT_CONFIG, ORACLE_MAX_CELL_STEPS, main
 
 SMALL = {"N": 2, "M": 2, "P": 17}
 
@@ -91,6 +91,58 @@ def test_unusable_out_dir_exits_2(tmp_path, capsys):
         assert err.startswith("config error: out_dir:")
 
 
+@pytest.fixture
+def pipeline_calls(monkeypatch):
+    """Configs that reach the solve; the solve itself fails at once with
+    exit 4, so no setting here allocates or runs anything."""
+    from rodwave import cli
+    from rodwave.errors import SolverError
+
+    calls = []
+
+    def stop(config, reconstruct=True):
+        calls.append((config.N, config.M))
+        raise SolverError("stopped before the solve")
+
+    monkeypatch.setattr(cli, "solve_pipeline", stop)
+    return calls
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("solve", {"oracle": True, "oracle_cfl": 1e-9}),
+    ("solve", {"oracle": True, "oracle_points_per_segment": 10 ** 9}),
+    ("solve", {"oracle": True, "oracle_points_per_segment": 10 ** 400}),
+    ("solve", {"oracle": True, "oracle_cfl": 5e-324}),
+    ("verify", {"oracle_cfl": 1e-9}),
+    ("verify", {"oracle_points_per_segment": 10 ** 9}),
+    ("verify", {"N": 33, "M": 33}),          # verify defaults, one past N = M = 32
+])
+def test_oversized_oracle_exits_2_before_the_solve(tmp_path, capsys, pipeline_calls,
+                                                   command, settings):
+    config = dict(SMALL, preset="zero", out_dir=str(tmp_path / "out"), **settings)
+    code, err = run_main(tmp_path / "cfg.json", config, capsys, command)
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: oracle_points_per_segment, oracle_cfl: "
+                          "the finest oracle rung")
+    assert f"exceeds {ORACLE_MAX_CELL_STEPS:,} cell-steps" in err
+    assert pipeline_calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("verify", {"N": 32, "M": 32}),          # verify defaults (1.0, 500)
+    ("solve", {"N": 32, "M": 32, "oracle": True}),     # solve defaults (0.9, 125)
+    ("solve", {"N": 12, "M": 12, "oracle": True,       # the benchmark's solve
+               "oracle_cfl": 1.0, "oracle_points_per_segment": 500}),
+    ("solve", {"oracle_cfl": 1e-9, "oracle_points_per_segment": 10 ** 9}),  # no oracle
+])
+def test_oracle_size_bound_admits(tmp_path, capsys, pipeline_calls, command, settings):
+    config = dict(SMALL, preset="zero", out_dir=str(tmp_path / "out"), **settings)
+    code, err = run_main(tmp_path / "cfg.json", config, capsys, command)
+    assert code == 4 and "stopped before the solve" in err
+    assert pipeline_calls == [(config["N"], config["M"])]
+
+
 # --- random configs -----------------------------------------------------------
 
 # any JSON value; floats include NaN, infinities and huge values
@@ -143,9 +195,10 @@ def configs(draw, files):
     optional = {
         "solver": mostly(st.sampled_from(["el", "both"]), odd("qp")),
         "oracle": mostly(st.booleans()),
-        # oracle costs scale with points per segment / cfl: keep them small
-        "oracle_points_per_segment": mostly(st.sampled_from([8, 16]), odd(4)),
-        "oracle_cfl": mostly(st.sampled_from([1.0, 0.5]), odd(0, 2)),
+        # plausible oracle settings stay small; the odd ones include sizes
+        # past ORACLE_MAX_CELL_STEPS, which exit 2 before any solve
+        "oracle_points_per_segment": mostly(st.sampled_from([8, 16]), odd(4, 10 ** 9)),
+        "oracle_cfl": mostly(st.sampled_from([1.0, 0.5]), odd(0, 2, 1e-12)),
         "field_samples": mostly(st.sampled_from([2, 4, 8]), odd(3, 1)),
         "dump_matrices": mostly(st.booleans()),
     }

@@ -9,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from rodwave import reconstruct as rec
 from rodwave.energy import blockwise_simpson, blockwise_simpson_weights
 from rodwave.errors import InvalidArgumentError
+from rodwave.mesh import RodParams
+from rodwave.oracle import SimConfig, simulate, write_sim_csv
 
 import loop_reference as ref
 
@@ -109,15 +111,58 @@ def test_residual_q_matches_loop_form(small_grid):
     assert rec.residual_Q(small_grid) == ref.residual_Q(small_grid)
 
 
+# special values exercise the %.12g formatting: not-a-number, infinities,
+# signed zero, tiny, huge and integral magnitudes, and exponent boundaries
+SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300,
+           -123456789012345.0, 1e16, 1e-5, 0.1 + 0.2, -2.5]
+
+
+def _with_special(arr):
+    out = np.array(arr, dtype=float)
+    out.flat[:len(SPECIAL)] = SPECIAL
+    return out
+
+
 def test_fields_csv_bytes_match_csv_writer(small_grid, tmp_path):
-    # special values exercise the %.12g formatting: signed zero, tiny,
-    # huge and integral magnitudes, and exponent boundaries
-    v = small_grid.v.copy()
-    v.flat[:8] = [-0.0, 5e-324, 1e300, -123456789012345.0, 1e16, 1e-5,
-                  0.1 + 0.2, -2.5]
-    grid = dataclasses.replace(small_grid, v=v)
+    grid = dataclasses.replace(small_grid, v=_with_special(small_grid.v),
+                               e=_with_special(small_grid.e[::-1]))
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     rec.write_fields_csv(grid, got)
     ref.write_fields_csv(grid, want)
     assert got.read_bytes() == want.read_bytes()
-    assert got.read_bytes().startswith(b"t,x,v,r,p,s,e\r\n")
+    assert got.read_bytes().startswith(b"t,x,v,r,p,s,e\r\n0,-1,nan,")
+
+
+def test_controls_csv_bytes_match_csv_writer(worked_example, tmp_path):
+    par, mesh, sol = (worked_example[k] for k in ("par", "mesh", "sol_qp"))
+    controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, sol))
+    special = dataclasses.replace(
+        controls,
+        forces={k: (_with_special(f) if k == mesh.J_c[0] else f)
+                for k, f in controls.forces.items()},
+        jumps={n: (_with_special(j) if n == mesh.J_x[-1] else j)
+               for n, j in controls.jumps.items()})
+    for case in (controls, special):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        rec.write_controls_csv(case, got)
+        ref.write_controls_csv(case, want)
+        assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().startswith(b"t,u_jump_")
+    assert b",nan," in got.read_bytes() and b",-inf," in got.read_bytes()
+
+
+def test_sim_csv_bytes_match_csv_writer(worked_example, tmp_path):
+    par, mesh, sol = (worked_example[k] for k in ("par", "mesh", "sol_qp"))
+    controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, sol))
+    sim = simulate(mesh, RodParams(1.0, 1.0, 1.0), controls, worked_example["state"],
+                   SimConfig(points_per_segment=8, cfl=1.0))
+    special = dataclasses.replace(sim, v_terminal=_with_special(sim.v_terminal),
+                                  energy_history=_with_special(sim.energy_history))
+    for case in (sim, special):
+        paths = [tmp_path / name for name in ("t_got", "e_got", "t_want", "e_want")]
+        write_sim_csv(case, paths[0], paths[1])
+        ref.write_sim_csv(case, paths[2], paths[3])
+        assert paths[0].read_bytes() == paths[2].read_bytes()
+        assert paths[1].read_bytes() == paths[3].read_bytes()
+    assert paths[0].read_bytes().startswith(b"x,v,p\r\n-1,nan,")
+    assert paths[1].read_bytes().startswith(b"t,energy\r\n0,nan\r\n")

@@ -7,7 +7,7 @@ from rodwave.errors import ConfigurationError
 from rodwave.mesh import RodParams, build_mesh
 from rodwave.edge import StateSpec
 from rodwave import reconstruct as rec
-from rodwave.oracle import SimConfig, compare, simulate
+from rodwave.oracle import SimConfig, cell_steps, compare, simulate
 
 PARAMS = RodParams(1.0, 1.0, 1.0)
 
@@ -145,3 +145,45 @@ def test_misaligned_grids_stay_accurate_for_odd_segments():
         sim = simulate(mesh, PARAMS, controls, state,
                        SimConfig(points_per_segment=nper, cfl=1.0))
         assert sim.terminal_energy_error <= 5e-3, nper
+
+
+@pytest.fixture(scope="module")
+def driven():
+    """Synthesized controls of the worked-example data at N = 1, 2, 3."""
+    from conftest import assemble_all
+    from rodwave.solver import solve_euler_lagrange
+
+    runs = {}
+    for n in (1, 2, 3):
+        mesh, state, system, par, bc, weights = assemble_all(n, 2, 33)
+        sol = solve_euler_lagrange(par, bc, weights, 33)
+        controls = rec.controls_from_jumps(
+            mesh, rec.jump_pieces_from_solution(par, sol))
+        runs[n] = (mesh, state, controls)
+    return runs
+
+
+@pytest.mark.parametrize("cfl", [0.9, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3])     # no interface, one, an odd count
+def test_simulate_matches_loop_form_bit_for_bit(driven, n, cfl):
+    import loop_reference as ref
+
+    mesh, state, controls = driven[n]
+    cfg = SimConfig(points_per_segment=16, cfl=cfl)
+    got = simulate(mesh, PARAMS, controls, state, cfg)
+    want = ref.simulate(mesh, PARAMS, controls, state, cfg)
+    for name in ("x", "v_terminal", "p_terminal", "energy_history", "times"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("momentum_budget_max", "terminal_energy_error",
+                 "terminal_v_sup", "dt", "h"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert np.max(np.abs(controls.forces[mesh.J_s[0]])) > 0.0
+
+
+@pytest.mark.parametrize("points, cfl", [(8, 1.0), (16, 0.9), (50, 0.73), (125, 0.9)])
+def test_cell_steps_counts_the_run(driven, points, cfl):
+    mesh, state, controls = driven[3]
+    sim = simulate(mesh, PARAMS, controls, state,
+                   SimConfig(points_per_segment=points, cfl=cfl))
+    assert cell_steps(mesh.N, mesh.M, points, cfl) == (
+        (len(sim.x) - 1) * (len(sim.times) - 1))

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -294,11 +296,25 @@ def _retained_measure(fg, half_rows):
     return total
 
 
+def read_fields_csv(path):
+    """Parse a fields CSV back into coordinate and value arrays."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = np.array([[float(v) for v in row] for row in reader])
+    t = np.unique(rows[:, 0])
+    x = np.unique(rows[:, 1])
+    out = {}
+    for col, name in enumerate(header[2:], start=2):
+        out[name] = rows[:, col].reshape(len(t), len(x))
+    return t, x, out
+
+
 class TestCsvRoundTrip:
     def test_fields_round_trip(self, solved, tmp_path):
         path = tmp_path / "fields.csv"
         rec.write_fields_csv(solved["fg"], path)
-        t, x, arrays = rec.read_fields_csv(path)
+        t, x, arrays = read_fields_csv(path)
         assert np.allclose(t, solved["fg"].t, atol=1e-10)
         assert np.allclose(arrays["v"], solved["fg"].v, rtol=1e-11, atol=1e-11)
         assert np.allclose(arrays["e"], solved["fg"].e, rtol=1e-11, atol=1e-11)
@@ -306,10 +322,8 @@ class TestCsvRoundTrip:
     def test_controls_csv_has_one_sided_junctions(self, solved, tmp_path):
         path = tmp_path / "controls.csv"
         rec.write_controls_csv(solved["controls"], path)
-        import csv as csvmod
-
         with open(path) as fh:
-            rows = list(csvmod.reader(fh))
+            rows = list(csv.reader(fh))
         times = [float(r[0]) for r in rows[1:]]
         lam = solved["mesh"].lam
         # junction instants appear twice (left then right limits)
