@@ -17,7 +17,8 @@ Configs are UTF-8 JSON.  Keys:
     oracle_points_per_segment, oracle_cfl
                     oracle resolution; unset, solve uses 125 and 0.9,
                     verify 500 and 1.0; a finest rung past
-                    ORACLE_MAX_CELL_STEPS cells times steps exits 2
+                    ORACLE_MAX_CELL_STEPS cells times steps or
+                    ORACLE_MAX_STEPS time steps exits 2
     field_samples   samples per half-layer of the output field grid;
                     (P - 1) must be a multiple of 2 * field_samples
     out_dir         artifact directory
@@ -54,6 +55,7 @@ from .errors import (
 from .mesh import MeshConfig, RodParams, build_mesh, counts
 from .sampled import SampledFunction
 from .edge import (
+    DATA_NAMES,
     BoundaryStructure,
     Parametrization,
     StateSpec,
@@ -68,7 +70,7 @@ from .energy import EnergyWeights, assemble_qp, build_weights, mean_energy
 from .solver import ELSystem, compare_solvers, solve_euler_lagrange, solve_qp
 from . import reconstruct as rec
 from .oracle import (SimConfig, cell_steps, compare as oracle_compare, simulate,
-                     write_sim_csv)
+                     time_steps, write_sim_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,6 +84,13 @@ VERIFY_ORACLE = (1.0, 500)   # unit Courant number, where the scheme is sharpest
 # (oracle.cell_steps); it admits the verify settings up to N = M = 32.
 # solve and verify reject a larger one with exit 2 before any solve starts.
 ORACLE_MAX_CELL_STEPS = 256_000_000
+# Largest number of time steps of the finest rung (oracle.time_steps): the
+# per-step arrays and the step loop grow with it even where few cells keep
+# cells times steps small.  The verify defaults at N = M = 32 take 16,000.
+ORACLE_MAX_STEPS = 1_000_000
+# Largest |value| accepted in the sampled state data (v0, r0, v1, r1): the
+# energy is quadratic in the data, so larger values can overflow the solve.
+STATE_MAX_ABS = 1e150
 
 _KNOWN_KEYS = {
     "N", "M", "P", "preset", "preset_params", "profiles", "solver",
@@ -237,6 +246,25 @@ def _trig(params):
 
 
 def build_state(config: RunConfig, mesh: MeshConfig) -> StateSpec:
+    """The state a config prescribes, sampled on the mesh's data grid.
+
+    Every sampled value of v0, r0, v1 and r1 must be finite and at most
+    ``STATE_MAX_ABS`` in magnitude; otherwise :class:`ConfigurationError`
+    names the profile and its largest |value|.  Sampling does not warn
+    about the overflow this check reports."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = _sample_state(config, mesh)
+    for name in DATA_NAMES:
+        values = getattr(state, name).values
+        largest = float(np.max(np.abs(values)))      # NaN if any value is
+        if not largest <= STATE_MAX_ABS:
+            raise ConfigurationError([
+                f"{name}: sampled state data must be finite and at most "
+                f"{STATE_MAX_ABS:g} in magnitude; largest |value| is {largest:g}"])
+    return state
+
+
+def _sample_state(config: RunConfig, mesh: MeshConfig) -> StateSpec:
     if config.preset == "paper_example":
         return StateSpec.from_callables(
             mesh, config.P,
@@ -553,13 +581,16 @@ def _with_oracle_defaults(config: RunConfig, defaults) -> RunConfig:
 
 def _check_oracle_size(config: RunConfig) -> None:
     """Reject resolved oracle settings whose finest rung exceeds
-    ``ORACLE_MAX_CELL_STEPS``."""
+    ``ORACLE_MAX_CELL_STEPS`` cells times steps or ``ORACLE_MAX_STEPS``
+    time steps."""
     points, cfl = config.oracle_points_per_segment, config.oracle_cfl
-    if cell_steps(config.N, config.M, points, cfl) > ORACLE_MAX_CELL_STEPS:
-        raise ConfigurationError([
-            f"oracle_points_per_segment, oracle_cfl: the finest oracle rung "
+    rung = (f"oracle_points_per_segment, oracle_cfl: the finest oracle rung "
             f"({points} points per segment at CFL {cfl:g}, N = {config.N}, "
-            f"M = {config.M}) exceeds {ORACLE_MAX_CELL_STEPS:,} cell-steps"])
+            f"M = {config.M}) exceeds")
+    if cell_steps(config.N, config.M, points, cfl) > ORACLE_MAX_CELL_STEPS:
+        raise ConfigurationError([f"{rung} {ORACLE_MAX_CELL_STEPS:,} cell-steps"])
+    if time_steps(config.M, points, cfl) > ORACLE_MAX_STEPS:
+        raise ConfigurationError([f"{rung} {ORACLE_MAX_STEPS:,} time steps"])
 
 
 def _error_exit(exc: RodwaveError) -> int:

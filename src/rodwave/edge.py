@@ -8,9 +8,11 @@ terminal, boundary and interelement mesh edges yields a linear system
 whose coefficients are small integers and whose right-hand sides are
 compositions of the prescribed state profiles with affine arguments.
 
-The system is eliminated exactly (rational arithmetic) down to the affine
-parametrization ``w(z) = A y(z) + C_gamma gamma + g(z)`` in the surviving
-free functions y and the per-segment free terminal constants gamma;
+The system is eliminated exactly down to the affine parametrization
+``w(z) = A y(z) + C_gamma gamma + g(z)`` in the surviving free functions
+y and the per-segment free terminal constants gamma (every coefficient
+met on the way is a small dyadic rational, so the elimination runs in
+floats without rounding; see :func:`eliminate` for the guards);
 mesh-vertex continuity then becomes the two-point boundary condition
 ``B1 y(lambda) - B0 y(0) = B_gamma gamma + b0`` on the free functions.
 
@@ -25,6 +27,7 @@ right-boundary rows ``+r0(+1)``.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -194,6 +197,10 @@ class DataExpr:
     terminal potential is prescribed only up to a constant, and each
     segment carries its own because the control integrals shift it
     segment-wise at t = T).
+
+    Coefficients are floats holding small dyadic rationals, so sums and
+    products of them are exact.  The insertion order of each dict is the
+    order in which :meth:`Parametrization.g_matrix` adds the terms up.
     """
 
     __slots__ = ("terms", "consts", "gammas")
@@ -206,57 +213,17 @@ class DataExpr:
     def copy(self) -> "DataExpr":
         return DataExpr(self.terms, self.consts, self.gammas)
 
-    def add_scaled(self, other: "DataExpr", coef: Fraction) -> None:
+    def add_scaled(self, other: "DataExpr", coef: float) -> None:
         if coef == 0:
             return
-        for key, c in other.terms.items():
-            new = self.terms.get(key, Fraction(0)) + coef * c
-            if new == 0:
-                self.terms.pop(key, None)
-            else:
-                self.terms[key] = new
-        for key, c in other.consts.items():
-            new = self.consts.get(key, Fraction(0)) + coef * c
-            if new == 0:
-                self.consts.pop(key, None)
-            else:
-                self.consts[key] = new
-        for key, c in other.gammas.items():
-            new = self.gammas.get(key, Fraction(0)) + coef * c
-            if new == 0:
-                self.gammas.pop(key, None)
-            else:
-                self.gammas[key] = new
-
-    def evaluate(self, state: StateSpec, mesh: MeshConfig, p: int,
-                 gamma: Optional[dict] = None) -> np.ndarray:
-        """Sample on the uniform z-grid of [0, lambda] with p points.
-
-        With ``gamma=None`` the terminal-constant terms are omitted (the
-        'g' part); otherwise ``gamma`` maps segment index to value.
-        """
-        arrays = state.arrays()
-        pd = mesh.N * (p - 1) + 1
-        if state.v0.p != pd:
-            raise ConfigurationError(
-                f"state resolution {state.v0.p} does not match grid p={p}"
-            )
-        half = (p - 1) // 2          # lam/2 in data samples
-        center = mesh.N * (p - 1) // 2   # x = 0 in data samples
-        out = np.zeros(p)
-        idx = np.arange(p)
-        for (name, orient, shift), c in self.terms.items():
-            base = center + shift * half
-            window = base + orient * idx
-            if window[0] < 0 or window[-1] < 0 or window.max() > pd - 1:
-                raise AssemblyError(f"data window out of range for {name}")
-            out += float(c) * arrays[name][window]
-        for (name, end), c in self.consts.items():
-            out += float(c) * arrays[name][0 if end < 0 else pd - 1]
-        if gamma is not None:
-            for k, c in self.gammas.items():
-                out += float(c) * gamma[k]
-        return out
+        for mine, theirs in ((self.terms, other.terms), (self.consts, other.consts),
+                             (self.gammas, other.gammas)):
+            for key, c in theirs.items():
+                new = mine.get(key, 0.0) + coef * c
+                if new == 0:
+                    mine.pop(key, None)
+                else:
+                    mine[key] = new
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +262,6 @@ class EdgeSystem:
                 c[i, col] = coef
         return c
 
-    def partition(self) -> dict:
-        out: dict = {}
-        for row in self.rows:
-            out[row.kind] = out.get(row.kind, 0) + 1
-        return out
-
 
 def assemble_edge_constraints(mesh: MeshConfig, state: StateSpec) -> EdgeSystem:
     """Build all N_e edge rows for the given mesh and state profiles."""
@@ -311,7 +272,7 @@ def assemble_edge_constraints(mesh: MeshConfig, state: StateSpec) -> EdgeSystem:
     M2 = 2 * mesh.M
     rows = []
 
-    one = Fraction(1)
+    one = 1.0
     for k in mesh.J_s:
         rows.append(EdgeRow(
             kind="initial_v", label=(k,),
@@ -372,20 +333,6 @@ def assemble_edge_constraints(mesh: MeshConfig, state: StateSpec) -> EdgeSystem:
     return EdgeSystem(mesh=mesh, catalog=cat, state=state, rows=tuple(rows))
 
 
-def edge_residuals(system: EdgeSystem, entry_values: np.ndarray,
-                   gamma: dict, p: int) -> np.ndarray:
-    """Max-abs residual of every edge row given sampled entry values."""
-    res = np.zeros(len(system.rows))
-    for i, row in enumerate(system.rows):
-        acc = np.zeros(p)
-        for col, coef, orient in row.terms:
-            vals = entry_values[col]
-            acc += coef * (vals if orient == +1 else vals[::-1])
-        acc -= row.rhs.evaluate(system.state, system.mesh, p, gamma=gamma)
-        res[i] = np.max(np.abs(acc))
-    return res
-
-
 # ---------------------------------------------------------------------------
 # Feasibility
 # ---------------------------------------------------------------------------
@@ -422,9 +369,10 @@ class Parametrization:
 
     ``gamma`` collects one free terminal-potential constant per segment
     (the terminal state fixes the potential only up to such constants).
-    A is exact (assembled over rationals, stored both as Fractions and as
-    floats); g is a per-entry :class:`DataExpr` evaluated lazily against
-    the bound state profiles.
+    A and C_gamma are exact: every entry is a multiple of 1/2, held as a
+    float (``A_frac`` gives A as Fractions).  g is a per-entry
+    :class:`DataExpr` sampled against the bound state profiles by a gather
+    over term slots that depends only on the mesh.
     """
 
     def __init__(self, mesh, catalog, state, free_map, a_rows, g_exprs):
@@ -432,8 +380,7 @@ class Parametrization:
         self.catalog = catalog
         self.state = state
         self.free_map = tuple(free_map)       # y index -> catalog key
-        self.free_index = {key: j for j, key in enumerate(self.free_map)}
-        self.A_frac = a_rows                  # list of dict free_j -> Fraction
+        self._a_rows = a_rows                 # list of dict free_j -> float
         self.g_exprs = tuple(g_exprs)
         self.gamma_map = tuple(mesh.J_s)      # gamma index -> segment k
         gamma_pos = {k: i for i, k in enumerate(self.gamma_map)}
@@ -442,13 +389,20 @@ class Parametrization:
         c_mat = np.zeros((n_v, len(self.gamma_map)))
         for e, row in enumerate(a_rows):
             for j, c in row.items():
-                a_mat[e, j] = float(c)
+                a_mat[e, j] = c
             for k, c in g_exprs[e].gammas.items():
-                c_mat[e, gamma_pos[k]] = float(c)
+                c_mat[e, gamma_pos[k]] = c
         a_mat.setflags(write=False)           # shared by every rebound copy
         c_mat.setflags(write=False)
         self.A = a_mat
         self.C_gamma = c_mat
+        name_pos = {name: i for i, name in enumerate(DATA_NAMES)}
+        self._term_slots = _slots([
+            [(name_pos[name], orient, shift, c)
+             for (name, orient, shift), c in e.terms.items()] for e in self.g_exprs])
+        self._const_slots = _slots([
+            [(name_pos[name], 0 if end < 0 else -1, c)
+             for (name, end), c in e.consts.items()] for e in self.g_exprs])
         self._g_cache: dict = {}
 
     def rebind(self, state: StateSpec) -> "Parametrization":
@@ -470,15 +424,38 @@ class Parametrization:
     def n_gamma(self) -> int:
         return len(self.gamma_map)
 
-    def gamma_dict(self, gamma: np.ndarray) -> dict:
-        return {k: float(g) for k, g in zip(self.gamma_map, gamma)}
+    @functools.cached_property
+    def A_frac(self) -> list:
+        """A row by row as exact Fractions (dict free_j -> Fraction)."""
+        return [{j: Fraction(c) for j, c in row.items()} for row in self._a_rows]
 
     def g_matrix(self, p: int) -> np.ndarray:
-        """Data part g(z) for every entry, sampled on the p-point z-grid."""
+        """Data part g(z) for every entry, sampled on the p-point z-grid.
+
+        Term slot by term slot, then const slot by const slot, one gather
+        each: every entry adds its terms up in its own dict order, as a
+        term-by-term loop over the entry would.
+        """
         if p not in self._g_cache:
-            g = np.empty((self.catalog.N_v, p))
-            for e, expr in enumerate(self.g_exprs):
-                g[e] = expr.evaluate(self.state, self.mesh, p, gamma=None)
+            pd = self.mesh.N * (p - 1) + 1
+            if self.state.v0.p != pd:
+                raise ConfigurationError(
+                    f"state resolution {self.state.v0.p} does not match grid p={p}")
+            arrays = self.state.arrays()
+            data = np.stack([arrays[name] for name in DATA_NAMES])
+            half = (p - 1) // 2                  # lam/2 in data samples
+            center = self.mesh.N * (p - 1) // 2  # x = 0 in data samples
+            idx = np.arange(p)
+            g = np.zeros((self.catalog.N_v, p))
+            for ents, names, orients, shifts, coefs in self._term_slots:
+                windows = (center + shifts * half)[:, None] + orients[:, None] * idx
+                bad = (windows.min(axis=1) < 0) | (windows.max(axis=1) > pd - 1)
+                if np.any(bad):
+                    raise AssemblyError("data window out of range for "
+                                        f"{DATA_NAMES[names[np.argmax(bad)]]}")
+                g[ents] += coefs[:, None] * data[names[:, None], windows]
+            for ents, names, ends, coefs in self._const_slots:
+                g[ents] += (coefs * data[names, ends])[:, None]
             self._g_cache[p] = g
         return self._g_cache[p]
 
@@ -488,6 +465,18 @@ class Parametrization:
         gamma = np.asarray(gamma, dtype=float)
         return (self.A @ y + (self.C_gamma @ gamma)[:, None]
                 + self.g_matrix(p))
+
+
+def _slots(item_lists) -> list:
+    """Slot s gathers the s-th item of every list that has one: one array
+    of the lists' positions, then one array per field of the items."""
+    hits: list = []
+    for i, items in enumerate(item_lists):
+        for s, item in enumerate(items):
+            if s == len(hits):
+                hits.append([])
+            hits[s].append((i, *item))
+    return [[np.array(col) for col in zip(*slot)] for slot in hits]
 
 
 def _pivot_priority(mesh: MeshConfig, catalog: UnknownCatalog) -> list:
@@ -526,21 +515,39 @@ def _pivot_priority(mesh: MeshConfig, catalog: UnknownCatalog) -> list:
     return [catalog.index[k] for k in order]
 
 
+def _dyadic(values, what: str) -> None:
+    """Raise unless every value is a multiple of 1/2, as every final
+    coefficient of the elimination is."""
+    vals = np.fromiter(values, dtype=float)
+    off = vals[np.mod(2.0 * vals, 1.0) != 0.0]      # NaN and inf too
+    if len(off):
+        raise AssemblyError(f"{what} coefficient {float(off[0])!r} is not a multiple "
+                            f"of 1/2; the float elimination would not be exact")
+
+
 def eliminate(system: EdgeSystem, mesh: Optional[MeshConfig] = None) -> Parametrization:
     """Resolve the edge system exactly, returning the parametrization.
 
     Initial and terminal rows are solved in closed form first (half-sum /
     half-difference of the data, with the '-' waves reflected); the
     remaining rows couple unknowns at equal arguments only and are reduced
-    by Gauss-Jordan elimination over rationals with a deterministic pivot
-    order.
+    by Gauss-Jordan elimination with a deterministic pivot order: each
+    column of :func:`_pivot_priority` pivots on the first unpivoted row
+    that holds it.  A column-to-rows index finds that row and the rows to
+    update without a scan.
+
+    The arithmetic is in floats, and it is exact: every pivot is +/-1/2,
+    +/-1 or +/-2, and every value met is a small dyadic rational.  Two
+    guards keep it so: a pivot whose magnitude is not a power of two, and
+    a final coefficient of A, C_gamma or a data term that is not a
+    multiple of 1/2, raise :class:`AssemblyError`.
     """
     mesh = mesh or system.mesh
     if mesh.M == 1:
         raise InfeasibleError(feasibility_check(mesh.N, mesh.M).reason)
     cat = system.catalog
     M2 = 2 * mesh.M
-    half = Fraction(1, 2)
+    half = 0.5
 
     solved: dict = {}
     for k in mesh.J_s:
@@ -556,7 +563,7 @@ def eliminate(system: EdgeSystem, mesh: Optional[MeshConfig] = None) -> Parametr
             gammas={k: -half})
 
     # Working rows: data-resolved entries substituted into the rhs.
-    work = []
+    lins, rhss = [], []
     for row in system.rows:
         if row.kind.startswith(("initial", "terminal")):
             continue
@@ -567,49 +574,58 @@ def eliminate(system: EdgeSystem, mesh: Optional[MeshConfig] = None) -> Parametr
                 raise AssemblyError("unexpected reflected unknown outside "
                                     "initial/terminal rows")
             if col in solved:
-                rhs.add_scaled(solved[col], Fraction(-coef))
+                rhs.add_scaled(solved[col], float(-coef))
             else:
-                lin[col] = lin.get(col, Fraction(0)) + coef
-        work.append({"lin": lin, "rhs": rhs, "pivot": None})
+                lin[col] = lin.get(col, 0.0) + coef
+        lins.append(lin)
+        rhss.append(rhs)
 
-    assigned = 0
+    holders: dict = {}               # column -> rows with a nonzero entry there
+    for i, lin in enumerate(lins):
+        for col, v in lin.items():
+            if v:
+                holders.setdefault(col, set()).add(i)
+    pivots = [None] * len(lins)
     for col in _pivot_priority(mesh, cat):
-        target = None
-        for row in work:
-            if row["pivot"] is None and row["lin"].get(col):
-                target = row
-                break
-        if target is None:
+        open_rows = [i for i in holders.get(col, ()) if pivots[i] is None]
+        if not open_rows:
             continue
-        inv = Fraction(1) / target["lin"][col]
+        t = min(open_rows)
+        pivot = lins[t][col]
+        if math.frexp(abs(pivot))[0] != 0.5:
+            raise AssemblyError(f"pivot {pivot!r} is not a power of two; the "
+                                f"float elimination would not be exact")
+        inv = 1.0 / pivot
         if inv != 1:
-            target["lin"] = {c: v * inv for c, v in target["lin"].items()}
+            lins[t] = {c: v * inv for c, v in lins[t].items()}
             scaled = DataExpr()
-            scaled.add_scaled(target["rhs"], inv)
-            target["rhs"] = scaled
-        target["pivot"] = col
-        for row in work:
-            if row is target:
-                continue
-            c = row["lin"].get(col)
-            if not c:
-                continue
-            for cc, v in target["lin"].items():
-                new = row["lin"].get(cc, Fraction(0)) - c * v
+            scaled.add_scaled(rhss[t], inv)
+            rhss[t] = scaled
+        pivots[t] = col
+        target = lins[t]
+        for i in holders[col] - {t}:
+            lin = lins[i]
+            c = lin[col]
+            for cc, v in target.items():
+                old = lin.get(cc)
+                new = (0.0 if old is None else old) - c * v
                 if new == 0:
-                    row["lin"].pop(cc, None)
+                    if old is not None:
+                        del lin[cc]
+                        holders[cc].discard(i)
                 else:
-                    row["lin"][cc] = new
-            row["rhs"].add_scaled(target["rhs"], -c)
-        assigned += 1
+                    if old is None:
+                        holders.setdefault(cc, set()).add(i)
+                    lin[cc] = new
+            rhss[i].add_scaled(rhss[t], -c)
 
-    if assigned != len(work):
-        bad = [r for r in work if r["pivot"] is None]
+    unpivoted = pivots.count(None)
+    if unpivoted:
         raise AssemblyError(
-            f"{len(bad)} edge rows could not be pivoted; the coefficient "
+            f"{unpivoted} edge rows could not be pivoted; the coefficient "
             f"matrix is rank-deficient (assembly bug or infeasible mesh)")
 
-    resolved_cols = set(solved) | {r["pivot"] for r in work}
+    resolved_cols = set(solved) | set(pivots)
     free_cols = [c for c in range(cat.N_v) if c not in resolved_cols]
     sc = counts(mesh.N, mesh.M)
     if len(free_cols) != sc.N_s:
@@ -618,24 +634,28 @@ def eliminate(system: EdgeSystem, mesh: Optional[MeshConfig] = None) -> Parametr
             f"expected N_s = {sc.N_s}")
     free_pos = {c: j for j, c in enumerate(free_cols)}
 
-    a_rows = [dict() for _ in range(cat.N_v)]
-    g_exprs = [DataExpr() for _ in range(cat.N_v)]
+    a_rows = [{} for _ in range(cat.N_v)]
+    g_exprs = [None] * cat.N_v
     for col, expr in solved.items():
         g_exprs[col] = expr
     for j, col in enumerate(free_cols):
-        a_rows[col] = {j: Fraction(1)}
-    for row in work:
-        col = row["pivot"]
+        a_rows[col] = {j: 1.0}
+        g_exprs[col] = DataExpr()
+    for col, lin, rhs in zip(pivots, lins, rhss):
         # pivot entry = rhs - sum(lin over free columns)
         coeffs = {}
-        for cc, v in row["lin"].items():
+        for cc, v in lin.items():
             if cc == col:
                 continue
             if cc not in free_pos:
                 raise AssemblyError("non-free column survived elimination")
             coeffs[free_pos[cc]] = -v
         a_rows[col] = coeffs
-        g_exprs[col] = row["rhs"]
+        g_exprs[col] = rhs
+    _dyadic((c for row in a_rows for c in row.values()), "A")
+    _dyadic((c for e in g_exprs for c in e.gammas.values()), "C_gamma")
+    _dyadic((c for e in g_exprs for part in (e.terms, e.consts) for c in part.values()),
+            "data")
 
     free_map = [cat.entries[c] for c in free_cols]
     return Parametrization(mesh, cat, system.state, free_map, a_rows, g_exprs)
@@ -854,10 +874,8 @@ def boundary_structure(par: Parametrization, vertex_rows,
     B0 = np.zeros((n_rows, n_s))
     Bg = np.zeros((n_rows, n_g))
     slots = []
-    for slot in range(max((len(r.terms) for r in all_rows), default=0)):
-        hits = [(i, cat.index[r.terms[slot][0]], r.terms[slot][1], r.terms[slot][2])
-                for i, r in enumerate(all_rows) if slot < len(r.terms)]
-        rows, ents, ats, coefs = (np.array(col) for col in zip(*hits))
+    for rows, ents, ats, coefs in _slots(
+            [[(cat.index[key], at, coef) for key, at, coef in r.terms] for r in all_rows]):
         end = ats == 1
         coefs = coefs.astype(float)
         B1[rows[end]] += coefs[end, None] * par.A[ents[end]]

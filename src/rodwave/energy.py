@@ -65,16 +65,18 @@ def build_weights(mesh: MeshConfig, p: int = 129) -> EnergyWeights:
     Piece (side, k, m) occupies offsets [m*lam/2, m*lam/2 + lam] of the
     wave domain, so its weight is z on the first layer, lam - z on the
     last, and the constant lam in between, up to the rounding of the
-    offsets (a few ulps below lam on some interior pieces).
+    offsets (a few ulps below lam on some interior pieces).  All layers
+    of one wave are weighed in one call, row m of the (M + 1, p) array.
     """
     z = np.linspace(0.0, mesh.lam, p)
+    ms = np.array(mesh.J_t)
     table = {}
     for k in mesh.J_s:
         for side in (+1, -1):
             lo, _ = mesh.wave_domain(k, side)
-            for m in mesh.J_t:
-                vals = delta_z_weight(mesh, k, side, lo + m * mesh.lam / 2.0 + z)
-                table[("w", side, k, m)] = SampledFunction(0.0, mesh.lam, vals)
+            vals = delta_z_weight(mesh, k, side, (lo + ms * mesh.lam / 2.0)[:, None] + z)
+            for m, row in zip(mesh.J_t, vals):
+                table[("w", side, k, m)] = SampledFunction(0.0, mesh.lam, row)
     cat = build_catalog(mesh)
     w_nodes = np.array([table[key].values for key in cat.entries[:cat.N_w]])
     w_mid = 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])

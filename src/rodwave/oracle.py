@@ -96,8 +96,15 @@ def cell_steps(n: int, m: int, points_per_segment: int, cfl: float) -> int:
     a count without overflow; it can differ from ``simulate``'s float step
     count only where pps / (2·cfl) lies within rounding of an integer.
     """
+    return n * points_per_segment * time_steps(m, points_per_segment, cfl)
+
+
+def time_steps(m: int, points_per_segment: int, cfl: float) -> int:
+    """Time steps of a :func:`simulate` run at unit wave speed: 2M
+    half-layers of ceil(pps / (2·cfl)) steps each, in exact rationals as
+    in :func:`cell_steps`.  The per-step arrays of a run grow with it."""
     steps_per_half = max(1, math.ceil(Fraction(points_per_segment) / (2 * Fraction(cfl))))
-    return n * points_per_segment * 2 * m * steps_per_half
+    return 2 * m * steps_per_half
 
 
 def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,

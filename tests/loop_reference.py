@@ -7,13 +7,15 @@ them (bit for bit where the arithmetic is unchanged).
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import lil_matrix
 
-from rodwave.edge import EssentialBC, guard_rows
+from rodwave.edge import DataExpr, EssentialBC, _pivot_priority, guard_rows, wave_key
 from rodwave.energy import QuadraticProgram
-from rodwave.errors import AssemblyError, ConfigurationError
+from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError
+from rodwave.mesh import counts, delta_z_weight
 from rodwave.oracle import SimResult, _node_weights, energy_norm
 from rodwave.sampled import fd_derivative, simpson_weights
 
@@ -369,3 +371,178 @@ def assemble_qp(par, bc, weights, p):
     return QuadraticProgram(mesh=mesh, p=p, n_free=n_s, n_gamma=n_gamma,
                             H=hmat, b=lin, c0=c0, C=cmat.tocsr(),
                             d=bc.b0.copy() if n_c else np.zeros(0))
+
+
+def add_scaled(expr, other, coef):
+    """``expr += coef * other`` over Fractions, dropping terms that cancel."""
+    if coef == 0:
+        return
+    for mine, theirs in ((expr.terms, other.terms), (expr.consts, other.consts),
+                         (expr.gammas, other.gammas)):
+        for key, c in theirs.items():
+            new = mine.get(key, Fraction(0)) + coef * c
+            if new == 0:
+                mine.pop(key, None)
+            else:
+                mine[key] = new
+
+
+def eliminate(system):
+    """Gauss-Jordan elimination of the edge system over Fractions, scanning
+    every row for each pivot column.  Returns (free_map, a_rows, g_exprs):
+    the free entries' keys, A row by row (dict free_j -> Fraction) and each
+    entry's data part (a DataExpr with Fraction coefficients)."""
+    mesh, cat = system.mesh, system.catalog
+    if mesh.M == 1:
+        raise InfeasibleError("M = 1")
+    M2 = 2 * mesh.M
+    half = Fraction(1, 2)
+
+    solved = {}
+    for k in mesh.J_s:
+        solved[cat.index[wave_key(+1, k, 0)]] = DataExpr(
+            {("v0", +1, k - 1): half, ("r0", +1, k - 1): half})
+        solved[cat.index[wave_key(-1, k, 0)]] = DataExpr(
+            {("v0", -1, k + 1): half, ("r0", -1, k + 1): -half})
+        solved[cat.index[wave_key(+1, k, M2)]] = DataExpr(
+            {("v1", +1, k - 1): half, ("r1", +1, k - 1): half},
+            gammas={k: half})
+        solved[cat.index[wave_key(-1, k, M2)]] = DataExpr(
+            {("v1", -1, k + 1): half, ("r1", -1, k + 1): -half},
+            gammas={k: -half})
+
+    work = []
+    for row in system.rows:
+        if row.kind.startswith(("initial", "terminal")):
+            continue
+        lin = {}
+        rhs = DataExpr({key: Fraction(c) for key, c in row.rhs.terms.items()},
+                       {key: Fraction(c) for key, c in row.rhs.consts.items()},
+                       {key: Fraction(c) for key, c in row.rhs.gammas.items()})
+        for col, coef, orient in row.terms:
+            assert orient == +1
+            if col in solved:
+                add_scaled(rhs, solved[col], Fraction(-coef))
+            else:
+                lin[col] = lin.get(col, Fraction(0)) + coef
+        work.append({"lin": lin, "rhs": rhs, "pivot": None})
+
+    for col in _pivot_priority(mesh, cat):
+        target = None
+        for row in work:
+            if row["pivot"] is None and row["lin"].get(col):
+                target = row
+                break
+        if target is None:
+            continue
+        inv = Fraction(1) / target["lin"][col]
+        if inv != 1:
+            target["lin"] = {c: v * inv for c, v in target["lin"].items()}
+            scaled = DataExpr()
+            add_scaled(scaled, target["rhs"], inv)
+            target["rhs"] = scaled
+        target["pivot"] = col
+        for row in work:
+            if row is target:
+                continue
+            c = row["lin"].get(col)
+            if not c:
+                continue
+            for cc, v in target["lin"].items():
+                new = row["lin"].get(cc, Fraction(0)) - c * v
+                if new == 0:
+                    row["lin"].pop(cc, None)
+                else:
+                    row["lin"][cc] = new
+            add_scaled(row["rhs"], target["rhs"], -c)
+    if any(r["pivot"] is None for r in work):
+        raise AssemblyError("rank-deficient edge system")
+
+    resolved = set(solved) | {r["pivot"] for r in work}
+    free_cols = [c for c in range(cat.N_v) if c not in resolved]
+    assert len(free_cols) == counts(mesh.N, mesh.M).N_s
+    free_pos = {c: j for j, c in enumerate(free_cols)}
+    a_rows = [dict() for _ in range(cat.N_v)]
+    g_exprs = [DataExpr() for _ in range(cat.N_v)]
+    for col, expr in solved.items():
+        g_exprs[col] = expr
+    for j, col in enumerate(free_cols):
+        a_rows[col] = {j: Fraction(1)}
+    for row in work:
+        col = row["pivot"]
+        a_rows[col] = {free_pos[cc]: -v for cc, v in row["lin"].items() if cc != col}
+        g_exprs[col] = row["rhs"]
+    return [cat.entries[c] for c in free_cols], a_rows, g_exprs
+
+
+def evaluate(expr, state, mesh, p, gamma=None):
+    """One entry's data part on the p-point z-grid, term by term; with
+    ``gamma`` (segment -> value) the terminal constants are added too."""
+    arrays = state.arrays()
+    pd = mesh.N * (p - 1) + 1
+    if state.v0.p != pd:
+        raise ConfigurationError(
+            f"state resolution {state.v0.p} does not match grid p={p}")
+    half = (p - 1) // 2
+    center = mesh.N * (p - 1) // 2
+    out = np.zeros(p)
+    idx = np.arange(p)
+    for (name, orient, shift), c in expr.terms.items():
+        window = center + shift * half + orient * idx
+        if window[0] < 0 or window[-1] < 0 or window.max() > pd - 1:
+            raise AssemblyError(f"data window out of range for {name}")
+        out += float(c) * arrays[name][window]
+    for (name, end), c in expr.consts.items():
+        out += float(c) * arrays[name][0 if end < 0 else pd - 1]
+    if gamma is not None:
+        for k, c in expr.gammas.items():
+            out += float(c) * gamma[k]
+    return out
+
+
+def g_matrix(g_exprs, state, mesh, p):
+    """The data part of every entry, evaluated entry by entry."""
+    return np.array([evaluate(expr, state, mesh, p) for expr in g_exprs])
+
+
+def gamma_dict(par, gamma):
+    """Segment k -> its free terminal constant."""
+    return {k: float(g) for k, g in zip(par.gamma_map, gamma)}
+
+
+def edge_residuals(system, entry_values, gamma, p):
+    """Max-abs residual of every edge row given sampled entry values and
+    the terminal constants (segment -> value)."""
+    res = np.zeros(len(system.rows))
+    for i, row in enumerate(system.rows):
+        acc = np.zeros(p)
+        for col, coef, orient in row.terms:
+            vals = entry_values[col]
+            acc += coef * (vals if orient == +1 else vals[::-1])
+        acc -= evaluate(row.rhs, system.state, system.mesh, p, gamma=gamma)
+        res[i] = np.max(np.abs(acc))
+    return res
+
+
+def partition(system):
+    """Row count per edge-row kind."""
+    out = {}
+    for row in system.rows:
+        out[row.kind] = out.get(row.kind, 0) + 1
+    return out
+
+
+def build_weights(mesh, p):
+    """Energy weights one piece at a time: (table of wave key -> weight
+    samples, midpoint weights in catalog order)."""
+    z = np.linspace(0.0, mesh.lam, p)
+    table = {}
+    for k in mesh.J_s:
+        for side in (+1, -1):
+            lo, _ = mesh.wave_domain(k, side)
+            for m in mesh.J_t:
+                table[("w", side, k, m)] = delta_z_weight(
+                    mesh, k, side, lo + m * mesh.lam / 2.0 + z)
+    w_nodes = np.array([table[("w", side, k, m)] for k in mesh.J_s
+                        for m in mesh.J_t for side in (+1, -1)])
+    return table, 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])

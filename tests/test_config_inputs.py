@@ -11,7 +11,10 @@ import math
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from rodwave.cli import EXIT_CONFIG, ORACLE_MAX_CELL_STEPS, main
+from rodwave.cli import (EXIT_CONFIG, ORACLE_MAX_CELL_STEPS, ORACLE_MAX_STEPS,
+                         STATE_MAX_ABS, RunConfig, build_state, main)
+from rodwave.errors import ConfigurationError
+from rodwave.mesh import build_mesh
 
 SMALL = {"N": 2, "M": 2, "P": 17}
 
@@ -141,6 +144,77 @@ def test_oracle_size_bound_admits(tmp_path, capsys, pipeline_calls, command, set
     code, err = run_main(tmp_path / "cfg.json", config, capsys, command)
     assert code == 4 and "stopped before the solve" in err
     assert pipeline_calls == [(config["N"], config["M"])]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("cfl", [3e-7, 7.99999e-6])     # 26,666,668 and 1,000,002 steps
+def test_oracle_step_bound_exits_2_before_the_solve(tmp_path, capsys, pipeline_calls,
+                                                    command, cfl):
+    # one segment keeps cells times steps under ORACLE_MAX_CELL_STEPS
+    # (213,333,344 at CFL 3e-7); the step count alone is over its bound
+    config = dict(SMALL, N=1, M=1, preset="zero", out_dir=str(tmp_path / "out"),
+                  oracle=True, oracle_points_per_segment=8, oracle_cfl=cfl)
+    code, err = run_main(tmp_path / "cfg.json", config, capsys, command)
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: oracle_points_per_segment, oracle_cfl: "
+                          "the finest oracle rung")
+    assert f"exceeds {ORACLE_MAX_STEPS:,} time steps" in err
+    assert pipeline_calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_oracle_step_bound_admits_its_limit(tmp_path, capsys, pipeline_calls, command):
+    # 2 * ceil(8 / (2 * 8.000001e-6)) = 1,000,000 steps
+    config = dict(SMALL, N=1, M=1, preset="zero", out_dir=str(tmp_path / "out"),
+                  oracle=True, oracle_points_per_segment=8, oracle_cfl=8.000001e-6)
+    code, err = run_main(tmp_path / "cfg.json", config, capsys, command)
+    assert code == 4 and "stopped before the solve" in err
+    assert pipeline_calls == [(1, 1)]
+
+
+HUGE = {"N": 3, "M": 3, "P": 17}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("source, name, largest", [
+    ({"preset": "trig", "preset_params": {"v0": [1e308, 1e308]}}, "v0", "1e+308"),
+    ({"preset": "trig", "preset_params": {"r1": [-1e151, 2]}}, "r1", "1e+151"),
+    ({"profiles": {"v0": "huge.csv"}}, "v0", "inf"),
+    ({"profiles": {"p0": "huge.csv"}}, "r0", "nan"),      # its integral overflows
+])
+def test_overflowing_state_data_exits_2(tmp_path, capsys, recwarn, command, source,
+                                        name, largest):
+    (tmp_path / "huge.csv").write_text("-1,1e308\n0,-1e308\n1,1e308\n")
+    if "profiles" in source:
+        source = {"profiles": {k: str(tmp_path / v) for k, v in source["profiles"].items()}}
+    config = dict(HUGE, out_dir=str(tmp_path / "out"), **source)
+    code, err = run_main(tmp_path / "cfg.json", config, capsys, command)
+    assert code == EXIT_CONFIG
+    assert err == (f"config error: {name}: sampled state data must be finite and at "
+                   f"most 1e+150 in magnitude; largest |value| is {largest}\n")
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_state_data_at_the_bound_passes_the_check(tmp_path, capsys, recwarn, command):
+    # cos(0 x) = 1, so v0 is STATE_MAX_ABS everywhere; the data check
+    # admits it and the solve runs
+    config = dict(HUGE, preset="trig", preset_params={"v0": [STATE_MAX_ABS, 0]},
+                  out_dir=str(tmp_path / "out"))
+    code, err = run_main(tmp_path / "cfg.json", config, capsys, command)
+    assert code != EXIT_CONFIG and "config error" not in err
+    assert len(recwarn) == 0
+
+
+def test_state_data_bound_is_inclusive():
+    mesh = build_mesh(2, 2)
+    at = RunConfig(N=2, M=2, P=17, preset="trig", preset_params={"v1": [-STATE_MAX_ABS, 0]})
+    assert build_state(at, mesh).v1.values.min() == -STATE_MAX_ABS
+    past = RunConfig(N=2, M=2, P=17, preset="trig",
+                     preset_params={"v1": [-math.nextafter(STATE_MAX_ABS, math.inf), 0]})
+    with pytest.raises(ConfigurationError, match="v1: sampled state data"):
+        build_state(past, mesh)
 
 
 # --- random configs -----------------------------------------------------------

@@ -68,13 +68,13 @@ class TestWaveTable:
         assert f.p == (mesh.M + 1) * (solved["waves"].p - 1) + 1
 
     def test_edge_rows_hold_on_table(self, worked_example):
-        from rodwave.edge import edge_residuals
+        from loop_reference import edge_residuals, gamma_dict
 
         par = worked_example["par"]
         sol = worked_example["sol_qp"]
         w_all = par.entry_values(sol.y, sol.gamma)
         res = edge_residuals(worked_example["system"], w_all,
-                             par.gamma_dict(sol.gamma), w_all.shape[1])
+                             gamma_dict(par, sol.gamma), w_all.shape[1])
         assert res.max() <= 1e-9
 
 
