@@ -29,34 +29,20 @@ from scipy.sparse import csr_matrix
 
 from .errors import AssemblyError, InvalidArgumentError
 from .mesh import MeshConfig, delta_z_weight
-from .sampled import SampledFunction, simpson_weights
+from .sampled import simpson_weights
 from .edge import EssentialBC, Parametrization, build_catalog
 
 
 @dataclass(frozen=True)
 class EnergyWeights:
-    """Diagonal weight of the stacked quadratic form, one function per
-    wave entry on [0, lambda]; control entries weigh zero.  ``w_mid``
-    holds the wave entries' weights at the cell midpoints, in catalog
-    order, as the midpoint-rule quadrature reads them."""
+    """Diagonal weight of the stacked quadratic form: ``w_mid`` holds the
+    wave entries' weights at the cell midpoints, in catalog order, as the
+    midpoint-rule quadrature reads them; control entries weigh zero and
+    have no row."""
 
     mesh: MeshConfig
     p: int
-    table: dict = field(repr=False)  # wave entry key -> SampledFunction
     w_mid: np.ndarray = field(repr=False, compare=False)  # (N_w, p - 1), read-only
-
-    def weight_values(self, key) -> np.ndarray:
-        if key[0] == "u":
-            return np.zeros(self.p)
-        return self.table[key].values
-
-    def matrix(self, catalog) -> np.ndarray:
-        """(N_v, p) array of weights in catalog order."""
-        out = np.zeros((catalog.N_v, self.p))
-        for e, key in enumerate(catalog.entries):
-            if key[0] == "w":
-                out[e] = self.table[key].values
-        return out
 
 
 def build_weights(mesh: MeshConfig, p: int = 129) -> EnergyWeights:
@@ -66,22 +52,22 @@ def build_weights(mesh: MeshConfig, p: int = 129) -> EnergyWeights:
     wave domain, so its weight is z on the first layer, lam - z on the
     last, and the constant lam in between, up to the rounding of the
     offsets (a few ulps below lam on some interior pieces).  All layers
-    of one wave are weighed in one call, row m of the (M + 1, p) array.
+    of one wave are weighed in one call, row m of the (M + 1, p) array,
+    and the rows go straight to their catalog positions.
     """
     z = np.linspace(0.0, mesh.lam, p)
     ms = np.array(mesh.J_t)
-    table = {}
+    cat = build_catalog(mesh)
+    w_nodes = np.empty((cat.N_w, p))
     for k in mesh.J_s:
         for side in (+1, -1):
             lo, _ = mesh.wave_domain(k, side)
-            vals = delta_z_weight(mesh, k, side, (lo + ms * mesh.lam / 2.0)[:, None] + z)
-            for m, row in zip(mesh.J_t, vals):
-                table[("w", side, k, m)] = SampledFunction(0.0, mesh.lam, row)
-    cat = build_catalog(mesh)
-    w_nodes = np.array([table[key].values for key in cat.entries[:cat.N_w]])
+            rows = [cat.index[("w", side, k, m)] for m in mesh.J_t]
+            w_nodes[rows] = delta_z_weight(mesh, k, side,
+                                           (lo + ms * mesh.lam / 2.0)[:, None] + z)
     w_mid = 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])
     w_mid.setflags(write=False)
-    return EnergyWeights(mesh=mesh, p=p, table=table, w_mid=w_mid)
+    return EnergyWeights(mesh=mesh, p=p, w_mid=w_mid)
 
 
 @dataclass(frozen=True)
@@ -300,26 +286,15 @@ def mean_energy(field_grid) -> float:
     samples carry jump midpoints, so the blockwise panels cancel the
     one-sided errors.
 
-    A row's weights depend only on its kink pattern, of which the lattice
-    has few, so the weights are built once per distinct pattern and each
-    segment is integrated row-wise in one product.
+    A row's weights depend only on its kink pattern; the grid's kink plan
+    holds them as one (nt, 2*qx + 1) matrix per distinct window pattern,
+    so each segment is integrated row-wise in one product.
     """
     fg = field_grid
     ht = fg.t[1] - fg.t[0]
-    hx = fg.x[1] - fg.x[0]
-    plus, minus = fg.kink_masks()
-    kinks = plus | minus
     nt = len(fg.t)
     profile = np.zeros(nt)
-    row_weights = {}     # kink pattern (mask row bytes) -> Simpson weights
-    for (j0, j1), vals in zip(fg.segment_windows(), fg.e_quad_segments):
-        rows = []
-        for pattern in kinks[:, j0:j1 + 1]:
-            key = pattern.tobytes()
-            if key not in row_weights:
-                row_weights[key] = blockwise_simpson_weights(
-                    len(pattern), hx, np.flatnonzero(pattern))
-            rows.append(row_weights[key])
-        profile += np.einsum("ij,ij->i", vals, np.stack(rows))
+    for window, vals in zip(fg.kink_plan, fg.e_quad_segments):
+        profile += np.einsum("ij,ij->i", vals, window.row_weights)
     t_splits = np.arange(fg.qt, nt - 1, fg.qt)
     return blockwise_simpson(profile, ht, t_splits) / fg.mesh.T

@@ -10,22 +10,39 @@ residuals (constitutive residual Q, terminal errors).
 Grid alignment.  Field grids place samples so that interfaces, layer
 instants, and the characteristic lattice all fall exactly on sample
 points; wave and control pieces are then indexed exactly (no
-interpolation).  Characteristic kinks thus sit on known sample diagonals
-and all finite differencing is done blockwise between kinks, one-sided at
-the kink samples themselves (right limit, except at domain ends).
+interpolation).  Each wave is read once per segment as a strided view of
+its assembled line: the plus wave at grid sample (i, j) is line sample
+``i*st + j*sx + c``, the minus wave ``i*st - j*sx + c'``.  At a junction
+of two pieces the "late" line holds the following piece (the upwind,
+right limit) and the "early" line the preceding one; the domain ends
+belong to the existing piece either way.  A view whose first or last
+sample would fall outside its line is a ``ReconstructionError``, so no
+view reads past its buffer.
+
+Characteristic kinks thus sit on known sample diagonals and all finite
+differencing is done blockwise between kinks, one-sided at the kink
+samples themselves (right limit, except at domain ends).  A window shift
+of 2*qx columns moves the lattice residue by a whole period, so every
+segment window normally has one kink pattern; its stencil sets, the
+samples Q leaves out and the quadrature weights are built once per grid
+(``FieldGrid.kink_plan``) and shared by :func:`residual_Q` and
+:func:`rodwave.energy.mean_energy`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidArgumentError, ReconstructionError
 from .mesh import MeshConfig, RodParams
 from .sampled import SampledFunction, fd_derivative, simpson_weights
+from .energy import blockwise_simpson_weights
 from .edge import Parametrization, StateSpec, jump_key, wave_key
 from .solver import Solution
 
@@ -35,6 +52,26 @@ CONTINUITY_ERROR = 1e-6
 # ---------------------------------------------------------------------------
 # Traveling-wave table
 # ---------------------------------------------------------------------------
+
+
+def _late_line(pieces: np.ndarray) -> np.ndarray:
+    """Concatenate (n_pieces, p) pieces into one line; the later piece
+    supplies each junction sample and the last piece the end sample."""
+    n, p = pieces.shape
+    line = np.empty(n * (p - 1) + 1)
+    line[:-1].reshape(n, p - 1)[...] = pieces[:, :-1]
+    line[-1] = pieces[-1, -1]
+    return line
+
+
+def _early_line(pieces: np.ndarray) -> np.ndarray:
+    """Concatenate (n_pieces, p) pieces into one line; the earlier piece
+    supplies each junction sample and the first piece sample 0."""
+    n, p = pieces.shape
+    line = np.empty(n * (p - 1) + 1)
+    line[0] = pieces[0, 0]
+    line[1:].reshape(n, p - 1)[...] = pieces[:, 1:]
+    return line
 
 
 @dataclass(frozen=True)
@@ -50,33 +87,36 @@ class WaveTable:
     def assembled(self, side: int, k: int) -> SampledFunction:
         """Full-domain wave on [z_side_k, T - z_otherside_k]."""
         lo, hi = self.mesh.wave_domain(k, side)
-        arr = self.pieces[(side, k)]
-        n_pieces, p = arr.shape
-        out = np.empty(n_pieces * (p - 1) + 1)
-        for j in range(n_pieces):
-            out[j * (p - 1):(j + 1) * (p - 1) + 1] = arr[j]
-        return SampledFunction(lo, hi, out)
+        return SampledFunction(lo, hi, _late_line(self.pieces[(side, k)]))
 
 
 def waves_from_solution(par: Parametrization, sol: Solution) -> WaveTable:
-    """Evaluate every catalog entry and stitch the wave pieces."""
+    """Evaluate every catalog entry and stitch the wave pieces.
+
+    Adjacent pieces must agree at their junction to ``CONTINUITY_ERROR``
+    relative to the largest piece sample, ``1e-6 * (1 + max|piece|)``, so
+    the check holds at any data scale; ``continuity_max`` stays absolute.
+    """
     mesh, cat = par.mesh, par.catalog
     w_all = par.entry_values(sol.y, sol.gamma)
     p = w_all.shape[1]
     h = mesh.lam / (p - 1)
     pieces, dpieces = {}, {}
     cont = 0.0
+    scale = 0.0
     for k in mesh.J_s:
         for side in (+1, -1):
             arr = np.stack([w_all[cat.index[wave_key(side, k, m)]]
                             for m in mesh.J_t])
             jump = np.max(np.abs(arr[:-1, -1] - arr[1:, 0])) if len(arr) > 1 else 0.0
             cont = max(cont, float(jump))
+            scale = max(scale, float(np.max(np.abs(arr))))
             pieces[(side, k)] = arr
             dpieces[(side, k)] = fd_derivative(arr, h)
-    if cont > CONTINUITY_ERROR:
+    if not cont <= CONTINUITY_ERROR * (1.0 + scale):
         raise ReconstructionError(
-            f"traveling-wave pieces disagree at junctions by {cont:.3e}; "
+            f"traveling-wave pieces disagree at junctions by {cont:.3e} "
+            f"(tolerance {CONTINUITY_ERROR:g} * (1 + {scale:.3e})); "
             f"the solver output violates vertex continuity")
     return WaveTable(mesh=mesh, p=p, pieces=pieces, dpieces=dpieces,
                      continuity_max=cont)
@@ -130,22 +170,6 @@ class ControlSet:
     def piece_times(self, j: int) -> np.ndarray:
         return j * self.mesh.lam + np.linspace(0.0, self.mesh.lam, self.p)
 
-    def force_at(self, k: int, t, side: str = "right"):
-        """Force f_k at time(s) t; one-sided limit at piece junctions."""
-        t = np.asarray(t, dtype=float)
-        lam, m_max = self.mesh.lam, self.mesh.M - 1
-        piece = np.floor(t / lam).astype(int)
-        if side == "left":
-            on_junction = np.isclose(t, np.round(t / lam) * lam)
-            piece = np.where(on_junction, np.round(t / lam).astype(int) - 1, piece)
-        piece = np.clip(piece, 0, m_max)
-        local = (t - piece * lam) / lam * (self.p - 1)
-        i0 = np.clip(np.floor(local).astype(int), 0, self.p - 2)
-        frac = local - i0
-        arr = self.forces[k]
-        vals = arr[piece, i0] * (1 - frac) + arr[piece, i0 + 1] * frac
-        return vals if vals.ndim else float(vals)
-
     def integral_at(self, k: int, t):
         """Control integral u_k at time(s) t (continuous; linear interp)."""
         t = np.asarray(t, dtype=float)
@@ -163,11 +187,6 @@ class ControlSet:
         t0 = np.asarray(t0, dtype=float)
         t1 = np.asarray(t1, dtype=float)
         return (self.integral_at(k, t1) - self.integral_at(k, t0)) / (t1 - t0)
-
-    def junction_discontinuities(self, k: int) -> np.ndarray:
-        """|f_k(t_j^+) - f_k(t_j^-)| at the interior piece junctions."""
-        arr = self.forces[k]
-        return np.abs(arr[1:, 0] - arr[:-1, -1])
 
     # -- invariant helpers (used by tests and run summaries) -----------
 
@@ -233,13 +252,19 @@ class FieldGrid:
     density.  ``qt``/``qx`` are samples per half-layer in each direction;
     interfaces sit at ``x`` indices that are multiples of ``2*qx``.
 
-    Derivative quantities are stored as the upwind trace (later piece at
-    kink samples, earlier at the domain ends).  Quantities that jump at
+    Every wave value is read from a strided view of the wave's assembled
+    line (see the module docstring).  Derivative quantities are stored as
+    the upwind trace: the late line, i.e. the later piece at kink samples
+    and the earlier one at the domain ends.  Quantities that jump at
     interfaces are kept per segment: ``e_quad_segments`` holds the energy
     density with sector-averaged values on the characteristic lattice
-    (jump midpoints, so blockwise quadrature keeps its cancellation), and
+    (the mean over the late and early lines of both wave families, so
+    jump midpoints; blockwise quadrature keeps its cancellation), and
     ``f_seg`` the per-segment force history; the merged ``f`` and ``e``
     arrays carry the right-segment trace at interface columns.
+
+    ``kink_plan`` is built on first use and kept with the grid; the
+    segment windows share it.
     """
 
     mesh: MeshConfig
@@ -272,21 +297,28 @@ class FieldGrid:
         x_res = ((np.arange(len(self.x)) - self.mesh.N * self.qx) * self.qt % step)[None, :]
         return t_res == (-x_res) % step, t_res == x_res
 
+    @cached_property
+    def kink_plan(self) -> tuple:
+        """Per segment window, its :class:`WindowKinks`."""
+        return build_kink_plan(self)
 
-def _gather(piece_arr: np.ndarray, units: np.ndarray, per_piece: int,
-            resolve: str = "late") -> np.ndarray:
-    """Index (n_pieces, p) piece stacks at absolute domain units.
 
-    ``resolve`` picks the piece at exact junction units: "late" takes the
-    following piece (upwind/right limit), "early" the preceding one;
-    domain ends clamp to the existing piece either way.
-    """
-    if resolve == "late":
-        m_idx = np.minimum(units // per_piece, piece_arr.shape[0] - 1)
-    else:
-        m_idx = np.maximum((units - 1) // per_piece, 0)
-    inner = units - m_idx * per_piece
-    return piece_arr[m_idx, inner]
+def _line_view(line: np.ndarray, start: int, step_t: int, step_x: int,
+               shape: Tuple[int, int]) -> np.ndarray:
+    """Read-only view ``out[i, j] = line[start + i*step_t + j*step_x]``.
+
+    ``as_strided`` does no bounds checking, so the extreme samples are
+    checked against the line first."""
+    nt, nx = shape
+    ends = (start, start + (nt - 1) * step_t)
+    ends += tuple(e + (nx - 1) * step_x for e in ends)
+    if min(ends) < 0 or max(ends) >= len(line):
+        raise ReconstructionError(
+            f"field grid reads wave samples {min(ends)}..{max(ends)} "
+            f"outside a line of {len(line)}")
+    item = line.itemsize
+    return as_strided(line[start:], shape=shape,
+                      strides=(step_t * item, step_x * item), writeable=False)
 
 
 def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
@@ -308,62 +340,76 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
     nt, nx = 2 * mesh.M * qt + 1, 2 * mesh.N * qx + 1
     tgrid = np.linspace(0.0, mesh.T, nt)
     xgrid = np.linspace(-1.0, 1.0, nx)
-
-    v = np.zeros((nt, nx))
-    r = np.zeros((nt, nx))
-    pm = np.zeros((nt, nx))
-    s = np.zeros((nt, nx))
-    f_arr = np.zeros((nt, nx))
-    e_segs = []
+    shape = (nt, 2 * qx + 1)
+    # Three blocks (fields, per-segment energy, window scratch) rather than
+    # ~20 arrays: fresh memory costs page faults on every state.  Every
+    # column lies in a segment window, so every sample is written.
+    v, r, pm, s, f_arr, e = np.empty((6, nt, nx))
+    e_quad = np.empty((mesh.N,) + shape)
+    wp, wm, dwp, dwm, p_seg, term = np.empty((6,) + shape)
     jump_v = 0.0
     jump_r = 0.0
-
-    iu = np.arange(nt)[:, None] * st            # t in wave sample units
     half_units = (p - 1) // 2                   # lam/2 in wave sample units
-    per = 2 * half_units
 
     # control integrals / forces on the time grid, per segment control
-    t_units = np.arange(nt) * st
-    u_time = {k: _gather(controls.integrals[k], t_units, per) for k in mesh.J_c}
-    f_time = {k: _gather(controls.forces[k], t_units, per) for k in mesh.J_c}
+    u_time = {k: _late_line(controls.integrals[k])[::st] for k in mesh.J_c}
+    f_time = {k: _late_line(controls.forces[k])[::st] for k in mesh.J_c}
     f_seg = np.stack([f_time[k] for k in mesh.J_s])
 
     for seg, k in enumerate(mesh.J_s):
         j0, j1 = seg * 2 * qx, (seg + 1) * 2 * qx
-        ju = (np.arange(j0, j1 + 1) - mesh.N * qx)[None, :] * sx  # x units
-        plus_units = iu + ju - (k - 1) * half_units
-        minus_units = iu - ju - (-(k + 1)) * half_units
-
-        wp = _gather(waves.pieces[(+1, k)], plus_units, per)
-        wm = _gather(waves.pieces[(-1, k)], minus_units, per)
-        dwp = _gather(waves.dpieces[(+1, k)], plus_units, per)
-        dwm = _gather(waves.dpieces[(-1, k)], minus_units, per)
-        dwp_e = _gather(waves.dpieces[(+1, k)], plus_units, per, resolve="early")
-        dwm_e = _gather(waves.dpieces[(-1, k)], minus_units, per, resolve="early")
-
-        v_seg = wp + wm
-        r_seg = wp - wm + u_time[k][:, None]
-        p_seg = dwp + dwm
-        s_seg = dwp - dwm + f_time[k][:, None]
-        # sector-averaged energy density: both junction resolutions of
-        # each wave family, so kink samples carry the jump midpoint
-        e_seg = 0.25 * sum((a ** 2 + b ** 2)
-                           for a in (dwp, dwp_e) for b in (dwm, dwm_e))
+        cols = slice(j0, j1 + 1)
+        x0 = (j0 - mesh.N * qx) * sx              # window start in wave units
+        plus0 = x0 - (k - 1) * half_units
+        minus0 = -x0 + (k + 1) * half_units
+        dplus, dminus = waves.dpieces[(+1, k)], waves.dpieces[(-1, k)]
+        # contiguous copies of the views that are read more than once
+        np.copyto(wp, _line_view(_late_line(waves.pieces[(+1, k)]), plus0, st, sx, shape))
+        np.copyto(wm, _line_view(_late_line(waves.pieces[(-1, k)]), minus0, st, -sx, shape))
+        np.copyto(dwp, _line_view(_late_line(dplus), plus0, st, sx, shape))
+        np.copyto(dwm, _line_view(_late_line(dminus), minus0, st, -sx, shape))
+        u_k = u_time[k][:, None]
+        f_k = f_time[k][:, None]
 
         if seg > 0:
-            jump_v = max(jump_v, float(np.max(np.abs(v[:, j0] - v_seg[:, 0]))))
-            jump_r = max(jump_r, float(np.max(np.abs(r[:, j0] - r_seg[:, 0]))))
-        v[:, j0:j1 + 1] = v_seg
-        r[:, j0:j1 + 1] = r_seg
-        pm[:, j0:j1 + 1] = p_seg
-        s[:, j0:j1 + 1] = s_seg
-        f_arr[:, j0:j1 + 1] = f_time[k][:, None]
-        e_segs.append(e_seg)
+            # column j0 still holds the left segment's trace
+            jump_v = max(jump_v, float(np.max(np.abs(
+                v[:, j0] - (wp[:, 0] + wm[:, 0])))))
+            jump_r = max(jump_r, float(np.max(np.abs(
+                r[:, j0] - (wp[:, 0] - wm[:, 0] + u_time[k])))))
+        np.add(wp, wm, out=v[:, cols])
+        np.subtract(wp, wm, out=term)
+        term += u_k
+        r[:, cols] = term
+        np.add(dwp, dwm, out=p_seg)
+        pm[:, cols] = p_seg
+        np.subtract(dwp, dwm, out=term)
+        term += f_k
+        s[:, cols] = term
+        f_arr[:, cols] = f_k
+        # e = 0.5 * (p**2 + (s - f)**2); an interface column keeps the
+        # right segment's value, as do p, s and f
+        term -= f_k
+        np.square(term, out=term)
+        term += np.square(p_seg, out=p_seg)
+        term *= 0.5
+        e[:, cols] = term
 
-    e = 0.5 * (pm ** 2 + (s - f_arr) ** 2)
+        # sector-averaged energy density: both junction resolutions of
+        # each wave family, so kink samples carry the jump midpoint;
+        # summed as ((a + b) + (a + be)) + (ae + b) + (ae + be)
+        a, b = np.square(dwp, out=dwp), np.square(dwm, out=dwm)
+        ae = np.square(_line_view(_early_line(dplus), plus0, st, sx, shape), out=wp)
+        be = np.square(_line_view(_early_line(dminus), minus0, st, -sx, shape), out=wm)
+        e_seg = np.add(a, b, out=e_quad[seg])
+        e_seg += np.add(a, be, out=term)
+        e_seg += np.add(ae, b, out=term)
+        e_seg += np.add(ae, be, out=term)
+        e_seg *= 0.25
+
     return FieldGrid(mesh=mesh, qt=qt, qx=qx, t=tgrid, x=xgrid,
                      v=v, r=r, p=pm, s=s, f=f_arr, e=e,
-                     e_quad_segments=tuple(e_segs), f_seg=f_seg,
+                     e_quad_segments=tuple(e_quad), f_seg=f_seg,
                      interface_jump_v=jump_v, interface_jump_r=jump_r)
 
 
@@ -372,9 +418,59 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
 # ---------------------------------------------------------------------------
 
 
-def _shifted(index: tuple, k: int) -> tuple:
-    """An ``np.nonzero`` index moved k samples along the last axis."""
-    return index[:-1] + (index[-1] + k,)
+class _BlockStencils:
+    """Where :func:`blockwise_derivative` uses which stencil, for one kink
+    mask and axis; the stencil sets are flat indices into a C-ordered
+    array of the mask's shape."""
+
+    def __init__(self, kinks: np.ndarray, axis: int):
+        self.axis = axis
+        last = self._at(-1)
+        # block bounds: sample 0, the interior kinks, the final sample
+        bound = np.moveaxis(kinks, axis, -1).copy()
+        bound[..., 0] = True
+        bound[..., -1] = True
+        start = bound[..., :-1]
+        short = start & bound[..., 1:]          # block of one interval
+        order = list(range(kinks.ndim - 1))
+        order.insert(axis, kinks.ndim - 1)      # moved-axis coordinates back
+
+        def flat(mask):
+            coords = np.nonzero(mask)
+            return np.ravel_multi_index(tuple(coords[i] for i in order), kinks.shape)
+
+        step = int(np.prod(kinks.shape[axis + 1:]))   # one sample along axis
+        self.fwd = flat(start & ~short)
+        self.fwd1, self.fwd2 = self.fwd + step, self.fwd + 2 * step
+        self.one = flat(short)
+        self.one1 = self.one + step
+        self.last_short = start[..., -1]
+        self.valid = np.ones(kinks.shape, dtype=bool)
+        self.valid.ravel()[self.one] = False
+        self.valid[last] = ~self.last_short
+
+    def _at(self, i) -> tuple:
+        """Index of sample(s) ``i`` along the axis."""
+        return (slice(None),) * self.axis + (i,)
+
+    def derivative(self, v: np.ndarray, h: float,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The blockwise derivative of ``v`` along the axis, written to
+        ``out`` (C-ordered, the shape of ``v``) if given."""
+        at = self._at
+        deriv = np.empty(v.shape) if out is None else out
+        flat_v, flat_d = v.ravel(), deriv.ravel()
+        inner = np.subtract(v[at(slice(2, None))], v[at(slice(None, -2))],
+                            out=deriv[at(slice(1, -1))])
+        inner /= 2.0 * h
+        flat_d[self.fwd] = (-3.0 * flat_v[self.fwd] + 4.0 * flat_v[self.fwd1]
+                            - flat_v[self.fwd2]) / (2.0 * h)
+        flat_d[self.one] = (flat_v[self.one1] - flat_v[self.one]) / h
+        # final sample: backward stencil, or the short block's first-order value
+        deriv[at(-1)] = np.where(
+            self.last_short, (v[at(-1)] - v[at(-2)]) / h,
+            (3.0 * v[at(-1)] - 4.0 * v[at(-2)] + v[at(-3)]) / (2.0 * h))
+        return deriv
 
 
 def blockwise_derivative(values: np.ndarray, h: float, kink_mask: np.ndarray,
@@ -390,35 +486,58 @@ def blockwise_derivative(values: np.ndarray, h: float, kink_mask: np.ndarray,
     three samples cannot support a second-order stencil: a first-order
     value is returned there and the accompanying mask marks it invalid.
     """
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    kinks = np.moveaxis(np.asarray(kink_mask, dtype=bool), axis, -1)
-    if v.shape[-1] < 3:
+    v = np.ascontiguousarray(values, dtype=float)
+    kinks = np.ascontiguousarray(kink_mask, dtype=bool)
+    axis = axis % v.ndim
+    if v.shape[axis] < 3:
         raise InvalidArgumentError("need at least 3 samples to differentiate")
-    deriv = np.empty_like(v)
-    valid = np.ones(v.shape, dtype=bool)
-    deriv[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+    stencils = _BlockStencils(kinks, axis)
+    return stencils.derivative(v, h), stencils.valid
 
-    # block bounds: sample 0, the interior kinks, the final sample
-    bound = kinks.copy()
-    bound[..., 0] = True
-    bound[..., -1] = True
-    start = bound[..., :-1]
-    short = start & bound[..., 1:]          # block of one interval
 
-    fwd = np.nonzero(start & ~short)
-    deriv[fwd] = (-3.0 * v[fwd] + 4.0 * v[_shifted(fwd, 1)]
-                  - v[_shifted(fwd, 2)]) / (2.0 * h)
-    one = np.nonzero(short)
-    deriv[one] = (v[_shifted(one, 1)] - v[one]) / h
-    valid[one] = False
+class WindowKinks:
+    """Stencil sets, dropped samples and quadrature weights of one
+    window's kink mask."""
 
-    # final sample: backward stencil, or the short block's first-order value
-    last_short = start[..., -1]
-    deriv[..., -1] = np.where(
-        last_short, (v[..., -1] - v[..., -2]) / h,
-        (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h))
-    valid[..., -1] = ~last_short
-    return np.moveaxis(deriv, -1, axis), np.moveaxis(valid, -1, axis)
+    def __init__(self, kinks: np.ndarray, hx: float):
+        self.t_stencils = _BlockStencils(kinks, 0)
+        self.x_stencils = _BlockStencils(kinks, 1)
+        # samples left out of the Q quadrature
+        self.drop = ~(self.t_stencils.valid & self.x_stencils.valid & ~kinks)
+        self.wx = simpson_weights(kinks.shape[1], hx)
+        # blockwise Simpson weights of each row, split at its kinks, built
+        # once per distinct row pattern
+        by_pattern: dict = {}
+        rows = []
+        for row in kinks:
+            key = row.tobytes()
+            if key not in by_pattern:
+                by_pattern[key] = blockwise_simpson_weights(len(row), hx,
+                                                            np.flatnonzero(row))
+            rows.append(by_pattern[key])
+        self.row_weights = np.stack(rows)
+
+
+def build_kink_plan(fg) -> tuple:
+    """The :class:`WindowKinks` of each segment window of a field grid.
+
+    A shift of 2*qx columns moves the x residue by 2*qx*qt, a multiple of
+    the lattice period qt*qx, so the windows normally share one kink
+    pattern.  That is checked, not assumed: windows are keyed by their
+    mask bytes, and each distinct pattern is planned once.
+    """
+    plus, minus = fg.kink_masks()
+    kinks = plus | minus
+    hx = fg.x[1] - fg.x[0]
+    by_mask: dict = {}
+    plan = []
+    for j0, j1 in fg.segment_windows():
+        mask = np.ascontiguousarray(kinks[:, j0:j1 + 1])
+        key = (mask.shape, mask.tobytes())
+        if key not in by_mask:
+            by_mask[key] = WindowKinks(mask, hx)
+        plan.append(by_mask[key])
+    return tuple(plan)
 
 
 def residual_Q(fg: FieldGrid, params: Optional[RodParams] = None) -> float:
@@ -432,29 +551,36 @@ def residual_Q(fg: FieldGrid, params: Optional[RodParams] = None) -> float:
     quadrature: there the stored derivative traces are one-sided and the
     difference of one-sided limits is not a discretization error.  On
     exact solutions the retained integrand is O(h^4).  Every temporary is
-    the size of one segment window.
+    the size of one segment window; the stencil sets and the samples left
+    out come from the grid's kink plan.
     """
     rho = params.rho if params is not None else 1.0
     kappa = params.kappa if params is not None else 1.0
     ht = fg.t[1] - fg.t[0]
     hx = fg.x[1] - fg.x[0]
-    plus, minus = fg.kink_masks()
-    kinks = plus | minus
 
     wt = simpson_weights(len(fg.t), ht)
+    # window-sized work arrays, reused for every segment
+    v_seg, g_sq, q = np.empty((3, len(fg.t), 2 * fg.qx + 1))
     total = 0.0
-    for seg, (j0, j1) in enumerate(fg.segment_windows()):
+    for seg, ((j0, j1), window) in enumerate(zip(fg.segment_windows(), fg.kink_plan)):
         cols = slice(j0, j1 + 1)
-        vseg = fg.v[:, cols]
-        kseg = kinks[:, cols]
-        vt, ok_t = blockwise_derivative(vseg, ht, kseg, axis=0)
-        vx, ok_x = blockwise_derivative(vseg, hx, kseg, axis=1)
-        g_res = rho * vt - fg.p[:, cols]
-        h_res = kappa * vx - fg.s[:, cols] + fg.f_seg[seg][:, None]
-        q = g_res ** 2 / (4.0 * rho) + h_res ** 2 / (4.0 * kappa)
-        q = np.where(ok_t & ok_x & ~kseg, q, 0.0)
-        wx = simpson_weights(j1 - j0 + 1, hx)
-        total += float(wt @ q @ wx)
+        np.copyto(v_seg, fg.v[:, cols])
+        # g**2 / (4 rho) into g_sq, h**2 / (4 kappa) into q, then their sum
+        window.t_stencils.derivative(v_seg, ht, out=g_sq)
+        g_sq *= rho
+        g_sq -= fg.p[:, cols]
+        np.square(g_sq, out=g_sq)
+        g_sq /= 4.0 * rho
+        window.x_stencils.derivative(v_seg, hx, out=q)
+        q *= kappa
+        q -= fg.s[:, cols]
+        q += fg.f_seg[seg][:, None]
+        np.square(q, out=q)
+        q /= 4.0 * kappa
+        q += g_sq
+        np.copyto(q, 0.0, where=window.drop)
+        total += float(wt @ q @ window.wx)
     return total
 
 

@@ -2,7 +2,9 @@
 
 These are the slice-by-slice implementations the package used before its
 kernels became whole-array code; tests compare the array kernels against
-them (bit for bit where the arithmetic is unchanged).
+them (bit for bit where the arithmetic is unchanged).  The module also
+holds the helpers only tests use (one-sided force lookups, the per-piece
+energy-weight table).
 """
 
 import csv
@@ -13,10 +15,12 @@ import numpy as np
 from scipy.sparse import lil_matrix
 
 from rodwave.edge import DataExpr, EssentialBC, _pivot_priority, guard_rows, wave_key
-from rodwave.energy import QuadraticProgram
+from rodwave import energy
+from rodwave.energy import QuadraticProgram, blockwise_simpson_weights
 from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError
 from rodwave.mesh import counts, delta_z_weight
 from rodwave.oracle import SimResult, _node_weights, energy_norm
+from rodwave.reconstruct import FieldGrid, _pick_q
 from rodwave.sampled import fd_derivative, simpson_weights
 
 
@@ -331,7 +335,7 @@ def assemble_qp(par, bc, weights, p):
     a_w = par.A[:n_w]                      # wave rows of A
     g_w = par.g_matrix(p)[:n_w]
     g_d = np.diff(g_w, axis=1) / h         # midpoint derivatives, (N_w, p-1)
-    w_nodes = weights.matrix(cat)[:n_w]
+    w_nodes = weight_matrix(mesh, p, cat)[:n_w]
     w_mid = 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])
 
     # per-cell quadratic kernels over the free vector
@@ -546,3 +550,207 @@ def build_weights(mesh, p):
     w_nodes = np.array([table[("w", side, k, m)] for k in mesh.J_s
                         for m in mesh.J_t for side in (+1, -1)])
     return table, 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])
+
+
+def weight_matrix(mesh, p, catalog):
+    """(N_v, p) weight samples in catalog order; control entries weigh zero."""
+    table, _ = build_weights(mesh, p)
+    out = np.zeros((catalog.N_v, p))
+    for e, key in enumerate(catalog.entries):
+        if key[0] == "w":
+            out[e] = table[key]
+    return out
+
+
+def weight_values(table, p, key):
+    """One entry's weight samples: its table row, or zeros for a control."""
+    if key[0] == "u":
+        return np.zeros(p)
+    return table[key]
+
+
+def force_at(controls, k, t, side="right"):
+    """Force f_k at time(s) t; one-sided limit at piece junctions."""
+    t = np.asarray(t, dtype=float)
+    lam, m_max = controls.mesh.lam, controls.mesh.M - 1
+    piece = np.floor(t / lam).astype(int)
+    if side == "left":
+        on_junction = np.isclose(t, np.round(t / lam) * lam)
+        piece = np.where(on_junction, np.round(t / lam).astype(int) - 1, piece)
+    piece = np.clip(piece, 0, m_max)
+    local = (t - piece * lam) / lam * (controls.p - 1)
+    i0 = np.clip(np.floor(local).astype(int), 0, controls.p - 2)
+    frac = local - i0
+    arr = controls.forces[k]
+    vals = arr[piece, i0] * (1 - frac) + arr[piece, i0 + 1] * frac
+    return vals if vals.ndim else float(vals)
+
+
+def junction_discontinuities(controls, k):
+    """|f_k(t_j^+) - f_k(t_j^-)| at the interior piece junctions."""
+    arr = controls.forces[k]
+    return np.abs(arr[1:, 0] - arr[:-1, -1])
+
+
+def _gather(piece_arr, units, per_piece, resolve="late"):
+    """Index (n_pieces, p) piece stacks at absolute domain units.
+
+    ``resolve`` picks the piece at exact junction units: "late" takes the
+    following piece (upwind/right limit), "early" the preceding one;
+    domain ends clamp to the existing piece either way.
+    """
+    if resolve == "late":
+        m_idx = np.minimum(units // per_piece, piece_arr.shape[0] - 1)
+    else:
+        m_idx = np.maximum((units - 1) // per_piece, 0)
+    inner = units - m_idx * per_piece
+    return piece_arr[m_idx, inner]
+
+
+def fields(waves, controls, mesh, qt=None, qx=None):
+    """The field grid with six fancy-index gathers per segment."""
+    p = waves.p
+    if qt is None and qx is None:
+        qt = qx = _pick_q(p, 32)
+    elif qt is None:
+        qt = qx
+    elif qx is None:
+        qx = qt
+    st = (p - 1) // (2 * qt)
+    sx = (p - 1) // (2 * qx)
+    nt, nx = 2 * mesh.M * qt + 1, 2 * mesh.N * qx + 1
+    tgrid = np.linspace(0.0, mesh.T, nt)
+    xgrid = np.linspace(-1.0, 1.0, nx)
+
+    v = np.zeros((nt, nx))
+    r = np.zeros((nt, nx))
+    pm = np.zeros((nt, nx))
+    s = np.zeros((nt, nx))
+    f_arr = np.zeros((nt, nx))
+    e_segs = []
+    jump_v = 0.0
+    jump_r = 0.0
+
+    iu = np.arange(nt)[:, None] * st
+    half_units = (p - 1) // 2
+    per = 2 * half_units
+
+    t_units = np.arange(nt) * st
+    u_time = {k: _gather(controls.integrals[k], t_units, per) for k in mesh.J_c}
+    f_time = {k: _gather(controls.forces[k], t_units, per) for k in mesh.J_c}
+    f_seg = np.stack([f_time[k] for k in mesh.J_s])
+
+    for seg, k in enumerate(mesh.J_s):
+        j0, j1 = seg * 2 * qx, (seg + 1) * 2 * qx
+        ju = (np.arange(j0, j1 + 1) - mesh.N * qx)[None, :] * sx
+        plus_units = iu + ju - (k - 1) * half_units
+        minus_units = iu - ju - (-(k + 1)) * half_units
+
+        wp = _gather(waves.pieces[(+1, k)], plus_units, per)
+        wm = _gather(waves.pieces[(-1, k)], minus_units, per)
+        dwp = _gather(waves.dpieces[(+1, k)], plus_units, per)
+        dwm = _gather(waves.dpieces[(-1, k)], minus_units, per)
+        dwp_e = _gather(waves.dpieces[(+1, k)], plus_units, per, resolve="early")
+        dwm_e = _gather(waves.dpieces[(-1, k)], minus_units, per, resolve="early")
+
+        v_seg = wp + wm
+        r_seg = wp - wm + u_time[k][:, None]
+        p_seg = dwp + dwm
+        s_seg = dwp - dwm + f_time[k][:, None]
+        e_seg = 0.25 * sum((a ** 2 + b ** 2)
+                           for a in (dwp, dwp_e) for b in (dwm, dwm_e))
+
+        if seg > 0:
+            jump_v = max(jump_v, float(np.max(np.abs(v[:, j0] - v_seg[:, 0]))))
+            jump_r = max(jump_r, float(np.max(np.abs(r[:, j0] - r_seg[:, 0]))))
+        v[:, j0:j1 + 1] = v_seg
+        r[:, j0:j1 + 1] = r_seg
+        pm[:, j0:j1 + 1] = p_seg
+        s[:, j0:j1 + 1] = s_seg
+        f_arr[:, j0:j1 + 1] = f_time[k][:, None]
+        e_segs.append(e_seg)
+
+    e = 0.5 * (pm ** 2 + (s - f_arr) ** 2)
+    return FieldGrid(mesh=mesh, qt=qt, qx=qx, t=tgrid, x=xgrid,
+                     v=v, r=r, p=pm, s=s, f=f_arr, e=e,
+                     e_quad_segments=tuple(e_segs), f_seg=f_seg,
+                     interface_jump_v=jump_v, interface_jump_r=jump_r)
+
+
+def blockwise_derivative(values, h, kink_mask, axis=-1):
+    """The whole-array blockwise derivative with its stencil sets taken by
+    ``np.nonzero`` on every call, along the moved axis."""
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    kinks = np.moveaxis(np.asarray(kink_mask, dtype=bool), axis, -1)
+    deriv = np.empty_like(v)
+    valid = np.ones(v.shape, dtype=bool)
+    deriv[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+
+    def shifted(index, k):
+        return index[:-1] + (index[-1] + k,)
+
+    bound = kinks.copy()
+    bound[..., 0] = True
+    bound[..., -1] = True
+    start = bound[..., :-1]
+    short = start & bound[..., 1:]
+    fwd = np.nonzero(start & ~short)
+    deriv[fwd] = (-3.0 * v[fwd] + 4.0 * v[shifted(fwd, 1)]
+                  - v[shifted(fwd, 2)]) / (2.0 * h)
+    one = np.nonzero(short)
+    deriv[one] = (v[shifted(one, 1)] - v[one]) / h
+    valid[one] = False
+    last_short = start[..., -1]
+    deriv[..., -1] = np.where(
+        last_short, (v[..., -1] - v[..., -2]) / h,
+        (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h))
+    valid[..., -1] = ~last_short
+    return np.moveaxis(deriv, -1, axis), np.moveaxis(valid, -1, axis)
+
+
+def residual_Q_windows(fg, params=None):
+    """Constitutive residual with the stencil sets rebuilt per window."""
+    rho = params.rho if params is not None else 1.0
+    kappa = params.kappa if params is not None else 1.0
+    ht = fg.t[1] - fg.t[0]
+    hx = fg.x[1] - fg.x[0]
+    plus, minus = fg.kink_masks()
+    kinks = plus | minus
+
+    wt = simpson_weights(len(fg.t), ht)
+    total = 0.0
+    for seg, (j0, j1) in enumerate(fg.segment_windows()):
+        cols = slice(j0, j1 + 1)
+        vseg = fg.v[:, cols]
+        kseg = kinks[:, cols]
+        vt, ok_t = blockwise_derivative(vseg, ht, kseg, axis=0)
+        vx, ok_x = blockwise_derivative(vseg, hx, kseg, axis=1)
+        g_res = rho * vt - fg.p[:, cols]
+        h_res = kappa * vx - fg.s[:, cols] + fg.f_seg[seg][:, None]
+        q = g_res ** 2 / (4.0 * rho) + h_res ** 2 / (4.0 * kappa)
+        q = np.where(ok_t & ok_x & ~kseg, q, 0.0)
+        wx = simpson_weights(j1 - j0 + 1, hx)
+        total += float(wt @ q @ wx)
+    return total
+
+
+def mean_energy(fg):
+    """Grid mean energy with row weights looked up row by row per window."""
+    ht = fg.t[1] - fg.t[0]
+    hx = fg.x[1] - fg.x[0]
+    plus, minus = fg.kink_masks()
+    kinks = plus | minus
+    nt = len(fg.t)
+    profile = np.zeros(nt)
+    row_weights = {}
+    for (j0, j1), vals in zip(fg.segment_windows(), fg.e_quad_segments):
+        rows = []
+        for pattern in kinks[:, j0:j1 + 1]:
+            key = pattern.tobytes()
+            if key not in row_weights:
+                row_weights[key] = blockwise_simpson_weights(
+                    len(pattern), hx, np.flatnonzero(pattern))
+            rows.append(row_weights[key])
+        profile += np.einsum("ij,ij->i", vals, np.stack(rows))
+    t_splits = np.arange(fg.qt, nt - 1, fg.qt)
+    return energy.blockwise_simpson(profile, ht, t_splits) / fg.mesh.T

@@ -30,7 +30,7 @@ from rodwave import reconstruct as rec
 from rodwave.oracle import SimConfig, compare as oracle_compare, simulate
 from rodwave.cli import EXIT_INFEASIBLE, EXIT_OK, RunConfig, run_solve
 from conftest import assemble_all, example_state
-from loop_reference import edge_residuals, gamma_dict
+from loop_reference import edge_residuals, gamma_dict, junction_discontinuities
 
 
 def report(criterion, ok, detail):
@@ -222,7 +222,7 @@ def test_criterion_8_force_discontinuity_pattern():
     junction_ok = True
     interior_worst = 0.0
     for k in mesh.J_c:
-        jumps = controls.junction_discontinuities(k)
+        jumps = junction_discontinuities(controls, k)
         junction_ok &= bool(np.all(jumps > 1e-6))
         for j in range(mesh.M):
             piece = controls.forces[k][j]

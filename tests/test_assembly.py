@@ -45,8 +45,7 @@ def assert_same_qp(new, old):
 def distinct_weight_columns(par, weights, p):
     """Distinct scaled cell weight columns over the wave rows A touches."""
     n_w = par.catalog.N_w
-    w_nodes = weights.matrix(par.catalog)[:n_w]
-    w_cells = 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:]) * (par.mesh.lam / (p - 1) / par.mesh.T)
+    w_cells = weights.w_mid * (par.mesh.lam / (p - 1) / par.mesh.T)
     touched = np.any(par.A[:n_w] != 0.0, axis=1)
     return len(np.unique(w_cells[touched].T, axis=0))
 

@@ -18,7 +18,7 @@ import pytest
 
 import loop_reference as ref
 from conftest import example_state
-from rodwave.edge import assemble_edge_constraints, eliminate, jump_key
+from rodwave.edge import assemble_edge_constraints, build_catalog, eliminate, jump_key
 from rodwave.energy import build_weights
 from rodwave.errors import AssemblyError
 from rodwave.mesh import build_mesh
@@ -115,6 +115,9 @@ def test_weights_match_loop(n, m, p):
     weights = build_weights(mesh, p)
     table, w_mid = ref.build_weights(mesh, p)
     assert_bits(weights.w_mid, w_mid)
-    assert list(weights.table) == list(table)
-    for key, vals in table.items():
-        assert_bits(weights.table[key].values, vals)
+    # w_mid is built from whole (M + 1, p) rows per wave; row by row it is
+    # the midpoint of the reference's per-piece weight, in catalog order
+    cat = build_catalog(mesh)
+    assert set(table) == set(cat.entries[:cat.N_w])
+    for row, key in zip(weights.w_mid, cat.entries[:cat.N_w], strict=True):
+        assert_bits(row, 0.5 * (table[key][:-1] + table[key][1:]))

@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from rodwave.mesh import build_mesh, delta_z_weight
-from rodwave.edge import StateSpec, wave_key
+from rodwave.edge import StateSpec, build_catalog, wave_key
 from rodwave.energy import (
     assemble_qp,
     blockwise_simpson,
@@ -12,31 +13,44 @@ from rodwave.energy import (
     evaluate_objective,
     mean_energy,
 )
+from rodwave.sampled import SampledFunction
 from rodwave.solver import solve_qp
 from rodwave import reconstruct as rec
 from conftest import assemble_all, example_state
+import loop_reference as ref
+from test_assembly import assert_bits
 
 P = 33
+
+
+def weight_table(mesh, p):
+    """Per-piece weights (wave key -> SampledFunction on [0, lambda]).
+
+    ``build_weights`` keeps only their cell midpoints, ``w_mid``; it is
+    checked here to equal the table's midpoints bit for bit."""
+    table, w_mid = ref.build_weights(mesh, p)
+    assert_bits(build_weights(mesh, p).w_mid, w_mid)
+    return {key: SampledFunction(0.0, mesh.lam, vals) for key, vals in table.items()}
 
 
 class TestWeights:
     def test_first_layer_vanishes_at_origin(self):
         mesh = build_mesh(3, 3)
-        weights = build_weights(mesh, P)
+        weights = weight_table(mesh, P)
         for k in mesh.J_s:
-            assert weights.table[wave_key(+1, k, 0)].values[0] == pytest.approx(0.0)
+            assert weights[wave_key(+1, k, 0)].values[0] == pytest.approx(0.0)
 
     def test_interior_layers_are_flat(self):
         mesh = build_mesh(4, 4)   # M >= 3 gives fully interior layers
-        weights = build_weights(mesh, P)
+        weights = weight_table(mesh, P)
         for k in mesh.J_s:
             for m in range(2, 2 * mesh.M - 1, 2):
-                vals = weights.table[wave_key(-1, k, m)].values
+                vals = weights[wave_key(-1, k, m)].values
                 assert np.allclose(vals, mesh.lam, atol=1e-14)
 
     def test_matches_strip_thickness(self):
         mesh = build_mesh(3, 2)
-        weights = build_weights(mesh, P)
+        weights = weight_table(mesh, P)
         z = np.linspace(0.0, mesh.lam, P)
         for k in mesh.J_s:
             for side in (+1, -1):
@@ -44,21 +58,26 @@ class TestWeights:
                 for m in mesh.J_t:
                     expected = delta_z_weight(mesh, k, side,
                                               lo + m * mesh.lam / 2 + z)
-                    got = weights.table[wave_key(side, k, m)].values
+                    got = weights[wave_key(side, k, m)].values
                     assert np.allclose(got, expected, atol=1e-14)
 
     def test_total_weight_integral(self):
         # sum over all wave entries of the weight integral equals twice the
         # domain area: each strip contributes lam*T per traveling direction
         mesh = build_mesh(4, 4)
-        weights = build_weights(mesh, P)
-        total = sum(f.integral() for f in weights.table.values())
+        weights = weight_table(mesh, P)
+        total = sum(f.integral() for f in weights.values())
         assert total == pytest.approx(2 * mesh.N * mesh.lam * mesh.T, rel=1e-12)
 
     def test_control_entries_weigh_zero(self):
         mesh = build_mesh(2, 2)
-        weights = build_weights(mesh, P)
-        assert np.all(weights.weight_values(("u", 0, 0)) == 0.0)
+        table, _ = ref.build_weights(mesh, P)
+        assert np.all(ref.weight_values(table, P, ("u", 0, 0)) == 0.0)
+        # build_weights weighs the wave entries only: they lead the catalog
+        # and w_mid has one row each, so no control entry carries a weight
+        cat = build_catalog(mesh)
+        assert build_weights(mesh, P).w_mid.shape == (cat.N_w, P - 1)
+        assert all(key[0] == "u" for key in cat.entries[cat.N_w:])
 
 
 class TestQuadraticProgram:
@@ -170,6 +189,10 @@ class _FakeGrid:
         plus = (iu * self.qx + (ju - self.mesh.N * self.qx) * self.qt) % (self.qt * self.qx)
         minus = (iu * self.qx - (ju - self.mesh.N * self.qx) * self.qt) % (self.qt * self.qx)
         return plus == 0, minus == 0
+
+    @functools.cached_property
+    def kink_plan(self):
+        return rec.build_kink_plan(self)
 
 
 class TestBlockwiseSimpson:

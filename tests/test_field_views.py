@@ -1,0 +1,179 @@
+"""Strided-view field reconstruction and the shared kink plan against the
+gather forms they replaced.
+
+``reconstruct.fields`` reads every wave through a strided view of its
+assembled line, and ``residual_Q`` and ``mean_energy`` share one kink plan
+per grid; ``loop_reference.fields``, ``residual_Q_windows`` and
+``mean_energy`` are the fancy-index gathers and per-window stencil sets
+they replaced.  The arithmetic is the same, so every output must be
+byte-equal: each ``FieldGrid`` array, every energy window, the interface
+jumps, Q and E_grid.
+"""
+
+import dataclasses
+import json
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import loop_reference as ref
+from rodwave import cli
+from rodwave import reconstruct as rec
+from rodwave.cli import EXIT_INVARIANT, EXIT_OK, main
+from rodwave.edge import Parametrization
+from rodwave.energy import mean_energy
+from rodwave.errors import ReconstructionError
+from rodwave.mesh import RodParams
+from test_assembly import assert_bits
+
+ARRAYS = ("t", "x", "v", "r", "p", "s", "f", "e", "f_seg")
+CELLS = [(n, m) for n in range(2, 9) for m in range(2, 9)] + [(1, 5), (9, 2), (12, 12)]
+
+
+def trig_params(seed):
+    """Seeded trig data: amplitude in +-[0.25, 1], frequency in [0.5, 4]."""
+    rng = random.Random(seed)
+    return {key: [rng.choice((-1.0, 1.0)) * rng.uniform(0.25, 1.0), rng.uniform(0.5, 4.0)]
+            for key in ("v0", "r0", "v1", "r1")}
+
+
+def solved(n, m, p, params):
+    """Waves, controls and mesh of one closed-form solve."""
+    config = cli.validate_config({"N": n, "M": m, "P": p, "preset": "trig",
+                                  "preset_params": params})
+    out = cli.solve_pipeline(config, reconstruct=False)
+    par, sol, mesh = out["par"], out["primary"], out["mesh"]
+    waves = rec.waves_from_solution(par, sol)
+    controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, sol))
+    return waves, controls, mesh
+
+
+def check_grid(waves, controls, mesh, qt=None, qx=None):
+    new = rec.fields(waves, controls, mesh, qt=qt, qx=qx)
+    old = ref.fields(waves, controls, mesh, qt=qt, qx=qx)
+    assert (new.qt, new.qx) == (old.qt, old.qx)
+    for name in ARRAYS:
+        assert_bits(getattr(new, name), getattr(old, name))
+    assert len(new.e_quad_segments) == len(old.e_quad_segments) == mesh.N
+    for got, want in zip(new.e_quad_segments, old.e_quad_segments):
+        assert_bits(got, want)
+    assert new.interface_jump_v.hex() == old.interface_jump_v.hex()
+    assert new.interface_jump_r.hex() == old.interface_jump_r.hex()
+    assert rec.residual_Q(new).hex() == ref.residual_Q_windows(old).hex()
+    assert mean_energy(new).hex() == ref.mean_energy(old).hex()
+    return new
+
+
+@pytest.mark.parametrize("n,m", CELLS)
+def test_fields_match_gathers_on_sweep_cells(n, m):
+    check_grid(*solved(n, m, 129, trig_params(100 * n + m)))
+
+
+@pytest.mark.parametrize("qt,qx", [(8, 8), (16, 8), (8, 32), (32, 2), (2, 16)])
+def test_fields_match_gathers_at_other_samplings(qt, qx):
+    n, m = (6, 6) if qt == qx else (5, 4)
+    check_grid(*solved(n, m, 129, trig_params(qt * 100 + qx)), qt=qt, qx=qx)
+
+
+def test_field_samples_setting_matches_gathers():
+    config = cli.validate_config({"N": 6, "M": 6, "P": 129, "preset": "trig",
+                                  "preset_params": trig_params(8), "field_samples": 8})
+    out = cli.solve_pipeline(config)
+    want = ref.fields(out["waves"], out["controls"], out["mesh"], qt=8, qx=8)
+    for name in ARRAYS:
+        assert_bits(getattr(out["fields"], name), getattr(want, name))
+    assert out["Q"].hex() == ref.residual_Q_windows(want).hex()
+    assert out["E_grid"].hex() == ref.mean_energy(want).hex()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(2, 4), p=st.sampled_from([17, 33, 65]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fields_match_gathers_on_random_states(n, m, p, seed):
+    check_grid(*solved(n, m, p, trig_params(seed)))
+
+
+@pytest.mark.parametrize("rho,kappa", [(4.0, 1.0), (1.0, 0.3), (2.5, 7.0)])
+def test_residual_q_with_rod_constants_matches_windows(rho, kappa):
+    fg = rec.fields(*solved(4, 3, 65, trig_params(4)))
+    params = RodParams(rho, kappa, 1.0)
+    assert rec.residual_Q(fg, params).hex() == ref.residual_Q_windows(fg, params).hex()
+
+
+def test_windows_share_one_kink_plan():
+    fg = check_grid(*solved(6, 6, 129, trig_params(1)))
+    windows = fg.kink_plan
+    assert len(windows) == 6 and all(w is windows[0] for w in windows)
+    assert fg.kink_plan is fg.kink_plan
+
+
+def test_distinct_window_patterns_get_their_own_plans():
+    # a grid whose windows do not share a kink pattern falls back to one
+    # plan per distinct mask; here a fake second family on one window
+    fg = rec.fields(*solved(3, 3, 33, trig_params(2)))
+    plus, minus = fg.kink_masks()
+    minus = minus.copy()
+    minus[5, 2 * fg.qx + 3] = True
+
+    class Shifted:
+        t, x, mesh, qt, qx = fg.t, fg.x, fg.mesh, fg.qt, fg.qx
+        segment_windows = fg.segment_windows
+
+        def kink_masks(self):
+            return plus, minus
+
+    windows = rec.build_kink_plan(Shifted())
+    assert windows[0] is windows[2] and windows[1] is not windows[0]
+    assert windows[1].drop[5, 3] and not windows[0].drop[5, 3]
+
+
+@pytest.mark.parametrize("table, side", [("pieces", +1), ("pieces", -1),
+                                         ("dpieces", +1), ("dpieces", -1)])
+def test_truncated_pieces_raise_instead_of_reading_past_the_line(table, side):
+    waves, controls, mesh = solved(3, 3, 33, trig_params(3))
+    key = (side, mesh.J_s[1])
+    pieces = dict(getattr(waves, table))
+    pieces[key] = pieces[key][:-1]                 # one piece short
+    short = dataclasses.replace(waves, **{table: pieces})
+    with pytest.raises(ReconstructionError, match="outside a line"):
+        rec.fields(short, controls, mesh)
+
+
+# --- wave continuity at large data --------------------------------------------
+
+def solve_main(tmp_path, capsys, params):
+    config = {"N": 3, "M": 3, "P": 17, "preset": "trig", "preset_params": params,
+              "out_dir": str(tmp_path / "out")}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code = main(["solve", "--config", str(tmp_path / "cfg.json")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("amplitude", [1e9, 1e20, cli.STATE_MAX_ABS])
+def test_large_data_solves(tmp_path, capsys, amplitude):
+    # wave continuity is checked relative to the size of the wave pieces
+    code, err = solve_main(tmp_path, capsys, {"v0": [amplitude, 1.0]})
+    assert code == EXIT_OK, err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["wave_continuity"] <= 1e-12 * amplitude
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1e9])
+def test_junction_mismatch_still_exits_4(tmp_path, capsys, monkeypatch, amplitude):
+    entry_values = Parametrization.entry_values
+
+    def mismatched(self, y, gamma):
+        # move the first interior junction sample of one wave by 1e-3 of
+        # the largest wave sample
+        out = entry_values(self, y, gamma)
+        key = ("w", +1, self.mesh.J_s[0], 2)
+        waves = out[:self.catalog.N_w]
+        out[self.catalog.index[key], 0] += 1e-3 * np.max(np.abs(waves))
+        return out
+
+    monkeypatch.setattr(Parametrization, "entry_values", mismatched)
+    code, err = solve_main(tmp_path, capsys, {"v0": [amplitude, 1.0]})
+    assert code == EXIT_INVARIANT
+    assert "traveling-wave pieces disagree at junctions" in err

@@ -10,6 +10,7 @@ from rodwave.sampled import fd_derivative, simpson_weights
 from rodwave.solver import solve_qp
 from rodwave import reconstruct as rec
 from conftest import assemble_all
+from loop_reference import force_at, junction_discontinuities
 
 P = 33
 
@@ -128,7 +129,7 @@ class TestControls:
     def test_force_discontinuities_at_layer_junctions_only(self, solved):
         controls = solved["controls"]
         for k in controls.mesh.J_c:
-            jumps = controls.junction_discontinuities(k)
+            jumps = junction_discontinuities(controls, k)
             assert np.all(jumps > 1e-6)
             # smooth inside pieces: second differences at truncation level
             arr = controls.forces[k]
@@ -139,8 +140,8 @@ class TestControls:
         mesh, controls = solved["mesh"], solved["controls"]
         t_j = mesh.lam   # first junction
         for k in mesh.J_c:
-            left = controls.force_at(k, t_j, side="left")
-            right = controls.force_at(k, t_j, side="right")
+            left = force_at(controls, k, t_j, side="left")
+            right = force_at(controls, k, t_j, side="right")
             assert abs(left - controls.forces[k][0, -1]) <= 1e-12
             assert abs(right - controls.forces[k][1, 0]) <= 1e-12
 
@@ -187,10 +188,10 @@ class TestFields:
         # s(t, +-1) equals the corresponding end load
         fg, controls, mesh = solved["fg"], solved["controls"], solved["mesh"]
         t = fg.t
-        left = np.asarray(controls.force_at(-mesh.N - 1, t, side="right"))
-        right = np.asarray(controls.force_at(mesh.N + 1, t, side="right"))
-        left[-1] = controls.force_at(-mesh.N - 1, mesh.T, side="left")
-        right[-1] = controls.force_at(mesh.N + 1, mesh.T, side="left")
+        left = np.asarray(force_at(controls, -mesh.N - 1, t, side="right"))
+        right = np.asarray(force_at(controls, mesh.N + 1, t, side="right"))
+        left[-1] = force_at(controls, -mesh.N - 1, mesh.T, side="left")
+        right[-1] = force_at(controls, mesh.N + 1, mesh.T, side="left")
         # the final row holds the terminal-side corner trace, so the
         # boundary identity is checked on [0, T)
         assert np.max(np.abs(fg.s[:-1, 0] - left[:-1])) <= 1e-6
