@@ -107,19 +107,6 @@ class StateSpec:
             )
         return p
 
-    def resample(self, mesh: MeshConfig, p: int) -> "StateSpec":
-        """Linear-interpolate all profiles onto the canonical grid for p."""
-        pd = mesh.N * (p - 1) + 1
-        grid = np.linspace(-1.0, 1.0, pd)
-
-        def onto(f):
-            if f is None:
-                return None
-            return SampledFunction(-1.0, 1.0, f(grid))
-
-        return StateSpec(*[onto(getattr(self, n)) for n in
-                           ("v0", "r0", "v1", "r1", "p0", "p1")])
-
     def arrays(self) -> dict:
         return {name: getattr(self, name).values for name in DATA_NAMES}
 

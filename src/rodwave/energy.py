@@ -75,7 +75,12 @@ class QuadraticProgram:
     """Discretized functional  obj(x) = x^T H x + 2 b^T x + c0  over
     x = (y samples in sample-major order, then the per-segment terminal
     constants gamma), with equality constraints C x = d encoding the
-    essential boundary conditions."""
+    essential boundary conditions.
+
+    H and b are kept in their cell form too: with h the sample step and
+    d_q = y_{q+1} - y_q, x^T H x = sum_q h^-2 d_q^T K_{c(q)} d_q and
+    b^T x = sum_q h^-1 l_q^T d_q, where K_c = ``kernels[c]``,
+    c(q) = ``cell_class[q]`` and l_q = ``lin_cells[:, q]``."""
 
     mesh: MeshConfig
     p: int
@@ -86,6 +91,9 @@ class QuadraticProgram:
     c0: float
     C: csr_matrix = field(repr=False)
     d: np.ndarray = field(repr=False)
+    kernels: np.ndarray = field(repr=False)      # (classes, n_free, n_free)
+    cell_class: np.ndarray = field(repr=False)   # (p - 1,) kernel index per cell
+    lin_cells: np.ndarray = field(repr=False)    # (n_free, p - 1)
 
     @property
     def n_x(self) -> int:
@@ -94,17 +102,12 @@ class QuadraticProgram:
     def objective(self, x: np.ndarray) -> float:
         return float(x @ (self.H @ x) + 2.0 * (self.b @ x) + self.c0)
 
-    def unpack(self, x: np.ndarray):
-        """Split a flat solution vector into (y samples (N_s, p), gamma)."""
-        ny = self.n_free * self.p
-        y = x[:ny].reshape(self.p, self.n_free).T.copy()
-        return y, x[ny:].copy()
-
 
 def _qp_matrices(par: Parametrization, bc: EssentialBC, w_cells: np.ndarray,
                  p: int):
     """H and C of the program in the sampled free functions and gamma,
-    for the cell weights ``w_cells`` (midpoint weight times h / T).
+    for the cell weights ``w_cells`` (midpoint weight times h / T), with
+    the cell kernels H is built from and the kernel index of each cell.
 
     The kernel A_w^T diag(w_q) A_w of cell q depends only on the cell's
     weight column restricted to the rows where A_w is nonzero, and a mesh
@@ -114,6 +117,10 @@ def _qp_matrices(par: Parametrization, bc: EssentialBC, w_cells: np.ndarray,
     q, the off-diagonal blocks carry the kernel of the cell between them,
     and exact zeros are left out of the pattern.  C holds the essential
     rows, which read the first and the last sample and gamma.
+
+    :func:`rodwave.solver.solve_qp` solves with the kernels themselves,
+    in the sample differences where H is block-diagonal, and checks its
+    solution against the assembled H and C.
     """
     mesh, cat = par.mesh, par.catalog
     n_s = par.n_free
@@ -179,7 +186,7 @@ def _qp_matrices(par: Parametrization, bc: EssentialBC, w_cells: np.ndarray,
     cmat = csr_matrix((rows_c[r_idx, c_idx], col_map[c_idx],
                        np.concatenate([[0], np.cumsum(np.bincount(r_idx, minlength=n_c))])),
                       shape=(n_c, n_x))
-    return hmat, cmat
+    return hmat, cmat, kernels, cell_class
 
 
 def assemble_qp(par: Parametrization, bc: EssentialBC,
@@ -195,9 +202,9 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     constant in z and drops out of the objective, entering through the
     constraints only.
 
-    H and C come from :func:`_qp_matrices`; the linear term b, the
-    constant c0 and the constraint data d come from the state ``par`` is
-    bound to.
+    H, C and the cell kernels come from :func:`_qp_matrices`; the linear
+    term b (and its per-cell form ``lin_cells``), the constant c0 and the
+    constraint data d come from the state ``par`` is bound to.
     """
     mesh, cat = par.mesh, par.catalog
     if p != par.state.grid_p(mesh):
@@ -212,7 +219,7 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     g_w = par.g_matrix(p)[:n_w]
     g_d = np.diff(g_w, axis=1) / h         # midpoint derivatives, (N_w, p-1)
     w_cells = weights.w_mid * (h / mesh.T)
-    hmat, cmat = _qp_matrices(par, bc, w_cells, p)
+    hmat, cmat, kernels, cell_class = _qp_matrices(par, bc, w_cells, p)
     lin_cells = a_w.T @ (w_cells * g_d)    # (n_s, p-1)
     c0 = float(np.sum(w_cells * g_d * g_d))
 
@@ -226,7 +233,9 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
 
     return QuadraticProgram(mesh=mesh, p=p, n_free=n_s, n_gamma=n_gamma,
                             H=hmat, b=lin, c0=c0, C=cmat,
-                            d=bc.b0.copy() if bc.n_rows else np.zeros(0))
+                            d=bc.b0.copy() if bc.n_rows else np.zeros(0),
+                            kernels=kernels, cell_class=cell_class,
+                            lin_cells=lin_cells)
 
 
 def evaluate_objective(par: Parametrization, weights: EnergyWeights,

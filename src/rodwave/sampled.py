@@ -118,12 +118,6 @@ class SampledFunction:
     def cumulative(self) -> "SampledFunction":
         return SampledFunction(self.a, self.b, cumulative_integral(self.values, self.h))
 
-    # -- symmetry ----------------------------------------------------
-
-    def reflect(self) -> "SampledFunction":
-        """The function z -> f(a + b - z); exact sample-index reversal."""
-        return SampledFunction(self.a, self.b, self.values[::-1].copy())
-
     # -- algebra -----------------------------------------------------
 
     def _check_compatible(self, other: "SampledFunction") -> None:

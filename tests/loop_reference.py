@@ -4,24 +4,29 @@ These are the slice-by-slice implementations the package used before its
 kernels became whole-array code; tests compare the array kernels against
 them (bit for bit where the arithmetic is unchanged).  The module also
 holds the helpers only tests use (one-sided force lookups, the per-piece
-energy-weight table).
+energy-weight table, state resampling, sample reflection) and the
+sparse-LU KKT solve the difference-variable solve replaced.
 """
 
 import csv
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse import lil_matrix
 
-from rodwave.edge import DataExpr, EssentialBC, _pivot_priority, guard_rows, wave_key
+from rodwave.edge import DataExpr, EssentialBC, StateSpec, _pivot_priority, guard_rows, wave_key
 from rodwave import energy
-from rodwave.energy import QuadraticProgram, blockwise_simpson_weights
-from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError
+from rodwave.energy import QuadraticProgram, blockwise_simpson_weights, evaluate_objective
+from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError, SolverError
 from rodwave.mesh import counts, delta_z_weight
 from rodwave.oracle import SimResult, _node_weights, energy_norm
 from rodwave.reconstruct import FieldGrid, _pick_q
-from rodwave.sampled import fd_derivative, simpson_weights
+from rodwave.sampled import SampledFunction, fd_derivative, simpson_weights
+from rodwave.solver import Solution, check_feasible
 
 
 def blockwise_derivative_1d(values, h, kink_mask):
@@ -374,7 +379,9 @@ def assemble_qp(par, bc, weights, p):
         cmat[:, n_s * p:] = -bc.B_gamma
     return QuadraticProgram(mesh=mesh, p=p, n_free=n_s, n_gamma=n_gamma,
                             H=hmat, b=lin, c0=c0, C=cmat.tocsr(),
-                            d=bc.b0.copy() if n_c else np.zeros(0))
+                            d=bc.b0.copy() if n_c else np.zeros(0),
+                            kernels=kernels, cell_class=np.arange(p - 1),
+                            lin_cells=lin_cells)
 
 
 def add_scaled(expr, other, coef):
@@ -754,3 +761,50 @@ def mean_energy(fg):
         profile += np.einsum("ij,ij->i", vals, np.stack(rows))
     t_splits = np.arange(fg.qt, nt - 1, fg.qt)
     return energy.blockwise_simpson(profile, ht, t_splits) / fg.mesh.T
+
+
+def solve_qp(qp, par, bc, weights):
+    """The KKT solve as the package ran it before the difference-variable
+    form: [[2H, C^T], [C, 0]] assembled sparse and factored by SuperLU."""
+    kkt = sp.bmat([[2.0 * qp.H, qp.C.T], [qp.C, None]], format="csc")
+    n_x = qp.n_x
+    rhs = np.concatenate([-2.0 * qp.b, qp.d])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sol = spla.splu(kkt).solve(rhs)
+            if not np.all(np.isfinite(sol)):
+                raise SolverError("singular KKT matrix (non-finite solve)")
+            resid = np.max(np.abs(kkt @ sol - rhs))
+        except (RuntimeError, ValueError, Warning) as exc:
+            raise SolverError(f"KKT factorization failed: {exc}") from exc
+    if resid > 1e-8 * (1.0 + np.max(np.abs(rhs))):
+        raise SolverError(f"KKT residual {resid:.3e}")
+
+    n_y = qp.n_free * qp.p                 # samples in sample-major order, then gamma
+    y = sol[:n_y].reshape(qp.p, qp.n_free).T.copy()
+    gamma = sol[n_y:n_x].copy()
+    mult = sol[n_x:]
+    res = check_feasible(bc, y, gamma, "qp")
+    obj = evaluate_objective(par, weights, y)
+    diagnostics = {"kkt_size": kkt.shape[0], "feasibility_residual": res,
+                   "objective_quadrature": qp.objective(sol[:n_x])}
+    return Solution(y=y, gamma=gamma, h=mult, objective=obj, method="qp",
+                    diagnostics=diagnostics)
+
+
+def resample(state, mesh, p):
+    """Linear-interpolate all profiles of a state onto the canonical grid
+    for p."""
+    grid = np.linspace(-1.0, 1.0, mesh.N * (p - 1) + 1)
+
+    def onto(f):
+        return None if f is None else SampledFunction(-1.0, 1.0, f(grid))
+
+    return StateSpec(*[onto(getattr(state, n)) for n in
+                       ("v0", "r0", "v1", "r1", "p0", "p1")])
+
+
+def reflect(f):
+    """The function z -> f(a + b - z); exact sample-index reversal."""
+    return SampledFunction(f.a, f.b, f.values[::-1].copy())

@@ -382,3 +382,45 @@ class TestOracleSettings:
         assert run_solve(validate_config(dict(raw, oracle=True,
                                               out_dir=str(tmp_path)))) == EXIT_OK
         assert seen[-1] == (0.9, 125)
+
+
+class TestVerifyDataScale:
+    """Terminal and control tolerances of ``verify`` scale with the largest
+    |state value|, as ``solve`` admits data up to ``STATE_MAX_ABS``."""
+
+    SCALED = ("terminal states matched", "control integrals start at zero",
+              "forces sum to zero")
+
+    def verify_lines(self, amplitude, capsys):
+        cfg = validate_config({"N": 3, "M": 3, "P": 17, "preset": "trig",
+                               "preset_params": {"v0": [amplitude, 1.0]},
+                               "oracle_points_per_segment": 32})
+        run_verify(cfg)
+        out = capsys.readouterr().out
+        return {name: line for line in out.splitlines()
+                for name in self.SCALED if name in line}
+
+    @pytest.mark.parametrize("amplitude", [1e9, 1e20])
+    def test_large_data_pass(self, amplitude, capsys):
+        lines = self.verify_lines(amplitude, capsys)
+        assert sorted(lines) == sorted(self.SCALED)
+        assert all(line.startswith("  PASS  ") for line in lines.values())
+        assert f"data scale {amplitude:.3g}" in lines["terminal states matched"]
+
+    def test_unit_data_keep_absolute_tolerance(self, capsys):
+        lines = self.verify_lines(0.5, capsys)
+        assert lines["terminal states matched"].endswith(", data scale 1")
+
+
+def test_cli_import_leaves_out_sparse_linalg():
+    # no production path factors a sparse matrix; the import costs 0.1 s
+    import subprocess
+    import sys
+
+    import rodwave
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rodwave.__file__)))
+    probe = "import sys, rodwave.cli; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "False"

@@ -17,7 +17,7 @@ from rodwave.edge import (
     wave_key,
 )
 from conftest import assemble_all, example_state
-from loop_reference import edge_residuals, gamma_dict, partition
+from loop_reference import edge_residuals, gamma_dict, partition, resample
 
 P = 17
 
@@ -272,7 +272,7 @@ def _nullspace(a, tol=1e-10):
 def test_state_resample_onto_canonical_grid():
     mesh = build_mesh(3, 2)
     coarse = random_state(mesh, 9, seed=1)
-    fine = coarse.resample(mesh, 17)
+    fine = resample(coarse, mesh, 17)
     assert fine.grid_p(mesh) == 17
     # values agree at shared abscissas (linear interpolation is exact there)
     assert np.allclose(fine.v0.values[::2], coarse.v0.values, atol=1e-12)

@@ -11,15 +11,20 @@ from rodwave.solver import solve_qp
 from rodwave import reconstruct as rec
 from conftest import assemble_all
 from loop_reference import force_at, junction_discontinuities
+from loop_reference import solve_qp as solve_qp_splu
 
 P = 33
 
 
 @pytest.fixture(scope="module")
 def solved(worked_example):
+    # the sparse-LU KKT solve of loop_reference: TestPinnedDiagnostics pins
+    # Q on these fields bit for bit, and the difference-variable solve
+    # rounds y differently
     par = worked_example["par"]
     mesh = worked_example["mesh"]
-    sol = worked_example["sol_qp"]
+    sol = solve_qp_splu(worked_example["qp"], par, worked_example["bc"],
+                        worked_example["weights"])
     waves = rec.waves_from_solution(par, sol)
     controls = rec.controls_from_jumps(
         mesh, rec.jump_pieces_from_solution(par, sol))

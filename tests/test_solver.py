@@ -211,10 +211,11 @@ class TestSolverErrors:
         return code, err
 
     def test_singular_kkt_factor(self, monkeypatch, tmp_path, capsys):
-        def singular(matrix):
-            raise RuntimeError("Factor is exactly singular")
+        # the KKT factorizations are dense LAPACK solves (np.linalg.solve)
+        def singular(matrix, rhs):
+            raise np.linalg.LinAlgError("Factor is exactly singular")
 
-        monkeypatch.setattr(solver.spla, "splu", singular)
+        monkeypatch.setattr(solver.np.linalg, "solve", singular)
         code, err = self.run_solve(tmp_path, capsys, "both")
         assert code == EXIT_INVARIANT
         assert "KKT factorization failed: Factor is exactly singular" in err
@@ -224,6 +225,37 @@ class TestSolverErrors:
         assert run_sweep(cfg, (2, 3), (2, 2), workers=1) == EXIT_INVARIANT
         text = (tmp_path / "sweep" / "sweep.csv").read_text()
         assert text.count(",failed: KKT factorization failed") == 2
+
+    def test_singular_reduced_system(self, monkeypatch, tmp_path, capsys):
+        # a terminal constant no essential row reads: gamma_0 is free, the
+        # KKT matrix has a zero column, and the closed form takes the
+        # least-squares gamma_0 = 0
+        real = cli.boundary_matrices
+
+        def unread_gamma(par, vertex_rows, structure=None):
+            bc = real(par, vertex_rows, structure=structure)
+            b_gamma = bc.B_gamma.copy()
+            b_gamma[:, 0] = 0.0
+            return replace(bc, B_gamma=b_gamma)
+
+        monkeypatch.setattr(cli, "boundary_matrices", unread_gamma)
+        code, err = self.run_solve(tmp_path, capsys, "both")
+        assert code == EXIT_INVARIANT
+        assert "KKT factorization failed: Singular matrix" in err
+
+    def test_singular_kernel(self, monkeypatch, tmp_path, capsys):
+        # zero energy weights: every cell kernel, and so H, is zero; the
+        # closed form does not read the weights to solve
+        real = cli.build_weights
+
+        def unweighted(mesh, p):
+            weights = real(mesh, p)
+            return replace(weights, w_mid=np.zeros_like(weights.w_mid))
+
+        monkeypatch.setattr(cli, "build_weights", unweighted)
+        code, err = self.run_solve(tmp_path, capsys, "both")
+        assert code == EXIT_INVARIANT
+        assert "KKT factorization failed: Singular matrix" in err
 
     def test_infeasible_solution(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(solver, "constraint_residual", lambda bc, y, gamma: 1.0)
