@@ -39,6 +39,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -118,20 +119,26 @@ class RunConfig:
     dump_matrices: bool = False
 
 
+def _json_object(raw) -> dict:
+    """The config mapping of a JSON text (str, or UTF-8 bytes) or a
+    mapping; a text that does not parse, or a top level that is not an
+    object, raises :class:`ConfigurationError`."""
+    if isinstance(raw, (str, bytes)):
+        try:
+            raw = json.loads(raw if isinstance(raw, str) else raw.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigurationError([f"not valid JSON: {exc}"]) from None
+    if not isinstance(raw, Mapping):
+        raise ConfigurationError(["top level must be a JSON object"])
+    return dict(raw)
+
+
 def validate_config(raw) -> RunConfig:
     """Schema-check a JSON text or dict; every violation is reported with
     its key path.  Feasibility of the horizon is a run-time concern, not a
     parse-time one."""
-    if isinstance(raw, (str, bytes)):
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError([f"not valid JSON: {exc}"])
-    else:
-        data = dict(raw)
+    data = _json_object(raw)
     errors = []
-    if not isinstance(data, dict):
-        raise ConfigurationError(["top level must be a JSON object"])
     for key in data:
         if key not in _KNOWN_KEYS:
             errors.append(f"{key}: unknown key")
@@ -800,8 +807,8 @@ def _parse_range(text):
 
 def _load_config(args) -> RunConfig:
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        with open(args.config, "rb") as fh:
+            raw = _json_object(fh.read())
     else:
         raw = {"N": 4, "M": 4, "preset": "paper_example"}
     if getattr(args, "out", None):

@@ -892,7 +892,9 @@ def boundary_structure(par: Parametrization, vertex_rows,
             basis = np.concatenate([basis, fresh])
     kept = np.array(kept, dtype=int)
 
-    dependent = np.setdiff1d(np.arange(n_rows), kept)
+    is_dependent = np.ones(n_rows, dtype=bool)
+    is_dependent[kept] = False
+    dependent = np.flatnonzero(is_dependent)
     n_before = np.searchsorted(kept, dependent)     # kept rows preceding each
     late = n_before > 0
     coef = None

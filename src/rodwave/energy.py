@@ -12,12 +12,17 @@ carry zero weight.
 On interior layers the sampled weight is lambda only up to rounding: the
 trapezoid is evaluated from rounded domain offsets, so some pieces read a
 few ulps below lambda (1 ulp at N = M = 6, up to 10 at N = 7, M = 5).
-The assembled quadratic form keeps these values as they are.
+The quadratic form keeps these values as they are.
 
 Since the first/last layer pieces are resolved purely from data, the
 y-dependent part of the functional sees the (rounded) constant weight
 lambda only; the ramp layers contribute a data constant that is kept so
 that the reported optimum equals the true mean energy.
+
+The discretized program (:class:`QuadraticProgram`) is kept in its cell
+form only: one kernel per distinct cell weight column and a linear term
+per cell.  Its Hessian in the samples is never assembled; the KKT solve
+and its residual proof in :mod:`rodwave.solver` work on the kernels.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import AssemblyError, InvalidArgumentError
 from .mesh import MeshConfig, delta_z_weight
@@ -72,24 +76,22 @@ def build_weights(mesh: MeshConfig, p: int = 129) -> EnergyWeights:
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """Discretized functional  obj(x) = x^T H x + 2 b^T x + c0  over
-    x = (y samples in sample-major order, then the per-segment terminal
-    constants gamma), with equality constraints C x = d encoding the
-    essential boundary conditions.
+    """Discretized functional over x = (y samples in sample-major order,
+    then the per-segment terminal constants gamma), in its cell form: with
+    h the sample step and d_q = y_{q+1} - y_q,
 
-    H and b are kept in their cell form too: with h the sample step and
-    d_q = y_{q+1} - y_q, x^T H x = sum_q h^-2 d_q^T K_{c(q)} d_q and
-    b^T x = sum_q h^-1 l_q^T d_q, where K_c = ``kernels[c]``,
-    c(q) = ``cell_class[q]`` and l_q = ``lin_cells[:, q]``."""
+        obj(x) = sum_q h^-2 d_q^T K_{c(q)} d_q + 2 h^-1 l_q^T d_q + c0,
+
+    where K_c = ``kernels[c]``, c(q) = ``cell_class[q]`` and
+    l_q = ``lin_cells[:, q]``; gamma does not enter.  The equality
+    constraints B1 y_{p-1} - B0 y_0 - B_gamma gamma = d are the essential
+    boundary rows the program was assembled with."""
 
     mesh: MeshConfig
     p: int
     n_free: int
     n_gamma: int
-    H: csr_matrix = field(repr=False)
-    b: np.ndarray = field(repr=False)
     c0: float
-    C: csr_matrix = field(repr=False)
     d: np.ndarray = field(repr=False)
     kernels: np.ndarray = field(repr=False)      # (classes, n_free, n_free)
     cell_class: np.ndarray = field(repr=False)   # (p - 1,) kernel index per cell
@@ -99,94 +101,18 @@ class QuadraticProgram:
     def n_x(self) -> int:
         return self.n_free * self.p + self.n_gamma
 
+    @property
+    def h(self) -> float:
+        return self.mesh.lam / (self.p - 1)
+
     def objective(self, x: np.ndarray) -> float:
-        return float(x @ (self.H @ x) + 2.0 * (self.b @ x) + self.c0)
-
-
-def _qp_matrices(par: Parametrization, bc: EssentialBC, w_cells: np.ndarray,
-                 p: int):
-    """H and C of the program in the sampled free functions and gamma,
-    for the cell weights ``w_cells`` (midpoint weight times h / T), with
-    the cell kernels H is built from and the kernel index of each cell.
-
-    The kernel A_w^T diag(w_q) A_w of cell q depends only on the cell's
-    weight column restricted to the rows where A_w is nonzero, and a mesh
-    has one to three distinct such columns, so one kernel is formed per
-    distinct column.  H is block tridiagonal in the samples and is written
-    straight into CSR: diagonal block q sums the kernels of cells q-1 and
-    q, the off-diagonal blocks carry the kernel of the cell between them,
-    and exact zeros are left out of the pattern.  C holds the essential
-    rows, which read the first and the last sample and gamma.
-
-    :func:`rodwave.solver.solve_qp` solves with the kernels themselves,
-    in the sample differences where H is block-diagonal, and checks its
-    solution against the assembled H and C.
-    """
-    mesh, cat = par.mesh, par.catalog
-    n_s = par.n_free
-    n_w = cat.N_w
-    h = mesh.lam / (p - 1)
-
-    a_w = par.A[:n_w]                      # wave rows of A
-
-    # one kernel per distinct weight column over the rows A_w touches
-    touched = np.any(a_w != 0.0, axis=1)
-    _, first, cell_class = np.unique(w_cells[touched].T, axis=0,
-                                     return_index=True, return_inverse=True)
-    cell_class = cell_class.reshape(-1)
-    kernels = np.einsum("ei,ep,ej->pij", a_w, w_cells[:, first], a_w)
-
-    # forward-difference stencil of a cell: lo at its left sample, hi at its right
-    lo, hi = -1.0 / h, 1.0 / h
-    block_rows: dict = {}    # (class of cell s-1, class of cell s) -> CSR rows of sample s
-
-    def block_row(left, right):
-        """Nonzeros of the block row of a sample between cells of the given
-        classes (None past either end), with columns relative to the sample."""
-        if (left, right) not in block_rows:
-            if left is None:
-                diag = (lo * lo) * kernels[right]
-            elif right is None:
-                diag = (hi * hi) * kernels[left]
-            else:
-                diag = (hi * hi) * kernels[left] + (lo * lo) * kernels[right]
-            parts = [diag]
-            if left is not None:
-                parts.insert(0, (hi * lo) * kernels[left])
-            if right is not None:
-                parts.append((lo * hi) * kernels[right])
-            dense = np.concatenate(parts, axis=1)
-            rows, cols = np.nonzero(dense)
-            shift = -n_s if left is not None else 0
-            block_rows[left, right] = (dense[rows, cols], cols + shift,
-                                       np.bincount(rows, minlength=n_s))
-        return block_rows[left, right]
-
-    classes = [None, *cell_class.tolist(), None]
-    data, indices, counts = [], [], []
-    for blk in range(p):
-        vals, cols, per_row = block_row(classes[blk], classes[blk + 1])
-        data.append(vals)
-        indices.append(cols + blk * n_s)
-        counts.append(per_row)
-
-    n_gamma = par.n_gamma
-    n_x = n_s * p + n_gamma
-    counts.append(np.zeros(n_gamma, dtype=np.intp))      # gamma rows are empty
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    hmat = csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
-                      shape=(n_x, n_x))
-
-    # essential rows B1 y(lam) - B0 y(0) - B_gamma gamma = b0
-    n_c = bc.n_rows
-    rows_c = np.concatenate([-bc.B0, bc.B1, -bc.B_gamma], axis=1)
-    col_map = np.concatenate([np.arange(n_s), np.arange((p - 1) * n_s, p * n_s),
-                              np.arange(n_s * p, n_x)])
-    r_idx, c_idx = np.nonzero(rows_c)
-    cmat = csr_matrix((rows_c[r_idx, c_idx], col_map[c_idx],
-                       np.concatenate([[0], np.cumsum(np.bincount(r_idx, minlength=n_c))])),
-                      shape=(n_c, n_x))
-    return hmat, cmat, kernels, cell_class
+        diffs = np.diff(x[:self.n_free * self.p].reshape(self.p, self.n_free), axis=0)
+        quad = 0.0
+        for c, kernel in enumerate(self.kernels):
+            dc = diffs[self.cell_class == c]
+            quad += float(np.sum((dc @ kernel) * dc))
+        lin = float(np.sum(self.lin_cells.T * diffs))
+        return quad / (self.h * self.h) + 2.0 * lin / self.h + self.c0
 
 
 def assemble_qp(par: Parametrization, bc: EssentialBC,
@@ -202,39 +128,37 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     constant in z and drops out of the objective, entering through the
     constraints only.
 
-    H, C and the cell kernels come from :func:`_qp_matrices`; the linear
-    term b (and its per-cell form ``lin_cells``), the constant c0 and the
-    constraint data d come from the state ``par`` is bound to.
+    The kernel A_w^T diag(w_q) A_w of cell q depends only on the cell's
+    weight column (midpoint weight times h / T) restricted to the rows
+    where A_w is nonzero, and a mesh has one to three distinct such
+    columns, so one kernel is formed per distinct column.  The linear term
+    ``lin_cells``, the constant c0 and the constraint data d come from the
+    state ``par`` is bound to.
     """
     mesh, cat = par.mesh, par.catalog
     if p != par.state.grid_p(mesh):
         raise AssemblyError(f"QP grid p={p} does not match the state grid")
     if weights.p != p:
         raise AssemblyError("weight grid does not match the QP grid")
-    n_s = par.n_free
     n_w = cat.N_w
     h = mesh.lam / (p - 1)
 
-    a_w = par.A[:n_w]
+    a_w = par.A[:n_w]                      # wave rows of A
     g_w = par.g_matrix(p)[:n_w]
     g_d = np.diff(g_w, axis=1) / h         # midpoint derivatives, (N_w, p-1)
     w_cells = weights.w_mid * (h / mesh.T)
-    hmat, cmat, kernels, cell_class = _qp_matrices(par, bc, w_cells, p)
+
+    # one kernel per distinct weight column over the rows A_w touches
+    touched = np.any(a_w != 0.0, axis=1)
+    _, first, cell_class = np.unique(w_cells[touched].T, axis=0,
+                                     return_index=True, return_inverse=True)
+    kernels = np.einsum("ei,ep,ej->pij", a_w, w_cells[:, first], a_w)
     lin_cells = a_w.T @ (w_cells * g_d)    # (n_s, p-1)
     c0 = float(np.sum(w_cells * g_d * g_d))
 
-    # lin accumulates cell by cell: sample s gets hi * l[s-1], then lo * l[s]
-    lo, hi = -1.0 / h, 1.0 / h
-    n_gamma = par.n_gamma
-    lin = np.zeros(n_s * p + n_gamma)
-    lin_samples = lin[:n_s * p].reshape(p, n_s)
-    lin_samples[1:] += hi * lin_cells.T
-    lin_samples[:-1] += lo * lin_cells.T
-
-    return QuadraticProgram(mesh=mesh, p=p, n_free=n_s, n_gamma=n_gamma,
-                            H=hmat, b=lin, c0=c0, C=cmat,
-                            d=bc.b0.copy() if bc.n_rows else np.zeros(0),
-                            kernels=kernels, cell_class=cell_class,
+    return QuadraticProgram(mesh=mesh, p=p, n_free=par.n_free, n_gamma=par.n_gamma,
+                            c0=c0, d=bc.b0.copy() if bc.n_rows else np.zeros(0),
+                            kernels=kernels, cell_class=cell_class.reshape(-1),
                             lin_cells=lin_cells)
 
 

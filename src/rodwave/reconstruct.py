@@ -248,9 +248,9 @@ class FieldGrid:
     """Rectangular (t, x) samples of all reconstructed fields.
 
     v displacement, r dynamic potential, p momentum density, s internal
-    force, f applied force (piecewise constant per segment), e energy
-    density.  ``qt``/``qx`` are samples per half-layer in each direction;
-    interfaces sit at ``x`` indices that are multiples of ``2*qx``.
+    force, e energy density.  ``qt``/``qx`` are samples per half-layer in
+    each direction; interfaces sit at ``x`` indices that are multiples of
+    ``2*qx``.
 
     Every wave value is read from a strided view of the wave's assembled
     line (see the module docstring).  Derivative quantities are stored as
@@ -260,8 +260,9 @@ class FieldGrid:
     density with sector-averaged values on the characteristic lattice
     (the mean over the late and early lines of both wave families, so
     jump midpoints; blockwise quadrature keeps its cancellation), and
-    ``f_seg`` the per-segment force history; the merged ``f`` and ``e``
-    arrays carry the right-segment trace at interface columns.
+    ``f_seg`` the applied force, one history per segment (it is constant
+    in x within a segment); the merged ``e`` array carries the
+    right-segment trace at interface columns.
 
     ``kink_plan`` is built on first use and kept with the grid; the
     segment windows share it.
@@ -276,10 +277,9 @@ class FieldGrid:
     r: np.ndarray
     p: np.ndarray
     s: np.ndarray
-    f: np.ndarray
     e: np.ndarray
     e_quad_segments: tuple       # per segment (nt, 2*qx+1); e jumps at interfaces
-    f_seg: np.ndarray            # (N, nt) force history per segment
+    f_seg: np.ndarray            # (N, nt) applied force history per segment
     interface_jump_v: float
     interface_jump_r: float
 
@@ -344,7 +344,7 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
     # Three blocks (fields, per-segment energy, window scratch) rather than
     # ~20 arrays: fresh memory costs page faults on every state.  Every
     # column lies in a segment window, so every sample is written.
-    v, r, pm, s, f_arr, e = np.empty((6, nt, nx))
+    v, r, pm, s, e = np.empty((5, nt, nx))
     e_quad = np.empty((mesh.N,) + shape)
     wp, wm, dwp, dwm, p_seg, term = np.empty((6,) + shape)
     jump_v = 0.0
@@ -386,9 +386,8 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
         np.subtract(dwp, dwm, out=term)
         term += f_k
         s[:, cols] = term
-        f_arr[:, cols] = f_k
         # e = 0.5 * (p**2 + (s - f)**2); an interface column keeps the
-        # right segment's value, as do p, s and f
+        # right segment's value, as do p and s
         term -= f_k
         np.square(term, out=term)
         term += np.square(p_seg, out=p_seg)
@@ -408,7 +407,7 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
         e_seg *= 0.25
 
     return FieldGrid(mesh=mesh, qt=qt, qx=qx, t=tgrid, x=xgrid,
-                     v=v, r=r, p=pm, s=s, f=f_arr, e=e,
+                     v=v, r=r, p=pm, s=s, e=e,
                      e_quad_segments=tuple(e_quad), f_seg=f_seg,
                      interface_jump_v=jump_v, interface_jump_r=jump_r)
 

@@ -12,7 +12,8 @@ directly via the KKT system of the equality-constrained quadratic
 program; it is the reference the closed form is checked against
 (``compare_solvers``).  It solves that system in the differences of
 consecutive samples, where the Hessian is block-diagonal, and proves the
-result by its residual in the assembled KKT system.  Both paths report
+result by its residual in the KKT system, evaluated from the program's
+cell kernels without assembling a matrix.  Both paths report
 the objective through the same weighted evaluator so they can be
 compared meaningfully.
 """
@@ -81,6 +82,43 @@ def check_feasible(bc: EssentialBC, y: np.ndarray, gamma: np.ndarray, method: st
     return res
 
 
+def _divergence(flux: np.ndarray) -> np.ndarray:
+    """Per sample s, flux[s - 1] - flux[s] of a (p - 1, n) cell array,
+    with zero flux past either end: the transpose of the forward
+    difference, as a (p, n) sample array."""
+    padded = np.zeros((len(flux) + 2,) + flux.shape[1:])
+    padded[1:-1] = flux
+    return padded[:-1] - padded[1:]
+
+
+def kkt_residual(qp: QuadraticProgram, bc: EssentialBC, x: np.ndarray,
+                 mult: np.ndarray):
+    """The KKT residual [[2H, C^T], [C, 0]] (x, m) - (-2b, d) of the
+    program, evaluated matrix-free in sample space from its cell form:
+    the stationarity rows (n_x, in the order of x) and the constraint rows
+    (n_b).
+
+    With d_q = y_{q+1} - y_q and flux_q = h^-2 K_{c(q)} d_q + h^-1 l_q (half
+    the gradient of the objective in d_q), the rows of sample s are
+    2 (flux_{s-1} - flux_s), zero flux past either end, plus -B0^T m at the
+    first sample and B1^T m at the last; the gamma rows are -B_gamma^T m,
+    and the constraint rows B1 y_{p-1} - B0 y_0 - B_gamma gamma - d.
+    """
+    n_s, p, h = qp.n_free, qp.p, qp.h
+    ys = x[:n_s * p].reshape(p, n_s)       # sample-major
+    diffs = np.diff(ys, axis=0)
+    flux = (1.0 / h) * qp.lin_cells.T
+    for c, kernel in enumerate(qp.kernels):
+        cells = qp.cell_class == c
+        flux[cells] += (diffs[cells] @ kernel.T) / (h * h)
+    r_y = 2.0 * _divergence(flux)
+    r_y[0] -= bc.B0.T @ mult
+    r_y[-1] += bc.B1.T @ mult
+    r_x = np.concatenate([r_y.ravel(), -(bc.B_gamma.T @ mult)])
+    r_c = bc.B1 @ ys[-1] - bc.B0 @ ys[0] - bc.B_gamma @ x[n_s * p:] - qp.d
+    return r_x, r_c
+
+
 def solve_qp(qp: QuadraticProgram, par: Parametrization, bc: EssentialBC,
              weights: EnergyWeights) -> Solution:
     """KKT solve of the discretized program, the cross-check of the closed
@@ -92,14 +130,15 @@ def solve_qp(qp: QuadraticProgram, par: Parametrization, bc: EssentialBC,
     d_q = K_{c(q)}^-1 (h^2 B1^T mu - h l_q) with m = -2 mu, so only
     (y_0, gamma, mu) are left, in one dense system of n_s + n_g + n_b rows:
     the essential rows, (B1 - B0)^T mu = 0 and B_gamma^T mu = 0.  y is y_0
-    plus the running sum of the d_q.  The solution is then proved against
-    the assembled H and C: a residual above 1e-8 * (1 + |rhs|), a
-    non-finite solution or a failed factorization (``LinAlgError``, or any
-    warning) raises :class:`SolverError`.
+    plus the running sum of the d_q.  The solution is then proved by its
+    residual in the same KKT system (:func:`kkt_residual`, evaluated in
+    sample space): a residual above 1e-8 * (1 + |rhs|), a non-finite
+    solution or a failed factorization (``LinAlgError``, or any warning)
+    raises :class:`SolverError`.
     """
     n_s, n_g, n_b, p = qp.n_free, qp.n_gamma, bc.n_rows, qp.p
     c_mu = n_s + n_g                       # (y_0, gamma, mu) in the reduced system
-    h = qp.mesh.lam / (p - 1)
+    h = qp.h
     classes = [qp.cell_class == c for c in range(len(qp.kernels))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -132,12 +171,12 @@ def solve_qp(qp: QuadraticProgram, par: Parametrization, bc: EssentialBC,
             mult = -2.0 * mu
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(mult))):
                 raise SolverError("singular KKT matrix (non-finite solve)")
-            # the same system, assembled: [[2H, C^T], [C, 0]] (x, m) = (-2b, d)
-            resid = float(max(np.max(np.abs(2.0 * (qp.H @ x) + qp.C.T @ mult + 2.0 * qp.b)),
-                              np.max(np.abs(qp.C @ x - qp.d), initial=0.0)))
+            r_x, r_c = kkt_residual(qp, bc, x, mult)
+            resid = float(max(np.max(np.abs(r_x)), np.max(np.abs(r_c), initial=0.0)))
         except (np.linalg.LinAlgError, Warning) as exc:
             raise SolverError(f"KKT factorization failed: {exc}") from exc
-    rhs_max = max(2.0 * np.max(np.abs(qp.b)), np.max(np.abs(qp.d), initial=0.0))
+    b_max = np.max(np.abs(_divergence((1.0 / h) * qp.lin_cells.T)), initial=0.0)   # |b|
+    rhs_max = max(2.0 * b_max, np.max(np.abs(qp.d), initial=0.0))
     if not resid <= 1e-8 * (1.0 + rhs_max):
         raise SolverError(f"KKT residual {resid:.3e}")
 

@@ -4,13 +4,15 @@ These are the slice-by-slice implementations the package used before its
 kernels became whole-array code; tests compare the array kernels against
 them (bit for bit where the arithmetic is unchanged).  The module also
 holds the helpers only tests use (one-sided force lookups, the per-piece
-energy-weight table, state resampling, sample reflection) and the
-sparse-LU KKT solve the difference-variable solve replaced.
+energy-weight table, state resampling, sample reflection), the program
+assembled in sample space with its sparse H and C, and the sparse-LU KKT
+solve the difference-variable solve replaced.
 """
 
 import csv
 import math
 import warnings
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +22,7 @@ from scipy.sparse import lil_matrix
 
 from rodwave.edge import DataExpr, EssentialBC, StateSpec, _pivot_priority, guard_rows, wave_key
 from rodwave import energy
-from rodwave.energy import QuadraticProgram, blockwise_simpson_weights, evaluate_objective
+from rodwave.energy import blockwise_simpson_weights, evaluate_objective
 from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError, SolverError
 from rodwave.mesh import counts, delta_z_weight
 from rodwave.oracle import SimResult, _node_weights, energy_norm
@@ -325,6 +327,34 @@ def boundary_matrices(par, vertex_rows, include_guards=True):
     )
 
 
+@dataclass(frozen=True)
+class AssembledQP:
+    """The discretized program assembled in sample space:
+    obj(x) = x^T H x + 2 b^T x + c0 subject to C x = d, with H and C sparse
+    and b in sample form, together with the per-cell kernels (``cell_class``
+    is the identity) and linear terms H and b were built from."""
+
+    mesh: object
+    p: int
+    n_free: int
+    n_gamma: int
+    H: object = field(repr=False)
+    b: np.ndarray = field(repr=False)
+    c0: float
+    C: object = field(repr=False)
+    d: np.ndarray = field(repr=False)
+    kernels: np.ndarray = field(repr=False)
+    cell_class: np.ndarray = field(repr=False)
+    lin_cells: np.ndarray = field(repr=False)
+
+    @property
+    def n_x(self):
+        return self.n_free * self.p + self.n_gamma
+
+    def objective(self, x):
+        return float(x @ (self.H @ x) + 2.0 * (self.b @ x) + self.c0)
+
+
 def assemble_qp(par, bc, weights, p):
     """Quadratic program with one kernel per cell, H accumulated as a dict
     of blocks and written through a LIL matrix."""
@@ -377,11 +407,11 @@ def assemble_qp(par, bc, weights, p):
         cmat[:, (p - 1) * n_s:p * n_s] = bc.B1
         cmat[:, 0:n_s] += -bc.B0
         cmat[:, n_s * p:] = -bc.B_gamma
-    return QuadraticProgram(mesh=mesh, p=p, n_free=n_s, n_gamma=n_gamma,
-                            H=hmat, b=lin, c0=c0, C=cmat.tocsr(),
-                            d=bc.b0.copy() if n_c else np.zeros(0),
-                            kernels=kernels, cell_class=np.arange(p - 1),
-                            lin_cells=lin_cells)
+    return AssembledQP(mesh=mesh, p=p, n_free=n_s, n_gamma=n_gamma,
+                       H=hmat, b=lin, c0=c0, C=cmat.tocsr(),
+                       d=bc.b0.copy() if n_c else np.zeros(0),
+                       kernels=kernels, cell_class=np.arange(p - 1),
+                       lin_cells=lin_cells)
 
 
 def add_scaled(expr, other, coef):
@@ -679,7 +709,7 @@ def fields(waves, controls, mesh, qt=None, qx=None):
 
     e = 0.5 * (pm ** 2 + (s - f_arr) ** 2)
     return FieldGrid(mesh=mesh, qt=qt, qx=qx, t=tgrid, x=xgrid,
-                     v=v, r=r, p=pm, s=s, f=f_arr, e=e,
+                     v=v, r=r, p=pm, s=s, e=e,
                      e_quad_segments=tuple(e_segs), f_seg=f_seg,
                      interface_jump_v=jump_v, interface_jump_r=jump_r)
 
@@ -765,7 +795,8 @@ def mean_energy(fg):
 
 def solve_qp(qp, par, bc, weights):
     """The KKT solve as the package ran it before the difference-variable
-    form: [[2H, C^T], [C, 0]] assembled sparse and factored by SuperLU."""
+    form: [[2H, C^T], [C, 0]] of an :class:`AssembledQP`, assembled sparse
+    and factored by SuperLU."""
     kkt = sp.bmat([[2.0 * qp.H, qp.C.T], [qp.C, None]], format="csc")
     n_x = qp.n_x
     rhs = np.concatenate([-2.0 * qp.b, qp.d])

@@ -1,9 +1,10 @@
 """Array-wide per-mesh assembly against the loop forms it replaced.
 
 ``boundary_matrices`` (blocked rank sweep) and ``assemble_qp`` (one kernel
-per distinct weight column, H written straight into CSR) must return the
-same bits as the row-by-row sweep and the dict-of-blocks LIL assembly kept
-in ``loop_reference``.
+per distinct weight column) must return the same bits as the row-by-row
+sweep and the per-cell kernels of the dict-of-blocks LIL assembly kept in
+``loop_reference``.  The KKT rows and the objective the solver evaluates
+from the kernels must equal those of the assembled H, C and b.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import assemble_all
 from rodwave.edge import assemble_vertex_conditions, boundary_matrices
 from rodwave.energy import assemble_qp
 from rodwave.mesh import build_mesh
+from rodwave.solver import kkt_residual
 from test_edge import random_state
 
 
@@ -32,12 +34,9 @@ def assert_same_bc(new, old):
 
 
 def assert_same_qp(new, old):
-    for name in ("H", "C"):
-        for part in ("data", "indices", "indptr"):
-            assert_bits(getattr(getattr(new, name), part),
-                        getattr(getattr(old, name), part))
-        assert getattr(new, name).shape == getattr(old, name).shape
-    assert_bits(new.b, old.b)
+    # the reference keeps one kernel per cell
+    assert_bits(new.kernels[new.cell_class], old.kernels[old.cell_class])
+    assert_bits(new.lin_cells, old.lin_cells)
     assert_bits(new.d, old.d)
     assert new.c0.hex() == old.c0.hex()
 
@@ -99,3 +98,26 @@ def test_perturbed_data_flags_rows(n, m, entry, flagged):
     par.g_matrix(9)[entry, -1] += 0.5      # the cached data part, in place
     bc = check_both(par, weights, 9, assemble_vertex_conditions(mesh))
     assert bc.inconsistent_rows == flagged
+
+
+@pytest.mark.parametrize("n,m,p", [(2, 2, 17), (3, 2, 17), (4, 2, 17), (5, 3, 17),
+                                   (6, 3, 17), (7, 2, 17), (3, 3, 17), (4, 4, 129),
+                                   (3, 7, 129), (6, 6, 129), (5, 3, 33)])
+def test_matrix_free_kkt_against_assembled(n, m, p):
+    # random (x, m): the residual rows and the objective of the cell form
+    # equal 2Hx + C^T m + 2b, Cx - d and x^T H x + 2 b^T x + c0
+    mesh, _, _, par, bc, weights = assemble_all(n, m, p)
+    qp = assemble_qp(par, bc, weights, p)
+    old = ref.assemble_qp(par, bc, weights, p)
+    rng = np.random.default_rng(1000 * n + 10 * m + p)
+    for _ in range(3):
+        x = rng.standard_normal(qp.n_x)
+        mult = rng.standard_normal(bc.n_rows)
+        r_x, r_c = kkt_residual(qp, bc, x, mult)
+        want_x = 2.0 * (old.H @ x) + old.C.T @ mult + 2.0 * old.b
+        want_c = old.C @ x - old.d
+        assert r_x.shape == want_x.shape and r_c.shape == want_c.shape
+        assert np.max(np.abs(r_x - want_x)) <= 1e-13 * np.max(np.abs(want_x))
+        assert np.max(np.abs(r_c - want_c)) <= 1e-13 * np.max(np.abs(want_c))
+        want = old.objective(x)
+        assert abs(qp.objective(x) - want) <= 1e-13 * abs(want)

@@ -84,6 +84,25 @@ def test_unreadable_profile_exits_2(tmp_path, capsys, name, content, message,
     assert err.startswith(f"config error: {path}: {message}")
 
 
+@pytest.mark.parametrize("content, extra, message", [
+    (b"{", [], "not valid JSON: "),
+    (b"[1, 2]", [], "top level must be a JSON object"),
+    (b'"N"', ["--out", "out"], "top level must be a JSON object"),
+    (b'{"N": "\xff\xfe"}', [], "not valid JSON: "),
+])
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep"])
+def test_malformed_config_file_exits_2(tmp_path, capsys, monkeypatch, content, extra,
+                                       message, command):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    code = main([command, "--config", str(path), *extra])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"config error: {message}")
+
+
 def test_unusable_out_dir_exits_2(tmp_path, capsys):
     blocker = tmp_path / "a_file"
     blocker.write_text("")
@@ -308,7 +327,9 @@ def files(tmp_path_factory):
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(data=st.data())
-def test_random_configs_exit_with_a_documented_code(files, capsys, data):
+def test_random_configs_exit_with_a_documented_code(files, capsys, monkeypatch, data):
+    # a drawn out_dir may be any relative name: it lands under the temp root
+    monkeypatch.chdir(files["root"])
     config = data.draw(configs(files))
     path = files["root"] / "cfg.json"
     path.write_text(json.dumps(config))

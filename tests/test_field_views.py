@@ -28,7 +28,7 @@ from rodwave.errors import ReconstructionError
 from rodwave.mesh import RodParams
 from test_assembly import assert_bits
 
-ARRAYS = ("t", "x", "v", "r", "p", "s", "f", "e", "f_seg")
+ARRAYS = ("t", "x", "v", "r", "p", "s", "e", "f_seg")
 CELLS = [(n, m) for n in range(2, 9) for m in range(2, 9)] + [(1, 5), (9, 2), (12, 12)]
 
 

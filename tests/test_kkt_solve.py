@@ -1,10 +1,11 @@
 """The difference-variable KKT solve against the sparse-LU solve of the
-assembled KKT matrix it replaced (``loop_reference.solve_qp``).
+assembled KKT matrix it replaced (``loop_reference.solve_qp`` on
+``loop_reference.assemble_qp``).
 
 Both solve the same system, so the objectives agree to rounding and the
-solutions to the conditioning of the KKT matrix; the production residual
-check, which proves the solution against the assembled H and C, must
-pass on every cell.
+solutions to the conditioning of the KKT matrix; the production residual,
+evaluated from the cell kernels, must be within its tolerance of the
+assembled right-hand side on every cell.
 """
 
 import numpy as np
@@ -31,9 +32,11 @@ def test_matches_sparse_lu(n, m, state):
     _, _, _, par, bc, weights = assemble_all(n, m, P, data)
     qp = assemble_qp(par, bc, weights, P)
     sol = solve_qp(qp, par, bc, weights)
-    old = ref.solve_qp(qp, par, bc, weights)
+    assembled = ref.assemble_qp(par, bc, weights, P)
+    old = ref.solve_qp(assembled, par, bc, weights)
 
-    rhs_max = max(2.0 * np.max(np.abs(qp.b)), np.max(np.abs(qp.d), initial=0.0))
+    rhs_max = max(2.0 * np.max(np.abs(assembled.b)),
+                  np.max(np.abs(assembled.d), initial=0.0))
     assert sol.diagnostics["kkt_residual"] <= 1e-8 * (1.0 + rhs_max)
     assert sol.diagnostics["kkt_size"] == old.diagnostics["kkt_size"]
     assert abs(sol.objective - old.objective) <= 1e-10 * abs(old.objective)

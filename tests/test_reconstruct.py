@@ -10,21 +10,21 @@ from rodwave.sampled import fd_derivative, simpson_weights
 from rodwave.solver import solve_qp
 from rodwave import reconstruct as rec
 from conftest import assemble_all
+import loop_reference as ref
 from loop_reference import force_at, junction_discontinuities
-from loop_reference import solve_qp as solve_qp_splu
 
 P = 33
 
 
 @pytest.fixture(scope="module")
 def solved(worked_example):
-    # the sparse-LU KKT solve of loop_reference: TestPinnedDiagnostics pins
-    # Q on these fields bit for bit, and the difference-variable solve
-    # rounds y differently
+    # the sparse-LU KKT solve of the assembled program in loop_reference:
+    # TestPinnedDiagnostics pins Q on these fields bit for bit, and the
+    # difference-variable solve rounds y differently
     par = worked_example["par"]
     mesh = worked_example["mesh"]
-    sol = solve_qp_splu(worked_example["qp"], par, worked_example["bc"],
-                        worked_example["weights"])
+    bc, weights = worked_example["bc"], worked_example["weights"]
+    sol = ref.solve_qp(ref.assemble_qp(par, bc, weights, weights.p), par, bc, weights)
     waves = rec.waves_from_solution(par, sol)
     controls = rec.controls_from_jumps(
         mesh, rec.jump_pieces_from_solution(par, sol))
@@ -248,7 +248,7 @@ class TestResidualQ:
         bump[:half] = 0.1
         corrupted = rec.FieldGrid(
             mesh=fg.mesh, qt=fg.qt, qx=fg.qx, t=fg.t, x=fg.x, v=fg.v,
-            r=fg.r, p=fg.p, s=fg.s + bump, f=fg.f,
+            r=fg.r, p=fg.p, s=fg.s + bump,
             e=fg.e, e_quad_segments=fg.e_quad_segments, f_seg=fg.f_seg,
             interface_jump_v=fg.interface_jump_v,
             interface_jump_r=fg.interface_jump_r)
@@ -263,7 +263,7 @@ class TestResidualQ:
         base = rec.residual_Q(fg)
         scaled = rec.FieldGrid(
             mesh=fg.mesh, qt=fg.qt, qx=fg.qx, t=fg.t, x=fg.x, v=fg.v,
-            r=fg.r, p=fg.p, s=fg.s, f=fg.f,
+            r=fg.r, p=fg.p, s=fg.s,
             e=fg.e, e_quad_segments=fg.e_quad_segments, f_seg=1.1 * fg.f_seg,
             interface_jump_v=fg.interface_jump_v,
             interface_jump_r=fg.interface_jump_r)
