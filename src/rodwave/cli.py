@@ -367,9 +367,10 @@ class SolveOperator:
     """Everything a solve on one (N, M, P) computes that does not depend
     on the state: the mesh, the vertex rows, the eliminated
     parametrization (bound to the state it was first built with), the
-    essential-row structure, the energy weights and the closed-form
-    boundary system.  Each slot fills on first use.  The KKT cross-check
-    of ``solver: both`` keeps nothing here."""
+    essential-row structure, the energy weights, the factored closed-form
+    boundary system, and the kink plan of each field grid, keyed by its
+    (qt, qx).  Each slot fills on first use.  The KKT cross-check of
+    ``solver: both`` keeps nothing here."""
 
     key: tuple
     mesh: MeshConfig
@@ -378,6 +379,7 @@ class SolveOperator:
     boundary: Optional[BoundaryStructure] = None
     weights: Optional[EnergyWeights] = None
     el: Optional[ELSystem] = None
+    kink_plans: dict = field(default_factory=dict)
 
 
 _operator: Optional[SolveOperator] = None    # the one cache entry: the last mesh solved
@@ -451,8 +453,9 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
     waves = rec.waves_from_solution(par, primary)
     controls = rec.controls_from_jumps(
         mesh, rec.jump_pieces_from_solution(par, primary))
-    fg = rec.fields(waves, controls, mesh,
-                    qt=config.field_samples, qx=config.field_samples)
+    steps = rec.grid_steps(config.P, config.field_samples, config.field_samples)
+    fg = rec.fields(waves, controls, mesh, *steps, kink_plan=op.kink_plans.get(steps))
+    op.kink_plans[steps] = fg.kink_plan
     terr = rec.terminal_error(fg, state)
     q_resid = rec.residual_Q(fg)
     e_grid = mean_energy(fg)

@@ -24,9 +24,13 @@ differencing is done blockwise between kinks, one-sided at the kink
 samples themselves (right limit, except at domain ends).  A window shift
 of 2*qx columns moves the lattice residue by a whole period, so every
 segment window normally has one kink pattern; its stencil sets, the
-samples Q leaves out and the quadrature weights are built once per grid
-(``FieldGrid.kink_plan``) and shared by :func:`residual_Q` and
-:func:`rodwave.energy.mean_energy`.
+samples Q leaves out and the quadrature weights (``FieldGrid.kink_plan``)
+are shared by :func:`residual_Q` and :func:`rodwave.energy.mean_energy`.
+The plan depends only on (N, M, qt, qx), so a caller that solves many
+states on one mesh builds it once and hands it to :func:`fields`; a grid
+given none builds its own on first use.  The energy density ``e`` is not
+stored: only the fields CSV reads it, and it follows from p, s and the
+force.
 """
 
 from __future__ import annotations
@@ -230,6 +234,34 @@ def controls_from_jumps(mesh: MeshConfig, jump_pieces: Dict[int, np.ndarray]) ->
 # ---------------------------------------------------------------------------
 
 
+def grid_steps(p: int, qt: Optional[int] = None,
+               qx: Optional[int] = None) -> Tuple[int, int]:
+    """The (qt, qx) of a field grid on pieces of p samples: one given
+    step serves both directions, and with neither given both are the
+    largest even divisor of (p - 1)/2 up to 32, so every characteristic
+    kink lies on a sample.  A step that does not divide the piece grid
+    raises :class:`InvalidArgumentError`."""
+    if qt is None and qx is None:
+        qt = qx = _pick_q(p, 32)
+    elif qt is None:
+        qt = qx
+    elif qx is None:
+        qx = qt
+    for q, name in ((qt, "qt"), (qx, "qx")):
+        if (p - 1) % (2 * q) != 0:
+            raise InvalidArgumentError(f"{name}={q} does not divide the piece grid")
+    return qt, qx
+
+
+def _energy_density(p: np.ndarray, s: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """0.5 * ((s - f)**2 + p**2), elementwise, in a new array."""
+    e = np.subtract(s, f)
+    np.square(e, out=e)
+    e += np.square(p)
+    e *= 0.5
+    return e
+
+
 def _pick_q(p: int, target: int) -> int:
     """Largest even divisor of (p-1)//2 that does not exceed target."""
     half = (p - 1) // 2
@@ -248,9 +280,9 @@ class FieldGrid:
     """Rectangular (t, x) samples of all reconstructed fields.
 
     v displacement, r dynamic potential, p momentum density, s internal
-    force, e energy density.  ``qt``/``qx`` are samples per half-layer in
-    each direction; interfaces sit at ``x`` indices that are multiples of
-    ``2*qx``.
+    force, and (computed on each access) e energy density.  ``qt``/``qx``
+    are samples per half-layer in each direction; interfaces sit at ``x``
+    indices that are multiples of ``2*qx``.
 
     Every wave value is read from a strided view of the wave's assembled
     line (see the module docstring).  Derivative quantities are stored as
@@ -261,10 +293,11 @@ class FieldGrid:
     (the mean over the late and early lines of both wave families, so
     jump midpoints; blockwise quadrature keeps its cancellation), and
     ``f_seg`` the applied force, one history per segment (it is constant
-    in x within a segment); the merged ``e`` array carries the
-    right-segment trace at interface columns.
+    in x within a segment); ``e`` carries the right-segment trace at
+    interface columns, as p and s do.
 
-    ``kink_plan`` is built on first use and kept with the grid; the
+    ``kink_plan`` is the plan given as ``plan`` (built for the same N, M,
+    qt and qx), else one built on first use and kept with the grid; the
     segment windows share it.
     """
 
@@ -277,11 +310,23 @@ class FieldGrid:
     r: np.ndarray
     p: np.ndarray
     s: np.ndarray
-    e: np.ndarray
     e_quad_segments: tuple       # per segment (nt, 2*qx+1); e jumps at interfaces
     f_seg: np.ndarray            # (N, nt) applied force history per segment
     interface_jump_v: float
     interface_jump_r: float
+    plan: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    @property
+    def e(self) -> np.ndarray:
+        """Energy density 0.5 * ((s - f)**2 + p**2) on the whole grid, with
+        each column's force taken from the segment whose trace p and s
+        hold there; a new array on every access."""
+        return _energy_density(self.p, self.s, self.f_seg[self.column_segments()].T)
+
+    def column_segments(self) -> np.ndarray:
+        """Per x column, the segment whose traces the column holds: the
+        right one at an interface."""
+        return np.minimum(np.arange(len(self.x)) // (2 * self.qx), self.mesh.N - 1)
 
     def segment_windows(self):
         """Column windows [j0, j1] of each segment (interfaces repeated)."""
@@ -300,7 +345,7 @@ class FieldGrid:
     @cached_property
     def kink_plan(self) -> tuple:
         """Per segment window, its :class:`WindowKinks`."""
-        return build_kink_plan(self)
+        return self.plan if self.plan is not None else build_kink_plan(self)
 
 
 def _line_view(line: np.ndarray, start: int, step_t: int, step_x: int,
@@ -322,19 +367,13 @@ def _line_view(line: np.ndarray, start: int, step_t: int, step_x: int,
 
 
 def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
-           qt: Optional[int] = None, qx: Optional[int] = None) -> FieldGrid:
-    """Evaluate v, r, p, s, e on an aligned rectangular grid."""
+           qt: Optional[int] = None, qx: Optional[int] = None,
+           kink_plan: Optional[tuple] = None) -> FieldGrid:
+    """Evaluate v, r, p, s on an aligned rectangular grid (steps as in
+    :func:`grid_steps`).  ``kink_plan``, if given, must be the plan of a
+    grid with the same N, M, qt and qx; the grid keeps it."""
     p = waves.p
-    if qt is None and qx is None:
-        # isotropic steps keep every characteristic kink on sample points
-        qt = qx = _pick_q(p, 32)
-    elif qt is None:
-        qt = qx
-    elif qx is None:
-        qx = qt
-    for q, name in ((qt, "qt"), (qx, "qx")):
-        if (p - 1) % (2 * q) != 0:
-            raise InvalidArgumentError(f"{name}={q} does not divide the piece grid")
+    qt, qx = grid_steps(p, qt, qx)
     st = (p - 1) // (2 * qt)      # wave samples per t-grid step
     sx = (p - 1) // (2 * qx)      # wave samples per x-grid step
     nt, nx = 2 * mesh.M * qt + 1, 2 * mesh.N * qx + 1
@@ -344,9 +383,9 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
     # Three blocks (fields, per-segment energy, window scratch) rather than
     # ~20 arrays: fresh memory costs page faults on every state.  Every
     # column lies in a segment window, so every sample is written.
-    v, r, pm, s, e = np.empty((5, nt, nx))
+    v, r, pm, s = np.empty((4, nt, nx))
     e_quad = np.empty((mesh.N,) + shape)
-    wp, wm, dwp, dwm, p_seg, term = np.empty((6,) + shape)
+    wp, wm, dwp, dwm, term = np.empty((5,) + shape)
     jump_v = 0.0
     jump_r = 0.0
     half_units = (p - 1) // 2                   # lam/2 in wave sample units
@@ -381,18 +420,10 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
         np.subtract(wp, wm, out=term)
         term += u_k
         r[:, cols] = term
-        np.add(dwp, dwm, out=p_seg)
-        pm[:, cols] = p_seg
+        np.add(dwp, dwm, out=pm[:, cols])
         np.subtract(dwp, dwm, out=term)
         term += f_k
         s[:, cols] = term
-        # e = 0.5 * (p**2 + (s - f)**2); an interface column keeps the
-        # right segment's value, as do p and s
-        term -= f_k
-        np.square(term, out=term)
-        term += np.square(p_seg, out=p_seg)
-        term *= 0.5
-        e[:, cols] = term
 
         # sector-averaged energy density: both junction resolutions of
         # each wave family, so kink samples carry the jump midpoint;
@@ -407,9 +438,10 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
         e_seg *= 0.25
 
     return FieldGrid(mesh=mesh, qt=qt, qx=qx, t=tgrid, x=xgrid,
-                     v=v, r=r, p=pm, s=s, e=e,
+                     v=v, r=r, p=pm, s=s,
                      e_quad_segments=tuple(e_quad), f_seg=f_seg,
-                     interface_jump_v=jump_v, interface_jump_r=jump_r)
+                     interface_jump_v=jump_v, interface_jump_r=jump_r,
+                     plan=kink_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -661,18 +693,21 @@ def write_fields_csv(fg: FieldGrid, path) -> None:
 
     x is formatted once per file and t once per t-row.  Each t-row is one
     ``%`` of a line template (t joined with the x strings) over the row's
-    five field values, copied into a reused (nx, 5) block, so memory stays
-    at one grid row whatever the grid size.  The bytes are those of
+    five field values, copied into a reused (nx, 5) block; the row of e is
+    computed there as :attr:`FieldGrid.e` computes it, so memory stays at
+    one grid row whatever the grid size.  The bytes are those of
     :func:`csv_rows` on the full (t, x, v, r, p, s, e) rows.
     """
     values = "%.12g,%.12g,%.12g,%.12g,%.12g\r\n"
     tails = [",%.12g," % x + values for x in fg.x.tolist()]
     block = np.empty((len(fg.x), 5))
+    owner = fg.column_segments()
     with open(path, "w", newline="") as fh:
         fh.write("t,x,v,r,p,s,e\r\n")
         for i, t in enumerate(fg.t.tolist()):
-            for col, arr in enumerate((fg.v, fg.r, fg.p, fg.s, fg.e)):
+            for col, arr in enumerate((fg.v, fg.r, fg.p, fg.s)):
                 block[:, col] = arr[i]
+            block[:, 4] = _energy_density(fg.p[i], fg.s[i], fg.f_seg[owner, i])
             t_text = "%.12g" % t
             template = t_text + t_text.join(tails)
             fh.write(template % tuple(block.ravel().tolist()))

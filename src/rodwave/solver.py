@@ -3,13 +3,15 @@ the KKT program it is cross-checked against.
 
 ``solve_euler_lagrange`` is the production path.  It follows the
 stationarity route: the optimal free vector has the closed form
-``y(z) = -(A^T A)^+ A^T g(z) + alpha + beta z`` with constant vectors
+``y(z) = -(A^T A)^-1 A^T g(z) + alpha + beta z`` with constant vectors
 alpha, beta determined by the essential boundary conditions together with
 the natural conditions on the conjugate vector
 ``p = A^T A y' + A^T g'`` (which is constant in z along stationary
-solutions).  ``solve_qp`` minimizes the discretized weighted functional
-directly via the KKT system of the equality-constrained quadratic
-program; it is the reference the closed form is checked against
+solutions).  That boundary system is square and depends only on the mesh;
+:class:`ELSystem` factors it once, and each state pays for its own
+right-hand side only.  ``solve_qp`` minimizes the discretized weighted
+functional directly via the KKT system of the equality-constrained
+quadratic program; it is the reference the closed form is checked against
 (``compare_solvers``).  It solves that system in the differences of
 consecutive samples, where the Hessian is block-diagonal, and proves the
 result by its residual in the KKT system, evaluated from the program's
@@ -190,14 +192,27 @@ def solve_qp(qp: QuadraticProgram, par: Parametrization, bc: EssentialBC,
 
 
 class ELSystem:
-    """The state-independent part of the closed-form solve on one mesh:
-    A_w^T A_w and its pseudo-inverse, the boundary-system matrix, and the
-    rank of B_gamma.  A degenerate A_w^T A_w (smallest singular value at
-    most 1e-12 times the largest) raises :class:`SolverError`.
+    """The state-independent part of the closed-form solve on one mesh,
+    factored once: A_w^T A_w (``ata``), the square boundary-system matrix
+    ``mat``, its inverse's first n_b columns ``K`` = mat^-1 E (E the first
+    n_b columns of the identity), and the rank of B_gamma.  Only the wave
+    entries ``data_rows`` have a data part g that is not identically zero,
+    so ``a_data`` = A_w[data_rows] and ``proj`` = (A_w^T A_w)^-1 a_data^T
+    carry every product of A_w^T with g.
 
     Unknowns (alpha, beta, gamma, h) of the boundary system solve the
     essential rows (n_b), the natural conditions p(0) = B0^T h and
-    p(lambda) = B1^T h (n_s each), and the gauge B_gamma^T h = 0 (n_g).
+    p(lambda) = B1^T h (n_s each), and the gauge B_gamma^T h = 0 (n_g): as
+    many rows as unknowns.  Only the first n_b entries of its right-hand
+    side depend on the state, so a state solves as ``K @ vec[:n_b]``.
+
+    A^T A is degenerate when its Cholesky factorization fails, or when the
+    smallest diagonal entry of the Cholesky factor is at most 1e-6 times
+    the largest.  The squares of those entries are the pivots, and every
+    pivot lies between the extreme eigenvalues of A^T A, so the bound
+    flags only a condition number of at least 1e12; it is cheap, not
+    sharp.  A degenerate A^T A raises :class:`SolverError`, and so does a
+    singular boundary system (``LinAlgError``, or a non-finite K).
     """
 
     def __init__(self, par: Parametrization, bc: EssentialBC):
@@ -205,15 +220,23 @@ class ELSystem:
         lam = par.mesh.lam
         a_w = par.A[:par.catalog.N_w]
         ata = a_w.T @ a_w
-        svals = np.linalg.svd(ata, compute_uv=False) if n_s else np.array([])
-        if n_s and svals[-1] <= 1e-12 * svals[0]:
-            raise SolverError(f"euler_lagrange: A^T A is degenerate (singular "
-                              f"values {svals[0]:.3e} to {svals[-1]:.3e})")
+        try:
+            diag = np.diagonal(np.linalg.cholesky(ata))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"euler_lagrange: A^T A is degenerate "
+                              f"(Cholesky failed: {exc})") from exc
+        if n_s and not diag.min() > 1e-6 * diag.max():
+            raise SolverError(f"euler_lagrange: A^T A is degenerate (Cholesky "
+                              f"diagonal {diag.max():.3e} to {diag.min():.3e})")
         self.ata = ata
-        self.ata_inv = np.linalg.pinv(ata, rcond=1e-12) if n_s else ata
+        self.data_rows = np.array([e for e, expr in enumerate(par.g_exprs[:len(a_w)])
+                                   if expr.terms or expr.consts], dtype=int)
+        self.a_data = a_w[self.data_rows]
+        self.proj = np.linalg.solve(ata, self.a_data.T)
 
         c_beta, c_gamma, c_h = n_s, 2 * n_s, 2 * n_s + n_g
-        mat = np.zeros((n_b + 2 * n_s + n_g, 2 * n_s + n_g + n_b))
+        n = n_b + 2 * n_s + n_g
+        mat = np.zeros((n, n))
         mat[:n_b, :c_beta] = bc.B1 - bc.B0
         mat[:n_b, c_beta:c_gamma] = lam * bc.B1
         mat[:n_b, c_gamma:c_h] = -bc.B_gamma
@@ -222,6 +245,15 @@ class ELSystem:
             mat[r:r + n_s, c_h:] = -bm.T
         mat[n_b + 2 * n_s:, c_h:] = bc.B_gamma.T
         self.mat = mat
+        e_nb = np.zeros((n, n_b))
+        e_nb[np.arange(n_b), np.arange(n_b)] = 1.0
+        try:
+            self.K = np.linalg.solve(mat, e_nb)
+            if not np.all(np.isfinite(self.K)):
+                raise np.linalg.LinAlgError("non-finite inverse")
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"euler_lagrange: boundary system residual not "
+                              f"bounded: the system is singular ({exc})") from exc
         self.b_gamma_rank = int(np.linalg.matrix_rank(bc.B_gamma)) if n_b else 0
 
 
@@ -230,41 +262,36 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
                          structure: Optional[ELSystem] = None) -> Solution:
     """Closed-form stationary solution plus a linear boundary solve.
 
-    The stationary free vector is y(z) = -(A^T A)^+ A^T g(z) + alpha +
+    The stationary free vector is y(z) = -(A^T A)^-1 A^T g(z) + alpha +
     beta z; the conjugate vector A^T A y' + A^T g' is then the constant
     A^T A beta.  Unknowns (alpha, beta, gamma, h) solve the essential
     rows together with the natural conditions p(0) = B0^T h,
     p(lambda) = B1^T h and the gauge B_gamma^T h = 0 (the projected
     one-constant form of the natural conditions is recovered from these
-    by eliminating h along the gamma columns).  The combined system of
-    ``structure`` (built here unless given) may be rectangular and is
-    solved in the least-squares sense; a residual above
-    1e-8 * (1 + |rhs|), or NaN, raises :class:`SolverError`.
+    by eliminating h along the gamma columns).  The square system of
+    ``structure`` (built and factored here unless given) is solved by its
+    stored inverse columns; a residual above 1e-8 * (1 + |rhs|), or NaN,
+    raises :class:`SolverError`.
     """
     el = structure if structure is not None else ELSystem(par, bc)
-    mesh, cat = par.mesh, par.catalog
+    mesh = par.mesh
     n_s = par.n_free
     n_g = par.n_gamma
-    n_w = cat.N_w
     h_step = mesh.lam / (p - 1)
     z = np.linspace(0.0, mesh.lam, p)
 
-    a_w = par.A[:n_w]
-    g_w = par.g_matrix(p)[:n_w]
-    y_part = -el.ata_inv @ (a_w.T @ g_w) if n_s else np.zeros((0, p))
+    g_data = par.g_matrix(p)[el.data_rows]
+    y_part = -el.proj @ g_data
 
     n_b = bc.n_rows
     vec = np.zeros(len(el.mat))
-    yp0, ypl = y_part[:, 0], y_part[:, -1]
-    for i in range(n_b):             # row-wise dots, as a GEMV may round differently
-        vec[i] = bc.b0[i] - bc.B1[i] @ ypl + bc.B0[i] @ yp0
-
-    sol, _, rank, _ = np.linalg.lstsq(el.mat, vec, rcond=None)
-    lstsq_residual = float(np.max(np.abs(el.mat @ sol - vec))) if len(vec) else 0.0
-    scale = 1.0 + float(np.max(np.abs(vec))) if len(vec) else 1.0
-    if not lstsq_residual <= 1e-8 * scale:
+    vec[:n_b] = bc.b0 - bc.B1 @ y_part[:, -1] + bc.B0 @ y_part[:, 0]
+    sol = el.K @ vec[:n_b]
+    residual = float(np.max(np.abs(el.mat @ sol - vec), initial=0.0))
+    scale = 1.0 + float(np.max(np.abs(vec), initial=0.0))
+    if not residual <= 1e-8 * scale:
         raise SolverError(f"euler_lagrange: boundary system residual "
-                          f"{lstsq_residual:.3e} (rank {rank}/{el.mat.shape[1]})")
+                          f"{residual:.3e} exceeds 1e-8 * (1 + |rhs|)")
 
     alpha = sol[:n_s]
     beta = sol[n_s:2 * n_s]
@@ -273,13 +300,13 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
     y = y_part + alpha[:, None] + beta[:, None] * z[None, :]
     res = check_feasible(bc, y, gamma, "euler_lagrange")
 
-    g_d = fd_derivative(g_w, h_step)
+    g_d = fd_derivative(g_data, h_step)
     y_d = fd_derivative(y, h_step)
-    p_conj = el.ata @ y_d + a_w.T @ g_d
+    p_conj = el.ata @ y_d + el.a_data.T @ g_d
     obj = evaluate_objective(par, weights, y)
     diag = {"feasibility_residual": res,
-            "boundary_lstsq_residual": lstsq_residual,
-            "boundary_rank": int(rank),
+            "boundary_residual": residual,
+            "boundary_rank": len(el.mat),     # the factorization proved full rank
             "ata_degenerate": False,        # a degenerate A^T A raises
             "b_gamma_rank": el.b_gamma_rank}
     return Solution(y=y, gamma=gamma, h=mult, objective=obj,

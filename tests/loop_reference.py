@@ -5,8 +5,9 @@ kernels became whole-array code; tests compare the array kernels against
 them (bit for bit where the arithmetic is unchanged).  The module also
 holds the helpers only tests use (one-sided force lookups, the per-piece
 energy-weight table, state resampling, sample reflection), the program
-assembled in sample space with its sparse H and C, and the sparse-LU KKT
-solve the difference-variable solve replaced.
+assembled in sample space with its sparse H and C, the sparse-LU KKT
+solve the difference-variable solve replaced, and the least-squares
+closed form the once-per-mesh factorization replaced.
 """
 
 import csv
@@ -118,7 +119,9 @@ def blockwise_simpson(values, h, splits):
 
 
 def write_fields_csv(fg, path):
-    """The fields CSV written cell by cell through ``csv.writer``."""
+    """The fields CSV written cell by cell through ``csv.writer``, with e
+    from :func:`energy_density`."""
+    e = energy_density(fg)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "v", "r", "p", "s", "e"])
@@ -126,7 +129,7 @@ def write_fields_csv(fg, path):
             for j, x in enumerate(fg.x):
                 writer.writerow([f"{val:.12g}" for val in
                                  (t, x, fg.v[i, j], fg.r[i, j], fg.p[i, j],
-                                  fg.s[i, j], fg.e[i, j])])
+                                  fg.s[i, j], e[i, j])])
 
 
 def write_controls_csv(controls, path):
@@ -663,7 +666,6 @@ def fields(waves, controls, mesh, qt=None, qx=None):
     r = np.zeros((nt, nx))
     pm = np.zeros((nt, nx))
     s = np.zeros((nt, nx))
-    f_arr = np.zeros((nt, nx))
     e_segs = []
     jump_v = 0.0
     jump_r = 0.0
@@ -704,14 +706,23 @@ def fields(waves, controls, mesh, qt=None, qx=None):
         r[:, j0:j1 + 1] = r_seg
         pm[:, j0:j1 + 1] = p_seg
         s[:, j0:j1 + 1] = s_seg
-        f_arr[:, j0:j1 + 1] = f_time[k][:, None]
         e_segs.append(e_seg)
 
-    e = 0.5 * (pm ** 2 + (s - f_arr) ** 2)
     return FieldGrid(mesh=mesh, qt=qt, qx=qx, t=tgrid, x=xgrid,
-                     v=v, r=r, p=pm, s=s, e=e,
+                     v=v, r=r, p=pm, s=s,
                      e_quad_segments=tuple(e_segs), f_seg=f_seg,
                      interface_jump_v=jump_v, interface_jump_r=jump_r)
+
+
+def energy_density(fg):
+    """The energy density as ``fields`` stored it before it was computed
+    on access: 0.5 * (p**2 + (s - f)**2) over the whole grid, with the
+    force array written segment by segment, so an interface column holds
+    the right segment's force."""
+    f_arr = np.zeros(fg.s.shape)
+    for seg, (j0, j1) in enumerate(fg.segment_windows()):
+        f_arr[:, j0:j1 + 1] = fg.f_seg[seg][:, None]
+    return 0.5 * (fg.p ** 2 + (fg.s - f_arr) ** 2)
 
 
 def blockwise_derivative(values, h, kink_mask, axis=-1):
@@ -822,6 +833,53 @@ def solve_qp(qp, par, bc, weights):
                    "objective_quadrature": qp.objective(sol[:n_x])}
     return Solution(y=y, gamma=gamma, h=mult, objective=obj, method="qp",
                     diagnostics=diagnostics)
+
+
+def solve_euler_lagrange(par, bc, weights, p):
+    """The closed form as the package ran it before the boundary system
+    was factored once per mesh: (A^T A)^+ by ``pinv`` after an SVD
+    degeneracy test, and the boundary system solved per state by
+    ``lstsq``.  Returns the solution with the ``lstsq`` rank and residual
+    as diagnostics."""
+    mesh, n_s, n_g, n_b = par.mesh, par.n_free, par.n_gamma, bc.n_rows
+    lam = mesh.lam
+    a_w = par.A[:par.catalog.N_w]
+    ata = a_w.T @ a_w
+    svals = np.linalg.svd(ata, compute_uv=False)
+    if svals[-1] <= 1e-12 * svals[0]:
+        raise SolverError("euler_lagrange: A^T A is degenerate")
+    ata_inv = np.linalg.pinv(ata, rcond=1e-12)
+
+    c_beta, c_gamma, c_h = n_s, 2 * n_s, 2 * n_s + n_g
+    mat = np.zeros((n_b + 2 * n_s + n_g, 2 * n_s + n_g + n_b))
+    mat[:n_b, :c_beta] = bc.B1 - bc.B0
+    mat[:n_b, c_beta:c_gamma] = lam * bc.B1
+    mat[:n_b, c_gamma:c_h] = -bc.B_gamma
+    for r, bm in ((n_b, bc.B0), (n_b + n_s, bc.B1)):
+        mat[r:r + n_s, c_beta:c_gamma] = ata
+        mat[r:r + n_s, c_h:] = -bm.T
+    mat[n_b + 2 * n_s:, c_h:] = bc.B_gamma.T
+
+    g_w = par.g_matrix(p)[:par.catalog.N_w]
+    y_part = -ata_inv @ (a_w.T @ g_w)
+    vec = np.zeros(len(mat))
+    for i in range(n_b):
+        vec[i] = bc.b0[i] - bc.B1[i] @ y_part[:, -1] + bc.B0[i] @ y_part[:, 0]
+    sol, _, rank, _ = np.linalg.lstsq(mat, vec, rcond=None)
+    residual = float(np.max(np.abs(mat @ sol - vec)))
+    if not residual <= 1e-8 * (1.0 + float(np.max(np.abs(vec)))):
+        raise SolverError(f"euler_lagrange: boundary system residual {residual:.3e}")
+
+    z = np.linspace(0.0, lam, p)
+    y = y_part + sol[:n_s, None] + sol[n_s:2 * n_s, None] * z[None, :]
+    gamma = sol[2 * n_s:2 * n_s + n_g].copy()
+    res = check_feasible(bc, y, gamma, "euler_lagrange")
+    obj = evaluate_objective(par, weights, y)
+    return Solution(y=y, gamma=gamma, h=sol[2 * n_s + n_g:], objective=obj,
+                    method="euler_lagrange",
+                    diagnostics={"feasibility_residual": res,
+                                 "boundary_lstsq_residual": residual,
+                                 "boundary_rank": int(rank)})
 
 
 def resample(state, mesh, p):

@@ -124,11 +124,13 @@ def _with_special(arr):
 
 
 def test_fields_csv_bytes_match_csv_writer(small_grid, tmp_path):
+    # e is computed from p, s and the force, so the specials enter it through s
     grid = dataclasses.replace(small_grid, v=_with_special(small_grid.v),
-                               e=_with_special(small_grid.e[::-1]))
+                               s=_with_special(small_grid.s[::-1]))
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    rec.write_fields_csv(grid, got)
-    ref.write_fields_csv(grid, want)
+    with np.errstate(over="ignore"):        # 1e300 squared
+        rec.write_fields_csv(grid, got)
+        ref.write_fields_csv(grid, want)
     assert got.read_bytes() == want.read_bytes()
     assert got.read_bytes().startswith(b"t,x,v,r,p,s,e\r\n0,-1,nan,")
 

@@ -1,9 +1,9 @@
 """The one-entry solve-operator cache of ``cli.solve_pipeline``.
 
 A repeated (N, M, P) reuses the elimination, the essential-row structure,
-the weights and the closed-form boundary system; every output must carry
-the same bits as a cold run with an empty cache.  The KKT cross-check keeps
-nothing between solves.
+the weights, the factored closed-form boundary system and the field
+grid's kink plan; every output must carry the same bits as a cold run
+with an empty cache.  The KKT cross-check keeps nothing between solves.
 """
 
 import json
@@ -11,7 +11,9 @@ import json
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from rodwave import cli
+from rodwave import reconstruct as rec
 from rodwave.edge import Parametrization
 from rodwave.cli import EXIT_INVARIANT, EXIT_OK, main, solve_pipeline, validate_config
 
@@ -85,6 +87,23 @@ def test_states_on_one_mesh_match_cold_runs(eliminations):
     for config, result in zip(configs, warm):
         same_result(result, cold(config))
     assert eliminations == [(4, 4)] * 6
+
+
+def test_cache_hit_factors_nothing(monkeypatch):
+    solve_pipeline(trig_config(4, 4, 1, "el"))
+
+    def per_mesh(*args, **kwargs):
+        raise AssertionError("per-mesh work on a cache hit")
+
+    for name in ("lstsq", "svd", "pinv", "matrix_rank", "cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, name, per_mesh)
+    monkeypatch.setattr(rec, "build_kink_plan", per_mesh)
+    warm = solve_pipeline(trig_config(4, 4, 2, "el"))
+    monkeypatch.undo()
+    fg = warm["fields"]
+    assert fg.kink_plan is cli.solve_operator(4, 4, P).kink_plans[(fg.qt, fg.qx)]
+    assert bits(fg.e) == bits(ref.energy_density(fg))
+    same_result(warm, cold(trig_config(4, 4, 2, "el")))
 
 
 def test_mesh_change_evicts_the_entry(eliminations):

@@ -249,7 +249,7 @@ class TestResidualQ:
         corrupted = rec.FieldGrid(
             mesh=fg.mesh, qt=fg.qt, qx=fg.qx, t=fg.t, x=fg.x, v=fg.v,
             r=fg.r, p=fg.p, s=fg.s + bump,
-            e=fg.e, e_quad_segments=fg.e_quad_segments, f_seg=fg.f_seg,
+            e_quad_segments=fg.e_quad_segments, f_seg=fg.f_seg,
             interface_jump_v=fg.interface_jump_v,
             interface_jump_r=fg.interface_jump_r)
         raised = rec.residual_Q(corrupted)
@@ -264,7 +264,7 @@ class TestResidualQ:
         scaled = rec.FieldGrid(
             mesh=fg.mesh, qt=fg.qt, qx=fg.qx, t=fg.t, x=fg.x, v=fg.v,
             r=fg.r, p=fg.p, s=fg.s,
-            e=fg.e, e_quad_segments=fg.e_quad_segments, f_seg=1.1 * fg.f_seg,
+            e_quad_segments=fg.e_quad_segments, f_seg=1.1 * fg.f_seg,
             interface_jump_v=fg.interface_jump_v,
             interface_jump_r=fg.interface_jump_r)
         assert rec.residual_Q(scaled) > 100 * max(base, 1e-12)

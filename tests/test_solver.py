@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -211,9 +212,14 @@ class TestSolverErrors:
         return code, err
 
     def test_singular_kkt_factor(self, monkeypatch, tmp_path, capsys):
-        # the KKT factorizations are dense LAPACK solves (np.linalg.solve)
+        # the KKT factorizations are the dense LAPACK solves (np.linalg.solve)
+        # of solve_qp; the closed form's once-per-mesh solves still run
+        real = np.linalg.solve
+
         def singular(matrix, rhs):
-            raise np.linalg.LinAlgError("Factor is exactly singular")
+            if sys._getframe(1).f_code.co_name == "solve_qp":
+                raise np.linalg.LinAlgError("Factor is exactly singular")
+            return real(matrix, rhs)
 
         monkeypatch.setattr(solver.np.linalg, "solve", singular)
         code, err = self.run_solve(tmp_path, capsys, "both")
@@ -227,21 +233,28 @@ class TestSolverErrors:
         assert text.count(",failed: KKT factorization failed") == 2
 
     def test_singular_reduced_system(self, monkeypatch, tmp_path, capsys):
-        # a terminal constant no essential row reads: gamma_0 is free, the
-        # KKT matrix has a zero column, and the closed form takes the
-        # least-squares gamma_0 = 0
-        real = cli.boundary_matrices
-
-        def unread_gamma(par, vertex_rows, structure=None):
-            bc = real(par, vertex_rows, structure=structure)
+        # a terminal constant no essential row reads: gamma_0 is free, so
+        # the closed form's boundary system and the KKT matrix each have a
+        # zero column
+        def unread_gamma(bc):
             b_gamma = bc.B_gamma.copy()
             b_gamma[:, 0] = 0.0
             return replace(bc, B_gamma=b_gamma)
 
-        monkeypatch.setattr(cli, "boundary_matrices", unread_gamma)
-        code, err = self.run_solve(tmp_path, capsys, "both")
+        _, _, _, par, bc, weights = assemble_all(3, 3, P)
+        bc = unread_gamma(bc)
+        with pytest.raises(SolverError, match="KKT factorization failed: Singular matrix"):
+            solve_qp(assemble_qp(par, bc, weights, P), par, bc, weights)
+
+        real = cli.boundary_matrices
+
+        def unread_gamma_rows(par, vertex_rows, structure=None):
+            return unread_gamma(real(par, vertex_rows, structure=structure))
+
+        monkeypatch.setattr(cli, "boundary_matrices", unread_gamma_rows)
+        code, err = self.run_solve(tmp_path, capsys, "el")
         assert code == EXIT_INVARIANT
-        assert "KKT factorization failed: Singular matrix" in err
+        assert "euler_lagrange: boundary system residual" in err
 
     def test_singular_kernel(self, monkeypatch, tmp_path, capsys):
         # zero energy weights: every cell kernel, and so H, is zero; the
@@ -286,9 +299,14 @@ class TestSolverErrors:
         assert "euler_lagrange: boundary system residual" in err
 
     def test_degenerate_ata(self, monkeypatch):
+        # 0: a free function no wave entry sees, and the Cholesky
+        # factorization fails; 1e-7: one almost unseen, caught by the
+        # bound on the Cholesky diagonal
         _, _, _, par, bc, weights = assemble_all(3, 3, P)
-        a = par.A.copy()
-        a[:, 0] = 0.0              # a free function no wave entry sees
-        monkeypatch.setattr(par, "A", a)
-        with pytest.raises(SolverError, match="A\\^T A is degenerate"):
-            solve_euler_lagrange(par, bc, weights, P)
+        base = par.A
+        for scale, reason in ((0.0, "Cholesky failed"), (1e-7, "Cholesky diagonal")):
+            a = base.copy()
+            a[:, 0] *= scale
+            monkeypatch.setattr(par, "A", a)
+            with pytest.raises(SolverError, match=f"A\\^T A is degenerate \\({reason}"):
+                solve_euler_lagrange(par, bc, weights, P)
