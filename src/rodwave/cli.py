@@ -65,7 +65,6 @@ from .edge import (
     boundary_matrices,
     eliminate,
     feasibility_check,
-    guard_rows,
 )
 from .energy import EnergyWeights, assemble_qp, build_weights, mean_energy
 from .solver import ELSystem, compare_solvers, solve_euler_lagrange, solve_qp
@@ -352,22 +351,21 @@ def _state_from_files(config: RunConfig, mesh: MeshConfig) -> StateSpec:
 # ---------------------------------------------------------------------------
 
 
-def _inconsistency_report(bc, rows) -> str:
-    """Name the dependent essential rows whose data contradict the kept
-    rows (index in the stacked vertex + guard rows, and label)."""
-    bad = bc.inconsistent_rows
-    named = ", ".join(f"{i} {rows[i].label}" for i in bad[:8])
-    more = f" and {len(bad) - 8} more" if len(bad) > 8 else ""
-    return (f"{len(bad)} essential boundary row(s) contradict the data "
-            f"of the kept rows: {named}{more}")
+def _junction_report(violated) -> str:
+    """Name the junction rows a solution violates, with their residuals."""
+    named = ", ".join(f"{label} by {res:.3g}" for label, res in violated[:8])
+    more = f" and {len(violated) - 8} more" if len(violated) > 8 else ""
+    return (f"{len(violated)} junction row(s) contradict the data of the "
+            f"solved vertex rows: the solution violates {named}{more}")
 
 
 @dataclass
 class SolveOperator:
     """Everything a solve on one (N, M, P) computes that does not depend
-    on the state: the mesh, the vertex rows, the eliminated
+    on the state: the mesh, the complete vertex rows, the eliminated
     parametrization (bound to the state it was first built with), the
-    essential-row structure, the energy weights, the factored closed-form
+    essential-row structure (with the junction rows every solution is
+    checked against), the energy weights, the factored closed-form
     boundary system, and the kink plan of each field grid, keyed by its
     (qt, qx).  Each slot fills on first use.  The KKT cross-check of
     ``solver: both`` keeps nothing here."""
@@ -404,11 +402,13 @@ def clear_operator_cache() -> None:
 def solve_pipeline(config: RunConfig, reconstruct: bool = True):
     """Assemble, solve, reconstruct, and collect diagnostics (no I/O).
 
-    The closed form gives the solution (``primary``).  With ``solver:
-    both`` the KKT program is solved too and must not exceed the closed
-    form's objective.  State-independent work of the closed form is done
-    once per (N, M, P) and kept in the :func:`solve_operator` cache, so a
-    repeated mesh costs only the state's data parts."""
+    The closed form gives the solution (``primary``), which must satisfy
+    every junction row of the mesh (``BoundaryStructure.violated_junctions``;
+    a violated row is an :class:`InvariantViolationError` naming it).  With
+    ``solver: both`` the KKT program is solved too and must not exceed the
+    closed form's objective.  State-independent work of the closed form is
+    done once per (N, M, P) and kept in the :func:`solve_operator` cache,
+    so a repeated mesh costs only the state's data parts."""
     if config.solver not in _SOLVERS:
         raise ConfigurationError([f"solver: must be one of {', '.join(_SOLVERS)}"])
     feas = feasibility_check(config.N, config.M)
@@ -424,15 +424,15 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
         par = op.par.rebind(state)
     bc = boundary_matrices(par, op.vertex_rows, structure=op.boundary)
     op.boundary = bc.structure
-    if bc.inconsistent_rows:
-        raise InvariantViolationError(_inconsistency_report(
-            bc, op.vertex_rows + guard_rows(mesh)))
     if op.weights is None:
         op.weights = build_weights(mesh, config.P)
     weights = op.weights
 
     primary = solve_euler_lagrange(par, bc, weights, config.P, structure=op.el)
     op.el = primary.structure
+    violated = op.boundary.violated_junctions(par, primary.y, primary.gamma)
+    if violated:
+        raise InvariantViolationError(_junction_report(violated))
     solutions = {"el": primary}
 
     comparison = None
@@ -450,9 +450,10 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
                 "bc": bc, "weights": weights, "solutions": solutions,
                 "primary": primary, "comparison": comparison}
 
-    waves = rec.waves_from_solution(par, primary)
+    entries = par.entry_values(primary.y, primary.gamma)
+    waves = rec.waves_from_solution(par, entries)
     controls = rec.controls_from_jumps(
-        mesh, rec.jump_pieces_from_solution(par, primary))
+        mesh, rec.jump_pieces_from_solution(par, entries))
     steps = rec.grid_steps(config.P, config.field_samples, config.field_samples)
     fg = rec.fields(waves, controls, mesh, *steps, kink_plan=op.kink_plans.get(steps))
     op.kink_plans[steps] = fg.kink_plan

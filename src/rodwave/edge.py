@@ -666,13 +666,24 @@ class VertexRow:
 
 
 def assemble_vertex_conditions(mesh: MeshConfig) -> tuple:
-    """Vertex continuity rows; count follows the parity-dependent formula.
+    """The complete vertex continuity rows: ``counts(N, M).N_r`` rows,
+    independent, that span every junction of :func:`guard_rows` once the
+    edge rows are eliminated.
 
-    Odd N: junctions of the interior jump pieces plus all junctions of the
-    central-segment waves (including the tie to the terminal data pieces).
-    Even N: junctions of the interior jump pieces, the zero anchor of the
-    central jump, and the interior junctions of the two central-adjacent
-    free wave families.
+    Odd N (N_b rows, as the paper prints them): junctions of the interior
+    jump pieces plus all junctions of the central-segment waves (including
+    the tie to the terminal data pieces).
+    Even N (N_b + 1 rows): junctions of the interior jump pieces, the zero
+    anchor of the central jump, and the junctions of the two
+    central-adjacent free wave families, '+' on k = -1 and '-' on k = +1.
+    The paper takes those families at m = 2..2M-2, but both m = 2 rows
+    depend on the other rows, and that list spans three junctions short.
+    Here the families take m = 4..2M (up to their ties to the terminal
+    data pieces), and the terminal tie of the '-' wave on k = -1 is added:
+    the three rows at m = 2M replace the two at m = 2.  That row count
+    equals both the rank of these rows and the rank they reach with every
+    junction row stacked behind them, for N in 1..16 x M in 2..10 (the
+    tests) and at (24, 24), (32, 8) and (32, 32).
     """
     M2 = 2 * mesh.M
     rows = []
@@ -683,33 +694,29 @@ def assemble_vertex_conditions(mesh: MeshConfig) -> tuple:
                 label=("u", n, m),
                 terms=((jump_key(n, m), 0, 1), (jump_key(n, m - 2), 1, -1))))
     if mesh.N % 2 == 1:
-        for side in (+1, -1):
-            for m in range(2, M2 + 1, 2):
-                rows.append(VertexRow(
-                    label=("w", side, 0, m),
-                    terms=((wave_key(side, 0, m), 0, 1),
-                           (wave_key(side, 0, m - 2), 1, -1))))
+        waves = [(side, 0, m) for side in (+1, -1) for m in range(2, M2 + 1, 2)]
     else:
         rows.append(VertexRow(label=("u0",), terms=((jump_key(0, 0), 0, 1),)))
-        for side, k in ((+1, -1), (-1, +1)):
-            for m in range(2, M2 - 1, 2):
-                rows.append(VertexRow(
-                    label=("w", side, k, m),
-                    terms=((wave_key(side, k, m), 0, 1),
-                           (wave_key(side, k, m - 2), 1, -1))))
-    expected = counts(mesh.N, mesh.M).N_b
+        waves = [(side, k, m) for side, k in ((+1, -1), (-1, +1))
+                 for m in range(4, M2 + 1, 2)] + [(-1, -1, M2)]
+    for side, k, m in waves:
+        rows.append(VertexRow(
+            label=("w", side, k, m),
+            terms=((wave_key(side, k, m), 0, 1), (wave_key(side, k, m - 2), 1, -1))))
+    expected = counts(mesh.N, mesh.M).N_r
     if len(rows) != expected:
         raise AssemblyError(f"assembled {len(rows)} vertex rows, expected {expected}")
     return tuple(rows)
 
 
 def guard_rows(mesh: MeshConfig) -> tuple:
-    """Exhaustive stitching conditions: every junction of every assembled
-    wave, every jump junction, and the zero start of every jump.
+    """Every junction of every wave, every jump junction, and the zero
+    start of every jump.
 
-    These are appended behind the vertex rows before dependence removal;
-    when the vertex set is already sufficient they are all dropped as
-    dependent, and otherwise they repair the gap (reported).
+    The complete vertex rows span them all, so they are not solved:
+    :meth:`BoundaryStructure.violated_junctions` checks them on each
+    solution, where a violated one names data that contradict the solved
+    rows.
     """
     M2 = 2 * mesh.M
     rows = []
@@ -730,26 +737,32 @@ def guard_rows(mesh: MeshConfig) -> tuple:
     return tuple(rows)
 
 
-_SWEEP_BLOCK = 64     # rows projected per pair of matrix products in the rank sweep
+# A junction row whose residual on a solution exceeds JUNCTION_TOL times the
+# largest |end value| of any entry (at least 1) contradicts the solved rows.
+JUNCTION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class EssentialBC:
     """Boundary condition B1 y(lambda) - B0 y(0) = B_gamma gamma + b0 on
-    the free functions, reduced to independent rows.  ``B_gamma`` carries
-    the coefficients of the per-segment free terminal constants.
-    ``structure`` is the state-independent part these rows came from; pass
-    it back to :func:`boundary_matrices` for another state on the same mesh."""
+    the free functions, one row per complete vertex row.  The rows are
+    independent by construction, so ``rank`` is their number; the
+    closed-form factorization proves it, and a singular system raises
+    there.  ``B_gamma`` carries the coefficients of the per-segment free
+    terminal constants.  ``n_assembled`` counts the solved rows plus the
+    junction rows checked on the solution, and ``guard_rows_kept`` the
+    solved rows outside the paper's printed vertex list (3 for even N, 0
+    for odd N).  ``structure`` is the state-independent part these rows
+    came from; pass it back to :func:`boundary_matrices` for another state
+    on the same mesh."""
 
     B0: np.ndarray
     B1: np.ndarray
     b0: np.ndarray
     B_gamma: np.ndarray
     rank: int
-    n_vertex_rows: int
     n_assembled: int
     guard_rows_kept: int
-    inconsistent_rows: tuple
     structure: Optional["BoundaryStructure"] = field(default=None, repr=False,
                                                      compare=False)
 
@@ -766,159 +779,103 @@ class EssentialBC:
 class BoundaryStructure:
     """The state-independent part of the essential rows of one mesh.
 
-    ``slots`` gathers the data part: for each term slot, the rows that
-    have a term there, its catalog entry, its end sample (0 or -1) and its
-    coefficient.  ``kept`` and ``dependent`` index the stacked vertex and
-    guard rows; ``n_before`` counts the kept rows preceding each dependent
-    row, and ``coef`` writes the homogeneous part of every dependent row
-    with kept rows before it as a combination of the kept rows.
+    ``B0``, ``B1`` and ``B_gamma`` are the homogeneous part of the solved
+    rows.  ``slots`` gathers their data part: for each term slot, the rows
+    that have a term there, its catalog entry, its end sample (0 or -1)
+    and its coefficient.  ``checks`` gathers the rows of
+    :func:`guard_rows` in the same form, and ``check_labels`` names them.
     """
 
-    n_assembled: int
-    n_vertex_rows: int
+    guard_rows_kept: int
     slots: tuple = field(repr=False)
-    kept: np.ndarray = field(repr=False)
-    dependent: np.ndarray = field(repr=False)
-    n_before: np.ndarray = field(repr=False)
-    coef: Optional[np.ndarray] = field(repr=False)
+    checks: tuple = field(repr=False)
+    check_labels: tuple = field(repr=False)
     B0: np.ndarray = field(repr=False)
     B1: np.ndarray = field(repr=False)
     B_gamma: np.ndarray = field(repr=False)
 
-    @property
-    def rank(self) -> int:
-        return len(self.kept)
-
     def essential(self, par: Parametrization) -> EssentialBC:
-        """The essential rows for the state ``par`` is bound to: the data
-        part b0 of the kept rows, and the dependent rows whose data
-        contradict the kept rows.
-
-        A dependent row is consistent when its data part agrees with the
-        combination of kept rows that forms its homogeneous part, to
-        1e-8 * max(1, |own|, largest |b0| kept before it); with nothing
-        kept before it, its data must vanish to 1e-10.
-        """
+        """The essential rows for the state ``par`` is bound to: the
+        structure's matrices and the data part b0 of the solved rows."""
         g = par.g_matrix(par.state.grid_p(par.mesh))
-        data = np.zeros(self.n_assembled)
+        data = np.zeros(len(self.B0))
         for rows, ents, ends, coefs in self.slots:
             data[rows] += coefs * g[ents, ends]
-        rhs = -data
-
-        kept, dependent, n_before = self.kept, self.dependent, self.n_before
-        bad = np.abs(rhs[dependent]) > 1e-10
-        late = n_before > 0
-        if np.any(late):
-            predicted = rhs[kept] @ self.coef
-            running = np.maximum.accumulate(np.abs(rhs[kept]))[n_before[late] - 1]
-            own = rhs[dependent[late]]
-            scale = np.maximum(np.maximum(1.0, np.abs(own)), running)
-            bad[late] = np.abs(predicted - own) > 1e-8 * scale
-
         return EssentialBC(
             B0=self.B0,
             B1=self.B1,
             B_gamma=self.B_gamma,
-            b0=rhs[kept],
-            rank=self.rank,
-            n_vertex_rows=self.n_vertex_rows,
-            n_assembled=self.n_assembled,
-            guard_rows_kept=int(np.count_nonzero(kept >= self.n_vertex_rows)),
-            inconsistent_rows=tuple(int(i) for i in dependent[bad]),
+            b0=-data,
+            rank=len(data),
+            n_assembled=len(data) + len(self.check_labels),
+            guard_rows_kept=self.guard_rows_kept,
             structure=self,
         )
 
+    def violated_junctions(self, par: Parametrization, y: np.ndarray,
+                           gamma: np.ndarray) -> tuple:
+        """(label, residual) of every junction row the solution (y, gamma)
+        violates, in :func:`guard_rows` order.
 
-def boundary_structure(par: Parametrization, vertex_rows,
-                       include_guards: bool = True) -> BoundaryStructure:
-    """Rewrite vertex conditions through the parametrization and drop
-    linearly dependent rows by a rank-revealing sweep (threshold
-    1e-12 * largest row norm).  Guard rows are appended after the given
-    vertex rows and kept only if they add rank.
+        The rows are evaluated at the entry end values
+        A y + C_gamma gamma + g at z = 0 and z = lambda.  The solved rows
+        span every junction, so a solution of consistent data satisfies
+        them all to rounding; a row is violated when its |residual|
+        exceeds ``JUNCTION_TOL`` * max(1, largest |end value| of any
+        entry), or is NaN.
+        """
+        ends = (par.A @ y[:, [0, -1]] + (par.C_gamma @ gamma)[:, None]
+                + par.g_matrix(y.shape[1])[:, [0, -1]])
+        res = np.zeros(len(self.check_labels))
+        for rows, ents, at, coefs in self.checks:
+            res[rows] += coefs * ends[ents, at]
+        tol = JUNCTION_TOL * max(1.0, float(np.max(np.abs(ends))))
+        return tuple((self.check_labels[i], float(res[i]))
+                     for i in np.flatnonzero(~(np.abs(res) <= tol)))
 
-    The sweep keeps row i when it is independent of the rows kept before
-    it, exactly as a row-by-row Gram-Schmidt pass would, but works in
-    blocks of ``_SWEEP_BLOCK`` rows: each block is projected against the
-    accepted basis with two matrix products (classical Gram-Schmidt,
-    twice), and only the test against rows accepted inside the block runs
-    row by row.  One least-squares solve writes every dependent row with
-    kept rows before it in terms of the kept rows.  Nothing here reads
-    the state's data.
-    """
-    mesh, cat = par.mesh, par.catalog
-    n_s = par.n_free
-    n_g = par.n_gamma
 
-    all_rows = list(vertex_rows)
-    n_vertex = len(all_rows)
-    if include_guards:
-        all_rows.extend(guard_rows(mesh))
-    n_rows = len(all_rows)
+def _row_slots(cat: UnknownCatalog, rows) -> list:
+    """Term slots of vertex rows: (rows, entries, end sample 0 or -1,
+    float coefficients), each row's terms in its own order."""
+    return [(r, ents, np.where(ats == 1, -1, 0), coefs.astype(float))
+            for r, ents, ats, coefs in _slots(
+                [[(cat.index[key], at, coef) for key, at, coef in row.terms]
+                 for row in rows])]
 
+
+def boundary_structure(par: Parametrization, vertex_rows) -> BoundaryStructure:
+    """Rewrite the vertex rows through the parametrization, and gather the
+    junction rows of :func:`guard_rows` that each solution is checked
+    against.  Nothing here reads the state's data."""
+    mesh = par.mesh
+    n_rows = len(vertex_rows)
     # sum coef*entry(at) = 0  <=>  B1 y(lam) - B0 y(0) = B_gamma gamma + b0,
     # accumulated term slot by term slot in each row's own term order
-    B1 = np.zeros((n_rows, n_s))
-    B0 = np.zeros((n_rows, n_s))
-    Bg = np.zeros((n_rows, n_g))
-    slots = []
-    for rows, ents, ats, coefs in _slots(
-            [[(cat.index[key], at, coef) for key, at, coef in r.terms] for r in all_rows]):
-        end = ats == 1
-        coefs = coefs.astype(float)
+    B1 = np.zeros((n_rows, par.n_free))
+    B0 = np.zeros((n_rows, par.n_free))
+    Bg = np.zeros((n_rows, par.n_gamma))
+    slots = _row_slots(par.catalog, vertex_rows)
+    for rows, ents, ends, coefs in slots:
+        end = ends == -1
         B1[rows[end]] += coefs[end, None] * par.A[ents[end]]
         B0[rows[~end]] -= coefs[~end, None] * par.A[ents[~end]]
         Bg[rows] -= coefs[:, None] * par.C_gamma[ents]
-        slots.append((rows, ents, np.where(end, -1, 0), coefs))
-
-    hom = np.concatenate([B1, -B0, -Bg], axis=1)
-    tol = 1e-12 * max(float(np.max(np.linalg.norm(hom, axis=1), initial=0.0)), 1.0)
-    basis = np.empty((0, hom.shape[1]))     # orthonormal rows spanning the kept rows
-    kept = []
-    for start in range(0, n_rows, _SWEEP_BLOCK):
-        w = hom[start:start + _SWEEP_BLOCK]
-        for _ in range(2):
-            w = w - (w @ basis.T) @ basis
-        fresh = []
-        for j, wj in enumerate(w):
-            if fresh:
-                q = np.array(fresh)
-                for _ in range(2):
-                    wj = wj - (q @ wj) @ q
-            nrm = np.linalg.norm(wj)
-            if nrm > tol:
-                fresh.append(wj / nrm)
-                kept.append(start + j)
-        if fresh:
-            basis = np.concatenate([basis, fresh])
-    kept = np.array(kept, dtype=int)
-
-    is_dependent = np.ones(n_rows, dtype=bool)
-    is_dependent[kept] = False
-    dependent = np.flatnonzero(is_dependent)
-    n_before = np.searchsorted(kept, dependent)     # kept rows preceding each
-    late = n_before > 0
-    coef = None
-    if np.any(late):
-        coef, *_ = np.linalg.lstsq(hom[kept].T, hom[dependent[late]].T, rcond=None)
-
-    kept_rows = []
     for mat in (B0, B1, Bg):
-        mat = mat[kept]
         mat.setflags(write=False)       # shared by the rows of every state
-        kept_rows.append(mat)
+    checks = guard_rows(mesh)
     return BoundaryStructure(
-        n_assembled=n_rows, n_vertex_rows=n_vertex, slots=tuple(slots),
-        kept=kept, dependent=dependent, n_before=n_before, coef=coef,
-        B0=kept_rows[0], B1=kept_rows[1], B_gamma=kept_rows[2])
+        guard_rows_kept=0 if mesh.N % 2 else 3,   # see assemble_vertex_conditions
+        slots=tuple(slots), checks=tuple(_row_slots(par.catalog, checks)),
+        check_labels=tuple(row.label for row in checks),
+        B0=B0, B1=B1, B_gamma=Bg)
 
 
 def boundary_matrices(par: Parametrization, vertex_rows,
-                      include_guards: bool = True,
                       structure: Optional[BoundaryStructure] = None) -> EssentialBC:
     """Essential rows of the state ``par`` is bound to: the structure of
     :func:`boundary_structure` (built here unless ``structure`` is given,
-    in which case ``vertex_rows`` and ``include_guards`` are not read)
-    applied to the state's data."""
+    in which case ``vertex_rows`` is not read) applied to the state's
+    data."""
     if structure is None:
-        structure = boundary_structure(par, vertex_rows, include_guards)
+        structure = boundary_structure(par, vertex_rows)
     return structure.essential(par)

@@ -115,7 +115,13 @@ def build_mesh(N: int, M: int) -> MeshConfig:
 
 @dataclass(frozen=True)
 class SystemCounts:
-    """Sizes of the edge-constraint system for a given (N, M)."""
+    """Sizes of the edge-constraint system for a given (N, M).
+
+    ``N_b`` is the paper's vertex-row count; ``N_r`` is the rank of the
+    complete vertex system, the number of rows
+    :func:`rodwave.edge.assemble_vertex_conditions` assembles: N_b for
+    odd N, N_b + 1 for even N.
+    """
 
     N_e: int
     N_w: int
@@ -123,10 +129,11 @@ class SystemCounts:
     N_v: int
     N_s: int
     N_b: int
+    N_r: int
 
 
 def counts(N: int, M: int) -> SystemCounts:
-    """Edge/variable/vertex counts; N_b branches on the parity of N."""
+    """Edge/variable/vertex counts; N_b and N_r branch on the parity of N."""
     if N < 1 or M < 1:
         raise InvalidArgumentError(f"N and M must be >= 1, got N={N}, M={M}")
     N_e = 2 * M * N + 4 * N
@@ -135,10 +142,11 @@ def counts(N: int, M: int) -> SystemCounts:
     N_v = N_w + N_u
     N_s = N_v - N_e
     if N % 2 == 1:
-        N_b = M * N + M - N + 1
+        N_b = N_r = M * N + M - N + 1
     else:
         N_b = M * N + M - N
-    return SystemCounts(N_e=N_e, N_w=N_w, N_u=N_u, N_v=N_v, N_s=N_s, N_b=N_b)
+        N_r = N_b + 1
+    return SystemCounts(N_e=N_e, N_w=N_w, N_u=N_u, N_v=N_v, N_s=N_s, N_b=N_b, N_r=N_r)
 
 
 def delta_z_weight(mesh: MeshConfig, k: int, side: int, zeta) -> np.ndarray:

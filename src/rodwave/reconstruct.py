@@ -48,7 +48,6 @@ from .mesh import MeshConfig, RodParams
 from .sampled import SampledFunction, fd_derivative, simpson_weights
 from .energy import blockwise_simpson_weights
 from .edge import Parametrization, StateSpec, jump_key, wave_key
-from .solver import Solution
 
 CONTINUITY_ERROR = 1e-6
 
@@ -94,23 +93,23 @@ class WaveTable:
         return SampledFunction(lo, hi, _late_line(self.pieces[(side, k)]))
 
 
-def waves_from_solution(par: Parametrization, sol: Solution) -> WaveTable:
-    """Evaluate every catalog entry and stitch the wave pieces.
+def waves_from_solution(par: Parametrization, entries: np.ndarray) -> WaveTable:
+    """Stitch the wave pieces of a solution from the sampled values of
+    every catalog entry, ``entries`` = ``par.entry_values(sol.y, sol.gamma)``.
 
     Adjacent pieces must agree at their junction to ``CONTINUITY_ERROR``
     relative to the largest piece sample, ``1e-6 * (1 + max|piece|)``, so
     the check holds at any data scale; ``continuity_max`` stays absolute.
     """
     mesh, cat = par.mesh, par.catalog
-    w_all = par.entry_values(sol.y, sol.gamma)
-    p = w_all.shape[1]
+    p = entries.shape[1]
     h = mesh.lam / (p - 1)
     pieces, dpieces = {}, {}
     cont = 0.0
     scale = 0.0
     for k in mesh.J_s:
         for side in (+1, -1):
-            arr = np.stack([w_all[cat.index[wave_key(side, k, m)]]
+            arr = np.stack([entries[cat.index[wave_key(side, k, m)]]
                             for m in mesh.J_t])
             jump = np.max(np.abs(arr[:-1, -1] - arr[1:, 0])) if len(arr) > 1 else 0.0
             cont = max(cont, float(jump))
@@ -126,11 +125,13 @@ def waves_from_solution(par: Parametrization, sol: Solution) -> WaveTable:
                      continuity_max=cont)
 
 
-def jump_pieces_from_solution(par: Parametrization, sol: Solution) -> Dict[int, np.ndarray]:
-    """Per-piece samples of the control-integral jumps u_n, n in J_x."""
+def jump_pieces_from_solution(par: Parametrization,
+                              entries: np.ndarray) -> Dict[int, np.ndarray]:
+    """Per-piece samples of the control-integral jumps u_n, n in J_x, from
+    the sampled values of every catalog entry (see
+    :func:`waves_from_solution`)."""
     mesh, cat = par.mesh, par.catalog
-    w_all = par.entry_values(sol.y, sol.gamma)
-    return {n: np.stack([w_all[cat.index[jump_key(n, m)]]
+    return {n: np.stack([entries[cat.index[jump_key(n, m)]]
                          for m in mesh.J_t[:-1]])
             for n in mesh.J_x}
 

@@ -50,7 +50,7 @@ class Solution:
 
     y: np.ndarray                  # (N_s, p) samples on [0, lambda]
     gamma: np.ndarray              # (N,) per-segment terminal constants
-    h: np.ndarray                  # multipliers, one per kept boundary row
+    h: np.ndarray                  # multipliers, one per essential row
     objective: float
     method: str
     p_conj: Optional[np.ndarray] = None   # (N_s, p) conjugate vector (EL path)

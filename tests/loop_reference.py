@@ -252,8 +252,9 @@ def simulate(mesh, params, controls, state, cfg):
 
 def boundary_matrices(par, vertex_rows, include_guards=True):
     """Essential rows by a row-by-row Gram-Schmidt sweep (threshold
-    1e-12 * largest row norm), with one least-squares consistency check
-    per dependent row against the rows kept before it."""
+    1e-12 * largest row norm) over the vertex rows, with the rows of
+    ``guard_rows`` stacked behind them unless ``include_guards`` is false:
+    the rows independent of the rows kept before them."""
     mesh, cat = par.mesh, par.catalog
     p = par.state.grid_p(mesh)
     g = par.g_matrix(p)
@@ -287,12 +288,8 @@ def boundary_matrices(par, vertex_rows, include_guards=True):
 
     basis: list = []          # orthonormal rows over (B1, -B0, -B_gamma)
     kept: list = []
-    inconsistent = []
-    kept_b0: list = []
-    guard_kept = 0
-    for i, (b1r, b0r, gr, b0c) in enumerate(raw):
-        v = np.concatenate([b1r, -b0r, -gr])
-        w = v.copy()
+    for i, (b1r, b0r, gr, _) in enumerate(raw):
+        w = np.concatenate([b1r, -b0r, -gr])
         for q in basis:
             w -= (q @ w) * q
         for q in basis:
@@ -301,21 +298,6 @@ def boundary_matrices(par, vertex_rows, include_guards=True):
         if nrm > tol:
             basis.append(w / nrm)
             kept.append(i)
-            kept_b0.append(b0c)
-            if i >= n_vertex:
-                guard_kept += 1
-        else:
-            # dependent in the homogeneous part; check the data part agrees
-            if kept:
-                mat = np.array([np.concatenate([raw[j][0], -raw[j][1], -raw[j][2]])
-                                for j in kept]).T
-                coef, *_ = np.linalg.lstsq(mat, v, rcond=None)
-                predicted = float(np.array(kept_b0) @ coef)
-                scale = max(1.0, abs(b0c), float(np.max(np.abs(kept_b0))) if kept_b0 else 1.0)
-                if abs(predicted - b0c) > 1e-8 * scale:
-                    inconsistent.append(i)
-            elif abs(b0c) > 1e-10:
-                inconsistent.append(i)
 
     return EssentialBC(
         B0=np.array([raw[i][1] for i in kept]).reshape(len(kept), n_s),
@@ -323,11 +305,24 @@ def boundary_matrices(par, vertex_rows, include_guards=True):
         B_gamma=np.array([raw[i][2] for i in kept]).reshape(len(kept), n_g),
         b0=np.array([raw[i][3] for i in kept]),
         rank=len(kept),
-        n_vertex_rows=n_vertex,
         n_assembled=len(all_rows),
-        guard_rows_kept=guard_kept,
-        inconsistent_rows=tuple(inconsistent),
+        guard_rows_kept=sum(i >= n_vertex for i in kept),
     )
+
+
+def junction_residuals(par, y, gamma):
+    """Residual of every row of ``guard_rows`` on the solution (y, gamma),
+    one row at a time from the sampled catalog entries, and the scale
+    max(1, largest |end value| of any entry)."""
+    w_all = par.entry_values(y, gamma)
+    ends = w_all[:, [0, -1]]
+    res = []
+    for row in guard_rows(par.mesh):
+        total = 0.0
+        for key, at, coef in row.terms:
+            total += coef * w_all[par.catalog.index[key], -1 if at == 1 else 0]
+        res.append((row.label, total))
+    return res, max(1.0, float(np.max(np.abs(ends))))
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,12 @@ def test_criterion_1_counting_identities():
             assert sc.N_s == m * n + m - 2 * n
             expected_b = m * n + m - n + (1 if n % 2 else 0)
             assert sc.N_b == expected_b
+            assert sc.N_r == expected_b + (0 if n % 2 else 1)
             mesh = build_mesh(n, m)
             system = assemble_edge_constraints(mesh, StateSpec.zero(mesh, 5))
             assert len(system.rows) == sc.N_e
             assert system.catalog.N_v == sc.N_v
-            assert len(assemble_vertex_conditions(mesh)) == sc.N_b
+            assert len(assemble_vertex_conditions(mesh)) == sc.N_r
     elapsed = time.perf_counter() - t0
     assert report(1, elapsed < 1.0,
                   f"all identities hold for (N,M) in 1..8 squared "
@@ -89,9 +90,10 @@ def test_criterion_3_worked_example_exact_steering(worked_example):
     state = worked_example["state"]
     sol = worked_example["sol_qp"]
     t0 = time.perf_counter()
-    waves = rec.waves_from_solution(par, sol)
+    entries = par.entry_values(sol.y, sol.gamma)
+    waves = rec.waves_from_solution(par, entries)
     controls = rec.controls_from_jumps(
-        mesh, rec.jump_pieces_from_solution(par, sol))
+        mesh, rec.jump_pieces_from_solution(par, entries))
     fg = rec.fields(waves, controls, mesh)
     terr = rec.terminal_error(fg, state)
     q_val = rec.residual_Q(fg)
@@ -113,9 +115,10 @@ def test_criterion_4_independent_verification():
     # fine synthesis so the stored controls do not floor the oracle error
     mesh, state, system, par, bc, weights = assemble_all(4, 4, 1025)
     sol = solve_euler_lagrange(par, bc, weights, 1025)
-    waves = rec.waves_from_solution(par, sol)
+    entries = par.entry_values(sol.y, sol.gamma)
+    waves = rec.waves_from_solution(par, entries)
     controls = rec.controls_from_jumps(
-        mesh, rec.jump_pieces_from_solution(par, sol))
+        mesh, rec.jump_pieces_from_solution(par, entries))
     fg = rec.fields(waves, controls, mesh, qt=256, qx=256)
     params = RodParams(1.0, 1.0, 1.0)
     sims = [simulate(mesh, params, controls, state,
@@ -217,8 +220,9 @@ def test_criterion_8_force_discontinuity_pattern():
     p_fine = 2049
     mesh, state, system, par, bc, weights = assemble_all(4, 4, p_fine)
     sol = solve_euler_lagrange(par, bc, weights, p_fine)
+    entries = par.entry_values(sol.y, sol.gamma)
     controls = rec.controls_from_jumps(
-        mesh, rec.jump_pieces_from_solution(par, sol))
+        mesh, rec.jump_pieces_from_solution(par, entries))
     junction_ok = True
     interior_worst = 0.0
     for k in mesh.J_c:
@@ -253,9 +257,10 @@ def test_criterion_9_trivial_null_case():
     bc = boundary_matrices(par, assemble_vertex_conditions(mesh))
     weights = build_weights(mesh, p)
     sol = solve_qp(assemble_qp(par, bc, weights, p), par, bc, weights)
-    waves = rec.waves_from_solution(par, sol)
+    entries = par.entry_values(sol.y, sol.gamma)
+    waves = rec.waves_from_solution(par, entries)
     controls = rec.controls_from_jumps(
-        mesh, rec.jump_pieces_from_solution(par, sol))
+        mesh, rec.jump_pieces_from_solution(par, entries))
     fg = rec.fields(waves, controls, mesh)
     force_max = max(float(np.max(np.abs(controls.forces[k])))
                     for k in mesh.J_c)

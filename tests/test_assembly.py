@@ -1,10 +1,12 @@
 """Array-wide per-mesh assembly against the loop forms it replaced.
 
-``boundary_matrices`` (blocked rank sweep) and ``assemble_qp`` (one kernel
-per distinct weight column) must return the same bits as the row-by-row
-sweep and the per-cell kernels of the dict-of-blocks LIL assembly kept in
-``loop_reference``.  The KKT rows and the objective the solver evaluates
-from the kernels must equal those of the assembled H, C and b.
+``boundary_matrices`` (one gather per term slot, every vertex row solved)
+and ``assemble_qp`` (one kernel per distinct weight column) must return
+the same bits as the row-by-row sweep, which keeps every vertex row, and
+the per-cell kernels of the dict-of-blocks LIL assembly kept in
+``loop_reference``.  The junction rows a solution violates must be those
+a row-by-row evaluation flags.  The KKT rows and the objective the solver
+evaluates from the kernels must equal those of the assembled H, C and b.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from conftest import assemble_all
 from rodwave.edge import assemble_vertex_conditions, boundary_matrices
 from rodwave.energy import assemble_qp
 from rodwave.mesh import build_mesh
-from rodwave.solver import kkt_residual
+from rodwave.solver import kkt_residual, solve_euler_lagrange
 from test_edge import random_state
 
 
@@ -28,9 +30,7 @@ def assert_bits(a, b):
 def assert_same_bc(new, old):
     for name in ("B0", "B1", "B_gamma", "b0"):
         assert_bits(getattr(new, name), getattr(old, name))
-    for name in ("rank", "n_vertex_rows", "n_assembled", "guard_rows_kept",
-                 "inconsistent_rows"):
-        assert getattr(new, name) == getattr(old, name)
+    assert new.rank == old.rank == new.n_rows
 
 
 def assert_same_qp(new, old):
@@ -49,8 +49,10 @@ def distinct_weight_columns(par, weights, p):
     return len(np.unique(w_cells[touched].T, axis=0))
 
 
-def check_both(par, weights, p, vertex_rows, include_guards=True):
-    bc = boundary_matrices(par, vertex_rows, include_guards=include_guards)
+def check_both(par, weights, p, vertex_rows, include_guards=False):
+    # the sweep keeps every vertex row, also with the junction rows of
+    # every wave and jump stacked behind them
+    bc = boundary_matrices(par, vertex_rows)
     assert_same_bc(bc, ref.boundary_matrices(par, vertex_rows,
                                              include_guards=include_guards))
     assert_same_qp(assemble_qp(par, bc, weights, p),
@@ -73,9 +75,11 @@ def test_distinct_weight_columns(n, m, columns):
 
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 4)])
 def test_without_guards(n, m):
+    # the solve needs no junction row beyond the vertex rows: the sweep
+    # over vertex and junction rows keeps the vertex rows and nothing else
     mesh, _, _, par, _, weights = assemble_all(n, m, 17)
     check_both(par, weights, 17, assemble_vertex_conditions(mesh),
-               include_guards=False)
+               include_guards=True)
 
 
 def test_random_state():
@@ -85,19 +89,31 @@ def test_random_state():
 
 
 @pytest.mark.parametrize("n,m,entry,flagged", [
-    (4, 4, 0, (16,)),                      # ("w", 1, -3, 0) against a guard row
-    (4, 4, 10, (10, 24)),                  # ("w", 1, -1, 0): a vertex and a guard row
-    (3, 3, 12, (15, 23, 30, 38)),          # ("w", 1, 0, 4), central segment
-    (2, 2, 3, (9, 13, 17)),                # ("w", -1, -1, 2)
+    # ("w", 1, -3, 0): only the junction through its end sees it
+    (4, 4, 0, (("guard_w", 1, -3, 2),)),
+    # ("w", 1, -1, 0): its junction is no longer a vertex row
+    (4, 4, 10, (("guard_w", 1, -1, 2),)),
+    # ("w", 1, 0, 4): a solved central-segment row moves the solution
+    (3, 3, 12, (("guard_w", -1, -2, 6), ("guard_w", 1, 2, 4), ("guard_u", -3, 4),
+                ("guard_u", 3, 2))),
+    # ("w", -1, -1, 2): a solved terminal tie moves the solution
+    (2, 2, 3, (("guard_w", 1, 1, 4), ("guard_u", -2, 2), ("guard_u", 2, 2))),
 ])
 def test_perturbed_data_flags_rows(n, m, entry, flagged):
-    # a shifted end sample of one entry's data part contradicts the
-    # dependent rows through it; the flagged rows are those of the loop sweep
+    # a shifted end sample of one entry's data part contradicts the solved
+    # rows; the junction rows the solution violates are those a row-by-row
+    # evaluation flags
     mesh, _, _, par, clean, weights = assemble_all(n, m, 9)
-    assert clean.inconsistent_rows == ()
+    sol = solve_euler_lagrange(par, clean, weights, 9)
+    assert clean.structure.violated_junctions(par, sol.y, sol.gamma) == ()
     par.g_matrix(9)[entry, -1] += 0.5      # the cached data part, in place
     bc = check_both(par, weights, 9, assemble_vertex_conditions(mesh))
-    assert bc.inconsistent_rows == flagged
+    sol = solve_euler_lagrange(par, bc, weights, 9)
+    violated = bc.structure.violated_junctions(par, sol.y, sol.gamma)
+    res, scale = ref.junction_residuals(par, sol.y, sol.gamma)
+    assert [label for label, r in violated] == [
+        label for label, r in res if abs(r) > 1e-8 * scale]
+    assert tuple(label for label, _ in violated) == flagged
 
 
 @pytest.mark.parametrize("n,m,p", [(2, 2, 17), (3, 2, 17), (4, 2, 17), (5, 3, 17),

@@ -303,12 +303,12 @@ def test_sweep_continues_past_failed_cells(tmp_path):
 
 
 class TestInconsistentBoundaryData:
-    """Data that contradict a dependent essential row stop the run."""
+    """Data that contradict the solved vertex rows stop the run."""
 
     @pytest.fixture
     def perturbed(self, monkeypatch):
         # shift the end sample of the first wave entry's data part: the
-        # vertex rows through it no longer agree with the rows kept before
+        # solution violates the junction through it
         original = Parametrization.g_matrix
 
         def g_matrix(self, p):
@@ -326,9 +326,10 @@ class TestInconsistentBoundaryData:
         assert main(["solve", "--config", str(cfgfile)]) == EXIT_INVARIANT
         assert main(["verify", "--config", str(cfgfile)]) == EXIT_INVARIANT
         err = capsys.readouterr().err
-        # row 16, the first guard row at (4, 4), joins that entry to the next layer
-        assert err.count("invariant violation: 1 essential boundary row(s) contradict "
-                         "the data of the kept rows: 16 ('guard_w', 1, -3, 2)") == 2
+        # the first junction row at (4, 4) joins that entry to the next layer
+        assert err.count("invariant violation: 1 junction row(s) contradict the data "
+                         "of the solved vertex rows: the solution violates "
+                         "('guard_w', 1, -3, 2) by -0.5") == 2
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "fields.csv").exists()
 

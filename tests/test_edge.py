@@ -9,7 +9,6 @@ from rodwave.edge import (
     StateSpec,
     assemble_edge_constraints,
     assemble_vertex_conditions,
-    boundary_matrices,
     build_catalog,
     eliminate,
     feasibility_check,
@@ -17,6 +16,7 @@ from rodwave.edge import (
     wave_key,
 )
 from conftest import assemble_all, example_state
+import loop_reference as ref
 from loop_reference import edge_residuals, gamma_dict, partition, resample
 
 P = 17
@@ -173,10 +173,12 @@ class TestVertexConditions:
     @pytest.mark.parametrize("n,m", [(4, 4), (3, 2), (5, 3), (2, 2), (6, 4)])
     def test_counts(self, n, m):
         mesh = build_mesh(n, m)
-        assert len(assemble_vertex_conditions(mesh)) == counts(n, m).N_b
+        sc = counts(n, m)
+        assert len(assemble_vertex_conditions(mesh)) == sc.N_r == sc.N_b + (n % 2 == 0)
 
     def test_four_by_four_row_count(self):
-        assert len(assemble_vertex_conditions(build_mesh(4, 4))) == 16
+        # the paper's N_b = 16, plus the one row that completes even N
+        assert len(assemble_vertex_conditions(build_mesh(4, 4))) == 17
 
     def test_odd_formula(self):
         assert len(assemble_vertex_conditions(build_mesh(3, 2))) == 6
@@ -187,32 +189,24 @@ class TestVertexConditions:
         mesh, _, _, par, bc, _ = assemble_all(3, 3, P, StateSpec.zero(build_mesh(3, 3), P))
         assert np.max(np.abs(bc.b0)) == 0.0
 
-    def test_odd_n_vertex_rows_are_sufficient(self):
-        # for odd N the vertex rows are independent and complete: the guard
-        # sweep never adds rank beyond them
-        for n, m in ((3, 2), (3, 3), (5, 3), (5, 4)):
-            mesh, _, _, par, bc, _ = assemble_all(n, m, 9)
-            no_guard = boundary_matrices(
-                par, assemble_vertex_conditions(mesh), include_guards=False)
-            assert bc.guard_rows_kept == 0
-            assert no_guard.rank == counts(n, m).N_b
+    def test_no_inconsistent_rows_on_worked_example(self, worked_example):
+        par, bc = worked_example["par"], worked_example["bc"]
+        for sol in (worked_example["sol_el"], worked_example["sol_qp"]):
+            assert bc.structure.violated_junctions(par, sol.y, sol.gamma) == ()
 
-    def test_even_n_vertex_rows_need_three_guards(self):
-        # for even N the printed vertex rows have rank N_b - 2 (two of them
-        # are dependent), and the junction-continuity space has rank N_b + 1:
-        # exactly three guard rows repair the shortfall
-        for n, m in ((2, 2), (4, 4), (6, 3), (8, 8)):
-            mesh, _, _, par, bc, _ = assemble_all(n, m, 9)
-            no_guard = boundary_matrices(
-                par, assemble_vertex_conditions(mesh), include_guards=False)
-            n_b = counts(n, m).N_b
-            assert no_guard.rank == n_b - 2
-            assert bc.guard_rows_kept == 3
-            assert bc.rank == no_guard.rank + bc.guard_rows_kept == n_b + 1
 
-    def test_no_inconsistent_rows_on_worked_example(self):
-        *_, bc, _ = assemble_all(4, 4, P)
-        assert bc.inconsistent_rows == ()
+@pytest.mark.parametrize("m", range(2, 11))
+@pytest.mark.parametrize("n", range(1, 17))
+def test_complete_rows_have_full_rank(n, m):
+    # the vertex rows are independent, and they reach the rank of the whole
+    # junction space: the rank the row-by-row sweep reaches over the vertex
+    # rows with every junction of every wave and jump stacked behind them
+    mesh, _, _, par, bc, _ = assemble_all(n, m, 9)
+    rows = assemble_vertex_conditions(mesh)
+    hom = np.concatenate([bc.B1, -bc.B0, -bc.B_gamma], axis=1)
+    assert bc.n_rows == bc.rank == len(rows) == counts(n, m).N_r
+    assert np.linalg.matrix_rank(hom) == len(rows)
+    assert ref.boundary_matrices(par, rows, include_guards=True).rank == len(rows)
 
 
 class TestFeasibility:
@@ -253,9 +247,7 @@ class TestBoundaryMatricesThroughReconstruction:
             z = np.linspace(0, 1, y.shape[1])
             y = sol.y + np.outer(direction[n_s:2 * n_s], 1 - z) \
                 + np.outer(direction[:n_s], z)
-            pieces = rec.jump_pieces_from_solution(
-                par, type(sol)(y=y, gamma=gamma, h=sol.h, objective=0.0,
-                               method="test"))
+            pieces = rec.jump_pieces_from_solution(par, par.entry_values(y, gamma))
             controls = rec.controls_from_jumps(mesh, pieces)
             for k in mesh.J_c:
                 arr = controls.integrals[k]

@@ -127,9 +127,10 @@ class TestQuadraticProgram:
         par = worked_example["par"]
         mesh = worked_example["mesh"]
         sol = worked_example["sol_qp"]
-        waves = rec.waves_from_solution(par, sol)
+        entries = par.entry_values(sol.y, sol.gamma)
+        waves = rec.waves_from_solution(par, entries)
         controls = rec.controls_from_jumps(
-            mesh, rec.jump_pieces_from_solution(par, sol))
+            mesh, rec.jump_pieces_from_solution(par, entries))
         fg = rec.fields(waves, controls, mesh)
         assert mean_energy(fg) == pytest.approx(sol.objective, rel=5e-3)
 
@@ -140,9 +141,10 @@ class TestMeanEnergy:
             2, 2, P, StateSpec.zero(build_mesh(2, 2), P))
         qp = assemble_qp(par, bc, weights, P)
         sol = solve_qp(qp, par, bc, weights)
-        waves = rec.waves_from_solution(par, sol)
+        entries = par.entry_values(sol.y, sol.gamma)
+        waves = rec.waves_from_solution(par, entries)
         controls = rec.controls_from_jumps(
-            mesh, rec.jump_pieces_from_solution(par, sol))
+            mesh, rec.jump_pieces_from_solution(par, entries))
         fg = rec.fields(waves, controls, mesh)
         assert mean_energy(fg) == pytest.approx(0.0, abs=1e-12)
 

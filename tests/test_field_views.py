@@ -45,8 +45,9 @@ def solved(n, m, p, params):
                                   "preset_params": params})
     out = cli.solve_pipeline(config, reconstruct=False)
     par, sol, mesh = out["par"], out["primary"], out["mesh"]
-    waves = rec.waves_from_solution(par, sol)
-    controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, sol))
+    entries = par.entry_values(sol.y, sol.gamma)
+    waves = rec.waves_from_solution(par, entries)
+    controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, entries))
     return waves, controls, mesh
 
 

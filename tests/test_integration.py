@@ -31,9 +31,10 @@ def test_random_data_steered_exactly(n, m, seed):
     rep = compare_solvers(sol_qp, sol_el, bc)
     assert rep.qp_not_worse
 
-    waves = rec.waves_from_solution(par, sol_qp)
+    entries = par.entry_values(sol_qp.y, sol_qp.gamma)
+    waves = rec.waves_from_solution(par, entries)
     controls = rec.controls_from_jumps(
-        mesh, rec.jump_pieces_from_solution(par, sol_qp))
+        mesh, rec.jump_pieces_from_solution(par, entries))
     fg = rec.fields(waves, controls, mesh)
     terr = rec.terminal_error(fg, state)
     assert terr.worst() <= 1e-9

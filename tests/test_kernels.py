@@ -90,8 +90,9 @@ def test_simpson_weights_match_loop(n, splits, seed):
 def field_grid(worked_example):
     """Field grid of the worked example at (qt, qx) samples per half-layer."""
     par, mesh, sol = (worked_example[k] for k in ("par", "mesh", "sol_qp"))
-    waves = rec.waves_from_solution(par, sol)
-    controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, sol))
+    entries = par.entry_values(sol.y, sol.gamma)
+    waves = rec.waves_from_solution(par, entries)
+    controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, entries))
     return lambda qt, qx: rec.fields(waves, controls, mesh, qt=qt, qx=qx)
 
 
@@ -137,7 +138,8 @@ def test_fields_csv_bytes_match_csv_writer(small_grid, tmp_path):
 
 def test_controls_csv_bytes_match_csv_writer(worked_example, tmp_path):
     par, mesh, sol = (worked_example[k] for k in ("par", "mesh", "sol_qp"))
-    controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, sol))
+    entries = par.entry_values(sol.y, sol.gamma)
+    controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, entries))
     special = dataclasses.replace(
         controls,
         forces={k: (_with_special(f) if k == mesh.J_c[0] else f)
@@ -155,7 +157,8 @@ def test_controls_csv_bytes_match_csv_writer(worked_example, tmp_path):
 
 def test_sim_csv_bytes_match_csv_writer(worked_example, tmp_path):
     par, mesh, sol = (worked_example[k] for k in ("par", "mesh", "sol_qp"))
-    controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, sol))
+    entries = par.entry_values(sol.y, sol.gamma)
+    controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, entries))
     sim = simulate(mesh, RodParams(1.0, 1.0, 1.0), controls, worked_example["state"],
                    SimConfig(points_per_segment=8, cfl=1.0))
     special = dataclasses.replace(sim, v_terminal=_with_special(sim.v_terminal),

@@ -57,8 +57,7 @@ def same_result(new, old):
         same_solution(new["solutions"][name], old["solutions"][name])
     for name in ("B0", "B1", "B_gamma", "b0"):
         assert bits(getattr(new["bc"], name)) == bits(getattr(old["bc"], name))
-    for name in ("rank", "n_vertex_rows", "n_assembled", "guard_rows_kept",
-                 "inconsistent_rows"):
+    for name in ("rank", "n_assembled", "guard_rows_kept"):
         assert getattr(new["bc"], name) == getattr(old["bc"], name)
     if "Q" in old:
         assert float(new["Q"]).hex() == float(old["Q"]).hex()
@@ -106,6 +105,18 @@ def test_cache_hit_factors_nothing(monkeypatch):
     same_result(warm, cold(trig_config(4, 4, 2, "el")))
 
 
+@pytest.mark.parametrize("n,m", [(4, 4), (5, 3)])
+def test_cold_solve_sweeps_no_rows(monkeypatch, n, m):
+    # the complete vertex rows are solved as assembled: no least-squares
+    # solve sorts dependent rows out, and every row is kept
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("least-squares solve on the solve path")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    bc = solve_pipeline(trig_config(n, m, 3, "el"))["bc"]
+    assert bc.n_rows == bc.rank == len(cli.solve_operator(n, m, P).vertex_rows)
+
+
 def test_mesh_change_evicts_the_entry(eliminations):
     first = solve_pipeline(trig_config(4, 4, 1), reconstruct=False)
     other = solve_pipeline(trig_config(5, 3, 2), reconstruct=False)
@@ -150,6 +161,6 @@ def test_inconsistent_data_fail_on_a_cache_hit(monkeypatch, tmp_path, capsys):
     assert main(["verify", "--config", str(cfgfile)]) == EXIT_INVARIANT
     assert cli.solve_operator(4, 4, 17) is op
     err = capsys.readouterr().err
-    assert ("invariant violation: 1 essential boundary row(s) contradict the "
-            "data of the kept rows: 16 ('guard_w', 1, -3, 2)") in err
+    assert ("invariant violation: 1 junction row(s) contradict the data of the "
+            "solved vertex rows: the solution violates ('guard_w', 1, -3, 2) by -0.5") in err
     assert "Traceback" not in err

@@ -73,9 +73,10 @@ def synthesis():
 
     mesh, state, system, par, bc, weights = assemble_all(4, 4, 513)
     sol = solve_euler_lagrange(par, bc, weights, 513)
-    waves = rec.waves_from_solution(par, sol)
+    entries = par.entry_values(sol.y, sol.gamma)
+    waves = rec.waves_from_solution(par, entries)
     controls = rec.controls_from_jumps(
-        mesh, rec.jump_pieces_from_solution(par, sol))
+        mesh, rec.jump_pieces_from_solution(par, entries))
     fg = rec.fields(waves, controls, mesh, qt=64, qx=64)
     return mesh, state, controls, fg
 
@@ -139,8 +140,9 @@ def test_misaligned_grids_stay_accurate_for_odd_segments():
             v0=lambda x: np.sin(2 * x), r0=lambda x: 0.3 * x,
             v1=lambda x: 0.0 * x, r1=lambda x: 0.0 * x))
     sol = solve_euler_lagrange(par, bc, weights, 257)
+    entries = par.entry_values(sol.y, sol.gamma)
     controls = rec.controls_from_jumps(
-        mesh, rec.jump_pieces_from_solution(par, sol))
+        mesh, rec.jump_pieces_from_solution(par, entries))
     for nper in (200, 256):      # misaligned and aligned
         sim = simulate(mesh, PARAMS, controls, state,
                        SimConfig(points_per_segment=nper, cfl=1.0))
@@ -157,8 +159,9 @@ def driven():
     for n in (1, 2, 3):
         mesh, state, system, par, bc, weights = assemble_all(n, 2, 33)
         sol = solve_euler_lagrange(par, bc, weights, 33)
+        entries = par.entry_values(sol.y, sol.gamma)
         controls = rec.controls_from_jumps(
-            mesh, rec.jump_pieces_from_solution(par, sol))
+            mesh, rec.jump_pieces_from_solution(par, entries))
         runs[n] = (mesh, state, controls)
     return runs
 

@@ -181,8 +181,9 @@ def test_optimal_controls_are_trig_plus_polynomial(worked_example):
     par = worked_example["par"]
     mesh = worked_example["mesh"]
     sol_el = worked_example["sol_el"]
+    entries = par.entry_values(sol_el.y, sol_el.gamma)
     controls = rec.controls_from_jumps(
-        mesh, rec.jump_pieces_from_solution(par, sol_el))
+        mesh, rec.jump_pieces_from_solution(par, entries))
     worst = 0.0
     for n in mesh.J_x:
         for j in range(mesh.M):
