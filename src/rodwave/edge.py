@@ -746,8 +746,8 @@ JUNCTION_TOL = 1e-8
 class EssentialBC:
     """Boundary condition B1 y(lambda) - B0 y(0) = B_gamma gamma + b0 on
     the free functions, one row per complete vertex row.  The rows are
-    independent by construction, so ``rank`` is their number; the
-    closed-form factorization proves it, and a singular system raises
+    independent by construction, so ``rank`` is their number, ``n_rows``;
+    the closed-form factorization proves it, and a singular system raises
     there.  ``B_gamma`` carries the coefficients of the per-segment free
     terminal constants.  ``n_assembled`` counts the solved rows plus the
     junction rows checked on the solution, and ``guard_rows_kept`` the
@@ -760,7 +760,6 @@ class EssentialBC:
     B1: np.ndarray
     b0: np.ndarray
     B_gamma: np.ndarray
-    rank: int
     n_assembled: int
     guard_rows_kept: int
     structure: Optional["BoundaryStructure"] = field(default=None, repr=False,
@@ -769,6 +768,10 @@ class EssentialBC:
     @property
     def n_rows(self) -> int:
         return len(self.b0)
+
+    @property
+    def rank(self) -> int:
+        return self.n_rows
 
     @property
     def n_gamma(self) -> int:
@@ -806,7 +809,6 @@ class BoundaryStructure:
             B1=self.B1,
             B_gamma=self.B_gamma,
             b0=-data,
-            rank=len(data),
             n_assembled=len(data) + len(self.check_labels),
             guard_rows_kept=self.guard_rows_kept,
             structure=self,

@@ -155,6 +155,13 @@ def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
                           (f_seg[0] - f_left) / (h / 2.0),
                           (f_right - f_seg[-1]) / (h / 2.0)]).T.copy()
 
+    # The step runs in these buffers, with the operations of the plain
+    # array expressions in the same order, so the results are the same
+    # bits.  ``rate`` is overwritten by every p_rate call.
+    s_el = np.empty(n_cells)
+    rate = np.empty(n_cells + 1)
+    scratch = np.empty(n_cells + 1)
+
     def p_rate(dv, n_step):
         """Momentum rate s_x from the node differences ``dv`` of v: elastic
         divergence plus force impulses.
@@ -164,22 +171,26 @@ def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
         of images), so the only time-discretization error left is the
         midpoint rule on the smooth force histories.
         """
-        s_el = kappa * dv / h
-        rate = np.empty(n_cells + 1)
-        rate[1:-1] = (s_el[1:] - s_el[:-1]) / h
+        np.multiply(kappa, dv, out=s_el)
+        np.divide(s_el, h, out=s_el)
+        inner = rate[1:-1]
+        np.subtract(s_el[1:], s_el[:-1], out=inner)
+        np.divide(inner, h, out=inner)
         rate[0] = s_el[0] / (h / 2.0)
         rate[-1] = -s_el[-1] / (h / 2.0)
         rate[impulse_nodes] += impulses[n_step]
         return rate
 
     def strain_energy(dv):
-        return kappa * float(np.sum(dv ** 2)) / (2.0 * h)
+        squares = np.square(dv, out=scratch[:-1])
+        return kappa * float(np.sum(squares)) / (2.0 * h)
 
     weights = _node_weights(n_cells + 1, h)
-    v = state.v0(x)
+    v = np.array(state.v0(x), dtype=float)        # a copy: the loop updates v in place
     dv = v[1:] - v[:-1]
     p0 = state.momentum_initial()(x)
     p_half = p0 + (dt / 2.0) * p_rate(dv, 0)
+    p_next = np.empty(n_cells + 1)
 
     budget_max = 0.0
     force_scale = max(1.0, float(np.max(np.abs(f_left))), float(np.max(np.abs(f_right))))
@@ -188,16 +199,22 @@ def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
 
     p_terminal = None
     for n in range(n_steps):
-        v = v + dt * p_half / rho
-        dv = v[1:] - v[:-1]
+        # v = v + dt * p_half / rho; dv = v[1:] - v[:-1]
+        np.multiply(dt, p_half, out=scratch)
+        scratch /= rho
+        v += scratch
+        np.subtract(v[1:], v[:-1], out=dv)
         if n < n_steps - 1:
-            p_next = p_half + dt * p_rate(dv, n + 1)
-            lhs = float(weights @ (p_next - p_half)) / dt
+            # p_next = p_half + dt * p_rate(dv, n + 1)
+            np.multiply(dt, p_rate(dv, n + 1), out=p_next)
+            np.add(p_half, p_next, out=p_next)
+            lhs = float(weights @ np.subtract(p_next, p_half, out=scratch)) / dt
             rhs = float(f_right[n + 1] - f_left[n + 1])
             budget_max = max(budget_max, abs(lhs - rhs) / force_scale)
-            energies[n + 1] = strain_energy(dv) + float(
-                weights @ (p_half * p_next)) / (2.0 * rho)
-            p_half = p_next
+            strain = strain_energy(dv)
+            energies[n + 1] = strain + float(
+                weights @ np.multiply(p_half, p_next, out=scratch)) / (2.0 * rho)
+            p_half, p_next = p_next, p_half
         else:
             p_terminal = p_half + (dt / 2.0) * p_rate(dv, n_steps)
             energies[n + 1] = strain_energy(dv) + float(

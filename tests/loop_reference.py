@@ -304,7 +304,6 @@ def boundary_matrices(par, vertex_rows, include_guards=True):
         B1=np.array([raw[i][0] for i in kept]).reshape(len(kept), n_s),
         B_gamma=np.array([raw[i][2] for i in kept]).reshape(len(kept), n_g),
         b0=np.array([raw[i][3] for i in kept]),
-        rank=len(kept),
         n_assembled=len(all_rows),
         guard_rows_kept=sum(i >= n_vertex for i in kept),
     )

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from rodwave import reconstruct as rec
 from rodwave.edge import Parametrization
 from rodwave.errors import ConfigurationError
 from rodwave.cli import (
@@ -199,6 +200,38 @@ class TestRunSolve:
         assert run_solve(cfg) == EXIT_CONFIG
         assert run_verify(cfg) == EXIT_CONFIG
         assert "must cover [-1, 1]" in capsys.readouterr().err
+
+
+class TestSplitFieldsWriter:
+    """fields.csv formatted by helpers: same bytes, no child left."""
+
+    def run(self, tmp_path, name):
+        cfg = RunConfig(N=4, M=4, preset="paper_example", out_dir=str(tmp_path / name))
+        try:
+            return run_solve(cfg)
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_same_bytes_and_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rec, "MIN_HELPER_POINTS", 1)
+        for n in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=n: set(range(n)), raising=False)
+            assert self.run(tmp_path, str(n)) == EXIT_OK
+        for name in ("fields.csv", "controls.csv"):
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes())
+
+        real = rec._write_field_rows
+
+        def kernel(fg, lo, hi, fh):
+            if lo > 0:
+                raise RuntimeError("row kernel failed")
+            real(fg, lo, hi, fh)
+        monkeypatch.setattr(rec, "_write_field_rows", kernel)
+        with pytest.raises(OSError, match="exited with code 1"):
+            self.run(tmp_path, "failed")
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Array kernels against their scalar loop forms (see loop_reference.py)."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -124,16 +125,97 @@ def _with_special(arr):
     return out
 
 
-def test_fields_csv_bytes_match_csv_writer(small_grid, tmp_path):
-    # e is computed from p, s and the force, so the specials enter it through s
-    grid = dataclasses.replace(small_grid, v=_with_special(small_grid.v),
+@pytest.fixture
+def special_grid(small_grid):
+    """The worked-example grid with special values in v and s (e is
+    computed from p, s and the force, so they enter it through s); 17
+    t-rows, so no split into 2 or 3 chunks is even."""
+    assert len(small_grid.t) % 2 and len(small_grid.t) % 3
+    return dataclasses.replace(small_grid, v=_with_special(small_grid.v),
                                s=_with_special(small_grid.s[::-1]))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count the fields writer sees, with every grid point
+    enough for a helper; returns the list of forks the writer makes.  With
+    one CPU, a fork raises."""
+    forks, real_fork = [], os.fork
+
+    def set_cpus(n):
+        def counting_fork():
+            if n == 1:
+                raise AssertionError("forked with one CPU")
+            forks.append(os.getpid())
+            return real_fork()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+        monkeypatch.setattr(rec, "MIN_HELPER_POINTS", 1)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
+    return set_cpus
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def write_both(grid, tmp_path):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     with np.errstate(over="ignore"):        # 1e300 squared
         rec.write_fields_csv(grid, got)
         ref.write_fields_csv(grid, want)
-    assert got.read_bytes() == want.read_bytes()
-    assert got.read_bytes().startswith(b"t,x,v,r,p,s,e\r\n0,-1,nan,")
+    return got.read_bytes(), want.read_bytes()
+
+
+def test_fields_csv_bytes_match_csv_writer(special_grid, tmp_path):
+    got, want = write_both(special_grid, tmp_path)
+    assert got == want
+    assert got.startswith(b"t,x,v,r,p,s,e\r\n0,-1,nan,")
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+def test_fields_csv_split_bytes(special_grid, cpus, n_cpus, tmp_path):
+    forks = cpus(n_cpus)
+    got, want = write_both(special_grid, tmp_path)
+    assert got == want
+    assert len(forks) == n_cpus - 1
+    assert_no_child_left()
+
+
+def test_fields_csv_fewer_rows_than_cpus(special_grid, cpus, tmp_path):
+    rows = 2
+    grid = dataclasses.replace(
+        special_grid, t=special_grid.t[:rows], v=special_grid.v[:rows],
+        r=special_grid.r[:rows], p=special_grid.p[:rows], s=special_grid.s[:rows],
+        f_seg=special_grid.f_seg[:, :rows])
+    forks = cpus(3)
+    got, want = write_both(grid, tmp_path)
+    assert got == want and got.count(b"\r\n") == 1 + rows * len(grid.x)
+    assert len(forks) == rows - 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing, error", [
+    (lambda lo: lo > 0, OSError),               # a helper's chunk
+    (lambda lo: lo == 0, KeyboardInterrupt),    # this process's chunk
+])
+def test_fields_csv_failure_leaves_no_child(special_grid, cpus, monkeypatch,
+                                            tmp_path, failing, error):
+    forks = cpus(3)
+    real = rec._write_field_rows
+
+    def kernel(fg, lo, hi, fh):
+        if failing(lo):
+            raise error("row kernel failed")
+        real(fg, lo, hi, fh)
+    monkeypatch.setattr(rec, "_write_field_rows", kernel)
+    match = r"helper formatting t-rows \[5, 11\) exited with code 1" if error is OSError else None
+    with pytest.raises(error, match=match), np.errstate(over="ignore"):
+        rec.write_fields_csv(special_grid, tmp_path / "got.csv")
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 def test_controls_csv_bytes_match_csv_writer(worked_example, tmp_path):

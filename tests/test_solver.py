@@ -291,8 +291,7 @@ class TestSolverErrors:
             twice = lambda a: np.concatenate([a, a[-1:]])
             return replace(bc, B0=twice(bc.B0), B1=twice(bc.B1),
                            B_gamma=twice(bc.B_gamma),
-                           b0=np.concatenate([bc.b0, bc.b0[-1:] + 1.0]),
-                           rank=bc.rank + 1)
+                           b0=np.concatenate([bc.b0, bc.b0[-1:] + 1.0]))
 
         monkeypatch.setattr(cli, "boundary_matrices", doubled)
         code, err = self.run_solve(tmp_path, capsys, "el")
