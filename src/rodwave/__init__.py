@@ -29,6 +29,7 @@ from .mesh import (
 )
 from .sampled import SampledFunction
 from .edge import (
+    BoundaryStructure,
     EdgeSystem,
     EssentialBC,
     Parametrization,
@@ -36,11 +37,12 @@ from .edge import (
     assemble_edge_constraints,
     assemble_vertex_conditions,
     boundary_matrices,
+    boundary_structure,
     eliminate,
     feasibility_check,
 )
 from .energy import EnergyWeights, QuadraticProgram, assemble_qp, build_weights, mean_energy
-from .solver import Solution, compare_solvers, solve_euler_lagrange, solve_qp
+from .solver import ELSystem, Solution, compare_solvers, solve_euler_lagrange, solve_qp
 from .reconstruct import (
     ControlSet,
     FieldGrid,

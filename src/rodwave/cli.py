@@ -58,11 +58,13 @@ from .sampled import SampledFunction
 from .edge import (
     DATA_NAMES,
     BoundaryStructure,
+    EdgeSystem,
     Parametrization,
     StateSpec,
     assemble_edge_constraints,
     assemble_vertex_conditions,
     boundary_matrices,
+    boundary_structure,
     eliminate,
     feasibility_check,
 )
@@ -204,7 +206,7 @@ def validate_config(raw) -> RunConfig:
         errors.append("oracle_points_per_segment: integer >= 8")
         opps = None
     cfl = data.get("oracle_cfl")
-    if cfl is not None and (not isinstance(cfl, (int, float)) or not (0 < cfl <= 1)):
+    if cfl is not None and (not _finite_number(cfl) or not (0 < cfl <= 1)):
         errors.append("oracle_cfl: must lie in (0, 1]")
         cfl = None
     fs = data.get("field_samples")
@@ -362,21 +364,23 @@ def _junction_report(violated) -> str:
 @dataclass
 class SolveOperator:
     """Everything a solve on one (N, M, P) computes that does not depend
-    on the state: the mesh, the complete vertex rows, the eliminated
-    parametrization (bound to the state it was first built with), the
-    essential-row structure (with the junction rows every solution is
-    checked against), the energy weights, the factored closed-form
-    boundary system, and the kink plan of each field grid, keyed by its
-    (qt, qx).  Each slot fills on first use.  The KKT cross-check of
-    ``solver: both`` keeps nothing here."""
+    on the state, built whole from the mesh by :func:`solve_operator`: the
+    complete vertex rows, the edge rows, their elimination (bound to no
+    state; a solve binds its own with ``par.rebind``), the essential-row
+    structure (with the junction rows every solution is checked against),
+    the energy weights and the factored closed-form boundary system.  Only
+    ``kink_plans``, the kink plan of each field grid keyed by its
+    (qt, qx), fills on first use.  The KKT cross-check of ``solver: both``
+    keeps nothing here."""
 
     key: tuple
     mesh: MeshConfig
     vertex_rows: tuple
-    par: Optional[Parametrization] = None
-    boundary: Optional[BoundaryStructure] = None
-    weights: Optional[EnergyWeights] = None
-    el: Optional[ELSystem] = None
+    system: EdgeSystem
+    par: Parametrization
+    boundary: BoundaryStructure
+    weights: EnergyWeights
+    el: ELSystem
     kink_plans: dict = field(default_factory=dict)
 
 
@@ -384,13 +388,20 @@ _operator: Optional[SolveOperator] = None    # the one cache entry: the last mes
 
 
 def solve_operator(n: int, m: int, p: int) -> SolveOperator:
-    """The cached operator of (n, m, p); another key replaces the entry."""
+    """The cached operator of (n, m, p); another key replaces the entry.
+    The entry is stored only once its build has succeeded."""
     global _operator
     if _operator is None or _operator.key != (n, m, p):
         _operator = None           # release the old mesh's structure first
         mesh = build_mesh(n, m)
-        _operator = SolveOperator(key=(n, m, p), mesh=mesh,
-                                  vertex_rows=assemble_vertex_conditions(mesh))
+        vertex_rows = assemble_vertex_conditions(mesh)
+        system = assemble_edge_constraints(mesh)
+        par = eliminate(system)
+        boundary = boundary_structure(par, vertex_rows)
+        _operator = SolveOperator(
+            key=(n, m, p), mesh=mesh, vertex_rows=vertex_rows, system=system,
+            par=par, boundary=boundary, weights=build_weights(mesh, p),
+            el=ELSystem(par, boundary))
     return _operator
 
 
@@ -406,30 +417,22 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
     every junction row of the mesh (``BoundaryStructure.violated_junctions``;
     a violated row is an :class:`InvariantViolationError` naming it).  With
     ``solver: both`` the KKT program is solved too and must not exceed the
-    closed form's objective.  State-independent work of the closed form is
-    done once per (N, M, P) and kept in the :func:`solve_operator` cache,
-    so a repeated mesh costs only the state's data parts."""
+    closed form's objective.  The state is built and checked first; the
+    state-independent work is then done once per (N, M, P) and kept in the
+    :func:`solve_operator` cache, so a repeated mesh costs only the
+    state's data parts."""
     if config.solver not in _SOLVERS:
         raise ConfigurationError([f"solver: must be one of {', '.join(_SOLVERS)}"])
     feas = feasibility_check(config.N, config.M)
     if not feas.feasible:
         raise InfeasibleError(feas.reason)
+    state = build_state(config, build_mesh(config.N, config.M))
     op = solve_operator(config.N, config.M, config.P)
-    mesh = op.mesh
-    state = build_state(config, mesh)
-    system = assemble_edge_constraints(mesh, state)
-    if op.par is None:
-        op.par = par = eliminate(system)
-    else:
-        par = op.par.rebind(state)
-    bc = boundary_matrices(par, op.vertex_rows, structure=op.boundary)
-    op.boundary = bc.structure
-    if op.weights is None:
-        op.weights = build_weights(mesh, config.P)
-    weights = op.weights
+    mesh, system, weights = op.mesh, op.system, op.weights
+    par = op.par.rebind(state)
+    bc = boundary_matrices(op.boundary, par)
 
-    primary = solve_euler_lagrange(par, bc, weights, config.P, structure=op.el)
-    op.el = primary.structure
+    primary = solve_euler_lagrange(par, bc, weights, config.P, op.el)
     violated = op.boundary.violated_junctions(par, primary.y, primary.gamma)
     if violated:
         raise InvariantViolationError(_junction_report(violated))
@@ -559,7 +562,8 @@ def _run_oracle(config: RunConfig, result: dict, out_dir=None) -> dict:
 
 
 def dump_matrices(result: dict, out_dir: str) -> None:
-    """Audit dump: integer C, exact rational A, and the free map."""
+    """Audit dump: integer C of the operator's edge system, exact rational
+    A, and the free map."""
     system, par = result["system"], result["par"]
     c_mat = system.coefficient_matrix
     with open(os.path.join(out_dir, "edge_C.csv"), "w", newline="") as fh:
@@ -817,7 +821,7 @@ def _load_config(args) -> RunConfig:
         raw = {"N": 4, "M": 4, "preset": "paper_example"}
     if getattr(args, "out", None):
         raw["out_dir"] = args.out
-    if getattr(args, "p_grid", None):
+    if getattr(args, "p_grid", None) is not None:
         raw["P"] = args.p_grid
     if getattr(args, "solver", None):
         raw["solver"] = args.solver

@@ -16,6 +16,10 @@ floats without rounding; see :func:`eliminate` for the guards);
 mesh-vertex continuity then becomes the two-point boundary condition
 ``B1 y(lambda) - B0 y(0) = B_gamma gamma + b0`` on the free functions.
 
+Only the data parts depend on the state: the edge rows, their elimination
+and :func:`boundary_structure` are built once per mesh, a state is bound by
+:meth:`Parametrization.rebind`, and :func:`boundary_matrices` gathers its b0.
+
 Sign conventions.  The dynamic potential is reconstructed as
 ``r = w_plus + (-1)*w_minus + u_k(t)`` on segment k, which is the choice
 consistent with the constitutive split ``s = kappa v_x + f`` and with the
@@ -235,9 +239,11 @@ class EdgeRow:
 
 @dataclass(frozen=True)
 class EdgeSystem:
+    """The edge rows of one mesh.  Their right-hand sides are symbolic
+    (:class:`DataExpr`), so the system holds no state."""
+
     mesh: MeshConfig
     catalog: UnknownCatalog
-    state: StateSpec
     rows: tuple
 
     @property
@@ -250,10 +256,8 @@ class EdgeSystem:
         return c
 
 
-def assemble_edge_constraints(mesh: MeshConfig, state: StateSpec) -> EdgeSystem:
-    """Build all N_e edge rows for the given mesh and state profiles."""
-    p = state.grid_p(mesh)   # raises ConfigurationError on misalignment
-    del p
+def assemble_edge_constraints(mesh: MeshConfig) -> EdgeSystem:
+    """Build all N_e edge rows of the mesh."""
     cat = build_catalog(mesh)
     ix = cat.index
     M2 = 2 * mesh.M
@@ -317,7 +321,7 @@ def assemble_edge_constraints(mesh: MeshConfig, state: StateSpec) -> EdgeSystem:
     sc = counts(mesh.N, mesh.M)
     if len(rows) != sc.N_e:
         raise AssemblyError(f"assembled {len(rows)} rows, expected {sc.N_e}")
-    return EdgeSystem(mesh=mesh, catalog=cat, state=state, rows=tuple(rows))
+    return EdgeSystem(mesh=mesh, catalog=cat, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +338,10 @@ class Feasibility:
 def feasibility_check(N: int, M: int) -> Feasibility:
     """M = 1 cannot steer arbitrary states: T = lambda is below the minimal
     controllability time, and the interelement rows then tie functions that
-    are already fixed by the initial and terminal data."""
+    are already fixed by the initial and terminal data.
+
+    ``tests/test_solvability.py`` checks the rule on the rows, N in 1..32:
+    full row rank for M = 2 and 3, contradictory rows for M = 1."""
     if N < 1 or M < 1:
         raise InvalidArgumentError("N and M must be >= 1")
     if M == 1:
@@ -360,12 +367,15 @@ class Parametrization:
     float (``A_frac`` gives A as Fractions).  g is a per-entry
     :class:`DataExpr` sampled against the bound state profiles by a gather
     over term slots that depends only on the mesh.
+
+    :func:`eliminate` returns the map bound to no state (``state`` is
+    None); :meth:`rebind` binds one, and only a bound map has a data part.
     """
 
-    def __init__(self, mesh, catalog, state, free_map, a_rows, g_exprs):
+    def __init__(self, mesh, catalog, free_map, a_rows, g_exprs):
         self.mesh = mesh
         self.catalog = catalog
-        self.state = state
+        self.state: Optional[StateSpec] = None
         self.free_map = tuple(free_map)       # y index -> catalog key
         self._a_rows = a_rows                 # list of dict free_j -> float
         self.g_exprs = tuple(g_exprs)
@@ -393,11 +403,14 @@ class Parametrization:
         self._g_cache: dict = {}
 
     def rebind(self, state: StateSpec) -> "Parametrization":
-        """The same parametrization over another state on the same mesh.
+        """The same parametrization bound to ``state``, a state on its mesh.
 
         A, C_gamma and the data expressions depend only on the mesh, so
         they are shared; the data part g is evaluated afresh for ``state``.
+        A state whose samples do not align with the mesh's segments raises
+        :class:`ConfigurationError` (:meth:`StateSpec.grid_p`).
         """
+        state.grid_p(self.mesh)
         par = copy.copy(self)
         par.state = state
         par._g_cache = {}
@@ -512,8 +525,9 @@ def _dyadic(values, what: str) -> None:
                             f"of 1/2; the float elimination would not be exact")
 
 
-def eliminate(system: EdgeSystem, mesh: Optional[MeshConfig] = None) -> Parametrization:
-    """Resolve the edge system exactly, returning the parametrization.
+def eliminate(system: EdgeSystem) -> Parametrization:
+    """Resolve the edge system exactly, returning the parametrization,
+    bound to no state.
 
     Initial and terminal rows are solved in closed form first (half-sum /
     half-difference of the data, with the '-' waves reflected); the
@@ -529,7 +543,7 @@ def eliminate(system: EdgeSystem, mesh: Optional[MeshConfig] = None) -> Parametr
     a final coefficient of A, C_gamma or a data term that is not a
     multiple of 1/2, raise :class:`AssemblyError`.
     """
-    mesh = mesh or system.mesh
+    mesh = system.mesh
     if mesh.M == 1:
         raise InfeasibleError(feasibility_check(mesh.N, mesh.M).reason)
     cat = system.catalog
@@ -645,7 +659,7 @@ def eliminate(system: EdgeSystem, mesh: Optional[MeshConfig] = None) -> Parametr
             "data")
 
     free_map = [cat.entries[c] for c in free_cols]
-    return Parametrization(mesh, cat, system.state, free_map, a_rows, g_exprs)
+    return Parametrization(mesh, cat, free_map, a_rows, g_exprs)
 
 
 # ---------------------------------------------------------------------------
@@ -752,9 +766,7 @@ class EssentialBC:
     terminal constants.  ``n_assembled`` counts the solved rows plus the
     junction rows checked on the solution, and ``guard_rows_kept`` the
     solved rows outside the paper's printed vertex list (3 for even N, 0
-    for odd N).  ``structure`` is the state-independent part these rows
-    came from; pass it back to :func:`boundary_matrices` for another state
-    on the same mesh."""
+    for odd N)."""
 
     B0: np.ndarray
     B1: np.ndarray
@@ -762,8 +774,6 @@ class EssentialBC:
     B_gamma: np.ndarray
     n_assembled: int
     guard_rows_kept: int
-    structure: Optional["BoundaryStructure"] = field(default=None, repr=False,
-                                                     compare=False)
 
     @property
     def n_rows(self) -> int:
@@ -772,10 +782,6 @@ class EssentialBC:
     @property
     def rank(self) -> int:
         return self.n_rows
-
-    @property
-    def n_gamma(self) -> int:
-        return self.B_gamma.shape[1]
 
 
 @dataclass(frozen=True)
@@ -796,23 +802,6 @@ class BoundaryStructure:
     B0: np.ndarray = field(repr=False)
     B1: np.ndarray = field(repr=False)
     B_gamma: np.ndarray = field(repr=False)
-
-    def essential(self, par: Parametrization) -> EssentialBC:
-        """The essential rows for the state ``par`` is bound to: the
-        structure's matrices and the data part b0 of the solved rows."""
-        g = par.g_matrix(par.state.grid_p(par.mesh))
-        data = np.zeros(len(self.B0))
-        for rows, ents, ends, coefs in self.slots:
-            data[rows] += coefs * g[ents, ends]
-        return EssentialBC(
-            B0=self.B0,
-            B1=self.B1,
-            B_gamma=self.B_gamma,
-            b0=-data,
-            n_assembled=len(data) + len(self.check_labels),
-            guard_rows_kept=self.guard_rows_kept,
-            structure=self,
-        )
 
     def violated_junctions(self, par: Parametrization, y: np.ndarray,
                            gamma: np.ndarray) -> tuple:
@@ -872,12 +861,19 @@ def boundary_structure(par: Parametrization, vertex_rows) -> BoundaryStructure:
         B0=B0, B1=B1, B_gamma=Bg)
 
 
-def boundary_matrices(par: Parametrization, vertex_rows,
-                      structure: Optional[BoundaryStructure] = None) -> EssentialBC:
-    """Essential rows of the state ``par`` is bound to: the structure of
-    :func:`boundary_structure` (built here unless ``structure`` is given,
-    in which case ``vertex_rows`` is not read) applied to the state's
-    data."""
-    if structure is None:
-        structure = boundary_structure(par, vertex_rows)
-    return structure.essential(par)
+def boundary_matrices(structure: BoundaryStructure, par: Parametrization) -> EssentialBC:
+    """Essential rows of the state ``par`` is bound to: the matrices of
+    ``structure`` (:func:`boundary_structure`) and the data part b0 of its
+    solved rows, gathered from the state's g."""
+    g = par.g_matrix(par.state.grid_p(par.mesh))
+    data = np.zeros(len(structure.B0))
+    for rows, ents, ends, coefs in structure.slots:
+        data[rows] += coefs * g[ents, ends]
+    return EssentialBC(
+        B0=structure.B0,
+        B1=structure.B1,
+        B_gamma=structure.B_gamma,
+        b0=-data,
+        n_assembled=len(data) + len(structure.check_labels),
+        guard_rows_kept=structure.guard_rows_kept,
+    )

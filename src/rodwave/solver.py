@@ -8,9 +8,10 @@ alpha, beta determined by the essential boundary conditions together with
 the natural conditions on the conjugate vector
 ``p = A^T A y' + A^T g'`` (which is constant in z along stationary
 solutions).  That boundary system is square and depends only on the mesh;
-:class:`ELSystem` factors it once, and each state pays for its own
-right-hand side only.  ``solve_qp`` minimizes the discretized weighted
-functional directly via the KKT system of the equality-constrained
+:class:`ELSystem` factors it once from the parametrization and the
+essential-row structure, and each state pays for its own right-hand side
+only.  ``solve_qp`` minimizes the discretized weighted functional
+directly via the KKT system of the equality-constrained
 quadratic program; it is the reference the closed form is checked against
 (``compare_solvers``).  It solves that system in the differences of
 consecutive samples, where the Hessian is block-diagonal, and proves the
@@ -29,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SolverError
-from .edge import EssentialBC, Parametrization
+from .edge import BoundaryStructure, EssentialBC, Parametrization
 from .energy import EnergyWeights, QuadraticProgram, evaluate_objective
 from .sampled import fd_derivative
 
@@ -43,9 +44,7 @@ class Solution:
     ``gamma`` holds one free terminal-potential constant per segment; the
     single constant visible in the reconstructed terminal potential is
     gamma_k plus the segment's control integral at t = T (common to all
-    segments on any valid solution).  ``structure`` is the state-independent
-    part of the closed-form solve (:class:`ELSystem`), to pass back for
-    another state on the same mesh.
+    segments on any valid solution).
     """
 
     y: np.ndarray                  # (N_s, p) samples on [0, lambda]
@@ -55,15 +54,6 @@ class Solution:
     method: str
     p_conj: Optional[np.ndarray] = None   # (N_s, p) conjugate vector (EL path)
     diagnostics: dict = field(default_factory=dict)
-    structure: object = field(default=None, repr=False, compare=False)
-
-    @property
-    def n_free(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def grid_p(self) -> int:
-        return self.y.shape[1]
 
 
 def constraint_residual(bc: EssentialBC, y: np.ndarray, gamma: np.ndarray) -> float:
@@ -193,12 +183,13 @@ def solve_qp(qp: QuadraticProgram, par: Parametrization, bc: EssentialBC,
 
 class ELSystem:
     """The state-independent part of the closed-form solve on one mesh,
-    factored once: A_w^T A_w (``ata``), the square boundary-system matrix
-    ``mat``, its inverse's first n_b columns ``K`` = mat^-1 E (E the first
-    n_b columns of the identity), and the rank of B_gamma.  Only the wave
-    entries ``data_rows`` have a data part g that is not identically zero,
-    so ``a_data`` = A_w[data_rows] and ``proj`` = (A_w^T A_w)^-1 a_data^T
-    carry every product of A_w^T with g.
+    factored once from the parametrization (bound to a state or not) and
+    the essential-row ``structure``: A_w^T A_w (``ata``), the square
+    boundary-system matrix ``mat``, its inverse's first n_b columns ``K`` =
+    mat^-1 E (E the first n_b columns of the identity), and the rank of
+    B_gamma.  Only the wave entries ``data_rows`` have a data part g that
+    is not identically zero, so ``a_data`` = A_w[data_rows] and ``proj`` =
+    (A_w^T A_w)^-1 a_data^T carry every product of A_w^T with g.
 
     Unknowns (alpha, beta, gamma, h) of the boundary system solve the
     essential rows (n_b), the natural conditions p(0) = B0^T h and
@@ -215,8 +206,8 @@ class ELSystem:
     singular boundary system (``LinAlgError``, or a non-finite K).
     """
 
-    def __init__(self, par: Parametrization, bc: EssentialBC):
-        n_s, n_g, n_b = par.n_free, par.n_gamma, bc.n_rows
+    def __init__(self, par: Parametrization, structure: BoundaryStructure):
+        n_s, n_g, n_b = par.n_free, par.n_gamma, len(structure.B0)
         lam = par.mesh.lam
         a_w = par.A[:par.catalog.N_w]
         ata = a_w.T @ a_w
@@ -237,13 +228,13 @@ class ELSystem:
         c_beta, c_gamma, c_h = n_s, 2 * n_s, 2 * n_s + n_g
         n = n_b + 2 * n_s + n_g
         mat = np.zeros((n, n))
-        mat[:n_b, :c_beta] = bc.B1 - bc.B0
-        mat[:n_b, c_beta:c_gamma] = lam * bc.B1
-        mat[:n_b, c_gamma:c_h] = -bc.B_gamma
-        for r, bm in ((n_b, bc.B0), (n_b + n_s, bc.B1)):
+        mat[:n_b, :c_beta] = structure.B1 - structure.B0
+        mat[:n_b, c_beta:c_gamma] = lam * structure.B1
+        mat[:n_b, c_gamma:c_h] = -structure.B_gamma
+        for r, bm in ((n_b, structure.B0), (n_b + n_s, structure.B1)):
             mat[r:r + n_s, c_beta:c_gamma] = ata
             mat[r:r + n_s, c_h:] = -bm.T
-        mat[n_b + 2 * n_s:, c_h:] = bc.B_gamma.T
+        mat[n_b + 2 * n_s:, c_h:] = structure.B_gamma.T
         self.mat = mat
         e_nb = np.zeros((n, n_b))
         e_nb[np.arange(n_b), np.arange(n_b)] = 1.0
@@ -254,12 +245,11 @@ class ELSystem:
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"euler_lagrange: boundary system residual not "
                               f"bounded: the system is singular ({exc})") from exc
-        self.b_gamma_rank = int(np.linalg.matrix_rank(bc.B_gamma)) if n_b else 0
+        self.b_gamma_rank = int(np.linalg.matrix_rank(structure.B_gamma)) if n_b else 0
 
 
 def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
-                         weights: EnergyWeights, p: int,
-                         structure: Optional[ELSystem] = None) -> Solution:
+                         weights: EnergyWeights, p: int, el: ELSystem) -> Solution:
     """Closed-form stationary solution plus a linear boundary solve.
 
     The stationary free vector is y(z) = -(A^T A)^-1 A^T g(z) + alpha +
@@ -268,12 +258,10 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
     rows together with the natural conditions p(0) = B0^T h,
     p(lambda) = B1^T h and the gauge B_gamma^T h = 0 (the projected
     one-constant form of the natural conditions is recovered from these
-    by eliminating h along the gamma columns).  The square system of
-    ``structure`` (built and factored here unless given) is solved by its
-    stored inverse columns; a residual above 1e-8 * (1 + |rhs|), or NaN,
-    raises :class:`SolverError`.
+    by eliminating h along the gamma columns).  The square system, factored
+    once per mesh in ``el``, is solved by its stored inverse columns; a
+    residual above 1e-8 * (1 + |rhs|), or NaN, raises :class:`SolverError`.
     """
-    el = structure if structure is not None else ELSystem(par, bc)
     mesh = par.mesh
     n_s = par.n_free
     n_g = par.n_gamma
@@ -310,8 +298,7 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
             "ata_degenerate": False,        # a degenerate A^T A raises
             "b_gamma_rank": el.b_gamma_rank}
     return Solution(y=y, gamma=gamma, h=mult, objective=obj,
-                    method="euler_lagrange", p_conj=p_conj, diagnostics=diag,
-                    structure=el)
+                    method="euler_lagrange", p_conj=p_conj, diagnostics=diag)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ from rodwave.edge import (
     assemble_edge_constraints,
     assemble_vertex_conditions,
     boundary_matrices,
+    boundary_structure,
     eliminate,
 )
 from rodwave.energy import assemble_qp, build_weights
-from rodwave.solver import solve_euler_lagrange, solve_qp
+from rodwave.solver import ELSystem, solve_euler_lagrange, solve_qp
 
 
 @pytest.fixture(autouse=True)
@@ -32,14 +33,26 @@ def example_state(mesh, p):
 
 
 def assemble_all(n, m, p, state=None):
+    """The mesh, the state, the edge system, the parametrization bound to
+    the state, its essential rows and the energy weights."""
     mesh = build_mesh(n, m)
     if state is None:
         state = example_state(mesh, p)
-    system = assemble_edge_constraints(mesh, state)
-    par = eliminate(system)
-    bc = boundary_matrices(par, assemble_vertex_conditions(mesh))
+    system = assemble_edge_constraints(mesh)
+    par = eliminate(system).rebind(state)
+    bc = boundary_matrices(structure_of(par), par)
     weights = build_weights(mesh, p)
     return mesh, state, system, par, bc, weights
+
+
+def structure_of(par):
+    """The essential-row structure of the complete vertex rows of par's mesh."""
+    return boundary_structure(par, assemble_vertex_conditions(par.mesh))
+
+
+def solve_closed_form(par, bc, weights, p):
+    """``solve_euler_lagrange`` with the boundary system factored here."""
+    return solve_euler_lagrange(par, bc, weights, p, ELSystem(par, structure_of(par)))
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +61,7 @@ def worked_example():
     mesh, state, system, par, bc, weights = assemble_all(4, 4, 129)
     qp = assemble_qp(par, bc, weights, 129)
     sol_qp = solve_qp(qp, par, bc, weights)
-    sol_el = solve_euler_lagrange(par, bc, weights, 129)
+    sol_el = solve_closed_form(par, bc, weights, 129)
     return {
         "mesh": mesh, "state": state, "system": system, "par": par,
         "bc": bc, "weights": weights, "qp": qp,

@@ -548,16 +548,16 @@ def gamma_dict(par, gamma):
     return {k: float(g) for k, g in zip(par.gamma_map, gamma)}
 
 
-def edge_residuals(system, entry_values, gamma, p):
-    """Max-abs residual of every edge row given sampled entry values and
-    the terminal constants (segment -> value)."""
+def edge_residuals(system, state, entry_values, gamma, p):
+    """Max-abs residual of every edge row given the state, sampled entry
+    values and the terminal constants (segment -> value)."""
     res = np.zeros(len(system.rows))
     for i, row in enumerate(system.rows):
         acc = np.zeros(p)
         for col, coef, orient in row.terms:
             vals = entry_values[col]
             acc += coef * (vals if orient == +1 else vals[::-1])
-        acc -= evaluate(row.rhs, system.state, system.mesh, p, gamma=gamma)
+        acc -= evaluate(row.rhs, state, system.mesh, p, gamma=gamma)
         res[i] = np.max(np.abs(acc))
     return res
 

@@ -25,11 +25,11 @@ from rodwave.edge import (
     feasibility_check,
 )
 from rodwave.energy import assemble_qp, build_weights, mean_energy
-from rodwave.solver import compare_solvers, constraint_residual, solve_euler_lagrange, solve_qp
+from rodwave.solver import compare_solvers, constraint_residual, solve_qp
 from rodwave import reconstruct as rec
 from rodwave.oracle import SimConfig, compare as oracle_compare, simulate
 from rodwave.cli import EXIT_INFEASIBLE, EXIT_OK, RunConfig, run_solve
-from conftest import assemble_all, example_state
+from conftest import assemble_all, example_state, solve_closed_form, structure_of
 from loop_reference import edge_residuals, gamma_dict, junction_discontinuities
 
 
@@ -53,7 +53,7 @@ def test_criterion_1_counting_identities():
             assert sc.N_b == expected_b
             assert sc.N_r == expected_b + (0 if n % 2 else 1)
             mesh = build_mesh(n, m)
-            system = assemble_edge_constraints(mesh, StateSpec.zero(mesh, 5))
+            system = assemble_edge_constraints(mesh)
             assert len(system.rows) == sc.N_e
             assert system.catalog.N_v == sc.N_v
             assert len(assemble_vertex_conditions(mesh)) == sc.N_r
@@ -69,14 +69,14 @@ def test_criterion_2_parametrization_soundness(n, m):
     p = 17
     mesh = build_mesh(n, m)
     state = example_state(mesh, p)
-    system = assemble_edge_constraints(mesh, state)
-    par = eliminate(system)
+    system = assemble_edge_constraints(mesh)
+    par = eliminate(system).rebind(state)
     rng = np.random.default_rng(n * 100 + m)
     worst = 0.0
     for _ in range(20):
         y = rng.standard_normal((par.n_free, p))
         gamma = rng.standard_normal(par.n_gamma)
-        res = edge_residuals(system, par.entry_values(y, gamma),
+        res = edge_residuals(system, state, par.entry_values(y, gamma),
                              gamma_dict(par, gamma), p)
         worst = max(worst, float(res.max()))
     assert report(2, worst <= 1e-10,
@@ -114,7 +114,7 @@ def test_criterion_4_independent_verification():
     t0 = time.perf_counter()
     # fine synthesis so the stored controls do not floor the oracle error
     mesh, state, system, par, bc, weights = assemble_all(4, 4, 1025)
-    sol = solve_euler_lagrange(par, bc, weights, 1025)
+    sol = solve_closed_form(par, bc, weights, 1025)
     entries = par.entry_values(sol.y, sol.gamma)
     waves = rec.waves_from_solution(par, entries)
     controls = rec.controls_from_jumps(
@@ -219,7 +219,7 @@ def test_criterion_8_force_discontinuity_pattern():
     """Forces jump only at t in {1/2, 1, 3/2} for the worked example."""
     p_fine = 2049
     mesh, state, system, par, bc, weights = assemble_all(4, 4, p_fine)
-    sol = solve_euler_lagrange(par, bc, weights, p_fine)
+    sol = solve_closed_form(par, bc, weights, p_fine)
     entries = par.entry_values(sol.y, sol.gamma)
     controls = rec.controls_from_jumps(
         mesh, rec.jump_pieces_from_solution(par, entries))
@@ -252,9 +252,8 @@ def test_criterion_9_trivial_null_case():
     p = 33
     mesh = build_mesh(3, 2)
     state = StateSpec.zero(mesh, p)
-    system = assemble_edge_constraints(mesh, state)
-    par = eliminate(system)
-    bc = boundary_matrices(par, assemble_vertex_conditions(mesh))
+    par = eliminate(assemble_edge_constraints(mesh)).rebind(state)
+    bc = boundary_matrices(structure_of(par), par)
     weights = build_weights(mesh, p)
     sol = solve_qp(assemble_qp(par, bc, weights, p), par, bc, weights)
     entries = par.entry_values(sol.y, sol.gamma)

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from conftest import assemble_all
-from rodwave.edge import assemble_vertex_conditions, boundary_matrices
+from conftest import assemble_all, solve_closed_form
+from rodwave.edge import assemble_vertex_conditions, boundary_matrices, boundary_structure
 from rodwave.energy import assemble_qp
 from rodwave.mesh import build_mesh
-from rodwave.solver import kkt_residual, solve_euler_lagrange
+from rodwave.solver import kkt_residual
 from test_edge import random_state
 
 
@@ -52,7 +52,7 @@ def distinct_weight_columns(par, weights, p):
 def check_both(par, weights, p, vertex_rows, include_guards=False):
     # the sweep keeps every vertex row, also with the junction rows of
     # every wave and jump stacked behind them
-    bc = boundary_matrices(par, vertex_rows)
+    bc = boundary_matrices(boundary_structure(par, vertex_rows), par)
     assert_same_bc(bc, ref.boundary_matrices(par, vertex_rows,
                                              include_guards=include_guards))
     assert_same_qp(assemble_qp(par, bc, weights, p),
@@ -104,12 +104,13 @@ def test_perturbed_data_flags_rows(n, m, entry, flagged):
     # rows; the junction rows the solution violates are those a row-by-row
     # evaluation flags
     mesh, _, _, par, clean, weights = assemble_all(n, m, 9)
-    sol = solve_euler_lagrange(par, clean, weights, 9)
-    assert clean.structure.violated_junctions(par, sol.y, sol.gamma) == ()
+    structure = boundary_structure(par, assemble_vertex_conditions(mesh))
+    sol = solve_closed_form(par, clean, weights, 9)
+    assert structure.violated_junctions(par, sol.y, sol.gamma) == ()
     par.g_matrix(9)[entry, -1] += 0.5      # the cached data part, in place
     bc = check_both(par, weights, 9, assemble_vertex_conditions(mesh))
-    sol = solve_euler_lagrange(par, bc, weights, 9)
-    violated = bc.structure.violated_junctions(par, sol.y, sol.gamma)
+    sol = solve_closed_form(par, bc, weights, 9)
+    violated = structure.violated_junctions(par, sol.y, sol.gamma)
     res, scale = ref.junction_residuals(par, sol.y, sol.gamma)
     assert [label for label, r in violated] == [
         label for label, r in res if abs(r) > 1e-8 * scale]

@@ -286,6 +286,16 @@ class TestMainEntry:
     def test_missing_config_file(self):
         assert main(["solve", "--config", "/nonexistent/cfg.json"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("p_grid", ["0", "7"])
+    def test_bad_p_grid_flag_exits_2(self, tmp_path, capsys, p_grid):
+        # --p-grid 0 overrides the config's P like any other value
+        code = main(["solve", "--p-grid", p_grid, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        if p_grid == "0":
+            assert err == "config error: P: must be an odd integer >= 5\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestParallelSweep:
     def test_worker_pool_matches_serial(self, tmp_path):

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
-from conftest import assemble_all
+from conftest import assemble_all, solve_closed_form, structure_of
 from rodwave.mesh import build_mesh
-from rodwave.solver import ELSystem, solve_euler_lagrange
+from rodwave.solver import ELSystem
 from test_edge import random_state
 
 P = 129
@@ -36,7 +36,7 @@ def test_matches_least_squares_closed_form(n, m, state):
     mesh = build_mesh(n, m)
     data = None if state == "paper_example" else random_state(mesh, P, seed=100 * n + m)
     _, _, _, par, bc, weights = assemble_all(n, m, P, data)
-    new = solve_euler_lagrange(par, bc, weights, P)
+    new = solve_closed_form(par, bc, weights, P)
     old = ref.solve_euler_lagrange(par, bc, weights, P)
     for name in ("y", "gamma", "h"):
         assert rel(getattr(new, name), getattr(old, name)) <= 1e-12, name
@@ -50,7 +50,7 @@ def test_boundary_system_is_nonsingular(n):
     # 3e3 on this grid
     for m in range(2, 11):
         _, _, _, par, bc, _ = assemble_all(n, m, 9)
-        el = ELSystem(par, bc)
+        el = ELSystem(par, structure_of(par))
         size = bc.n_rows + 2 * par.n_free + par.n_gamma
         assert el.mat.shape == (size, size)
         assert el.K.shape == (size, bc.n_rows) and np.all(np.isfinite(el.K))

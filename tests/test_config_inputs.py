@@ -46,6 +46,16 @@ def test_bad_preset_params_exit_2(tmp_path, capsys, params, key):
     assert err.startswith(f"config error: preset_params.{key}:")
 
 
+@pytest.mark.parametrize("cfl", [True, False, "0.5", math.nan, 10 ** 400])
+def test_bad_oracle_cfl_exits_2(tmp_path, capsys, cfl):
+    # a JSON boolean is no Courant number, though Python's bool is an int
+    config = dict(SMALL, preset="zero", oracle=True, oracle_cfl=cfl,
+                  out_dir=str(tmp_path / "out"))
+    code, err = run_main(tmp_path / "cfg.json", config, capsys)
+    assert code == EXIT_CONFIG
+    assert err == "config error: oracle_cfl: must lie in (0, 1]\n"
+
+
 def test_short_preset_params_solve(tmp_path, capsys):
     config = dict(SMALL, preset="trig", preset_params={"v0": [0.5], "r0": []},
                   out_dir=str(tmp_path / "out"))

@@ -15,7 +15,7 @@ from rodwave.edge import (
     jump_key,
     wave_key,
 )
-from conftest import assemble_all, example_state
+from conftest import assemble_all, example_state, structure_of
 import loop_reference as ref
 from loop_reference import edge_residuals, gamma_dict, partition, resample
 
@@ -48,7 +48,7 @@ class TestCatalogAndAssembly:
 
     def test_row_partition_worked_example(self):
         mesh = build_mesh(4, 4)
-        system = assemble_edge_constraints(mesh, example_state(mesh, P))
+        system = assemble_edge_constraints(mesh)
         assert len(system.rows) == 48
         part = partition(system)
         assert part["initial_v"] + part["initial_r"] == 8
@@ -58,21 +58,21 @@ class TestCatalogAndAssembly:
 
     def test_single_segment_has_no_interelement_rows(self):
         mesh = build_mesh(1, 2)
-        system = assemble_edge_constraints(mesh, StateSpec.zero(mesh, P))
+        system = assemble_edge_constraints(mesh)
         part = partition(system)
         assert "inter_v" not in part and "inter_r" not in part
 
     def test_rows_have_at_most_five_terms(self):
         # interelement r-rows carry four waves plus one jump
         mesh = build_mesh(4, 3)
-        system = assemble_edge_constraints(mesh, StateSpec.zero(mesh, P))
+        system = assemble_edge_constraints(mesh)
         widths = [len(row.terms) for row in system.rows]
         assert max(widths) == 5
         assert all(w <= 5 for w in widths)
 
     def test_coefficients_are_unit(self):
         mesh = build_mesh(3, 2)
-        system = assemble_edge_constraints(mesh, StateSpec.zero(mesh, P))
+        system = assemble_edge_constraints(mesh)
         c = system.coefficient_matrix
         assert set(np.unique(c)) <= {-1, 0, 1}
 
@@ -80,17 +80,17 @@ class TestCatalogAndAssembly:
         mesh = build_mesh(4, 2)
         from rodwave.sampled import SampledFunction
         bad = SampledFunction.zeros(-1.0, 1.0, 51)   # 50 not divisible by 4
-        with pytest.raises(ConfigurationError):
-            assemble_edge_constraints(
-                mesh, StateSpec(v0=bad, r0=bad, v1=bad, r1=bad))
+        par = eliminate(assemble_edge_constraints(mesh))
+        with pytest.raises(ConfigurationError, match="does not align with N=4"):
+            par.rebind(StateSpec(v0=bad, r0=bad, v1=bad, r1=bad))
 
     def test_initial_rows_closed_form(self):
         # w+(k,0)(z) = (v0+r0)(z_k+z)/2 and w-(k,0)(lam-z) = (v0-r0)(z_k+z)/2
         # satisfy both initial rows identically.
         mesh = build_mesh(4, 4)
         state = example_state(mesh, P)
-        system = assemble_edge_constraints(mesh, state)
-        par = eliminate(system)
+        system = assemble_edge_constraints(mesh)
+        par = eliminate(system).rebind(state)
         zeros = np.zeros((par.n_free, P))
         w_all = par.entry_values(zeros, np.zeros(par.n_gamma))
         x = np.linspace(-1.0, 1.0, mesh.N * (P - 1) + 1)
@@ -112,34 +112,33 @@ class TestElimination:
     def test_soundness_random_draws(self, n, m):
         mesh = build_mesh(n, m)
         state = random_state(mesh, P, seed=n * 10 + m)
-        system = assemble_edge_constraints(mesh, state)
-        par = eliminate(system)
+        system = assemble_edge_constraints(mesh)
+        par = eliminate(system).rebind(state)
         assert par.n_free == counts(n, m).N_s
         rng = np.random.default_rng(42)
         for _ in range(20):
             y = rng.standard_normal((par.n_free, P))
             gamma = rng.standard_normal(par.n_gamma)
-            res = edge_residuals(system, par.entry_values(y, gamma),
+            res = edge_residuals(system, state, par.entry_values(y, gamma),
                                  gamma_dict(par, gamma), P)
             assert res.max() <= 1e-10
 
     def test_homogeneous_data_gives_zero(self):
         mesh = build_mesh(3, 3)
-        system = assemble_edge_constraints(mesh, StateSpec.zero(mesh, P))
-        par = eliminate(system)
+        system = assemble_edge_constraints(mesh)
+        par = eliminate(system).rebind(StateSpec.zero(mesh, P))
         w_all = par.entry_values(np.zeros((par.n_free, P)), np.zeros(par.n_gamma))
         assert np.max(np.abs(w_all)) == 0.0
 
     def test_infeasible_horizon(self):
         mesh = build_mesh(4, 1)
-        system = assemble_edge_constraints(mesh, StateSpec.zero(mesh, P))
+        system = assemble_edge_constraints(mesh)
         with pytest.raises(InfeasibleError):
             eliminate(system)
 
     def test_exact_dyadic_entries(self):
         mesh = build_mesh(4, 3)
-        system = assemble_edge_constraints(mesh, example_state(mesh, P))
-        par = eliminate(system)
+        par = eliminate(assemble_edge_constraints(mesh))
         for row in par.A_frac:
             for coef in row.values():
                 assert isinstance(coef, Fraction)
@@ -148,9 +147,8 @@ class TestElimination:
 
     def test_deterministic_free_map(self):
         mesh = build_mesh(5, 3)
-        state = example_state(mesh, P)
-        par1 = eliminate(assemble_edge_constraints(mesh, state))
-        par2 = eliminate(assemble_edge_constraints(mesh, state))
+        par1 = eliminate(assemble_edge_constraints(mesh))
+        par2 = eliminate(assemble_edge_constraints(mesh))
         assert par1.free_map == par2.free_map
         assert all(par1.A_frac[e] == par2.A_frac[e]
                    for e in range(par1.catalog.N_v))
@@ -158,7 +156,7 @@ class TestElimination:
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 4), (4, 4), (6, 5), (8, 8)])
     def test_count_identities_through_elimination(self, n, m):
         mesh = build_mesh(n, m)
-        system = assemble_edge_constraints(mesh, StateSpec.zero(mesh, 9))
+        system = assemble_edge_constraints(mesh)
         sc = counts(n, m)
         assert len(system.rows) == sc.N_e
         assert system.catalog.N_v == sc.N_v
@@ -192,7 +190,7 @@ class TestVertexConditions:
     def test_no_inconsistent_rows_on_worked_example(self, worked_example):
         par, bc = worked_example["par"], worked_example["bc"]
         for sol in (worked_example["sol_el"], worked_example["sol_qp"]):
-            assert bc.structure.violated_junctions(par, sol.y, sol.gamma) == ()
+            assert structure_of(par).violated_junctions(par, sol.y, sol.gamma) == ()
 
 
 @pytest.mark.parametrize("m", range(2, 11))

@@ -42,8 +42,8 @@ def reference_arrays(par, a_rows, g_exprs):
     return a_mat, c_mat
 
 
-def check_parametrization(system, p):
-    par = eliminate(system)
+def check_parametrization(system, state, p):
+    par = eliminate(system).rebind(state)
     free_map, a_rows, g_exprs = ref.eliminate(system)
     a_mat, c_mat = reference_arrays(par, a_rows, g_exprs)
     assert par.free_map == tuple(free_map)
@@ -57,14 +57,14 @@ def check_parametrization(system, p):
             got = list(getattr(new, part).items())
             assert got == list(getattr(old, part).items())
             assert all(type(c) is float for _, c in got)
-    assert_bits(par.g_matrix(p), ref.g_matrix(g_exprs, system.state, system.mesh, p))
+    assert_bits(par.g_matrix(p), ref.g_matrix(g_exprs, state, system.mesh, p))
     return par, g_exprs
 
 
 @pytest.mark.parametrize("n,m", SWEEP + [(1, 5), (9, 2), (12, 12), (16, 16)])
 def test_float_elimination_matches_fractions(n, m):
     mesh = build_mesh(n, m)
-    check_parametrization(assemble_edge_constraints(mesh, example_state(mesh, P)), P)
+    check_parametrization(assemble_edge_constraints(mesh), example_state(mesh, P), P)
 
 
 @pytest.mark.parametrize("n,m,seeds", [(2, 2, (1, 2)), (4, 4, (3, 4)), (5, 3, (5,)),
@@ -72,7 +72,7 @@ def test_float_elimination_matches_fractions(n, m):
 def test_gather_matches_loop_on_random_states(n, m, seeds):
     mesh = build_mesh(n, m)
     par, g_exprs = check_parametrization(
-        assemble_edge_constraints(mesh, random_state(mesh, P, seed=0)), P)
+        assemble_edge_constraints(mesh), random_state(mesh, P, seed=0), P)
     for seed in seeds:
         state = random_state(mesh, 33, seed=seed)
         assert_bits(par.rebind(state).g_matrix(33), ref.g_matrix(g_exprs, state, mesh, 33))
@@ -91,7 +91,7 @@ def with_coefficient(system, coef):
 
 def test_pivot_not_a_power_of_two_raises():
     mesh = build_mesh(4, 4)
-    system = with_coefficient(assemble_edge_constraints(mesh, example_state(mesh, P)), 3)
+    system = with_coefficient(assemble_edge_constraints(mesh), 3)
     # over Fractions the pivot 3 leaves thirds, which floats would round
     _, _, g_exprs = ref.eliminate(system)
     assert any(c.denominator == 3 for e in g_exprs for c in e.consts.values())
@@ -102,7 +102,7 @@ def test_pivot_not_a_power_of_two_raises():
 def test_coefficient_off_the_half_grid_raises():
     # a pivot of 4 divides exactly, but leaves quarters and eighths behind
     mesh = build_mesh(4, 4)
-    system = with_coefficient(assemble_edge_constraints(mesh, example_state(mesh, P)), 4)
+    system = with_coefficient(assemble_edge_constraints(mesh), 4)
     with pytest.raises(AssemblyError,
                        match=r"coefficient -?0\.[0-9]+ is not a multiple of 1/2"):
         eliminate(system)

@@ -6,9 +6,9 @@ import pytest
 from rodwave.mesh import build_mesh
 from rodwave.edge import StateSpec
 from rodwave.energy import assemble_qp, mean_energy
-from rodwave.solver import compare_solvers, solve_euler_lagrange, solve_qp
+from rodwave.solver import compare_solvers, solve_qp
 from rodwave import reconstruct as rec
-from conftest import assemble_all
+from conftest import assemble_all, solve_closed_form
 
 P = 33
 
@@ -27,7 +27,7 @@ def test_random_data_steered_exactly(n, m, seed):
                                      v1=mk(c[2]), r1=mk(c[3]))
     _, _, _, par, bc, weights = assemble_all(n, m, P, state)
     sol_qp = solve_qp(assemble_qp(par, bc, weights, P), par, bc, weights)
-    sol_el = solve_euler_lagrange(par, bc, weights, P)
+    sol_el = solve_closed_form(par, bc, weights, P)
     rep = compare_solvers(sol_qp, sol_el, bc)
     assert rep.qp_not_worse
 

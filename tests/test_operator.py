@@ -1,9 +1,12 @@
 """The one-entry solve-operator cache of ``cli.solve_pipeline``.
 
-A repeated (N, M, P) reuses the elimination, the essential-row structure,
-the weights, the factored closed-form boundary system and the field
-grid's kink plan; every output must carry the same bits as a cold run
-with an empty cache.  The KKT cross-check keeps nothing between solves.
+The operator of an (N, M, P) is built whole, from the mesh alone, and only
+once that build succeeds is it stored.  A repeated (N, M, P) reuses the edge
+rows, the elimination, the essential-row structure, the weights, the
+factored closed-form boundary system and the field grid's kink plan; a
+state is bound to a copy of the parametrization, never to the operator's.
+Every output must carry the same bits as a cold run with an empty cache.
+The KKT cross-check keeps nothing between solves.
 """
 
 import json
@@ -15,7 +18,9 @@ import loop_reference as ref
 from rodwave import cli
 from rodwave import reconstruct as rec
 from rodwave.edge import Parametrization
-from rodwave.cli import EXIT_INVARIANT, EXIT_OK, main, solve_pipeline, validate_config
+from rodwave.errors import SolverError
+from rodwave.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main, solve_pipeline,
+                         validate_config)
 
 P = 33
 
@@ -103,6 +108,56 @@ def test_cache_hit_factors_nothing(monkeypatch):
     assert fg.kink_plan is cli.solve_operator(4, 4, P).kink_plans[(fg.qt, fg.qx)]
     assert bits(fg.e) == bits(ref.energy_density(fg))
     same_result(warm, cold(trig_config(4, 4, 2, "el")))
+
+
+def test_cache_hit_builds_no_operator(monkeypatch):
+    first = solve_pipeline(trig_config(4, 4, 1))
+    op = cli.solve_operator(4, 4, P)
+
+    def per_mesh(*args, **kwargs):
+        raise AssertionError("per-mesh build on a cache hit")
+
+    for name in ("assemble_edge_constraints", "eliminate", "boundary_structure",
+                 "ELSystem"):
+        monkeypatch.setattr(cli, name, per_mesh)
+    warm = solve_pipeline(trig_config(4, 4, 2))
+    monkeypatch.undo()
+    assert cli.solve_operator(4, 4, P) is op
+    assert op.par.state is None
+    assert first["par"].state is first["state"] and warm["par"].state is warm["state"]
+    assert warm["system"] is op.system
+    same_result(warm, cold(trig_config(4, 4, 2)))
+
+
+def test_failed_build_stores_no_entry(monkeypatch, tmp_path, capsys):
+    solve_pipeline(trig_config(3, 3, 1, "el"))       # the entry of another mesh
+
+    def singular(par, structure):
+        raise SolverError("euler_lagrange: boundary system residual not bounded")
+
+    monkeypatch.setattr(cli, "ELSystem", singular)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"N": 4, "M": 4, "P": P, "preset": "paper_example",
+                                   "out_dir": str(tmp_path / "out")}))
+    assert main(["solve", "--config", str(cfgfile)]) == EXIT_INVARIANT
+    assert "invariant violation: euler_lagrange" in capsys.readouterr().err
+    assert cli._operator is None
+    monkeypatch.undo()
+    config = validate_config(json.loads(cfgfile.read_text()))
+    after = solve_pipeline(config)
+    assert cli.solve_operator(4, 4, P).par.state is None
+    same_result(after, cold(config))
+
+
+def test_bad_state_data_builds_no_operator(tmp_path, capsys):
+    # the state is checked before any per-mesh work
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"N": 4, "M": 4, "P": P, "preset": "trig",
+                                   "preset_params": {"v0": [1e308, 0]},
+                                   "out_dir": str(tmp_path / "out")}))
+    assert main(["solve", "--config", str(cfgfile)]) == EXIT_CONFIG
+    assert "config error: v0: sampled state data" in capsys.readouterr().err
+    assert cli._operator is None
 
 
 @pytest.mark.parametrize("n,m", [(4, 4), (5, 3)])

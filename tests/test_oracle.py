@@ -68,11 +68,10 @@ class TestFreeMotion:
 def synthesis():
     # higher-resolution synthesis so control interpolation does not
     # floor the oracle error
-    from conftest import assemble_all
-    from rodwave.solver import solve_euler_lagrange
+    from conftest import assemble_all, solve_closed_form
 
     mesh, state, system, par, bc, weights = assemble_all(4, 4, 513)
-    sol = solve_euler_lagrange(par, bc, weights, 513)
+    sol = solve_closed_form(par, bc, weights, 513)
     entries = par.entry_values(sol.y, sol.gamma)
     waves = rec.waves_from_solution(par, entries)
     controls = rec.controls_from_jumps(
@@ -131,15 +130,14 @@ def test_misaligned_grids_stay_accurate_for_odd_segments():
     # an odd-N run whose sim grid does not divide the control sample grid:
     # the window-averaged forcing keeps grid-scale parity modes unseeded
     # (point-sampled forcing leaves an h-independent 1e-1 energy residual)
-    from conftest import assemble_all
-    from rodwave.solver import solve_euler_lagrange
+    from conftest import assemble_all, solve_closed_form
 
     mesh, state, system, par, bc, weights = assemble_all(
         5, 4, 257, StateSpec.from_callables(
             build_mesh(5, 4), 257,
             v0=lambda x: np.sin(2 * x), r0=lambda x: 0.3 * x,
             v1=lambda x: 0.0 * x, r1=lambda x: 0.0 * x))
-    sol = solve_euler_lagrange(par, bc, weights, 257)
+    sol = solve_closed_form(par, bc, weights, 257)
     entries = par.entry_values(sol.y, sol.gamma)
     controls = rec.controls_from_jumps(
         mesh, rec.jump_pieces_from_solution(par, entries))
@@ -152,13 +150,12 @@ def test_misaligned_grids_stay_accurate_for_odd_segments():
 @pytest.fixture(scope="module")
 def driven():
     """Synthesized controls of the worked-example data at N = 1, 2, 3."""
-    from conftest import assemble_all
-    from rodwave.solver import solve_euler_lagrange
+    from conftest import assemble_all, solve_closed_form
 
     runs = {}
     for n in (1, 2, 3):
         mesh, state, system, par, bc, weights = assemble_all(n, 2, 33)
-        sol = solve_euler_lagrange(par, bc, weights, 33)
+        sol = solve_closed_form(par, bc, weights, 33)
         entries = par.entry_values(sol.y, sol.gamma)
         controls = rec.controls_from_jumps(
             mesh, rec.jump_pieces_from_solution(par, entries))

@@ -9,7 +9,7 @@ from rodwave.energy import assemble_qp, mean_energy
 from rodwave.sampled import fd_derivative, simpson_weights
 from rodwave.solver import solve_qp
 from rodwave import reconstruct as rec
-from conftest import assemble_all
+from conftest import assemble_all, solve_closed_form
 import loop_reference as ref
 from loop_reference import force_at, junction_discontinuities
 
@@ -81,7 +81,7 @@ class TestWaveTable:
         par = worked_example["par"]
         sol = worked_example["sol_qp"]
         w_all = par.entry_values(sol.y, sol.gamma)
-        res = edge_residuals(worked_example["system"], w_all,
+        res = edge_residuals(worked_example["system"], worked_example["state"], w_all,
                              gamma_dict(par, sol.gamma), w_all.shape[1])
         assert res.max() <= 1e-9
 
@@ -114,10 +114,8 @@ class TestControls:
     def test_integral_of_force_recovers_integral(self):
         # u_k(t) - int_0^t f_k dtau <= 1e-6 in sup norm; the trapezoid of
         # the differentiated samples is O(h^2), so check on a fine grid
-        from rodwave.solver import solve_euler_lagrange
-
         mesh, _, _, par, bc, weights = assemble_all(4, 4, 1025)
-        sol = solve_euler_lagrange(par, bc, weights, 1025)
+        sol = solve_closed_form(par, bc, weights, 1025)
         entries = par.entry_values(sol.y, sol.gamma)
         controls = rec.controls_from_jumps(
             mesh, rec.jump_pieces_from_solution(par, entries))

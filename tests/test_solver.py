@@ -15,10 +15,9 @@ from rodwave.sampled import fd_derivative
 from rodwave.solver import (
     compare_solvers,
     constraint_residual,
-    solve_euler_lagrange,
     solve_qp,
 )
-from conftest import assemble_all
+from conftest import assemble_all, solve_closed_form
 
 P = 33
 
@@ -43,7 +42,7 @@ class TestZeroData:
     def test_euler_lagrange(self):
         mesh = build_mesh(2, 3)
         _, _, _, par, bc, weights = assemble_all(2, 3, P, StateSpec.zero(mesh, P))
-        sol = solve_euler_lagrange(par, bc, weights, P)
+        sol = solve_closed_form(par, bc, weights, P)
         assert np.max(np.abs(sol.y)) <= 1e-9
         assert np.max(np.abs(sol.p_conj)) <= 1e-9
 
@@ -51,7 +50,7 @@ class TestZeroData:
         mesh = build_mesh(3, 2)
         _, _, _, par, bc, weights = assemble_all(3, 2, P, StateSpec.zero(mesh, P))
         sq = solve_qp(assemble_qp(par, bc, weights, P), par, bc, weights)
-        se = solve_euler_lagrange(par, bc, weights, P)
+        se = solve_closed_form(par, bc, weights, P)
         report = compare_solvers(sq, se, bc)
         assert report.y_diff <= 1e-9
         assert report.qp_not_worse
@@ -165,7 +164,7 @@ class TestRandomData:
         state = random_trig_state(mesh, P, seed)
         _, _, _, par, bc, weights = assemble_all(3, 3, P, state)
         sq = solve_qp(assemble_qp(par, bc, weights, P), par, bc, weights)
-        se = solve_euler_lagrange(par, bc, weights, P)
+        se = solve_closed_form(par, bc, weights, P)
         report = compare_solvers(sq, se, bc)
         assert report.qp_not_worse
         assert report.feas_qp <= 1e-9 * (1 + np.max(np.abs(bc.b0)))
@@ -237,22 +236,22 @@ class TestSolverErrors:
         # a terminal constant no essential row reads: gamma_0 is free, so
         # the closed form's boundary system and the KKT matrix each have a
         # zero column
-        def unread_gamma(bc):
-            b_gamma = bc.B_gamma.copy()
+        def unread_gamma(rows):
+            b_gamma = rows.B_gamma.copy()
             b_gamma[:, 0] = 0.0
-            return replace(bc, B_gamma=b_gamma)
+            return replace(rows, B_gamma=b_gamma)
 
         _, _, _, par, bc, weights = assemble_all(3, 3, P)
         bc = unread_gamma(bc)
         with pytest.raises(SolverError, match="KKT factorization failed: Singular matrix"):
             solve_qp(assemble_qp(par, bc, weights, P), par, bc, weights)
 
-        real = cli.boundary_matrices
+        real = cli.boundary_structure
 
-        def unread_gamma_rows(par, vertex_rows, structure=None):
-            return unread_gamma(real(par, vertex_rows, structure=structure))
+        def unread_gamma_rows(par, vertex_rows):
+            return unread_gamma(real(par, vertex_rows))
 
-        monkeypatch.setattr(cli, "boundary_matrices", unread_gamma_rows)
+        monkeypatch.setattr(cli, "boundary_structure", unread_gamma_rows)
         code, err = self.run_solve(tmp_path, capsys, "el")
         assert code == EXIT_INVARIANT
         assert "euler_lagrange: boundary system residual" in err
@@ -283,17 +282,18 @@ class TestSolverErrors:
             solve_qp(assemble_qp(par, bc, weights, P), par, bc, weights)
 
     def test_inconsistent_boundary_system(self, monkeypatch, tmp_path, capsys):
-        # a kept row repeated with other data: no (alpha, beta, gamma, h) fits both
-        real = cli.boundary_matrices
+        # a kept row repeated, its copy reading no data: the boundary
+        # system is singular, and no (alpha, beta, gamma, h) fits both rows
+        # where the last row's data are not zero
+        real = cli.boundary_structure
 
-        def doubled(par, vertex_rows, structure=None):
-            bc = real(par, vertex_rows, structure=structure)
+        def doubled(par, vertex_rows):
+            structure = real(par, vertex_rows)
             twice = lambda a: np.concatenate([a, a[-1:]])
-            return replace(bc, B0=twice(bc.B0), B1=twice(bc.B1),
-                           B_gamma=twice(bc.B_gamma),
-                           b0=np.concatenate([bc.b0, bc.b0[-1:] + 1.0]))
+            return replace(structure, B0=twice(structure.B0), B1=twice(structure.B1),
+                           B_gamma=twice(structure.B_gamma))
 
-        monkeypatch.setattr(cli, "boundary_matrices", doubled)
+        monkeypatch.setattr(cli, "boundary_structure", doubled)
         code, err = self.run_solve(tmp_path, capsys, "el")
         assert code == EXIT_INVARIANT
         assert "euler_lagrange: boundary system residual" in err
@@ -309,4 +309,4 @@ class TestSolverErrors:
             a[:, 0] *= scale
             monkeypatch.setattr(par, "A", a)
             with pytest.raises(SolverError, match=f"A\\^T A is degenerate \\({reason}"):
-                solve_euler_lagrange(par, bc, weights, P)
+                solve_closed_form(par, bc, weights, P)
