@@ -21,7 +21,7 @@ Configs are UTF-8 JSON.  Keys:
                     ORACLE_MAX_STEPS time steps exits 2
     field_samples   samples per half-layer of the output field grid;
                     (P - 1) must be a multiple of 2 * field_samples
-    out_dir         artifact directory
+    out_dir         artifact directory (a non-empty path)
     dump_matrices   true/false
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible horizon,
@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import datetime
 import json
 import math
 import os
+import pickle
 import sys
 import time
 from collections.abc import Mapping
@@ -220,6 +222,9 @@ def validate_config(raw) -> RunConfig:
     out_dir = data.get("out_dir", ".")
     if not isinstance(out_dir, str):
         errors.append("out_dir: must be a string")
+        out_dir = "."
+    elif not out_dir:
+        errors.append("out_dir: must be a non-empty path")
         out_dir = "."
     dump = data.get("dump_matrices", False)
     if not isinstance(dump, bool):
@@ -620,8 +625,53 @@ def _error_exit(exc: RodwaveError) -> int:
     return EXIT_INVARIANT
 
 
+@contextlib.contextmanager
+def _oracle_beside(config: RunConfig, result: dict):
+    """Run the oracle ladder of ``result`` (:func:`_run_oracle`, its CSVs in
+    ``config.out_dir`` included) beside the with-block; yields a function
+    that waits for it and returns its summary block.
+
+    Where more than one CPU is available and the OS can fork, the ladder
+    runs in a forked child (:func:`reconstruct._forked`), which calls BLAS
+    and pickles the returned dict, or the :class:`RodwaveError` it raised,
+    into its temp file; the error is raised again here, so the exit code
+    and the message match an inline run.  A child that fails otherwise is
+    an ``OSError`` naming its exit code.  On every way out, a child not
+    yet joined is killed and reaped.  Otherwise the ladder runs inline
+    when the function is called.
+    """
+    if rec._available_cpus() < 2 or not hasattr(os, "fork"):
+        yield lambda: _run_oracle(config, result, out_dir=config.out_dir)
+        return
+
+    def body(tmp):
+        try:
+            outcome = _run_oracle(config, result, out_dir=config.out_dir)
+        except RodwaveError as exc:
+            outcome = exc
+        pickle.dump(outcome, tmp)
+
+    with rec._forked(body) as child:
+        def join():
+            code = child.join()
+            if code != 0:
+                raise OSError(f"oracle: the child running the oracle ladder "
+                              f"exited with code {code}")
+            child.tmp.seek(0)
+            outcome = pickle.load(child.tmp)
+            if isinstance(outcome, RodwaveError):
+                raise outcome
+            return outcome
+        yield join
+
+
 def run_solve(config: RunConfig) -> int:
-    """Solve one instance and emit summary JSON plus CSV artifacts."""
+    """Solve one instance and emit CSV artifacts, then summary JSON.
+
+    With ``oracle``, the oracle ladder runs beside the CSV writers
+    (:func:`_oracle_beside`).  ``summary.json`` is written last on every
+    path, so a directory without it holds an incomplete or failed run.
+    """
     config = _with_oracle_defaults(config, SOLVE_ORACLE)
     summary_path = os.path.join(config.out_dir, "summary.json")
     try:
@@ -630,8 +680,17 @@ def run_solve(config: RunConfig) -> int:
         _make_out_dir(config.out_dir)
         result = solve_pipeline(config)
         summary = summarize(config, result)
-        if config.oracle:
-            summary["oracle"] = _run_oracle(config, result, out_dir=config.out_dir)
+        oracle = (_oracle_beside(config, result) if config.oracle
+                  else contextlib.nullcontext())
+        with oracle as join_oracle:
+            rec.write_controls_csv(result["controls"],
+                                   os.path.join(config.out_dir, "controls.csv"))
+            rec.write_fields_csv(result["fields"],
+                                 os.path.join(config.out_dir, "fields.csv"))
+            if config.dump_matrices:
+                dump_matrices(result, config.out_dir)
+            if join_oracle is not None:
+                summary["oracle"] = join_oracle()
     except InfeasibleError as exc:
         summary = {"config": asdict(config), "feasible": False,
                    "reason": str(exc),
@@ -643,12 +702,6 @@ def run_solve(config: RunConfig) -> int:
 
     summary["timestamp"] = datetime.datetime.now().isoformat()
     _write_json(summary_path, summary)
-    rec.write_controls_csv(result["controls"],
-                           os.path.join(config.out_dir, "controls.csv"))
-    rec.write_fields_csv(result["fields"],
-                         os.path.join(config.out_dir, "fields.csv"))
-    if config.dump_matrices:
-        dump_matrices(result, config.out_dir)
     print(f"E = {summary['E']:.9g}  T*E = {summary['TE']:.9g}  "
           f"Q = {summary['Q']:.3g}  worst terminal error = "
           f"{max(summary['terminal_errors'].values()):.3g}")
@@ -819,7 +872,7 @@ def _load_config(args) -> RunConfig:
             raw = _json_object(fh.read())
     else:
         raw = {"N": 4, "M": 4, "preset": "paper_example"}
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         raw["out_dir"] = args.out
     if getattr(args, "p_grid", None) is not None:
         raw["P"] = args.p_grid

@@ -369,7 +369,8 @@ class Parametrization:
     over term slots that depends only on the mesh.
 
     :func:`eliminate` returns the map bound to no state (``state`` is
-    None); :meth:`rebind` binds one, and only a bound map has a data part.
+    None); :meth:`rebind` binds one, and only a bound map has a data part
+    (:attr:`bound_state`).
     """
 
     def __init__(self, mesh, catalog, free_map, a_rows, g_exprs):
@@ -417,6 +418,15 @@ class Parametrization:
         return par
 
     @property
+    def bound_state(self) -> StateSpec:
+        """The state this map is bound to; an unbound map raises
+        :class:`InvalidArgumentError`."""
+        if self.state is None:
+            raise InvalidArgumentError(
+                "the parametrization is bound to no state; bind one with rebind(state)")
+        return self.state
+
+    @property
     def n_free(self) -> int:
         return len(self.free_map)
 
@@ -437,11 +447,12 @@ class Parametrization:
         term-by-term loop over the entry would.
         """
         if p not in self._g_cache:
+            state = self.bound_state
             pd = self.mesh.N * (p - 1) + 1
-            if self.state.v0.p != pd:
+            if state.v0.p != pd:
                 raise ConfigurationError(
-                    f"state resolution {self.state.v0.p} does not match grid p={p}")
-            arrays = self.state.arrays()
+                    f"state resolution {state.v0.p} does not match grid p={p}")
+            arrays = state.arrays()
             data = np.stack([arrays[name] for name in DATA_NAMES])
             half = (p - 1) // 2                  # lam/2 in data samples
             center = self.mesh.N * (p - 1) // 2  # x = 0 in data samples
@@ -865,7 +876,7 @@ def boundary_matrices(structure: BoundaryStructure, par: Parametrization) -> Ess
     """Essential rows of the state ``par`` is bound to: the matrices of
     ``structure`` (:func:`boundary_structure`) and the data part b0 of its
     solved rows, gathered from the state's g."""
-    g = par.g_matrix(par.state.grid_p(par.mesh))
+    g = par.g_matrix(par.bound_state.grid_p(par.mesh))
     data = np.zeros(len(structure.B0))
     for rows, ents, ends, coefs in structure.slots:
         data[rows] += coefs * g[ents, ends]

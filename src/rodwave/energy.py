@@ -136,7 +136,7 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     state ``par`` is bound to.
     """
     mesh, cat = par.mesh, par.catalog
-    if p != par.state.grid_p(mesh):
+    if p != par.bound_state.grid_p(mesh):
         raise AssemblyError(f"QP grid p={p} does not match the state grid")
     if weights.p != p:
         raise AssemblyError("weight grid does not match the QP grid")

@@ -35,13 +35,14 @@ force.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import shutil
 import tempfile
 import traceback
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -711,7 +712,7 @@ def _row_chunks(n_rows: int, n_cols: int) -> list:
     """Contiguous [lo, hi) t-row ranges, one per formatting process: one
     per available CPU, at most one per t-row, each of at least
     MIN_HELPER_POINTS grid points where there is more than one, and one
-    where ``os.fork`` is missing."""
+    where the OS cannot fork."""
     n = min(_available_cpus(), n_rows, max(1, n_rows * n_cols // MIN_HELPER_POINTS))
     if not hasattr(os, "fork"):
         n = 1
@@ -741,19 +742,65 @@ def _write_field_rows(fg: FieldGrid, lo: int, hi: int, fh) -> None:
         fh.write((template % tuple(block.ravel().tolist())).encode("ascii"))
 
 
-def _format_in_helper(fg: FieldGrid, lo: int, hi: int, tmp) -> None:
-    """Body of a forked helper: t-rows [lo, hi) into ``tmp``, then leave
-    through ``os._exit`` (0 on success), so no atexit handler runs and no
-    inherited buffer is flushed a second time.  Never returns."""
+class _Child:
+    """A forked process (``pid``: None before the fork and once reaped)
+    and the anonymous temp file it writes its output into."""
+
+    def __init__(self):
+        self.pid: Optional[int] = None
+        self.tmp = tempfile.TemporaryFile()
+
+    def join(self) -> int:
+        """Wait for the process and return its exit code (the negated
+        signal number if a signal ended it)."""
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return os.waitstatus_to_exitcode(status)
+
+
+def _child_main(body, tmp) -> None:
+    """Body of a forked child: ``body(tmp)``, then leave through
+    ``os._exit`` (0 on success, 1 with the traceback on fd 2), so no
+    atexit handler runs and no inherited buffer is flushed a second time.
+    Never returns."""
     code = 1
     try:
-        _write_field_rows(fg, lo, hi, tmp)
+        body(tmp)
         tmp.flush()
         code = 0
     except BaseException:
         os.write(2, traceback.format_exc().encode())
     finally:
         os._exit(code)
+
+
+@contextlib.contextmanager
+def _forked(body):
+    """Run ``body(tmp)`` in a forked child while the with-block runs;
+    yields the :class:`_Child`, whose ``tmp`` both processes share.
+
+    Signals are blocked around the fork, so none can arrive before the pid
+    is stored.  On every way out of the with-block a child not yet joined
+    is killed and reaped, and the temp file is closed.
+    """
+    import signal       # here: no other code path needs it at import time
+
+    child = _Child()
+    try:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        try:
+            child.pid = os.fork()
+            if child.pid == 0:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                _child_main(body, child.tmp)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield child
+    finally:
+        if child.pid is not None:
+            os.kill(child.pid, signal.SIGKILL)
+            os.waitpid(child.pid, 0)
+        child.tmp.close()
 
 
 def write_fields_csv(fg: FieldGrid, path) -> None:
@@ -763,51 +810,28 @@ def write_fields_csv(fg: FieldGrid, path) -> None:
 
     The t-rows are split into contiguous chunks (:func:`_row_chunks`), one
     per available CPU.  Each chunk after the first goes to a helper made by
-    ``os.fork`` before ``path`` is opened; it writes its rows into an
-    anonymous temp file inherited from this process and calls no BLAS.
-    This process writes the header and chunk 0 to ``path``, then reaps the
-    helpers in order and appends their temp files, so the bytes do not
-    depend on the number of chunks.  A helper that fails is an
-    ``OSError`` naming its rows and exit code.  On every way out, helpers
-    still running are killed and reaped and the temp files closed; the
-    call returns once the whole file is at ``path``.
+    :func:`_forked` before ``path`` is opened; it writes its rows into its
+    anonymous temp file and calls no BLAS.  This process writes the header
+    and chunk 0 to ``path``, then reaps the helpers in order and appends
+    their temp files, so the bytes do not depend on the number of chunks.
+    A helper that fails is an ``OSError`` naming its rows and exit code.
+    On every way out, helpers still running are killed and reaped and the
+    temp files closed; the call returns once the whole file is at ``path``.
     """
-    import signal       # here: no other code path needs it at import time
-
     chunks = _row_chunks(len(fg.t), len(fg.x))
-    helpers = []        # [pid, or None before the fork and once reaped, temp file, rows]
-    try:
-        for lo, hi in chunks[1:]:
-            helper = [None, tempfile.TemporaryFile(), (lo, hi)]
-            helpers.append(helper)
-            # signals wait until the pid is stored, so none can lose it
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-            try:
-                helper[0] = os.fork()
-                if helper[0] == 0:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    _format_in_helper(fg, lo, hi, helper[1])
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    with contextlib.ExitStack() as stack:
+        helpers = [stack.enter_context(_forked(partial(_write_field_rows, fg, lo, hi)))
+                   for lo, hi in chunks[1:]]
         with open(path, "wb") as fh:
             fh.write(b"t,x,v,r,p,s,e\r\n")
             _write_field_rows(fg, *chunks[0], fh)
-            for helper in helpers:
-                pid, tmp, (lo, hi) = helper
-                _, status = os.waitpid(pid, 0)
-                helper[0] = None
-                code = os.waitstatus_to_exitcode(status)
+            for helper, (lo, hi) in zip(helpers, chunks[1:]):
+                code = helper.join()
                 if code != 0:
                     raise OSError(f"fields.csv: the helper formatting t-rows "
                                   f"[{lo}, {hi}) exited with code {code}")
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, fh)
-    finally:
-        for pid, tmp, _ in helpers:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            tmp.close()
+                helper.tmp.seek(0)
+                shutil.copyfileobj(helper.tmp, fh)
 
 
 def write_controls_csv(controls: ControlSet, path) -> None:

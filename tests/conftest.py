@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from rodwave import cli
+from rodwave import reconstruct as rec
 from rodwave.mesh import build_mesh
 from rodwave.edge import (
     StateSpec,
@@ -22,6 +25,27 @@ def fresh_operator_cache():
     cli.clear_operator_cache()
     yield
     cli.clear_operator_cache()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count that ``solve`` and the fields writer see, with
+    every grid point enough for a fields helper; returns the list of forks
+    made.  With one CPU, a fork raises."""
+    forks, real_fork = [], os.fork
+
+    def set_cpus(n):
+        def counting_fork():
+            if n == 1:
+                raise AssertionError("forked with one CPU")
+            forks.append(os.getpid())
+            return real_fork()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+        monkeypatch.setattr(rec, "MIN_HELPER_POINTS", 1)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
+    return set_cpus
 
 
 def example_state(mesh, p):

@@ -1,13 +1,15 @@
 import csv
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
+from rodwave import cli
 from rodwave import reconstruct as rec
 from rodwave.edge import Parametrization
-from rodwave.errors import ConfigurationError
+from rodwave.errors import ConfigurationError, SolverError
 from rodwave.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -70,6 +72,15 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError):
             validate_config('{"N": 2, "M": 2, "preset": "zero", '
                             '"profiles": {"v0": "x.csv"}}')
+
+
+def canonical_summary(out) -> str:
+    """summary.json of ``out`` without its run-specific keys, as sorted JSON
+    text: equal texts hold the same floats, NaN included."""
+    data = json.loads((out / "summary.json").read_text())
+    data.pop("timestamp")
+    data["config"].pop("out_dir")
+    return json.dumps(data, sort_keys=True)
 
 
 class TestRunSolve:
@@ -155,13 +166,7 @@ class TestRunSolve:
                             out_dir=str(out))
             assert run_solve(cfg) == EXIT_OK
 
-        def canonical(path):
-            data = json.loads((path / "summary.json").read_text())
-            data.pop("timestamp")
-            data["config"].pop("out_dir")
-            return json.dumps(data, sort_keys=True)
-
-        assert canonical(out1) == canonical(out2)
+        assert canonical_summary(out1) == canonical_summary(out2)
 
     def test_oracle_summary(self, tmp_path):
         cfg = RunConfig(N=2, M=2, preset="paper_example", P=65,
@@ -234,6 +239,75 @@ class TestSplitFieldsWriter:
             self.run(tmp_path, "failed")
 
 
+class TestOracleChild:
+    """solve --oracle runs the oracle ladder in a forked child beside the
+    CSV writers: the same artifacts and errors as inline, no child left."""
+
+    ARTIFACTS = ("fields.csv", "controls.csv", "oracle_terminal.csv", "oracle_energy.csv")
+
+    def run(self, tmp_path, name):
+        cfg = RunConfig(N=4, M=4, preset="paper_example", oracle=True,
+                        oracle_points_per_segment=32, out_dir=str(tmp_path / name))
+        try:
+            return run_solve(cfg)
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_same_artifacts_on_one_and_two_cpus(self, tmp_path, cpus):
+        for n in (1, 2):        # a fork with one CPU raises
+            forks = cpus(n)
+            assert self.run(tmp_path, str(n)) == EXIT_OK
+        assert len(forks) == 2      # the oracle child and one fields helper
+        for name in self.ARTIFACTS:
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "2" / name).read_bytes())
+        inline, child = (canonical_summary(tmp_path / str(n)) for n in (1, 2))
+        assert inline == child
+        assert json.loads(inline)["oracle"]["points_per_segment"] == [8, 16, 32]
+
+    @pytest.mark.parametrize("error, code, line", [
+        (ConfigurationError(["oracle_cfl: refused", "second"]), EXIT_CONFIG,
+         "config error: oracle_cfl: refused; second\n"),
+        (SolverError("ladder diverged"), EXIT_INVARIANT,
+         "invariant violation: ladder diverged\n"),
+    ])
+    def test_oracle_error_matches_inline(self, tmp_path, cpus, monkeypatch, capsys,
+                                         error, code, line):
+        def simulate(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "simulate", simulate)
+        for n in (1, 2):
+            cpus(n)
+            assert self.run(tmp_path, str(n)) == code
+            assert capsys.readouterr().err == line
+            assert (tmp_path / str(n) / "fields.csv").exists()
+            assert not (tmp_path / str(n) / "summary.json").exists()
+
+    def test_failed_child_names_its_exit_code(self, tmp_path, cpus, monkeypatch):
+        cpus(2)
+        monkeypatch.setattr(cli, "_run_oracle", lambda *args, **kwargs: os._exit(3))
+        with pytest.raises(OSError, match="oracle: .* exited with code 3"):
+            self.run(tmp_path, "failed")
+        assert not (tmp_path / "failed" / "summary.json").exists()
+
+    def test_interrupt_kills_the_child(self, tmp_path, cpus, monkeypatch):
+        cpus(2)
+        monkeypatch.setattr(cli, "_run_oracle", lambda *args, **kwargs: time.sleep(600))
+        real = rec._write_field_rows
+
+        def kernel(fg, lo, hi, fh):
+            if lo == 0:
+                raise KeyboardInterrupt
+            real(fg, lo, hi, fh)
+        monkeypatch.setattr(rec, "_write_field_rows", kernel)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            self.run(tmp_path, "interrupted")
+        assert time.monotonic() - start < 60      # killed, not waited for
+        assert not (tmp_path / "interrupted" / "summary.json").exists()
+
+
 class TestSweep:
     def test_small_sweep(self, tmp_path):
         cfg = RunConfig(N=2, M=2, preset="paper_example", P=33,
@@ -295,6 +369,20 @@ class TestMainEntry:
         if p_grid == "0":
             assert err == "config error: P: must be an odd integer >= 5\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    def test_empty_out_dir_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cfgfile = tmp_path / "cfg.json"
+        config = {"N": 2, "M": 2, "preset": "zero", "P": 17, "out_dir": "out"}
+        # the flag overrides the config's out_dir like any other value
+        cfgfile.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfgfile), "--out", ""]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: out_dir: must be a non-empty path\n"
+        cfgfile.write_text(json.dumps(dict(config, out_dir="")))
+        assert main([command, "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: out_dir: must be a non-empty path\n"
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 class TestParallelSweep:
@@ -417,12 +505,14 @@ class TestOracleSettings:
         assert "  PASS  QP objective <= stationary objective + 1e-8\n" in capsys.readouterr().out
         assert cfg.solver == "el"
 
-    def test_unset_settings_resolve_per_command(self, seen, tmp_path):
+    def test_unset_settings_resolve_per_command(self, seen, tmp_path, monkeypatch):
         raw = {"N": 2, "M": 2, "P": 33, "preset": "paper_example"}
         assert validate_config(raw).oracle_cfl is None
         run_verify(validate_config(raw))
         assert seen[-1] == (1.0, 500)
         seen.clear()
+        # one CPU: solve runs the ladder in this process, where the spy sees it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert run_solve(validate_config(dict(raw, oracle=True,
                                               out_dir=str(tmp_path)))) == EXIT_OK
         assert seen[-1] == (0.9, 125)

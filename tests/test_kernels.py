@@ -135,27 +135,6 @@ def special_grid(small_grid):
                                s=_with_special(small_grid.s[::-1]))
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the CPU count the fields writer sees, with every grid point
-    enough for a helper; returns the list of forks the writer makes.  With
-    one CPU, a fork raises."""
-    forks, real_fork = [], os.fork
-
-    def set_cpus(n):
-        def counting_fork():
-            if n == 1:
-                raise AssertionError("forked with one CPU")
-            forks.append(os.getpid())
-            return real_fork()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                            raising=False)
-        monkeypatch.setattr(rec, "MIN_HELPER_POINTS", 1)
-        monkeypatch.setattr(os, "fork", counting_fork)
-        return forks
-    return set_cpus
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

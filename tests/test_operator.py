@@ -17,8 +17,9 @@ import pytest
 import loop_reference as ref
 from rodwave import cli
 from rodwave import reconstruct as rec
-from rodwave.edge import Parametrization
-from rodwave.errors import SolverError
+from rodwave.edge import Parametrization, boundary_matrices
+from rodwave.energy import assemble_qp
+from rodwave.errors import InvalidArgumentError, SolverError
 from rodwave.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main, solve_pipeline,
                          validate_config)
 
@@ -219,3 +220,21 @@ def test_inconsistent_data_fail_on_a_cache_hit(monkeypatch, tmp_path, capsys):
     assert ("invariant violation: 1 junction row(s) contradict the data of the "
             "solved vertex rows: the solution violates ('guard_w', 1, -3, 2) by -0.5") in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("call", ["boundary_matrices", "g_matrix", "entry_values",
+                                  "assemble_qp"])
+def test_unbound_parametrization_names_rebind(call):
+    bc = solve_pipeline(trig_config(3, 3, 0), reconstruct=False)["bc"]
+    op = cli.solve_operator(3, 3, P)
+    par = op.par
+    assert par.state is None
+    calls = {
+        "boundary_matrices": lambda: boundary_matrices(op.boundary, par),
+        "g_matrix": lambda: par.g_matrix(P),
+        "entry_values": lambda: par.entry_values(np.zeros((par.n_free, P)),
+                                                 np.zeros(par.n_gamma)),
+        "assemble_qp": lambda: assemble_qp(par, bc, op.weights, P),
+    }
+    with pytest.raises(InvalidArgumentError, match=r"bound to no state.*rebind\(state\)"):
+        calls[call]()
