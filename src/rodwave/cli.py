@@ -539,22 +539,29 @@ def summarize(config: RunConfig, result: dict) -> dict:
     return summary
 
 
-def _run_oracle(config: RunConfig, result: dict, out_dir=None) -> dict:
-    mesh, state = result["mesh"], result["state"]
-    controls = result["controls"]
-    params = RodParams(1.0, 1.0, 1.0)
+def _oracle_ladder(config: RunConfig) -> list:
+    """Points per segment of the oracle rungs, coarsest first."""
     base = config.oracle_points_per_segment
-    ladder = [max(8, base // 4), max(8, base // 2), base]
-    sims = [simulate(mesh, params, controls, state,
-                     SimConfig(points_per_segment=npts, cfl=config.oracle_cfl))
-            for npts in ladder]
+    return [max(8, base // 4), max(8, base // 2), base]
+
+
+def _oracle_rung(config: RunConfig, result: dict, npts: int):
+    """One oracle simulation of ``result`` at ``npts`` points per segment."""
+    return simulate(result["mesh"], RodParams(1.0, 1.0, 1.0), result["controls"],
+                    result["state"],
+                    SimConfig(points_per_segment=npts, cfl=config.oracle_cfl))
+
+
+def _oracle_summary(config: RunConfig, result: dict, sims: list, out_dir=None) -> dict:
+    """The summary block of the oracle ladder ``sims``; with ``out_dir``,
+    the finest rung's CSVs are written there."""
     report = oracle_compare(sims, result["fields"])
     final = sims[-1]
     if out_dir is not None:
         write_sim_csv(final, os.path.join(out_dir, "oracle_terminal.csv"),
                       os.path.join(out_dir, "oracle_energy.csv"))
     return {
-        "points_per_segment": ladder,
+        "points_per_segment": _oracle_ladder(config),
         "terminal_energy_error": final.terminal_energy_error,
         "terminal_v_sup": final.terminal_v_sup,
         "momentum_budget_max": final.momentum_budget_max,
@@ -564,6 +571,11 @@ def _run_oracle(config: RunConfig, result: dict, out_dir=None) -> dict:
         "convergence_orders": list(report.orders),
         "mean_order": report.mean_order,
     }
+
+
+def _run_oracle(config: RunConfig, result: dict, out_dir=None) -> dict:
+    sims = [_oracle_rung(config, result, npts) for npts in _oracle_ladder(config)]
+    return _oracle_summary(config, result, sims, out_dir)
 
 
 def dump_matrices(result: dict, out_dir: str) -> None:
@@ -631,37 +643,43 @@ def _oracle_beside(config: RunConfig, result: dict):
     ``config.out_dir`` included) beside the with-block; yields a function
     that waits for it and returns its summary block.
 
-    Where more than one CPU is available and the OS can fork, the ladder
-    runs in a forked child (:func:`reconstruct._forked`), which calls BLAS
-    and pickles the returned dict, or the :class:`RodwaveError` it raised,
-    into its temp file; the error is raised again here, so the exit code
-    and the message match an inline run.  A child that fails otherwise is
-    an ``OSError`` naming its exit code.  On every way out, a child not
-    yet joined is killed and reaped.  Otherwise the ladder runs inline
-    when the function is called.
+    Where more than one CPU is available and the OS can fork, the finest
+    rung, about two thirds of the ladder's time, runs in a forked child
+    (:func:`reconstruct._forked`), which calls BLAS and pickles the
+    :class:`~rodwave.oracle.SimResult`, or the :class:`RodwaveError` it
+    raised, into its temp file.  The coarser rungs run here when the
+    function is called, once this process has written its CSVs; then the
+    child is joined and its error, if any, raised again here, so the rungs
+    fail in ladder order and the exit code and the message match an inline
+    run.  A child that fails otherwise is an ``OSError`` naming its exit
+    code.  On every way out, a child not yet joined is killed and reaped.
+    Otherwise the whole ladder runs inline when the function is called.
     """
     if rec._available_cpus() < 2 or not hasattr(os, "fork"):
         yield lambda: _run_oracle(config, result, out_dir=config.out_dir)
         return
 
+    ladder = _oracle_ladder(config)
+
     def body(tmp):
         try:
-            outcome = _run_oracle(config, result, out_dir=config.out_dir)
+            outcome = _oracle_rung(config, result, ladder[-1])
         except RodwaveError as exc:
             outcome = exc
         pickle.dump(outcome, tmp)
 
     with rec._forked(body) as child:
         def join():
+            sims = [_oracle_rung(config, result, npts) for npts in ladder[:-1]]
             code = child.join()
             if code != 0:
-                raise OSError(f"oracle: the child running the oracle ladder "
+                raise OSError(f"oracle: the child running the finest oracle rung "
                               f"exited with code {code}")
             child.tmp.seek(0)
             outcome = pickle.load(child.tmp)
             if isinstance(outcome, RodwaveError):
                 raise outcome
-            return outcome
+            return _oracle_summary(config, result, sims + [outcome], config.out_dir)
         yield join
 
 
@@ -670,7 +688,8 @@ def run_solve(config: RunConfig) -> int:
 
     With ``oracle``, the oracle ladder runs beside the CSV writers
     (:func:`_oracle_beside`).  ``summary.json`` is written last on every
-    path, so a directory without it holds an incomplete or failed run.
+    path, and one left by an earlier run is removed once the directory is
+    made, so a directory without it holds an incomplete or failed run.
     """
     config = _with_oracle_defaults(config, SOLVE_ORACLE)
     summary_path = os.path.join(config.out_dir, "summary.json")
@@ -678,6 +697,8 @@ def run_solve(config: RunConfig) -> int:
         if config.oracle:
             _check_oracle_size(config)
         _make_out_dir(config.out_dir)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(summary_path)
         result = solve_pipeline(config)
         summary = summarize(config, result)
         oracle = (_oracle_beside(config, result) if config.oracle

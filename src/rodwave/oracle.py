@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .mesh import MeshConfig, RodParams
-from .reconstruct import ControlSet, FieldGrid, csv_rows
+from .reconstruct import ControlSet, FieldGrid, write_csv
 from .edge import StateSpec
 
 
@@ -237,12 +237,8 @@ def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
 def write_sim_csv(sim: SimResult, terminal_path, energy_path) -> None:
     """Emit the terminal profiles (``x,v,p``) and the discrete energy
     history (``t,energy``) as ``%.12g`` CSV with CRLF line ends."""
-    with open(terminal_path, "w", newline="") as fh:
-        fh.write("x,v,p\r\n")
-        fh.write(csv_rows(np.column_stack([sim.x, sim.v_terminal, sim.p_terminal])))
-    with open(energy_path, "w", newline="") as fh:
-        fh.write("t,energy\r\n")
-        fh.write(csv_rows(np.column_stack([sim.times, sim.energy_history])))
+    write_csv(terminal_path, ["x", "v", "p"], [sim.x, sim.v_terminal, sim.p_terminal])
+    write_csv(energy_path, ["t", "energy"], [sim.times, sim.energy_history])
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ force.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import shutil
@@ -683,21 +684,184 @@ def terminal_error(fg: FieldGrid, state: StateSpec) -> TerminalError:
 # ---------------------------------------------------------------------------
 
 
-def csv_rows(block: np.ndarray) -> str:
-    """The rows of a 2-D float array as CSV text: ``%.12g`` values, comma
-    separated, CRLF line ends.  These are the bytes ``csv.writer`` gives
-    for the same values (no value needs quoting) and ``np.savetxt`` with
-    ``fmt="%.12g", delimiter=",", newline="\\r\\n"``."""
-    n_rows, n_cols = block.shape
-    line = ",".join(["%.12g"] * n_cols) + "\r\n"
-    return line * n_rows % tuple(block.ravel().tolist())
+# Every CSV value is the text of ``"%.12g" % value``, made by one array
+# kernel, :func:`_format_values`.  Each value becomes a 24-byte record of
+# three little-endian words, NUL padded:
+#
+#   bytes 0-1   the separator before the value: "\r\n" on the first column
+#               (it ends the row before), else NUL and ","
+#   bytes 2-7   sign, integer digits, and "." when a fraction follows
+#               (one entry of a 40,000-entry table)
+#   bytes 8-23  16 fraction digits, 4 per 4-digit table entry, with the
+#               trailing zeros cleared; in exponent form bytes 20-23 hold
+#               the exponent, "e-05" to "e-11"
+#
+# Dropping the NULs (``bytes.translate``) leaves the CSV text.
+#
+# Exactness rule.  A finite x takes the fast path only when all of these
+# hold; any other value (NaN, +-inf, ties, other exponents) is formatted
+# with ``%`` one by one, and its text (at most 19 bytes) fills bytes 2-23.
+#   (a) e = floor(log10|x|) lies in [_E_MIN, _E_MAX]: fixed notation for
+#       e >= -4, exponent form below;
+#   (b) s = |x| * 10**(11 - e), one correctly rounded product with an
+#       exact power of ten (11 - e <= 22), has 1e11 <= s and
+#       1e11 <= rint(s) < 1e12;
+#   (c) |s - rint(s)| < 0.5 - 2**-12.
+# The product's error is below 1e12 * 2**-53 (about 1.1e-4), so by (c) no
+# tie is near and rint(s) is the correctly rounded 12-digit significand.
+# log10 only proposes e: if it is one too high, s >= 1e11 holds only when
+# x rounds up to 10**e anyway, and one too low gives rint(s) >= 1e12.  So
+# under (b) the exponent after rounding is e, and %g's choice between fixed
+# and exponent notation follows.  Zeros take the fast path too.
+_E_MIN, _E_MAX = -11, 3
+_NEAR_TIE = 0.5 - 2.0 ** -12
+_U64, _U32 = np.dtype("<u8"), np.dtype("<u4")
+_COMMA = np.uint64(ord(",") << 8)
+_CRLF = np.uint64(ord("\r") | ord("\n") << 8)
+
+# Values formatted per kernel call: memory stays at one block (a few MB of
+# temporaries) whatever the table or grid size.
+CSV_BLOCK_VALUES = 1 << 14
 
 
-# A forked helper formats at least this many grid points (40 to 80 ms of
-# %.12g formatting on a 2-core host, against 3 to 7 ms to fork, reap and
-# copy); a grid with fewer points per available CPU uses fewer helpers,
-# down to none.
-MIN_HELPER_POINTS = 20_000
+@functools.cache
+def _format_tables() -> tuple:
+    """The lookup tables of :func:`_format_values`, built on first use.
+
+    ``head[i + 10000*(neg + 2*has_fraction)]`` is the word of bytes 0-7 of
+    a value with integer part i < 10**4; ``group_words[g + 10000*more]``
+    the four characters of fraction group g, with its trailing zeros
+    cleared unless ``more`` (a later group is nonzero), and
+    ``group_words[20000 + j]`` the exponent "e-%02d" % (j + 5).  Per
+    exponent index k = e - _E_MIN: ``scale[k]`` = 10**(11 - e),
+    ``unit[k]`` = 10**q for q fraction digits, ``widen[k]`` =
+    10**(16 - q), and ``last[k]`` the offset of the last group's entry
+    (the exponent's in exponent form).
+    """
+    n = np.arange(10_000)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+    chars = (digits + ord("0")).astype(np.uint8)
+    kept = np.flip(np.logical_or.accumulate(np.flip(digits != 0, 1), 1), 1)
+    minus = np.arange(5, 1 - _E_MIN)
+    exponents = np.stack([np.full_like(minus, ord("e")), np.full_like(minus, ord("-")),
+                          ord("0") + minus // 10, ord("0") + minus % 10], axis=1)
+    groups = np.concatenate([np.where(kept, chars, 0), chars, exponents])
+    group_words = groups.astype(np.uint8).view(_U32).ravel()
+
+    n_digits = 1 + (n >= 10) + (n >= 100) + (n >= 1000)
+    # drop the leading zero characters (the low bytes of the word)
+    numbers = chars.view(_U32).ravel().astype(_U64) >> (8 * (4 - n_digits)).astype(_U64)
+    heads = []
+    for has_fraction in (0, 1):
+        for neg in (0, 1):
+            head = numbers << np.uint64(8 * (2 + neg))
+            if neg:
+                head |= np.uint64(ord("-") << 16)
+            if has_fraction:
+                head |= np.uint64(ord(".")) << (8 * (2 + neg + n_digits)).astype(_U64)
+            heads.append(head)
+
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    q = np.where(e < -4, 11, 11 - e)
+    last = np.where(e < -4, 20_000 - 5 - e, 0)
+    return (np.concatenate(heads).astype(_U64), group_words,
+            10.0 ** (11 - e), 10.0 ** q, 10.0 ** (16 - q), last.astype(np.intp))
+
+
+def _format_values(values: np.ndarray, out: np.ndarray, sep) -> int:
+    """Write the record of each of ``values`` (see the comment above)
+    into ``out``, a ``<u8`` array of shape ``values.shape + (3,)`` whose
+    last axis is contiguous; ``sep`` (``_COMMA``, ``_CRLF``, or an array of
+    them broadcast against ``values``) fills bytes 0-1.  Returns the number
+    of values formatted with ``%``."""
+    head, group_words, scale, unit, widen, last = _format_tables()
+    x = np.asarray(values, dtype=float)
+    mag = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = np.log10(mag)
+        np.floor(k, out=k)
+        k -= _E_MIN
+        np.fmax(k, 0, out=k)                    # also NaN -> 0
+        np.fmin(k, _E_MAX - _E_MIN, out=k)
+        k = k.astype(np.intp)
+        s = np.multiply(mag, scale.take(k))
+        sig = np.rint(s)
+        fast = np.abs(s - sig) < _NEAR_TIE     # (c); false for NaN
+        fast &= s >= 1e11
+        fast &= sig < 1e12
+    slow = ~fast
+    # zeros and slow values go through with significand 0 in fixed form
+    np.copyto(sig, 0.0, where=slow)
+    np.copyto(k, -_E_MIN, where=slow)
+    slow &= mag != 0
+
+    step = unit.take(k)
+    whole = np.floor(sig / step)
+    fraction = sig - whole * step
+    fraction *= widen.take(k)                  # 16 digits, exact: even and < 2**54
+    f = fraction.astype(np.int64)
+    hi = f // 100_000_000
+    lo = f - hi * 100_000_000
+    g0 = hi // 10_000
+    g1 = hi - g0 * 10_000
+    g2 = lo // 10_000
+    g3 = lo - g2 * 10_000
+    more = lo != 0
+    g2 += 10_000 * (g3 != 0)
+    g1 += 10_000 * more
+    more |= g1 != 0
+    g0 += 10_000 * more
+    g3 += last.take(k)
+    index = whole.astype(np.intp)
+    index += 10_000 * np.signbit(x)
+    index += 20_000 * (f != 0)
+    np.bitwise_or(head.take(index), sep, out=out[..., 0])
+    words = out.view(_U32)
+    for col, group in enumerate((g0, g1, g2, g3), start=2):
+        words[..., col] = group_words.take(group)
+
+    if not slow.any():
+        return 0
+    at = np.nonzero(slow)
+    text = np.array(["%.12g" % v for v in x[at].tolist()], dtype="S22")
+    out.view(np.uint8)[at + (slice(2, None),)] = text.view(np.uint8).reshape(-1, 22)
+    return len(text)
+
+
+def _csv_text(records: np.ndarray) -> bytes:
+    """The CSV text of C-ordered records whose rows start with the CRLF
+    separator: the NULs dropped and the leading CRLF moved to the end."""
+    text = records.tobytes().translate(None, b"\0")
+    return text[2:] + text[:2]
+
+
+def write_csv(path, header, columns) -> None:
+    """Write ``header`` and then one row per sample of the equal-length
+    1-D ``columns``: ``%.12g`` values, comma separated, CRLF line ends.
+    These are the bytes ``csv.writer`` gives for the same values (no value
+    needs quoting) and ``np.savetxt`` with ``fmt="%.12g", delimiter=",",
+    newline="\\r\\n"``."""
+    table = np.column_stack(columns)
+    n_rows, n_cols = table.shape
+    rows = max(1, CSV_BLOCK_VALUES // n_cols)
+    records = np.empty((rows, n_cols, 3), _U64)
+    sep = np.full(n_cols, _COMMA, _U64)
+    sep[0] = _CRLF
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode("ascii") + b"\r\n")
+        for lo in range(0, n_rows, rows):
+            block = table[lo:lo + rows]
+            _format_values(block, records[:len(block)], sep)
+            fh.write(_csv_text(records[:len(block)]))
+
+
+# A forked helper formats at least this many grid points; a grid with
+# fewer points per available CPU uses fewer helpers, down to none.  On a
+# 2-core host one process writes about 1,150 grid points a millisecond,
+# and a helper costs 8 to 10 ms to fork, reap and copy, the time of 10,000
+# to 12,000 points: at 20,000 points two processes took 17-20 ms against
+# 17-19 ms for one, at 30,000 points 23-24 ms against 26-28 ms.
+MIN_HELPER_POINTS = 15_000
 
 
 def _available_cpus() -> int:
@@ -723,23 +887,29 @@ def _row_chunks(n_rows: int, n_cols: int) -> list:
 def _write_field_rows(fg: FieldGrid, lo: int, hi: int, fh) -> None:
     """Write t-rows [lo, hi) of the fields CSV to the binary file ``fh``.
 
-    x is formatted once per call and t once per t-row.  Each t-row is one
-    ``%`` of a line template (t joined with the x strings) over the row's
-    five field values, copied into a reused (nx, 5) block; the row of e is
-    computed there as :attr:`FieldGrid.e` computes it, so memory stays at
-    one grid row whatever the grid size.
+    The rows go in blocks of about CSV_BLOCK_VALUES field values.  The
+    records of x are made once per call and those of t once per block;
+    the five field values of a block are copied into one array, with e
+    computed as :attr:`FieldGrid.e` computes it, and formatted in one
+    kernel call.  Memory stays at one block whatever the grid size.
     """
-    values = "%.12g,%.12g,%.12g,%.12g,%.12g\r\n"
-    tails = [",%.12g," % x + values for x in fg.x.tolist()]
-    block = np.empty((len(fg.x), 5))
+    nx = len(fg.x)
+    rows = max(1, CSV_BLOCK_VALUES // (5 * nx))
+    block = np.empty((rows, nx, 5))
+    records = np.empty((rows, nx, 7, 3), _U64)
+    _format_values(fg.x, records[0, :, 1], _COMMA)
+    records[1:, :, 1] = records[0, :, 1]
     owner = fg.column_segments()
-    for i, t in enumerate(fg.t[lo:hi].tolist(), start=lo):
+    for i in range(lo, hi, rows):
+        n = min(rows, hi - i)
         for col, arr in enumerate((fg.v, fg.r, fg.p, fg.s)):
-            block[:, col] = arr[i]
-        block[:, 4] = _energy_density(fg.p[i], fg.s[i], fg.f_seg[owner, i])
-        t_text = "%.12g" % t
-        template = t_text + t_text.join(tails)
-        fh.write((template % tuple(block.ravel().tolist())).encode("ascii"))
+            block[:n, :, col] = arr[i:i + n]
+        block[:n, :, 4] = _energy_density(fg.p[i:i + n], fg.s[i:i + n],
+                                          fg.f_seg[owner, i:i + n].T)
+        _format_values(fg.t[i:i + n, None], records[:n, :1, 0], _CRLF)
+        records[:n, 1:, 0] = records[:n, :1, 0]
+        _format_values(block[:n], records[:n, :, 2:], _COMMA)
+        fh.write(_csv_text(records[:n]))
 
 
 class _Child:
@@ -806,7 +976,7 @@ def _forked(body):
 def write_fields_csv(fg: FieldGrid, path) -> None:
     """One row per grid sample, t-major: header ``t,x,v,r,p,s,e``, then
     ``%.12g`` values, comma separated, CRLF line ends.  The bytes are those
-    of :func:`csv_rows` on the full (t, x, v, r, p, s, e) rows.
+    of :func:`write_csv` on the (t, x, v, r, p, s, e) columns.
 
     The t-rows are split into contiguous chunks (:func:`_row_chunks`), one
     per available CPU.  Each chunk after the first goes to a helper made by
@@ -838,7 +1008,7 @@ def write_controls_csv(controls: ControlSet, path) -> None:
     """Per-piece rows: junction instants appear twice (left then right).
 
     Header ``t,u_jump_<n>…,u_<k>…,f_<k>…``, then ``%.12g`` values, comma
-    separated, CRLF line ends (see :func:`csv_rows`).
+    separated, CRLF line ends (see :func:`write_csv`).
     """
     mesh = controls.mesh
     header = (["t"] + [f"u_jump_{n}" for n in mesh.J_x]
@@ -848,6 +1018,4 @@ def write_controls_csv(controls: ControlSet, path) -> None:
     columns += [controls.jumps[n].ravel() for n in mesh.J_x]
     columns += [controls.integrals[k].ravel() for k in mesh.J_c]
     columns += [controls.forces[k].ravel() for k in mesh.J_c]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write(csv_rows(np.column_stack(columns)))
+    write_csv(path, header, columns)

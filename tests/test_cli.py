@@ -284,16 +284,23 @@ class TestOracleChild:
             assert (tmp_path / str(n) / "fields.csv").exists()
             assert not (tmp_path / str(n) / "summary.json").exists()
 
+    def finest_rung(self, monkeypatch, action):
+        """Make the finest rung (32 points per segment), the only one the
+        child runs, call ``action`` instead."""
+        real = cli._oracle_rung
+        monkeypatch.setattr(cli, "_oracle_rung", lambda config, result, npts: (
+            action() if npts == 32 else real(config, result, npts)))
+
     def test_failed_child_names_its_exit_code(self, tmp_path, cpus, monkeypatch):
         cpus(2)
-        monkeypatch.setattr(cli, "_run_oracle", lambda *args, **kwargs: os._exit(3))
+        self.finest_rung(monkeypatch, lambda: os._exit(3))
         with pytest.raises(OSError, match="oracle: .* exited with code 3"):
             self.run(tmp_path, "failed")
         assert not (tmp_path / "failed" / "summary.json").exists()
 
     def test_interrupt_kills_the_child(self, tmp_path, cpus, monkeypatch):
         cpus(2)
-        monkeypatch.setattr(cli, "_run_oracle", lambda *args, **kwargs: time.sleep(600))
+        self.finest_rung(monkeypatch, lambda: time.sleep(600))
         real = rec._write_field_rows
 
         def kernel(fg, lo, hi, fh):
@@ -306,6 +313,42 @@ class TestOracleChild:
             self.run(tmp_path, "interrupted")
         assert time.monotonic() - start < 60      # killed, not waited for
         assert not (tmp_path / "interrupted" / "summary.json").exists()
+
+
+class TestReusedOutDir:
+    """A solve into a directory an earlier run wrote leaves no summary.json
+    unless it succeeds."""
+
+    def solve(self, tmp_path, **config):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(dict(
+            {"N": 2, "M": 2, "P": 33, "out_dir": str(tmp_path / "out")}, **config)))
+        return main(["solve", "--config", str(cfgfile)])
+
+    def test_failed_solve_leaves_no_summary(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert self.solve(tmp_path, preset="paper_example") == EXIT_OK
+        assert (out / "summary.json").exists()
+
+        short = tmp_path / "short.csv"
+        short.write_text("-0.5,0\n1,0\n")
+        assert self.solve(tmp_path, profiles={"v0": str(short)}) == EXIT_CONFIG
+        assert "profile must cover [-1, 1]" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+        assert self.solve(tmp_path, preset="paper_example") == EXIT_OK
+        before = {name: (out / name).read_bytes()
+                  for name in ("fields.csv", "controls.csv")}
+        (out / "fields.csv").write_bytes(b"stale")
+
+        def simulate(*args, **kwargs):
+            raise ConfigurationError(["oracle_cfl: refused"])
+        monkeypatch.setattr(cli, "simulate", simulate)
+        assert self.solve(tmp_path, preset="paper_example", oracle=True,
+                          oracle_points_per_segment=32) == EXIT_CONFIG
+        assert capsys.readouterr().err.endswith("config error: oracle_cfl: refused\n")
+        assert {name: (out / name).read_bytes() for name in before} == before
+        assert not (out / "summary.json").exists()
 
 
 class TestSweep:

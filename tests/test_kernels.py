@@ -2,11 +2,13 @@
 
 import dataclasses
 import os
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rodwave import cli
 from rodwave import reconstruct as rec
 from rodwave.energy import blockwise_simpson, blockwise_simpson_weights
 from rodwave.errors import InvalidArgumentError
@@ -232,3 +234,95 @@ def test_sim_csv_bytes_match_csv_writer(worked_example, tmp_path):
         assert paths[1].read_bytes() == paths[3].read_bytes()
     assert paths[0].read_bytes().startswith(b"x,v,p\r\n-1,nan,")
     assert paths[1].read_bytes().startswith(b"t,energy\r\n0,nan\r\n")
+
+
+# ---------------------------------------------------------------------------
+# The %.12g kernel against Python's % operator
+# ---------------------------------------------------------------------------
+
+
+def kernel_text(values):
+    """The kernel's text of ``values``, each after a comma, and the number
+    of values it formatted with ``%``."""
+    values = np.asarray(values, dtype=float)
+    out = np.empty(values.shape + (3,), "<u8")
+    slow = rec._format_values(values, out, rec._COMMA)
+    return out.tobytes().translate(None, b"\0"), slow
+
+
+def percent_text(values):
+    return "".join("," + "%.12g" % v for v in np.ravel(values).tolist()).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+def test_kernel_matches_percent(values):
+    assert kernel_text(values)[0] == percent_text(values)
+
+
+# exactly representable values whose 13th significant digit is a final 5:
+# ties of the 12-digit rounding, in exponent form and fixed notation
+TIES = [3.814697265625e-06, 8.392333984375e-05, 0.0004730224609375, 0.008575439453125,
+        0.04083251953125, 0.8685302734375, 6.757568359375, 11.19775390625,
+        12345678901.25, 123456789012.5]
+
+
+def test_ties_are_exact_and_go_through_percent():
+    for value in TIES:
+        digits = Decimal(value).as_tuple().digits
+        assert len(digits) == 13 and digits[-1] == 5
+    values = np.array(TIES + [-v for v in TIES])
+    got, slow = kernel_text(values)
+    assert got == percent_text(values)
+    assert slow == len(values)
+
+
+def test_kernel_edge_values():
+    values = [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
+              float("nan"), float("inf"), -float("inf"),
+              9.9999999999995e-5, 1e-4, -9.9999999999995e-5, 9.99999999999949e-5,
+              999999999999.5, 1e12, 9999.99999999995, 9999.9999999995]
+    for k in range(-6, 14):
+        for toward in (-np.inf, np.inf):
+            values += [np.nextafter(10.0 ** k, toward), -np.nextafter(10.0 ** k, toward)]
+    got, slow = kernel_text(values)
+    assert got == percent_text(values)
+    assert 0 < slow < len(values)
+
+
+def test_kernel_seeded_sweep_over_all_exponents():
+    rng = np.random.default_rng(12)
+    values = np.concatenate([
+        rng.integers(-2 ** 63, 2 ** 63 - 1, 100_000, dtype=np.int64).view(np.float64),
+        rng.standard_normal(50_000) * 10.0 ** rng.integers(-13, 6, 50_000),
+        np.round(rng.standard_normal(20_000), 6)])                     # trailing zeros
+    assert kernel_text(values)[0] == percent_text(values)
+
+
+def test_fast_path_covers_paper_fields():
+    """At most 1 % of the N = 12 paper-example field values go through %."""
+    config = cli.validate_config({"N": 12, "M": 12, "P": 129, "preset": "paper_example"})
+    fg = cli.solve_pipeline(config)["fields"]
+    total = slow = 0
+    for arr in (fg.t, fg.x, fg.v, fg.r, fg.p, fg.s, fg.e):
+        text, n = kernel_text(arr)
+        assert text == percent_text(arr)
+        total, slow = total + arr.size, slow + n
+    assert total == 769 * 769 * 5 + 2 * 769
+    assert slow <= 0.01 * total
+
+
+@pytest.mark.parametrize("block_values", [1, 7, 40])
+def test_csv_bytes_across_blocks(special_grid, worked_example, monkeypatch, tmp_path,
+                                 block_values):
+    """Small blocks split the rows of every writer; the bytes do not change."""
+    monkeypatch.setattr(rec, "CSV_BLOCK_VALUES", block_values)
+    got, want = write_both(special_grid, tmp_path)
+    assert got == want
+    par, mesh, sol = (worked_example[k] for k in ("par", "mesh", "sol_qp"))
+    entries = par.entry_values(sol.y, sol.gamma)
+    controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, entries))
+    rec.write_controls_csv(controls, tmp_path / "got.csv")
+    ref.write_controls_csv(controls, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
