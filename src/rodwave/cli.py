@@ -491,8 +491,6 @@ def summarize(config: RunConfig, result: dict) -> dict:
         "N": config.N, "M": config.M, "lambda": mesh.lam, "T": mesh.T,
         "counts": {"N_e": sc.N_e, "N_w": sc.N_w, "N_u": sc.N_u,
                    "N_v": sc.N_v, "N_s": sc.N_s, "N_b": sc.N_b},
-        "boundary_rows_kept": result["bc"].rank,
-        "guard_rows_kept": result["bc"].guard_rows_kept,
         "E": float(e_val),
         "TE": float(mesh.T * e_val),
         "E_grid": float(result["E_grid"]),

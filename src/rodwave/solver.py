@@ -7,11 +7,12 @@ stationarity route: the optimal free vector has the closed form
 alpha, beta determined by the essential boundary conditions together with
 the natural conditions on the conjugate vector
 ``p = A^T A y' + A^T g'`` (which is constant in z along stationary
-solutions).  That boundary system is square and depends only on the mesh;
-:class:`ELSystem` factors it once from the parametrization and the
-essential-row structure, and each state pays for its own right-hand side
-only.  ``solve_qp`` minimizes the discretized weighted functional
-directly via the KKT system of the equality-constrained
+solutions).  The natural and gauge conditions leave the multipliers h
+one degree of freedom, c, and the boundary system reduces to one square
+system in (alpha, gamma, c) that depends only on the mesh:
+:class:`ELSystem` inverts it once, and each state pays for its own
+right-hand side only.  ``solve_qp`` minimizes the discretized weighted
+functional directly via the KKT system of the equality-constrained
 quadratic program; it is the reference the closed form is checked against
 (``compare_solvers``).  It solves that system in the differences of
 consecutive samples, where the Hessian is block-diagonal, and proves the
@@ -25,16 +26,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .errors import SolverError
 from .edge import BoundaryStructure, EssentialBC, Parametrization
 from .energy import EnergyWeights, QuadraticProgram, evaluate_objective
-from .sampled import fd_derivative
 
 FEASIBILITY_TOL = 1e-9
+BOUNDARY_RANK_TOL = 1e-10      # see ELSystem
 
 
 @dataclass
@@ -52,7 +52,6 @@ class Solution:
     h: np.ndarray                  # multipliers, one per essential row
     objective: float
     method: str
-    p_conj: Optional[np.ndarray] = None   # (N_s, p) conjugate vector (EL path)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -183,27 +182,33 @@ def solve_qp(qp: QuadraticProgram, par: Parametrization, bc: EssentialBC,
 
 class ELSystem:
     """The state-independent part of the closed-form solve on one mesh,
-    factored once from the parametrization (bound to a state or not) and
-    the essential-row ``structure``: A_w^T A_w (``ata``), the square
-    boundary-system matrix ``mat``, its inverse's first n_b columns ``K`` =
-    mat^-1 E (E the first n_b columns of the identity), and the rank of
-    B_gamma.  Only the wave entries ``data_rows`` have a data part g that
-    is not identically zero, so ``a_data`` = A_w[data_rows] and ``proj`` =
-    (A_w^T A_w)^-1 a_data^T carry every product of A_w^T with g.
+    built once from the parametrization (bound to a state or not) and the
+    essential-row ``structure``.  Only the wave entries ``data_rows`` have
+    a data part g that is not identically zero, so ``a_data`` =
+    A_w[data_rows] and ``proj`` = (A_w^T A_w)^-1 a_data^T carry every
+    product of A_w^T with g; ``ata`` is A_w^T A_w.
 
-    Unknowns (alpha, beta, gamma, h) of the boundary system solve the
-    essential rows (n_b), the natural conditions p(0) = B0^T h and
-    p(lambda) = B1^T h (n_s each), and the gauge B_gamma^T h = 0 (n_g): as
-    many rows as unknowns.  Only the first n_b entries of its right-hand
-    side depend on the state, so a state solves as ``K @ vec[:n_b]``.
+    The boundary unknowns (alpha, beta, gamma, h) solve the essential rows
+    (B1 - B0) alpha + lambda B1 beta - B_gamma gamma = rhs, the natural
+    conditions A^T A beta = B0^T h = B1^T h and the gauge B_gamma^T h = 0,
+    so G^T h = 0 with G = [B1 - B0, -B_gamma].  G has n_b = n_s + n_g + 1
+    rows and full column rank, so h = c z, z the unit null vector of G^T
+    (the last column of the complete QR of G), and beta = c w with
+    w = (A^T A)^-1 B1^T z.  Left is S (alpha, gamma, c) = rhs with the
+    n_b-square S = [G | lambda B1 w] (``s``, inverted in ``s_inv``).  S is
+    nonsingular exactly when G has full column rank and sigma =
+    lambda (B1^T z)^T w, never negative as A^T A is SPD, is positive.
+    Another row count, a smallest |diagonal entry| of the R of G at most
+    ``BOUNDARY_RANK_TOL`` times its largest, or a sigma at most that
+    times |lambda B1 w| (the length of the column whose component off the
+    range of G it is) raises :class:`SolverError`.
 
     A^T A is degenerate when its Cholesky factorization fails, or when the
     smallest diagonal entry of the Cholesky factor is at most 1e-6 times
     the largest.  The squares of those entries are the pivots, and every
     pivot lies between the extreme eigenvalues of A^T A, so the bound
     flags only a condition number of at least 1e12; it is cheap, not
-    sharp.  A degenerate A^T A raises :class:`SolverError`, and so does a
-    singular boundary system (``LinAlgError``, or a non-finite K).
+    sharp.  A degenerate A^T A raises :class:`SolverError`.
     """
 
     def __init__(self, par: Parametrization, structure: BoundaryStructure):
@@ -225,27 +230,26 @@ class ELSystem:
         self.a_data = a_w[self.data_rows]
         self.proj = np.linalg.solve(ata, self.a_data.T)
 
-        c_beta, c_gamma, c_h = n_s, 2 * n_s, 2 * n_s + n_g
-        n = n_b + 2 * n_s + n_g
-        mat = np.zeros((n, n))
-        mat[:n_b, :c_beta] = structure.B1 - structure.B0
-        mat[:n_b, c_beta:c_gamma] = lam * structure.B1
-        mat[:n_b, c_gamma:c_h] = -structure.B_gamma
-        for r, bm in ((n_b, structure.B0), (n_b + n_s, structure.B1)):
-            mat[r:r + n_s, c_beta:c_gamma] = ata
-            mat[r:r + n_s, c_h:] = -bm.T
-        mat[n_b + 2 * n_s:, c_h:] = structure.B_gamma.T
-        self.mat = mat
-        e_nb = np.zeros((n, n_b))
-        e_nb[np.arange(n_b), np.arange(n_b)] = 1.0
-        try:
-            self.K = np.linalg.solve(mat, e_nb)
-            if not np.all(np.isfinite(self.K)):
-                raise np.linalg.LinAlgError("non-finite inverse")
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"euler_lagrange: boundary system residual not "
-                              f"bounded: the system is singular ({exc})") from exc
-        self.b_gamma_rank = int(np.linalg.matrix_rank(structure.B_gamma)) if n_b else 0
+        singular = "euler_lagrange: boundary system residual not bounded: "
+        if n_b != n_s + n_g + 1:
+            raise SolverError(f"{singular}{n_b} essential rows, not "
+                              f"n_s + n_g + 1 = {n_s + n_g + 1}")
+        g = np.concatenate([structure.B1 - structure.B0, -structure.B_gamma], axis=1)
+        q, r = np.linalg.qr(g, mode="complete")
+        r_diag = np.abs(np.diagonal(r))
+        if not r_diag.min() > BOUNDARY_RANK_TOL * r_diag.max():
+            raise SolverError(f"{singular}G is rank deficient (|diag R| "
+                              f"{r_diag.max():.3e} to {r_diag.min():.3e})")
+        self.z = q[:, -1].copy()          # no view that keeps all of Q
+        b1z = structure.B1.T @ self.z
+        self.w = np.linalg.solve(ata, b1z)
+        col = lam * (structure.B1 @ self.w)
+        sigma = float(b1z @ self.w) * lam
+        if not sigma > BOUNDARY_RANK_TOL * float(np.linalg.norm(col)):
+            raise SolverError(f"{singular}sigma = {sigma:.3e} is not positive "
+                              f"against lambda |B1 w| = {np.linalg.norm(col):.3e}")
+        self.s = np.concatenate([g, col[:, None]], axis=1)
+        self.s_inv = np.linalg.inv(self.s)
 
 
 def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
@@ -254,51 +258,33 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
 
     The stationary free vector is y(z) = -(A^T A)^-1 A^T g(z) + alpha +
     beta z; the conjugate vector A^T A y' + A^T g' is then the constant
-    A^T A beta.  Unknowns (alpha, beta, gamma, h) solve the essential
-    rows together with the natural conditions p(0) = B0^T h,
-    p(lambda) = B1^T h and the gauge B_gamma^T h = 0 (the projected
-    one-constant form of the natural conditions is recovered from these
-    by eliminating h along the gamma columns).  The square system, factored
-    once per mesh in ``el``, is solved by its stored inverse columns; a
-    residual above 1e-8 * (1 + |rhs|), or NaN, raises :class:`SolverError`.
+    A^T A beta.  The boundary unknowns are reduced once per mesh in ``el``
+    to (alpha, gamma, c), with beta = c w and h = c z (see
+    :class:`ELSystem`); a state solves them by one product with the stored
+    inverse of S, proved by its residual S (alpha, gamma, c) - rhs: above
+    1e-8 * (1 + |rhs|), or NaN, it raises :class:`SolverError`.
     """
-    mesh = par.mesh
-    n_s = par.n_free
-    n_g = par.n_gamma
-    h_step = mesh.lam / (p - 1)
-    z = np.linspace(0.0, mesh.lam, p)
+    n_s, n_g = par.n_free, par.n_gamma
+    z = np.linspace(0.0, par.mesh.lam, p)
 
-    g_data = par.g_matrix(p)[el.data_rows]
-    y_part = -el.proj @ g_data
-
-    n_b = bc.n_rows
-    vec = np.zeros(len(el.mat))
-    vec[:n_b] = bc.b0 - bc.B1 @ y_part[:, -1] + bc.B0 @ y_part[:, 0]
-    sol = el.K @ vec[:n_b]
-    residual = float(np.max(np.abs(el.mat @ sol - vec), initial=0.0))
-    scale = 1.0 + float(np.max(np.abs(vec), initial=0.0))
+    y_part = -el.proj @ par.g_matrix(p)[el.data_rows]
+    rhs = bc.b0 - bc.B1 @ y_part[:, -1] + bc.B0 @ y_part[:, 0]
+    sol = el.s_inv @ rhs
+    residual = float(np.max(np.abs(el.s @ sol - rhs), initial=0.0))
+    scale = 1.0 + float(np.max(np.abs(rhs), initial=0.0))
     if not residual <= 1e-8 * scale:
         raise SolverError(f"euler_lagrange: boundary system residual "
                           f"{residual:.3e} exceeds 1e-8 * (1 + |rhs|)")
 
     alpha = sol[:n_s]
-    beta = sol[n_s:2 * n_s]
-    gamma = sol[2 * n_s:2 * n_s + n_g].copy()
-    mult = sol[2 * n_s + n_g:]
-    y = y_part + alpha[:, None] + beta[:, None] * z[None, :]
+    gamma = sol[n_s:n_s + n_g].copy()
+    c = sol[-1]
+    y = y_part + alpha[:, None] + (c * el.w)[:, None] * z[None, :]
     res = check_feasible(bc, y, gamma, "euler_lagrange")
-
-    g_d = fd_derivative(g_data, h_step)
-    y_d = fd_derivative(y, h_step)
-    p_conj = el.ata @ y_d + el.a_data.T @ g_d
     obj = evaluate_objective(par, weights, y)
-    diag = {"feasibility_residual": res,
-            "boundary_residual": residual,
-            "boundary_rank": len(el.mat),     # the factorization proved full rank
-            "ata_degenerate": False,        # a degenerate A^T A raises
-            "b_gamma_rank": el.b_gamma_rank}
-    return Solution(y=y, gamma=gamma, h=mult, objective=obj,
-                    method="euler_lagrange", p_conj=p_conj, diagnostics=diag)
+    diag = {"feasibility_residual": res, "boundary_residual": residual}
+    return Solution(y=y, gamma=gamma, h=c * el.z, objective=obj,
+                    method="euler_lagrange", diagnostics=diag)
 
 
 @dataclass(frozen=True)

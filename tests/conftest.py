@@ -15,6 +15,7 @@ from rodwave.edge import (
     eliminate,
 )
 from rodwave.energy import assemble_qp, build_weights
+from rodwave.sampled import fd_derivative
 from rodwave.solver import ELSystem, solve_euler_lagrange, solve_qp
 
 
@@ -74,9 +75,20 @@ def structure_of(par):
     return boundary_structure(par, assemble_vertex_conditions(par.mesh))
 
 
-def solve_closed_form(par, bc, weights, p):
-    """``solve_euler_lagrange`` with the boundary system factored here."""
-    return solve_euler_lagrange(par, bc, weights, p, ELSystem(par, structure_of(par)))
+def solve_closed_form(par, bc, weights, p, el=None):
+    """``solve_euler_lagrange`` with the boundary system factored here,
+    unless ``el`` is given."""
+    el = ELSystem(par, structure_of(par)) if el is None else el
+    return solve_euler_lagrange(par, bc, weights, p, el)
+
+
+def conjugate_vector(par, el, y):
+    """The conjugate vector A^T A y' + A^T g' of a closed-form solution y
+    on the state par is bound to, (N_s, p) by finite differences; it is
+    constant in z on a stationary solution."""
+    h = par.mesh.lam / (y.shape[1] - 1)
+    g_data = par.g_matrix(y.shape[1])[el.data_rows]
+    return el.ata @ fd_derivative(y, h) + el.a_data.T @ fd_derivative(g_data, h)
 
 
 @pytest.fixture(scope="session")
@@ -85,9 +97,10 @@ def worked_example():
     mesh, state, system, par, bc, weights = assemble_all(4, 4, 129)
     qp = assemble_qp(par, bc, weights, 129)
     sol_qp = solve_qp(qp, par, bc, weights)
-    sol_el = solve_closed_form(par, bc, weights, 129)
+    el = ELSystem(par, structure_of(par))
+    sol_el = solve_closed_form(par, bc, weights, 129, el)
     return {
         "mesh": mesh, "state": state, "system": system, "par": par,
-        "bc": bc, "weights": weights, "qp": qp,
+        "bc": bc, "weights": weights, "qp": qp, "el": el,
         "sol_qp": sol_qp, "sol_el": sol_el,
     }

@@ -29,7 +29,8 @@ from rodwave.solver import compare_solvers, constraint_residual, solve_qp
 from rodwave import reconstruct as rec
 from rodwave.oracle import SimConfig, compare as oracle_compare, simulate
 from rodwave.cli import EXIT_INFEASIBLE, EXIT_OK, RunConfig, run_solve
-from conftest import assemble_all, example_state, solve_closed_form, structure_of
+from conftest import (assemble_all, conjugate_vector, example_state, solve_closed_form,
+                      structure_of)
 from loop_reference import edge_residuals, gamma_dict, junction_discontinuities
 
 
@@ -281,7 +282,7 @@ def test_criterion_10_solver_cross_check(worked_example):
     rep = compare_solvers(sol_qp, sol_el, bc)
     scale = 1e-9 * (1.0 + float(np.max(np.abs(bc.b0))))
     feas_ok = rep.feas_qp <= scale and rep.feas_el <= scale
-    p_conj = sol_el.p_conj
+    p_conj = conjugate_vector(worked_example["par"], worked_example["el"], sol_el.y)
     const_ok = (np.max(np.abs(p_conj - p_conj[:, :1]))
                 <= 1e-8 * (1.0 + np.max(np.abs(p_conj[:, 0]))))
     ok = feas_ok and rep.qp_not_worse and const_ok

@@ -99,8 +99,9 @@ class TestRunSolve:
         assert (tmp_path / "parametrization_A.csv").exists()
         sizes = summary["sizes"]
         assert sizes["N_s"] == 12
-        assert sizes["boundary_rank"] == summary["boundary_rows_kept"]
-        assert sizes["guard_rows_kept"] == summary["guard_rows_kept"] == 3
+        assert sizes["boundary_rank"] == summary["counts"]["N_b"] + 1    # N_r, N even
+        assert sizes["guard_rows_kept"] == 3
+        assert "boundary_rows_kept" not in summary and "guard_rows_kept" not in summary
         assert sizes["kkt_size"] == 12 * 129 + 4 + sizes["boundary_rank"]
         with open(tmp_path / "parametrization_A.csv") as fh:
             assert sizes["A_nnz"] == sum(cell != "0" for line in fh

@@ -10,11 +10,13 @@ The KKT cross-check keeps nothing between solves.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import loop_reference as ref
+from conftest import conjugate_vector
 from rodwave import cli
 from rodwave import reconstruct as rec
 from rodwave.edge import Parametrization, boundary_matrices
@@ -49,9 +51,6 @@ def same_solution(new, old):
         assert bits(getattr(new, name)) == bits(getattr(old, name))
     assert new.objective.hex() == old.objective.hex()
     assert new.method == old.method
-    assert (new.p_conj is None) == (old.p_conj is None)
-    if new.p_conj is not None:
-        assert bits(new.p_conj) == bits(old.p_conj)
     assert new.diagnostics.keys() == old.diagnostics.keys()
     for key, val in new.diagnostics.items():
         assert repr(val) == repr(old.diagnostics[key])
@@ -61,6 +60,9 @@ def same_result(new, old):
     assert new["solutions"].keys() == old["solutions"].keys()
     for name in new["solutions"]:
         same_solution(new["solutions"][name], old["solutions"][name])
+    el = cli.solve_operator(new["mesh"].N, new["mesh"].M, P).el
+    assert bits(conjugate_vector(new["par"], el, new["primary"].y)) == bits(
+        conjugate_vector(old["par"], el, old["primary"].y))
     for name in ("B0", "B1", "B_gamma", "b0"):
         assert bits(getattr(new["bc"], name)) == bits(getattr(old["bc"], name))
     for name in ("rank", "n_assembled", "guard_rows_kept"):
@@ -148,6 +150,38 @@ def test_failed_build_stores_no_entry(monkeypatch, tmp_path, capsys):
     after = solve_pipeline(config)
     assert cli.solve_operator(4, 4, P).par.state is None
     same_result(after, cold(config))
+
+
+def zero_column(structure):
+    """The free column 0 of B0 and B1 zeroed: a zero column of G."""
+    b0, b1 = structure.B0.copy(), structure.B1.copy()
+    b0[:, 0] = b1[:, 0] = 0.0
+    return replace(structure, B0=b0, B1=b1)
+
+
+def project_out_null_vector(structure):
+    """B0 and B1 less their component along the null vector z of G^T:
+    G and z are unchanged, and B1^T z, so sigma, is zero to rounding."""
+    g = np.concatenate([structure.B1 - structure.B0, -structure.B_gamma], axis=1)
+    z = np.linalg.qr(g, mode="complete")[0][:, -1]
+    return replace(structure, B0=structure.B0 - np.outer(z, z @ structure.B0),
+                   B1=structure.B1 - np.outer(z, z @ structure.B1))
+
+
+@pytest.mark.parametrize("broken,reason", [(zero_column, "G is rank deficient"),
+                                           (project_out_null_vector, "sigma = ")])
+def test_singular_boundary_system_stores_no_entry(monkeypatch, tmp_path, capsys,
+                                                  broken, reason):
+    real = cli.boundary_structure
+    monkeypatch.setattr(cli, "boundary_structure",
+                        lambda par, rows: broken(real(par, rows)))
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"N": 4, "M": 4, "P": P, "preset": "paper_example",
+                                   "out_dir": str(tmp_path / "out")}))
+    assert main(["solve", "--config", str(cfgfile)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "euler_lagrange: boundary system residual not bounded: " + reason in err
+    assert cli._operator is None
 
 
 def test_bad_state_data_builds_no_operator(tmp_path, capsys):

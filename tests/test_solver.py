@@ -17,7 +17,7 @@ from rodwave.solver import (
     constraint_residual,
     solve_qp,
 )
-from conftest import assemble_all, solve_closed_form
+from conftest import assemble_all, conjugate_vector, solve_closed_form, structure_of
 
 P = 33
 
@@ -42,9 +42,10 @@ class TestZeroData:
     def test_euler_lagrange(self):
         mesh = build_mesh(2, 3)
         _, _, _, par, bc, weights = assemble_all(2, 3, P, StateSpec.zero(mesh, P))
-        sol = solve_closed_form(par, bc, weights, P)
+        el = solver.ELSystem(par, structure_of(par))
+        sol = solve_closed_form(par, bc, weights, P, el)
         assert np.max(np.abs(sol.y)) <= 1e-9
-        assert np.max(np.abs(sol.p_conj)) <= 1e-9
+        assert np.max(np.abs(conjugate_vector(par, el, sol.y))) <= 1e-9
 
     def test_identical_zero_solutions(self):
         mesh = build_mesh(3, 2)
@@ -75,7 +76,8 @@ class TestWorkedExample:
         assert abs(report.gap) <= 1e-8 * (1 + report.objective_el)
 
     def test_conjugate_vector_constant(self, worked_example):
-        p_conj = worked_example["sol_el"].p_conj
+        p_conj = conjugate_vector(worked_example["par"], worked_example["el"],
+                                  worked_example["sol_el"].y)
         spread = np.max(np.abs(p_conj - p_conj[:, :1]))
         assert spread <= 1e-8 * (1.0 + np.max(np.abs(p_conj[:, 0])))
 
