@@ -115,6 +115,29 @@ class QuadraticProgram:
         return quad / (self.h * self.h) + 2.0 * lin / self.h + self.c0
 
 
+def _class_kernels(a_w: np.ndarray, w_cols: np.ndarray) -> np.ndarray:
+    """The kernels A_w^T diag(w_cols[:, c]) A_w, one per column c, from the
+    nonzero (e, i, j) triples of A_w alone: term (a_ei * w_ec) * a_ej is
+    added to entry (c, i, j) in e order by ``np.add.at``, which keeps index
+    order.  These are the products and the order of addition of the dense
+    ``np.einsum("ei,ep,ej->pij", a_w, w_cols, a_w)``; the zero terms it
+    adds as well leave every sum as it is, so the kernels are its bits.
+    A row of A_w holds few nonzeros (7 at N = M = 12, 9 at N = M = 16)."""
+    rows, cols = np.nonzero(a_w)                       # row-major: e ascending
+    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    row_cols = np.full((len(a_w), slot.max(initial=0) + 1), -1)
+    row_cols[rows, slot] = cols                        # each row's nonzero columns
+    e, i, j = np.broadcast_arrays(np.arange(len(a_w))[:, None, None],
+                                  row_cols[:, :, None], row_cols[:, None, :])
+    pair = (i >= 0) & (j >= 0)
+    e, i, j = e[pair], i[pair], j[pair]                # in e order
+    n = a_w.shape[1]
+    kernels = np.zeros((w_cols.shape[1], n, n))
+    for kernel, w in zip(kernels, w_cols.T):
+        np.add.at(kernel, (i, j), (a_w[e, i] * w[e]) * a_w[e, j])
+    return kernels
+
+
 def assemble_qp(par: Parametrization, bc: EssentialBC,
                 weights: EnergyWeights, p: int) -> QuadraticProgram:
     """Quadratic program in the sampled free functions and c1.
@@ -152,7 +175,7 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     touched = np.any(a_w != 0.0, axis=1)
     _, first, cell_class = np.unique(w_cells[touched].T, axis=0,
                                      return_index=True, return_inverse=True)
-    kernels = np.einsum("ei,ep,ej->pij", a_w, w_cells[:, first], a_w)
+    kernels = _class_kernels(a_w, w_cells[:, first])
     lin_cells = a_w.T @ (w_cells * g_d)    # (n_s, p-1)
     c0 = float(np.sum(w_cells * g_d * g_d))
 

@@ -115,7 +115,9 @@ def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
     discontinuities land on step instants; forces are sampled with their
     right-sided limits inside each layer (left-sided at t = T).  The
     discrete momentum budget -- rate of change of total momentum equals
-    the net boundary load -- telescopes exactly and is asserted per step.
+    the net boundary load -- telescopes exactly; ``momentum_budget_max``
+    is its largest defect over the steps relative to the end loads, and
+    NaN if any step's is.
     """
     rho, kappa = params.rho, params.kappa
     wave_speed = math.sqrt(kappa / rho)
@@ -147,78 +149,92 @@ def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
     f_right = force_series(mesh.N + 1)
 
     # The piecewise-constant force contributes delta impulses exactly at
-    # the interface nodes and the boundary faces, one row per step.  The
-    # nodes are distinct, so one fancy-index add gives each a single add.
-    interfaces = np.arange(1, mesh.N) * cfg.points_per_segment  # interior nodes
-    impulse_nodes = np.concatenate([interfaces, [0, n_cells]])
-    impulses = np.vstack([(f_seg[1:] - f_seg[:-1]) / h,
-                          (f_seg[0] - f_left) / (h / 2.0),
+    # the interface nodes and the boundary faces, that is at every pps-th
+    # node; column k of a row is the impulse of node k * pps.
+    pps = cfg.points_per_segment
+    impulses = np.vstack([(f_seg[0] - f_left) / (h / 2.0),
+                          (f_seg[1:] - f_seg[:-1]) / h,
                           (f_right - f_seg[-1]) / (h / 2.0)]).T.copy()
 
-    # The step runs in these buffers, with the operations of the plain
-    # array expressions in the same order, so the results are the same
-    # bits.  ``rate`` is overwritten by every p_rate call.
+    # The step runs in these buffers and views, with the operations of the
+    # plain array expressions in the same order, so the results are the
+    # same bits; multiplying by kappa or dividing by rho is skipped only
+    # where the coefficient is exactly 1.0, which makes it an identity.
+    # ``rate`` is overwritten by every p_rate call.
+    v = np.array(state.v0(x), dtype=float)        # a copy: the loop updates v in place
+    dv = np.empty(n_cells)
     s_el = np.empty(n_cells)
     rate = np.empty(n_cells + 1)
     scratch = np.empty(n_cells + 1)
+    v_right, v_left = v[1:], v[:-1]
+    s_right, s_left = s_el[1:], s_el[:-1]
+    rate_inner, rate_nodes = rate[1:-1], rate[::pps]
+    squares = scratch[:-1]
 
-    def p_rate(dv, n_step):
-        """Momentum rate s_x from the node differences ``dv`` of v: elastic
-        divergence plus force impulses.
+    def advance_v(p_half):
+        """v = v + dt * p_half / rho, then dv = v[1:] - v[:-1]."""
+        np.multiply(dt, p_half, scratch)
+        if rho != 1.0:
+            np.divide(scratch, rho, scratch)
+        np.add(v, scratch, v)
+        np.subtract(v_right, v_left, dv)
+
+    def p_rate(n_step):
+        """Momentum rate s_x from ``dv``: elastic divergence plus the force
+        impulses of step ``n_step``.
 
         At unit Courant number the bare node impulses reproduce the
         continuum transmission and Neumann relations node-for-node (method
         of images), so the only time-discretization error left is the
         midpoint rule on the smooth force histories.
         """
-        np.multiply(kappa, dv, out=s_el)
-        np.divide(s_el, h, out=s_el)
-        inner = rate[1:-1]
-        np.subtract(s_el[1:], s_el[:-1], out=inner)
-        np.divide(inner, h, out=inner)
+        if kappa != 1.0:
+            np.multiply(kappa, dv, s_el)
+            np.divide(s_el, h, s_el)
+        else:
+            np.divide(dv, h, s_el)
+        np.subtract(s_right, s_left, rate_inner)
+        np.divide(rate_inner, h, rate_inner)
         rate[0] = s_el[0] / (h / 2.0)
         rate[-1] = -s_el[-1] / (h / 2.0)
-        rate[impulse_nodes] += impulses[n_step]
+        np.add(rate_nodes, impulses[n_step], rate_nodes)
         return rate
 
-    def strain_energy(dv):
-        squares = np.square(dv, out=scratch[:-1])
-        return kappa * float(np.sum(squares)) / (2.0 * h)
-
+    # per-step sums: of dv^2, of weights * (p_next - p_half) and of
+    # weights * p_half * p_next (weights * p^2 at the two ends)
     weights = _node_weights(n_cells + 1, h)
-    v = np.array(state.v0(x), dtype=float)        # a copy: the loop updates v in place
-    dv = v[1:] - v[:-1]
+    strain_sums = np.empty(n_steps + 1)
+    kinetic_sums = np.empty(n_steps + 1)
+    budget_sums = np.empty(n_steps - 1)
+
+    np.subtract(v_right, v_left, dv)
     p0 = state.momentum_initial()(x)
-    p_half = p0 + (dt / 2.0) * p_rate(dv, 0)
+    p_half = p0 + (dt / 2.0) * p_rate(0)
     p_next = np.empty(n_cells + 1)
+    strain_sums[0] = np.add.reduce(np.square(dv, squares))
+    kinetic_sums[0] = np.dot(weights, np.square(p0, scratch))
 
-    budget_max = 0.0
+    for n in range(1, n_steps):
+        advance_v(p_half)
+        # p_next = p_half + dt * p_rate(n)
+        np.multiply(dt, p_rate(n), p_next)
+        np.add(p_half, p_next, p_next)
+        budget_sums[n - 1] = np.dot(weights, np.subtract(p_next, p_half, scratch))
+        strain_sums[n] = np.add.reduce(np.square(dv, squares))
+        kinetic_sums[n] = np.dot(weights, np.multiply(p_half, p_next, scratch))
+        p_half, p_next = p_next, p_half
+    advance_v(p_half)
+    p_terminal = p_half + (dt / 2.0) * p_rate(n_steps)
+    strain_sums[n_steps] = np.add.reduce(np.square(dv, squares))
+    kinetic_sums[n_steps] = np.dot(weights, np.square(p_terminal, scratch))
+
+    energies = kappa * strain_sums / (2.0 * h) + kinetic_sums / (2.0 * rho)
+    # the momentum budget: net boundary load against the rate of change of
+    # total momentum; a NaN step makes the maximum NaN
     force_scale = max(1.0, float(np.max(np.abs(f_left))), float(np.max(np.abs(f_right))))
-    energies = np.empty(n_steps + 1)
-    energies[0] = strain_energy(dv) + float(weights @ (p0 ** 2)) / (2.0 * rho)
-
-    p_terminal = None
-    for n in range(n_steps):
-        # v = v + dt * p_half / rho; dv = v[1:] - v[:-1]
-        np.multiply(dt, p_half, out=scratch)
-        scratch /= rho
-        v += scratch
-        np.subtract(v[1:], v[:-1], out=dv)
-        if n < n_steps - 1:
-            # p_next = p_half + dt * p_rate(dv, n + 1)
-            np.multiply(dt, p_rate(dv, n + 1), out=p_next)
-            np.add(p_half, p_next, out=p_next)
-            lhs = float(weights @ np.subtract(p_next, p_half, out=scratch)) / dt
-            rhs = float(f_right[n + 1] - f_left[n + 1])
-            budget_max = max(budget_max, abs(lhs - rhs) / force_scale)
-            strain = strain_energy(dv)
-            energies[n + 1] = strain + float(
-                weights @ np.multiply(p_half, p_next, out=scratch)) / (2.0 * rho)
-            p_half, p_next = p_next, p_half
-        else:
-            p_terminal = p_half + (dt / 2.0) * p_rate(dv, n_steps)
-            energies[n + 1] = strain_energy(dv) + float(
-                weights @ (p_terminal ** 2)) / (2.0 * rho)
+    net_load = f_right[1:n_steps] - f_left[1:n_steps]
+    budget = np.abs(budget_sums / dt - net_load) / force_scale
+    budget_max = float(np.max(budget, initial=0.0))
 
     v1 = state.v1(x)
     p1 = state.momentum_terminal()(x)

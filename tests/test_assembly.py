@@ -73,6 +73,19 @@ def test_distinct_weight_columns(n, m, columns):
     check_both(par, weights, 129, assemble_vertex_conditions(mesh))
 
 
+@pytest.mark.parametrize("n,m", [(12, 12), (16, 16), (4, 4), (3, 7), (6, 6)])
+def test_kernels_match_dense_einsum(n, m):
+    # the kernels summed over A_w's nonzero triples are the bits of the
+    # dense three-operand einsum over every row, also on meshes where it
+    # takes another inner path (it runs 30x longer at N=12 than at N=8)
+    mesh, _, _, par, bc, weights = assemble_all(n, m, 129)
+    qp = assemble_qp(par, bc, weights, 129)
+    a_w = par.A[:par.catalog.N_w]
+    w_cells = weights.w_mid * (mesh.lam / 128 / mesh.T)
+    first = [np.flatnonzero(qp.cell_class == c)[0] for c in range(len(qp.kernels))]
+    assert_bits(qp.kernels, np.einsum("ei,ep,ej->pij", a_w, w_cells[:, first], a_w))
+
+
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 4)])
 def test_without_guards(n, m):
     # the solve needs no junction row beyond the vertex rows: the sweep

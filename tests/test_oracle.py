@@ -180,6 +180,85 @@ def test_simulate_matches_loop_form_bit_for_bit(driven, n, cfl):
     assert np.max(np.abs(controls.forces[mesh.J_s[0]])) > 0.0
 
 
+def assert_same_run(got, want):
+    for name in ("x", "v_terminal", "p_terminal", "energy_history", "times"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("momentum_budget_max", "terminal_energy_error",
+                 "terminal_v_sup", "dt", "h"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("cfl", [0.9, 1.0])
+@pytest.mark.parametrize("rho,kappa", [(4.0, 1.0), (1.0, 0.3), (2.5, 7.0)])
+def test_rod_constants_match_loop_form_bit_for_bit(driven, rho, kappa, cfl):
+    # each coefficient pass runs unless its coefficient is exactly 1.0
+    import loop_reference as ref
+
+    mesh, state, controls = driven[3]
+    params = RodParams(rho, kappa, 1.0)
+    cfg = SimConfig(points_per_segment=16, cfl=cfl)
+    assert_same_run(simulate(mesh, params, controls, state, cfg),
+                    ref.simulate(mesh, params, controls, state, cfg))
+
+
+@pytest.fixture(scope="module")
+def driven_n12():
+    """Synthesized controls of the worked-example data at N = M = 12."""
+    from conftest import assemble_all, solve_closed_form
+
+    mesh, state, system, par, bc, weights = assemble_all(12, 12, 33)
+    sol = solve_closed_form(par, bc, weights, 33)
+    entries = par.entry_values(sol.y, sol.gamma)
+    return mesh, state, rec.controls_from_jumps(
+        mesh, rec.jump_pieces_from_solution(par, entries))
+
+
+@pytest.mark.parametrize("points, cfl", [(16, 0.9), (16, 1.0), (125, 1.0)])
+def test_interface_impulses_match_loop_form_bit_for_bit(driven_n12, points, cfl):
+    # 11 interfaces and both faces take their impulses through the strided
+    # view of every pps-th node; 125 points at CFL 1 is verify's coarse rung
+    import loop_reference as ref
+
+    mesh, state, controls = driven_n12
+    cfg = SimConfig(points_per_segment=points, cfl=cfl)
+    got = simulate(mesh, PARAMS, controls, state, cfg)
+    assert_same_run(got, ref.simulate(mesh, PARAMS, controls, state, cfg))
+    assert got.momentum_budget_max <= 1e-8
+
+
+def with_nan_right_load(controls):
+    """``controls`` with one sample of the right end load's integral NaN."""
+    k = controls.mesh.N + 1
+    integrals = dict(controls.integrals)
+    integrals[k] = integrals[k].copy()
+    integrals[k][1, 5] = np.nan
+    return rec.ControlSet(mesh=controls.mesh, p=controls.p, jumps=controls.jumps,
+                          integrals=integrals, forces=controls.forces)
+
+
+def test_nan_step_reaches_momentum_budget(driven):
+    mesh, state, controls = driven[3]
+    sim = simulate(mesh, PARAMS, with_nan_right_load(controls), state,
+                   SimConfig(points_per_segment=16, cfl=1.0))
+    assert np.isnan(sim.energy_history).any()
+    assert np.isnan(sim.momentum_budget_max)
+
+
+def test_verify_fails_budget_check_on_nan_step(monkeypatch, capsys):
+    from rodwave import cli
+
+    real = cli.simulate
+
+    def corrupted(mesh, params, controls, state, sim_config):
+        return real(mesh, params, with_nan_right_load(controls), state, sim_config)
+
+    monkeypatch.setattr(cli, "simulate", corrupted)
+    cfg = cli.validate_config({"N": 3, "M": 3, "P": 33, "preset": "paper_example",
+                               "oracle_points_per_segment": 16})
+    assert cli.run_verify(cfg) == cli.EXIT_INVARIANT
+    assert "  FAIL  oracle momentum budget exact\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("points, cfl", [(8, 1.0), (16, 0.9), (50, 0.73), (125, 0.9)])
 def test_cell_steps_counts_the_run(driven, points, cfl):
     mesh, state, controls = driven[3]
