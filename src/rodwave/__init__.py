@@ -24,7 +24,6 @@ from .mesh import (
     SystemCounts,
     build_mesh,
     counts,
-    delta_z_weight,
     nondimensionalize,
 )
 from .sampled import SampledFunction

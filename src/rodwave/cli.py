@@ -447,7 +447,7 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
     if config.solver == "both":
         qp = assemble_qp(par, bc, weights, config.P)
         solutions["qp"] = solve_qp(qp, par, bc, weights)
-        comparison = compare_solvers(solutions["qp"], solutions["el"], bc)
+        comparison = compare_solvers(solutions["qp"], solutions["el"])
         if not comparison.qp_not_worse:
             raise InvariantViolationError(
                 f"QP objective {comparison.objective_qp} exceeds the "
@@ -513,8 +513,6 @@ def summarize(config: RunConfig, result: dict) -> dict:
         "sizes": {
             "N_s": result["par"].n_free,
             "A_nnz": int(np.count_nonzero(result["par"].A)),
-            "boundary_rank": result["bc"].rank,
-            "guard_rows_kept": result["bc"].guard_rows_kept,
             "kkt_size": (result["solutions"]["qp"].diagnostics["kkt_size"]
                          if "qp" in result["solutions"] else None),
         },
@@ -858,10 +856,12 @@ def run_verify(config: RunConfig) -> int:
           f"{controls.zero_start_max():.3e}")
     check("forces sum to zero (<= 1e-9 * data scale)",
           controls.zero_sum_max() <= 1e-9 * scale, f"{controls.zero_sum_max():.3e}")
-    check("QP objective <= stationary objective + 1e-8",
-          result["comparison"].qp_not_worse)
-    check("oracle momentum budget exact",
-          oracle["momentum_budget_max"] <= 1e-8)
+    comparison = result["comparison"]
+    check("QP objective <= stationary objective + 1e-8 * (1 + |E|)",
+          comparison.qp_not_worse, f"gap {comparison.gap:+.3e}")
+    check("oracle momentum budget <= 1e-8",
+          oracle["momentum_budget_max"] <= 1e-8,
+          f"{oracle['momentum_budget_max']:.3e}")
     check("oracle terminal energy error <= 2%",
           oracle["terminal_energy_error"] <= 0.02,
           f"{oracle['terminal_energy_error']:.3e}")

@@ -4,25 +4,19 @@ On a valid solution the energy density reduces to
 ``(v_t^2 + v_x^2)/2 = (w_plus')^2 + (w_minus')^2`` per segment, so the
 mean energy is a weighted integral of squared wave derivatives over the
 reference interval: each wave piece carries the cross-characteristic
-thickness of its strip as weight (the trapezoid of
-:func:`rodwave.mesh.delta_z_weight`), which is lambda on all interior
-layers and a linear ramp on the first/last layers.  Control-jump entries
-carry zero weight.
-
-On interior layers the sampled weight is lambda only up to rounding: the
-trapezoid is evaluated from rounded domain offsets, so some pieces read a
-few ulps below lambda (1 ulp at N = M = 6, up to 10 at N = 7, M = 5).
-The quadratic form keeps these values as they are.
+thickness of its strip as weight, a trapezoid over the wave domain that
+is exactly lambda on all interior layers and a linear ramp on the
+first/last layers.  Control-jump entries carry zero weight.
 
 Since the first/last layer pieces are resolved purely from data, the
-y-dependent part of the functional sees the (rounded) constant weight
-lambda only; the ramp layers contribute a data constant that is kept so
-that the reported optimum equals the true mean energy.
+y-dependent part of the functional sees the constant weight lambda only;
+the ramp layers contribute a data constant that is kept so that the
+reported optimum equals the true mean energy.
 
 The discretized program (:class:`QuadraticProgram`) is kept in its cell
-form only: one kernel per distinct cell weight column and a linear term
-per cell.  Its Hessian in the samples is never assembled; the KKT solve
-and its residual proof in :mod:`rodwave.solver` work on the kernels.
+form only: one kernel for the whole mesh and a linear term per cell.  Its
+Hessian in the samples is never assembled; the KKT solve and its residual
+proof in :mod:`rodwave.solver` work on the kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssemblyError, InvalidArgumentError
-from .mesh import MeshConfig, delta_z_weight
+from .mesh import MeshConfig
 from .sampled import simpson_weights
 from .edge import EssentialBC, Parametrization, build_catalog
 
@@ -53,22 +47,18 @@ def build_weights(mesh: MeshConfig, p: int = 129) -> EnergyWeights:
     """Per-piece restriction of the strip-thickness trapezoid.
 
     Piece (side, k, m) occupies offsets [m*lam/2, m*lam/2 + lam] of the
-    wave domain, so its weight is z on the first layer, lam - z on the
-    last, and the constant lam in between, up to the rounding of the
-    offsets (a few ulps below lam on some interior pieces).  All layers
-    of one wave are weighed in one call, row m of the (M + 1, p) array,
-    and the rows go straight to their catalog positions.
+    wave domain, so with z = ``linspace(0, lam, p)`` its weight is z on
+    the first layer, lam - z on the last, and exactly lam in between.
+    The three pieces are written straight from z, not from the rounded
+    domain offsets, so every interior midpoint weight is lam itself.
     """
     z = np.linspace(0.0, mesh.lam, p)
-    ms = np.array(mesh.J_t)
     cat = build_catalog(mesh)
-    w_nodes = np.empty((cat.N_w, p))
+    w_nodes = np.full((cat.N_w, p), mesh.lam)
     for k in mesh.J_s:
         for side in (+1, -1):
-            lo, _ = mesh.wave_domain(k, side)
-            rows = [cat.index[("w", side, k, m)] for m in mesh.J_t]
-            w_nodes[rows] = delta_z_weight(mesh, k, side,
-                                           (lo + ms * mesh.lam / 2.0)[:, None] + z)
+            w_nodes[cat.index[("w", side, k, mesh.J_t[0])]] = z
+            w_nodes[cat.index[("w", side, k, mesh.J_t[-1])]] = mesh.lam - z
     w_mid = 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])
     w_mid.setflags(write=False)
     return EnergyWeights(mesh=mesh, p=p, w_mid=w_mid)
@@ -80,12 +70,12 @@ class QuadraticProgram:
     then the per-segment terminal constants gamma), in its cell form: with
     h the sample step and d_q = y_{q+1} - y_q,
 
-        obj(x) = sum_q h^-2 d_q^T K_{c(q)} d_q + 2 h^-1 l_q^T d_q + c0,
+        obj(x) = sum_q h^-2 d_q^T K d_q + 2 h^-1 l_q^T d_q + c0,
 
-    where K_c = ``kernels[c]``, c(q) = ``cell_class[q]`` and
-    l_q = ``lin_cells[:, q]``; gamma does not enter.  The equality
-    constraints B1 y_{p-1} - B0 y_0 - B_gamma gamma = d are the essential
-    boundary rows the program was assembled with."""
+    where K = ``kernel`` is the same for every cell and l_q =
+    ``lin_cells[:, q]``; gamma does not enter.  The equality constraints
+    B1 y_{p-1} - B0 y_0 - B_gamma gamma = d are the essential boundary
+    rows the program was assembled with."""
 
     mesh: MeshConfig
     p: int
@@ -93,8 +83,7 @@ class QuadraticProgram:
     n_gamma: int
     c0: float
     d: np.ndarray = field(repr=False)
-    kernels: np.ndarray = field(repr=False)      # (classes, n_free, n_free)
-    cell_class: np.ndarray = field(repr=False)   # (p - 1,) kernel index per cell
+    kernel: np.ndarray = field(repr=False)       # (n_free, n_free)
     lin_cells: np.ndarray = field(repr=False)    # (n_free, p - 1)
 
     @property
@@ -107,35 +96,9 @@ class QuadraticProgram:
 
     def objective(self, x: np.ndarray) -> float:
         diffs = np.diff(x[:self.n_free * self.p].reshape(self.p, self.n_free), axis=0)
-        quad = 0.0
-        for c, kernel in enumerate(self.kernels):
-            dc = diffs[self.cell_class == c]
-            quad += float(np.sum((dc @ kernel) * dc))
+        quad = float(np.sum((diffs @ self.kernel) * diffs))
         lin = float(np.sum(self.lin_cells.T * diffs))
         return quad / (self.h * self.h) + 2.0 * lin / self.h + self.c0
-
-
-def _class_kernels(a_w: np.ndarray, w_cols: np.ndarray) -> np.ndarray:
-    """The kernels A_w^T diag(w_cols[:, c]) A_w, one per column c, from the
-    nonzero (e, i, j) triples of A_w alone: term (a_ei * w_ec) * a_ej is
-    added to entry (c, i, j) in e order by ``np.add.at``, which keeps index
-    order.  These are the products and the order of addition of the dense
-    ``np.einsum("ei,ep,ej->pij", a_w, w_cols, a_w)``; the zero terms it
-    adds as well leave every sum as it is, so the kernels are its bits.
-    A row of A_w holds few nonzeros (7 at N = M = 12, 9 at N = M = 16)."""
-    rows, cols = np.nonzero(a_w)                       # row-major: e ascending
-    slot = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    row_cols = np.full((len(a_w), slot.max(initial=0) + 1), -1)
-    row_cols[rows, slot] = cols                        # each row's nonzero columns
-    e, i, j = np.broadcast_arrays(np.arange(len(a_w))[:, None, None],
-                                  row_cols[:, :, None], row_cols[:, None, :])
-    pair = (i >= 0) & (j >= 0)
-    e, i, j = e[pair], i[pair], j[pair]                # in e order
-    n = a_w.shape[1]
-    kernels = np.zeros((w_cols.shape[1], n, n))
-    for kernel, w in zip(kernels, w_cols.T):
-        np.add.at(kernel, (i, j), (a_w[e, i] * w[e]) * a_w[e, j])
-    return kernels
 
 
 def assemble_qp(par: Parametrization, bc: EssentialBC,
@@ -151,12 +114,15 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     constant in z and drops out of the objective, entering through the
     constraints only.
 
-    The kernel A_w^T diag(w_q) A_w of cell q depends only on the cell's
-    weight column (midpoint weight times h / T) restricted to the rows
-    where A_w is nonzero, and a mesh has one to three distinct such
-    columns, so one kernel is formed per distinct column.  The linear term
-    ``lin_cells``, the constant c0 and the constraint data d come from the
-    state ``par`` is bound to.
+    Every row A_w touches must carry one and the same cell weight c
+    (midpoint weight times h / T), read from ``weights``; another weight
+    raises :class:`AssemblyError`.  The first/last layer pieces are
+    resolved from data and their A rows are zero, so with the exact
+    interior weight lambda this holds by construction.  The kernel is
+    K = c (A_w^T A_w): A has entries in 1/2 Z, so A_w^T A_w is exact in
+    any summation order and K is one correctly rounded product.  The
+    linear term ``lin_cells``, the constant c0 and the constraint data d
+    come from the state ``par`` is bound to.
     """
     mesh, cat = par.mesh, par.catalog
     if p != par.bound_state.grid_p(mesh):
@@ -171,18 +137,16 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     g_d = np.diff(g_w, axis=1) / h         # midpoint derivatives, (N_w, p-1)
     w_cells = weights.w_mid * (h / mesh.T)
 
-    # one kernel per distinct weight column over the rows A_w touches
-    touched = np.any(a_w != 0.0, axis=1)
-    _, first, cell_class = np.unique(w_cells[touched].T, axis=0,
-                                     return_index=True, return_inverse=True)
-    kernels = _class_kernels(a_w, w_cells[:, first])
+    touched = w_cells[np.any(a_w != 0.0, axis=1)]
+    c = touched.flat[0] if touched.size else 0.0
+    if np.any(touched != c):
+        raise AssemblyError("the rows A touches do not share one cell weight")
     lin_cells = a_w.T @ (w_cells * g_d)    # (n_s, p-1)
     c0 = float(np.sum(w_cells * g_d * g_d))
 
     return QuadraticProgram(mesh=mesh, p=p, n_free=par.n_free, n_gamma=par.n_gamma,
                             c0=c0, d=bc.b0.copy() if bc.n_rows else np.zeros(0),
-                            kernels=kernels, cell_class=cell_class.reshape(-1),
-                            lin_cells=lin_cells)
+                            kernel=c * (a_w.T @ a_w), lin_cells=lin_cells)
 
 
 def evaluate_objective(par: Parametrization, weights: EnergyWeights,

@@ -77,10 +77,6 @@ class MeshConfig:
     def z_minus(self, k: int) -> float:
         return -(k + 1) * self.lam / 2.0
 
-    @property
-    def t_m(self) -> np.ndarray:
-        return np.array([self.t(m) for m in self.J_t])
-
     def wave_domain(self, k: int, side: int):
         """Closed domain of the traveling wave w^side_k (side is +1 or -1)."""
         if side not in (+1, -1):
@@ -147,25 +143,3 @@ def counts(N: int, M: int) -> SystemCounts:
         N_b = M * N + M - N
         N_r = N_b + 1
     return SystemCounts(N_e=N_e, N_w=N_w, N_u=N_u, N_v=N_v, N_s=N_s, N_b=N_b, N_r=N_r)
-
-
-def delta_z_weight(mesh: MeshConfig, k: int, side: int, zeta) -> np.ndarray:
-    """Cross-characteristic thickness of the strip Omega_k at coordinate zeta.
-
-    Returns half the measure of the set of conjugate characteristic
-    coordinates that pair with ``zeta`` inside Omega_k.  The result is the
-    trapezoid min(offset, lambda, domain_length - offset): it ramps 0 ->
-    lambda over the first lambda, holds lambda in the middle, and ramps
-    back to 0 over the last lambda.  Its integral over the whole domain is
-    lambda*T, half the characteristic-coordinate area of Omega_k.
-    """
-    if k not in mesh.J_s:
-        raise InvalidArgumentError(f"k={k} is not a segment index")
-    lo, hi = mesh.wave_domain(k, side)
-    z = np.asarray(zeta, dtype=float)
-    eps = 1e-12 * max(1.0, mesh.T)
-    if np.any(z < lo - eps) or np.any(z > hi + eps):
-        raise InvalidArgumentError("zeta outside the wave domain")
-    off = np.clip(z - lo, 0.0, hi - lo)
-    w = np.minimum(np.minimum(off, mesh.lam), (hi - lo) - off)
-    return w if w.ndim else float(w)

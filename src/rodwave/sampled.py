@@ -117,25 +117,3 @@ class SampledFunction:
 
     def cumulative(self) -> "SampledFunction":
         return SampledFunction(self.a, self.b, cumulative_integral(self.values, self.h))
-
-    # -- algebra -----------------------------------------------------
-
-    def _check_compatible(self, other: "SampledFunction") -> None:
-        if self.p != other.p or self.a != other.a or self.b != other.b:
-            raise InvalidArgumentError("operands live on different grids")
-
-    def __add__(self, other: "SampledFunction") -> "SampledFunction":
-        self._check_compatible(other)
-        return SampledFunction(self.a, self.b, self.values + other.values)
-
-    def __sub__(self, other: "SampledFunction") -> "SampledFunction":
-        self._check_compatible(other)
-        return SampledFunction(self.a, self.b, self.values - other.values)
-
-    def __mul__(self, c: float) -> "SampledFunction":
-        return SampledFunction(self.a, self.b, self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SampledFunction":
-        return SampledFunction(self.a, self.b, -self.values)

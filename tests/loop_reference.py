@@ -25,7 +25,7 @@ from rodwave.edge import DataExpr, EssentialBC, StateSpec, _pivot_priority, guar
 from rodwave import energy
 from rodwave.energy import blockwise_simpson_weights, evaluate_objective
 from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError, SolverError
-from rodwave.mesh import counts, delta_z_weight
+from rodwave.mesh import counts
 from rodwave.oracle import SimResult, _node_weights, energy_norm
 from rodwave.reconstruct import FieldGrid, _pick_q
 from rodwave.sampled import SampledFunction, fd_derivative, simpson_weights
@@ -328,8 +328,8 @@ def junction_residuals(par, y, gamma):
 class AssembledQP:
     """The discretized program assembled in sample space:
     obj(x) = x^T H x + 2 b^T x + c0 subject to C x = d, with H and C sparse
-    and b in sample form, together with the per-cell kernels (``cell_class``
-    is the identity) and linear terms H and b were built from."""
+    and b in sample form, together with the per-cell kernels and linear
+    terms H and b were built from."""
 
     mesh: object
     p: int
@@ -340,8 +340,7 @@ class AssembledQP:
     c0: float
     C: object = field(repr=False)
     d: np.ndarray = field(repr=False)
-    kernels: np.ndarray = field(repr=False)
-    cell_class: np.ndarray = field(repr=False)
+    kernels: np.ndarray = field(repr=False)     # (p - 1, n_free, n_free)
     lin_cells: np.ndarray = field(repr=False)
 
     @property
@@ -407,7 +406,7 @@ def assemble_qp(par, bc, weights, p):
     return AssembledQP(mesh=mesh, p=p, n_free=n_s, n_gamma=n_gamma,
                        H=hmat, b=lin, c0=c0, C=cmat.tocsr(),
                        d=bc.b0.copy() if n_c else np.zeros(0),
-                       kernels=kernels, cell_class=np.arange(p - 1),
+                       kernels=kernels,
                        lin_cells=lin_cells)
 
 
@@ -572,15 +571,20 @@ def partition(system):
 
 def build_weights(mesh, p):
     """Energy weights one piece at a time: (table of wave key -> weight
-    samples, midpoint weights in catalog order)."""
+    samples, midpoint weights in catalog order).  A piece weighs z on the
+    first layer, lam - z on the last and lam on every layer between."""
     z = np.linspace(0.0, mesh.lam, p)
     table = {}
     for k in mesh.J_s:
         for side in (+1, -1):
-            lo, _ = mesh.wave_domain(k, side)
             for m in mesh.J_t:
-                table[("w", side, k, m)] = delta_z_weight(
-                    mesh, k, side, lo + m * mesh.lam / 2.0 + z)
+                if m == mesh.J_t[0]:
+                    w = z.copy()
+                elif m == mesh.J_t[-1]:
+                    w = mesh.lam - z
+                else:
+                    w = np.full(p, mesh.lam)
+                table[("w", side, k, m)] = w
     w_nodes = np.array([table[("w", side, k, m)] for k in mesh.J_s
                         for m in mesh.J_t for side in (+1, -1)])
     return table, 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])

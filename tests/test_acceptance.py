@@ -279,7 +279,7 @@ def test_criterion_10_solver_cross_check(worked_example):
     bc = worked_example["bc"]
     sol_qp = worked_example["sol_qp"]
     sol_el = worked_example["sol_el"]
-    rep = compare_solvers(sol_qp, sol_el, bc)
+    rep = compare_solvers(sol_qp, sol_el)
     scale = 1e-9 * (1.0 + float(np.max(np.abs(bc.b0))))
     feas_ok = rep.feas_qp <= scale and rep.feas_el <= scale
     p_conj = conjugate_vector(worked_example["par"], worked_example["el"], sol_el.y)

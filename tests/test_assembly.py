@@ -1,21 +1,27 @@
 """Array-wide per-mesh assembly against the loop forms it replaced.
 
 ``boundary_matrices`` (one gather per term slot, every vertex row solved)
-and ``assemble_qp`` (one kernel per distinct weight column) must return
-the same bits as the row-by-row sweep, which keeps every vertex row, and
-the per-cell kernels of the dict-of-blocks LIL assembly kept in
-``loop_reference``.  The junction rows a solution violates must be those
-a row-by-row evaluation flags.  The KKT rows and the objective the solver
-evaluates from the kernels must equal those of the assembled H, C and b.
+and ``assemble_qp`` (one kernel per mesh) must return the same bits as
+the row-by-row sweep, which keeps every vertex row, and the dict-of-blocks
+LIL assembly kept in ``loop_reference``, whose per-cell einsum kernels lie
+within 2 ulps of the one kernel.  The junction rows a solution violates
+must be those a row-by-row evaluation flags.  The KKT rows and the
+objective the solver evaluates from the kernel must equal those of the
+assembled H, C and b.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import loop_reference as ref
 from conftest import assemble_all, solve_closed_form
-from rodwave.edge import assemble_vertex_conditions, boundary_matrices, boundary_structure
+from rodwave import cli
+from rodwave.edge import (assemble_vertex_conditions, boundary_matrices, boundary_structure,
+                          build_catalog, wave_key)
 from rodwave.energy import assemble_qp
+from rodwave.errors import AssemblyError
 from rodwave.mesh import build_mesh
 from rodwave.solver import kkt_residual
 from test_edge import random_state
@@ -34,19 +40,15 @@ def assert_same_bc(new, old):
 
 
 def assert_same_qp(new, old):
-    # the reference keeps one kernel per cell
-    assert_bits(new.kernels[new.cell_class], old.kernels[old.cell_class])
+    # the reference keeps one einsum kernel per cell, sum_e (a_ei c) a_ej
+    # rounded term by term: each entry lies within 2 ulps of c (A_w^T A_w)
+    # rounded once, and the zero entries agree
+    assert old.kernels.shape == (new.p - 1,) + new.kernel.shape
+    assert np.all((old.kernels == 0.0) == (new.kernel == 0.0))
+    assert np.all(np.abs(old.kernels - new.kernel) <= 2 * np.spacing(np.abs(new.kernel)))
     assert_bits(new.lin_cells, old.lin_cells)
     assert_bits(new.d, old.d)
     assert new.c0.hex() == old.c0.hex()
-
-
-def distinct_weight_columns(par, weights, p):
-    """Distinct scaled cell weight columns over the wave rows A touches."""
-    n_w = par.catalog.N_w
-    w_cells = weights.w_mid * (par.mesh.lam / (p - 1) / par.mesh.T)
-    touched = np.any(par.A[:n_w] != 0.0, axis=1)
-    return len(np.unique(w_cells[touched].T, axis=0))
 
 
 def check_both(par, weights, p, vertex_rows, include_guards=False):
@@ -66,24 +68,60 @@ def test_odd_and_even_n(n, m):
     check_both(par, weights, 17, assemble_vertex_conditions(mesh))
 
 
-@pytest.mark.parametrize("n,m,columns", [(4, 4, 1), (3, 7, 2), (6, 6, 3)])
-def test_distinct_weight_columns(n, m, columns):
+@pytest.mark.parametrize("n,m", [(4, 4), (3, 7), (6, 6), (7, 5), (12, 12)])
+def test_one_weight_on_touched_rows(n, m):
+    # every wave row A touches is an interior piece, weighed exactly lambda
+    # in every cell; the ramp pieces have zero rows
     mesh, _, _, par, _, weights = assemble_all(n, m, 129)
-    assert distinct_weight_columns(par, weights, 129) == columns
+    touched = np.any(par.A[:par.catalog.N_w] != 0.0, axis=1)
+    assert np.all(weights.w_mid[touched] == mesh.lam)
+    cat = build_catalog(mesh)
+    ramps = [cat.index[wave_key(side, k, layer)] for k in mesh.J_s
+             for side in (+1, -1) for layer in (mesh.J_t[0], mesh.J_t[-1])]
+    assert not np.any(touched[ramps])
     check_both(par, weights, 129, assemble_vertex_conditions(mesh))
 
 
 @pytest.mark.parametrize("n,m", [(12, 12), (16, 16), (4, 4), (3, 7), (6, 6)])
 def test_kernels_match_dense_einsum(n, m):
-    # the kernels summed over A_w's nonzero triples are the bits of the
-    # dense three-operand einsum over every row, also on meshes where it
-    # takes another inner path (it runs 30x longer at N=12 than at N=8)
+    # K is c (A_w^T A_w), c = lambda h / T the one cell weight: every entry
+    # of A_w^T A_w is a multiple of 1/4 (A has entries in 1/2 Z), so the
+    # dense einsum sums it exactly and K is one rounded product, bit for bit
     mesh, _, _, par, bc, weights = assemble_all(n, m, 129)
     qp = assemble_qp(par, bc, weights, 129)
     a_w = par.A[:par.catalog.N_w]
-    w_cells = weights.w_mid * (mesh.lam / 128 / mesh.T)
-    first = [np.flatnonzero(qp.cell_class == c)[0] for c in range(len(qp.kernels))]
-    assert_bits(qp.kernels, np.einsum("ei,ep,ej->pij", a_w, w_cells[:, first], a_w))
+    ata = np.einsum("ei,ej->ij", a_w, a_w)
+    assert np.all(4.0 * ata == np.round(4.0 * ata))
+    assert_bits(qp.kernel, (mesh.lam * (mesh.lam / 128 / mesh.T)) * ata)
+    assert_bits(qp.kernel, qp.kernel.T)
+
+
+def test_mixed_touched_weights_raise(tmp_path, capsys, monkeypatch):
+    # one cell of one touched row weighed 1 ulp below lambda: the rows A
+    # touches no longer share one weight, and the assembly refuses the
+    # program, as the CLI's exit 4 (its default mesh is N = M = 4)
+    mesh, _, _, par, bc, weights = assemble_all(4, 4, 17)
+    e = int(np.flatnonzero(np.any(par.A[:par.catalog.N_w] != 0.0, axis=1))[0])
+    with pytest.raises(AssemblyError, match="do not share one cell weight"):
+        assemble_qp(par, bc, one_ulp_off(weights, e), 17)
+    # a ramp row A does not touch may weigh anything
+    ramp = par.catalog.index[wave_key(+1, mesh.J_s[0], 0)]
+    assert not np.any(par.A[ramp])
+    assemble_qp(par, bc, one_ulp_off(weights, ramp), 17)
+
+    real = cli.build_weights
+    monkeypatch.setattr(cli, "build_weights",
+                        lambda mesh, p: one_ulp_off(real(mesh, p), e))
+    code = cli.main(["solve", "--solver", "both", "--p-grid", "17",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_INVARIANT
+    assert "do not share one cell weight" in capsys.readouterr().err
+
+
+def one_ulp_off(weights, row):
+    w_mid = weights.w_mid.copy()
+    w_mid[row, 3] = np.nextafter(w_mid[row, 3], 0.0)
+    return replace(weights, w_mid=w_mid)
 
 
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 4)])

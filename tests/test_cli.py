@@ -99,10 +99,10 @@ class TestRunSolve:
         assert (tmp_path / "parametrization_A.csv").exists()
         sizes = summary["sizes"]
         assert sizes["N_s"] == 12
-        assert sizes["boundary_rank"] == summary["counts"]["N_b"] + 1    # N_r, N even
-        assert sizes["guard_rows_kept"] == 3
+        assert set(sizes) == {"N_s", "A_nnz", "kkt_size"}
         assert "boundary_rows_kept" not in summary and "guard_rows_kept" not in summary
-        assert sizes["kkt_size"] == 12 * 129 + 4 + sizes["boundary_rank"]
+        # x holds N_s * P samples and N gammas; the N_s + N + 1 essential rows follow
+        assert sizes["kkt_size"] == 12 * 129 + 4 + (12 + 4 + 1)
         with open(tmp_path / "parametrization_A.csv") as fh:
             assert sizes["A_nnz"] == sum(cell != "0" for line in fh
                                          for cell in line.strip().split(","))
@@ -546,7 +546,8 @@ class TestOracleSettings:
                                "oracle_points_per_segment": 32})
         assert cfg.solver == "el"
         assert run_verify(cfg) == EXIT_OK
-        assert "  PASS  QP objective <= stationary objective + 1e-8\n" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "  PASS  QP objective <= stationary objective + 1e-8 * (1 + |E|): gap " in out
         assert cfg.solver == "el"
 
     def test_unset_settings_resolve_per_command(self, seen, tmp_path, monkeypatch):

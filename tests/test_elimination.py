@@ -115,8 +115,8 @@ def test_weights_match_loop(n, m, p):
     weights = build_weights(mesh, p)
     table, w_mid = ref.build_weights(mesh, p)
     assert_bits(weights.w_mid, w_mid)
-    # w_mid is built from whole (M + 1, p) rows per wave; row by row it is
-    # the midpoint of the reference's per-piece weight, in catalog order
+    # w_mid is written a layer kind at a time; row by row it is the
+    # midpoint of the reference's per-piece weight, in catalog order
     cat = build_catalog(mesh)
     assert set(table) == set(cat.entries[:cat.N_w])
     for row, key in zip(weights.w_mid, cat.entries[:cat.N_w], strict=True):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rodwave.mesh import build_mesh, delta_z_weight
+from rodwave.mesh import build_mesh
 from rodwave.edge import StateSpec, build_catalog, wave_key
 from rodwave.energy import (
     assemble_qp,
@@ -41,23 +41,48 @@ class TestWeights:
             assert weights[wave_key(+1, k, 0)].values[0] == pytest.approx(0.0)
 
     def test_interior_layers_are_flat(self):
-        mesh = build_mesh(4, 4)   # M >= 3 gives fully interior layers
-        weights = weight_table(mesh, P)
+        # every interior midpoint weight is lambda itself, not a few ulps
+        # below it as a trapezoid of rounded domain offsets would give
+        for n, m in ((4, 4), (6, 6), (7, 5), (3, 7), (12, 12)):
+            mesh = build_mesh(n, m)
+            weights = weight_table(mesh, 129)
+            w_mid = build_weights(mesh, 129).w_mid
+            cat = build_catalog(mesh)
+            for k in mesh.J_s:
+                for side in (+1, -1):
+                    for layer in mesh.J_t[1:-1]:
+                        key = wave_key(side, k, layer)
+                        assert np.all(weights[key].values == mesh.lam)
+                        assert np.all(w_mid[cat.index[key]] == mesh.lam)
+
+    @pytest.mark.parametrize("n,m", [(3, 2), (1, 1), (7, 5)])
+    def test_ramp_pieces_are_midpoints(self, n, m):
+        # the first layer weighs z and the last lambda - z: their midpoint
+        # weights are the midpoints of those samples, bit for bit
+        mesh = build_mesh(n, m)
+        w_mid = build_weights(mesh, P).w_mid
+        cat = build_catalog(mesh)
+        z = np.linspace(0.0, mesh.lam, P)
+        down = mesh.lam - z
         for k in mesh.J_s:
-            for m in range(2, 2 * mesh.M - 1, 2):
-                vals = weights[wave_key(-1, k, m)].values
-                assert np.allclose(vals, mesh.lam, atol=1e-14)
+            for side in (+1, -1):
+                assert_bits(w_mid[cat.index[wave_key(side, k, 0)]],
+                            0.5 * (z[:-1] + z[1:]))
+                assert_bits(w_mid[cat.index[wave_key(side, k, 2 * mesh.M)]],
+                            0.5 * (down[:-1] + down[1:]))
 
     def test_matches_strip_thickness(self):
+        # the trapezoid min(offset, lambda, length - offset) over the wave
+        # domain, at offset m*lambda/2 + z of piece m
         mesh = build_mesh(3, 2)
         weights = weight_table(mesh, P)
         z = np.linspace(0.0, mesh.lam, P)
+        length = (mesh.M + 1) * mesh.lam
         for k in mesh.J_s:
             for side in (+1, -1):
-                lo, _ = mesh.wave_domain(k, side)
                 for m in mesh.J_t:
-                    expected = delta_z_weight(mesh, k, side,
-                                              lo + m * mesh.lam / 2 + z)
+                    offset = m * mesh.lam / 2 + z
+                    expected = np.minimum(np.minimum(offset, mesh.lam), length - offset)
                     got = weights[wave_key(side, k, m)].values
                     assert np.allclose(got, expected, atol=1e-14)
 
@@ -96,14 +121,13 @@ class TestQuadraticProgram:
         assert evaluate_objective(par, weights, y0) >= 0.0
 
     def test_quadratic_form_positive_semidefinite(self):
-        # the form is sum_q h^-2 d_q^T K_c(q) d_q in the sample differences,
-        # so it is PSD exactly when every cell kernel is
+        # the form is sum_q h^-2 d_q^T K d_q in the sample differences, so
+        # it is PSD exactly when the kernel is
         for n, m in ((2, 2), (3, 3), (4, 4), (6, 6)):
             mesh, state, system, par, bc, weights = assemble_all(n, m, 17)
-            qp = assemble_qp(par, bc, weights, 17)
-            for k in qp.kernels:
-                assert np.allclose(k, k.T, atol=1e-12)
-                assert np.linalg.eigvalsh(k).min() >= -1e-10 * np.abs(k).max()
+            k = assemble_qp(par, bc, weights, 17).kernel
+            assert np.allclose(k, k.T, atol=1e-12)
+            assert np.linalg.eigvalsh(k).min() >= -1e-10 * np.abs(k).max()
 
     def test_scaling_covariance(self):
         # scaling all data by s scales the optimal energy by s^2

@@ -28,7 +28,7 @@ def test_random_data_steered_exactly(n, m, seed):
     _, _, _, par, bc, weights = assemble_all(n, m, P, state)
     sol_qp = solve_qp(assemble_qp(par, bc, weights, P), par, bc, weights)
     sol_el = solve_closed_form(par, bc, weights, P)
-    rep = compare_solvers(sol_qp, sol_el, bc)
+    rep = compare_solvers(sol_qp, sol_el)
     assert rep.qp_not_worse
 
     entries = par.entry_values(sol_qp.y, sol_qp.gamma)

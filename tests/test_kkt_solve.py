@@ -42,4 +42,4 @@ def test_matches_sparse_lu(n, m, state):
     assert abs(sol.objective - old.objective) <= 1e-10 * abs(old.objective)
     x, x_old = (np.concatenate([s.y.ravel(), s.gamma]) for s in (sol, old))
     assert np.max(np.abs(x - x_old)) <= 1e-8 * (1.0 + np.max(np.abs(x_old)))
-    assert compare_solvers(sol, solve_closed_form(par, bc, weights, P), bc).qp_not_worse
+    assert compare_solvers(sol, solve_closed_form(par, bc, weights, P)).qp_not_worse

@@ -8,9 +8,10 @@ from rodwave.mesh import (
     RodParams,
     build_mesh,
     counts,
-    delta_z_weight,
     nondimensionalize,
 )
+from rodwave.edge import build_catalog, wave_key
+from rodwave.energy import build_weights
 
 
 class TestBuildMesh:
@@ -117,60 +118,71 @@ def measured_strip_thickness(mesh, k, side, zeta, resolution=200_001):
     return 0.5 * inside.sum() * step
 
 
+def wave_weights(mesh, k, side, p=129):
+    """The strip-thickness weights ``build_weights`` gives the M + 1 pieces
+    of the wave w^side_k, end to end: (domain coordinate of each cell
+    midpoint, its midpoint weight)."""
+    lo, _ = mesh.wave_domain(k, side)
+    z = np.linspace(0.0, mesh.lam, p)
+    z_mid = 0.5 * (z[:-1] + z[1:])
+    w_mid = build_weights(mesh, p).w_mid
+    cat = build_catalog(mesh)
+    zeta = np.concatenate([lo + m * mesh.lam / 2 + z_mid for m in mesh.J_t])
+    w = np.concatenate([w_mid[cat.index[wave_key(side, k, m)]] for m in mesh.J_t])
+    return zeta, w
+
+
 class TestDeltaZWeight:
+    """The strip thickness Delta z as ``build_weights`` samples it: a
+    trapezoid over each wave domain, 0 -> lambda over the first lambda,
+    lambda in the middle and back to 0 over the last lambda."""
+
     def test_zero_at_left_endpoint(self):
         mesh = build_mesh(4, 4)
         lo, _ = mesh.wave_domain(1, +1)
-        assert delta_z_weight(mesh, 1, +1, lo) == pytest.approx(0.0)
+        zeta, w = wave_weights(mesh, 1, +1)
+        first = slice(0, 128)           # the first layer's cells
+        slope, intercept = np.polyfit(zeta[first] - lo, w[first], 1)
+        assert slope == pytest.approx(1.0)
+        assert intercept == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("n,m,k,side", [(4, 4, 1, +1), (4, 4, -3, -1),
                                             (3, 2, 0, +1), (2, 3, -1, -1)])
     def test_against_geometric_oracle(self, n, m, k, side):
         mesh = build_mesh(n, m)
         lo, hi = mesh.wave_domain(k, side)
+        zeta, w = wave_weights(mesh, k, side)
         for frac in (0.1, 0.25, 0.5, 0.77, 0.9):
-            zeta = lo + frac * (hi - lo)
-            oracle = measured_strip_thickness(mesh, k, side, zeta)
-            assert delta_z_weight(mesh, k, side, zeta) == pytest.approx(
-                oracle, abs=2e-4)
+            q = int(np.argmin(np.abs(zeta - (lo + frac * (hi - lo)))))
+            oracle = measured_strip_thickness(mesh, k, side, zeta[q])
+            assert w[q] == pytest.approx(oracle, abs=2e-4)
 
     def test_midpoint_plateau(self):
         mesh = build_mesh(4, 4)          # M >= 2
         lo, hi = mesh.wave_domain(-1, +1)
-        assert delta_z_weight(mesh, -1, +1, (lo + hi) / 2) == pytest.approx(mesh.lam)
+        zeta, w = wave_weights(mesh, -1, +1)
+        q = int(np.argmin(np.abs(zeta - (lo + hi) / 2)))
+        assert w[q] == mesh.lam
 
     def test_ramp_midpoint(self):
+        # the two first-layer cells on either side of offset lambda/2
         mesh = build_mesh(3, 3)
-        lo, _ = mesh.wave_domain(0, -1)
-        assert delta_z_weight(mesh, 0, -1, lo + mesh.lam / 2) == pytest.approx(
-            mesh.lam / 2)
+        _, w = wave_weights(mesh, 0, -1)
+        assert 0.5 * (w[63] + w[64]) == pytest.approx(mesh.lam / 2, abs=1e-15)
 
     def test_symmetric_about_midpoint(self):
         mesh = build_mesh(5, 3)
-        lo, hi = mesh.wave_domain(2, +1)
-        zs = np.linspace(lo, hi, 101)
-        w = delta_z_weight(mesh, 2, +1, zs)
-        assert np.allclose(w, w[::-1], atol=1e-12)
+        _, w = wave_weights(mesh, 2, +1)
+        assert np.allclose(w, w[::-1], atol=1e-15)
 
     def test_full_domain_integral_is_lam_T(self):
-        # Simpson quadrature of the trapezoid; equals half the
-        # characteristic-coordinate area of the strip, lam*T.
-        from rodwave.sampled import simpson_weights
-
+        # the midpoint rule integrates the trapezoid exactly, its corners
+        # on cell boundaries: half the characteristic-coordinate area of
+        # the strip, lam*T, for every wave
         for n, m in ((4, 4), (3, 2), (2, 5)):
             mesh = build_mesh(n, m)
-            k = mesh.J_s[0]
-            lo, hi = mesh.wave_domain(k, +1)
-            p = (m + 1) * 1024 + 1        # ramp corners on panel boundaries
-            zs = np.linspace(lo, hi, p)
-            w = delta_z_weight(mesh, k, +1, zs)
-            integral = simpson_weights(p, zs[1] - zs[0]) @ w
-            assert integral == pytest.approx(mesh.lam * mesh.T, abs=1e-10)
-
-    def test_domain_error(self):
-        mesh = build_mesh(4, 4)
-        lo, hi = mesh.wave_domain(1, +1)
-        with pytest.raises(InvalidArgumentError):
-            delta_z_weight(mesh, 1, +1, hi + 0.1)
-        with pytest.raises(InvalidArgumentError):
-            delta_z_weight(mesh, 2, +1, lo)   # not a segment index
+            for k in mesh.J_s:
+                for side in (+1, -1):
+                    _, w = wave_weights(mesh, k, side)
+                    assert np.sum(w) * mesh.lam / 128 == pytest.approx(
+                        mesh.lam * mesh.T, abs=1e-12)

@@ -256,7 +256,7 @@ def test_verify_fails_budget_check_on_nan_step(monkeypatch, capsys):
     cfg = cli.validate_config({"N": 3, "M": 3, "P": 33, "preset": "paper_example",
                                "oracle_points_per_segment": 16})
     assert cli.run_verify(cfg) == cli.EXIT_INVARIANT
-    assert "  FAIL  oracle momentum budget exact\n" in capsys.readouterr().out
+    assert "  FAIL  oracle momentum budget <= 1e-8: nan\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("points, cfl", [(8, 1.0), (16, 0.9), (50, 0.73), (125, 0.9)])

@@ -11,7 +11,7 @@ from rodwave.errors import SolverError
 from rodwave.mesh import build_mesh
 from rodwave.edge import StateSpec
 from rodwave.energy import assemble_qp, evaluate_objective
-from rodwave.sampled import fd_derivative
+from rodwave.sampled import SampledFunction, fd_derivative
 from rodwave.solver import (
     compare_solvers,
     constraint_residual,
@@ -52,7 +52,7 @@ class TestZeroData:
         _, _, _, par, bc, weights = assemble_all(3, 2, P, StateSpec.zero(mesh, P))
         sq = solve_qp(assemble_qp(par, bc, weights, P), par, bc, weights)
         se = solve_closed_form(par, bc, weights, P)
-        report = compare_solvers(sq, se, bc)
+        report = compare_solvers(sq, se)
         assert report.y_diff <= 1e-9
         assert report.qp_not_worse
 
@@ -69,9 +69,7 @@ class TestWorkedExample:
             assert res <= 1e-9 * (1.0 + np.max(np.abs(bc.b0)))
 
     def test_qp_not_worse_and_small_gap(self, worked_example):
-        report = compare_solvers(worked_example["sol_qp"],
-                                 worked_example["sol_el"],
-                                 worked_example["bc"])
+        report = compare_solvers(worked_example["sol_qp"], worked_example["sol_el"])
         assert report.qp_not_worse
         assert abs(report.gap) <= 1e-8 * (1 + report.objective_el)
 
@@ -144,10 +142,9 @@ class TestLinearity:
         mesh = build_mesh(3, 2)
         state_a = random_trig_state(mesh, P, 5)
         state_b = random_trig_state(mesh, P, 6)
-        state_ab = StateSpec(v0=state_a.v0 + state_b.v0,
-                             r0=state_a.r0 + state_b.r0,
-                             v1=state_a.v1 + state_b.v1,
-                             r1=state_a.r1 + state_b.r1)
+        state_ab = StateSpec(**{
+            name: SampledFunction(-1.0, 1.0, values + state_b.arrays()[name])
+            for name, values in state_a.arrays().items()})
 
         def solve(state):
             _, _, _, par, bc, weights = assemble_all(3, 2, P, state)
@@ -167,7 +164,7 @@ class TestRandomData:
         _, _, _, par, bc, weights = assemble_all(3, 3, P, state)
         sq = solve_qp(assemble_qp(par, bc, weights, P), par, bc, weights)
         se = solve_closed_form(par, bc, weights, P)
-        report = compare_solvers(sq, se, bc)
+        report = compare_solvers(sq, se)
         assert report.qp_not_worse
         assert report.feas_qp <= 1e-9 * (1 + np.max(np.abs(bc.b0)))
         assert report.feas_el <= 1e-9 * (1 + np.max(np.abs(bc.b0)))
