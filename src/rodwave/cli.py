@@ -55,7 +55,7 @@ from .errors import (
     InvariantViolationError,
     RodwaveError,
 )
-from .mesh import MeshConfig, RodParams, build_mesh, counts
+from .mesh import MeshConfig, build_mesh, counts
 from .sampled import SampledFunction
 from .edge import (
     DATA_NAMES,
@@ -543,8 +543,7 @@ def _oracle_ladder(config: RunConfig) -> list:
 
 def _oracle_rung(config: RunConfig, result: dict, npts: int):
     """One oracle simulation of ``result`` at ``npts`` points per segment."""
-    return simulate(result["mesh"], RodParams(1.0, 1.0, 1.0), result["controls"],
-                    result["state"],
+    return simulate(result["mesh"], result["controls"], result["state"],
                     SimConfig(points_per_segment=npts, cfl=config.oracle_cfl))
 
 

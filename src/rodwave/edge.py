@@ -22,7 +22,7 @@ and :func:`boundary_structure` are built once per mesh, a state is bound by
 
 Sign conventions.  The dynamic potential is reconstructed as
 ``r = w_plus + (-1)*w_minus + u_k(t)`` on segment k, which is the choice
-consistent with the constitutive split ``s = kappa v_x + f`` and with the
+consistent with the constitutive split ``s = v_x + f`` and with the
 interelement jump definition ``u_n = u_{n+1} - u_{n-1}``.  Under it the
 left-boundary rows carry the additive constant ``-r0(-1)`` and the
 right-boundary rows ``+r0(+1)``.
@@ -806,7 +806,6 @@ class BoundaryStructure:
     :func:`guard_rows` in the same form, and ``check_labels`` names them.
     """
 
-    guard_rows_kept: int
     slots: tuple = field(repr=False)
     checks: tuple = field(repr=False)
     check_labels: tuple = field(repr=False)
@@ -849,7 +848,6 @@ def boundary_structure(par: Parametrization, vertex_rows) -> BoundaryStructure:
     """Rewrite the vertex rows through the parametrization, and gather the
     junction rows of :func:`guard_rows` that each solution is checked
     against.  Nothing here reads the state's data."""
-    mesh = par.mesh
     n_rows = len(vertex_rows)
     # sum coef*entry(at) = 0  <=>  B1 y(lam) - B0 y(0) = B_gamma gamma + b0,
     # accumulated term slot by term slot in each row's own term order
@@ -864,9 +862,8 @@ def boundary_structure(par: Parametrization, vertex_rows) -> BoundaryStructure:
         Bg[rows] -= coefs[:, None] * par.C_gamma[ents]
     for mat in (B0, B1, Bg):
         mat.setflags(write=False)       # shared by the rows of every state
-    checks = guard_rows(mesh)
+    checks = guard_rows(par.mesh)
     return BoundaryStructure(
-        guard_rows_kept=0 if mesh.N % 2 else 3,   # see assemble_vertex_conditions
         slots=tuple(slots), checks=tuple(_row_slots(par.catalog, checks)),
         check_labels=tuple(row.label for row in checks),
         B0=B0, B1=B1, B_gamma=Bg)
@@ -886,5 +883,5 @@ def boundary_matrices(structure: BoundaryStructure, par: Parametrization) -> Ess
         B_gamma=structure.B_gamma,
         b0=-data,
         n_assembled=len(data) + len(structure.check_labels),
-        guard_rows_kept=structure.guard_rows_kept,
+        guard_rows_kept=0 if par.mesh.N % 2 else 3,   # see assemble_vertex_conditions
     )

@@ -197,8 +197,8 @@ def blockwise_simpson(values: np.ndarray, h: float, splits) -> float:
 def mean_energy(field_grid) -> float:
     """Mean mechanical energy from reconstructed fields on the (t, x) grid.
 
-    Uses the on-solution identities v_t = p/rho and v_x = (s - f)/kappa
-    (dimensionless: rho = kappa = 1), integrating (v_t^2 + v_x^2)/2 in two
+    Uses the on-solution identities v_t = p and v_x = s - f of the
+    dimensionless rod, integrating (v_t^2 + v_x^2)/2 in two
     passes of blockwise Simpson: rows are split at their characteristic
     kink samples (and at interfaces, via per-segment windows), the
     resulting time profile at the instants where kink lines meet the mesh

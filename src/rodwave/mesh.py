@@ -8,8 +8,7 @@ into N equal segments of length ``lambda = 2/N``.  The horizon is
   ``(x_{k-1}, x_{k+1})``;
 * ``J_x``  interface indices (N+1 of them), ``x_n = n*lambda/2``;
 * ``J_c``  control indices: segments plus the two end loads;
-* ``J_t``  even time-layer indices 0..2M, ``t_m = m*lambda/2``;
-* ``J_d``  odd duration indices labelling the open time layers.
+* ``J_t``  even time-layer indices 0..2M, ``t_m = m*lambda/2``.
 
 Traveling-wave domains attach to each segment: the '+' wave of segment k
 lives on ``[z_plus_k, T - z_minus_k]`` and the '-' wave on
@@ -60,7 +59,6 @@ class MeshConfig:
     J_s: tuple
     J_x: tuple
     J_c: tuple
-    J_d: tuple
     J_t: tuple
 
     def x(self, n: int) -> float:
@@ -104,7 +102,6 @@ def build_mesh(N: int, M: int) -> MeshConfig:
         J_s=tuple(range(1 - N, N, 2)),
         J_x=tuple(range(-N, N + 1, 2)),
         J_c=(-N - 1,) + tuple(range(1 - N, N, 2)) + (N + 1,),
-        J_d=tuple(range(1, 2 * M, 2)),
         J_t=tuple(range(0, 2 * M + 1, 2)),
     )
 

@@ -1,8 +1,9 @@
 """Independent verification by direct time integration.
 
-A staggered-grid leapfrog scheme advances the first-order system
-``p_t = s_x``, ``v_t = p/rho`` with ``s = kappa v_x + f`` on cell
-midpoints: displacements and momenta live on nodes, internal forces on
+A staggered-grid leapfrog scheme advances the first-order system of the
+dimensionless rod (unit wave speed, which the mesh's lambda = 2/N in both
+space and time assumes), ``p_t = s_x``, ``v_t = p`` with ``s = v_x + f``
+on cell midpoints: displacements and momenta live on nodes, internal forces on
 midpoints, so the piecewise-constant applied force is represented exactly
 (interfaces coincide with cell boundaries).  The two end loads enter by
 prescribing s on the boundary faces.  The scheme is second order and, at
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .mesh import MeshConfig, RodParams
+from .mesh import MeshConfig
 from .reconstruct import ControlSet, FieldGrid, write_csv
 from .edge import StateSpec
 
@@ -79,11 +80,10 @@ def _node_weights(n_nodes: int, h: float) -> np.ndarray:
     return w
 
 
-def energy_norm(v: np.ndarray, p: np.ndarray, h: float,
-                rho: float, kappa: float) -> float:
-    """Discrete energy-seminorm sqrt( int kappa v_x^2/2 + p^2/(2 rho) )."""
-    strain = kappa * float(np.sum(np.diff(v) ** 2)) / (2.0 * h)
-    kinetic = float(_node_weights(len(v), h) @ (p ** 2)) / (2.0 * rho)
+def energy_norm(v: np.ndarray, p: np.ndarray, h: float) -> float:
+    """Discrete energy-seminorm sqrt( int v_x^2/2 + p^2/2 )."""
+    strain = float(np.sum(np.diff(v) ** 2)) / (2.0 * h)
+    kinetic = float(_node_weights(len(v), h) @ (p ** 2)) / 2.0
     return math.sqrt(max(strain + kinetic, 0.0))
 
 
@@ -107,8 +107,8 @@ def time_steps(m: int, points_per_segment: int, cfl: float) -> int:
     return 2 * m * steps_per_half
 
 
-def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
-             state: StateSpec, cfg: SimConfig) -> SimResult:
+def simulate(mesh: MeshConfig, controls: ControlSet, state: StateSpec,
+             cfg: SimConfig) -> SimResult:
     """Drive the rod with the synthesized forces and report the terminal state.
 
     The step divides the half-layer duration exactly so control
@@ -119,16 +119,14 @@ def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
     is its largest defect over the steps relative to the end loads, and
     NaN if any step's is.
     """
-    rho, kappa = params.rho, params.kappa
-    wave_speed = math.sqrt(kappa / rho)
     n_cells = mesh.N * cfg.points_per_segment
     h = mesh.lam / cfg.points_per_segment
     x = np.linspace(-1.0, 1.0, n_cells + 1)
 
     half_layer = mesh.lam / 2.0
-    steps_per_half = max(1, math.ceil(half_layer * wave_speed / (cfg.cfl * h) - 1e-12))
+    steps_per_half = max(1, math.ceil(half_layer / (cfg.cfl * h) - 1e-12))
     dt = half_layer / steps_per_half
-    if dt * wave_speed > cfg.cfl * h * (1.0 + 1e-12):
+    if dt > cfg.cfl * h * (1.0 + 1e-12):
         raise ConfigurationError("CFL violation after step alignment")
     n_steps = 2 * mesh.M * steps_per_half
 
@@ -158,9 +156,7 @@ def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
 
     # The step runs in these buffers and views, with the operations of the
     # plain array expressions in the same order, so the results are the
-    # same bits; multiplying by kappa or dividing by rho is skipped only
-    # where the coefficient is exactly 1.0, which makes it an identity.
-    # ``rate`` is overwritten by every p_rate call.
+    # same bits.  ``rate`` is overwritten by every p_rate call.
     v = np.array(state.v0(x), dtype=float)        # a copy: the loop updates v in place
     dv = np.empty(n_cells)
     s_el = np.empty(n_cells)
@@ -172,10 +168,8 @@ def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
     squares = scratch[:-1]
 
     def advance_v(p_half):
-        """v = v + dt * p_half / rho, then dv = v[1:] - v[:-1]."""
+        """v = v + dt * p_half, then dv = v[1:] - v[:-1]."""
         np.multiply(dt, p_half, scratch)
-        if rho != 1.0:
-            np.divide(scratch, rho, scratch)
         np.add(v, scratch, v)
         np.subtract(v_right, v_left, dv)
 
@@ -188,11 +182,7 @@ def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
         of images), so the only time-discretization error left is the
         midpoint rule on the smooth force histories.
         """
-        if kappa != 1.0:
-            np.multiply(kappa, dv, s_el)
-            np.divide(s_el, h, s_el)
-        else:
-            np.divide(dv, h, s_el)
+        np.divide(dv, h, s_el)
         np.subtract(s_right, s_left, rate_inner)
         np.divide(rate_inner, h, rate_inner)
         rate[0] = s_el[0] / (h / 2.0)
@@ -228,7 +218,7 @@ def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
     strain_sums[n_steps] = np.add.reduce(np.square(dv, squares))
     kinetic_sums[n_steps] = np.dot(weights, np.square(p_terminal, scratch))
 
-    energies = kappa * strain_sums / (2.0 * h) + kinetic_sums / (2.0 * rho)
+    energies = strain_sums / (2.0 * h) + kinetic_sums / 2.0
     # the momentum budget: net boundary load against the rate of change of
     # total momentum; a NaN step makes the maximum NaN
     force_scale = max(1.0, float(np.max(np.abs(f_left))), float(np.max(np.abs(f_right))))
@@ -238,9 +228,8 @@ def simulate(mesh: MeshConfig, params: RodParams, controls: ControlSet,
 
     v1 = state.v1(x)
     p1 = state.momentum_terminal()(x)
-    err = energy_norm(v - v1, p_terminal - p1, h, rho, kappa)
-    ref = max(energy_norm(state.v0(x), p0, h, rho, kappa),
-              energy_norm(v1, p1, h, rho, kappa), 1e-300)
+    err = energy_norm(v - v1, p_terminal - p1, h)
+    ref = max(energy_norm(state.v0(x), p0, h), energy_norm(v1, p1, h), 1e-300)
     return SimResult(
         x=x, v_terminal=v, p_terminal=p_terminal,
         energy_history=energies, times=times,

@@ -19,13 +19,15 @@ belong to the existing piece either way.  A view whose first or last
 sample would fall outside its line is a ``ReconstructionError``, so no
 view reads past its buffer.
 
-Characteristic kinks thus sit on known sample diagonals and all finite
-differencing is done blockwise between kinks, one-sided at the kink
-samples themselves (right limit, except at domain ends).  A window shift
-of 2*qx columns moves the lattice residue by a whole period, so every
-segment window normally has one kink pattern; its stencil sets, the
-samples Q leaves out and the quadrature weights (``FieldGrid.kink_plan``)
-are shared by :func:`residual_Q` and :func:`rodwave.energy.mean_energy`.
+Characteristic kinks thus sit on known sample diagonals.  Q differentiates
+the displacement with the plain second-order stencils of
+:func:`rodwave.sampled.fd_derivative` and leaves out the samples where a
+stencil spans a kink: the kinks themselves and an end sample next to one;
+every stencil it keeps lies in one smooth block.  A window shift of 2*qx
+columns moves the lattice residue by a whole period, so every segment
+window normally has one kink pattern; the samples Q leaves out and the
+quadrature weights (``FieldGrid.kink_plan``) are shared by
+:func:`residual_Q` and :func:`rodwave.energy.mean_energy`.
 The plan depends only on (N, M, qt, qx), so a caller that solves many
 states on one mesh builds it once and hands it to :func:`fields`; a grid
 given none builds its own on first use.  The energy density ``e`` is not
@@ -50,8 +52,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidArgumentError, ReconstructionError
-from .mesh import MeshConfig, RodParams
-from .sampled import SampledFunction, fd_derivative, simpson_weights
+from .mesh import MeshConfig
+from .sampled import fd_derivative, simpson_weights
 from .energy import blockwise_simpson_weights
 from .edge import Parametrization, StateSpec, jump_key, wave_key
 
@@ -85,18 +87,13 @@ def _early_line(pieces: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaveTable:
-    """Per-piece samples of every traveling wave, plus concatenations."""
+    """Per-piece samples of every traveling wave and of its derivative."""
 
     mesh: MeshConfig
     p: int
     pieces: Dict[Tuple[int, int], np.ndarray] = field(repr=False)   # (side,k) -> (M+1, p)
     dpieces: Dict[Tuple[int, int], np.ndarray] = field(repr=False)  # per-piece derivative
     continuity_max: float = 0.0
-
-    def assembled(self, side: int, k: int) -> SampledFunction:
-        """Full-domain wave on [z_side_k, T - z_otherside_k]."""
-        lo, hi = self.mesh.wave_domain(k, side)
-        return SampledFunction(lo, hi, _late_line(self.pieces[(side, k)]))
 
 
 def waves_from_solution(par: Parametrization, entries: np.ndarray) -> WaveTable:
@@ -452,96 +449,22 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
 
 
 # ---------------------------------------------------------------------------
-# Kink-aware finite differences
+# Kink plan and constitutive residual
 # ---------------------------------------------------------------------------
 
 
-class _BlockStencils:
-    """Where :func:`blockwise_derivative` uses which stencil, for one kink
-    mask and axis; the stencil sets are flat indices into a C-ordered
-    array of the mask's shape."""
-
-    def __init__(self, kinks: np.ndarray, axis: int):
-        self.axis = axis
-        last = self._at(-1)
-        # block bounds: sample 0, the interior kinks, the final sample
-        bound = np.moveaxis(kinks, axis, -1).copy()
-        bound[..., 0] = True
-        bound[..., -1] = True
-        start = bound[..., :-1]
-        short = start & bound[..., 1:]          # block of one interval
-        order = list(range(kinks.ndim - 1))
-        order.insert(axis, kinks.ndim - 1)      # moved-axis coordinates back
-
-        def flat(mask):
-            coords = np.nonzero(mask)
-            return np.ravel_multi_index(tuple(coords[i] for i in order), kinks.shape)
-
-        step = int(np.prod(kinks.shape[axis + 1:]))   # one sample along axis
-        self.fwd = flat(start & ~short)
-        self.fwd1, self.fwd2 = self.fwd + step, self.fwd + 2 * step
-        self.one = flat(short)
-        self.one1 = self.one + step
-        self.last_short = start[..., -1]
-        self.valid = np.ones(kinks.shape, dtype=bool)
-        self.valid.ravel()[self.one] = False
-        self.valid[last] = ~self.last_short
-
-    def _at(self, i) -> tuple:
-        """Index of sample(s) ``i`` along the axis."""
-        return (slice(None),) * self.axis + (i,)
-
-    def derivative(self, v: np.ndarray, h: float,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The blockwise derivative of ``v`` along the axis, written to
-        ``out`` (C-ordered, the shape of ``v``) if given."""
-        at = self._at
-        deriv = np.empty(v.shape) if out is None else out
-        flat_v, flat_d = v.ravel(), deriv.ravel()
-        inner = np.subtract(v[at(slice(2, None))], v[at(slice(None, -2))],
-                            out=deriv[at(slice(1, -1))])
-        inner /= 2.0 * h
-        flat_d[self.fwd] = (-3.0 * flat_v[self.fwd] + 4.0 * flat_v[self.fwd1]
-                            - flat_v[self.fwd2]) / (2.0 * h)
-        flat_d[self.one] = (flat_v[self.one1] - flat_v[self.one]) / h
-        # final sample: backward stencil, or the short block's first-order value
-        deriv[at(-1)] = np.where(
-            self.last_short, (v[at(-1)] - v[at(-2)]) / h,
-            (3.0 * v[at(-1)] - 4.0 * v[at(-2)] + v[at(-3)]) / (2.0 * h))
-        return deriv
-
-
-def blockwise_derivative(values: np.ndarray, h: float, kink_mask: np.ndarray,
-                         axis: int = -1):
-    """Differentiate along ``axis`` between kink samples.
-
-    ``kink_mask`` (same shape as ``values``) marks samples where the
-    derivative jumps; every 1D slice along ``axis`` is split into smooth
-    blocks at its interior kinks.  Within each block the stencils are
-    second order: central differences inside, the forward three-point
-    formula at the block start (the right-sided limit at a kink), and the
-    backward three-point formula at the final sample.  Blocks of fewer than
-    three samples cannot support a second-order stencil: a first-order
-    value is returned there and the accompanying mask marks it invalid.
-    """
-    v = np.ascontiguousarray(values, dtype=float)
-    kinks = np.ascontiguousarray(kink_mask, dtype=bool)
-    axis = axis % v.ndim
-    if v.shape[axis] < 3:
-        raise InvalidArgumentError("need at least 3 samples to differentiate")
-    stencils = _BlockStencils(kinks, axis)
-    return stencils.derivative(v, h), stencils.valid
-
-
 class WindowKinks:
-    """Stencil sets, dropped samples and quadrature weights of one
-    window's kink mask."""
+    """Dropped samples and quadrature weights of one window's kink mask."""
 
     def __init__(self, kinks: np.ndarray, hx: float):
-        self.t_stencils = _BlockStencils(kinks, 0)
-        self.x_stencils = _BlockStencils(kinks, 1)
-        # samples left out of the Q quadrature
-        self.drop = ~(self.t_stencils.valid & self.x_stencils.valid & ~kinks)
+        # samples left out of the Q quadrature: the kinks, and on each axis
+        # an end sample next to a kink, whose one-sided stencil spans it
+        drop = kinks.copy()
+        drop[0] |= kinks[1]
+        drop[-1] |= kinks[-2]
+        drop[:, 0] |= kinks[:, 1]
+        drop[:, -1] |= kinks[:, -2]
+        self.drop = drop
         self.wx = simpson_weights(kinks.shape[1], hx)
         # blockwise Simpson weights of each row, split at its kinks, built
         # once per distinct row pattern
@@ -578,45 +501,40 @@ def build_kink_plan(fg) -> tuple:
     return tuple(plan)
 
 
-def residual_Q(fg: FieldGrid, params: Optional[RodParams] = None) -> float:
-    """Constitutive residual: Q = integral of g^2/(4 rho) + h^2/(4 kappa).
+def residual_Q(fg: FieldGrid) -> float:
+    """Constitutive residual: Q = integral of (g^2 + h^2)/4.
 
-    The residual functions g = rho*v_t - p and h = kappa*v_x - s + f are
-    formed from block-aware finite differences of the displacement array
-    against the stored momentum/force arrays, segment by segment (the
-    applied force is the segment's own history, never the neighbor's).
-    Samples on the characteristic lattice itself are excluded from the
-    quadrature: there the stored derivative traces are one-sided and the
-    difference of one-sided limits is not a discretization error.  On
-    exact solutions the retained integrand is O(h^4).  Every temporary is
-    the size of one segment window; the stencil sets and the samples left
-    out come from the grid's kink plan.
+    The residual functions g = v_t - p and h = v_x - s + f are formed from
+    second-order differences of the displacement array
+    (:func:`rodwave.sampled.fd_derivative`, the t-derivative on the
+    transposed window) against the stored momentum/force arrays, segment
+    by segment (the applied force is the segment's own history, never the
+    neighbor's).  Samples on the characteristic lattice are excluded from
+    the quadrature: there the stored derivative traces are one-sided and
+    the difference of one-sided limits is not a discretization error.  So
+    is an end sample next to a kink, whose one-sided stencil spans it;
+    every other stencil lies in one smooth block.  On exact solutions the
+    retained integrand is O(h^4).  The samples left out come from the
+    grid's kink plan.
     """
-    rho = params.rho if params is not None else 1.0
-    kappa = params.kappa if params is not None else 1.0
     ht = fg.t[1] - fg.t[0]
     hx = fg.x[1] - fg.x[0]
-
     wt = simpson_weights(len(fg.t), ht)
-    # window-sized work arrays, reused for every segment
-    v_seg, g_sq, q = np.empty((3, len(fg.t), 2 * fg.qx + 1))
     total = 0.0
     for seg, ((j0, j1), window) in enumerate(zip(fg.segment_windows(), fg.kink_plan)):
         cols = slice(j0, j1 + 1)
-        np.copyto(v_seg, fg.v[:, cols])
-        # g**2 / (4 rho) into g_sq, h**2 / (4 kappa) into q, then their sum
-        window.t_stencils.derivative(v_seg, ht, out=g_sq)
-        g_sq *= rho
-        g_sq -= fg.p[:, cols]
-        np.square(g_sq, out=g_sq)
-        g_sq /= 4.0 * rho
-        window.x_stencils.derivative(v_seg, hx, out=q)
-        q *= kappa
+        v_seg = fg.v[:, cols]
+        # g**2 / 4 into g, h**2 / 4 into q, then their sum
+        g = fd_derivative(v_seg.T, ht).T
+        g -= fg.p[:, cols]
+        np.square(g, out=g)
+        g /= 4.0
+        q = fd_derivative(v_seg, hx)
         q -= fg.s[:, cols]
         q += fg.f_seg[seg][:, None]
         np.square(q, out=q)
-        q /= 4.0 * kappa
-        q += g_sq
+        q /= 4.0
+        q += g
         np.copyto(q, 0.0, where=window.drop)
         total += float(wt @ q @ window.wx)
     return total

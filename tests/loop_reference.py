@@ -26,7 +26,7 @@ from rodwave import energy
 from rodwave.energy import blockwise_simpson_weights, evaluate_objective
 from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError, SolverError
 from rodwave.mesh import counts
-from rodwave.oracle import SimResult, _node_weights, energy_norm
+from rodwave.oracle import SimResult, _node_weights
 from rodwave.reconstruct import FieldGrid, _pick_q
 from rodwave.sampled import SampledFunction, fd_derivative, simpson_weights
 from rodwave.solver import Solution, check_feasible
@@ -164,9 +164,18 @@ def write_sim_csv(sim, terminal_path, energy_path):
             writer.writerow([f"{t:.12g}", f"{e:.12g}"])
 
 
+def energy_norm(v, p, h, rho, kappa):
+    """Discrete energy-seminorm sqrt( int kappa v_x^2/2 + p^2/(2 rho) )."""
+    strain = kappa * float(np.sum(np.diff(v) ** 2)) / (2.0 * h)
+    kinetic = float(_node_weights(len(v), h) @ (p ** 2)) / (2.0 * rho)
+    return math.sqrt(max(strain + kinetic, 0.0))
+
+
 def simulate(mesh, params, controls, state, cfg):
     """The leapfrog oracle with one impulse add per interface node and
-    ``np.diff`` taken separately for the force and the strain energy."""
+    ``np.diff`` taken separately for the force and the strain energy, for
+    a rod of any density and stiffness (``params``); the package runs the
+    dimensionless rod, ``RodParams(1, 1, 1)``."""
     rho, kappa = params.rho, params.kappa
     wave_speed = math.sqrt(kappa / rho)
     n_cells = mesh.N * cfg.points_per_segment
@@ -754,10 +763,9 @@ def blockwise_derivative(values, h, kink_mask, axis=-1):
     return np.moveaxis(deriv, -1, axis), np.moveaxis(valid, -1, axis)
 
 
-def residual_Q_windows(fg, params=None):
-    """Constitutive residual with the stencil sets rebuilt per window."""
-    rho = params.rho if params is not None else 1.0
-    kappa = params.kappa if params is not None else 1.0
+def residual_Q_windows(fg):
+    """Constitutive residual with the blockwise stencil sets rebuilt per
+    window."""
     ht = fg.t[1] - fg.t[0]
     hx = fg.x[1] - fg.x[0]
     plus, minus = fg.kink_masks()
@@ -771,9 +779,9 @@ def residual_Q_windows(fg, params=None):
         kseg = kinks[:, cols]
         vt, ok_t = blockwise_derivative(vseg, ht, kseg, axis=0)
         vx, ok_x = blockwise_derivative(vseg, hx, kseg, axis=1)
-        g_res = rho * vt - fg.p[:, cols]
-        h_res = kappa * vx - fg.s[:, cols] + fg.f_seg[seg][:, None]
-        q = g_res ** 2 / (4.0 * rho) + h_res ** 2 / (4.0 * kappa)
+        g_res = vt - fg.p[:, cols]
+        h_res = vx - fg.s[:, cols] + fg.f_seg[seg][:, None]
+        q = g_res ** 2 / 4.0 + h_res ** 2 / 4.0
         q = np.where(ok_t & ok_x & ~kseg, q, 0.0)
         wx = simpson_weights(j1 - j0 + 1, hx)
         total += float(wt @ q @ wx)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rodwave.errors import InfeasibleError
-from rodwave.mesh import RodParams, build_mesh, counts
+from rodwave.mesh import build_mesh, counts
 from rodwave.edge import (
     StateSpec,
     assemble_edge_constraints,
@@ -121,8 +121,7 @@ def test_criterion_4_independent_verification():
     controls = rec.controls_from_jumps(
         mesh, rec.jump_pieces_from_solution(par, entries))
     fg = rec.fields(waves, controls, mesh, qt=256, qx=256)
-    params = RodParams(1.0, 1.0, 1.0)
-    sims = [simulate(mesh, params, controls, state,
+    sims = [simulate(mesh, controls, state,
                      SimConfig(points_per_segment=nper, cfl=1.0))
             for nper in (125, 250, 500)]
     rep = oracle_compare(sims, fg)

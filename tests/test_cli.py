@@ -528,9 +528,9 @@ class TestOracleSettings:
         calls = []
         real = cli.simulate
 
-        def spy(mesh, params, controls, state, sim_config):
+        def spy(mesh, controls, state, sim_config):
             calls.append((sim_config.cfl, sim_config.points_per_segment))
-            return real(mesh, params, controls, state, sim_config)
+            return real(mesh, controls, state, sim_config)
 
         monkeypatch.setattr(cli, "simulate", spy)
         return calls

@@ -4,10 +4,12 @@ gather forms they replaced.
 ``reconstruct.fields`` reads every wave through a strided view of its
 assembled line, and ``residual_Q`` and ``mean_energy`` share one kink plan
 per grid; ``loop_reference.fields``, ``residual_Q_windows`` and
-``mean_energy`` are the fancy-index gathers and per-window stencil sets
-they replaced.  The arithmetic is the same, so every output must be
-byte-equal: each ``FieldGrid`` array, every energy window, the interface
-jumps, Q and E_grid.
+``mean_energy`` are the fancy-index gathers, the per-window blockwise
+stencil sets and the row-by-row weights they replaced.  At every sample
+Q keeps, the plain stencils of ``residual_Q`` and the blockwise ones
+evaluate the same expression, so every output must be byte-equal: each
+``FieldGrid`` array, every energy window, the interface jumps, Q and
+E_grid.
 """
 
 import dataclasses
@@ -25,7 +27,6 @@ from rodwave.cli import EXIT_INVARIANT, EXIT_OK, main
 from rodwave.edge import Parametrization
 from rodwave.energy import mean_energy
 from rodwave.errors import ReconstructionError
-from rodwave.mesh import RodParams
 from test_assembly import assert_bits
 
 ARRAYS = ("t", "x", "v", "r", "p", "s", "f_seg")
@@ -79,11 +80,13 @@ def test_fields_match_gathers_at_other_samplings(qt, qx):
     check_grid(*solved(n, m, 129, trig_params(qt * 100 + qx)), qt=qt, qx=qx)
 
 
-def test_field_samples_setting_matches_gathers():
-    config = cli.validate_config({"N": 6, "M": 6, "P": 129, "preset": "trig",
-                                  "preset_params": trig_params(8), "field_samples": 8})
+@pytest.mark.parametrize("p", [17, 33, 129])
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_field_samples_setting_matches_gathers(q, p):
+    config = cli.validate_config({"N": 6, "M": 6, "P": p, "preset": "trig",
+                                  "preset_params": trig_params(q), "field_samples": q})
     out = cli.solve_pipeline(config)
-    want = ref.fields(out["waves"], out["controls"], out["mesh"], qt=8, qx=8)
+    want = ref.fields(out["waves"], out["controls"], out["mesh"], qt=q, qx=q)
     for name in ARRAYS:
         assert_bits(getattr(out["fields"], name), getattr(want, name))
     assert out["Q"].hex() == ref.residual_Q_windows(want).hex()
@@ -95,13 +98,6 @@ def test_field_samples_setting_matches_gathers():
        seed=st.integers(0, 2 ** 32 - 1))
 def test_fields_match_gathers_on_random_states(n, m, p, seed):
     check_grid(*solved(n, m, p, trig_params(seed)))
-
-
-@pytest.mark.parametrize("rho,kappa", [(4.0, 1.0), (1.0, 0.3), (2.5, 7.0)])
-def test_residual_q_with_rod_constants_matches_windows(rho, kappa):
-    fg = rec.fields(*solved(4, 3, 65, trig_params(4)))
-    params = RodParams(rho, kappa, 1.0)
-    assert rec.residual_Q(fg, params).hex() == ref.residual_Q_windows(fg, params).hex()
 
 
 def test_windows_share_one_kink_plan():

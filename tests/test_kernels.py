@@ -12,37 +12,44 @@ from rodwave import cli
 from rodwave import reconstruct as rec
 from rodwave.energy import blockwise_simpson, blockwise_simpson_weights
 from rodwave.errors import InvalidArgumentError
-from rodwave.mesh import RodParams
 from rodwave.oracle import SimConfig, simulate, write_sim_csv
+from rodwave.sampled import fd_derivative
 
 import loop_reference as ref
 
 
 @st.composite
 def masked_grids(draw):
-    """(values, kink mask) of shape (rows, n); kinks are dense enough that
-    length-1 blocks, adjacent kinks and kinks on the end samples occur."""
-    rows = draw(st.integers(min_value=1, max_value=5))
-    n = draw(st.integers(min_value=3, max_value=24))
+    """(values, kink mask) of a window: at least 3 rows and an odd width;
+    kinks are dense enough that length-1 blocks, adjacent kinks and kinks
+    on and next to the end samples occur."""
+    rows = draw(st.integers(min_value=3, max_value=8))
+    n = 2 * draw(st.integers(min_value=1, max_value=11)) + 1
     density = draw(st.sampled_from((0.0, 0.2, 0.5, 0.9, 1.0)))
     seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     return rng.standard_normal((rows, n)), rng.random((rows, n)) < density
 
 
-def _assert_same_derivative(values, kinks, h):
-    for axis, v, k in ((1, values, kinks), (0, values.T, kinks.T)):
-        got, ok = rec.blockwise_derivative(v, h, k, axis=axis)
-        want, want_ok = ref.axis_derivative(v, h, k, axis=axis)
-        assert np.array_equal(got, want)       # bit for bit, no tolerance
-        assert np.array_equal(ok, want_ok)
+def _assert_plain_where_kept(values, kinks, h):
+    """``WindowKinks(kinks, h).drop`` marks exactly the kinks and the
+    samples whose loop-form blockwise derivative is invalid on either axis,
+    and at every other sample the plain stencils give the loop form's
+    derivative, bit for bit, along both axes."""
+    want_t, ok_t = ref.axis_derivative(values, h, kinks, axis=0)
+    want_x, ok_x = ref.axis_derivative(values, h, kinks, axis=1)
+    drop = rec.WindowKinks(kinks, h).drop
+    assert np.array_equal(drop, ~(ok_t & ok_x & ~kinks))
+    keep = ~drop
+    assert np.array_equal(fd_derivative(values.T, h).T[keep], want_t[keep])
+    assert np.array_equal(fd_derivative(values, h)[keep], want_x[keep])
 
 
 @settings(max_examples=200, deadline=None)
 @given(masked_grids(), st.sampled_from((1.0, 0.1, 1.0 / 3.0)))
 def test_derivative_matches_loop_bit_for_bit(grid, h):
     values, kinks = grid
-    _assert_same_derivative(values, kinks, h)
+    _assert_plain_where_kept(values, kinks, h)
 
 
 @pytest.mark.parametrize("mask", [
@@ -55,20 +62,23 @@ def test_derivative_matches_loop_bit_for_bit(grid, h):
     [0, 1, 0],
 ])
 def test_derivative_edge_masks(mask):
-    kinks = np.array([mask], dtype=bool)
-    values = np.random.default_rng(len(mask)).standard_normal(kinks.shape)
-    _assert_same_derivative(values, kinks, 0.25)
+    # the mask along x on 3 rows, and along t on 3 columns
+    rows = np.tile(np.array(mask, dtype=bool), (3, 1))
+    for kinks in (rows, rows.T):
+        values = np.random.default_rng(len(mask)).standard_normal(kinks.shape)
+        _assert_plain_where_kept(values, kinks, 0.25)
 
 
 def test_derivative_one_dimensional_and_too_short():
     values = np.sin(np.linspace(0.0, 1.0, 9))
     kinks = np.zeros(9, dtype=bool)
-    kinks[4] = True
-    got, ok = rec.blockwise_derivative(values, 0.125, kinks)
-    want, want_ok = ref.blockwise_derivative_1d(values, 0.125, kinks)
-    assert np.array_equal(got, want) and np.array_equal(ok, want_ok)
+    kinks[[1, 4]] = True
+    want, ok = ref.blockwise_derivative_1d(values, 0.125, kinks)
+    keep = ok & ~kinks
+    assert list(np.flatnonzero(~keep)) == [0, 1, 4]
+    assert np.array_equal(fd_derivative(values, 0.125)[keep], want[keep])
     with pytest.raises(InvalidArgumentError):
-        rec.blockwise_derivative(values[:2], 0.125, kinks[:2])
+        fd_derivative(values[:2], 0.125)
 
 
 @settings(max_examples=200, deadline=None)
@@ -222,7 +232,7 @@ def test_sim_csv_bytes_match_csv_writer(worked_example, tmp_path):
     par, mesh, sol = (worked_example[k] for k in ("par", "mesh", "sol_qp"))
     entries = par.entry_values(sol.y, sol.gamma)
     controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, entries))
-    sim = simulate(mesh, RodParams(1.0, 1.0, 1.0), controls, worked_example["state"],
+    sim = simulate(mesh, controls, worked_example["state"],
                    SimConfig(points_per_segment=8, cfl=1.0))
     special = dataclasses.replace(sim, v_terminal=_with_special(sim.v_terminal),
                                   energy_history=_with_special(sim.energy_history))

@@ -50,7 +50,6 @@ class TestBuildMesh:
         assert len(mesh.J_x) == n + 1
         assert len(mesh.J_c) == n + 2
         assert len(mesh.J_t) == m + 1
-        assert len(mesh.J_d) == m
         assert mesh.t(2 * m) == pytest.approx(mesh.T)
         for k in mesh.J_s:
             assert mesh.z_plus(k) + mesh.z_minus(k) == pytest.approx(-mesh.lam)

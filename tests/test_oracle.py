@@ -9,6 +9,7 @@ from rodwave.edge import StateSpec
 from rodwave import reconstruct as rec
 from rodwave.oracle import SimConfig, cell_steps, compare, simulate
 
+# the loop form takes the rod constants; the package runs the dimensionless rod
 PARAMS = RodParams(1.0, 1.0, 1.0)
 
 
@@ -31,7 +32,7 @@ class TestFreeMotion:
     def test_zero_state_stays_zero(self):
         mesh = build_mesh(2, 2)
         state = StateSpec.zero(mesh, 33)
-        sim = simulate(mesh, PARAMS, zero_controls(mesh), state,
+        sim = simulate(mesh, zero_controls(mesh), state,
                        SimConfig(points_per_segment=32))
         assert np.max(np.abs(sim.v_terminal)) == 0.0
         assert np.max(np.abs(sim.p_terminal)) == 0.0
@@ -46,7 +47,7 @@ class TestFreeMotion:
             v1=lambda x: np.cos(np.pi * x), r1=lambda x: 0.0 * x)
         errs = []
         for nper in (64, 128):
-            sim = simulate(mesh, PARAMS, zero_controls(mesh, p=513), state,
+            sim = simulate(mesh, zero_controls(mesh, p=513), state,
                            SimConfig(points_per_segment=nper, cfl=0.8))
             errs.append(np.max(np.abs(sim.v_terminal - np.cos(np.pi * sim.x))))
         assert errs[0] > 3.0 * errs[1]
@@ -59,7 +60,7 @@ class TestFreeMotion:
             v0=lambda x: np.cos(np.pi * x), r0=lambda x: 0.0 * x,
             v1=lambda x: 0.0 * x, r1=lambda x: 0.0 * x)
         for cfl in (0.9, 1.0):
-            sim = simulate(mesh, PARAMS, zero_controls(mesh), state,
+            sim = simulate(mesh, zero_controls(mesh), state,
                            SimConfig(points_per_segment=64, cfl=cfl))
             assert sim.energy_drift() <= 1e-6
 
@@ -83,19 +84,19 @@ def synthesis():
 class TestDrivenRuns:
     def test_momentum_budget_telescopes_exactly(self, synthesis):
         mesh, state, controls, _ = synthesis
-        sim = simulate(mesh, PARAMS, controls, state,
+        sim = simulate(mesh, controls, state,
                        SimConfig(points_per_segment=64, cfl=1.0))
         assert sim.momentum_budget_max <= 1e-8
 
     def test_reaches_terminal_state(self, synthesis):
         mesh, state, controls, _ = synthesis
-        sim = simulate(mesh, PARAMS, controls, state,
+        sim = simulate(mesh, controls, state,
                        SimConfig(points_per_segment=250, cfl=1.0))
         assert sim.terminal_energy_error <= 0.02
 
     def test_convergence_order(self, synthesis):
         mesh, state, controls, fg = synthesis
-        sims = [simulate(mesh, PARAMS, controls, state,
+        sims = [simulate(mesh, controls, state,
                          SimConfig(points_per_segment=nper, cfl=1.0))
                 for nper in (125, 250, 500)]
         report = compare(sims, fg)
@@ -110,15 +111,15 @@ class TestDrivenRuns:
             mesh=mesh, p=controls.p, jumps=controls.jumps,
             integrals={k: 1.1 * v for k, v in controls.integrals.items()},
             forces={k: 1.1 * v for k, v in controls.forces.items()})
-        good = simulate(mesh, PARAMS, controls, state,
+        good = simulate(mesh, controls, state,
                         SimConfig(points_per_segment=124, cfl=1.0))
-        bad = simulate(mesh, PARAMS, scaled, state,
+        bad = simulate(mesh, scaled, state,
                        SimConfig(points_per_segment=124, cfl=1.0))
         assert bad.terminal_energy_error > 5.0 * good.terminal_energy_error
 
     def test_cfl_alignment(self, synthesis):
         mesh, state, controls, _ = synthesis
-        sim = simulate(mesh, PARAMS, controls, state,
+        sim = simulate(mesh, controls, state,
                        SimConfig(points_per_segment=50, cfl=0.73))
         # the step divides the half-layer duration exactly
         ratio = (mesh.lam / 2.0) / sim.dt
@@ -142,7 +143,7 @@ def test_misaligned_grids_stay_accurate_for_odd_segments():
     controls = rec.controls_from_jumps(
         mesh, rec.jump_pieces_from_solution(par, entries))
     for nper in (200, 256):      # misaligned and aligned
-        sim = simulate(mesh, PARAMS, controls, state,
+        sim = simulate(mesh, controls, state,
                        SimConfig(points_per_segment=nper, cfl=1.0))
         assert sim.terminal_energy_error <= 5e-3, nper
 
@@ -170,7 +171,7 @@ def test_simulate_matches_loop_form_bit_for_bit(driven, n, cfl):
 
     mesh, state, controls = driven[n]
     cfg = SimConfig(points_per_segment=16, cfl=cfl)
-    got = simulate(mesh, PARAMS, controls, state, cfg)
+    got = simulate(mesh, controls, state, cfg)
     want = ref.simulate(mesh, PARAMS, controls, state, cfg)
     for name in ("x", "v_terminal", "p_terminal", "energy_history", "times"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -186,19 +187,6 @@ def assert_same_run(got, want):
     for name in ("momentum_budget_max", "terminal_energy_error",
                  "terminal_v_sup", "dt", "h"):
         assert getattr(got, name) == getattr(want, name), name
-
-
-@pytest.mark.parametrize("cfl", [0.9, 1.0])
-@pytest.mark.parametrize("rho,kappa", [(4.0, 1.0), (1.0, 0.3), (2.5, 7.0)])
-def test_rod_constants_match_loop_form_bit_for_bit(driven, rho, kappa, cfl):
-    # each coefficient pass runs unless its coefficient is exactly 1.0
-    import loop_reference as ref
-
-    mesh, state, controls = driven[3]
-    params = RodParams(rho, kappa, 1.0)
-    cfg = SimConfig(points_per_segment=16, cfl=cfl)
-    assert_same_run(simulate(mesh, params, controls, state, cfg),
-                    ref.simulate(mesh, params, controls, state, cfg))
 
 
 @pytest.fixture(scope="module")
@@ -221,7 +209,7 @@ def test_interface_impulses_match_loop_form_bit_for_bit(driven_n12, points, cfl)
 
     mesh, state, controls = driven_n12
     cfg = SimConfig(points_per_segment=points, cfl=cfl)
-    got = simulate(mesh, PARAMS, controls, state, cfg)
+    got = simulate(mesh, controls, state, cfg)
     assert_same_run(got, ref.simulate(mesh, PARAMS, controls, state, cfg))
     assert got.momentum_budget_max <= 1e-8
 
@@ -238,7 +226,7 @@ def with_nan_right_load(controls):
 
 def test_nan_step_reaches_momentum_budget(driven):
     mesh, state, controls = driven[3]
-    sim = simulate(mesh, PARAMS, with_nan_right_load(controls), state,
+    sim = simulate(mesh, with_nan_right_load(controls), state,
                    SimConfig(points_per_segment=16, cfl=1.0))
     assert np.isnan(sim.energy_history).any()
     assert np.isnan(sim.momentum_budget_max)
@@ -249,8 +237,8 @@ def test_verify_fails_budget_check_on_nan_step(monkeypatch, capsys):
 
     real = cli.simulate
 
-    def corrupted(mesh, params, controls, state, sim_config):
-        return real(mesh, params, with_nan_right_load(controls), state, sim_config)
+    def corrupted(mesh, controls, state, sim_config):
+        return real(mesh, with_nan_right_load(controls), state, sim_config)
 
     monkeypatch.setattr(cli, "simulate", corrupted)
     cfg = cli.validate_config({"N": 3, "M": 3, "P": 33, "preset": "paper_example",
@@ -262,7 +250,7 @@ def test_verify_fails_budget_check_on_nan_step(monkeypatch, capsys):
 @pytest.mark.parametrize("points, cfl", [(8, 1.0), (16, 0.9), (50, 0.73), (125, 0.9)])
 def test_cell_steps_counts_the_run(driven, points, cfl):
     mesh, state, controls = driven[3]
-    sim = simulate(mesh, PARAMS, controls, state,
+    sim = simulate(mesh, controls, state,
                    SimConfig(points_per_segment=points, cfl=cfl))
     assert cell_steps(mesh.N, mesh.M, points, cfl) == (
         (len(sim.x) - 1) * (len(sim.times) - 1))

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from rodwave.mesh import RodParams, build_mesh
+from rodwave.mesh import build_mesh
 from rodwave.edge import StateSpec
 from rodwave.energy import assemble_qp, mean_energy
 from rodwave.sampled import fd_derivative, simpson_weights
@@ -67,13 +67,6 @@ class TestWaveTable:
             minus0 = waves.pieces[(-1, k)][0]
             assert np.allclose(minus0, np.cos(3 * (mesh.x(k + 1) - z)),
                                atol=1e-12)
-
-    def test_assembled_domain(self, solved):
-        mesh = solved["mesh"]
-        f = solved["waves"].assembled(+1, 1)
-        lo, hi = mesh.wave_domain(1, +1)
-        assert (f.a, f.b) == (lo, hi)
-        assert f.p == (mesh.M + 1) * (solved["waves"].p - 1) + 1
 
     def test_edge_rows_hold_on_table(self, worked_example):
         from loop_reference import edge_residuals, gamma_dict
@@ -241,7 +234,7 @@ class TestResidualQ:
 
     def test_corruption_raises_q_quadratically(self, solved):
         # adding 0.1 to s over half the domain raises Q by about
-        # 0.1^2 * (retained quadrature measure of that half) / (4 kappa)
+        # 0.1^2 * (retained quadrature measure of that half) / 4
         fg = solved["fg"]
         base = rec.residual_Q(fg)
         bump = np.zeros_like(fg.s)
@@ -288,21 +281,12 @@ class TestPinnedDiagnostics:
 
 def _retained_measure(fg, half_rows):
     """Quadrature weight of the retained samples in the corrupted strip."""
-    ht = fg.t[1] - fg.t[0]
-    hx = fg.x[1] - fg.x[0]
-    plus, minus = fg.kink_masks()
-    kinks = plus | minus
-    _, ok_t = rec.blockwise_derivative(fg.v, ht, kinks, axis=0)
-    wt = simpson_weights(len(fg.t), ht)
+    wt = simpson_weights(len(fg.t), fg.t[1] - fg.t[0])
     total = 0.0
-    for seg, (j0, j1) in enumerate(fg.segment_windows()):
-        cols = slice(j0, j1 + 1)
-        _, ok_x = rec.blockwise_derivative(fg.v[:, cols], hx, kinks[:, cols],
-                                           axis=1)
-        keep = ok_t[:, cols] & ok_x & ~kinks[:, cols]
+    for window in fg.kink_plan:
+        keep = ~window.drop
         keep[half_rows:] = False
-        wx = simpson_weights(j1 - j0 + 1, hx)
-        total += float(wt @ keep @ wx)
+        total += float(wt @ keep @ window.wx)
     return total
 
 
