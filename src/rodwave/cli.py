@@ -2,7 +2,8 @@
 
 Configs are UTF-8 JSON.  Keys:
 
-    N, M            mesh numbers (required)
+    N, M            mesh numbers (required); N or M past MESH_MAX, or
+                    N * M * P past SAMPLES_MAX, exits 2 before the solve
     P               samples per reference piece (default 129); P = 1 mod 4,
                     so that a field grid can be aligned with the pieces
     preset          "paper_example" | "zero" | "trig"
@@ -92,6 +93,13 @@ ORACLE_MAX_CELL_STEPS = 256_000_000
 # per-step arrays and the step loop grow with it even where few cells keep
 # cells times steps small.  The verify defaults at N = M = 32 take 16,000.
 ORACLE_MAX_STEPS = 1_000_000
+# Largest N and largest M accepted.  The elimination and the solves hold
+# dense matrices whose size grows with the square of the mesh: N = M = 64
+# peaks near 2 GB, and N = 1, M = 2048 near 1.7 GB.
+MESH_MAX = 64
+# Largest N * M * P accepted, that of N = M = 64 at P = 129: the sampled
+# waves and fields grow with it (N = M = 3 at P = 1,000,001 peaks near 1.8 GB).
+SAMPLES_MAX = 64 * 64 * 129
 # Largest |value| accepted in the sampled state data (v0, r0, v1, r1): the
 # energy is quadratic in the data, so larger values can overflow the solve.
 STATE_MAX_ABS = 1e150
@@ -425,12 +433,19 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
     closed form's objective.  The state is built and checked first; the
     state-independent work is then done once per (N, M, P) and kept in the
     :func:`solve_operator` cache, so a repeated mesh costs only the
-    state's data parts."""
+    state's data parts.  A feasible mesh past ``MESH_MAX`` or
+    ``SAMPLES_MAX`` is a :class:`ConfigurationError`, raised before anything
+    is built."""
     if config.solver not in _SOLVERS:
         raise ConfigurationError([f"solver: must be one of {', '.join(_SOLVERS)}"])
     feas = feasibility_check(config.N, config.M)
     if not feas.feasible:
         raise InfeasibleError(feas.reason)
+    size = f"N, M, P: the mesh (N = {config.N}, M = {config.M}, P = {config.P})"
+    if max(config.N, config.M) > MESH_MAX:
+        raise ConfigurationError([f"{size} exceeds N, M <= {MESH_MAX}"])
+    if config.N * config.M * config.P > SAMPLES_MAX:
+        raise ConfigurationError([f"{size} exceeds N * M * P <= {SAMPLES_MAX:,}"])
     state = build_state(config, build_mesh(config.N, config.M))
     op = solve_operator(config.N, config.M, config.P)
     mesh, system, weights = op.mesh, op.system, op.weights

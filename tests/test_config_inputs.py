@@ -11,8 +11,9 @@ import math
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from rodwave.cli import (EXIT_CONFIG, ORACLE_MAX_CELL_STEPS, ORACLE_MAX_STEPS,
-                         STATE_MAX_ABS, RunConfig, build_state, main)
+from rodwave.cli import (EXIT_CONFIG, MESH_MAX, ORACLE_MAX_CELL_STEPS,
+                         ORACLE_MAX_STEPS, SAMPLES_MAX, STATE_MAX_ABS, RunConfig,
+                         build_state, main)
 from rodwave.errors import ConfigurationError
 from rodwave.mesh import build_mesh
 
@@ -200,6 +201,56 @@ def test_oracle_step_bound_admits_its_limit(tmp_path, capsys, pipeline_calls, co
     code, err = run_main(tmp_path / "cfg.json", config, capsys, command)
     assert code == 4 and "stopped before the solve" in err
     assert pipeline_calls == [(1, 1)]
+
+
+@pytest.mark.parametrize("command, n, m, p, bound", [
+    ("solve", 3, 189264, 9, "N, M <= 64"),  # a drawn config that once took all memory
+    ("solve", MESH_MAX + 1, 2, 5, "N, M <= 64"),
+    ("verify", 2, MESH_MAX + 1, 5, "N, M <= 64"),
+    ("solve", 2, 2, SAMPLES_MAX // 4 + 1, f"N * M * P <= {SAMPLES_MAX:,}"),
+    ("verify", MESH_MAX, MESH_MAX, 133, f"N * M * P <= {SAMPLES_MAX:,}"),
+])
+def test_oversized_mesh_exits_2_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                 command, n, m, p, bound):
+    from rodwave import cli
+    built = []
+    monkeypatch.setattr(cli, "build_mesh", lambda *args: built.append(args))
+    config = dict(N=n, M=m, P=p, preset="zero", out_dir=str(tmp_path / "out"),
+                  oracle_points_per_segment=8, oracle_cfl=1.0)
+    code, err = run_main(tmp_path / "cfg.json", config, capsys, command)
+    assert code == EXIT_CONFIG
+    assert err == (f"config error: N, M, P: the mesh (N = {n}, M = {m}, P = {p}) "
+                   f"exceeds {bound}\n")
+    assert built == []
+
+
+@pytest.mark.parametrize("n, m, p", [
+    (MESH_MAX, MESH_MAX, 129),
+    (1, MESH_MAX, 129),
+    (2, 2, SAMPLES_MAX // 4 - 3),      # the largest P = 1 mod 4 within the bound
+])
+def test_mesh_size_bound_admits(tmp_path, capsys, monkeypatch, n, m, p):
+    from rodwave import cli
+    from rodwave.errors import SolverError
+
+    def stop(*args):
+        raise SolverError("stopped after the mesh check")
+
+    monkeypatch.setattr(cli, "build_mesh", stop)
+    config = dict(N=n, M=m, P=p, preset="zero", out_dir=str(tmp_path / "out"))
+    code, err = run_main(tmp_path / "cfg.json", config, capsys)
+    assert code == 4 and "stopped after the mesh check" in err
+
+
+def test_oversized_mesh_fails_its_sweep_cell(tmp_path, capsys):
+    config = dict(SMALL, preset="zero", out_dir=str(tmp_path / "out"))
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code = main(["sweep", "--config", str(tmp_path / "cfg.json"), "--workers", "1",
+                 "--m-range", "2:2", "--n-range", f"{MESH_MAX + 1}:{MESH_MAX + 1}"])
+    assert code == 4
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert rows[1].startswith(f"2,{MESH_MAX + 1},nan,nan,")
+    assert f"failed: N, M, P: the mesh (N = {MESH_MAX + 1}, M = 2, P = 17)" in rows[1]
 
 
 HUGE = {"N": 3, "M": 3, "P": 17}
