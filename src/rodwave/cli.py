@@ -800,7 +800,7 @@ def run_sweep(config: RunConfig, m_range, n_range, workers: Optional[int] = None
              for m_val in range(m_range[0], m_range[1] + 1)
              for n_val in range(n_range[0], n_range[1] + 1)]
     if workers is None:
-        workers = min(len(cells), os.cpu_count() or 1)
+        workers = min(len(cells), rec._available_cpus())
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))

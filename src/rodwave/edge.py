@@ -439,6 +439,17 @@ class Parametrization:
         """A row by row as exact Fractions (dict free_j -> Fraction)."""
         return [{j: Fraction(c) for j, c in row.items()} for row in self._a_rows]
 
+    @functools.cached_property
+    def ata(self) -> np.ndarray:
+        """A_w^T A_w, A_w the wave rows of A, read-only.  A has entries in
+        1/2 Z, so every sum is exact in any order and the product has the
+        same bits at any BLAS thread count.  Formed once per mesh: a copy
+        made by :meth:`rebind` after the first use shares it."""
+        a_w = self.A[:self.catalog.N_w]
+        ata = a_w.T @ a_w
+        ata.setflags(write=False)
+        return ata
+
     def g_matrix(self, p: int) -> np.ndarray:
         """Data part g(z) for every entry, sampled on the p-point z-grid.
 
@@ -734,6 +745,24 @@ def assemble_vertex_conditions(mesh: MeshConfig) -> tuple:
     return tuple(rows)
 
 
+def boundary_null_vector(vertex_rows) -> np.ndarray:
+    """The null vector z of G^T, G = [B1 - B0, -B_gamma] the coefficients
+    of (alpha, gamma) in the essential rows of ``vertex_rows``
+    (:func:`assemble_vertex_conditions`), read off the row labels: 1 on
+    every wave junction row, +1/2 on the central zero anchor ``("u0",)``,
+    -1/2 on every central jump junction ``("u", 0, m)``, 0 elsewhere.
+    Odd N has neither jump label, and its wave rows are those of the
+    central segment.  The entries are dyadic, so G^T z is exact in floats:
+    :func:`boundary_structure` proves it 0 on every mesh it builds."""
+    def entry(label) -> float:
+        if label[0] == "w":
+            return 1.0
+        if label == ("u0",):
+            return 0.5
+        return -0.5 if label[:2] == ("u", 0) else 0.0
+    return np.array([entry(row.label) for row in vertex_rows])
+
+
 def guard_rows(mesh: MeshConfig) -> tuple:
     """Every junction of every wave, every jump junction, and the zero
     start of every jump.
@@ -772,8 +801,9 @@ class EssentialBC:
     """Boundary condition B1 y(lambda) - B0 y(0) = B_gamma gamma + b0 on
     the free functions, one row per complete vertex row.  The rows are
     independent by construction, so ``rank`` is their number, ``n_rows``;
-    the closed-form factorization proves it, and a singular system raises
-    there.  ``B_gamma`` carries the coefficients of the per-segment free
+    ``solver.ELSystem`` proves it once per mesh by a bounded condition
+    number of the reduced system S, and a singular S raises there.
+    ``B_gamma`` carries the coefficients of the per-segment free
     terminal constants.  ``n_assembled`` counts the solved rows plus the
     junction rows checked on the solution, and ``guard_rows_kept`` the
     solved rows outside the paper's printed vertex list (3 for even N, 0
@@ -800,9 +830,10 @@ class BoundaryStructure:
     """The state-independent part of the essential rows of one mesh.
 
     ``B0``, ``B1`` and ``B_gamma`` are the homogeneous part of the solved
-    rows.  ``slots`` gathers their data part: for each term slot, the rows
-    that have a term there, its catalog entry, its end sample (0 or -1)
-    and its coefficient.  ``checks`` gathers the rows of
+    rows, and ``z`` the null vector of G^T = [B1 - B0, -B_gamma]^T
+    (:func:`boundary_null_vector`, unscaled).  ``slots`` gathers their
+    data part: for each term slot, the rows that have a term there, its
+    catalog entry, its end sample (0 or -1) and its coefficient.  ``checks`` gathers the rows of
     :func:`guard_rows` in the same form, and ``check_labels`` names them.
     """
 
@@ -812,6 +843,7 @@ class BoundaryStructure:
     B0: np.ndarray = field(repr=False)
     B1: np.ndarray = field(repr=False)
     B_gamma: np.ndarray = field(repr=False)
+    z: np.ndarray = field(repr=False)
 
     def violated_junctions(self, par: Parametrization, y: np.ndarray,
                            gamma: np.ndarray) -> tuple:
@@ -847,7 +879,9 @@ def _row_slots(cat: UnknownCatalog, rows) -> list:
 def boundary_structure(par: Parametrization, vertex_rows) -> BoundaryStructure:
     """Rewrite the vertex rows through the parametrization, and gather the
     junction rows of :func:`guard_rows` that each solution is checked
-    against.  Nothing here reads the state's data."""
+    against.  Nothing here reads the state's data.  G^T z, z the null
+    vector of the rows' labels, is a sum of multiples of 1/4, so exact;
+    an entry other than 0 raises :class:`AssemblyError`."""
     n_rows = len(vertex_rows)
     # sum coef*entry(at) = 0  <=>  B1 y(lam) - B0 y(0) = B_gamma gamma + b0,
     # accumulated term slot by term slot in each row's own term order
@@ -860,13 +894,19 @@ def boundary_structure(par: Parametrization, vertex_rows) -> BoundaryStructure:
         B1[rows[end]] += coefs[end, None] * par.A[ents[end]]
         B0[rows[~end]] -= coefs[~end, None] * par.A[ents[~end]]
         Bg[rows] -= coefs[:, None] * par.C_gamma[ents]
-    for mat in (B0, B1, Bg):
+    z = boundary_null_vector(vertex_rows)
+    gtz = np.concatenate([B1.T @ z - B0.T @ z, -(Bg.T @ z)])
+    if np.any(gtz != 0.0):
+        col = int(np.flatnonzero(gtz != 0.0)[0])
+        raise AssemblyError(f"column {col} of G^T z is {float(gtz[col])!r}, not 0, "
+                            f"for the null vector z of the vertex labels")
+    for mat in (B0, B1, Bg, z):
         mat.setflags(write=False)       # shared by the rows of every state
     checks = guard_rows(par.mesh)
     return BoundaryStructure(
         slots=tuple(slots), checks=tuple(_row_slots(par.catalog, checks)),
         check_labels=tuple(row.label for row in checks),
-        B0=B0, B1=B1, B_gamma=Bg)
+        B0=B0, B1=B1, B_gamma=Bg, z=z)
 
 
 def boundary_matrices(structure: BoundaryStructure, par: Parametrization) -> EssentialBC:

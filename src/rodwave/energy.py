@@ -119,10 +119,10 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     raises :class:`AssemblyError`.  The first/last layer pieces are
     resolved from data and their A rows are zero, so with the exact
     interior weight lambda this holds by construction.  The kernel is
-    K = c (A_w^T A_w): A has entries in 1/2 Z, so A_w^T A_w is exact in
-    any summation order and K is one correctly rounded product.  The
-    linear term ``lin_cells``, the constant c0 and the constraint data d
-    come from the state ``par`` is bound to.
+    K = c (A_w^T A_w), with A_w^T A_w the exact ``par.ata`` of the mesh,
+    so K is one correctly rounded product.  The linear term
+    ``lin_cells``, the constant c0 and the constraint data d come from the
+    state ``par`` is bound to.
     """
     mesh, cat = par.mesh, par.catalog
     if p != par.bound_state.grid_p(mesh):
@@ -146,7 +146,7 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
 
     return QuadraticProgram(mesh=mesh, p=p, n_free=par.n_free, n_gamma=par.n_gamma,
                             c0=c0, d=bc.b0.copy() if bc.n_rows else np.zeros(0),
-                            kernel=c * (a_w.T @ a_w), lin_cells=lin_cells)
+                            kernel=c * par.ata, lin_cells=lin_cells)
 
 
 def evaluate_objective(par: Parametrization, weights: EnergyWeights,

@@ -8,11 +8,14 @@ alpha, beta determined by the essential boundary conditions together with
 the natural conditions on the conjugate vector
 ``p = A^T A y' + A^T g'`` (which is constant in z along stationary
 solutions).  The natural and gauge conditions leave the multipliers h
-one degree of freedom, c, and the boundary system reduces to one square
-system in (alpha, gamma, c) that depends only on the mesh:
-:class:`ELSystem` inverts it once, and each state pays for its own
-right-hand side only.  ``solve_qp`` minimizes the discretized weighted
-functional directly via the KKT system of the equality-constrained
+one degree of freedom, h = c z, with z the null vector of G^T (G the
+essential rows' coefficients of alpha and gamma) read exactly off the
+vertex row labels, and the boundary system reduces to one square system
+in (alpha, gamma, c) that depends only on the mesh: :class:`ELSystem`
+inverts it once, after the one solve with A^T A that it and the
+particular solution need, and each state pays for its own right-hand
+side only.  ``solve_qp`` minimizes the discretized weighted functional
+directly via the KKT system of the equality-constrained
 quadratic program; it is the reference the closed form is checked against
 (``compare_solvers``).  It solves that system in the differences of
 consecutive samples, where the Hessian is block-diagonal, and proves the
@@ -34,7 +37,7 @@ from .edge import BoundaryStructure, EssentialBC, Parametrization
 from .energy import EnergyWeights, QuadraticProgram, evaluate_objective
 
 FEASIBILITY_TOL = 1e-9
-BOUNDARY_RANK_TOL = 1e-10      # see ELSystem
+BOUNDARY_RANK_TOL = 1e-10      # sigma and 1/cond_1(S), see ELSystem
 
 
 @dataclass
@@ -177,22 +180,25 @@ class ELSystem:
     essential-row ``structure``.  Only the wave entries ``data_rows`` have
     a data part g that is not identically zero, so ``a_data`` =
     A_w[data_rows] and ``proj`` = (A_w^T A_w)^-1 a_data^T carry every
-    product of A_w^T with g; ``ata`` is A_w^T A_w.
+    product of A_w^T with g; A_w^T A_w is ``par.ata``.
 
     The boundary unknowns (alpha, beta, gamma, h) solve the essential rows
     (B1 - B0) alpha + lambda B1 beta - B_gamma gamma = rhs, the natural
     conditions A^T A beta = B0^T h = B1^T h and the gauge B_gamma^T h = 0,
     so G^T h = 0 with G = [B1 - B0, -B_gamma].  G has n_b = n_s + n_g + 1
-    rows and full column rank, so h = c z, z the unit null vector of G^T
-    (the last column of the complete QR of G), and beta = c w with
-    w = (A^T A)^-1 B1^T z.  Left is S (alpha, gamma, c) = rhs with the
-    n_b-square S = [G | lambda B1 w] (``s``, inverted in ``s_inv``).  S is
+    rows and, when S below is nonsingular, full column rank, so h = c z
+    with z the exact null vector of G^T read off the vertex labels
+    (``structure.z``, unscaled; :func:`rodwave.edge.boundary_null_vector`),
+    and beta = c w with w = (A^T A)^-1 B1^T z; ``proj`` and w come from one
+    solve.  Left is S (alpha, gamma, c) = rhs with the n_b-square
+    S = [G | lambda B1 w] (``s``, inverted in ``s_inv``).  S is
     nonsingular exactly when G has full column rank and sigma =
     lambda (B1^T z)^T w, never negative as A^T A is SPD, is positive.
-    Another row count, a smallest |diagonal entry| of the R of G at most
-    ``BOUNDARY_RANK_TOL`` times its largest, or a sigma at most that
-    times |lambda B1 w| (the length of the column whose component off the
-    range of G it is) raises :class:`SolverError`.
+    Another row count, a sigma at most ``BOUNDARY_RANK_TOL`` times
+    |z| |lambda B1 w| (sigma / |z| is the component of that column along
+    z, off the range of G), a singular S, or cond_1(S) = |S|_1 |S^-1|_1
+    not below 1 / ``BOUNDARY_RANK_TOL`` raises :class:`SolverError`; a
+    G short of full column rank makes S singular, so that bound covers it.
 
     A^T A is degenerate when its Cholesky factorization fails, or when the
     smallest diagonal entry of the Cholesky factor is at most 1e-6 times
@@ -205,8 +211,7 @@ class ELSystem:
     def __init__(self, par: Parametrization, structure: BoundaryStructure):
         n_s, n_g, n_b = par.n_free, par.n_gamma, len(structure.B0)
         lam = par.mesh.lam
-        a_w = par.A[:par.catalog.N_w]
-        ata = a_w.T @ a_w
+        ata = par.ata
         try:
             diag = np.diagonal(np.linalg.cholesky(ata))
         except np.linalg.LinAlgError as exc:
@@ -215,32 +220,34 @@ class ELSystem:
         if n_s and not diag.min() > 1e-6 * diag.max():
             raise SolverError(f"euler_lagrange: A^T A is degenerate (Cholesky "
                               f"diagonal {diag.max():.3e} to {diag.min():.3e})")
-        self.ata = ata
-        self.data_rows = np.array([e for e, expr in enumerate(par.g_exprs[:len(a_w)])
+        self.data_rows = np.array([e for e, expr in enumerate(par.g_exprs[:par.catalog.N_w])
                                    if expr.terms or expr.consts], dtype=int)
-        self.a_data = a_w[self.data_rows]
-        self.proj = np.linalg.solve(ata, self.a_data.T)
+        self.a_data = par.A[self.data_rows]
 
         singular = "euler_lagrange: boundary system residual not bounded: "
         if n_b != n_s + n_g + 1:
             raise SolverError(f"{singular}{n_b} essential rows, not "
                               f"n_s + n_g + 1 = {n_s + n_g + 1}")
-        g = np.concatenate([structure.B1 - structure.B0, -structure.B_gamma], axis=1)
-        q, r = np.linalg.qr(g, mode="complete")
-        r_diag = np.abs(np.diagonal(r))
-        if not r_diag.min() > BOUNDARY_RANK_TOL * r_diag.max():
-            raise SolverError(f"{singular}G is rank deficient (|diag R| "
-                              f"{r_diag.max():.3e} to {r_diag.min():.3e})")
-        self.z = q[:, -1].copy()          # no view that keeps all of Q
+        self.z = structure.z
         b1z = structure.B1.T @ self.z
-        self.w = np.linalg.solve(ata, b1z)
+        solved = np.linalg.solve(ata, np.concatenate([self.a_data.T, b1z[:, None]], axis=1))
+        self.proj, self.w = solved[:, :-1], solved[:, -1]
         col = lam * (structure.B1 @ self.w)
         sigma = float(b1z @ self.w) * lam
-        if not sigma > BOUNDARY_RANK_TOL * float(np.linalg.norm(col)):
+        scale = float(np.linalg.norm(self.z)) * float(np.linalg.norm(col))
+        if not sigma > BOUNDARY_RANK_TOL * scale:
             raise SolverError(f"{singular}sigma = {sigma:.3e} is not positive "
-                              f"against lambda |B1 w| = {np.linalg.norm(col):.3e}")
-        self.s = np.concatenate([g, col[:, None]], axis=1)
-        self.s_inv = np.linalg.inv(self.s)
+                              f"against |z| lambda |B1 w| = {scale:.3e}")
+        self.s = np.concatenate([structure.B1 - structure.B0, -structure.B_gamma,
+                                 col[:, None]], axis=1)
+        try:
+            self.s_inv = np.linalg.inv(self.s)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"{singular}S is singular ({exc})") from exc
+        cond = float(np.linalg.norm(self.s, 1) * np.linalg.norm(self.s_inv, 1))
+        if not cond < 1.0 / BOUNDARY_RANK_TOL:
+            raise SolverError(f"{singular}S is singular to working precision "
+                              f"(cond_1(S) = {cond:.3e})")
 
 
 def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,

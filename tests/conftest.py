@@ -88,7 +88,7 @@ def conjugate_vector(par, el, y):
     constant in z on a stationary solution."""
     h = par.mesh.lam / (y.shape[1] - 1)
     g_data = par.g_matrix(y.shape[1])[el.data_rows]
-    return el.ata @ fd_derivative(y, h) + el.a_data.T @ fd_derivative(g_data, h)
+    return par.ata @ fd_derivative(y, h) + el.a_data.T @ fd_derivative(g_data, h)
 
 
 @pytest.fixture(scope="session")

@@ -445,6 +445,17 @@ class TestParallelSweep:
 
         assert table(tmp_path / "par") == table(tmp_path / "ser")
 
+    def test_default_workers_follow_the_affinity_set(self, tmp_path, monkeypatch):
+        # one CPU in the affinity set of a 4-CPU host: no process pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool on one CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = RunConfig(N=2, M=2, preset="paper_example", P=17, out_dir=str(tmp_path))
+        assert run_sweep(cfg, (2, 3), (2, 3)) == EXIT_OK
+
 
 def test_dumped_parametrization_matrix_is_exact(tmp_path):
     from fractions import Fraction

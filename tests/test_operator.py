@@ -17,7 +17,7 @@ import pytest
 
 import loop_reference as ref
 from conftest import conjugate_vector
-from rodwave import cli
+from rodwave import cli, edge
 from rodwave import reconstruct as rec
 from rodwave.edge import Parametrization, boundary_matrices
 from rodwave.energy import assemble_qp
@@ -152,23 +152,31 @@ def test_failed_build_stores_no_entry(monkeypatch, tmp_path, capsys):
     same_result(after, cold(config))
 
 
-def zero_column(structure):
-    """The free column 0 of B0 and B1 zeroed: a zero column of G."""
+def zero_column(structure, scale=0.0):
+    """The free column 0 of B0 and B1 scaled by ``scale``, 0 by default:
+    a zero column of G."""
     b0, b1 = structure.B0.copy(), structure.B1.copy()
-    b0[:, 0] = b1[:, 0] = 0.0
+    b0[:, 0] *= scale
+    b1[:, 0] *= scale
     return replace(structure, B0=b0, B1=b1)
+
+
+def tiny_column(structure):
+    """Column 0 of G scaled by 1e-12: S is nonsingular, but cond_1(S) is
+    past 1e10."""
+    return zero_column(structure, 1e-12)
 
 
 def project_out_null_vector(structure):
     """B0 and B1 less their component along the null vector z of G^T:
     G and z are unchanged, and B1^T z, so sigma, is zero to rounding."""
-    g = np.concatenate([structure.B1 - structure.B0, -structure.B_gamma], axis=1)
-    z = np.linalg.qr(g, mode="complete")[0][:, -1]
+    z = structure.z / np.linalg.norm(structure.z)
     return replace(structure, B0=structure.B0 - np.outer(z, z @ structure.B0),
                    B1=structure.B1 - np.outer(z, z @ structure.B1))
 
 
-@pytest.mark.parametrize("broken,reason", [(zero_column, "G is rank deficient"),
+@pytest.mark.parametrize("broken,reason", [(zero_column, "S is singular"),
+                                           (tiny_column, "S is singular to working"),
                                            (project_out_null_vector, "sigma = ")])
 def test_singular_boundary_system_stores_no_entry(monkeypatch, tmp_path, capsys,
                                                   broken, reason):
@@ -181,6 +189,22 @@ def test_singular_boundary_system_stores_no_entry(monkeypatch, tmp_path, capsys,
     assert main(["solve", "--config", str(cfgfile)]) == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert "euler_lagrange: boundary system residual not bounded: " + reason in err
+    assert cli._operator is None
+
+
+def test_wrong_null_vector_stores_no_entry(monkeypatch, tmp_path, capsys):
+    # a label rule whose z is not in the null space of G^T: the exact check
+    # in boundary_structure stops the build with exit 4
+    real = edge.boundary_null_vector
+    monkeypatch.setattr(edge, "boundary_null_vector",
+                        lambda rows: np.where(real(rows) == 0.5, 1.0, real(rows)))
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"N": 4, "M": 4, "P": P, "preset": "paper_example",
+                                   "out_dir": str(tmp_path / "out")}))
+    assert main(["solve", "--config", str(cfgfile)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert "of G^T z is 1.0, not 0, for the null vector z of the vertex labels" in err
+    assert "Traceback" not in err
     assert cli._operator is None
 
 

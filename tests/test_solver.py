@@ -253,7 +253,7 @@ class TestSolverErrors:
         monkeypatch.setattr(cli, "boundary_structure", unread_gamma_rows)
         code, err = self.run_solve(tmp_path, capsys, "el")
         assert code == EXIT_INVARIANT
-        assert "euler_lagrange: boundary system residual" in err
+        assert "euler_lagrange: boundary system residual not bounded: S is singular" in err
 
     def test_singular_kernel(self, monkeypatch, tmp_path, capsys):
         # zero energy weights: every cell kernel, and so H, is zero; the
@@ -300,12 +300,15 @@ class TestSolverErrors:
     def test_degenerate_ata(self, monkeypatch):
         # 0: a free function no wave entry sees, and the Cholesky
         # factorization fails; 1e-7: one almost unseen, caught by the
-        # bound on the Cholesky diagonal
+        # bound on the Cholesky diagonal; A^T A is cached on par, so it is
+        # set along with A
         _, _, _, par, bc, weights = assemble_all(3, 3, P)
         base = par.A
         for scale, reason in ((0.0, "Cholesky failed"), (1e-7, "Cholesky diagonal")):
             a = base.copy()
             a[:, 0] *= scale
+            a_w = a[:par.catalog.N_w]
             monkeypatch.setattr(par, "A", a)
+            monkeypatch.setattr(par, "ata", a_w.T @ a_w)
             with pytest.raises(SolverError, match=f"A\\^T A is degenerate \\({reason}"):
                 solve_closed_form(par, bc, weights, P)
