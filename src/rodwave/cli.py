@@ -791,16 +791,22 @@ def monotonicity_report(rows, slack: float = 1e-9):
 
 
 def run_sweep(config: RunConfig, m_range, n_range, workers: Optional[int] = None) -> int:
-    """Solve every cell of the (M, N) grid and emit the T*E table."""
+    """Solve every cell of the (M, N) grid and emit the T*E table.
+
+    The cells run in a pool of ``workers`` processes (default: the
+    available CPUs), never more than there are cells: a fork-started pool
+    starts all its processes at the first submit.  ``workers`` below 1
+    exits 2."""
     try:
+        if workers is not None and workers < 1:
+            raise ConfigurationError([f"workers: must be at least 1, got {workers}"])
         _make_out_dir(config.out_dir)
     except ConfigurationError as exc:
         return _error_exit(exc)
     cells = [(asdict(config), m_val, n_val)
              for m_val in range(m_range[0], m_range[1] + 1)
              for n_val in range(n_range[0], n_range[1] + 1)]
-    if workers is None:
-        workers = min(len(cells), rec._available_cpus())
+    workers = min(len(cells), rec._available_cpus() if workers is None else workers)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))

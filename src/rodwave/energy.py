@@ -202,9 +202,9 @@ def mean_energy(field_grid) -> float:
     passes of blockwise Simpson: rows are split at their characteristic
     kink samples (and at interfaces, via per-segment windows), the
     resulting time profile at the instants where kink lines meet the mesh
-    lines.  The density is the sector-averaged ``e_quad`` whose lattice
-    samples carry jump midpoints, so the blockwise panels cancel the
-    one-sided errors.
+    lines.  The density is the sector-averaged energy window of each
+    segment (``FieldGrid.energy_window``), whose lattice samples carry
+    jump midpoints, so the blockwise panels cancel the one-sided errors.
 
     A row's weights depend only on its kink pattern; the grid's kink plan
     holds them as one (nt, 2*qx + 1) matrix per distinct window pattern,
@@ -214,7 +214,7 @@ def mean_energy(field_grid) -> float:
     ht = fg.t[1] - fg.t[0]
     nt = len(fg.t)
     profile = np.zeros(nt)
-    for window, vals in zip(fg.kink_plan, fg.e_quad_segments):
-        profile += np.einsum("ij,ij->i", vals, window.row_weights)
+    for seg, window in enumerate(fg.kink_plan):
+        profile += np.einsum("ij,ij->i", fg.energy_window(seg), window.row_weights)
     t_splits = np.arange(fg.qt, nt - 1, fg.qt)
     return blockwise_simpson(profile, ht, t_splits) / fg.mesh.T

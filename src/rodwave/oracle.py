@@ -260,7 +260,8 @@ def compare(sims: Sequence[SimResult], fg: FieldGrid) -> ConvergenceReport:
     analytic reconstruction, with the empirical convergence order across
     the supplied refinement ladder."""
     sup, l2, res = [], [], []
-    v_ref = fg.v[-1]
+    nt = len(fg.t)
+    (v_ref,), _, _, _ = fg.rows(nt - 1, nt)
     for sim in sims:
         v_interp = np.interp(sim.x, fg.x, v_ref)
         diff = sim.v_terminal - v_interp

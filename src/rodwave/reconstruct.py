@@ -10,14 +10,13 @@ residuals (constitutive residual Q, terminal errors).
 Grid alignment.  Field grids place samples so that interfaces, layer
 instants, and the characteristic lattice all fall exactly on sample
 points; wave and control pieces are then indexed exactly (no
-interpolation).  Each wave is read once per segment as a strided view of
-its assembled line: the plus wave at grid sample (i, j) is line sample
-``i*st + j*sx + c``, the minus wave ``i*st - j*sx + c'``.  At a junction
+interpolation).  Each wave is read as a strided view of its assembled
+line: the plus wave at grid sample (i, j) of a segment window is line
+sample ``i*st + j*sx``, the minus wave ``(P - 1) + i*st - j*sx``, because
+the window start cancels the segment's wave-domain offset.  At a junction
 of two pieces the "late" line holds the following piece (the upwind,
 right limit) and the "early" line the preceding one; the domain ends
-belong to the existing piece either way.  A view whose first or last
-sample would fall outside its line is a ``ReconstructionError``, so no
-view reads past its buffer.
+belong to the existing piece either way.
 
 Characteristic kinks thus sit on known sample diagonals.  Q differentiates
 the displacement with the plain second-order stencils of
@@ -30,9 +29,19 @@ quadrature weights (``FieldGrid.kink_plan``) are shared by
 :func:`residual_Q` and :func:`rodwave.energy.mean_energy`.
 The plan depends only on (N, M, qt, qx), so a caller that solves many
 states on one mesh builds it once and hands it to :func:`fields`; a grid
-given none builds its own on first use.  The energy density ``e`` is not
-stored: only the fields CSV reads it, and it follows from p, s and the
-force.
+given none builds its own on first use.
+
+A :class:`FieldGrid` holds the wave lines, stacked per family into (N, L)
+arrays, and the control histories on the t grid: O(N*M*P) floats, never
+an (nt, nx) array.  Every field sample is one add or subtract of two line
+samples (plus a control value), so the grid evaluates fields on demand,
+with a fixed number of numpy calls per block: blocks of t-rows for the
+terminal rows, the oracle comparison and the fields CSV, one segment
+window at a time for Q and the energy density.  Whole (nt, nx) arrays of
+v, r, p, s and the per-segment energy windows would take 23.7 MB at
+N = M = 12, P = 129 and 168 MB at N = M = 32; the lines take 0.96 MB and
+6.5 MB.  A view whose first or last sample would fall outside its line is
+a ``ReconstructionError``, so no view reads past its buffer.
 """
 
 from __future__ import annotations
@@ -279,53 +288,11 @@ def _pick_q(p: int, target: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class FieldGrid:
-    """Rectangular (t, x) samples of all reconstructed fields.
-
-    v displacement, r dynamic potential, p momentum density, s internal
-    force, and (computed on each access) e energy density.  ``qt``/``qx``
-    are samples per half-layer in each direction; interfaces sit at ``x``
-    indices that are multiples of ``2*qx``.
-
-    Every wave value is read from a strided view of the wave's assembled
-    line (see the module docstring).  Derivative quantities are stored as
-    the upwind trace: the late line, i.e. the later piece at kink samples
-    and the earlier one at the domain ends.  Quantities that jump at
-    interfaces are kept per segment: ``e_quad_segments`` holds the energy
-    density with sector-averaged values on the characteristic lattice
-    (the mean over the late and early lines of both wave families, so
-    jump midpoints; blockwise quadrature keeps its cancellation), and
-    ``f_seg`` the applied force, one history per segment (it is constant
-    in x within a segment); ``e`` carries the right-segment trace at
-    interface columns, as p and s do.
-
-    ``kink_plan`` is the plan given as ``plan`` (built for the same N, M,
-    qt and qx), else one built on first use and kept with the grid; the
-    segment windows share it.
-    """
-
-    mesh: MeshConfig
-    qt: int
-    qx: int
-    t: np.ndarray
-    x: np.ndarray
-    v: np.ndarray
-    r: np.ndarray
-    p: np.ndarray
-    s: np.ndarray
-    e_quad_segments: tuple       # per segment (nt, 2*qx+1); e jumps at interfaces
-    f_seg: np.ndarray            # (N, nt) applied force history per segment
-    interface_jump_v: float
-    interface_jump_r: float
-    plan: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    @property
-    def e(self) -> np.ndarray:
-        """Energy density 0.5 * ((s - f)**2 + p**2) on the whole grid, with
-        each column's force taken from the segment whose trace p and s
-        hold there; a new array on every access."""
-        return _energy_density(self.p, self.s, self.f_seg[self.column_segments()].T)
+class GridLayout:
+    """The geometry every field grid shares, read from its ``mesh``,
+    ``qt``, ``qx``, ``t``, ``x`` and ``plan`` attributes: segment windows,
+    the segment each column's traces come from, the characteristic-lattice
+    masks and the kink plan."""
 
     def column_segments(self) -> np.ndarray:
         """Per x column, the segment whose traces the column holds: the
@@ -352,100 +319,239 @@ class FieldGrid:
         return self.plan if self.plan is not None else build_kink_plan(self)
 
 
-def _line_view(line: np.ndarray, start: int, step_t: int, step_x: int,
-               shape: Tuple[int, int]) -> np.ndarray:
-    """Read-only view ``out[i, j] = line[start + i*step_t + j*step_x]``.
+# The lines of FieldGrid.lines, by family: the late lines of w+, w-, w+'
+# and w-', then the early lines of w+' and w-'.  Even families are plus
+# waves.
+_WP, _WM, _DWP, _DWM, _DWP_EARLY, _DWM_EARLY = range(6)
+_FAMILIES = ((_late_line, "pieces", +1), (_late_line, "pieces", -1),
+             (_late_line, "dpieces", +1), (_late_line, "dpieces", -1),
+             (_early_line, "dpieces", +1), (_early_line, "dpieces", -1))
 
-    ``as_strided`` does no bounds checking, so the extreme samples are
-    checked against the line first."""
-    nt, nx = shape
-    ends = (start, start + (nt - 1) * step_t)
-    ends += tuple(e + (nx - 1) * step_x for e in ends)
-    if min(ends) < 0 or max(ends) >= len(line):
-        raise ReconstructionError(
-            f"field grid reads wave samples {min(ends)}..{max(ends)} "
-            f"outside a line of {len(line)}")
-    item = line.itemsize
-    return as_strided(line[start:], shape=shape,
-                      strides=(step_t * item, step_x * item), writeable=False)
+# field name -> (first family, second family, how they combine, the
+# per-segment history added to the result, if any)
+_FIELD_FORMS = {"v": (_WP, _WM, np.add, None),
+                "r": (_WP, _WM, np.subtract, "u_seg"),
+                "p": (_DWP, _DWM, np.add, None),
+                "s": (_DWP, _DWM, np.subtract, "f_seg")}
+
+# A whole-grid pass (the fields CSV) evaluates about this many samples of
+# each field per block of t-rows.
+FIELD_BLOCK_VALUES = 1 << 15
+
+
+@dataclass(frozen=True)
+class FieldGrid(GridLayout):
+    """Rectangular (t, x) samples of all reconstructed fields, evaluated
+    from the traveling-wave lines on demand.
+
+    v displacement, r dynamic potential, p momentum density, s internal
+    force, e energy density.  ``qt``/``qx`` are samples per half-layer in
+    each direction; interfaces sit at ``x`` indices that are multiples of
+    ``2*qx``.
+
+    ``lines[family, seg]`` holds one assembled line of segment seg (see
+    the module docstring and ``_FAMILIES``); ``u_seg`` and ``f_seg`` the
+    control integral and applied force of each segment on the t grid (both
+    constant in x within a segment).  ``st`` and ``sx`` are wave samples
+    per t and x grid step.  The grid stores no (nt, nx) array; its
+    evaluators make new arrays:
+
+    * :meth:`rows` gives v, r, p, s on a block of t-rows; an interface
+      column holds the right segment's trace, the columns at x = -1 and 1
+      the outer segments' own;
+    * :meth:`window` gives v, p, s on one segment's columns j0..j1, which
+      are the same columns of the whole grid (column j1 of an inner
+      segment is the next segment's trace);
+    * :meth:`energy_window` gives the energy density with sector-averaged
+      values on the characteristic lattice, on one segment's columns from
+      that segment's lines alone: the mean over the late and early lines of
+      both wave families, so jump midpoints (blockwise quadrature keeps its
+      cancellation).
+
+    The whole-grid ``v``, ``r``, ``p``, ``s``, ``e`` and
+    ``e_quad_segments`` are evaluated on every access and not kept; they
+    serve tests and small grids.
+
+    ``kink_plan`` is the plan given as ``plan`` (built for the same N, M,
+    qt and qx), else one built on first use and kept with the grid; the
+    segment windows share it.
+    """
+
+    mesh: MeshConfig
+    qt: int
+    qx: int
+    st: int
+    sx: int
+    t: np.ndarray
+    x: np.ndarray
+    lines: np.ndarray = field(repr=False)    # (6, N, L) wave lines
+    u_seg: np.ndarray = field(repr=False)    # (N, nt) control integral per segment
+    f_seg: np.ndarray = field(repr=False)    # (N, nt) applied force per segment
+    plan: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def _wave(self, family: int, lo: int, n: int, seg: int, n_seg: int,
+              col: int, width: int) -> np.ndarray:
+        """Read-only view ``out[i, c, j]`` of the ``family`` line of segment
+        ``seg + c`` at t-row ``lo + i`` and window column ``col + j``.
+
+        The plus wave at window column jj of segment seg is line sample
+        ``i*st + jj*sx``, the minus wave ``(P - 1) + i*st - jj*sx``: the
+        window start x0 = (2*seg - N)*(P - 1)/2 cancels the segment's
+        wave-domain offset.  ``as_strided`` does no bounds checking, so the
+        extreme samples are checked first."""
+        lines = self.lines[family]
+        n_lines, length = lines.shape
+        step_x = self.sx if family % 2 == 0 else -self.sx
+        first = lo * self.st + (0 if family % 2 == 0 else 2 * self.qx * self.sx) + col * step_x
+        ends = (first, first + (n - 1) * self.st)
+        ends += tuple(e + (width - 1) * step_x for e in ends)
+        if n and (seg < 0 or seg + n_seg > n_lines or min(ends) < 0 or max(ends) >= length):
+            raise ReconstructionError(
+                f"field grid reads wave samples {min(ends)}..{max(ends)} of "
+                f"lines {seg}..{seg + n_seg - 1} outside {n_lines} lines of {length}")
+        item = lines.itemsize
+        return as_strided(lines.reshape(-1)[seg * length + first:],
+                          shape=(n, n_seg, width),
+                          strides=(self.st * item, length * item, step_x * item),
+                          writeable=False)
+
+    def _block(self, names: str, lo: int, hi: int, s0: int, s1: int) -> np.ndarray:
+        """The fields ``names`` (letters of "vrps") on t-rows [lo, hi) and
+        grid columns 2*qx*s0 .. 2*qx*s1, stacked in one new C-ordered
+        array.  Column 2*qx*s1 holds the trace of the segment to its right,
+        or the last segment's own at x = 1.  Elementwise, v = w+ + w-,
+        r = (w+ - w-) + u, p = w+' + w-' and s = (w+' - w-') + f."""
+        n, two_q = hi - lo, 2 * self.qx
+        tail_seg = min(s1, self.mesh.N - 1)
+        tail_col = two_q * (s1 - tail_seg)
+        out = np.empty((len(names), n, two_q * (s1 - s0) + 1))
+        for name, arr in zip(names, out):
+            a, b, combine, history = _FIELD_FORMS[name]
+            body = arr[:, :-1].reshape(n, s1 - s0, two_q, copy=False)
+            tail = arr[:, -1]
+            combine(self._wave(a, lo, n, s0, s1 - s0, 0, two_q),
+                    self._wave(b, lo, n, s0, s1 - s0, 0, two_q), out=body)
+            combine(self._wave(a, lo, n, tail_seg, 1, tail_col, 1)[:, 0, 0],
+                    self._wave(b, lo, n, tail_seg, 1, tail_col, 1)[:, 0, 0], out=tail)
+            if history is not None:
+                values = getattr(self, history)[:, lo:hi]
+                body += values[s0:s1].T[:, :, None]
+                tail += values[tail_seg]
+        return out
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """v, r, p, s on t-rows [lo, hi): a new (4, hi - lo, nx) array."""
+        if not 0 <= lo <= hi <= len(self.t):
+            raise InvalidArgumentError(f"t-rows [{lo}, {hi}) outside a grid of {len(self.t)}")
+        return self._block("vrps", lo, hi, 0, self.mesh.N)
+
+    def window(self, seg: int) -> np.ndarray:
+        """v, p, s on the columns j0..j1 of segment seg: a new
+        (3, nt, 2*qx + 1) array."""
+        return self._block("vps", 0, len(self.t), seg, seg + 1)
+
+    def energy_window(self, seg: int) -> np.ndarray:
+        """The sector-averaged energy density on the columns of segment
+        seg, from its own lines: a new (nt, 2*qx + 1) array, summed as
+        ((a + b) + (a + be)) + (ae + b) + (ae + be) and scaled by 1/4,
+        with a, b the squared late and ae, be the squared early
+        derivative lines of w+ and w-."""
+        nt, width = len(self.t), 2 * self.qx + 1
+        squares = np.empty((4, nt, width))      # C order whatever the strides
+        for out, family in zip(squares, (_DWP, _DWM, _DWP_EARLY, _DWM_EARLY)):
+            np.square(self._wave(family, 0, nt, seg, 1, 0, width)[:, 0], out=out)
+        a, b, ae, be = squares
+        e = np.add(a, b)
+        e += np.add(a, be, out=a)
+        e += np.add(ae, b, out=b)
+        e += np.add(ae, be, out=ae)
+        e *= 0.25
+        return e
+
+    @cached_property
+    def _interface_jumps(self) -> Tuple[float, float]:
+        """The largest jumps of v and r across an interior interface: the
+        left segment's last column against the right one's first."""
+        n, nt, two_q = self.mesh.N, len(self.t), 2 * self.qx
+        if n == 1:
+            return 0.0, 0.0
+        lp, lm = (self._wave(f, 0, nt, 0, n - 1, two_q, 1)[:, :, 0] for f in (_WP, _WM))
+        rp, rm = (self._wave(f, 0, nt, 1, n - 1, 0, 1)[:, :, 0] for f in (_WP, _WM))
+        u = self.u_seg.T
+        jump_v = np.max(np.abs((lp + lm) - (rp + rm)), axis=0)
+        jump_r = np.max(np.abs(((lp - lm) + u[:, :-1]) - ((rp - rm) + u[:, 1:])), axis=0)
+        # folded segment by segment from 0.0, as max(jump, next) would
+        return max([0.0] + jump_v.tolist()), max([0.0] + jump_r.tolist())
+
+    @property
+    def interface_jump_v(self) -> float:
+        return self._interface_jumps[0]
+
+    @property
+    def interface_jump_r(self) -> float:
+        return self._interface_jumps[1]
+
+    def _whole(self, names: str) -> np.ndarray:
+        return self._block(names, 0, len(self.t), 0, self.mesh.N)
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._whole("v")[0]
+
+    @property
+    def r(self) -> np.ndarray:
+        return self._whole("r")[0]
+
+    @property
+    def p(self) -> np.ndarray:
+        return self._whole("p")[0]
+
+    @property
+    def s(self) -> np.ndarray:
+        return self._whole("s")[0]
+
+    @property
+    def e(self) -> np.ndarray:
+        """Energy density 0.5 * ((s - f)**2 + p**2) on the whole grid, with
+        each column's force taken from the segment whose trace p and s
+        hold there."""
+        p, s = self._whole("ps")
+        return _energy_density(p, s, self.f_seg[self.column_segments()].T)
+
+    @property
+    def e_quad_segments(self) -> tuple:
+        """:meth:`energy_window` of every segment."""
+        return tuple(self.energy_window(seg) for seg in range(self.mesh.N))
 
 
 def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
            qt: Optional[int] = None, qx: Optional[int] = None,
            kink_plan: Optional[tuple] = None) -> FieldGrid:
-    """Evaluate v, r, p, s on an aligned rectangular grid (steps as in
-    :func:`grid_steps`).  ``kink_plan``, if given, must be the plan of a
-    grid with the same N, M, qt and qx; the grid keeps it."""
+    """The field grid of v, r, p, s on an aligned rectangular grid (steps
+    as in :func:`grid_steps`): the wave lines of every segment, evaluated
+    on demand (:class:`FieldGrid`).  ``kink_plan``, if given, must be the
+    plan of a grid with the same N, M, qt and qx; the grid keeps it.  A
+    wave line too short for the grid is a ``ReconstructionError``."""
     p = waves.p
     qt, qx = grid_steps(p, qt, qx)
     st = (p - 1) // (2 * qt)      # wave samples per t-grid step
     sx = (p - 1) // (2 * qx)      # wave samples per x-grid step
     nt, nx = 2 * mesh.M * qt + 1, 2 * mesh.N * qx + 1
-    tgrid = np.linspace(0.0, mesh.T, nt)
-    xgrid = np.linspace(-1.0, 1.0, nx)
-    shape = (nt, 2 * qx + 1)
-    # Three blocks (fields, per-segment energy, window scratch) rather than
-    # ~20 arrays: fresh memory costs page faults on every state.  Every
-    # column lies in a segment window, so every sample is written.
-    v, r, pm, s = np.empty((4, nt, nx))
-    e_quad = np.empty((mesh.N,) + shape)
-    wp, wm, dwp, dwm, term = np.empty((5,) + shape)
-    jump_v = 0.0
-    jump_r = 0.0
-    half_units = (p - 1) // 2                   # lam/2 in wave sample units
-
-    # control integrals / forces on the time grid, per segment control
-    u_time = {k: _late_line(controls.integrals[k])[::st] for k in mesh.J_c}
-    f_time = {k: _late_line(controls.forces[k])[::st] for k in mesh.J_c}
-    f_seg = np.stack([f_time[k] for k in mesh.J_s])
-
+    length = (mesh.M + 1) * (p - 1) + 1     # line samples the grid reads
+    lines = np.empty((len(_FAMILIES), mesh.N, length))
     for seg, k in enumerate(mesh.J_s):
-        j0, j1 = seg * 2 * qx, (seg + 1) * 2 * qx
-        cols = slice(j0, j1 + 1)
-        x0 = (j0 - mesh.N * qx) * sx              # window start in wave units
-        plus0 = x0 - (k - 1) * half_units
-        minus0 = -x0 + (k + 1) * half_units
-        dplus, dminus = waves.dpieces[(+1, k)], waves.dpieces[(-1, k)]
-        # contiguous copies of the views that are read more than once
-        np.copyto(wp, _line_view(_late_line(waves.pieces[(+1, k)]), plus0, st, sx, shape))
-        np.copyto(wm, _line_view(_late_line(waves.pieces[(-1, k)]), minus0, st, -sx, shape))
-        np.copyto(dwp, _line_view(_late_line(dplus), plus0, st, sx, shape))
-        np.copyto(dwm, _line_view(_late_line(dminus), minus0, st, -sx, shape))
-        u_k = u_time[k][:, None]
-        f_k = f_time[k][:, None]
-
-        if seg > 0:
-            # column j0 still holds the left segment's trace
-            jump_v = max(jump_v, float(np.max(np.abs(
-                v[:, j0] - (wp[:, 0] + wm[:, 0])))))
-            jump_r = max(jump_r, float(np.max(np.abs(
-                r[:, j0] - (wp[:, 0] - wm[:, 0] + u_time[k])))))
-        np.add(wp, wm, out=v[:, cols])
-        np.subtract(wp, wm, out=term)
-        term += u_k
-        r[:, cols] = term
-        np.add(dwp, dwm, out=pm[:, cols])
-        np.subtract(dwp, dwm, out=term)
-        term += f_k
-        s[:, cols] = term
-
-        # sector-averaged energy density: both junction resolutions of
-        # each wave family, so kink samples carry the jump midpoint;
-        # summed as ((a + b) + (a + be)) + (ae + b) + (ae + be)
-        a, b = np.square(dwp, out=dwp), np.square(dwm, out=dwm)
-        ae = np.square(_line_view(_early_line(dplus), plus0, st, sx, shape), out=wp)
-        be = np.square(_line_view(_early_line(dminus), minus0, st, -sx, shape), out=wm)
-        e_seg = np.add(a, b, out=e_quad[seg])
-        e_seg += np.add(a, be, out=term)
-        e_seg += np.add(ae, b, out=term)
-        e_seg += np.add(ae, be, out=term)
-        e_seg *= 0.25
-
-    return FieldGrid(mesh=mesh, qt=qt, qx=qx, t=tgrid, x=xgrid,
-                     v=v, r=r, p=pm, s=s,
-                     e_quad_segments=tuple(e_quad), f_seg=f_seg,
-                     interface_jump_v=jump_v, interface_jump_r=jump_r,
-                     plan=kink_plan)
+        for family, (assemble, table, side) in enumerate(_FAMILIES):
+            line = assemble(getattr(waves, table)[(side, k)])
+            if len(line) < length:
+                raise ReconstructionError(
+                    f"field grid reads wave samples 0..{length - 1} "
+                    f"outside a line of {len(line)}")
+            lines[family, seg] = line[:length]
+    u_seg = np.stack([_late_line(controls.integrals[k])[::st] for k in mesh.J_s])
+    f_seg = np.stack([_late_line(controls.forces[k])[::st] for k in mesh.J_s])
+    return FieldGrid(mesh=mesh, qt=qt, qx=qx, st=st, sx=sx,
+                     t=np.linspace(0.0, mesh.T, nt), x=np.linspace(-1.0, 1.0, nx),
+                     lines=lines, u_seg=u_seg, f_seg=f_seg, plan=kink_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +611,11 @@ def residual_Q(fg: FieldGrid) -> float:
     """Constitutive residual: Q = integral of (g^2 + h^2)/4.
 
     The residual functions g = v_t - p and h = v_x - s + f are formed from
-    second-order differences of the displacement array
+    second-order differences of the displacement
     (:func:`rodwave.sampled.fd_derivative`, the t-derivative on the
-    transposed window) against the stored momentum/force arrays, segment
-    by segment (the applied force is the segment's own history, never the
-    neighbor's).  Samples on the characteristic lattice are excluded from
+    transposed window) against the momentum and force, segment by segment
+    on the grid's segment windows (:meth:`FieldGrid.window`; the applied
+    force is the segment's own history, never the neighbor's).  Samples on the characteristic lattice are excluded from
     the quadrature: there the stored derivative traces are one-sided and
     the difference of one-sided limits is not a discretization error.  So
     is an end sample next to a kink, whose one-sided stencil spans it;
@@ -521,16 +627,15 @@ def residual_Q(fg: FieldGrid) -> float:
     hx = fg.x[1] - fg.x[0]
     wt = simpson_weights(len(fg.t), ht)
     total = 0.0
-    for seg, ((j0, j1), window) in enumerate(zip(fg.segment_windows(), fg.kink_plan)):
-        cols = slice(j0, j1 + 1)
-        v_seg = fg.v[:, cols]
+    for seg, window in enumerate(fg.kink_plan):
+        v_seg, p_seg, s_seg = fg.window(seg)
         # g**2 / 4 into g, h**2 / 4 into q, then their sum
         g = fd_derivative(v_seg.T, ht).T
-        g -= fg.p[:, cols]
+        g -= p_seg
         np.square(g, out=g)
         g /= 4.0
         q = fd_derivative(v_seg, hx)
-        q -= fg.s[:, cols]
+        q -= s_seg
         q += fg.f_seg[seg][:, None]
         np.square(q, out=q)
         q /= 4.0
@@ -581,10 +686,13 @@ def terminal_error(fg: FieldGrid, state: StateSpec) -> TerminalError:
     def norms(err):
         return float(np.max(np.abs(err))), float(math.sqrt(max(wx @ err ** 2, 0.0)))
 
-    ev0 = fg.v[0] - state.v0.values[pick]
-    er0 = fg.r[0] - state.r0.values[pick]
-    ev1 = fg.v[-1] - state.v1.values[pick]
-    dr1 = fg.r[-1] - state.r1.values[pick]
+    nt = len(fg.t)
+    (v0,), (r0,), _, _ = fg.rows(0, 1)
+    (v1,), (r1,), _, _ = fg.rows(nt - 1, nt)
+    ev0 = v0 - state.v0.values[pick]
+    er0 = r0 - state.r0.values[pick]
+    ev1 = v1 - state.v1.values[pick]
+    dr1 = r1 - state.r1.values[pick]
     offset = float(np.mean(dr1))
     er1 = dr1 - offset
 
@@ -805,29 +913,35 @@ def _row_chunks(n_rows: int, n_cols: int) -> list:
 def _write_field_rows(fg: FieldGrid, lo: int, hi: int, fh) -> None:
     """Write t-rows [lo, hi) of the fields CSV to the binary file ``fh``.
 
-    The rows go in blocks of about CSV_BLOCK_VALUES field values.  The
-    records of x are made once per call and those of t once per block;
-    the five field values of a block are copied into one array, with e
-    computed as :attr:`FieldGrid.e` computes it, and formatted in one
-    kernel call.  Memory stays at one block whatever the grid size.
+    The grid's rows are evaluated (:meth:`FieldGrid.rows`) in blocks of
+    about FIELD_BLOCK_VALUES samples a field, with e computed as
+    :attr:`FieldGrid.e` computes it; each block is formatted in blocks of
+    about CSV_BLOCK_VALUES field values.  The records of x are made once
+    per call and those of t once per formatting block; the five field
+    values of a formatting block are copied into one array and formatted
+    in one kernel call.  Memory stays at one block of each kind whatever
+    the grid size.
     """
     nx = len(fg.x)
     rows = max(1, CSV_BLOCK_VALUES // (5 * nx))
+    eval_rows = rows * max(1, FIELD_BLOCK_VALUES // (rows * nx))
     block = np.empty((rows, nx, 5))
     records = np.empty((rows, nx, 7, 3), _U64)
     _format_values(fg.x, records[0, :, 1], _COMMA)
     records[1:, :, 1] = records[0, :, 1]
     owner = fg.column_segments()
-    for i in range(lo, hi, rows):
-        n = min(rows, hi - i)
-        for col, arr in enumerate((fg.v, fg.r, fg.p, fg.s)):
-            block[:n, :, col] = arr[i:i + n]
-        block[:n, :, 4] = _energy_density(fg.p[i:i + n], fg.s[i:i + n],
-                                          fg.f_seg[owner, i:i + n].T)
-        _format_values(fg.t[i:i + n, None], records[:n, :1, 0], _CRLF)
-        records[:n, 1:, 0] = records[:n, :1, 0]
-        _format_values(block[:n], records[:n, :, 2:], _COMMA)
-        fh.write(_csv_text(records[:n]))
+    for b_lo in range(lo, hi, eval_rows):
+        b_hi = min(hi, b_lo + eval_rows)
+        v, r, p, s = fg.rows(b_lo, b_hi)
+        e = _energy_density(p, s, fg.f_seg[owner, b_lo:b_hi].T)
+        for i in range(0, b_hi - b_lo, rows):
+            n = min(rows, b_hi - b_lo - i)
+            for col, arr in enumerate((v, r, p, s, e)):
+                block[:n, :, col] = arr[i:i + n]
+            _format_values(fg.t[b_lo + i:b_lo + i + n, None], records[:n, :1, 0], _CRLF)
+            records[:n, 1:, 0] = records[:n, :1, 0]
+            _format_values(block[:n], records[:n, :, 2:], _COMMA)
+            fh.write(_csv_text(records[:n]))
 
 
 class _Child:

@@ -213,7 +213,8 @@ class ELSystem:
         lam = par.mesh.lam
         ata = par.ata
         try:
-            diag = np.diagonal(np.linalg.cholesky(ata))
+            # a copy, so the n_s-square factor is freed here, not at return
+            diag = np.linalg.cholesky(ata).diagonal().copy()
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"euler_lagrange: A^T A is degenerate "
                               f"(Cholesky failed: {exc})") from exc

@@ -4,7 +4,8 @@ These are the slice-by-slice implementations the package used before its
 kernels became whole-array code; tests compare the array kernels against
 them (bit for bit where the arithmetic is unchanged).  The module also
 holds the helpers only tests use (one-sided force lookups, the per-piece
-energy-weight table, state resampling, sample reflection), the program
+energy-weight table, state resampling, sample reflection, a field grid
+held as whole arrays), the program
 assembled in sample space with its sparse H and C, the sparse-LU KKT
 solve the difference-variable solve replaced, and the least-squares
 closed form the once-per-mesh factorization replaced.
@@ -27,7 +28,7 @@ from rodwave.energy import blockwise_simpson_weights, evaluate_objective
 from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError, SolverError
 from rodwave.mesh import counts
 from rodwave.oracle import SimResult, _node_weights
-from rodwave.reconstruct import FieldGrid, _pick_q
+from rodwave.reconstruct import GridLayout, _pick_q
 from rodwave.sampled import SampledFunction, fd_derivative, simpson_weights
 from rodwave.solver import Solution, check_feasible
 
@@ -654,6 +655,48 @@ def _gather(piece_arr, units, per_piece, resolve="late"):
     return piece_arr[m_idx, inner]
 
 
+@dataclass(frozen=True)
+class ArrayGrid(GridLayout):
+    """A field grid held as whole (nt, nx) arrays, as ``FieldGrid`` once
+    stored it, serving the evaluators of ``FieldGrid`` by slicing; tests
+    build it to hand the production diagnostics arrays of their own.
+    Fields a test does not need may be None."""
+
+    mesh: object
+    qt: int
+    qx: int
+    t: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
+    r: np.ndarray
+    p: np.ndarray
+    s: np.ndarray
+    e_quad_segments: tuple
+    f_seg: np.ndarray
+    interface_jump_v: float = 0.0
+    interface_jump_r: float = 0.0
+    plan: object = field(default=None, repr=False, compare=False)
+
+    def rows(self, lo, hi):
+        return self.v[lo:hi], self.r[lo:hi], self.p[lo:hi], self.s[lo:hi]
+
+    def window(self, seg):
+        j0, j1 = self.segment_windows()[seg]
+        cols = slice(j0, j1 + 1)
+        return self.v[:, cols], self.p[:, cols], self.s[:, cols]
+
+    def energy_window(self, seg):
+        return self.e_quad_segments[seg]
+
+
+def array_grid(fg, **changes):
+    """The arrays of field grid ``fg`` as an :class:`ArrayGrid`, with
+    ``changes`` replacing some of them."""
+    names = ("mesh", "qt", "qx", "t", "x", "v", "r", "p", "s", "e_quad_segments",
+             "f_seg", "interface_jump_v", "interface_jump_r")
+    return ArrayGrid(**{**{name: getattr(fg, name) for name in names}, **changes})
+
+
 def fields(waves, controls, mesh, qt=None, qx=None):
     """The field grid with six fancy-index gathers per segment."""
     p = waves.p
@@ -715,7 +758,7 @@ def fields(waves, controls, mesh, qt=None, qx=None):
         s[:, j0:j1 + 1] = s_seg
         e_segs.append(e_seg)
 
-    return FieldGrid(mesh=mesh, qt=qt, qx=qx, t=tgrid, x=xgrid,
+    return ArrayGrid(mesh=mesh, qt=qt, qx=qx, t=tgrid, x=xgrid,
                      v=v, r=r, p=pm, s=s,
                      e_quad_segments=tuple(e_segs), f_seg=f_seg,
                      interface_jump_v=jump_v, interface_jump_r=jump_r)

@@ -456,6 +456,52 @@ class TestParallelSweep:
         cfg = RunConfig(N=2, M=2, preset="paper_example", P=17, out_dir=str(tmp_path))
         assert run_sweep(cfg, (2, 3), (2, 3)) == EXIT_OK
 
+    @pytest.mark.parametrize("workers, cells, pool", [
+        (500, (2, 2), None),       # one cell: no pool at all
+        (500, (2, 3), 2),
+        (2, (2, 4), 2),
+        (None, (2, 4), 2),         # the two available CPUs
+    ])
+    def test_pool_never_exceeds_the_cells(self, tmp_path, monkeypatch, workers, cells, pool):
+        # a stub executor that records its size and runs the cells here,
+        # so no process starts whatever size is asked for
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(rec, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Recorder)
+        cfg = RunConfig(N=2, M=2, preset="paper_example", P=17, out_dir=str(tmp_path))
+        assert run_sweep(cfg, cells, (2, 2), workers=workers) == EXIT_OK
+        assert sizes == ([] if pool is None else [pool])
+        with open(tmp_path / "sweep.csv") as fh:
+            assert len([line for line in fh if line[0].isdigit()]) == cells[1] - cells[0] + 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_fewer_than_one_worker_exits_2(self, tmp_path, capsys, monkeypatch, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool for a rejected worker count")
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "out"
+        code = main(["sweep", "--m-range", "2:3", "--n-range", "2:2",
+                     "--workers", workers, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: workers: must be at least 1, got {workers}\n")
+        assert not out.exists()
+
 
 def test_dumped_parametrization_matrix_is_exact(tmp_path):
     from fractions import Fraction

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -182,8 +181,8 @@ class TestMeanEnergy:
         x = np.linspace(-1, 1, nx)[None, :]
         v_t = -math.pi * np.sin(math.pi * t) * np.cos(math.pi * x)
         v_x = -math.pi * np.cos(math.pi * t) * np.sin(math.pi * x)
-        fake = _FakeGrid(mesh, qt, qx, t.ravel(), x.ravel(),
-                         e_quad=0.5 * (v_t ** 2 + v_x ** 2))
+        fake = _fake_grid(mesh, qt, qx, t.ravel(), x.ravel(),
+                          e_quad=0.5 * (v_t ** 2 + v_x ** 2))
         exact = math.pi ** 2 / 2
         assert mean_energy(fake) == pytest.approx(exact, abs=1e-6)
 
@@ -191,35 +190,20 @@ class TestMeanEnergy:
         mesh = build_mesh(2, 2)
         qt = qx = 8
         nt, nx = 2 * mesh.M * qt + 1, 2 * mesh.N * qx + 1
-        fake = _FakeGrid(mesh, qt, qx, np.linspace(0, mesh.T, nt),
-                         np.linspace(-1, 1, nx),
-                         e_quad=np.zeros((nt, nx)))
+        fake = _fake_grid(mesh, qt, qx, np.linspace(0, mesh.T, nt),
+                          np.linspace(-1, 1, nx),
+                          e_quad=np.zeros((nt, nx)))
         assert mean_energy(fake) == 0.0
 
 
-class _FakeGrid:
-    """Just enough of FieldGrid for the quadrature paths."""
-
-    def __init__(self, mesh, qt, qx, t, x, e_quad):
-        self.mesh, self.qt, self.qx, self.t, self.x = mesh, qt, qx, t, x
-        self.e_quad_segments = tuple(
-            e_quad[:, i * 2 * qx:(i + 1) * 2 * qx + 1] for i in range(mesh.N))
-
-    def segment_windows(self):
-        return [(i * 2 * self.qx, (i + 1) * 2 * self.qx)
-                for i in range(self.mesh.N)]
-
-    def kink_masks(self):
-        nt, nx = len(self.t), len(self.x)
-        iu = np.arange(nt)[:, None]
-        ju = np.arange(nx)[None, :]
-        plus = (iu * self.qx + (ju - self.mesh.N * self.qx) * self.qt) % (self.qt * self.qx)
-        minus = (iu * self.qx - (ju - self.mesh.N * self.qx) * self.qt) % (self.qt * self.qx)
-        return plus == 0, minus == 0
-
-    @functools.cached_property
-    def kink_plan(self):
-        return rec.build_kink_plan(self)
+def _fake_grid(mesh, qt, qx, t, x, e_quad):
+    """Just enough of a field grid for the quadrature paths: the energy
+    windows of ``e_quad``."""
+    return ref.ArrayGrid(
+        mesh=mesh, qt=qt, qx=qx, t=t, x=x, v=None, r=None, p=None, s=None,
+        e_quad_segments=tuple(e_quad[:, i * 2 * qx:(i + 1) * 2 * qx + 1]
+                              for i in range(mesh.N)),
+        f_seg=None)
 
 
 class TestBlockwiseSimpson:

@@ -1,0 +1,110 @@
+"""The field grid's evaluators against the arrays it once stored.
+
+``FieldGrid`` holds the traveling-wave lines and evaluates fields on
+demand: t-row blocks (``rows``), segment windows (``window``) and energy
+windows (``energy_window``).  Concatenated blocks and the windows must
+equal, bit for bit, the whole-grid arrays of the fancy-index gather form
+(``loop_reference.fields``), and no production path may read a whole
+(nt, nx) grid.
+"""
+
+import numpy as np
+import pytest
+
+import loop_reference as ref
+from rodwave import cli
+from rodwave import reconstruct as rec
+from rodwave.cli import EXIT_OK, RunConfig, run_solve, run_verify
+from rodwave.errors import InvalidArgumentError
+from test_assembly import assert_bits
+from test_field_views import solved, trig_params
+
+# (N, M, qt, qx); None is the default step
+GRIDS = [(n, m, q, q) for n, m in ((1, 3), (6, 6), (12, 12)) for q in (2, 8, None)]
+GRIDS += [(5, 4, 16, 4)]
+
+
+@pytest.fixture(scope="module", params=GRIDS, ids=lambda g: "N%d-M%d-qt%s-qx%s" % g)
+def grids(request):
+    n, m, qt, qx = request.param
+    waves, controls, mesh = solved(n, m, 129, trig_params(7 * n + m))
+    return (rec.fields(waves, controls, mesh, qt=qt, qx=qx),
+            ref.fields(waves, controls, mesh, qt=qt, qx=qx))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, None])
+def test_row_blocks_concatenate_to_the_grid(grids, block):
+    fg, want = grids
+    nt = len(fg.t)
+    step = nt if block is None else block
+    blocks = [fg.rows(lo, min(nt, lo + step)) for lo in range(0, nt, step)]
+    for got, name in zip(np.concatenate(blocks, axis=1), "vrps"):
+        assert_bits(got, getattr(want, name))
+
+
+def test_windows_are_the_grid_columns(grids):
+    fg, want = grids
+    for seg, (j0, j1) in enumerate(fg.segment_windows()):
+        window = fg.window(seg)
+        assert window.shape == (3, len(fg.t), 2 * fg.qx + 1)
+        for got, name in zip(window, "vps"):
+            assert got.flags.c_contiguous
+            assert_bits(got, getattr(want, name)[:, j0:j1 + 1])
+        energy = fg.energy_window(seg)
+        assert energy.flags.c_contiguous
+        assert_bits(energy, want.e_quad_segments[seg])
+
+
+def test_whole_grid_properties_match(grids):
+    fg, want = grids
+    for name in ("v", "r", "p", "s", "f_seg"):
+        assert_bits(getattr(fg, name), getattr(want, name))
+    assert_bits(fg.e, ref.energy_density(want))
+    assert fg.interface_jump_v.hex() == want.interface_jump_v.hex()
+    assert fg.interface_jump_r.hex() == want.interface_jump_r.hex()
+
+
+def test_row_ranges_are_checked(grids):
+    fg, _ = grids
+    nt = len(fg.t)
+    assert fg.rows(nt, nt).shape == (4, 0, len(fg.x))
+    for lo, hi in ((-1, 2), (3, 2), (0, nt + 1)):
+        with pytest.raises(InvalidArgumentError, match="outside a grid"):
+            fg.rows(lo, hi)
+
+
+# --- no whole grid on the production paths ---------------------------------
+
+@pytest.fixture
+def no_whole_grid(monkeypatch):
+    """Make every whole-grid property of FieldGrid raise, here and in the
+    forked children."""
+    def refuse(name):
+        def get(self):
+            raise AssertionError(f"whole-grid FieldGrid.{name} on a production path")
+        return property(get)
+
+    for name in ("v", "r", "p", "s", "e", "e_quad_segments"):
+        monkeypatch.setattr(rec.FieldGrid, name, refuse(name))
+
+
+def test_solve_with_oracle_reads_no_whole_grid(no_whole_grid, cpus, tmp_path):
+    forks = cpus(2)
+    cfg = RunConfig(N=4, M=4, preset="paper_example", oracle=True,
+                    oracle_points_per_segment=32, out_dir=str(tmp_path))
+    assert run_solve(cfg) == EXIT_OK
+    assert len(forks) == 2      # the oracle child and one fields helper
+    assert (tmp_path / "summary.json").exists()
+
+
+def test_verify_reads_no_whole_grid(no_whole_grid, tmp_path):
+    cfg = RunConfig(N=3, M=3, preset="paper_example", oracle_points_per_segment=32,
+                    out_dir=str(tmp_path))
+    assert run_verify(cfg) == EXIT_OK
+
+
+def test_pipeline_reads_no_whole_grid(no_whole_grid):
+    config = cli.validate_config({"N": 6, "M": 6, "P": 129, "preset": "trig",
+                                  "preset_params": trig_params(5)})
+    out = cli.solve_pipeline(config)
+    assert out["Q"] > 0.0 and out["E_grid"] > 0.0

@@ -143,8 +143,8 @@ def special_grid(small_grid):
     computed from p, s and the force, so they enter it through s); 17
     t-rows, so no split into 2 or 3 chunks is even."""
     assert len(small_grid.t) % 2 and len(small_grid.t) % 3
-    return dataclasses.replace(small_grid, v=_with_special(small_grid.v),
-                               s=_with_special(small_grid.s[::-1]))
+    return ref.array_grid(small_grid, v=_with_special(small_grid.v),
+                          s=_with_special(small_grid.s[::-1]))
 
 
 def assert_no_child_left():

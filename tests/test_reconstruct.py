@@ -240,12 +240,7 @@ class TestResidualQ:
         bump = np.zeros_like(fg.s)
         half = len(fg.t) // 2
         bump[:half] = 0.1
-        corrupted = rec.FieldGrid(
-            mesh=fg.mesh, qt=fg.qt, qx=fg.qx, t=fg.t, x=fg.x, v=fg.v,
-            r=fg.r, p=fg.p, s=fg.s + bump,
-            e_quad_segments=fg.e_quad_segments, f_seg=fg.f_seg,
-            interface_jump_v=fg.interface_jump_v,
-            interface_jump_r=fg.interface_jump_r)
+        corrupted = ref.array_grid(fg, s=fg.s + bump)
         raised = rec.residual_Q(corrupted)
         measure = _retained_measure(fg, half)
         expected = 0.1 ** 2 * measure / 4.0
@@ -255,12 +250,7 @@ class TestResidualQ:
         # scaling the applied force by 1.1 must light up the h-residual
         fg = solved["fg"]
         base = rec.residual_Q(fg)
-        scaled = rec.FieldGrid(
-            mesh=fg.mesh, qt=fg.qt, qx=fg.qx, t=fg.t, x=fg.x, v=fg.v,
-            r=fg.r, p=fg.p, s=fg.s,
-            e_quad_segments=fg.e_quad_segments, f_seg=1.1 * fg.f_seg,
-            interface_jump_v=fg.interface_jump_v,
-            interface_jump_r=fg.interface_jump_r)
+        scaled = ref.array_grid(fg, f_seg=1.1 * fg.f_seg)
         assert rec.residual_Q(scaled) > 100 * max(base, 1e-12)
 
 
