@@ -353,7 +353,9 @@ class FieldGrid(GridLayout):
     the module docstring and ``_FAMILIES``); ``u_seg`` and ``f_seg`` the
     control integral and applied force of each segment on the t grid (both
     constant in x within a segment).  ``st`` and ``sx`` are wave samples
-    per t and x grid step.  The grid stores no (nt, nx) array; its
+    per t and x grid step.  ``interface_jump_v`` and ``interface_jump_r``
+    are the largest jumps of v and r across an interior interface, taken
+    once by :func:`fields`.  The grid stores no (nt, nx) array; its
     evaluators make new arrays:
 
     * :meth:`rows` gives v, r, p, s on a block of t-rows; an interface
@@ -387,6 +389,8 @@ class FieldGrid(GridLayout):
     lines: np.ndarray = field(repr=False)    # (6, N, L) wave lines
     u_seg: np.ndarray = field(repr=False)    # (N, nt) control integral per segment
     f_seg: np.ndarray = field(repr=False)    # (N, nt) applied force per segment
+    interface_jump_v: float
+    interface_jump_r: float
     plan: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def _wave(self, family: int, lo: int, n: int, seg: int, n_seg: int,
@@ -427,7 +431,8 @@ class FieldGrid(GridLayout):
         out = np.empty((len(names), n, two_q * (s1 - s0) + 1))
         for name, arr in zip(names, out):
             a, b, combine, history = _FIELD_FORMS[name]
-            body = arr[:, :-1].reshape(n, s1 - s0, two_q, copy=False)
+            # splits only the contiguous last axis, so always a view of arr
+            body = arr[:, :-1].reshape(n, s1 - s0, two_q)
             tail = arr[:, -1]
             combine(self._wave(a, lo, n, s0, s1 - s0, 0, two_q),
                     self._wave(b, lo, n, s0, s1 - s0, 0, two_q), out=body)
@@ -467,29 +472,6 @@ class FieldGrid(GridLayout):
         e += np.add(ae, be, out=ae)
         e *= 0.25
         return e
-
-    @cached_property
-    def _interface_jumps(self) -> Tuple[float, float]:
-        """The largest jumps of v and r across an interior interface: the
-        left segment's last column against the right one's first."""
-        n, nt, two_q = self.mesh.N, len(self.t), 2 * self.qx
-        if n == 1:
-            return 0.0, 0.0
-        lp, lm = (self._wave(f, 0, nt, 0, n - 1, two_q, 1)[:, :, 0] for f in (_WP, _WM))
-        rp, rm = (self._wave(f, 0, nt, 1, n - 1, 0, 1)[:, :, 0] for f in (_WP, _WM))
-        u = self.u_seg.T
-        jump_v = np.max(np.abs((lp + lm) - (rp + rm)), axis=0)
-        jump_r = np.max(np.abs(((lp - lm) + u[:, :-1]) - ((rp - rm) + u[:, 1:])), axis=0)
-        # folded segment by segment from 0.0, as max(jump, next) would
-        return max([0.0] + jump_v.tolist()), max([0.0] + jump_r.tolist())
-
-    @property
-    def interface_jump_v(self) -> float:
-        return self._interface_jumps[0]
-
-    @property
-    def interface_jump_r(self) -> float:
-        return self._interface_jumps[1]
 
     def _whole(self, names: str) -> np.ndarray:
         return self._block(names, 0, len(self.t), 0, self.mesh.N)
@@ -549,9 +531,26 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
             lines[family, seg] = line[:length]
     u_seg = np.stack([_late_line(controls.integrals[k])[::st] for k in mesh.J_s])
     f_seg = np.stack([_late_line(controls.forces[k])[::st] for k in mesh.J_s])
+    jump_v, jump_r = _interface_jumps(lines, u_seg, st, nt, p)
     return FieldGrid(mesh=mesh, qt=qt, qx=qx, st=st, sx=sx,
                      t=np.linspace(0.0, mesh.T, nt), x=np.linspace(-1.0, 1.0, nx),
-                     lines=lines, u_seg=u_seg, f_seg=f_seg, plan=kink_plan)
+                     lines=lines, u_seg=u_seg, f_seg=f_seg,
+                     interface_jump_v=jump_v, interface_jump_r=jump_r, plan=kink_plan)
+
+
+def _interface_jumps(lines: np.ndarray, u_seg: np.ndarray, st: int, nt: int,
+                     p: int) -> Tuple[float, float]:
+    """The largest jumps of v and r across an interior interface: the
+    left segment's last column against the right one's first.  On t-row i
+    the left segment reads w+ at line sample i*st + (P - 1) and w- at
+    i*st, the right one the other way round."""
+    from_0, from_p = (slice(first, first + (nt - 1) * st + 1, st) for first in (0, p - 1))
+    lp, lm = lines[_WP, :-1, from_p], lines[_WM, :-1, from_0]
+    rp, rm = lines[_WP, 1:, from_0], lines[_WM, 1:, from_p]
+    jump_v = np.max(np.abs((lp + lm) - (rp + rm)), axis=1)
+    jump_r = np.max(np.abs(((lp - lm) + u_seg[:-1]) - ((rp - rm) + u_seg[1:])), axis=1)
+    # folded segment by segment from 0.0, as max(jump, next) would
+    return max([0.0] + jump_v.tolist()), max([0.0] + jump_r.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -74,15 +74,16 @@ def residual_Q(fg):
     hx = fg.x[1] - fg.x[0]
     plus, minus = kink_masks(fg)
     kinks = plus | minus
-    vt, ok_t = axis_derivative(fg.v, ht, kinks, axis=0)
-    g_res = vt - fg.p
+    v, p, s = fg.v, fg.p, fg.s
+    vt, ok_t = axis_derivative(v, ht, kinks, axis=0)
+    g_res = vt - p
     wt = simpson_weights(len(fg.t), ht)
     total = 0.0
     for seg, (j0, j1) in enumerate(fg.segment_windows()):
         cols = slice(j0, j1 + 1)
         kseg = kinks[:, cols]
-        vx, ok_x = axis_derivative(fg.v[:, cols], hx, kseg, axis=1)
-        h_res = vx - fg.s[:, cols] + fg.f_seg[seg][:, None]
+        vx, ok_x = axis_derivative(v[:, cols], hx, kseg, axis=1)
+        h_res = vx - s[:, cols] + fg.f_seg[seg][:, None]
         q = g_res[:, cols] ** 2 / 4.0 + h_res ** 2 / 4.0
         q = np.where(ok_t[:, cols] & ok_x & ~kseg, q, 0.0)
         wx = simpson_weights(j1 - j0 + 1, hx)
@@ -123,14 +124,14 @@ def write_fields_csv(fg, path):
     """The fields CSV written cell by cell through ``csv.writer``, with e
     from :func:`energy_density`."""
     e = energy_density(fg)
+    v, r, p, s = fg.v, fg.r, fg.p, fg.s
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "v", "r", "p", "s", "e"])
         for i, t in enumerate(fg.t):
             for j, x in enumerate(fg.x):
                 writer.writerow([f"{val:.12g}" for val in
-                                 (t, x, fg.v[i, j], fg.r[i, j], fg.p[i, j],
-                                  fg.s[i, j], e[i, j])])
+                                 (t, x, v[i, j], r[i, j], p[i, j], s[i, j], e[i, j])])
 
 
 def write_controls_csv(controls, path):
@@ -769,10 +770,11 @@ def energy_density(fg):
     on access: 0.5 * (p**2 + (s - f)**2) over the whole grid, with the
     force array written segment by segment, so an interface column holds
     the right segment's force."""
-    f_arr = np.zeros(fg.s.shape)
+    p, s = fg.p, fg.s
+    f_arr = np.zeros(s.shape)
     for seg, (j0, j1) in enumerate(fg.segment_windows()):
         f_arr[:, j0:j1 + 1] = fg.f_seg[seg][:, None]
-    return 0.5 * (fg.p ** 2 + (fg.s - f_arr) ** 2)
+    return 0.5 * (p ** 2 + (s - f_arr) ** 2)
 
 
 def blockwise_derivative(values, h, kink_mask, axis=-1):
@@ -813,17 +815,18 @@ def residual_Q_windows(fg):
     hx = fg.x[1] - fg.x[0]
     plus, minus = fg.kink_masks()
     kinks = plus | minus
+    v, p, s = fg.v, fg.p, fg.s
 
     wt = simpson_weights(len(fg.t), ht)
     total = 0.0
     for seg, (j0, j1) in enumerate(fg.segment_windows()):
         cols = slice(j0, j1 + 1)
-        vseg = fg.v[:, cols]
+        vseg = v[:, cols]
         kseg = kinks[:, cols]
         vt, ok_t = blockwise_derivative(vseg, ht, kseg, axis=0)
         vx, ok_x = blockwise_derivative(vseg, hx, kseg, axis=1)
-        g_res = vt - fg.p[:, cols]
-        h_res = vx - fg.s[:, cols] + fg.f_seg[seg][:, None]
+        g_res = vt - p[:, cols]
+        h_res = vx - s[:, cols] + fg.f_seg[seg][:, None]
         q = g_res ** 2 / 4.0 + h_res ** 2 / 4.0
         q = np.where(ok_t & ok_x & ~kseg, q, 0.0)
         wx = simpson_weights(j1 - j0 + 1, hx)

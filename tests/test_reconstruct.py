@@ -171,8 +171,9 @@ class TestFields:
         hx = fg.x[1] - fg.x[0]
         plus, minus = fg.kink_masks()
         kinks = plus | minus
-        vtt = (fg.v[2:, :] - 2 * fg.v[1:-1, :] + fg.v[:-2, :]) / ht ** 2
-        vxx = (fg.v[:, 2:] - 2 * fg.v[:, 1:-1] + fg.v[:, :-2]) / hx ** 2
+        v = fg.v
+        vtt = (v[2:, :] - 2 * v[1:-1, :] + v[:-2, :]) / ht ** 2
+        vxx = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / hx ** 2
         resid = vtt[:, 1:-1] - vxx[1:-1, :]
         # exclude any stencil touching a kink or interface column
         clean = np.ones_like(resid, dtype=bool)
@@ -193,8 +194,9 @@ class TestFields:
         right[-1] = force_at(controls, mesh.N + 1, mesh.T, side="left")
         # the final row holds the terminal-side corner trace, so the
         # boundary identity is checked on [0, T)
-        assert np.max(np.abs(fg.s[:-1, 0] - left[:-1])) <= 1e-6
-        assert np.max(np.abs(fg.s[:-1, -1] - right[:-1])) <= 1e-6
+        s = fg.s
+        assert np.max(np.abs(s[:-1, 0] - left[:-1])) <= 1e-6
+        assert np.max(np.abs(s[:-1, -1] - right[:-1])) <= 1e-6
 
     def test_momentum_consistent_with_fd_of_r(self, solved):
         # p = r_x to O(h^2) on clean stencils
@@ -237,10 +239,11 @@ class TestResidualQ:
         # 0.1^2 * (retained quadrature measure of that half) / 4
         fg = solved["fg"]
         base = rec.residual_Q(fg)
-        bump = np.zeros_like(fg.s)
+        s = fg.s
+        bump = np.zeros_like(s)
         half = len(fg.t) // 2
         bump[:half] = 0.1
-        corrupted = ref.array_grid(fg, s=fg.s + bump)
+        corrupted = ref.array_grid(fg, s=s + bump)
         raised = rec.residual_Q(corrupted)
         measure = _retained_measure(fg, half)
         expected = 0.1 ** 2 * measure / 4.0
@@ -320,7 +323,8 @@ def test_corner_lines_follow_characteristics(solved):
     fg = solved["fg"]
     plus, minus = fg.kink_masks()
     kinks = plus | minus
-    d2 = np.abs(fg.v[2:] - 2 * fg.v[1:-1] + fg.v[:-2])
+    v = fg.v
+    d2 = np.abs(v[2:] - 2 * v[1:-1] + v[:-2])
     on = d2[kinks[1:-1]].mean()
     off = d2[~(kinks[:-2] | kinks[1:-1] | kinks[2:])].mean()
     assert on > 5.0 * off
