@@ -381,10 +381,8 @@ class SolveOperator:
     complete vertex rows, the edge rows, their elimination (bound to no
     state; a solve binds its own with ``par.rebind``), the essential-row
     structure (with the junction rows every solution is checked against),
-    the energy weights and the factored closed-form boundary system.  Only
-    ``kink_plans``, the kink plan of each field grid keyed by its
-    (qt, qx), fills on first use.  The KKT cross-check of ``solver: both``
-    keeps nothing here."""
+    the energy weights and the factored closed-form boundary system.  The
+    KKT cross-check of ``solver: both`` keeps nothing here."""
 
     key: tuple
     mesh: MeshConfig
@@ -394,7 +392,6 @@ class SolveOperator:
     boundary: BoundaryStructure
     weights: EnergyWeights
     el: ELSystem
-    kink_plans: dict = field(default_factory=dict)
 
 
 _operator: Optional[SolveOperator] = None    # the one cache entry: the last mesh solved
@@ -478,8 +475,7 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
     controls = rec.controls_from_jumps(
         mesh, rec.jump_pieces_from_solution(par, entries))
     steps = rec.grid_steps(config.P, config.field_samples, config.field_samples)
-    fg = rec.fields(waves, controls, mesh, *steps, kink_plan=op.kink_plans.get(steps))
-    op.kink_plans[steps] = fg.kink_plan
+    fg = rec.fields(waves, controls, mesh, *steps)
     terr = rec.terminal_error(fg, state)
     q_resid = rec.residual_Q(fg)
     e_grid = mean_energy(fg)
@@ -599,11 +595,8 @@ def dump_matrices(result: dict, out_dir: str) -> None:
             writer.writerow([str(v) for v in row])
     with open(os.path.join(out_dir, "parametrization_A.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        for row in par.A_frac:
-            out = ["0"] * par.n_free
-            for j, val in row.items():
-                out[j] = str(Fraction(val))
-            writer.writerow(out)
+        for row in par.A:
+            writer.writerow([str(Fraction(val)) if val else "0" for val in row.tolist()])
     with open(os.path.join(out_dir, "free_map.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y_index", "entry"])

@@ -34,7 +34,6 @@ import copy
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -364,9 +363,9 @@ class Parametrization:
     ``gamma`` collects one free terminal-potential constant per segment
     (the terminal state fixes the potential only up to such constants).
     A and C_gamma are exact: every entry is a multiple of 1/2, held as a
-    float (``A_frac`` gives A as Fractions).  g is a per-entry
-    :class:`DataExpr` sampled against the bound state profiles by a gather
-    over term slots that depends only on the mesh.
+    float.  g is a per-entry :class:`DataExpr` sampled against the bound
+    state profiles by a gather over term slots that depends only on the
+    mesh.
 
     :func:`eliminate` returns the map bound to no state (``state`` is
     None); :meth:`rebind` binds one, and only a bound map has a data part
@@ -378,7 +377,6 @@ class Parametrization:
         self.catalog = catalog
         self.state: Optional[StateSpec] = None
         self.free_map = tuple(free_map)       # y index -> catalog key
-        self._a_rows = a_rows                 # list of dict free_j -> float
         self.g_exprs = tuple(g_exprs)
         self.gamma_map = tuple(mesh.J_s)      # gamma index -> segment k
         gamma_pos = {k: i for i, k in enumerate(self.gamma_map)}
@@ -433,11 +431,6 @@ class Parametrization:
     @property
     def n_gamma(self) -> int:
         return len(self.gamma_map)
-
-    @functools.cached_property
-    def A_frac(self) -> list:
-        """A row by row as exact Fractions (dict free_j -> Fraction)."""
-        return [{j: Fraction(c) for j, c in row.items()} for row in self._a_rows]
 
     @functools.cached_property
     def ata(self) -> np.ndarray:

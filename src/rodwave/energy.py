@@ -206,15 +206,19 @@ def mean_energy(field_grid) -> float:
     segment (``FieldGrid.energy_window``), whose lattice samples carry
     jump midpoints, so the blockwise panels cancel the one-sided errors.
 
-    A row's weights depend only on its kink pattern; the grid's kink plan
-    holds them as one (nt, 2*qx + 1) matrix per distinct window pattern,
-    so each segment is integrated row-wise in one product.
+    A row's weights depend only on its kink pattern, and every segment
+    window has the same kinks: :func:`rodwave.reconstruct.window_kinks`
+    holds their weights as one (nt, 2*qx + 1) matrix, so each segment is
+    integrated row-wise in one product.
     """
+    from .reconstruct import window_kinks     # reconstruct imports this module
+
     fg = field_grid
     ht = fg.t[1] - fg.t[0]
     nt = len(fg.t)
+    row_weights = window_kinks(fg).row_weights
     profile = np.zeros(nt)
-    for seg, window in enumerate(fg.kink_plan):
-        profile += np.einsum("ij,ij->i", fg.energy_window(seg), window.row_weights)
+    for seg in range(fg.mesh.N):
+        profile += np.einsum("ij,ij->i", fg.energy_window(seg), row_weights)
     t_splits = np.arange(fg.qt, nt - 1, fg.qt)
     return blockwise_simpson(profile, ht, t_splits) / fg.mesh.T

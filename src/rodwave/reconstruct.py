@@ -22,14 +22,18 @@ Characteristic kinks thus sit on known sample diagonals.  Q differentiates
 the displacement with the plain second-order stencils of
 :func:`rodwave.sampled.fd_derivative` and leaves out the samples where a
 stencil spans a kink: the kinks themselves and an end sample next to one;
-every stencil it keeps lies in one smooth block.  A window shift of 2*qx
-columns moves the lattice residue by a whole period, so every segment
-window normally has one kink pattern; the samples Q leaves out and the
-quadrature weights (``FieldGrid.kink_plan``) are shared by
-:func:`residual_Q` and :func:`rodwave.energy.mean_energy`.
-The plan depends only on (N, M, qt, qx), so a caller that solves many
-states on one mesh builds it once and hands it to :func:`fields`; a grid
-given none builds its own on first use.
+every stencil it keeps lies in one smooth block.  Every segment window
+always has the same kinks.  In units of lam/(2*qt*qx), t-row i lies at
+i*qx and grid column J at (J - N*qx)*qt from the rod center, and the
+characteristic lines t + x and t - x fall every lam/2, that is every qt*qx
+units.  Column j of segment seg's window is grid column 2*qx*seg + j, at
+j*qt + (2*seg - N)*qt*qx: j*qt plus whole periods.  So window sample
+(i, j) is a kink exactly when i*qx + j*qt or i*qx - j*qt is a multiple of
+qt*qx, whatever N and the segment.  The samples Q leaves out and the
+quadrature weights of that one window (:func:`window_kinks`) serve every
+segment of :func:`residual_Q` and :func:`rodwave.energy.mean_energy`;
+they depend only on (N, M, qt, qx), and the last set built is kept, so
+many states solved on one mesh build it once.
 
 A :class:`FieldGrid` holds the wave lines, stacked per family into (N, L)
 arrays, and the control histories on the t grid: O(N*M*P) floats, never
@@ -54,7 +58,7 @@ import shutil
 import tempfile
 import traceback
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -288,37 +292,6 @@ def _pick_q(p: int, target: int) -> int:
     return best
 
 
-class GridLayout:
-    """The geometry every field grid shares, read from its ``mesh``,
-    ``qt``, ``qx``, ``t``, ``x`` and ``plan`` attributes: segment windows,
-    the segment each column's traces come from, the characteristic-lattice
-    masks and the kink plan."""
-
-    def column_segments(self) -> np.ndarray:
-        """Per x column, the segment whose traces the column holds: the
-        right one at an interface."""
-        return np.minimum(np.arange(len(self.x)) // (2 * self.qx), self.mesh.N - 1)
-
-    def segment_windows(self):
-        """Column windows [j0, j1] of each segment (interfaces repeated)."""
-        return [(i * 2 * self.qx, (i + 1) * 2 * self.qx)
-                for i in range(self.mesh.N)]
-
-    def kink_masks(self):
-        """Boolean masks of the two characteristic-lattice families."""
-        # t + x and t - x in units of the grid; lattice step = lam/2.  A
-        # sample is on a line when the t and x residues cancel modulo it.
-        step = self.qt * self.qx
-        t_res = (np.arange(len(self.t)) * self.qx % step)[:, None]
-        x_res = ((np.arange(len(self.x)) - self.mesh.N * self.qx) * self.qt % step)[None, :]
-        return t_res == (-x_res) % step, t_res == x_res
-
-    @cached_property
-    def kink_plan(self) -> tuple:
-        """Per segment window, its :class:`WindowKinks`."""
-        return self.plan if self.plan is not None else build_kink_plan(self)
-
-
 # The lines of FieldGrid.lines, by family: the late lines of w+, w-, w+'
 # and w-', then the early lines of w+' and w-'.  Even families are plus
 # waves.
@@ -340,7 +313,7 @@ FIELD_BLOCK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
-class FieldGrid(GridLayout):
+class FieldGrid:
     """Rectangular (t, x) samples of all reconstructed fields, evaluated
     from the traveling-wave lines on demand.
 
@@ -370,13 +343,8 @@ class FieldGrid(GridLayout):
       both wave families, so jump midpoints (blockwise quadrature keeps its
       cancellation).
 
-    The whole-grid ``v``, ``r``, ``p``, ``s``, ``e`` and
-    ``e_quad_segments`` are evaluated on every access and not kept; they
-    serve tests and small grids.
-
-    ``kink_plan`` is the plan given as ``plan`` (built for the same N, M,
-    qt and qx), else one built on first use and kept with the grid; the
-    segment windows share it.
+    The kink samples every segment window shares are
+    :func:`window_kinks` of the grid.
     """
 
     mesh: MeshConfig
@@ -391,7 +359,11 @@ class FieldGrid(GridLayout):
     f_seg: np.ndarray = field(repr=False)    # (N, nt) applied force per segment
     interface_jump_v: float
     interface_jump_r: float
-    plan: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    def column_segments(self) -> np.ndarray:
+        """Per x column, the segment whose traces the column holds: the
+        right one at an interface."""
+        return np.minimum(np.arange(len(self.x)) // (2 * self.qx), self.mesh.N - 1)
 
     def _wave(self, family: int, lo: int, n: int, seg: int, n_seg: int,
               col: int, width: int) -> np.ndarray:
@@ -473,47 +445,13 @@ class FieldGrid(GridLayout):
         e *= 0.25
         return e
 
-    def _whole(self, names: str) -> np.ndarray:
-        return self._block(names, 0, len(self.t), 0, self.mesh.N)
-
-    @property
-    def v(self) -> np.ndarray:
-        return self._whole("v")[0]
-
-    @property
-    def r(self) -> np.ndarray:
-        return self._whole("r")[0]
-
-    @property
-    def p(self) -> np.ndarray:
-        return self._whole("p")[0]
-
-    @property
-    def s(self) -> np.ndarray:
-        return self._whole("s")[0]
-
-    @property
-    def e(self) -> np.ndarray:
-        """Energy density 0.5 * ((s - f)**2 + p**2) on the whole grid, with
-        each column's force taken from the segment whose trace p and s
-        hold there."""
-        p, s = self._whole("ps")
-        return _energy_density(p, s, self.f_seg[self.column_segments()].T)
-
-    @property
-    def e_quad_segments(self) -> tuple:
-        """:meth:`energy_window` of every segment."""
-        return tuple(self.energy_window(seg) for seg in range(self.mesh.N))
-
 
 def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
-           qt: Optional[int] = None, qx: Optional[int] = None,
-           kink_plan: Optional[tuple] = None) -> FieldGrid:
+           qt: Optional[int] = None, qx: Optional[int] = None) -> FieldGrid:
     """The field grid of v, r, p, s on an aligned rectangular grid (steps
     as in :func:`grid_steps`): the wave lines of every segment, evaluated
-    on demand (:class:`FieldGrid`).  ``kink_plan``, if given, must be the
-    plan of a grid with the same N, M, qt and qx; the grid keeps it.  A
-    wave line too short for the grid is a ``ReconstructionError``."""
+    on demand (:class:`FieldGrid`).  A wave line too short for the grid is
+    a ``ReconstructionError``."""
     p = waves.p
     qt, qx = grid_steps(p, qt, qx)
     st = (p - 1) // (2 * qt)      # wave samples per t-grid step
@@ -535,7 +473,7 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
     return FieldGrid(mesh=mesh, qt=qt, qx=qx, st=st, sx=sx,
                      t=np.linspace(0.0, mesh.T, nt), x=np.linspace(-1.0, 1.0, nx),
                      lines=lines, u_seg=u_seg, f_seg=f_seg,
-                     interface_jump_v=jump_v, interface_jump_r=jump_r, plan=kink_plan)
+                     interface_jump_v=jump_v, interface_jump_r=jump_r)
 
 
 def _interface_jumps(lines: np.ndarray, u_seg: np.ndarray, st: int, nt: int,
@@ -554,14 +492,16 @@ def _interface_jumps(lines: np.ndarray, u_seg: np.ndarray, st: int, nt: int,
 
 
 # ---------------------------------------------------------------------------
-# Kink plan and constitutive residual
+# Kink window and constitutive residual
 # ---------------------------------------------------------------------------
 
 
 class WindowKinks:
-    """Dropped samples and quadrature weights of one window's kink mask."""
+    """A window's kink mask (``kinks``) and the samples Q drops and the
+    quadrature weights that follow from it."""
 
     def __init__(self, kinks: np.ndarray, hx: float):
+        self.kinks = kinks
         # samples left out of the Q quadrature: the kinks, and on each axis
         # an end sample next to a kink, whose one-sided stencil spans it
         drop = kinks.copy()
@@ -584,26 +524,27 @@ class WindowKinks:
         self.row_weights = np.stack(rows)
 
 
-def build_kink_plan(fg) -> tuple:
-    """The :class:`WindowKinks` of each segment window of a field grid.
+# the one cache entry of window_kinks: (N, M, qt, qx) and its WindowKinks
+_window_kinks: Optional[tuple] = None
 
-    A shift of 2*qx columns moves the x residue by 2*qx*qt, a multiple of
-    the lattice period qt*qx, so the windows normally share one kink
-    pattern.  That is checked, not assumed: windows are keyed by their
-    mask bytes, and each distinct pattern is planned once.
-    """
-    plus, minus = fg.kink_masks()
-    kinks = plus | minus
-    hx = fg.x[1] - fg.x[0]
-    by_mask: dict = {}
-    plan = []
-    for j0, j1 in fg.segment_windows():
-        mask = np.ascontiguousarray(kinks[:, j0:j1 + 1])
-        key = (mask.shape, mask.tobytes())
-        if key not in by_mask:
-            by_mask[key] = WindowKinks(mask, hx)
-        plan.append(by_mask[key])
-    return tuple(plan)
+
+def window_kinks(fg) -> WindowKinks:
+    """The :class:`WindowKinks` every segment window of field grid ``fg``
+    shares: row i and window column j is a kink when i*qx + j*qt or
+    i*qx - j*qt is a multiple of qt*qx (see the module docstring), on
+    2*M*qt + 1 rows and the grid's x step.  One entry is kept, for the
+    last (N, M, qt, qx) asked for; another key replaces it, and a build
+    that fails leaves none."""
+    global _window_kinks
+    key = (fg.mesh.N, fg.mesh.M, fg.qt, fg.qx)
+    if _window_kinks is None or _window_kinks[0] != key:
+        _window_kinks = None
+        period = fg.qt * fg.qx
+        t_res = (np.arange(2 * fg.mesh.M * fg.qt + 1) * fg.qx % period)[:, None]
+        x_res = np.arange(2 * fg.qx + 1) * fg.qt % period
+        kinks = (t_res == -x_res % period) | (t_res == x_res)
+        _window_kinks = (key, WindowKinks(kinks, fg.x[1] - fg.x[0]))
+    return _window_kinks[1]
 
 
 def residual_Q(fg: FieldGrid) -> float:
@@ -619,14 +560,15 @@ def residual_Q(fg: FieldGrid) -> float:
     the difference of one-sided limits is not a discretization error.  So
     is an end sample next to a kink, whose one-sided stencil spans it;
     every other stencil lies in one smooth block.  On exact solutions the
-    retained integrand is O(h^4).  The samples left out come from the
-    grid's kink plan.
+    retained integrand is O(h^4).  The samples left out are those of
+    :func:`window_kinks`, the same in every window.
     """
     ht = fg.t[1] - fg.t[0]
     hx = fg.x[1] - fg.x[0]
     wt = simpson_weights(len(fg.t), ht)
+    kinks = window_kinks(fg)
     total = 0.0
-    for seg, window in enumerate(fg.kink_plan):
+    for seg in range(fg.mesh.N):
         v_seg, p_seg, s_seg = fg.window(seg)
         # g**2 / 4 into g, h**2 / 4 into q, then their sum
         g = fd_derivative(v_seg.T, ht).T
@@ -639,8 +581,8 @@ def residual_Q(fg: FieldGrid) -> float:
         np.square(q, out=q)
         q /= 4.0
         q += g
-        np.copyto(q, 0.0, where=window.drop)
-        total += float(wt @ q @ window.wx)
+        np.copyto(q, 0.0, where=kinks.drop)
+        total += float(wt @ q @ kinks.wx)
     return total
 
 
@@ -913,9 +855,11 @@ def _write_field_rows(fg: FieldGrid, lo: int, hi: int, fh) -> None:
     """Write t-rows [lo, hi) of the fields CSV to the binary file ``fh``.
 
     The grid's rows are evaluated (:meth:`FieldGrid.rows`) in blocks of
-    about FIELD_BLOCK_VALUES samples a field, with e computed as
-    :attr:`FieldGrid.e` computes it; each block is formatted in blocks of
-    about CSV_BLOCK_VALUES field values.  The records of x are made once
+    about FIELD_BLOCK_VALUES samples a field, with e the energy density
+    0.5 * ((s - f)**2 + p**2) and each column's force f taken from the
+    segment whose traces p and s hold there
+    (:meth:`FieldGrid.column_segments`); each block is formatted in blocks
+    of about CSV_BLOCK_VALUES field values.  The records of x are made once
     per call and those of t once per formatting block; the five field
     values of a formatting block are copied into one array and formatted
     in one kernel call.  Memory stays at one block of each kind whatever

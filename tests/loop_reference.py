@@ -28,7 +28,7 @@ from rodwave.energy import blockwise_simpson_weights, evaluate_objective
 from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError, SolverError
 from rodwave.mesh import counts
 from rodwave.oracle import SimResult, _node_weights
-from rodwave.reconstruct import GridLayout, _pick_q
+from rodwave.reconstruct import _pick_q
 from rodwave.sampled import SampledFunction, fd_derivative, simpson_weights
 from rodwave.solver import Solution, check_feasible
 
@@ -657,7 +657,7 @@ def _gather(piece_arr, units, per_piece, resolve="late"):
 
 
 @dataclass(frozen=True)
-class ArrayGrid(GridLayout):
+class ArrayGrid:
     """A field grid held as whole (nt, nx) arrays, as ``FieldGrid`` once
     stored it, serving the evaluators of ``FieldGrid`` by slicing; tests
     build it to hand the production diagnostics arrays of their own.
@@ -676,7 +676,18 @@ class ArrayGrid(GridLayout):
     f_seg: np.ndarray
     interface_jump_v: float = 0.0
     interface_jump_r: float = 0.0
-    plan: object = field(default=None, repr=False, compare=False)
+
+    def segment_windows(self):
+        """Column windows [j0, j1] of each segment (interfaces repeated)."""
+        return [(i * 2 * self.qx, (i + 1) * 2 * self.qx) for i in range(self.mesh.N)]
+
+    def column_segments(self):
+        """Per x column, the segment whose traces it holds: the right one
+        at an interface."""
+        owner = np.zeros(len(self.x), dtype=int)
+        for seg, (j0, j1) in enumerate(self.segment_windows()):
+            owner[j0:j1 + 1] = seg
+        return owner
 
     def rows(self, lo, hi):
         return self.v[lo:hi], self.r[lo:hi], self.p[lo:hi], self.s[lo:hi]
@@ -691,11 +702,15 @@ class ArrayGrid(GridLayout):
 
 
 def array_grid(fg, **changes):
-    """The arrays of field grid ``fg`` as an :class:`ArrayGrid`, with
-    ``changes`` replacing some of them."""
-    names = ("mesh", "qt", "qx", "t", "x", "v", "r", "p", "s", "e_quad_segments",
-             "f_seg", "interface_jump_v", "interface_jump_r")
-    return ArrayGrid(**{**{name: getattr(fg, name) for name in names}, **changes})
+    """The field grid ``fg`` (a ``FieldGrid`` or an :class:`ArrayGrid`),
+    read whole through its evaluators, as an :class:`ArrayGrid`, with
+    ``changes`` replacing some of its arrays."""
+    v, r, p, s = fg.rows(0, len(fg.t))
+    grid = dict(mesh=fg.mesh, qt=fg.qt, qx=fg.qx, t=fg.t, x=fg.x, v=v, r=r, p=p, s=s,
+                e_quad_segments=tuple(fg.energy_window(seg) for seg in range(fg.mesh.N)),
+                f_seg=fg.f_seg, interface_jump_v=fg.interface_jump_v,
+                interface_jump_r=fg.interface_jump_r)
+    return ArrayGrid(**{**grid, **changes})
 
 
 def fields(waves, controls, mesh, qt=None, qx=None):
@@ -813,7 +828,7 @@ def residual_Q_windows(fg):
     window."""
     ht = fg.t[1] - fg.t[0]
     hx = fg.x[1] - fg.x[0]
-    plus, minus = fg.kink_masks()
+    plus, minus = kink_masks(fg)
     kinks = plus | minus
     v, p, s = fg.v, fg.p, fg.s
 
@@ -838,7 +853,7 @@ def mean_energy(fg):
     """Grid mean energy with row weights looked up row by row per window."""
     ht = fg.t[1] - fg.t[0]
     hx = fg.x[1] - fg.x[0]
-    plus, minus = fg.kink_masks()
+    plus, minus = kink_masks(fg)
     kinks = plus | minus
     nt = len(fg.t)
     profile = np.zeros(nt)

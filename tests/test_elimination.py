@@ -4,8 +4,8 @@ weights against the loop forms they replaced.
 ``eliminate`` runs Gauss-Jordan in floats with a column-to-rows index;
 ``loop_reference.eliminate`` runs the same pivot order over Fractions with
 a scan of every row per pivot.  Every coefficient is a small dyadic
-rational, so the two must agree exactly: A, C_gamma, the free map, A as
-Fractions, each entry's data terms in insertion order, and the data part
+rational, so the two must agree exactly: A, C_gamma, the free map, A read
+as Fractions, each entry's data terms in insertion order, and the data part
 g, which ``Parametrization.g_matrix`` gathers slot by slot and
 ``loop_reference.g_matrix`` evaluates entry by entry.
 """
@@ -49,9 +49,9 @@ def check_parametrization(system, state, p):
     assert par.free_map == tuple(free_map)
     assert_bits(par.A, a_mat)
     assert_bits(par.C_gamma, c_mat)
-    assert [list(row.items()) for row in par.A_frac] == \
-        [list(row.items()) for row in a_rows]
-    assert all(type(c) is Fraction for row in par.A_frac for c in row.values())
+    # every nonzero of A, read as a Fraction, is the exact rational entry
+    assert [{j: Fraction(c) for j, c in enumerate(row.tolist()) if c}
+            for row in par.A] == a_rows
     for new, old in zip(par.g_exprs, g_exprs, strict=True):
         for part in ("terms", "consts", "gammas"):
             got = list(getattr(new, part).items())

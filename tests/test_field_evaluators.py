@@ -4,8 +4,8 @@
 demand: t-row blocks (``rows``), segment windows (``window``) and energy
 windows (``energy_window``).  Concatenated blocks and the windows must
 equal, bit for bit, the whole-grid arrays of the fancy-index gather form
-(``loop_reference.fields``), and no production path may read a whole
-(nt, nx) grid.
+(``loop_reference.fields``), and no production path may evaluate all
+t-rows of all segments in one block.
 """
 
 import numpy as np
@@ -44,7 +44,7 @@ def test_row_blocks_concatenate_to_the_grid(grids, block):
 
 def test_windows_are_the_grid_columns(grids):
     fg, want = grids
-    for seg, (j0, j1) in enumerate(fg.segment_windows()):
+    for seg, (j0, j1) in enumerate(want.segment_windows()):
         window = fg.window(seg)
         assert window.shape == (3, len(fg.t), 2 * fg.qx + 1)
         for got, name in zip(window, "vps"):
@@ -57,9 +57,9 @@ def test_windows_are_the_grid_columns(grids):
 
 def test_whole_grid_properties_match(grids):
     fg, want = grids
-    for name in ("v", "r", "p", "s", "f_seg"):
+    for name in ("t", "x", "f_seg"):
         assert_bits(getattr(fg, name), getattr(want, name))
-    assert_bits(fg.e, ref.energy_density(want))
+    assert np.array_equal(fg.column_segments(), want.column_segments())
     assert fg.interface_jump_v.hex() == want.interface_jump_v.hex()
     assert fg.interface_jump_r.hex() == want.interface_jump_r.hex()
 
@@ -73,19 +73,41 @@ def test_row_ranges_are_checked(grids):
             fg.rows(lo, hi)
 
 
+@pytest.mark.parametrize("n, m, p, qt, qx", [(1, 3, 33, None, None), (6, 6, 33, None, None),
+                                           (5, 4, 129, 16, 4)])
+def test_fields_csv_matches_the_whole_arrays(n, m, p, qt, qx, tmp_path):
+    # e included: the CSV writer's energy density against the one
+    # loop_reference computes from the whole arrays
+    waves, controls, mesh = solved(n, m, p, trig_params(n + m))
+    rec.write_fields_csv(rec.fields(waves, controls, mesh, qt, qx), tmp_path / "got.csv")
+    ref.write_fields_csv(ref.fields(waves, controls, mesh, qt, qx), tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 # --- no whole grid on the production paths ---------------------------------
 
 @pytest.fixture
 def no_whole_grid(monkeypatch):
-    """Make every whole-grid property of FieldGrid raise, here and in the
-    forked children."""
-    def refuse(name):
-        def get(self):
-            raise AssertionError(f"whole-grid FieldGrid.{name} on a production path")
-        return property(get)
+    """Make FieldGrid._block refuse a block of all t-rows and all
+    segments, here and in forked children.  The grids of these tests have
+    N >= 2, where one segment window is not the whole grid."""
+    block = rec.FieldGrid._block
 
-    for name in ("v", "r", "p", "s", "e", "e_quad_segments"):
-        monkeypatch.setattr(rec.FieldGrid, name, refuse(name))
+    def guarded(self, names, lo, hi, s0, s1):
+        if (lo, hi, s0, s1) == (0, len(self.t), 0, self.mesh.N):
+            raise AssertionError("a whole-grid block of FieldGrid on a production path")
+        return block(self, names, lo, hi, s0, s1)
+
+    monkeypatch.setattr(rec.FieldGrid, "_block", guarded)
+
+
+def test_guard_refuses_a_whole_grid_block(no_whole_grid):
+    fg = rec.fields(*solved(2, 3, 33, trig_params(4)))
+    nt = len(fg.t)
+    with pytest.raises(AssertionError, match="whole-grid block"):
+        fg.rows(0, nt)
+    assert fg.rows(0, nt - 1).shape == (4, nt - 1, len(fg.x))
+    assert fg.window(1).shape == (3, nt, 2 * fg.qx + 1)
 
 
 def test_solve_with_oracle_reads_no_whole_grid(no_whole_grid, cpus, tmp_path):

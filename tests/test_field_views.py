@@ -1,15 +1,15 @@
-"""Strided-view field reconstruction and the shared kink plan against the
-gather forms they replaced.
+"""Strided-view field reconstruction and the shared kink window against
+the gather forms they replaced.
 
 ``reconstruct.fields`` reads every wave through a strided view of its
-assembled line, and ``residual_Q`` and ``mean_energy`` share one kink plan
-per grid; ``loop_reference.fields``, ``residual_Q_windows`` and
-``mean_energy`` are the fancy-index gathers, the per-window blockwise
-stencil sets and the row-by-row weights they replaced.  At every sample
-Q keeps, the plain stencils of ``residual_Q`` and the blockwise ones
-evaluate the same expression, so every output must be byte-equal: each
-``FieldGrid`` array, every energy window, the interface jumps, Q and
-E_grid.
+assembled line, and ``residual_Q`` and ``mean_energy`` use one kink window
+(``reconstruct.window_kinks``) for every segment; ``loop_reference.fields``,
+``residual_Q_windows`` and ``mean_energy`` are the fancy-index gathers, the
+per-window blockwise stencil sets on full-grid kink masks and the
+row-by-row weights they replaced.  At every sample Q keeps, the plain
+stencils of ``residual_Q`` and the blockwise ones evaluate the same
+expression, so every output must be byte-equal: each field array read
+whole, every energy window, the interface jumps, Q and E_grid.
 """
 
 import dataclasses
@@ -56,11 +56,11 @@ def check_grid(waves, controls, mesh, qt=None, qx=None):
     new = rec.fields(waves, controls, mesh, qt=qt, qx=qx)
     old = ref.fields(waves, controls, mesh, qt=qt, qx=qx)
     assert (new.qt, new.qx) == (old.qt, old.qx)
+    whole = ref.array_grid(new)
     for name in ARRAYS:
-        assert_bits(getattr(new, name), getattr(old, name))
-    assert_bits(new.e, ref.energy_density(old))
-    assert len(new.e_quad_segments) == len(old.e_quad_segments) == mesh.N
-    for got, want in zip(new.e_quad_segments, old.e_quad_segments):
+        assert_bits(getattr(whole, name), getattr(old, name))
+    assert len(whole.e_quad_segments) == len(old.e_quad_segments) == mesh.N
+    for got, want in zip(whole.e_quad_segments, old.e_quad_segments):
         assert_bits(got, want)
     assert new.interface_jump_v.hex() == old.interface_jump_v.hex()
     assert new.interface_jump_r.hex() == old.interface_jump_r.hex()
@@ -87,8 +87,9 @@ def test_field_samples_setting_matches_gathers(q, p):
                                   "preset_params": trig_params(q), "field_samples": q})
     out = cli.solve_pipeline(config)
     want = ref.fields(out["waves"], out["controls"], out["mesh"], qt=q, qx=q)
+    whole = ref.array_grid(out["fields"])
     for name in ARRAYS:
-        assert_bits(getattr(out["fields"], name), getattr(want, name))
+        assert_bits(getattr(whole, name), getattr(want, name))
     assert out["Q"].hex() == ref.residual_Q_windows(want).hex()
     assert out["E_grid"].hex() == ref.mean_energy(want).hex()
 
@@ -101,30 +102,15 @@ def test_fields_match_gathers_on_random_states(n, m, p, seed):
 
 
 def test_windows_share_one_kink_plan():
+    # every segment window of the full-grid masks is the one kink window,
+    # and a second grid on the same (N, M, qt, qx) reuses it
     fg = check_grid(*solved(6, 6, 129, trig_params(1)))
-    windows = fg.kink_plan
-    assert len(windows) == 6 and all(w is windows[0] for w in windows)
-    assert fg.kink_plan is fg.kink_plan
-
-
-def test_distinct_window_patterns_get_their_own_plans():
-    # a grid whose windows do not share a kink pattern falls back to one
-    # plan per distinct mask; here a fake second family on one window
-    fg = rec.fields(*solved(3, 3, 33, trig_params(2)))
-    plus, minus = fg.kink_masks()
-    minus = minus.copy()
-    minus[5, 2 * fg.qx + 3] = True
-
-    class Shifted:
-        t, x, mesh, qt, qx = fg.t, fg.x, fg.mesh, fg.qt, fg.qx
-        segment_windows = fg.segment_windows
-
-        def kink_masks(self):
-            return plus, minus
-
-    windows = rec.build_kink_plan(Shifted())
-    assert windows[0] is windows[2] and windows[1] is not windows[0]
-    assert windows[1].drop[5, 3] and not windows[0].drop[5, 3]
+    kinks = rec.window_kinks(fg)
+    plus, minus = ref.kink_masks(fg)
+    for seg in range(6):
+        cols = slice(2 * fg.qx * seg, 2 * fg.qx * (seg + 1) + 1)
+        assert np.array_equal((plus | minus)[:, cols], kinks.kinks)
+    assert rec.window_kinks(rec.fields(*solved(6, 6, 129, trig_params(2)))) is kinks
 
 
 @pytest.mark.parametrize("table, side", [("pieces", +1), ("pieces", -1),

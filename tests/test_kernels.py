@@ -3,6 +3,7 @@
 import dataclasses
 import os
 from decimal import Decimal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rodwave import cli
 from rodwave import reconstruct as rec
 from rodwave.energy import blockwise_simpson, blockwise_simpson_weights
 from rodwave.errors import InvalidArgumentError
+from rodwave.mesh import build_mesh
 from rodwave.oracle import SimConfig, simulate, write_sim_csv
 from rodwave.sampled import fd_derivative
 
@@ -114,15 +116,24 @@ def small_grid(field_grid):
     return field_grid(2, 2)
 
 
-@pytest.mark.parametrize("qt, qx", [(2, 2), (4, 2), (2, 8), (32, 32)])
-def test_kink_masks_match_full_grid_residues(field_grid, qt, qx):
-    fg = field_grid(qt, qx)
-    for got, want in zip(fg.kink_masks(), ref.kink_masks(fg)):
-        assert np.array_equal(got, want)
+@pytest.mark.parametrize("qt, qx", [(2, 2), (4, 2), (2, 8), (32, 32), (16, 4)])
+def test_kink_masks_match_full_grid_residues(qt, qx):
+    # the one kink window is every segment's slice of the full-grid masks
+    for n in range(1, 9):
+        for m in range(2, 7):
+            mesh = build_mesh(n, m)
+            grid = SimpleNamespace(mesh=mesh, qt=qt, qx=qx,
+                                   t=np.linspace(0.0, mesh.T, 2 * m * qt + 1),
+                                   x=np.linspace(-1.0, 1.0, 2 * n * qx + 1))
+            kinks = rec.window_kinks(grid).kinks
+            plus, minus = ref.kink_masks(grid)
+            for seg in range(n):
+                window = (plus | minus)[:, 2 * qx * seg:2 * qx * (seg + 1) + 1]
+                assert np.array_equal(kinks, window), (n, m, seg)
 
 
 def test_residual_q_matches_loop_form(small_grid):
-    assert rec.residual_Q(small_grid) == ref.residual_Q(small_grid)
+    assert rec.residual_Q(small_grid) == ref.residual_Q(ref.array_grid(small_grid))
 
 
 # special values exercise the %.12g formatting: not-a-number, infinities,
@@ -143,8 +154,8 @@ def special_grid(small_grid):
     computed from p, s and the force, so they enter it through s); 17
     t-rows, so no split into 2 or 3 chunks is even."""
     assert len(small_grid.t) % 2 and len(small_grid.t) % 3
-    return ref.array_grid(small_grid, v=_with_special(small_grid.v),
-                          s=_with_special(small_grid.s[::-1]))
+    v, _, _, s = small_grid.rows(0, len(small_grid.t))
+    return ref.array_grid(small_grid, v=_with_special(v), s=_with_special(s[::-1]))
 
 
 def assert_no_child_left():
@@ -313,9 +324,9 @@ def test_kernel_seeded_sweep_over_all_exponents():
 def test_fast_path_covers_paper_fields():
     """At most 1 % of the N = 12 paper-example field values go through %."""
     config = cli.validate_config({"N": 12, "M": 12, "P": 129, "preset": "paper_example"})
-    fg = cli.solve_pipeline(config)["fields"]
+    fg = ref.array_grid(cli.solve_pipeline(config)["fields"])
     total = slow = 0
-    for arr in (fg.t, fg.x, fg.v, fg.r, fg.p, fg.s, fg.e):
+    for arr in (fg.t, fg.x, fg.v, fg.r, fg.p, fg.s, ref.energy_density(fg)):
         text, n = kernel_text(arr)
         assert text == percent_text(arr)
         total, slow = total + arr.size, slow + n

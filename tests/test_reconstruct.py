@@ -148,8 +148,8 @@ class TestControls:
 class TestFields:
     def test_zero_fields(self):
         mesh, state, waves, controls = zero_case()
-        fg = rec.fields(waves, controls, mesh)
-        for arr in (fg.v, fg.r, fg.p, fg.s, fg.e):
+        whole = ref.array_grid(rec.fields(waves, controls, mesh))
+        for arr in (whole.v, whole.r, whole.p, whole.s, ref.energy_density(whole)):
             assert np.max(np.abs(arr)) <= 1e-12
 
     def test_terminal_rows_match_data(self, solved):
@@ -169,9 +169,9 @@ class TestFields:
         fg = solved["fg"]
         ht = fg.t[1] - fg.t[0]
         hx = fg.x[1] - fg.x[0]
-        plus, minus = fg.kink_masks()
+        plus, minus = ref.kink_masks(fg)
         kinks = plus | minus
-        v = fg.v
+        v = fg.rows(0, len(fg.t))[0]
         vtt = (v[2:, :] - 2 * v[1:-1, :] + v[:-2, :]) / ht ** 2
         vxx = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / hx ** 2
         resid = vtt[:, 1:-1] - vxx[1:-1, :]
@@ -194,7 +194,7 @@ class TestFields:
         right[-1] = force_at(controls, mesh.N + 1, mesh.T, side="left")
         # the final row holds the terminal-side corner trace, so the
         # boundary identity is checked on [0, T)
-        s = fg.s
+        s = fg.rows(0, len(t))[3]
         assert np.max(np.abs(s[:-1, 0] - left[:-1])) <= 1e-6
         assert np.max(np.abs(s[:-1, -1] - right[:-1])) <= 1e-6
 
@@ -202,13 +202,14 @@ class TestFields:
         # p = r_x to O(h^2) on clean stencils
         fg = solved["fg"]
         hx = fg.x[1] - fg.x[0]
-        plus, minus = fg.kink_masks()
+        plus, minus = ref.kink_masks(fg)
         kinks = plus | minus
-        rx = (fg.r[:, 2:] - fg.r[:, :-2]) / (2 * hx)
+        _, r, p, _ = fg.rows(0, len(fg.t))
+        rx = (r[:, 2:] - r[:, :-2]) / (2 * hx)
         clean = ~(kinks[:, :-2] | kinks[:, 1:-1] | kinks[:, 2:])
         cols = np.arange(1, len(fg.x) - 1)
         clean[:, cols % (2 * fg.qx) == 0] = False
-        diff = np.abs(rx - fg.p[:, 1:-1])[clean]
+        diff = np.abs(rx - p[:, 1:-1])[clean]
         assert np.max(diff) <= 5e-3     # O(h^2 r''') at this resolution
 
     def test_energy_consistency(self, solved):
@@ -239,7 +240,7 @@ class TestResidualQ:
         # 0.1^2 * (retained quadrature measure of that half) / 4
         fg = solved["fg"]
         base = rec.residual_Q(fg)
-        s = fg.s
+        s = fg.rows(0, len(fg.t))[3]
         bump = np.zeros_like(s)
         half = len(fg.t) // 2
         bump[:half] = 0.1
@@ -275,12 +276,10 @@ class TestPinnedDiagnostics:
 def _retained_measure(fg, half_rows):
     """Quadrature weight of the retained samples in the corrupted strip."""
     wt = simpson_weights(len(fg.t), fg.t[1] - fg.t[0])
-    total = 0.0
-    for window in fg.kink_plan:
-        keep = ~window.drop
-        keep[half_rows:] = False
-        total += float(wt @ keep @ window.wx)
-    return total
+    kinks = rec.window_kinks(fg)
+    keep = ~kinks.drop
+    keep[half_rows:] = False
+    return fg.mesh.N * float(wt @ keep @ kinks.wx)
 
 
 def read_fields_csv(path):
@@ -302,9 +301,10 @@ class TestCsvRoundTrip:
         path = tmp_path / "fields.csv"
         rec.write_fields_csv(solved["fg"], path)
         t, x, arrays = read_fields_csv(path)
-        assert np.allclose(t, solved["fg"].t, atol=1e-10)
-        assert np.allclose(arrays["v"], solved["fg"].v, rtol=1e-11, atol=1e-11)
-        assert np.allclose(arrays["e"], solved["fg"].e, rtol=1e-11, atol=1e-11)
+        whole = ref.array_grid(solved["fg"])
+        assert np.allclose(t, whole.t, atol=1e-10)
+        assert np.allclose(arrays["v"], whole.v, rtol=1e-11, atol=1e-11)
+        assert np.allclose(arrays["e"], ref.energy_density(whole), rtol=1e-11, atol=1e-11)
 
     def test_controls_csv_has_one_sided_junctions(self, solved, tmp_path):
         path = tmp_path / "controls.csv"
@@ -321,9 +321,9 @@ def test_corner_lines_follow_characteristics(solved):
     # the displacement's curvature concentrates on the characteristic
     # lattice (the visible corner lines of the optimal motion)
     fg = solved["fg"]
-    plus, minus = fg.kink_masks()
+    plus, minus = ref.kink_masks(fg)
     kinks = plus | minus
-    v = fg.v
+    v = fg.rows(0, len(fg.t))[0]
     d2 = np.abs(v[2:] - 2 * v[1:-1] + v[:-2])
     on = d2[kinks[1:-1]].mean()
     off = d2[~(kinks[:-2] | kinks[1:-1] | kinks[2:])].mean()
