@@ -188,37 +188,35 @@ def blockwise_simpson_weights(n: int, h: float, splits) -> np.ndarray:
     return w
 
 
-def blockwise_simpson(values: np.ndarray, h: float, splits) -> float:
-    """Composite Simpson integral split at the given interior sample indices
-    (see :func:`blockwise_simpson_weights`)."""
-    return float(blockwise_simpson_weights(len(values), h, splits) @ values)
-
-
 def mean_energy(field_grid) -> float:
     """Mean mechanical energy from reconstructed fields on the (t, x) grid.
 
     Uses the on-solution identities v_t = p and v_x = s - f of the
-    dimensionless rod, integrating (v_t^2 + v_x^2)/2 in two
-    passes of blockwise Simpson: rows are split at their characteristic
-    kink samples (and at interfaces, via per-segment windows), the
-    resulting time profile at the instants where kink lines meet the mesh
-    lines.  The density is the sector-averaged energy window of each
-    segment (``FieldGrid.energy_window``), whose lattice samples carry
-    jump midpoints, so the blockwise panels cancel the one-sided errors.
+    dimensionless rod, integrating (v_t^2 + v_x^2)/2 in two passes of
+    blockwise Simpson: rows are split at their characteristic kink samples
+    (and at interfaces, via per-segment windows), the resulting time
+    profile at the instants where kink lines meet the mesh lines.  The
+    density is sector-averaged: on the characteristic lattice each squared
+    wave derivative is the mean of its late and early line, so lattice
+    samples carry jump midpoints and the blockwise panels cancel the
+    one-sided errors.
 
-    A row's weights depend only on its kink pattern, and every segment
-    window has the same kinks: :func:`rodwave.reconstruct.window_kinks`
-    holds their weights as one (nt, 2*qx + 1) matrix, so each segment is
-    integrated row-wise in one product.
+    The integrand is separable.  With v_t = w+' + w-' and
+    v_x = w+' - w-', the density is (w+')^2 + (w-')^2, and its sector
+    average on a segment window is
+    ((w+'_late)^2 + (w+'_early)^2)/2 at line sample i*st + j*sx plus the
+    same of w-' at (P - 1) + i*st - j*sx.  So the quadrature is a dot
+    product of the squared derivative lines with per-line weights d+ and
+    d-, the quadrature weights of the samples that read each line sample:
+    ``window_kinks(fg).energy_weights``, built once per mesh and field
+    step (:func:`rodwave.reconstruct.window_kinks`).  E is
+    (1/2T) * sum over segments of
+    ((w+'_late)^2 + (w+'_early)^2) . d+ + ((w-'_late)^2 + (w-'_early)^2) . d-.
     """
-    from .reconstruct import window_kinks     # reconstruct imports this module
+    from .reconstruct import _DWP, window_kinks     # reconstruct imports this module
 
     fg = field_grid
-    ht = fg.t[1] - fg.t[0]
-    nt = len(fg.t)
-    row_weights = window_kinks(fg).row_weights
-    profile = np.zeros(nt)
-    for seg in range(fg.mesh.N):
-        profile += np.einsum("ij,ij->i", fg.energy_window(seg), row_weights)
-    t_splits = np.arange(fg.qt, nt - 1, fg.qt)
-    return blockwise_simpson(profile, ht, t_splits) / fg.mesh.T
+    # (late, early) x (w+', w-') x segment x line sample
+    slopes = fg.lines[_DWP:].reshape((2, 2) + fg.lines.shape[1:])
+    total = np.einsum("epsk,epsk,pk->", slopes, slopes, window_kinks(fg).energy_weights)
+    return 0.5 * float(total) / fg.mesh.T

@@ -75,14 +75,6 @@ class MeshConfig:
     def z_minus(self, k: int) -> float:
         return -(k + 1) * self.lam / 2.0
 
-    def wave_domain(self, k: int, side: int):
-        """Closed domain of the traveling wave w^side_k (side is +1 or -1)."""
-        if side not in (+1, -1):
-            raise InvalidArgumentError("side must be +1 or -1")
-        lo = self.z_plus(k) if side == +1 else self.z_minus(k)
-        hi = self.T - (self.z_minus(k) if side == +1 else self.z_plus(k))
-        return lo, hi
-
     def interior_interfaces(self) -> tuple:
         return tuple(n for n in self.J_x if abs(n) != self.N)
 

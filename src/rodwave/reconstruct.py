@@ -31,21 +31,35 @@ j*qt + (2*seg - N)*qt*qx: j*qt plus whole periods.  So window sample
 (i, j) is a kink exactly when i*qx + j*qt or i*qx - j*qt is a multiple of
 qt*qx, whatever N and the segment.  The samples Q leaves out and the
 quadrature weights of that one window (:func:`window_kinks`) serve every
-segment of :func:`residual_Q` and :func:`rodwave.energy.mean_energy`;
-they depend only on (N, M, qt, qx), and the last set built is kept, so
-many states solved on one mesh build it once.
+segment of :func:`residual_Q` and :func:`rodwave.energy.mean_energy`.
+
+Both quadratures integrate on the wave lines, because their integrands
+are separable: v, p and s - f are sums or differences of a plus wave read
+at t + x and a minus wave read at t - x.  The sector-averaged energy
+density is a sum of squared derivative lines, so E_grid is a dot product
+of those lines with per-line-sample weights, the window's quadrature
+weights folded onto the line samples each window sample reads.  Where
+both stencils of Q are central and read the segment's own lines (t-rows
+1..nt-2, window columns 1..2qx-2), g and h are sums of 1-D residual lines
+read at the same two places, so they take one add or subtract of strided
+views.  The rest of the window, the ring (t-rows 0 and nt-1, window
+columns 0, 2qx-1 and 2qx), holds the one-sided stencils and those that
+read the neighbour's interface trace; it is evaluated from field values.
+The weights depend only on the mesh, the field step and the line
+geometry, (N, M, qt, qx, st, sx), and the last set built is kept, so many
+states solved on one mesh build it once.
 
 A :class:`FieldGrid` holds the wave lines, stacked per family into (N, L)
 arrays, and the control histories on the t grid: O(N*M*P) floats, never
 an (nt, nx) array.  Every field sample is one add or subtract of two line
 samples (plus a control value), so the grid evaluates fields on demand,
 with a fixed number of numpy calls per block: blocks of t-rows for the
-terminal rows, the oracle comparison and the fields CSV, one segment
-window at a time for Q and the energy density.  Whole (nt, nx) arrays of
-v, r, p, s and the per-segment energy windows would take 23.7 MB at
-N = M = 12, P = 129 and 168 MB at N = M = 32; the lines take 0.96 MB and
-6.5 MB.  A view whose first or last sample would fall outside its line is
-a ``ReconstructionError``, so no view reads past its buffer.
+terminal rows, the oracle comparison, the fields CSV and the ring rows of
+Q, a segment's edge columns for the ring columns of Q.  Whole (nt, nx)
+arrays of v, r, p, s and the per-segment energy windows would take
+23.7 MB at N = M = 12, P = 129 and 168 MB at N = M = 32; the lines take
+0.96 MB and 6.5 MB.  A view whose first or last sample would fall outside
+its line is a ``ReconstructionError``, so no view reads past its buffer.
 """
 
 from __future__ import annotations
@@ -328,23 +342,12 @@ class FieldGrid:
     constant in x within a segment).  ``st`` and ``sx`` are wave samples
     per t and x grid step.  ``interface_jump_v`` and ``interface_jump_r``
     are the largest jumps of v and r across an interior interface, taken
-    once by :func:`fields`.  The grid stores no (nt, nx) array; its
-    evaluators make new arrays:
-
-    * :meth:`rows` gives v, r, p, s on a block of t-rows; an interface
-      column holds the right segment's trace, the columns at x = -1 and 1
-      the outer segments' own;
-    * :meth:`window` gives v, p, s on one segment's columns j0..j1, which
-      are the same columns of the whole grid (column j1 of an inner
-      segment is the next segment's trace);
-    * :meth:`energy_window` gives the energy density with sector-averaged
-      values on the characteristic lattice, on one segment's columns from
-      that segment's lines alone: the mean over the late and early lines of
-      both wave families, so jump midpoints (blockwise quadrature keeps its
-      cancellation).
-
-    The kink samples every segment window shares are
-    :func:`window_kinks` of the grid.
+    once by :func:`fields`.  The grid stores no (nt, nx) array:
+    :meth:`rows` gives v, r, p, s on a block of t-rows in a new array, an
+    interface column holding the right segment's trace and the columns at
+    x = -1 and 1 the outer segments' own.  :func:`residual_Q` and
+    :func:`rodwave.energy.mean_energy` integrate on the lines themselves,
+    with the weights of :func:`window_kinks`.
     """
 
     mesh: MeshConfig
@@ -365,20 +368,20 @@ class FieldGrid:
         right one at an interface."""
         return np.minimum(np.arange(len(self.x)) // (2 * self.qx), self.mesh.N - 1)
 
-    def _wave(self, family: int, lo: int, n: int, seg: int, n_seg: int,
-              col: int, width: int) -> np.ndarray:
-        """Read-only view ``out[i, c, j]`` of the ``family`` line of segment
-        ``seg + c`` at t-row ``lo + i`` and window column ``col + j``.
+    def _wave(self, lines: np.ndarray, plus: bool, lo: int, n: int, seg: int,
+              n_seg: int, col: int, width: int) -> np.ndarray:
+        """Read-only view ``out[i, c, j]`` of line ``seg + c`` of the
+        (N, L) stack ``lines``, read as a plus (``plus``) or minus wave, at
+        t-row ``lo + i`` and window column ``col + j``.
 
         The plus wave at window column jj of segment seg is line sample
         ``i*st + jj*sx``, the minus wave ``(P - 1) + i*st - jj*sx``: the
         window start x0 = (2*seg - N)*(P - 1)/2 cancels the segment's
         wave-domain offset.  ``as_strided`` does no bounds checking, so the
         extreme samples are checked first."""
-        lines = self.lines[family]
         n_lines, length = lines.shape
-        step_x = self.sx if family % 2 == 0 else -self.sx
-        first = lo * self.st + (0 if family % 2 == 0 else 2 * self.qx * self.sx) + col * step_x
+        step_x = self.sx if plus else -self.sx
+        first = lo * self.st + (0 if plus else 2 * self.qx * self.sx) + col * step_x
         ends = (first, first + (n - 1) * self.st)
         ends += tuple(e + (width - 1) * step_x for e in ends)
         if n and (seg < 0 or seg + n_seg > n_lines or min(ends) < 0 or max(ends) >= length):
@@ -403,13 +406,14 @@ class FieldGrid:
         out = np.empty((len(names), n, two_q * (s1 - s0) + 1))
         for name, arr in zip(names, out):
             a, b, combine, history = _FIELD_FORMS[name]
+            a, b = self.lines[a], self.lines[b]
             # splits only the contiguous last axis, so always a view of arr
             body = arr[:, :-1].reshape(n, s1 - s0, two_q)
             tail = arr[:, -1]
-            combine(self._wave(a, lo, n, s0, s1 - s0, 0, two_q),
-                    self._wave(b, lo, n, s0, s1 - s0, 0, two_q), out=body)
-            combine(self._wave(a, lo, n, tail_seg, 1, tail_col, 1)[:, 0, 0],
-                    self._wave(b, lo, n, tail_seg, 1, tail_col, 1)[:, 0, 0], out=tail)
+            combine(self._wave(a, True, lo, n, s0, s1 - s0, 0, two_q),
+                    self._wave(b, False, lo, n, s0, s1 - s0, 0, two_q), out=body)
+            combine(self._wave(a, True, lo, n, tail_seg, 1, tail_col, 1)[:, 0, 0],
+                    self._wave(b, False, lo, n, tail_seg, 1, tail_col, 1)[:, 0, 0], out=tail)
             if history is not None:
                 values = getattr(self, history)[:, lo:hi]
                 body += values[s0:s1].T[:, :, None]
@@ -422,28 +426,35 @@ class FieldGrid:
             raise InvalidArgumentError(f"t-rows [{lo}, {hi}) outside a grid of {len(self.t)}")
         return self._block("vrps", lo, hi, 0, self.mesh.N)
 
-    def window(self, seg: int) -> np.ndarray:
-        """v, p, s on the columns j0..j1 of segment seg: a new
-        (3, nt, 2*qx + 1) array."""
-        return self._block("vps", 0, len(self.t), seg, seg + 1)
-
-    def energy_window(self, seg: int) -> np.ndarray:
-        """The sector-averaged energy density on the columns of segment
-        seg, from its own lines: a new (nt, 2*qx + 1) array, summed as
-        ((a + b) + (a + be)) + (ae + b) + (ae + be) and scaled by 1/4,
-        with a, b the squared late and ae, be the squared early
-        derivative lines of w+ and w-."""
-        nt, width = len(self.t), 2 * self.qx + 1
-        squares = np.empty((4, nt, width))      # C order whatever the strides
-        for out, family in zip(squares, (_DWP, _DWM, _DWP_EARLY, _DWM_EARLY)):
-            np.square(self._wave(family, 0, nt, seg, 1, 0, width)[:, 0], out=out)
-        a, b, ae, be = squares
-        e = np.add(a, b)
-        e += np.add(a, be, out=a)
-        e += np.add(ae, b, out=b)
-        e += np.add(ae, be, out=ae)
-        e *= 0.25
-        return e
+    def _edge_columns(self, names: str):
+        """For each segment in turn, the fields ``names`` (letters of
+        "vps") on every t-row at window columns 0, 1, 2 and 2qx-2, 2qx-1,
+        2qx: one new (len(names), nt, 2, 3) array per segment, the second
+        axis the left and the right group.  Column 2qx holds the next
+        segment's trace, or the last segment's own, as in :meth:`_block`.
+        The strided views are made once, for all segments."""
+        nt, n_seg, two_q = len(self.t), self.mesh.N, 2 * self.qx
+        forms = []
+        for name in names:
+            a, b, combine, history = _FIELD_FORMS[name]
+            views = [self._wave(self.lines[family], plus, 0, nt, 0, n_seg, col, 3)
+                     for family, plus in ((a, True), (b, False)) for col in (0, two_q - 2)]
+            forms.append((views, combine, None if history is None else getattr(self, history)))
+        for seg in range(n_seg):
+            out = np.empty((len(names), nt, 2, 3))
+            for arr, ((a_left, a_right, b_left, b_right), combine, values) in zip(out, forms):
+                combine(a_left[:, seg], b_left[:, seg], out=arr[:, 0])
+                combine(a_right[:, seg], b_right[:, seg], out=arr[:, 1])
+                if values is not None:
+                    arr += values[seg][:, None, None]
+                if seg + 1 < n_seg:
+                    combine(a_left[:, seg + 1, 0], b_left[:, seg + 1, 0], out=arr[:, 1, 2])
+                    if values is not None:
+                        arr[:, 1, 2] += values[seg + 1]
+                if two_q == 2:
+                    # the groups are the same three columns
+                    arr[:, 0] = arr[:, 1]
+            yield out
 
 
 def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
@@ -496,35 +507,38 @@ def _interface_jumps(lines: np.ndarray, u_seg: np.ndarray, st: int, nt: int,
 # ---------------------------------------------------------------------------
 
 
+def drop_mask(kinks: np.ndarray) -> np.ndarray:
+    """The samples of a window with kink mask ``kinks`` that Q leaves out:
+    the kinks, and on each axis an end sample next to a kink, whose
+    one-sided stencil spans it."""
+    drop = kinks.copy()
+    drop[0] |= kinks[1]
+    drop[-1] |= kinks[-2]
+    drop[:, 0] |= kinks[:, 1]
+    drop[:, -1] |= kinks[:, -2]
+    return drop
+
+
+@dataclass(frozen=True, eq=False)
 class WindowKinks:
-    """A window's kink mask (``kinks``) and the samples Q drops and the
-    quadrature weights that follow from it."""
+    """The kink window every segment window of a field grid shares and
+    the quadrature weights that follow from it (see :func:`window_kinks`).
 
-    def __init__(self, kinks: np.ndarray, hx: float):
-        self.kinks = kinks
-        # samples left out of the Q quadrature: the kinks, and on each axis
-        # an end sample next to a kink, whose one-sided stencil spans it
-        drop = kinks.copy()
-        drop[0] |= kinks[1]
-        drop[-1] |= kinks[-2]
-        drop[:, 0] |= kinks[:, 1]
-        drop[:, -1] |= kinks[:, -2]
-        self.drop = drop
-        self.wx = simpson_weights(kinks.shape[1], hx)
-        # blockwise Simpson weights of each row, split at its kinks, built
-        # once per distinct row pattern
-        by_pattern: dict = {}
-        rows = []
-        for row in kinks:
-            key = row.tobytes()
-            if key not in by_pattern:
-                by_pattern[key] = blockwise_simpson_weights(len(row), hx,
-                                                            np.flatnonzero(row))
-            rows.append(by_pattern[key])
-        self.row_weights = np.stack(rows)
+    ``q_weights[i, j]`` is the weight of window sample (i, j) in Q: a
+    quarter of the composite Simpson t-weight times x-weight, and 0 where
+    ``drop`` (:func:`drop_mask`) is set.  ``energy_weights[0][k]`` is the sum of the blockwise Simpson weights of
+    :func:`rodwave.energy.mean_energy` over the window samples that read
+    plus-wave line sample k, ``energy_weights[1]`` the same for the minus
+    wave."""
+
+    kinks: np.ndarray = field(repr=False)
+    drop: np.ndarray = field(repr=False)
+    q_weights: np.ndarray = field(repr=False)
+    energy_weights: np.ndarray = field(repr=False)
 
 
-# the one cache entry of window_kinks: (N, M, qt, qx) and its WindowKinks
+# the one cache entry of window_kinks: (N, M, qt, qx, st, sx) and its
+# WindowKinks
 _window_kinks: Optional[tuple] = None
 
 
@@ -532,19 +546,64 @@ def window_kinks(fg) -> WindowKinks:
     """The :class:`WindowKinks` every segment window of field grid ``fg``
     shares: row i and window column j is a kink when i*qx + j*qt or
     i*qx - j*qt is a multiple of qt*qx (see the module docstring), on
-    2*M*qt + 1 rows and the grid's x step.  One entry is kept, for the
-    last (N, M, qt, qx) asked for; another key replaces it, and a build
-    that fails leaves none."""
+    2*M*qt + 1 rows and the grid's t and x steps; the energy weights fold
+    the window onto line samples i*st + j*sx (plus wave) and
+    (P - 1) + i*st - j*sx (minus wave).  One entry is kept, for the last
+    (N, M, qt, qx, st, sx) asked for; another key replaces it, and a
+    build that fails leaves none."""
     global _window_kinks
-    key = (fg.mesh.N, fg.mesh.M, fg.qt, fg.qx)
+    key = (fg.mesh.N, fg.mesh.M, fg.qt, fg.qx, fg.st, fg.sx)
     if _window_kinks is None or _window_kinks[0] != key:
         _window_kinks = None
+        nt, width = 2 * fg.mesh.M * fg.qt + 1, 2 * fg.qx + 1
+        ht, hx = fg.t[1] - fg.t[0], fg.x[1] - fg.x[0]
         period = fg.qt * fg.qx
-        t_res = (np.arange(2 * fg.mesh.M * fg.qt + 1) * fg.qx % period)[:, None]
-        x_res = np.arange(2 * fg.qx + 1) * fg.qt % period
+        t_res = (np.arange(nt) * fg.qx % period)[:, None]
+        x_res = np.arange(width) * fg.qt % period
         kinks = (t_res == -x_res % period) | (t_res == x_res)
-        _window_kinks = (key, WindowKinks(kinks, fg.x[1] - fg.x[0]))
+        drop = drop_mask(kinks)
+
+        q_weights = np.outer(simpson_weights(nt, ht), simpson_weights(width, hx))
+        q_weights *= 0.25
+        q_weights[drop] = 0.0
+
+        # blockwise Simpson weights of each row, split at its kinks, built
+        # once per distinct row pattern, times those of the time profile,
+        # split at the t-rows where kink lines meet the mesh lines
+        by_pattern: dict = {}
+        for row in kinks:
+            key_row = row.tobytes()
+            if key_row not in by_pattern:
+                by_pattern[key_row] = blockwise_simpson_weights(width, hx, np.flatnonzero(row))
+        weights = np.stack([by_pattern[row.tobytes()] for row in kinks])
+        weights *= blockwise_simpson_weights(nt, ht, np.arange(fg.qt, nt - 1, fg.qt))[:, None]
+        plus = np.arange(nt)[:, None] * fg.st + np.arange(width) * fg.sx
+        minus = plus[:, ::-1]               # (P - 1) + i*st - j*sx
+        length = plus[-1, -1] + 1
+        energy_weights = np.stack([np.bincount(index.ravel(), weights.ravel(), length)
+                                   for index in (plus, minus)])
+
+        _window_kinks = (key, WindowKinks(kinks=kinks, drop=drop, q_weights=q_weights,
+                                          energy_weights=energy_weights))
     return _window_kinks[1]
+
+
+def _residual_lines(fg: FieldGrid, ht: float, hx: float) -> np.ndarray:
+    """The residual lines of every segment, a new (4, N, L) array: g+,
+    g-, h+ and h-, with g±[k] = (w±[k + st] - w±[k - st]) / (2*ht) - w±'[k]
+    from the late lines, and h± the same at stride sx and step hx.  The
+    samples within one stride of either end, where the stencil would leave
+    the line, are NaN."""
+    waves, slopes = fg.lines[_WP:_WM + 1], fg.lines[_DWP:_DWM + 1]
+    out = np.empty((4,) + waves.shape[1:])
+    for res, stride, h in ((out[:2], fg.st, ht), (out[2:], fg.sx, hx)):
+        res[..., :stride] = np.nan
+        res[..., -stride:] = np.nan
+        mid = res[..., stride:-stride]
+        np.subtract(waves[..., 2 * stride:], waves[..., :-2 * stride], out=mid)
+        mid /= 2.0 * h
+        mid -= slopes[..., stride:-stride]
+    return out
 
 
 def residual_Q(fg: FieldGrid) -> float:
@@ -552,37 +611,78 @@ def residual_Q(fg: FieldGrid) -> float:
 
     The residual functions g = v_t - p and h = v_x - s + f are formed from
     second-order differences of the displacement
-    (:func:`rodwave.sampled.fd_derivative`, the t-derivative on the
-    transposed window) against the momentum and force, segment by segment
-    on the grid's segment windows (:meth:`FieldGrid.window`; the applied
-    force is the segment's own history, never the neighbor's).  Samples on the characteristic lattice are excluded from
-    the quadrature: there the stored derivative traces are one-sided and
-    the difference of one-sided limits is not a discretization error.  So
-    is an end sample next to a kink, whose one-sided stencil spans it;
-    every other stencil lies in one smooth block.  On exact solutions the
-    retained integrand is O(h^4).  The samples left out are those of
-    :func:`window_kinks`, the same in every window.
+    (:func:`rodwave.sampled.fd_derivative`) against the momentum and
+    force, segment by segment on the grid's segment windows: columns
+    2*qx*seg .. 2*qx*(seg + 1) of the grid, the last of them the next
+    segment's trace, with the segment's own applied force.  Samples on the
+    characteristic lattice are excluded from the quadrature: there the
+    stored derivative traces are one-sided and the difference of one-sided
+    limits is not a discretization error.  So is an end sample next to a
+    kink, whose one-sided stencil spans it; every other stencil lies in
+    one smooth block.  On exact solutions the retained integrand is
+    O(h^4).  The samples left out and the Simpson weights of the rest are
+    those of :func:`window_kinks`, the same in every window.
+
+    The integrand is evaluated in two parts.
+
+    * Interior, t-rows 1..nt-2 and window columns 1..2qx-2: both stencils
+      are central and read the segment's own lines only.  Since
+      v = w+ + w-, p = w+' + w-' and s - f = w+' - w-', there
+      g = g+[i*st + j*sx] + g-[(P - 1) + i*st - j*sx] and
+      h = h+[...] - h-[...], with the 1-D residual lines of
+      :func:`_residual_lines`: per segment one add and one subtract of
+      strided views.
+    * Ring, t-rows 0 and nt-1 and window columns 0, 2qx-1 and 2qx: the
+      stencils that are one-sided or read the neighbour's interface trace.
+      These samples are evaluated from field values: the two rows from
+      3-row blocks of the grid (:meth:`FieldGrid._block`), the three
+      columns one segment at a time (:meth:`FieldGrid._edge_columns`).
+
+    Every temporary is either O(N*M*P), like the lines, or at most one
+    segment window; none is (nt, nx).
     """
-    ht = fg.t[1] - fg.t[0]
-    hx = fg.x[1] - fg.x[0]
-    wt = simpson_weights(len(fg.t), ht)
-    kinks = window_kinks(fg)
+    w = window_kinks(fg).q_weights
+    n_seg, nt, two_q = fg.mesh.N, len(fg.t), 2 * fg.qx
+    ht, hx = fg.t[1] - fg.t[0], fg.x[1] - fg.x[0]
     total = 0.0
-    for seg in range(fg.mesh.N):
-        v_seg, p_seg, s_seg = fg.window(seg)
-        # g**2 / 4 into g, h**2 / 4 into q, then their sum
-        g = fd_derivative(v_seg.T, ht).T
-        g -= p_seg
-        np.square(g, out=g)
-        g /= 4.0
-        q = fd_derivative(v_seg, hx)
-        q -= s_seg
-        q += fg.f_seg[seg][:, None]
-        np.square(q, out=q)
-        q /= 4.0
-        q += g
-        np.copyto(q, 0.0, where=kinks.drop)
-        total += float(wt @ q @ kinks.wx)
+
+    # ring rows: the window columns of each grid row, one-sided in t
+    cols = two_q * np.arange(n_seg)[:, None] + np.arange(two_q + 1)
+    for row, lo in ((0, 0), (nt - 1, nt - 3)):
+        v, p, s = fg._block("vps", lo, lo + 3, 0, n_seg)[:, :, cols]   # (3, N, W) each
+        g = fd_derivative(v.T, ht).T[row - lo]
+        g -= p[row - lo]
+        h = fd_derivative(v[row - lo], hx)
+        h -= s[row - lo]
+        h += fg.f_seg[:, row, None]
+        total += float(np.einsum("sj,j->", g * g + h * h, w[row]))
+
+    # ring columns 0, 2qx - 1 and 2qx on the other rows: their places in
+    # the (2, 3) column layout of _edge_columns
+    ring = [0, 4, 5]
+    w_ring = w[1:-1, [0, two_q - 1, two_q]]
+    for seg, (v, p, s) in enumerate(fg._edge_columns("vps")):
+        g = fd_derivative(v.reshape(nt, 6)[:, ring].T, ht).T[1:-1]
+        g -= p.reshape(nt, 6)[1:-1, ring]
+        h = fd_derivative(v[1:-1], hx).reshape(nt - 2, 6)[:, ring]
+        h -= s.reshape(nt, 6)[1:-1, ring]
+        h += fg.f_seg[seg, 1:-1, None]
+        total += float(np.einsum("ij,ij->", g * g + h * h, w_ring))
+
+    if two_q > 2:
+        lines = _residual_lines(fg, ht, hx)
+        gp, gm, hp, hm = (fg._wave(line, plus, 1, nt - 2, 0, n_seg, 1, two_q - 2)
+                          for line, plus in zip(lines, (True, False, True, False)))
+        w_interior = w[1:-1, 1:-2]
+        g = np.empty(w_interior.shape)
+        h = np.empty(w_interior.shape)
+        for seg in range(n_seg):
+            np.add(gp[:, seg], gm[:, seg], out=g)
+            np.subtract(hp[:, seg], hm[:, seg], out=h)
+            g *= g
+            h *= h
+            g += h
+            total += float(np.einsum("ij,ij->", g, w_interior))
     return total
 
 
@@ -689,6 +789,16 @@ _CRLF = np.uint64(ord("\r") | ord("\n") << 8)
 # Values formatted per kernel call: memory stays at one block (a few MB of
 # temporaries) whatever the table or grid size.
 CSV_BLOCK_VALUES = 1 << 14
+
+# Bytes of the one chunk _write_field_rows frees before its first block.
+# glibc's malloc serves a request of at least its mmap threshold (128 KiB
+# at process start) with a fresh mapping, and returns the free top of its
+# heap beyond twice that threshold; freeing a mapped chunk raises the
+# threshold to that chunk's size.  Below such a raise the few MB of
+# temporaries of every block are mapped or faulted in anew: on a 2-core
+# host the fields CSV of N = M = 12, P = 129 took 141-144 ms that way and
+# 123-126 ms after the raise.  Other allocators just free the chunk.
+HEAP_RAISE_BYTES = 4 << 20
 
 
 @functools.cache
@@ -865,6 +975,7 @@ def _write_field_rows(fg: FieldGrid, lo: int, hi: int, fh) -> None:
     in one kernel call.  Memory stays at one block of each kind whatever
     the grid size.
     """
+    np.empty(HEAP_RAISE_BYTES, np.uint8)      # freed at once; see HEAP_RAISE_BYTES
     nx = len(fg.x)
     rows = max(1, CSV_BLOCK_VALUES // (5 * nx))
     eval_rows = rows * max(1, FIELD_BLOCK_VALUES // (rows * nx))

@@ -23,12 +23,11 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import lil_matrix
 
 from rodwave.edge import DataExpr, EssentialBC, StateSpec, _pivot_priority, guard_rows, wave_key
-from rodwave import energy
 from rodwave.energy import blockwise_simpson_weights, evaluate_objective
 from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError, SolverError
 from rodwave.mesh import counts
 from rodwave.oracle import SimResult, _node_weights
-from rodwave.reconstruct import _pick_q
+from rodwave.reconstruct import _DWM, _DWM_EARLY, _DWP, _DWP_EARLY, _pick_q
 from rodwave.sampled import SampledFunction, fd_derivative, simpson_weights
 from rodwave.solver import Solution, check_feasible
 
@@ -659,9 +658,10 @@ def _gather(piece_arr, units, per_piece, resolve="late"):
 @dataclass(frozen=True)
 class ArrayGrid:
     """A field grid held as whole (nt, nx) arrays, as ``FieldGrid`` once
-    stored it, serving the evaluators of ``FieldGrid`` by slicing; tests
-    build it to hand the production diagnostics arrays of their own.
-    Fields a test does not need may be None."""
+    stored it, serving the row evaluators of ``FieldGrid`` by slicing; tests
+    build it to hand the fields CSV writer arrays of their own, and the
+    references below read it whole.  Fields a test does not need may be
+    None."""
 
     mesh: object
     qt: int
@@ -692,22 +692,29 @@ class ArrayGrid:
     def rows(self, lo, hi):
         return self.v[lo:hi], self.r[lo:hi], self.p[lo:hi], self.s[lo:hi]
 
-    def window(self, seg):
-        j0, j1 = self.segment_windows()[seg]
-        cols = slice(j0, j1 + 1)
-        return self.v[:, cols], self.p[:, cols], self.s[:, cols]
 
-    def energy_window(self, seg):
-        return self.e_quad_segments[seg]
+def energy_windows(fg):
+    """The sector-averaged energy density of each segment window of the
+    ``FieldGrid`` ``fg``, gathered from its derivative lines by fancy
+    index and combined as :func:`fields` combines its gathers."""
+    nt, width = len(fg.t), 2 * fg.qx + 1
+    plus = np.arange(nt)[:, None] * fg.st + np.arange(width) * fg.sx
+    minus = plus[:, ::-1]
+    windows = []
+    for seg in range(fg.mesh.N):
+        dwp, dwp_e = (fg.lines[f, seg][plus] for f in (_DWP, _DWP_EARLY))
+        dwm, dwm_e = (fg.lines[f, seg][minus] for f in (_DWM, _DWM_EARLY))
+        windows.append(0.25 * sum((a ** 2 + b ** 2) for a in (dwp, dwp_e) for b in (dwm, dwm_e)))
+    return tuple(windows)
 
 
 def array_grid(fg, **changes):
-    """The field grid ``fg`` (a ``FieldGrid`` or an :class:`ArrayGrid`),
-    read whole through its evaluators, as an :class:`ArrayGrid`, with
-    ``changes`` replacing some of its arrays."""
+    """The ``FieldGrid`` ``fg``, read whole through its row evaluator and
+    with the energy windows of :func:`energy_windows`, as an
+    :class:`ArrayGrid`, with ``changes`` replacing some of its arrays."""
     v, r, p, s = fg.rows(0, len(fg.t))
     grid = dict(mesh=fg.mesh, qt=fg.qt, qx=fg.qx, t=fg.t, x=fg.x, v=v, r=r, p=p, s=s,
-                e_quad_segments=tuple(fg.energy_window(seg) for seg in range(fg.mesh.N)),
+                e_quad_segments=energy_windows(fg),
                 f_seg=fg.f_seg, interface_jump_v=fg.interface_jump_v,
                 interface_jump_r=fg.interface_jump_r)
     return ArrayGrid(**{**grid, **changes})
@@ -868,7 +875,7 @@ def mean_energy(fg):
             rows.append(row_weights[key])
         profile += np.einsum("ij,ij->i", vals, np.stack(rows))
     t_splits = np.arange(fg.qt, nt - 1, fg.qt)
-    return energy.blockwise_simpson(profile, ht, t_splits) / fg.mesh.T
+    return blockwise_simpson(profile, ht, t_splits) / fg.mesh.T
 
 
 def solve_qp(qp, par, bc, weights):

@@ -7,7 +7,7 @@ from rodwave.mesh import build_mesh
 from rodwave.edge import StateSpec, build_catalog, wave_key
 from rodwave.energy import (
     assemble_qp,
-    blockwise_simpson,
+    blockwise_simpson_weights,
     build_weights,
     evaluate_objective,
     mean_energy,
@@ -172,38 +172,43 @@ class TestMeanEnergy:
         assert mean_energy(fg) == pytest.approx(0.0, abs=1e-12)
 
     def test_free_standing_wave_closed_form(self):
-        # v = cos(pi t) cos(pi x): free-rod mode; hand integration of
-        # (v_t^2 + v_x^2)/2 over one period gives E = pi^2/2.
+        # v = cos(pi t) cos(pi x) = (cos pi(t + x) + cos pi(t - x)) / 2:
+        # free-rod mode; hand integration of (v_t^2 + v_x^2)/2 over one
+        # period gives E = pi^2/2.
         mesh = build_mesh(4, 4)   # T = 2: one full period
-        qt = qx = 32
-        nt, nx = 2 * mesh.M * qt + 1, 2 * mesh.N * qx + 1
-        t = np.linspace(0, mesh.T, nt)[:, None]
-        x = np.linspace(-1, 1, nx)[None, :]
-        v_t = -math.pi * np.sin(math.pi * t) * np.cos(math.pi * x)
-        v_x = -math.pi * np.cos(math.pi * t) * np.sin(math.pi * x)
-        fake = _fake_grid(mesh, qt, qx, t.ravel(), x.ravel(),
-                          e_quad=0.5 * (v_t ** 2 + v_x ** 2))
+        fake = _wave_grid(mesh, 32, lambda z: 0.5 * np.cos(math.pi * z),
+                          lambda z: -0.5 * math.pi * np.sin(math.pi * z))
         exact = math.pi ** 2 / 2
         assert mean_energy(fake) == pytest.approx(exact, abs=1e-6)
 
     def test_rigid_translation_has_zero_energy(self):
         mesh = build_mesh(2, 2)
-        qt = qx = 8
-        nt, nx = 2 * mesh.M * qt + 1, 2 * mesh.N * qx + 1
-        fake = _fake_grid(mesh, qt, qx, np.linspace(0, mesh.T, nt),
-                          np.linspace(-1, 1, nx),
-                          e_quad=np.zeros((nt, nx)))
+        fake = _wave_grid(mesh, 8, np.zeros_like, np.zeros_like)
         assert mean_energy(fake) == 0.0
 
 
-def _fake_grid(mesh, qt, qx, t, x, e_quad):
-    """Just enough of a field grid for the quadrature paths: the energy
-    windows of ``e_quad``."""
-    return ref.ArrayGrid(
-        mesh=mesh, qt=qt, qx=qx, t=t, x=x, v=None, r=None, p=None, s=None,
-        e_quad_segments=tuple(e_quad[:, i * 2 * qx:(i + 1) * 2 * qx + 1]
-                              for i in range(mesh.N)),
-        f_seg=None)
+def _wave_grid(mesh, q, wave, slope):
+    """A field grid on ``mesh`` with q samples per half-layer in t and x
+    on pieces of P = 2*q + 1 samples, whose segments all carry the plus
+    wave wave(t + x) and the minus wave wave(t - x), ``slope`` the
+    derivative of ``wave`` on both the late and the early lines; no
+    controls."""
+    n_seg, nt = mesh.N, 2 * mesh.M * q + 1
+    z = np.arange((mesh.M + 1) * 2 * q + 1) * (mesh.lam / (2 * q))
+    lines = np.empty((6, n_seg, len(z)))
+    for seg in range(n_seg):
+        # line sample k of the window at x0 lies at t + x = z + x0 (plus
+        # wave) and t - x = z - lam - x0 (minus wave)
+        x0 = -1.0 + seg * mesh.lam
+        z_plus, z_minus = z + x0, z - mesh.lam - x0
+        lines[rec._WP, seg], lines[rec._WM, seg] = wave(z_plus), wave(z_minus)
+        for plus, minus in ((rec._DWP, rec._DWM), (rec._DWP_EARLY, rec._DWM_EARLY)):
+            lines[plus, seg], lines[minus, seg] = slope(z_plus), slope(z_minus)
+    return rec.FieldGrid(mesh=mesh, qt=q, qx=q, st=1, sx=1,
+                         t=np.linspace(0.0, mesh.T, nt),
+                         x=np.linspace(-1.0, 1.0, 2 * n_seg * q + 1), lines=lines,
+                         u_seg=np.zeros((n_seg, nt)), f_seg=np.zeros((n_seg, nt)),
+                         interface_jump_v=0.0, interface_jump_r=0.0)
 
 
 class TestBlockwiseSimpson:
@@ -211,13 +216,14 @@ class TestBlockwiseSimpson:
         n, h = 65, 1.0 / 64
         f = np.where(np.arange(n) < 32, 1.0, 3.0)
         f[32] = 2.0
-        assert blockwise_simpson(f, h, [32]) == pytest.approx(2.0, abs=1e-12)
+        assert blockwise_simpson_weights(n, h, [32]) @ f == pytest.approx(2.0, abs=1e-12)
 
     def test_smooth_integrand(self):
         # odd-length blocks fall back to one trapezoid step (O(h^3) local)
         n = 129
         x = np.linspace(0, 1, n)
-        val = blockwise_simpson(np.sin(np.pi * x) ** 2, 1 / (n - 1), [31, 64])
+        f = np.sin(np.pi * x) ** 2
+        val = blockwise_simpson_weights(n, 1 / (n - 1), [31, 64]) @ f
         assert val == pytest.approx(0.5, abs=2e-6)
-        val_even = blockwise_simpson(np.sin(np.pi * x) ** 2, 1 / (n - 1), [32, 64])
+        val_even = blockwise_simpson_weights(n, 1 / (n - 1), [32, 64]) @ f
         assert val_even == pytest.approx(0.5, abs=1e-12)

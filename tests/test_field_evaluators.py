@@ -1,11 +1,13 @@
 """The field grid's evaluators against the arrays it once stored.
 
 ``FieldGrid`` holds the traveling-wave lines and evaluates fields on
-demand: t-row blocks (``rows``), segment windows (``window``) and energy
-windows (``energy_window``).  Concatenated blocks and the windows must
+demand: t-row blocks (``rows``) and the edge columns of each segment
+window that ``residual_Q`` evaluates from field values
+(``_edge_columns``).  Concatenated blocks and the edge columns must
 equal, bit for bit, the whole-grid arrays of the fancy-index gather form
-(``loop_reference.fields``), and no production path may evaluate all
-t-rows of all segments in one block.
+(``loop_reference.fields``); no production path may evaluate all t-rows
+of all segments in one block, and the quadratures of Q and E_grid no
+block of more than 3 t-rows.
 """
 
 import numpy as np
@@ -15,13 +17,14 @@ import loop_reference as ref
 from rodwave import cli
 from rodwave import reconstruct as rec
 from rodwave.cli import EXIT_OK, RunConfig, run_solve, run_verify
+from rodwave.energy import mean_energy
 from rodwave.errors import InvalidArgumentError
 from test_assembly import assert_bits
-from test_field_views import solved, trig_params
+from test_field_views import E_REL, Q_REL, assert_close, solved, trig_params
 
 # (N, M, qt, qx); None is the default step
 GRIDS = [(n, m, q, q) for n, m in ((1, 3), (6, 6), (12, 12)) for q in (2, 8, None)]
-GRIDS += [(5, 4, 16, 4)]
+GRIDS += [(5, 4, 16, 4), (3, 2, 4, 1)]
 
 
 @pytest.fixture(scope="module", params=GRIDS, ids=lambda g: "N%d-M%d-qt%s-qx%s" % g)
@@ -43,16 +46,17 @@ def test_row_blocks_concatenate_to_the_grid(grids, block):
 
 
 def test_windows_are_the_grid_columns(grids):
+    # window columns 0, 1, 2 and 2qx-2, 2qx-1, 2qx of each segment: the
+    # last one the next segment's trace, or the last segment's own
     fg, want = grids
-    for seg, (j0, j1) in enumerate(want.segment_windows()):
-        window = fg.window(seg)
-        assert window.shape == (3, len(fg.t), 2 * fg.qx + 1)
-        for got, name in zip(window, "vps"):
-            assert got.flags.c_contiguous
-            assert_bits(got, getattr(want, name)[:, j0:j1 + 1])
-        energy = fg.energy_window(seg)
-        assert energy.flags.c_contiguous
-        assert_bits(energy, want.e_quad_segments[seg])
+    nt, two_q = len(fg.t), 2 * fg.qx
+    cols = np.array([0, 1, 2, two_q - 2, two_q - 1, two_q])
+    strips = list(fg._edge_columns("vps"))
+    assert len(strips) == fg.mesh.N
+    for (j0, _), strip in zip(want.segment_windows(), strips):
+        assert strip.shape == (3, nt, 2, 3)
+        for got, name in zip(strip, "vps"):
+            assert_bits(got.reshape(nt, 6), getattr(want, name)[:, j0 + cols])
 
 
 def test_whole_grid_properties_match(grids):
@@ -107,7 +111,6 @@ def test_guard_refuses_a_whole_grid_block(no_whole_grid):
     with pytest.raises(AssertionError, match="whole-grid block"):
         fg.rows(0, nt)
     assert fg.rows(0, nt - 1).shape == (4, nt - 1, len(fg.x))
-    assert fg.window(1).shape == (3, nt, 2 * fg.qx + 1)
 
 
 def test_solve_with_oracle_reads_no_whole_grid(no_whole_grid, cpus, tmp_path):
@@ -130,3 +133,30 @@ def test_pipeline_reads_no_whole_grid(no_whole_grid):
                                   "preset_params": trig_params(5)})
     out = cli.solve_pipeline(config)
     assert out["Q"] > 0.0 and out["E_grid"] > 0.0
+
+
+@pytest.fixture
+def three_row_blocks(monkeypatch):
+    """Make FieldGrid._block refuse a block of more than 3 t-rows."""
+    block = rec.FieldGrid._block
+
+    def guarded(self, names, lo, hi, s0, s1):
+        if hi - lo > 3:
+            raise AssertionError(f"a block of {hi - lo} t-rows of FieldGrid")
+        return block(self, names, lo, hi, s0, s1)
+
+    monkeypatch.setattr(rec.FieldGrid, "_block", guarded)
+
+
+# (N, M, qt, qx): at qx = 2 the interior of a window is 2 columns wide,
+# at qx = 1 empty; at N = 1 the last window column is the grid's own
+@pytest.mark.parametrize("n, m, qt, qx", [(6, 6, 2, 2), (1, 3, None, None), (1, 4, 2, 2),
+                                          (3, 2, 4, 1)])
+def test_quadratures_read_at_most_three_rows(three_row_blocks, n, m, qt, qx):
+    waves, controls, mesh = solved(n, m, 129, trig_params(11 * n + m))
+    fg = rec.fields(waves, controls, mesh, qt, qx)
+    want = ref.fields(waves, controls, mesh, qt, qx)
+    with pytest.raises(AssertionError, match="4 t-rows"):
+        fg.rows(0, 4)
+    assert_close(rec.residual_Q(fg), ref.residual_Q_windows(want), Q_REL)
+    assert_close(mean_energy(fg), ref.mean_energy(want), E_REL)

@@ -1,15 +1,17 @@
-"""Strided-view field reconstruction and the shared kink window against
+"""Strided-view field reconstruction and the line quadratures against
 the gather forms they replaced.
 
 ``reconstruct.fields`` reads every wave through a strided view of its
-assembled line, and ``residual_Q`` and ``mean_energy`` use one kink window
-(``reconstruct.window_kinks``) for every segment; ``loop_reference.fields``,
-``residual_Q_windows`` and ``mean_energy`` are the fancy-index gathers, the
-per-window blockwise stencil sets on full-grid kink masks and the
-row-by-row weights they replaced.  At every sample Q keeps, the plain
-stencils of ``residual_Q`` and the blockwise ones evaluate the same
-expression, so every output must be byte-equal: each field array read
-whole, every energy window, the interface jumps, Q and E_grid.
+assembled line; ``loop_reference.fields`` is the fancy-index gather form,
+so every field array read whole, every energy window gathered from the
+lines (``loop_reference.energy_windows``) and the interface jumps must be
+byte-equal.  ``residual_Q`` and ``mean_energy`` integrate on the wave
+lines with the one kink window of ``reconstruct.window_kinks``;
+``residual_Q_windows`` and ``mean_energy`` of ``loop_reference`` take
+the same quadrature of the same samples from whole per-window arrays,
+with the per-window blockwise stencil sets on full-grid kink masks and
+row-by-row weights.  The sums run in another order, so Q must agree to
+``Q_REL`` and E_grid to ``E_REL``, relative.
 """
 
 import dataclasses
@@ -31,6 +33,12 @@ from test_assembly import assert_bits
 
 ARRAYS = ("t", "x", "v", "r", "p", "s", "f_seg")
 CELLS = [(n, m) for n in range(2, 9) for m in range(2, 9)] + [(1, 5), (9, 2), (12, 12)]
+# relative agreement of Q and E_grid with the whole-array references
+Q_REL, E_REL = 1e-9, 1e-13
+
+
+def assert_close(got, want, rel):
+    assert abs(got - want) <= rel * abs(want), (got, want)
 
 
 def trig_params(seed):
@@ -64,8 +72,8 @@ def check_grid(waves, controls, mesh, qt=None, qx=None):
         assert_bits(got, want)
     assert new.interface_jump_v.hex() == old.interface_jump_v.hex()
     assert new.interface_jump_r.hex() == old.interface_jump_r.hex()
-    assert rec.residual_Q(new).hex() == ref.residual_Q_windows(old).hex()
-    assert mean_energy(new).hex() == ref.mean_energy(old).hex()
+    assert_close(rec.residual_Q(new), ref.residual_Q_windows(old), Q_REL)
+    assert_close(mean_energy(new), ref.mean_energy(old), E_REL)
     return new
 
 
@@ -90,8 +98,8 @@ def test_field_samples_setting_matches_gathers(q, p):
     whole = ref.array_grid(out["fields"])
     for name in ARRAYS:
         assert_bits(getattr(whole, name), getattr(want, name))
-    assert out["Q"].hex() == ref.residual_Q_windows(want).hex()
-    assert out["E_grid"].hex() == ref.mean_energy(want).hex()
+    assert_close(out["Q"], ref.residual_Q_windows(want), Q_REL)
+    assert_close(out["E_grid"], ref.mean_energy(want), E_REL)
 
 
 @settings(max_examples=25, deadline=None)

@@ -100,11 +100,20 @@ class TestNondimensionalize:
             RodParams(0.0, 1.0, 1.0)
 
 
+def wave_domain(mesh, k, side):
+    """Closed domain of the traveling wave w^side_k (side +1 or -1): the
+    '+' wave lives on [z_plus_k, T - z_minus_k], the '-' wave on
+    [z_minus_k, T - z_plus_k]."""
+    lo = mesh.z_plus(k) if side == +1 else mesh.z_minus(k)
+    hi = mesh.T - (mesh.z_minus(k) if side == +1 else mesh.z_plus(k))
+    return lo, hi
+
+
 def measured_strip_thickness(mesh, k, side, zeta, resolution=200_001):
     """Geometric oracle: half the measure of conjugate characteristic
     coordinates pairing with zeta inside the strip Omega_k, by direct grid
     measure of the inequalities 0 < t < T, x_{k-1} < x < x_{k+1}."""
-    lo_other, hi_other = mesh.wave_domain(k, -side)
+    lo_other, hi_other = wave_domain(mesh, k, -side)
     conj = np.linspace(lo_other - mesh.lam, hi_other + mesh.lam, resolution)
     if side == +1:
         z_plus, z_minus = zeta, conj
@@ -121,7 +130,7 @@ def wave_weights(mesh, k, side, p=129):
     """The strip-thickness weights ``build_weights`` gives the M + 1 pieces
     of the wave w^side_k, end to end: (domain coordinate of each cell
     midpoint, its midpoint weight)."""
-    lo, _ = mesh.wave_domain(k, side)
+    lo, _ = wave_domain(mesh, k, side)
     z = np.linspace(0.0, mesh.lam, p)
     z_mid = 0.5 * (z[:-1] + z[1:])
     w_mid = build_weights(mesh, p).w_mid
@@ -138,7 +147,7 @@ class TestDeltaZWeight:
 
     def test_zero_at_left_endpoint(self):
         mesh = build_mesh(4, 4)
-        lo, _ = mesh.wave_domain(1, +1)
+        lo, _ = wave_domain(mesh, 1, +1)
         zeta, w = wave_weights(mesh, 1, +1)
         first = slice(0, 128)           # the first layer's cells
         slope, intercept = np.polyfit(zeta[first] - lo, w[first], 1)
@@ -149,7 +158,7 @@ class TestDeltaZWeight:
                                             (3, 2, 0, +1), (2, 3, -1, -1)])
     def test_against_geometric_oracle(self, n, m, k, side):
         mesh = build_mesh(n, m)
-        lo, hi = mesh.wave_domain(k, side)
+        lo, hi = wave_domain(mesh, k, side)
         zeta, w = wave_weights(mesh, k, side)
         for frac in (0.1, 0.25, 0.5, 0.77, 0.9):
             q = int(np.argmin(np.abs(zeta - (lo + frac * (hi - lo)))))
@@ -158,7 +167,7 @@ class TestDeltaZWeight:
 
     def test_midpoint_plateau(self):
         mesh = build_mesh(4, 4)          # M >= 2
-        lo, hi = mesh.wave_domain(-1, +1)
+        lo, hi = wave_domain(mesh, -1, +1)
         zeta, w = wave_weights(mesh, -1, +1)
         q = int(np.argmin(np.abs(zeta - (lo + hi) / 2)))
         assert w[q] == mesh.lam

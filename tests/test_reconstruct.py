@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -236,50 +237,58 @@ class TestResidualQ:
         assert vals[1] / vals[2] > 8
 
     def test_corruption_raises_q_quadratically(self, solved):
-        # adding 0.1 to s over half the domain raises Q by about
-        # 0.1^2 * (retained quadrature measure of that half) / 4
+        # adding 0.1 to the first half of every segment's w+' line moves p
+        # and s by 0.1 wherever they read it, so g and h both move by
+        # -0.1 there: Q rises by about 2 * 0.1^2 / 4 times the retained
+        # quadrature weight of those samples
         fg = solved["fg"]
         base = rec.residual_Q(fg)
-        s = fg.rows(0, len(fg.t))[3]
-        bump = np.zeros_like(s)
-        half = len(fg.t) // 2
-        bump[:half] = 0.1
-        corrupted = ref.array_grid(fg, s=s + bump)
-        raised = rec.residual_Q(corrupted)
-        measure = _retained_measure(fg, half)
-        expected = 0.1 ** 2 * measure / 4.0
-        assert raised - base == pytest.approx(expected, rel=0.05)
+        lines = fg.lines.copy()
+        half = lines.shape[-1] // 2
+        lines[rec._DWP, :, :half] += 0.1
+        raised = rec.residual_Q(dataclasses.replace(fg, lines=lines))
+        expected = 2 * 0.1 ** 2 / 4.0 * _reached_measure(fg, half)
+        assert raised - base == pytest.approx(expected, rel=0.01)
 
     def test_corrupted_controls_detected(self, solved):
         # scaling the applied force by 1.1 must light up the h-residual
+        # where a window reads its neighbour's force, at the interfaces
         fg = solved["fg"]
         base = rec.residual_Q(fg)
-        scaled = ref.array_grid(fg, f_seg=1.1 * fg.f_seg)
+        scaled = dataclasses.replace(fg, f_seg=1.1 * fg.f_seg)
         assert rec.residual_Q(scaled) > 100 * max(base, 1e-12)
 
 
 class TestPinnedDiagnostics:
     # values of the slice-by-slice kernels the array code replaced (Q is
-    # loop_reference.residual_Q's, bit for bit, on the fields of the
-    # complete vertex rows; it was 1.0186399260719786e-08 on those of the
-    # swept rows, which round the KKT solve differently)
+    # loop_reference.residual_Q's on the fields of the complete vertex
+    # rows, which residual_Q sums in another order; it was
+    # 1.0186399260719786e-08 on those of the swept rows, which round the
+    # KKT solve differently)
     Q = 1.0186399258146917e-08
     E_GRID = 2.1500877735834076
 
     def test_residual_q_unchanged(self, solved):
-        assert rec.residual_Q(solved["fg"]) == self.Q
+        assert rec.residual_Q(solved["fg"]) == pytest.approx(self.Q, rel=1e-9)
 
     def test_grid_energy_unchanged(self, solved):
         assert mean_energy(solved["fg"]) == pytest.approx(self.E_GRID, rel=1e-14)
 
 
-def _retained_measure(fg, half_rows):
-    """Quadrature weight of the retained samples in the corrupted strip."""
-    wt = simpson_weights(len(fg.t), fg.t[1] - fg.t[0])
-    kinks = rec.window_kinks(fg)
-    keep = ~kinks.drop
-    keep[half_rows:] = False
-    return fg.mesh.N * float(wt @ keep @ kinks.wx)
+def _reached_measure(fg, n_samples):
+    """Simpson weight of the samples Q keeps, over every segment window,
+    whose p and s read one of the first ``n_samples`` samples of a w+'
+    line: window sample (i, j) reads sample i*st + j*sx of its own line,
+    and column 2qx of an inner window sample i*st of the next one's."""
+    nt, width = len(fg.t), 2 * fg.qx + 1
+    weights = np.outer(simpson_weights(nt, fg.t[1] - fg.t[0]),
+                       simpson_weights(width, fg.x[1] - fg.x[0]))
+    weights[rec.window_kinks(fg).drop] = 0.0
+    own = np.arange(nt)[:, None] * fg.st + np.arange(width) * fg.sx
+    inner = own.copy()
+    inner[:, -1] = own[:, 0]
+    reads = [inner] * (fg.mesh.N - 1) + [own]
+    return sum(float(weights[read < n_samples].sum()) for read in reads)
 
 
 def read_fields_csv(path):
