@@ -367,6 +367,12 @@ class Parametrization:
     state profiles by a gather over term slots that depends only on the
     mesh.
 
+    ``wave_index[side, seg, piece]`` is the catalog entry of wave piece
+    (side + then -, segment ``J_s[seg]``, layer ``J_t[piece]``) and
+    ``jump_index[i, piece]`` that of jump piece (``J_x[i]``,
+    ``J_t[piece]``), so one gather of the sampled entries gives every wave
+    or every jump piece of a state as one stack.
+
     :func:`eliminate` returns the map bound to no state (``state`` is
     None); :meth:`rebind` binds one, and only a bound map has a data part
     (:attr:`bound_state`).
@@ -399,6 +405,14 @@ class Parametrization:
         self._const_slots = _slots([
             [(name_pos[name], 0 if end < 0 else -1, c)
              for (name, end), c in e.consts.items()] for e in self.g_exprs])
+        # the catalog's order: waves (k, m, + before -), then jumps (n, m)
+        n_w = catalog.N_w
+        self.wave_index = _read_only(
+            np.arange(n_w).reshape(mesh.N, mesh.M + 1, 2).transpose(2, 0, 1))
+        self.jump_index = _read_only(np.arange(n_w, n_v).reshape(mesh.N + 1, mesh.M))
+        # p -> the data indices of g's slots (_g_gathers): one dict,
+        # shared by every rebound copy, whenever that copy is made
+        self._g_indices: dict = {}
         self._g_cache: dict = {}
 
     def rebind(self, state: StateSpec) -> "Parametrization":
@@ -447,8 +461,12 @@ class Parametrization:
         """Data part g(z) for every entry, sampled on the p-point z-grid.
 
         Term slot by term slot, then const slot by const slot, one gather
-        each: every entry adds its terms up in its own dict order, as a
-        term-by-term loop over the entry would.
+        each: a term reads p consecutive samples of one profile, forward
+        or reflected, so each slot gathers its terms' windows as rows of
+        one sliding-window view of the four profiles laid end to end,
+        then the same reversed (:meth:`_g_gathers`).  Every entry adds its
+        terms up in its own dict order, as a term-by-term loop over the
+        entry would.
         """
         if p not in self._g_cache:
             state = self.bound_state
@@ -456,23 +474,51 @@ class Parametrization:
             if state.v0.p != pd:
                 raise ConfigurationError(
                     f"state resolution {state.v0.p} does not match grid p={p}")
+            terms, consts = self._g_gathers(p)
             arrays = state.arrays()
-            data = np.stack([arrays[name] for name in DATA_NAMES])
+            data = np.concatenate([arrays[name] for name in DATA_NAMES])
+            data = np.concatenate([data, data[::-1]])
+            # row r is data[r:r + p]
+            windows = np.ndarray((len(data) - p + 1, p), data.dtype, data, 0, 2 * data.strides)
+            g = np.zeros((self.catalog.N_v, p))
+            for ents, rows, coefs in terms:
+                g[ents] += coefs * windows[rows]
+            for ents, flat, coefs in consts:
+                g[ents] += (coefs * data[flat])[:, None]
+            self._g_cache[p] = g
+        return self._g_cache[p]
+
+    def _g_gathers(self, p: int) -> tuple:
+        """The term slots and the const slots of g on the p-point z-grid:
+        (entries, first data index of each term's window, coefficients)
+        and (entries, data index, coefficients).  The data are the four
+        profiles of N*(p - 1) + 1 samples laid end to end in
+        ``DATA_NAMES`` order, L samples, then the same reversed, so a
+        reflected window (orient -1) starting at sample i is the forward
+        one starting at 2L - 1 - i.  They depend only on the mesh and p,
+        so they are built and bounds-checked once and shared by every
+        rebound copy; a window that leaves its profile raises
+        :class:`AssemblyError`."""
+        if p not in self._g_indices:
+            pd = self.mesh.N * (p - 1) + 1
+            length = len(DATA_NAMES) * pd
             half = (p - 1) // 2                  # lam/2 in data samples
             center = self.mesh.N * (p - 1) // 2  # x = 0 in data samples
-            idx = np.arange(p)
-            g = np.zeros((self.catalog.N_v, p))
+            terms = []
             for ents, names, orients, shifts, coefs in self._term_slots:
-                windows = (center + shifts * half)[:, None] + orients[:, None] * idx
-                bad = (windows.min(axis=1) < 0) | (windows.max(axis=1) > pd - 1)
+                starts = center + shifts * half
+                ends = starts + orients * (p - 1)
+                bad = (np.minimum(starts, ends) < 0) | (np.maximum(starts, ends) > pd - 1)
                 if np.any(bad):
                     raise AssemblyError("data window out of range for "
                                         f"{DATA_NAMES[names[np.argmax(bad)]]}")
-                g[ents] += coefs[:, None] * data[names[:, None], windows]
-            for ents, names, ends, coefs in self._const_slots:
-                g[ents] += (coefs * data[names, ends])[:, None]
-            self._g_cache[p] = g
-        return self._g_cache[p]
+                first = names * pd + starts
+                rows = np.where(orients > 0, first, 2 * length - 1 - first)
+                terms.append((ents, _read_only(rows), _read_only(coefs[:, None])))
+            consts = [(ents, _read_only(names * pd + ends % pd), coefs)
+                      for ents, names, ends, coefs in self._const_slots]
+            self._g_indices[p] = (tuple(terms), tuple(consts))
+        return self._g_indices[p]
 
     def entry_values(self, y: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         """Sampled values of every catalog entry for free samples y (N_s, p)."""
@@ -480,6 +526,12 @@ class Parametrization:
         gamma = np.asarray(gamma, dtype=float)
         return (self.A @ y + (self.C_gamma @ gamma)[:, None]
                 + self.g_matrix(p))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only: per-mesh data every state shares."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _slots(item_lists) -> list:

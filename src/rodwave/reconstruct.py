@@ -7,6 +7,15 @@ integrals and forces, evaluates the displacement/potential/momentum/force
 fields on a mesh-aligned rectangular grid, and computes the diagnostic
 residuals (constitutive residual Q, terminal errors).
 
+Every stage of a state works on whole-mesh stacks, with a fixed number of
+array operations whatever N and M: the wave pieces are one gather of the
+sampled entries into a (2, N, M + 1, p) stack (side, segment, piece), the
+jump pieces one gather into (N + 1, M, p), the control integrals and
+forces one (N + 2, M, p) stack each, and the wave lines and control
+histories of the field grid reshapes of those stacks.  Keyed access
+(``WaveTable.pieces[(side, k)]``, ``ControlSet.integrals[k]``) is a dict
+of views into them, so a negative index k is a key, never a position.
+
 Grid alignment.  Field grids place samples so that interfaces, layer
 instants, and the characteristic lattice all fall exactly on sample
 points; wave and control pieces are then indexed exactly (no
@@ -55,7 +64,8 @@ an (nt, nx) array.  Every field sample is one add or subtract of two line
 samples (plus a control value), so the grid evaluates fields on demand,
 with a fixed number of numpy calls per block: blocks of t-rows for the
 terminal rows, the oracle comparison, the fields CSV and the ring rows of
-Q, a segment's edge columns for the ring columns of Q.  Whole (nt, nx)
+Q, and the six edge columns of every segment window at once for the ring
+columns of Q.  Whole (nt, nx)
 arrays of v, r, p, s and the per-segment energy windows would take
 23.7 MB at N = M = 12, P = 129 and 168 MB at N = M = 32; the lines take
 0.96 MB and 6.5 MB.  A view whose first or last sample would fall outside
@@ -76,13 +86,12 @@ from functools import partial
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidArgumentError, ReconstructionError
 from .mesh import MeshConfig
 from .sampled import fd_derivative, simpson_weights
 from .energy import blockwise_simpson_weights
-from .edge import Parametrization, StateSpec, jump_key, wave_key
+from .edge import Parametrization, StateSpec
 
 CONTINUITY_ERROR = 1e-6
 
@@ -92,66 +101,79 @@ CONTINUITY_ERROR = 1e-6
 # ---------------------------------------------------------------------------
 
 
-def _late_line(pieces: np.ndarray) -> np.ndarray:
-    """Concatenate (n_pieces, p) pieces into one line; the later piece
-    supplies each junction sample and the last piece the end sample."""
-    n, p = pieces.shape
-    line = np.empty(n * (p - 1) + 1)
-    line[:-1].reshape(n, p - 1)[...] = pieces[:, :-1]
-    line[-1] = pieces[-1, -1]
-    return line
+def _late_line(pieces: np.ndarray, out: np.ndarray, step: int = 1) -> None:
+    """Concatenate (..., n_pieces, p) pieces into lines along the last
+    axis of ``out`` (C contiguous), every ``step``-th sample
+    ((p - 1) % step == 0); the later piece supplies each junction sample
+    and the last piece the end sample."""
+    *lead, n, p = pieces.shape
+    per = (p - 1) // step
+    # splits only the contiguous last axis, so always a view of out
+    out[..., :-1].reshape(*lead, n, per)[...] = pieces[..., :-1:step]
+    out[..., -1] = pieces[..., -1, -1]
 
 
-def _early_line(pieces: np.ndarray) -> np.ndarray:
-    """Concatenate (n_pieces, p) pieces into one line; the earlier piece
-    supplies each junction sample and the first piece sample 0."""
-    n, p = pieces.shape
-    line = np.empty(n * (p - 1) + 1)
-    line[0] = pieces[0, 0]
-    line[1:].reshape(n, p - 1)[...] = pieces[:, 1:]
-    return line
+def _early_line(pieces: np.ndarray, out: np.ndarray) -> None:
+    """Concatenate (..., n_pieces, p) pieces into lines along the last
+    axis of ``out`` (C contiguous); the earlier piece supplies each
+    junction sample and the first piece sample 0."""
+    *lead, n, p = pieces.shape
+    out[..., 0] = pieces[..., 0, 0]
+    out[..., 1:].reshape(*lead, n, p - 1)[...] = pieces[..., 1:]
 
 
 @dataclass(frozen=True)
 class WaveTable:
-    """Per-piece samples of every traveling wave and of its derivative."""
+    """Per-piece samples of every traveling wave and of its derivative.
+
+    ``piece_stack[side, seg, piece]`` holds the p samples of wave piece
+    (side + then -, segment ``J_s[seg]``, layer ``J_t[piece]``), a
+    (2, N, M + 1, p) array, and ``dpiece_stack`` their per-piece
+    derivatives.  ``pieces[(side, k)]`` and ``dpieces[(side, k)]`` (side
+    +1 or -1, k in ``J_s``) are (M + 1, p) views into them."""
 
     mesh: MeshConfig
-    p: int
-    pieces: Dict[Tuple[int, int], np.ndarray] = field(repr=False)   # (side,k) -> (M+1, p)
-    dpieces: Dict[Tuple[int, int], np.ndarray] = field(repr=False)  # per-piece derivative
+    piece_stack: np.ndarray = field(repr=False)
+    dpiece_stack: np.ndarray = field(repr=False)
     continuity_max: float = 0.0
+
+    @property
+    def p(self) -> int:
+        return self.piece_stack.shape[-1]
+
+    def _keyed(self, stack: np.ndarray) -> Dict[Tuple[int, int], np.ndarray]:
+        return {(side, k): stack[i, seg] for i, side in enumerate((+1, -1))
+                for seg, k in enumerate(self.mesh.J_s)}
+
+    @functools.cached_property
+    def pieces(self) -> Dict[Tuple[int, int], np.ndarray]:
+        return self._keyed(self.piece_stack)
+
+    @functools.cached_property
+    def dpieces(self) -> Dict[Tuple[int, int], np.ndarray]:
+        return self._keyed(self.dpiece_stack)
 
 
 def waves_from_solution(par: Parametrization, entries: np.ndarray) -> WaveTable:
     """Stitch the wave pieces of a solution from the sampled values of
-    every catalog entry, ``entries`` = ``par.entry_values(sol.y, sol.gamma)``.
+    every catalog entry, ``entries`` = ``par.entry_values(sol.y, sol.gamma)``:
+    one gather through ``par.wave_index`` and one derivative of the stack.
 
     Adjacent pieces must agree at their junction to ``CONTINUITY_ERROR``
     relative to the largest piece sample, ``1e-6 * (1 + max|piece|)``, so
     the check holds at any data scale; ``continuity_max`` stays absolute.
     """
-    mesh, cat = par.mesh, par.catalog
-    p = entries.shape[1]
-    h = mesh.lam / (p - 1)
-    pieces, dpieces = {}, {}
-    cont = 0.0
-    scale = 0.0
-    for k in mesh.J_s:
-        for side in (+1, -1):
-            arr = np.stack([entries[cat.index[wave_key(side, k, m)]]
-                            for m in mesh.J_t])
-            jump = np.max(np.abs(arr[:-1, -1] - arr[1:, 0])) if len(arr) > 1 else 0.0
-            cont = max(cont, float(jump))
-            scale = max(scale, float(np.max(np.abs(arr))))
-            pieces[(side, k)] = arr
-            dpieces[(side, k)] = fd_derivative(arr, h)
+    stack = entries[par.wave_index]                  # (2, N, M + 1, p)
+    p = stack.shape[-1]
+    cont = float(np.max(np.abs(stack[..., :-1, -1] - stack[..., 1:, 0]), initial=0.0))
+    scale = float(np.max(np.abs(stack)))
     if not cont <= CONTINUITY_ERROR * (1.0 + scale):
         raise ReconstructionError(
             f"traveling-wave pieces disagree at junctions by {cont:.3e} "
             f"(tolerance {CONTINUITY_ERROR:g} * (1 + {scale:.3e})); "
             f"the solver output violates vertex continuity")
-    return WaveTable(mesh=mesh, p=p, pieces=pieces, dpieces=dpieces,
+    return WaveTable(mesh=par.mesh, piece_stack=stack,
+                     dpiece_stack=fd_derivative(stack, par.mesh.lam / (p - 1)),
                      continuity_max=cont)
 
 
@@ -159,11 +181,9 @@ def jump_pieces_from_solution(par: Parametrization,
                               entries: np.ndarray) -> Dict[int, np.ndarray]:
     """Per-piece samples of the control-integral jumps u_n, n in J_x, from
     the sampled values of every catalog entry (see
-    :func:`waves_from_solution`)."""
-    mesh, cat = par.mesh, par.catalog
-    return {n: np.stack([entries[cat.index[jump_key(n, m)]]
-                         for m in mesh.J_t[:-1]])
-            for n in mesh.J_x}
+    :func:`waves_from_solution`): (M, p) views into one gather through
+    ``par.jump_index``."""
+    return dict(zip(par.mesh.J_x, entries[par.jump_index]))
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +210,34 @@ class ControlSet:
     Pieces are indexed by layer pairs: piece j covers
     ``t in [j*lam, (j+1)*lam]`` with p samples; forces are derivatives per
     piece, discontinuous at the junctions (stored one-sided per piece).
+
+    ``jump_stack[i]`` holds the (M, p) jump pieces of interface
+    ``J_x[i]``; ``integral_stack[i]`` and ``force_stack[i]`` those of
+    control ``J_c[i]``, whose entries 1..N are the segments ``J_s``.
+    ``jumps[n]``, ``integrals[k]`` and ``forces[k]`` are views into them
+    keyed by interface and control index (negative ones included).
     """
 
     mesh: MeshConfig
-    p: int
-    jumps: Dict[int, np.ndarray] = field(repr=False)      # n in J_x -> (M, p)
-    integrals: Dict[int, np.ndarray] = field(repr=False)  # k in J_c -> (M, p)
-    forces: Dict[int, np.ndarray] = field(repr=False)     # k in J_c -> (M, p)
+    jump_stack: np.ndarray = field(repr=False)       # (N+1, M, p)
+    integral_stack: np.ndarray = field(repr=False)   # (N+2, M, p)
+    force_stack: np.ndarray = field(repr=False)      # (N+2, M, p)
+
+    @property
+    def p(self) -> int:
+        return self.jump_stack.shape[-1]
+
+    @functools.cached_property
+    def jumps(self) -> Dict[int, np.ndarray]:
+        return dict(zip(self.mesh.J_x, self.jump_stack))
+
+    @functools.cached_property
+    def integrals(self) -> Dict[int, np.ndarray]:
+        return dict(zip(self.mesh.J_c, self.integral_stack))
+
+    @functools.cached_property
+    def forces(self) -> Dict[int, np.ndarray]:
+        return dict(zip(self.mesh.J_c, self.force_stack))
 
     @property
     def n_pieces(self) -> int:
@@ -226,19 +267,18 @@ class ControlSet:
     # -- invariant helpers (used by tests and run summaries) -----------
 
     def zero_start_max(self) -> float:
-        return max(abs(float(self.integrals[k][0, 0])) for k in self.mesh.J_c)
+        return float(np.max(np.abs(self.integral_stack[:, 0, 0])))
 
     def zero_sum_max(self) -> float:
-        total = sum(self.forces[k] for k in self.mesh.J_c)
-        return float(np.max(np.abs(total)))
+        return float(np.max(np.abs(np.sum(self.force_stack, axis=0))))
 
     def jump_identity_max(self) -> float:
-        worst = 0.0
-        for n in self.mesh.J_x:
-            fj = self.forces[n + 1] - self.forces[n - 1]
-            dj = fd_derivative(self.jumps[n], self.mesh.lam / (self.p - 1))
-            worst = max(worst, float(np.max(np.abs(fj - dj))))
-        return worst
+        """The largest gap of f_{n+1} - f_{n-1} against the derivative of
+        jump n; for interface ``J_x[i]`` controls n - 1 and n + 1 are
+        ``J_c[i]`` and ``J_c[i + 1]``."""
+        fj = self.force_stack[1:] - self.force_stack[:-1]
+        dj = fd_derivative(self.jump_stack, self.mesh.lam / (self.p - 1))
+        return float(np.max(np.abs(fj - dj)))
 
 
 def controls_from_jumps(mesh: MeshConfig, jump_pieces: Dict[int, np.ndarray]) -> ControlSet:
@@ -246,18 +286,16 @@ def controls_from_jumps(mesh: MeshConfig, jump_pieces: Dict[int, np.ndarray]) ->
 
     At every time sample the chain system {u_{n+1} - u_{n-1} = jump_n,
     sum over controls = 0} is square and nonsingular; forces follow by
-    per-piece differentiation (never across a junction).
+    per-piece differentiation (never across a junction), one derivative
+    of the (N+2, M, p) stack.
     """
     if set(jump_pieces) != set(mesh.J_x):
         raise InvalidArgumentError("need exactly one jump history per interface")
     stacked = np.stack([jump_pieces[n] for n in mesh.J_x])     # (N+1, M, p)
     resolved = resolve_zero_sum_chain(stacked)                 # (N+2, M, p)
-    p = stacked.shape[-1]
-    h = mesh.lam / (p - 1)
-    integrals = {k: resolved[i] for i, k in enumerate(mesh.J_c)}
-    forces = {k: fd_derivative(integrals[k], h) for k in mesh.J_c}
-    return ControlSet(mesh=mesh, p=p, jumps=dict(jump_pieces),
-                      integrals=integrals, forces=forces)
+    h = mesh.lam / (stacked.shape[-1] - 1)
+    return ControlSet(mesh=mesh, jump_stack=stacked, integral_stack=resolved,
+                      force_stack=fd_derivative(resolved, h))
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +348,6 @@ def _pick_q(p: int, target: int) -> int:
 # and w-', then the early lines of w+' and w-'.  Even families are plus
 # waves.
 _WP, _WM, _DWP, _DWM, _DWP_EARLY, _DWM_EARLY = range(6)
-_FAMILIES = ((_late_line, "pieces", +1), (_late_line, "pieces", -1),
-             (_late_line, "dpieces", +1), (_late_line, "dpieces", -1),
-             (_early_line, "dpieces", +1), (_early_line, "dpieces", -1))
 
 # field name -> (first family, second family, how they combine, the
 # per-segment history added to the result, if any)
@@ -337,7 +372,7 @@ class FieldGrid:
     ``2*qx``.
 
     ``lines[family, seg]`` holds one assembled line of segment seg (see
-    the module docstring and ``_FAMILIES``); ``u_seg`` and ``f_seg`` the
+    the module docstring and ``_WP``); ``u_seg`` and ``f_seg`` the
     control integral and applied force of each segment on the t grid (both
     constant in x within a segment).  ``st`` and ``sx`` are wave samples
     per t and x grid step.  ``interface_jump_v`` and ``interface_jump_r``
@@ -377,22 +412,28 @@ class FieldGrid:
         The plus wave at window column jj of segment seg is line sample
         ``i*st + jj*sx``, the minus wave ``(P - 1) + i*st - jj*sx``: the
         window start x0 = (2*seg - N)*(P - 1)/2 cancels the segment's
-        wave-domain offset.  ``as_strided`` does no bounds checking, so the
-        extreme samples are checked first."""
+        wave-domain offset.  The view is made on the stack's buffer with
+        the strides given, which numpy checks only against the whole
+        buffer, so the extreme samples of each line are checked first."""
         n_lines, length = lines.shape
         step_x = self.sx if plus else -self.sx
         first = lo * self.st + (0 if plus else 2 * self.qx * self.sx) + col * step_x
-        ends = (first, first + (n - 1) * self.st)
-        ends += tuple(e + (width - 1) * step_x for e in ends)
-        if n and (seg < 0 or seg + n_seg > n_lines or min(ends) < 0 or max(ends) >= length):
+        span_x = (width - 1) * step_x
+        low = first + min(span_x, 0)
+        high = first + (n - 1) * self.st + max(span_x, 0)
+        if n and (seg < 0 or seg + n_seg > n_lines or low < 0 or high >= length):
             raise ReconstructionError(
-                f"field grid reads wave samples {min(ends)}..{max(ends)} of "
+                f"field grid reads wave samples {low}..{high} of "
                 f"lines {seg}..{seg + n_seg - 1} outside {n_lines} lines of {length}")
-        item = lines.itemsize
-        return as_strided(lines.reshape(-1)[seg * length + first:],
-                          shape=(n, n_seg, width),
-                          strides=(self.st * item, length * item, step_x * item),
-                          writeable=False)
+        if n == 0 or n_seg == 0 or width == 0:
+            view = np.empty((n, n_seg, width))      # reads no sample
+        else:
+            item = lines.itemsize
+            view = np.ndarray((n, n_seg, width), lines.dtype, np.ascontiguousarray(lines),
+                              (seg * length + first) * item,
+                              (self.st * item, length * item, step_x * item))
+        view.flags.writeable = False
+        return view
 
     def _block(self, names: str, lo: int, hi: int, s0: int, s1: int) -> np.ndarray:
         """The fields ``names`` (letters of "vrps") on t-rows [lo, hi) and
@@ -426,35 +467,28 @@ class FieldGrid:
             raise InvalidArgumentError(f"t-rows [{lo}, {hi}) outside a grid of {len(self.t)}")
         return self._block("vrps", lo, hi, 0, self.mesh.N)
 
-    def _edge_columns(self, names: str):
-        """For each segment in turn, the fields ``names`` (letters of
-        "vps") on every t-row at window columns 0, 1, 2 and 2qx-2, 2qx-1,
-        2qx: one new (len(names), nt, 2, 3) array per segment, the second
-        axis the left and the right group.  Column 2qx holds the next
-        segment's trace, or the last segment's own, as in :meth:`_block`.
-        The strided views are made once, for all segments."""
+    def _edge_columns(self, names: str) -> np.ndarray:
+        """The fields ``names`` (letters of "vps") at window columns 0, 1,
+        2 and 2qx-2, 2qx-1, 2qx of every segment on every t-row: a new
+        (len(names), N, 2, 3, nt) array, axis 2 the left and the right
+        group.  Column 2qx holds the next segment's trace, or the last
+        segment's own, as in :meth:`_block`."""
         nt, n_seg, two_q = len(self.t), self.mesh.N, 2 * self.qx
-        forms = []
-        for name in names:
+        out = np.empty((len(names), n_seg, 2, 3, nt))
+        for name, arr in zip(names, out):
             a, b, combine, history = _FIELD_FORMS[name]
-            views = [self._wave(self.lines[family], plus, 0, nt, 0, n_seg, col, 3)
-                     for family, plus in ((a, True), (b, False)) for col in (0, two_q - 2)]
-            forms.append((views, combine, None if history is None else getattr(self, history)))
-        for seg in range(n_seg):
-            out = np.empty((len(names), nt, 2, 3))
-            for arr, ((a_left, a_right, b_left, b_right), combine, values) in zip(out, forms):
-                combine(a_left[:, seg], b_left[:, seg], out=arr[:, 0])
-                combine(a_right[:, seg], b_right[:, seg], out=arr[:, 1])
-                if values is not None:
-                    arr += values[seg][:, None, None]
-                if seg + 1 < n_seg:
-                    combine(a_left[:, seg + 1, 0], b_left[:, seg + 1, 0], out=arr[:, 1, 2])
-                    if values is not None:
-                        arr[:, 1, 2] += values[seg + 1]
-                if two_q == 2:
-                    # the groups are the same three columns
-                    arr[:, 0] = arr[:, 1]
-            yield out
+            for group, col in enumerate((0, two_q - 2)):
+                # (seg, column, t-row) views, so the t-rows run innermost
+                combine(self._wave(self.lines[a], True, 0, nt, 0, n_seg, col, 3).transpose(1, 2, 0),
+                        self._wave(self.lines[b], False, 0, nt, 0, n_seg, col, 3).transpose(1, 2, 0),
+                        out=arr[:, group])
+            if history is not None:
+                arr += getattr(self, history)[:, None, None, :]
+            arr[:-1, 1, 2] = arr[1:, 0, 0]
+            if two_q == 2:
+                # the groups are the same three columns
+                arr[:, 0] = arr[:, 1]
+        return out
 
 
 def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
@@ -469,17 +503,23 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
     sx = (p - 1) // (2 * qx)      # wave samples per x-grid step
     nt, nx = 2 * mesh.M * qt + 1, 2 * mesh.N * qx + 1
     length = (mesh.M + 1) * (p - 1) + 1     # line samples the grid reads
-    lines = np.empty((len(_FAMILIES), mesh.N, length))
-    for seg, k in enumerate(mesh.J_s):
-        for family, (assemble, table, side) in enumerate(_FAMILIES):
-            line = assemble(getattr(waves, table)[(side, k)])
-            if len(line) < length:
-                raise ReconstructionError(
-                    f"field grid reads wave samples 0..{length - 1} "
-                    f"outside a line of {len(line)}")
-            lines[family, seg] = line[:length]
-    u_seg = np.stack([_late_line(controls.integrals[k])[::st] for k in mesh.J_s])
-    f_seg = np.stack([_late_line(controls.forces[k])[::st] for k in mesh.J_s])
+    pieces, dpieces = waves.piece_stack, waves.dpiece_stack
+    n_pieces = min(pieces.shape[-2], dpieces.shape[-2])
+    if n_pieces < mesh.M + 1:
+        raise ReconstructionError(
+            f"field grid reads wave samples 0..{length - 1} "
+            f"outside a line of {n_pieces * (p - 1) + 1}")
+    pieces, dpieces = pieces[..., :mesh.M + 1, :], dpieces[..., :mesh.M + 1, :]
+    # families _WP, _WM, _DWP, _DWM, _DWP_EARLY, _DWM_EARLY; the stacks'
+    # first axis is the side, + then -
+    lines = np.empty((6, mesh.N, length))
+    _late_line(pieces, lines[_WP:_DWP])
+    _late_line(dpieces, lines[_DWP:_DWP_EARLY])
+    _early_line(dpieces, lines[_DWP_EARLY:])
+    # the segments are controls 1..N of J_c
+    u_seg, f_seg = np.empty((mesh.N, nt)), np.empty((mesh.N, nt))
+    _late_line(controls.integral_stack[1:-1], u_seg, st)
+    _late_line(controls.force_stack[1:-1], f_seg, st)
     jump_v, jump_r = _interface_jumps(lines, u_seg, st, nt, p)
     return FieldGrid(mesh=mesh, qt=qt, qx=qx, st=st, sx=sx,
                      t=np.linspace(0.0, mesh.T, nt), x=np.linspace(-1.0, 1.0, nx),
@@ -636,7 +676,8 @@ def residual_Q(fg: FieldGrid) -> float:
       stencils that are one-sided or read the neighbour's interface trace.
       These samples are evaluated from field values: the two rows from
       3-row blocks of the grid (:meth:`FieldGrid._block`), the three
-      columns one segment at a time (:meth:`FieldGrid._edge_columns`).
+      columns of every segment in one pass over the six edge columns
+      (:meth:`FieldGrid._edge_columns`).
 
     Every temporary is either O(N*M*P), like the lines, or at most one
     segment window; none is (nt, nx).
@@ -657,17 +698,20 @@ def residual_Q(fg: FieldGrid) -> float:
         h += fg.f_seg[:, row, None]
         total += float(np.einsum("sj,j->", g * g + h * h, w[row]))
 
-    # ring columns 0, 2qx - 1 and 2qx on the other rows: their places in
-    # the (2, 3) column layout of _edge_columns
+    # ring columns 0, 2qx - 1 and 2qx on the other rows, every segment at
+    # once: their places in the (2, 3) column layout of _edge_columns
+    # (one field at a time, each freed after use, to keep the peak low)
     ring = [0, 4, 5]
-    w_ring = w[1:-1, [0, two_q - 1, two_q]]
-    for seg, (v, p, s) in enumerate(fg._edge_columns("vps")):
-        g = fd_derivative(v.reshape(nt, 6)[:, ring].T, ht).T[1:-1]
-        g -= p.reshape(nt, 6)[1:-1, ring]
-        h = fd_derivative(v[1:-1], hx).reshape(nt - 2, 6)[:, ring]
-        h -= s.reshape(nt, 6)[1:-1, ring]
-        h += fg.f_seg[seg, 1:-1, None]
-        total += float(np.einsum("ij,ij->", g * g + h * h, w_ring))
+    v = fg._edge_columns("v").reshape(n_seg, 6, nt)
+    g = fd_derivative(v[:, ring], ht)[..., 1:-1]
+    # x-stencils within each group of three columns
+    h = fd_derivative(np.moveaxis(v[..., 1:-1].reshape(n_seg, 2, 3, nt - 2), 2, -1), hx)
+    h = np.moveaxis(h, -1, 2).reshape(n_seg, 6, nt - 2)[:, ring]
+    del v
+    g -= fg._edge_columns("p").reshape(n_seg, 6, nt)[:, ring, 1:-1]
+    h -= fg._edge_columns("s").reshape(n_seg, 6, nt)[:, ring, 1:-1]
+    h += fg.f_seg[:, None, 1:-1]
+    total += float(np.einsum("sji,ij->", g * g + h * h, w[1:-1, [0, two_q - 1, two_q]]))
 
     if two_q > 2:
         lines = _residual_lines(fg, ht, hx)
@@ -711,15 +755,15 @@ def terminal_error(fg: FieldGrid, state: StateSpec) -> TerminalError:
     """Sup and L2 mismatch of the first/last field rows against the data.
 
     The terminal potential is prescribed only up to the free constant c1,
-    so the r-error at t = T is taken modulo the best additive constant
-    (reported as ``r1_offset``).
+    so the r-error at t = T is taken after subtracting the plain mean of
+    the difference over the grid columns (reported as ``r1_offset``).
+    Only v and r are evaluated, on t-rows 0 and nt - 1.
     """
     mesh = fg.mesh
     p = state.grid_p(mesh)
     stride = (p - 1) // (2 * fg.qx)
     if stride * 2 * fg.qx != p - 1:
         raise InvalidArgumentError("field grid is not aligned with the data grid")
-    pick = np.arange(len(fg.x)) * stride
 
     hx = fg.x[1] - fg.x[0]
     wx = simpson_weights(len(fg.x), hx)
@@ -727,13 +771,13 @@ def terminal_error(fg: FieldGrid, state: StateSpec) -> TerminalError:
     def norms(err):
         return float(np.max(np.abs(err))), float(math.sqrt(max(wx @ err ** 2, 0.0)))
 
-    nt = len(fg.t)
-    (v0,), (r0,), _, _ = fg.rows(0, 1)
-    (v1,), (r1,), _, _ = fg.rows(nt - 1, nt)
-    ev0 = v0 - state.v0.values[pick]
-    er0 = r0 - state.r0.values[pick]
-    ev1 = v1 - state.v1.values[pick]
-    dr1 = r1 - state.r1.values[pick]
+    nt, n_seg = len(fg.t), mesh.N
+    (v0,), (r0,) = fg._block("vr", 0, 1, 0, n_seg)
+    (v1,), (r1,) = fg._block("vr", nt - 1, nt, 0, n_seg)
+    ev0 = v0 - state.v0.values[::stride]
+    er0 = r0 - state.r0.values[::stride]
+    ev1 = v1 - state.v1.values[::stride]
+    dr1 = r1 - state.r1.values[::stride]
     offset = float(np.mean(dr1))
     er1 = dr1 - offset
 

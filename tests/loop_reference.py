@@ -22,7 +22,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import lil_matrix
 
-from rodwave.edge import DataExpr, EssentialBC, StateSpec, _pivot_priority, guard_rows, wave_key
+from rodwave.edge import (DataExpr, EssentialBC, StateSpec, _pivot_priority, guard_rows,
+                          jump_key, wave_key)
 from rodwave.energy import blockwise_simpson_weights, evaluate_objective
 from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError, SolverError
 from rodwave.mesh import counts
@@ -638,6 +639,76 @@ def junction_discontinuities(controls, k):
     """|f_k(t_j^+) - f_k(t_j^-)| at the interior piece junctions."""
     arr = controls.forces[k]
     return np.abs(arr[1:, 0] - arr[:-1, -1])
+
+
+def wave_pieces(par, entries):
+    """The wave pieces of a solution key by key, as ``waves_from_solution``
+    once stitched them: dicts (side, k) -> (M+1, p) of the pieces and of
+    their derivatives, and the largest gap between adjacent pieces."""
+    mesh, cat = par.mesh, par.catalog
+    h = mesh.lam / (entries.shape[1] - 1)
+    pieces, dpieces, gap = {}, {}, 0.0
+    for k in mesh.J_s:
+        for side in (+1, -1):
+            arr = np.stack([entries[cat.index[wave_key(side, k, m)]] for m in mesh.J_t])
+            for m in range(len(arr) - 1):
+                gap = max(gap, float(np.max(np.abs(arr[m, -1] - arr[m + 1, 0]))))
+            pieces[(side, k)] = arr
+            dpieces[(side, k)] = fd_derivative(arr, h)
+    return pieces, dpieces, gap
+
+
+def jump_pieces(par, entries):
+    """Interface n -> its (M, p) jump pieces, piece by piece."""
+    mesh, cat = par.mesh, par.catalog
+    return {n: np.stack([entries[cat.index[jump_key(n, m)]] for m in mesh.J_t[:-1]])
+            for n in mesh.J_x}
+
+
+def control_histories(mesh, jumps):
+    """Control k -> its integral and force pieces, control by control:
+    u of the first control starts the chain at 0, u_{n+1} = u_{n-1} +
+    jump_n, the mean over the controls is subtracted, and each force is
+    the per-piece derivative of its integral."""
+    first = jumps[mesh.J_x[0]]
+    h = mesh.lam / (first.shape[-1] - 1)
+    chain = [np.zeros_like(first), first.copy()]
+    for n in mesh.J_x[1:]:
+        chain.append(chain[-1] + jumps[n])
+    total = chain[0]
+    for u in chain[1:]:
+        total = total + u
+    mean = total / len(chain)
+    integrals = {k: u - mean for k, u in zip(mesh.J_c, chain)}
+    forces = {k: fd_derivative(u, h) for k, u in integrals.items()}
+    return integrals, forces
+
+
+def _late(pieces):
+    """Pieces joined sample by sample; the later piece supplies each
+    junction sample."""
+    line = [x for piece in pieces for x in piece[:-1]]
+    return np.array(line + [pieces[-1][-1]])
+
+
+def _early(pieces):
+    """Pieces joined sample by sample; the earlier piece supplies each
+    junction sample."""
+    return np.array([pieces[0][0]] + [x for piece in pieces for x in piece[1:]])
+
+
+def field_lines(pieces, dpieces, integrals, forces, mesh, st):
+    """The wave lines of a field grid, segment by segment and family by
+    family (late w+, w-, w+', w-', early w+', w-'), and the control
+    integral and force of each segment on the t grid (every st-th sample
+    of its late line)."""
+    lines = np.array([[join(table[(side, k)]) for k in mesh.J_s]
+                      for join, table, side in ((_late, pieces, +1), (_late, pieces, -1),
+                                                (_late, dpieces, +1), (_late, dpieces, -1),
+                                                (_early, dpieces, +1), (_early, dpieces, -1))])
+    u_seg = np.array([_late(integrals[k])[::st] for k in mesh.J_s])
+    f_seg = np.array([_late(forces[k])[::st] for k in mesh.J_s])
+    return lines, u_seg, f_seg
 
 
 def _gather(piece_arr, units, per_piece, resolve="late"):

@@ -3,7 +3,7 @@
 ``FieldGrid`` holds the traveling-wave lines and evaluates fields on
 demand: t-row blocks (``rows``) and the edge columns of each segment
 window that ``residual_Q`` evaluates from field values
-(``_edge_columns``).  Concatenated blocks and the edge columns must
+(``_edge_columns``, all segments in one array).  Concatenated blocks and the edge columns must
 equal, bit for bit, the whole-grid arrays of the fancy-index gather form
 (``loop_reference.fields``); no production path may evaluate all t-rows
 of all segments in one block, and the quadratures of Q and E_grid no
@@ -51,12 +51,11 @@ def test_windows_are_the_grid_columns(grids):
     fg, want = grids
     nt, two_q = len(fg.t), 2 * fg.qx
     cols = np.array([0, 1, 2, two_q - 2, two_q - 1, two_q])
-    strips = list(fg._edge_columns("vps"))
-    assert len(strips) == fg.mesh.N
-    for (j0, _), strip in zip(want.segment_windows(), strips):
-        assert strip.shape == (3, nt, 2, 3)
-        for got, name in zip(strip, "vps"):
-            assert_bits(got.reshape(nt, 6), getattr(want, name)[:, j0 + cols])
+    strips = fg._edge_columns("vps")
+    assert strips.shape == (3, fg.mesh.N, 2, 3, nt)
+    for seg, (j0, _) in enumerate(want.segment_windows()):
+        for got, name in zip(strips[:, seg], "vps"):
+            assert_bits(got.reshape(6, nt).T, getattr(want, name)[:, j0 + cols])
 
 
 def test_whole_grid_properties_match(grids):

@@ -124,11 +124,13 @@ def test_windows_share_one_kink_plan():
 @pytest.mark.parametrize("table, side", [("pieces", +1), ("pieces", -1),
                                          ("dpieces", +1), ("dpieces", -1)])
 def test_truncated_pieces_raise_instead_of_reading_past_the_line(table, side):
+    # the stack holds one piece too few, so every line of that table, the
+    # line of (side, k) among them, is short
     waves, controls, mesh = solved(3, 3, 33, trig_params(3))
     key = (side, mesh.J_s[1])
-    pieces = dict(getattr(waves, table))
-    pieces[key] = pieces[key][:-1]                 # one piece short
-    short = dataclasses.replace(waves, **{table: pieces})
+    stack = f"{table[:-1]}_stack"
+    short = dataclasses.replace(waves, **{stack: getattr(waves, stack)[..., :-1, :]})
+    assert getattr(short, table)[key].shape == (mesh.M, 33)
     with pytest.raises(ReconstructionError, match="outside a line"):
         rec.fields(short, controls, mesh)
 

@@ -226,12 +226,10 @@ def test_controls_csv_bytes_match_csv_writer(worked_example, tmp_path):
     par, mesh, sol = (worked_example[k] for k in ("par", "mesh", "sol_qp"))
     entries = par.entry_values(sol.y, sol.gamma)
     controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, entries))
-    special = dataclasses.replace(
-        controls,
-        forces={k: (_with_special(f) if k == mesh.J_c[0] else f)
-                for k, f in controls.forces.items()},
-        jumps={n: (_with_special(j) if n == mesh.J_x[-1] else j)
-               for n, j in controls.jumps.items()})
+    forces, jumps = controls.force_stack.copy(), controls.jump_stack.copy()
+    forces[0] = _with_special(forces[0])          # control J_c[0]
+    jumps[-1] = _with_special(jumps[-1])          # interface J_x[-1]
+    special = dataclasses.replace(controls, force_stack=forces, jump_stack=jumps)
     for case in (controls, special):
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         rec.write_controls_csv(case, got)

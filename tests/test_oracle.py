@@ -108,9 +108,9 @@ class TestDrivenRuns:
         # the uncorrupted one
         mesh, state, controls, _ = synthesis
         scaled = rec.ControlSet(
-            mesh=mesh, p=controls.p, jumps=controls.jumps,
-            integrals={k: 1.1 * v for k, v in controls.integrals.items()},
-            forces={k: 1.1 * v for k, v in controls.forces.items()})
+            mesh=mesh, jump_stack=controls.jump_stack,
+            integral_stack=1.1 * controls.integral_stack,
+            force_stack=1.1 * controls.force_stack)
         good = simulate(mesh, controls, state,
                         SimConfig(points_per_segment=124, cfl=1.0))
         bad = simulate(mesh, scaled, state,
@@ -216,12 +216,10 @@ def test_interface_impulses_match_loop_form_bit_for_bit(driven_n12, points, cfl)
 
 def with_nan_right_load(controls):
     """``controls`` with one sample of the right end load's integral NaN."""
-    k = controls.mesh.N + 1
-    integrals = dict(controls.integrals)
-    integrals[k] = integrals[k].copy()
-    integrals[k][1, 5] = np.nan
-    return rec.ControlSet(mesh=controls.mesh, p=controls.p, jumps=controls.jumps,
-                          integrals=integrals, forces=controls.forces)
+    integrals = controls.integral_stack.copy()
+    integrals[-1, 1, 5] = np.nan                   # control N + 1
+    return rec.ControlSet(mesh=controls.mesh, jump_stack=controls.jump_stack,
+                          integral_stack=integrals, force_stack=controls.force_stack)
 
 
 def test_nan_step_reaches_momentum_budget(driven):
