@@ -261,7 +261,7 @@ def compare(sims: Sequence[SimResult], fg: FieldGrid) -> ConvergenceReport:
     the supplied refinement ladder."""
     sup, l2, res = [], [], []
     nt = len(fg.t)
-    (v_ref,), _, _, _ = fg.rows(nt - 1, nt)
+    (v_ref,), = fg.rows(nt - 1, nt, "v")
     for sim in sims:
         v_interp = np.interp(sim.x, fg.x, v_ref)
         diff = sim.v_terminal - v_interp

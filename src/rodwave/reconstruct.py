@@ -47,13 +47,12 @@ are separable: v, p and s - f are sums or differences of a plus wave read
 at t + x and a minus wave read at t - x.  The sector-averaged energy
 density is a sum of squared derivative lines, so E_grid is a dot product
 of those lines with per-line-sample weights, the window's quadrature
-weights folded onto the line samples each window sample reads.  Where
-both stencils of Q are central and read the segment's own lines (t-rows
-1..nt-2, window columns 1..2qx-2), g and h are sums of 1-D residual lines
-read at the same two places, so they take one add or subtract of strided
-views.  The rest of the window, the ring (t-rows 0 and nt-1, window
-columns 0, 2qx-1 and 2qx), holds the one-sided stencils and those that
-read the neighbour's interface trace; it is evaluated from field values.
+weights folded onto the line samples each window sample reads.  Q's
+stencils read only the segment's own lines on window columns 1..2qx-2:
+there g and h are sums of 1-D residual lines read at the same two places
+(on t-rows 0 and nt-1, g is the one-sided t stencil of three strided
+reads of each wave).  Columns 0, 2qx-1 and 2qx, whose x stencils are
+one-sided or read the neighbour's trace, are evaluated from field values.
 The weights depend only on the mesh, the field step and the line
 geometry, (N, M, qt, qx, st, sx), and the last set built is kept, so many
 states solved on one mesh build it once.
@@ -62,14 +61,14 @@ A :class:`FieldGrid` holds the wave lines, stacked per family into (N, L)
 arrays, and the control histories on the t grid: O(N*M*P) floats, never
 an (nt, nx) array.  Every field sample is one add or subtract of two line
 samples (plus a control value), so the grid evaluates fields on demand,
-with a fixed number of numpy calls per block: blocks of t-rows for the
-terminal rows, the oracle comparison, the fields CSV and the ring rows of
-Q, and the six edge columns of every segment window at once for the ring
-columns of Q.  Whole (nt, nx)
-arrays of v, r, p, s and the per-segment energy windows would take
-23.7 MB at N = M = 12, P = 129 and 168 MB at N = M = 32; the lines take
-0.96 MB and 6.5 MB.  A view whose first or last sample would fall outside
-its line is a ``ReconstructionError``, so no view reads past its buffer.
+with a fixed number of numpy calls per block: blocks of t-rows
+(:meth:`FieldGrid.rows`) for the terminal rows, the oracle comparison and
+the fields CSV, and the six edge columns of every segment window at once
+for Q.  Whole (nt, nx) arrays of v, r, p, s and the per-segment energy
+windows would take 23.7 MB at N = M = 12, P = 129 and 168 MB at
+N = M = 32; the lines take 0.96 MB and 6.5 MB.  A view whose first or
+last sample would fall outside its line is a ``ReconstructionError``, so
+no view reads past its buffer.
 """
 
 from __future__ import annotations
@@ -378,11 +377,11 @@ class FieldGrid:
     per t and x grid step.  ``interface_jump_v`` and ``interface_jump_r``
     are the largest jumps of v and r across an interior interface, taken
     once by :func:`fields`.  The grid stores no (nt, nx) array:
-    :meth:`rows` gives v, r, p, s on a block of t-rows in a new array, an
-    interface column holding the right segment's trace and the columns at
-    x = -1 and 1 the outer segments' own.  :func:`residual_Q` and
-    :func:`rodwave.energy.mean_energy` integrate on the lines themselves,
-    with the weights of :func:`window_kinks`.
+    :meth:`rows` gives v, r, p and s, or some of them, on a block of
+    t-rows in a new array, an interface column holding the right segment's
+    trace and the columns at x = -1 and 1 the outer segments' own.
+    :func:`residual_Q` and :func:`rodwave.energy.mean_energy` integrate on
+    the lines themselves, with the weights of :func:`window_kinks`.
     """
 
     mesh: MeshConfig
@@ -435,44 +434,38 @@ class FieldGrid:
         view.flags.writeable = False
         return view
 
-    def _block(self, names: str, lo: int, hi: int, s0: int, s1: int) -> np.ndarray:
-        """The fields ``names`` (letters of "vrps") on t-rows [lo, hi) and
-        grid columns 2*qx*s0 .. 2*qx*s1, stacked in one new C-ordered
-        array.  Column 2*qx*s1 holds the trace of the segment to its right,
-        or the last segment's own at x = 1.  Elementwise, v = w+ + w-,
+    def rows(self, lo: int, hi: int, names: str = "vrps") -> np.ndarray:
+        """The fields ``names`` (letters of "vrps") on t-rows [lo, hi): a
+        new C-ordered (len(names), hi - lo, nx) array.  An interface column
+        holds the trace of the segment to its right, and the column at
+        x = 1 the last segment's own.  Elementwise, v = w+ + w-,
         r = (w+ - w-) + u, p = w+' + w-' and s = (w+' - w-') + f."""
-        n, two_q = hi - lo, 2 * self.qx
-        tail_seg = min(s1, self.mesh.N - 1)
-        tail_col = two_q * (s1 - tail_seg)
-        out = np.empty((len(names), n, two_q * (s1 - s0) + 1))
+        if not 0 <= lo <= hi <= len(self.t):
+            raise InvalidArgumentError(f"t-rows [{lo}, {hi}) outside a grid of {len(self.t)}")
+        n, n_seg, two_q = hi - lo, self.mesh.N, 2 * self.qx
+        out = np.empty((len(names), n, len(self.x)))
         for name, arr in zip(names, out):
             a, b, combine, history = _FIELD_FORMS[name]
             a, b = self.lines[a], self.lines[b]
             # splits only the contiguous last axis, so always a view of arr
-            body = arr[:, :-1].reshape(n, s1 - s0, two_q)
+            body = arr[:, :-1].reshape(n, n_seg, two_q)
             tail = arr[:, -1]
-            combine(self._wave(a, True, lo, n, s0, s1 - s0, 0, two_q),
-                    self._wave(b, False, lo, n, s0, s1 - s0, 0, two_q), out=body)
-            combine(self._wave(a, True, lo, n, tail_seg, 1, tail_col, 1)[:, 0, 0],
-                    self._wave(b, False, lo, n, tail_seg, 1, tail_col, 1)[:, 0, 0], out=tail)
+            combine(self._wave(a, True, lo, n, 0, n_seg, 0, two_q),
+                    self._wave(b, False, lo, n, 0, n_seg, 0, two_q), out=body)
+            combine(self._wave(a, True, lo, n, n_seg - 1, 1, two_q, 1)[:, 0, 0],
+                    self._wave(b, False, lo, n, n_seg - 1, 1, two_q, 1)[:, 0, 0], out=tail)
             if history is not None:
                 values = getattr(self, history)[:, lo:hi]
-                body += values[s0:s1].T[:, :, None]
-                tail += values[tail_seg]
+                body += values.T[:, :, None]
+                tail += values[-1]
         return out
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """v, r, p, s on t-rows [lo, hi): a new (4, hi - lo, nx) array."""
-        if not 0 <= lo <= hi <= len(self.t):
-            raise InvalidArgumentError(f"t-rows [{lo}, {hi}) outside a grid of {len(self.t)}")
-        return self._block("vrps", lo, hi, 0, self.mesh.N)
 
     def _edge_columns(self, names: str) -> np.ndarray:
         """The fields ``names`` (letters of "vps") at window columns 0, 1,
         2 and 2qx-2, 2qx-1, 2qx of every segment on every t-row: a new
         (len(names), N, 2, 3, nt) array, axis 2 the left and the right
         group.  Column 2qx holds the next segment's trace, or the last
-        segment's own, as in :meth:`_block`."""
+        segment's own, as in :meth:`rows`."""
         nt, n_seg, two_q = len(self.t), self.mesh.N, 2 * self.qx
         out = np.empty((len(names), n_seg, 2, 3, nt))
         for name, arr in zip(names, out):
@@ -663,21 +656,20 @@ def residual_Q(fg: FieldGrid) -> float:
     O(h^4).  The samples left out and the Simpson weights of the rest are
     those of :func:`window_kinks`, the same in every window.
 
-    The integrand is evaluated in two parts.
+    The integrand is evaluated in two parts, neither from t-row blocks.
 
-    * Interior, t-rows 1..nt-2 and window columns 1..2qx-2: both stencils
-      are central and read the segment's own lines only.  Since
-      v = w+ + w-, p = w+' + w-' and s - f = w+' - w-', there
-      g = g+[i*st + j*sx] + g-[(P - 1) + i*st - j*sx] and
-      h = h+[...] - h-[...], with the 1-D residual lines of
-      :func:`_residual_lines`: per segment one add and one subtract of
-      strided views.
-    * Ring, t-rows 0 and nt-1 and window columns 0, 2qx-1 and 2qx: the
-      stencils that are one-sided or read the neighbour's interface trace.
-      These samples are evaluated from field values: the two rows from
-      3-row blocks of the grid (:meth:`FieldGrid._block`), the three
-      columns of every segment in one pass over the six edge columns
-      (:meth:`FieldGrid._edge_columns`).
+    * Window columns 1..2qx-2, every t-row: both stencils read the
+      segment's own lines only.  Since v = w+ + w-, p = w+' + w-' and
+      s - f = w+' - w-', there h = h+[i*st + j*sx] - h-[(P - 1) + i*st -
+      j*sx] with the 1-D residual lines of :func:`_residual_lines`, and
+      on t-rows 1..nt-2 likewise g = g+[...] + g-[...]: per segment one
+      add and one subtract of strided views.  On t-rows 0 and nt-1, g is
+      the one-sided t stencil of ``fd_derivative``, (-3, 4, -1)/(2*ht) or
+      (1, -4, 3)/(2*ht), on three strided rows of w+ + w-, less w+' + w-'.
+    * Columns 0, 2qx-1 and 2qx, every t-row: the x stencils that are
+      one-sided or read the neighbour's interface trace, evaluated from
+      field values in one pass over the six edge columns of every
+      segment window (:meth:`FieldGrid._edge_columns`).
 
     Every temporary is either O(N*M*P), like the lines, or at most one
     segment window; none is (nt, nx).
@@ -685,48 +677,51 @@ def residual_Q(fg: FieldGrid) -> float:
     w = window_kinks(fg).q_weights
     n_seg, nt, two_q = fg.mesh.N, len(fg.t), 2 * fg.qx
     ht, hx = fg.t[1] - fg.t[0], fg.x[1] - fg.x[0]
-    total = 0.0
 
-    # ring rows: the window columns of each grid row, one-sided in t
-    cols = two_q * np.arange(n_seg)[:, None] + np.arange(two_q + 1)
-    for row, lo in ((0, 0), (nt - 1, nt - 3)):
-        v, p, s = fg._block("vps", lo, lo + 3, 0, n_seg)[:, :, cols]   # (3, N, W) each
-        g = fd_derivative(v.T, ht).T[row - lo]
-        g -= p[row - lo]
-        h = fd_derivative(v[row - lo], hx)
-        h -= s[row - lo]
-        h += fg.f_seg[:, row, None]
-        total += float(np.einsum("sj,j->", g * g + h * h, w[row]))
-
-    # ring columns 0, 2qx - 1 and 2qx on the other rows, every segment at
-    # once: their places in the (2, 3) column layout of _edge_columns
-    # (one field at a time, each freed after use, to keep the peak low)
-    ring = [0, 4, 5]
+    # columns 0, 2qx - 1 and 2qx: their places in the (2, 3) column layout
+    # of _edge_columns (one field at a time, each freed after use, to keep
+    # the peak low)
+    edge = [0, 4, 5]
     v = fg._edge_columns("v").reshape(n_seg, 6, nt)
-    g = fd_derivative(v[:, ring], ht)[..., 1:-1]
+    g = fd_derivative(v[:, edge], ht)
     # x-stencils within each group of three columns
-    h = fd_derivative(np.moveaxis(v[..., 1:-1].reshape(n_seg, 2, 3, nt - 2), 2, -1), hx)
-    h = np.moveaxis(h, -1, 2).reshape(n_seg, 6, nt - 2)[:, ring]
+    h = fd_derivative(np.moveaxis(v.reshape(n_seg, 2, 3, nt), 2, -1), hx)
+    h = np.moveaxis(h, -1, 2).reshape(n_seg, 6, nt)[:, edge]
     del v
-    g -= fg._edge_columns("p").reshape(n_seg, 6, nt)[:, ring, 1:-1]
-    h -= fg._edge_columns("s").reshape(n_seg, 6, nt)[:, ring, 1:-1]
-    h += fg.f_seg[:, None, 1:-1]
-    total += float(np.einsum("sji,ij->", g * g + h * h, w[1:-1, [0, two_q - 1, two_q]]))
+    g -= fg._edge_columns("p").reshape(n_seg, 6, nt)[:, edge]
+    h -= fg._edge_columns("s").reshape(n_seg, 6, nt)[:, edge]
+    h += fg.f_seg[:, None]
+    total = float(np.einsum("sji,ij->", g * g + h * h, w[:, [0, two_q - 1, two_q]]))
+    if two_q == 2:
+        return total
 
-    if two_q > 2:
-        lines = _residual_lines(fg, ht, hx)
-        gp, gm, hp, hm = (fg._wave(line, plus, 1, nt - 2, 0, n_seg, 1, two_q - 2)
-                          for line, plus in zip(lines, (True, False, True, False)))
-        w_interior = w[1:-1, 1:-2]
-        g = np.empty(w_interior.shape)
-        h = np.empty(w_interior.shape)
-        for seg in range(n_seg):
-            np.add(gp[:, seg], gm[:, seg], out=g)
-            np.subtract(hp[:, seg], hm[:, seg], out=h)
-            g *= g
-            h *= h
-            g += h
-            total += float(np.einsum("ij,ij->", g, w_interior))
+    width = two_q - 2
+    lines = _residual_lines(fg, ht, hx)
+    # on t-rows 0 and nt - 1 only h+ and h- are read: g+ and g- may be NaN there
+    gp, gm, hp, hm = (fg._wave(line, plus, 0, nt, 0, n_seg, 1, width)
+                      for line, plus in zip(lines, (True, False, True, False)))
+    # t-rows 0 and nt - 1: the one-sided t stencils of fd_derivative on
+    # t-rows 0..2 and nt-3..nt-1 of w+ + w-, less w+' + w-' on the end row
+    for lo, end, stencil in ((0, 0, (-3.0, 4.0, -1.0)), (nt - 3, 2, (1.0, -4.0, 3.0))):
+        v, p = (fg._wave(fg.lines[fam_p], True, lo, 3, 0, n_seg, 1, width)
+                + fg._wave(fg.lines[fam_m], False, lo, 3, 0, n_seg, 1, width)
+                for fam_p, fam_m in ((_WP, _WM), (_DWP, _DWM)))
+        g = np.tensordot(stencil, v, 1) / (2.0 * ht)
+        g -= p[end]
+        h = hp[lo + end] - hm[lo + end]
+        total += float(np.einsum("sj,j->", g * g + h * h, w[lo + end, 1:-2]))
+
+    # t-rows 1..nt-2: central stencils on the residual lines
+    w_interior = w[1:-1, 1:-2]
+    g = np.empty(w_interior.shape)
+    h = np.empty(w_interior.shape)
+    for seg in range(n_seg):
+        np.add(gp[1:-1, seg], gm[1:-1, seg], out=g)
+        np.subtract(hp[1:-1, seg], hm[1:-1, seg], out=h)
+        g *= g
+        h *= h
+        g += h
+        total += float(np.einsum("ij,ij->", g, w_interior))
     return total
 
 
@@ -771,9 +766,8 @@ def terminal_error(fg: FieldGrid, state: StateSpec) -> TerminalError:
     def norms(err):
         return float(np.max(np.abs(err))), float(math.sqrt(max(wx @ err ** 2, 0.0)))
 
-    nt, n_seg = len(fg.t), mesh.N
-    (v0,), (r0,) = fg._block("vr", 0, 1, 0, n_seg)
-    (v1,), (r1,) = fg._block("vr", nt - 1, nt, 0, n_seg)
+    (v0,), (r0,) = fg.rows(0, 1, "vr")
+    (v1,), (r1,) = fg.rows(len(fg.t) - 1, len(fg.t), "vr")
     ev0 = v0 - state.v0.values[::stride]
     er0 = r0 - state.r0.values[::stride]
     ev1 = v1 - state.v1.values[::stride]

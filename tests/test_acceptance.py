@@ -5,7 +5,9 @@ Criterion 7 (the N = 2 energy plateau at 1e-8) is marked as an expected
 failure: the true optimal values genuinely differ across horizons at the
 1e-5 level (confirmed by an independent direct-transcription optimizer and
 by near-exact forward simulation of both optima; see the companion test
-that pins the actual behavior).  All other criteria pass.
+that pins the actual behavior, and test_criterion_7_n2_law for the law
+T*E(M,2) = T*E(2,2) + b*(M - 2)/(M - 1) it follows).  All other criteria
+pass.
 """
 
 import json
@@ -28,10 +30,12 @@ from rodwave.energy import assemble_qp, build_weights, mean_energy
 from rodwave.solver import compare_solvers, constraint_residual, solve_qp
 from rodwave import reconstruct as rec
 from rodwave.oracle import SimConfig, compare as oracle_compare, simulate
-from rodwave.cli import EXIT_INFEASIBLE, EXIT_OK, RunConfig, run_solve
+from rodwave.cli import (EXIT_INFEASIBLE, EXIT_OK, RunConfig, run_solve, solve_pipeline,
+                         validate_config)
 from conftest import (assemble_all, conjugate_vector, example_state, solve_closed_form,
                       structure_of)
 from loop_reference import edge_residuals, gamma_dict, junction_discontinuities
+from test_field_views import trig_params
 
 
 def report(criterion, ok, detail):
@@ -213,6 +217,29 @@ def test_criterion_7_actual_behavior(sweep_table):
     report("7b", True,
            f"T*E(M,2) spread over M in 2..6 is {spread:.2e} "
            f"(monotone, {spread / base:.1e} relative)")
+
+
+N2_LAW_STATES = {"paper_example": {"preset": "paper_example"},
+                 "trig-3": {"preset": "trig", "preset_params": trig_params(3)},
+                 "trig-6": {"preset": "trig", "preset_params": trig_params(6)}}
+
+
+@pytest.mark.parametrize("p", [33, 129])
+@pytest.mark.parametrize("state", sorted(N2_LAW_STATES))
+def test_criterion_7_n2_law(state, p):
+    """The law behind the N = 2 deviation: T*E(M,2) = T*E(2,2) +
+    b*(M - 2)/(M - 1), so b(M) = (T*E(M,2) - T*E(2,2))*(M - 1)/(M - 2)
+    is one constant over M = 3..12, to 1e-12 absolute."""
+    te = {}
+    for m in range(2, 13):
+        config = validate_config({"N": 2, "M": m, "P": p, **N2_LAW_STATES[state]})
+        out = solve_pipeline(config, reconstruct=False)
+        te[m] = out["mesh"].T * out["primary"].objective
+    b = [(te[m] - te[2]) * (m - 1) / (m - 2) for m in range(3, 13)]
+    spread = max(b) - min(b)
+    report("7c", spread <= 1e-12,
+           f"{state}, P = {p}: b = {b[0]:.7e}, spread over M in 3..12 {spread:.1e}")
+    assert spread <= 1e-12
 
 
 def test_criterion_8_force_discontinuity_pattern():

@@ -3,11 +3,11 @@
 ``FieldGrid`` holds the traveling-wave lines and evaluates fields on
 demand: t-row blocks (``rows``) and the edge columns of each segment
 window that ``residual_Q`` evaluates from field values
-(``_edge_columns``, all segments in one array).  Concatenated blocks and the edge columns must
-equal, bit for bit, the whole-grid arrays of the fancy-index gather form
-(``loop_reference.fields``); no production path may evaluate all t-rows
-of all segments in one block, and the quadratures of Q and E_grid no
-block of more than 3 t-rows.
+(``_edge_columns``, all segments in one array).  Concatenated blocks and
+the edge columns must equal, bit for bit, the whole-grid arrays of the
+fancy-index gather form (``loop_reference.fields``); no production path
+may evaluate all t-rows in one block, and the quadratures of Q and E_grid
+no t-row block at all.
 """
 
 import numpy as np
@@ -91,17 +91,16 @@ def test_fields_csv_matches_the_whole_arrays(n, m, p, qt, qx, tmp_path):
 
 @pytest.fixture
 def no_whole_grid(monkeypatch):
-    """Make FieldGrid._block refuse a block of all t-rows and all
-    segments, here and in forked children.  The grids of these tests have
-    N >= 2, where one segment window is not the whole grid."""
-    block = rec.FieldGrid._block
+    """Make FieldGrid.rows refuse a block of all t-rows, here and in
+    forked children."""
+    rows = rec.FieldGrid.rows
 
-    def guarded(self, names, lo, hi, s0, s1):
-        if (lo, hi, s0, s1) == (0, len(self.t), 0, self.mesh.N):
+    def guarded(self, lo, hi, names="vrps"):
+        if (lo, hi) == (0, len(self.t)):
             raise AssertionError("a whole-grid block of FieldGrid on a production path")
-        return block(self, names, lo, hi, s0, s1)
+        return rows(self, lo, hi, names)
 
-    monkeypatch.setattr(rec.FieldGrid, "_block", guarded)
+    monkeypatch.setattr(rec.FieldGrid, "rows", guarded)
 
 
 def test_guard_refuses_a_whole_grid_block(no_whole_grid):
@@ -135,27 +134,23 @@ def test_pipeline_reads_no_whole_grid(no_whole_grid):
 
 
 @pytest.fixture
-def three_row_blocks(monkeypatch):
-    """Make FieldGrid._block refuse a block of more than 3 t-rows."""
-    block = rec.FieldGrid._block
+def no_row_blocks(monkeypatch):
+    """Make FieldGrid.rows refuse every call."""
+    def refused(self, lo, hi, names="vrps"):
+        raise AssertionError(f"a block of t-rows [{lo}, {hi}) of FieldGrid")
 
-    def guarded(self, names, lo, hi, s0, s1):
-        if hi - lo > 3:
-            raise AssertionError(f"a block of {hi - lo} t-rows of FieldGrid")
-        return block(self, names, lo, hi, s0, s1)
-
-    monkeypatch.setattr(rec.FieldGrid, "_block", guarded)
+    monkeypatch.setattr(rec.FieldGrid, "rows", refused)
 
 
-# (N, M, qt, qx): at qx = 2 the interior of a window is 2 columns wide,
-# at qx = 1 empty; at N = 1 the last window column is the grid's own
+# (N, M, qt, qx): at qx = 2 the own-line columns of a window are 2 wide,
+# at qx = 1 none; at N = 1 the last window column is the grid's own
 @pytest.mark.parametrize("n, m, qt, qx", [(6, 6, 2, 2), (1, 3, None, None), (1, 4, 2, 2),
                                           (3, 2, 4, 1)])
-def test_quadratures_read_at_most_three_rows(three_row_blocks, n, m, qt, qx):
+def test_quadratures_read_no_rows(no_row_blocks, n, m, qt, qx):
     waves, controls, mesh = solved(n, m, 129, trig_params(11 * n + m))
     fg = rec.fields(waves, controls, mesh, qt, qx)
     want = ref.fields(waves, controls, mesh, qt, qx)
-    with pytest.raises(AssertionError, match="4 t-rows"):
-        fg.rows(0, 4)
+    with pytest.raises(AssertionError, match="t-rows"):
+        fg.rows(0, 1)
     assert_close(rec.residual_Q(fg), ref.residual_Q_windows(want), Q_REL)
     assert_close(mean_energy(fg), ref.mean_energy(want), E_REL)
