@@ -31,6 +31,7 @@ from .edge import (
     BoundaryStructure,
     EdgeSystem,
     EssentialBC,
+    JunctionRows,
     Parametrization,
     StateSpec,
     assemble_edge_constraints,

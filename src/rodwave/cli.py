@@ -17,7 +17,9 @@ Configs are UTF-8 JSON.  Keys:
     oracle          true/false (default false)
     oracle_points_per_segment, oracle_cfl
                     oracle resolution; unset, solve uses 125 and 0.9,
-                    verify 500 and 1.0; a finest rung past
+                    verify max(500, ceil(4000 / N)) (lowered to fit the
+                    limits below, but not under 500) and 1.0; a finest
+                    rung past
                     ORACLE_MAX_CELL_STEPS cells times steps or
                     ORACLE_MAX_STEPS time steps exits 2
     field_samples   samples per half-layer of the output field grid;
@@ -62,6 +64,7 @@ from .edge import (
     DATA_NAMES,
     BoundaryStructure,
     EdgeSystem,
+    JunctionRows,
     Parametrization,
     StateSpec,
     assemble_edge_constraints,
@@ -82,9 +85,13 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_INVARIANT = 4
 
-# (oracle_cfl, oracle_points_per_segment) for settings a config leaves unset
+# (oracle_cfl, oracle_points_per_segment) for settings a config leaves unset;
+# verify's points are the fewest it takes (_verify_oracle_defaults)
 SOLVE_ORACLE = (0.9, 125)
 VERIFY_ORACLE = (1.0, 500)   # unit Courant number, where the scheme is sharpest
+# Oracle points on the whole rod that verify's default aims for: the points
+# are per segment, and a mesh of few segments needs more of them each
+VERIFY_ORACLE_POINTS = 4000
 # Largest oracle accepted, in cells times time steps of its finest rung
 # (oracle.cell_steps); it admits the verify settings up to N = M = 32.
 # solve and verify reject a larger one with exit 2 before any solve starts.
@@ -386,7 +393,7 @@ class SolveOperator:
 
     key: tuple
     mesh: MeshConfig
-    vertex_rows: tuple
+    vertex_rows: JunctionRows
     system: EdgeSystem
     par: Parametrization
     boundary: BoundaryStructure
@@ -614,6 +621,29 @@ def _with_oracle_defaults(config: RunConfig, defaults) -> RunConfig:
                                    else config.oracle_points_per_segment))
 
 
+def _verify_oracle_defaults(config: RunConfig) -> tuple:
+    """(cfl, points per segment) for the oracle settings ``verify``'s
+    config leaves unset: CFL 1.0, and max(500, ceil(4000 / N)) points,
+    lowered to the most whose finest rung stays within
+    ``ORACLE_MAX_CELL_STEPS`` and ``ORACLE_MAX_STEPS`` at that CFL, but
+    never below 500."""
+    cfl = VERIFY_ORACLE[0] if config.oracle_cfl is None else config.oracle_cfl
+    least = VERIFY_ORACLE[1]
+
+    def fits(points):
+        return (cell_steps(config.N, config.M, points, cfl) <= ORACLE_MAX_CELL_STEPS
+                and time_steps(config.M, points, cfl) <= ORACLE_MAX_STEPS)
+
+    points = max(least, -(-VERIFY_ORACLE_POINTS // config.N))
+    if not fits(points):
+        lo, hi = least, points          # the most that fits lies in [lo, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        points = lo
+    return cfl, points
+
+
 def _check_oracle_size(config: RunConfig) -> None:
     """Reject resolved oracle settings whose finest rung exceeds
     ``ORACLE_MAX_CELL_STEPS`` cells times steps or ``ORACLE_MAX_STEPS``
@@ -835,8 +865,9 @@ def run_verify(config: RunConfig) -> int:
     consistency, constitutive residual, control structure, the KKT
     cross-check of the closed form (whatever ``solver`` says), and the
     finite-difference oracle ladder.  Oracle settings the config leaves
-    unset are taken from ``VERIFY_ORACLE``."""
-    config = replace(_with_oracle_defaults(config, VERIFY_ORACLE), solver="both")
+    unset are taken from :func:`_verify_oracle_defaults`."""
+    config = replace(_with_oracle_defaults(config, _verify_oracle_defaults(config)),
+                     solver="both")
     checks = []
 
     def check(name, ok, detail=""):

@@ -7,14 +7,44 @@ integrals at each interface n.  Matching the pieces across initial,
 terminal, boundary and interelement mesh edges yields a linear system
 whose coefficients are small integers and whose right-hand sides are
 compositions of the prescribed state profiles with affine arguments.
+The rows are index arrays built from the mesh formulas
+(:class:`EdgeSystem`); a right-hand side names data keys
+(:func:`data_keys`: a profile window of a segment, forward or reflected,
+or a boundary constant) and free terminal constants, never data.
 
 The system is eliminated exactly down to the affine parametrization
 ``w(z) = A y(z) + C_gamma gamma + g(z)`` in the surviving free functions
-y and the per-segment free terminal constants gamma (every coefficient
-met on the way is a small dyadic rational, so the elimination runs in
-floats without rounding; see :func:`eliminate` for the guards);
-mesh-vertex continuity then becomes the two-point boundary condition
-``B1 y(lambda) - B0 y(0) = B_gamma gamma + b0`` on the free functions.
+y and the per-segment free terminal constants gamma:
+
+* Characteristic rows.  The sum and the difference of each interelement
+  pair are transport relations along the two characteristics,
+  ``2 w+(n-1, m+2) - 2 w+(n+1, m) = u(n, m)`` and
+  ``2 w-(n-1, m) - 2 w-(n+1, m+2) = -u(n, m)``; the boundary rows have
+  that form already, and the initial and terminal pairs give each data
+  wave alone.
+* Free set.  The paper's resolution scheme, in closed form
+  (:func:`free_columns`): the interior jumps of layers 2..2M-4, and the
+  central waves of layers 2..2M-2 for odd N, or for even N the '-' wave
+  of k = +1 on layers 2..2M-2, the '+' wave of k = -1 on layers
+  4..2M-2 and the '-' wave of k = -1 on layer 2M-2.
+* Level substitution.  Every other entry is solved by one triangular
+  substitution: a level takes every unused row with exactly one unsolved
+  entry and solves all of them at once, with pivots +-1 or +-2.  At
+  N = M there are N/2 + 3 levels (9 at N = 12, 35 at N = 64), and N + 2
+  when M = 2.
+* Proof on every build.  No two rows of a level solve one entry, no row
+  or entry is left unsolved, every pivot is a power of two, every final
+  coefficient is a multiple of 1/2, and the given rows hold exactly
+  (W X - R is 0.0); any failure is an :class:`AssemblyError`.  Every
+  value met is then a small dyadic rational, so the floats are exact.
+* g's terms.  Each entry's data terms are the nonzeros of its row of
+  data coefficients; :meth:`Parametrization.g_matrix` adds them up in
+  the canonical key order of :func:`data_keys`, windows before
+  constants.
+
+Mesh-vertex continuity then becomes the two-point boundary condition
+``B1 y(lambda) - B0 y(0) = B_gamma gamma + b0`` on the free functions,
+with the vertex rows index arrays too (:class:`JunctionRows`).
 
 Only the data parts depend on the state: the edge rows, their elimination
 and :func:`boundary_structure` are built once per mesh, a state is bound by
@@ -121,7 +151,7 @@ class StateSpec:
 
 
 # ---------------------------------------------------------------------------
-# Unknown catalog
+# Unknown catalog and data keys
 # ---------------------------------------------------------------------------
 
 
@@ -171,156 +201,157 @@ def build_catalog(mesh: MeshConfig) -> UnknownCatalog:
     return UnknownCatalog(mesh=mesh, entries=tuple(entries), index=index)
 
 
-# ---------------------------------------------------------------------------
-# Data expressions (right-hand sides and eliminated entries)
-# ---------------------------------------------------------------------------
+def _layout(mesh: MeshConfig) -> tuple:
+    """The catalog columns as arrays: the waves [segment, layer, side
+    (+ then -)] and the jumps [interface, layer], layers in ``J_t``
+    order."""
+    n_w = 2 * (mesh.M + 1) * mesh.N
+    return (np.arange(n_w).reshape(mesh.N, mesh.M + 1, 2),
+            np.arange(n_w, n_w + (mesh.N + 1) * mesh.M).reshape(mesh.N + 1, mesh.M))
 
 
-class DataExpr:
-    """Affine combination of data windows, boundary constants, and the
-    free terminal constants.
+# The boundary constants the edge rows read: r0 at x = -1 and at x = +1.
+CONST_KEYS = (("r0", -1), ("r0", +1))
 
-    ``terms[(name, orient, shift)] = coef`` stands for
-    ``coef * name(orient*z + shift*lam/2)``; ``consts[(name, end)] = coef``
-    stands for ``coef * name(end)`` with end = +/-1; ``gammas[k]`` is the
-    coefficient of segment k's free terminal-potential constant (the
-    terminal potential is prescribed only up to a constant, and each
-    segment carries its own because the control integrals shift it
-    segment-wise at t = T).
 
-    Coefficients are floats holding small dyadic rationals, so sums and
-    products of them are exact.  The insertion order of each dict is the
-    order in which :meth:`Parametrization.g_matrix` adds the terms up.
-    """
+def data_keys(mesh: MeshConfig) -> tuple:
+    """The data keys of the mesh in canonical order: the columns of the
+    data coefficients, and the order in which g adds its terms up.
 
-    __slots__ = ("terms", "consts", "gammas")
+    Key (name, orient, shift) stands for ``name(orient*z + shift*lam/2)``,
+    the window of segment k = shift + orient read forward (orient +1,
+    shift k - 1) or reflected (orient -1, shift k + 1); key (name, end)
+    stands for ``name(end)``.  For each profile of ``DATA_NAMES`` come the
+    forward windows of every segment, k ascending, then the reflected
+    ones; the boundary constants ``CONST_KEYS`` come last.  Reflecting
+    z -> lambda - z swaps the two windows of a segment and keeps a
+    constant."""
+    return tuple((name, orient, k - orient) for name in DATA_NAMES
+                 for orient in (+1, -1) for k in mesh.J_s) + CONST_KEYS
 
-    def __init__(self, terms=None, consts=None, gammas=None):
-        self.terms = dict(terms or {})
-        self.consts = dict(consts or {})
-        self.gammas = dict(gammas or {})
 
-    def copy(self) -> "DataExpr":
-        return DataExpr(self.terms, self.consts, self.gammas)
-
-    def add_scaled(self, other: "DataExpr", coef: float) -> None:
-        if coef == 0:
-            return
-        for mine, theirs in ((self.terms, other.terms), (self.consts, other.consts),
-                             (self.gammas, other.gammas)):
-            for key, c in theirs.items():
-                new = mine.get(key, 0.0) + coef * c
-                if new == 0:
-                    mine.pop(key, None)
-                else:
-                    mine[key] = new
+def _n_windows(mesh: MeshConfig) -> int:
+    """The number of window keys of :func:`data_keys`; the constants follow."""
+    return 2 * len(DATA_NAMES) * mesh.N
 
 
 # ---------------------------------------------------------------------------
 # Edge rows and system
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class EdgeRow:
-    """One edge constraint: sum of coef * entry(orient*z ...) = rhs(z).
-
-    ``terms`` holds (column, integer coef, orient); orient = -1 means the
-    unknown is evaluated at the reflected argument lambda - z (this occurs
-    only in initial and terminal rows, on the '-' wave).
-    """
-
-    kind: str
-    label: tuple
-    terms: tuple
-    rhs: DataExpr
+EDGE_KINDS = ("initial_v", "initial_r", "terminal_v", "terminal_r",
+              "boundary_left", "boundary_right", "inter_v", "inter_r")
+# eliminate adds and subtracts the i-th row of the first kind of a pair
+# and the i-th row of the second, which share their waves
+_PAIRED_KINDS = (("initial_v", "initial_r"), ("terminal_v", "terminal_r"),
+                 ("inter_v", "inter_r"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeSystem:
-    """The edge rows of one mesh.  Their right-hand sides are symbolic
-    (:class:`DataExpr`), so the system holds no state."""
+    """The edge rows of one mesh as index arrays; they hold no state.
+
+    Term t is ``coef[t] * entry[t](z)`` in row ``row[t]``, read at the
+    reflected argument lambda - z where ``orient[t]`` is -1 (the '-'
+    waves of the initial and terminal rows); the terms are sorted by row,
+    each row's in its own order.  Row r is of kind ``EDGE_KINDS[kind[r]]``.
+    The right-hand side of row ``rhs_row[i]`` holds ``rhs_coef[i]`` times
+    column ``rhs_col[i]``: column j < N is the free terminal constant of
+    segment ``J_s[j]``, column N + q the data key q of :func:`data_keys`.
+    """
 
     mesh: MeshConfig
     catalog: UnknownCatalog
-    rows: tuple
+    kind: np.ndarray = field(repr=False)
+    row: np.ndarray = field(repr=False)
+    entry: np.ndarray = field(repr=False)
+    coef: np.ndarray = field(repr=False)
+    orient: np.ndarray = field(repr=False)
+    rhs_row: np.ndarray = field(repr=False)
+    rhs_col: np.ndarray = field(repr=False)
+    rhs_coef: np.ndarray = field(repr=False)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.kind)
 
     @property
     def coefficient_matrix(self) -> np.ndarray:
         """Integer coefficient matrix C (orientations not represented)."""
-        c = np.zeros((len(self.rows), self.catalog.N_v), dtype=int)
-        for i, row in enumerate(self.rows):
-            for col, coef, _ in row.terms:
-                c[i, col] = coef
+        c = np.zeros((self.n_rows, self.catalog.N_v), dtype=int)
+        c[self.row, self.entry] = self.coef
         return c
 
 
 def assemble_edge_constraints(mesh: MeshConfig) -> EdgeSystem:
-    """Build all N_e edge rows of the mesh."""
+    """Build all N_e edge rows of the mesh, straight from the mesh
+    formulas, in this order: per segment k an initial_v and an initial_r
+    row, then per segment a terminal_v and a terminal_r row, per layer
+    m < 2M a boundary_left and a boundary_right row, and per interior
+    interface n and layer m < 2M an inter_v and an inter_r row::
+
+        initial_v    w+(k, 0)(z) + w-(k, 0)(lam - z) = v0(z + (k-1) lam/2)
+        initial_r    w+(k, 0)(z) - w-(k, 0)(lam - z) = r0(z + (k-1) lam/2)
+        terminal_v   the same at layer 2M with v1
+        terminal_r   the same at layer 2M with r1, plus gamma_k
+        boundary_l   w-(1-N, m+2) - w+(1-N, m) - u(-N, m) = -r0(-1)
+        boundary_r   w+(N-1, m+2) - w-(N-1, m) - u(N, m)  = r0(+1)
+        inter_v      w+(n-1, m+2) + w-(n-1, m) - w+(n+1, m) - w-(n+1, m+2) = 0
+        inter_r      w+(n-1, m+2) - w-(n-1, m) - w+(n+1, m) + w-(n+1, m+2)
+                     - u(n, m) = 0
+
+    Each term's entries are a slice of the catalog layout: waves
+    [segment, layer, side], jumps [interface, layer].
+    """
+    N, M = mesh.N, mesh.M
     cat = build_catalog(mesh)
-    ix = cat.index
-    M2 = 2 * mesh.M
-    rows = []
+    wave, jump = _layout(mesh)
+    n_rows = counts(N, M).N_e
+    kind = np.zeros(n_rows, np.intp)
+    ents, coefs = np.zeros((n_rows, 5), np.intp), np.zeros((n_rows, 5), np.intp)
+    orients = np.ones((n_rows, 5), np.intp)
+    rhs_cols, rhs_coefs = np.zeros((n_rows, 2), np.intp), np.zeros((n_rows, 2), np.intp)
 
-    one = 1.0
-    for k in mesh.J_s:
-        rows.append(EdgeRow(
-            kind="initial_v", label=(k,),
-            terms=((ix[wave_key(+1, k, 0)], 1, +1),
-                   (ix[wave_key(-1, k, 0)], 1, -1)),
-            rhs=DataExpr({("v0", +1, k - 1): one})))
-        rows.append(EdgeRow(
-            kind="initial_r", label=(k,),
-            terms=((ix[wave_key(+1, k, 0)], 1, +1),
-                   (ix[wave_key(-1, k, 0)], -1, -1)),
-            rhs=DataExpr({("r0", +1, k - 1): one})))
-    for k in mesh.J_s:
-        rows.append(EdgeRow(
-            kind="terminal_v", label=(k,),
-            terms=((ix[wave_key(+1, k, M2)], 1, +1),
-                   (ix[wave_key(-1, k, M2)], 1, -1)),
-            rhs=DataExpr({("v1", +1, k - 1): one})))
-        rows.append(EdgeRow(
-            kind="terminal_r", label=(k,),
-            terms=((ix[wave_key(+1, k, M2)], 1, +1),
-                   (ix[wave_key(-1, k, M2)], -1, -1)),
-            rhs=DataExpr({("r1", +1, k - 1): one}, gammas={k: one})))
-    kl, kr = 1 - mesh.N, mesh.N - 1
-    for m in mesh.J_t[:-1]:
-        rows.append(EdgeRow(
-            kind="boundary_left", label=(m,),
-            terms=((ix[wave_key(-1, kl, m + 2)], 1, +1),
-                   (ix[wave_key(+1, kl, m)], -1, +1),
-                   (ix[jump_key(-mesh.N, m)], -1, +1)),
-            rhs=DataExpr(consts={("r0", -1): -one})))
-        rows.append(EdgeRow(
-            kind="boundary_right", label=(m,),
-            terms=((ix[wave_key(+1, kr, m + 2)], 1, +1),
-                   (ix[wave_key(-1, kr, m)], -1, +1),
-                   (ix[jump_key(mesh.N, m)], -1, +1)),
-            rhs=DataExpr(consts={("r0", +1): one})))
-    for n in mesh.interior_interfaces():
-        for m in mesh.J_t[:-1]:
-            rows.append(EdgeRow(
-                kind="inter_v", label=(n, m),
-                terms=((ix[wave_key(+1, n - 1, m + 2)], 1, +1),
-                       (ix[wave_key(-1, n - 1, m)], 1, +1),
-                       (ix[wave_key(+1, n + 1, m)], -1, +1),
-                       (ix[wave_key(-1, n + 1, m + 2)], -1, +1)),
-                rhs=DataExpr()))
-            rows.append(EdgeRow(
-                kind="inter_r", label=(n, m),
-                terms=((ix[wave_key(+1, n - 1, m + 2)], 1, +1),
-                       (ix[wave_key(-1, n - 1, m)], -1, +1),
-                       (ix[wave_key(+1, n + 1, m)], -1, +1),
-                       (ix[wave_key(-1, n + 1, m + 2)], 1, +1),
-                       (ix[jump_key(n, m)], -1, +1)),
-                rhs=DataExpr()))
+    def rows(first: int, name: str, terms, rhs=()) -> None:
+        """Write rows first, first + 2, ... of kind ``name`` from
+        ``terms`` (entries, coef, orient) and ``rhs`` (columns, coef)."""
+        block = slice(first, first + 2 * len(terms[0][0]), 2)
+        kind[block] = EDGE_KINDS.index(name)
+        for j, (ent, coef, orient) in enumerate(terms):
+            ents[block, j], coefs[block, j], orients[block, j] = ent, coef, orient
+        for j, (col, coef) in enumerate(rhs):
+            rhs_cols[block, j], rhs_coefs[block, j] = col, coef
 
-    sc = counts(mesh.N, mesh.M)
-    if len(rows) != sc.N_e:
-        raise AssemblyError(f"assembled {len(rows)} rows, expected {sc.N_e}")
-    return EdgeSystem(mesh=mesh, catalog=cat, rows=tuple(rows))
+    def forward(name):
+        """The right-hand-side columns of the forward windows of ``name``."""
+        return N + 2 * N * DATA_NAMES.index(name) + np.arange(N)
+
+    for start, layer, names, kinds in (
+            (0, 0, ("v0", "r0"), ("initial_v", "initial_r")),
+            (2 * N, M, ("v1", "r1"), ("terminal_v", "terminal_r"))):
+        plus, minus = wave[:, layer, 0], wave[:, layer, 1]
+        rows(start, kinds[0], [(plus, 1, +1), (minus, 1, -1)], [(forward(names[0]), 1)])
+        rows(start + 1, kinds[1], [(plus, 1, +1), (minus, -1, -1)],
+             [(forward(names[1]), 1)] + ([(np.arange(N), 1)] if layer else []))
+    r0_left = N + _n_windows(mesh)                # the columns of CONST_KEYS
+    rows(4 * N, "boundary_left", [(wave[0, 1:, 1], 1, +1), (wave[0, :-1, 0], -1, +1),
+                                  (jump[0], -1, +1)], [(r0_left, -1)])
+    rows(4 * N + 1, "boundary_right", [(wave[-1, 1:, 0], 1, +1), (wave[-1, :-1, 1], -1, +1),
+                                       (jump[-1], -1, +1)], [(r0_left + 1, 1)])
+    # interface n = J_x[i] lies between segments i - 1 and i
+    waves = [a.ravel() for a in (wave[:-1, 1:, 0], wave[:-1, :-1, 1],
+                                 wave[1:, :-1, 0], wave[1:, 1:, 1])]
+    start = 4 * N + 2 * M
+    rows(start, "inter_v", [(e, c, +1) for e, c in zip(waves, (1, 1, -1, -1))])
+    rows(start + 1, "inter_r", [(e, c, +1) for e, c in zip(waves, (1, -1, -1, 1))]
+         + [(jump[1:-1].ravel(), -1, +1)])
+    keep, rhs_keep = coefs.ravel() != 0, rhs_coefs.ravel() != 0
+    return EdgeSystem(
+        mesh=mesh, catalog=cat, kind=kind,
+        row=np.repeat(np.arange(n_rows), 5)[keep], entry=ents.ravel()[keep],
+        coef=coefs.ravel()[keep], orient=orients.ravel()[keep],
+        rhs_row=np.repeat(np.arange(n_rows), 2)[rhs_keep],
+        rhs_col=rhs_cols.ravel()[rhs_keep], rhs_coef=rhs_coefs.ravel()[rhs_keep])
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +394,11 @@ class Parametrization:
     ``gamma`` collects one free terminal-potential constant per segment
     (the terminal state fixes the potential only up to such constants).
     A and C_gamma are exact: every entry is a multiple of 1/2, held as a
-    float.  g is a per-entry :class:`DataExpr` sampled against the bound
-    state profiles by a gather over term slots that depends only on the
-    mesh.
+    float.  g is the data part: entry ``data_entry[i]`` holds
+    ``data_coef[i]`` times the data key ``data_keys[data_key[i]]``
+    (:func:`data_keys`), the nonzero data coefficients entry by entry, an
+    entry's keys ascending.  g is sampled against the bound state profiles
+    by a gather over term slots that depends only on the mesh.
 
     ``wave_index[side, seg, piece]`` is the catalog entry of wave piece
     (side + then -, segment ``J_s[seg]``, layer ``J_t[piece]``) and
@@ -378,47 +411,46 @@ class Parametrization:
     (:attr:`bound_state`).
     """
 
-    def __init__(self, mesh, catalog, free_map, a_rows, g_exprs):
+    def __init__(self, mesh, catalog, free_map, A, C_gamma, data):
         self.mesh = mesh
         self.catalog = catalog
         self.state: Optional[StateSpec] = None
         self.free_map = tuple(free_map)       # y index -> catalog key
-        self.g_exprs = tuple(g_exprs)
         self.gamma_map = tuple(mesh.J_s)      # gamma index -> segment k
-        gamma_pos = {k: i for i, k in enumerate(self.gamma_map)}
-        n_v, n_s = catalog.N_v, len(self.free_map)
-        a_mat = np.zeros((n_v, n_s))
-        c_mat = np.zeros((n_v, len(self.gamma_map)))
-        for e, row in enumerate(a_rows):
-            for j, c in row.items():
-                a_mat[e, j] = c
-            for k, c in g_exprs[e].gammas.items():
-                c_mat[e, gamma_pos[k]] = c
-        a_mat.setflags(write=False)           # shared by every rebound copy
-        c_mat.setflags(write=False)
-        self.A = a_mat
-        self.C_gamma = c_mat
-        name_pos = {name: i for i, name in enumerate(DATA_NAMES)}
-        self._term_slots = _slots([
-            [(name_pos[name], orient, shift, c)
-             for (name, orient, shift), c in e.terms.items()] for e in self.g_exprs])
-        self._const_slots = _slots([
-            [(name_pos[name], 0 if end < 0 else -1, c)
-             for (name, end), c in e.consts.items()] for e in self.g_exprs])
-        # the catalog's order: waves (k, m, + before -), then jumps (n, m)
-        n_w = catalog.N_w
-        self.wave_index = _read_only(
-            np.arange(n_w).reshape(mesh.N, mesh.M + 1, 2).transpose(2, 0, 1))
-        self.jump_index = _read_only(np.arange(n_w, n_v).reshape(mesh.N + 1, mesh.M))
+        self.A = _read_only(A)                # shared by every rebound copy
+        self.C_gamma = _read_only(C_gamma)
+        self.data_entry, self.data_key, self.data_coef = (_read_only(a) for a in data)
+        # slot s: the s-th window (constant) term of every entry that has one
+        n_win = _n_windows(mesh)
+        q = np.arange(n_win)
+        names, orients = q // (2 * mesh.N), np.where(q // mesh.N % 2, -1, 1)
+        shifts = 2 * (q % mesh.N) + 1 - mesh.N - orients
+        win = self.data_key < n_win
+        keys = self.data_key[win]
+        self._term_slots = _by_place(self.data_entry[win], names[keys], orients[keys],
+                                     shifts[keys], self.data_coef[win])
+        const_names = np.array([DATA_NAMES.index(name) for name, _ in CONST_KEYS])
+        const_ends = np.array([0 if end < 0 else -1 for _, end in CONST_KEYS])
+        keys = self.data_key[~win] - n_win
+        self._const_slots = _by_place(self.data_entry[~win], const_names[keys],
+                                      const_ends[keys], self.data_coef[~win])
+        wave, jump = _layout(mesh)
+        self.wave_index = _read_only(wave.transpose(2, 0, 1))
+        self.jump_index = _read_only(jump)
         # p -> the data indices of g's slots (_g_gathers): one dict,
         # shared by every rebound copy, whenever that copy is made
         self._g_indices: dict = {}
         self._g_cache: dict = {}
 
+    @functools.cached_property
+    def data_keys(self) -> tuple:
+        """The columns of the data coefficients, :func:`data_keys`."""
+        return data_keys(self.mesh)
+
     def rebind(self, state: StateSpec) -> "Parametrization":
         """The same parametrization bound to ``state``, a state on its mesh.
 
-        A, C_gamma and the data expressions depend only on the mesh, so
+        A, C_gamma and the data coefficients depend only on the mesh, so
         they are shared; the data part g is evaluated afresh for ``state``.
         A state whose samples do not align with the mesh's segments raises
         :class:`ConfigurationError` (:meth:`StateSpec.grid_p`).
@@ -465,8 +497,8 @@ class Parametrization:
         or reflected, so each slot gathers its terms' windows as rows of
         one sliding-window view of the four profiles laid end to end,
         then the same reversed (:meth:`_g_gathers`).  Every entry adds its
-        terms up in its own dict order, as a term-by-term loop over the
-        entry would.
+        terms up in key order (:func:`data_keys`), as a term-by-term loop
+        over the entry's keys would.
         """
         if p not in self._g_cache:
             state = self.bound_state
@@ -534,199 +566,270 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _slots(item_lists) -> list:
-    """Slot s gathers the s-th item of every list that has one: one array
-    of the lists' positions, then one array per field of the items."""
-    hits: list = []
-    for i, items in enumerate(item_lists):
-        for s, item in enumerate(items):
-            if s == len(hits):
-                hits.append([])
-            hits[s].append((i, *item))
-    return [[np.array(col) for col in zip(*slot)] for slot in hits]
+def _by_place(ids: np.ndarray, *fields) -> list:
+    """The items in slots: slot s holds the s-th item of every run of
+    equal ``ids`` (sorted ids), as ``ids`` and each of ``fields`` sliced."""
+    place = np.arange(len(ids)) - np.searchsorted(ids, ids)
+    order = np.argsort(place, kind="stable")
+    bounds = np.searchsorted(place[order], np.arange(place.max(initial=-1) + 2))
+    cols = [ids[order]] + [f[order] for f in fields]
+    return [[c[lo:hi] for c in cols] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
-def _pivot_priority(mesh: MeshConfig, catalog: UnknownCatalog) -> list:
-    """Column order for pivot selection, mirroring the resolution scheme:
-    boundary jumps, then first/last-layer interior jumps, then waves from
-    the outermost segments inward, leaving central waves and middle-layer
-    interior jumps free."""
-    M2 = 2 * mesh.M
-    order = []
-    for m in mesh.J_t[:-1]:
-        order.append(jump_key(-mesh.N, m))
-        order.append(jump_key(mesh.N, m))
-    for n in mesh.interior_interfaces():
-        for m in dict.fromkeys((0, M2 - 2)):
-            order.append(jump_key(n, m))
-    mids = [m for m in mesh.J_t if m not in (0, M2)]
-    for k in sorted(mesh.J_s, key=lambda k: (-abs(k), -k)):
-        if k == 0:
-            continue
-        sides = (+1, -1) if k > 0 else (-1, +1)
-        if abs(k) == 1 and mesh.N % 2 == 0:
-            sides = (+1,) if k > 0 else (-1,)
-        for side in sides:
-            for m in mids:
-                order.append(wave_key(side, k, m))
-    # fallback tiers: central-adjacent waves, then middle interior jumps
-    seen = set(order)
-    for key in catalog.entries:
-        if key not in seen and key[0] == "w" and key[3] not in (0, M2):
-            order.append(key)
-            seen.add(key)
-    for key in catalog.entries:
-        if key not in seen and key[0] == "u":
-            order.append(key)
-            seen.add(key)
-    return [catalog.index[k] for k in order]
+def _combine(keys: np.ndarray, vals: np.ndarray) -> tuple:
+    """The sums of ``vals`` over equal ``keys``: the keys whose sum is not
+    0, ascending, and their sums."""
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    if not len(keys):
+        return keys, vals
+    first = np.ones(len(keys), bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(vals, starts)
+    nonzero = sums != 0
+    return keys[starts][nonzero], sums[nonzero]
 
 
-def _dyadic(values, what: str) -> None:
-    """Raise unless every value is a multiple of 1/2, as every final
-    coefficient of the elimination is."""
-    vals = np.fromiter(values, dtype=float)
-    off = vals[np.mod(2.0 * vals, 1.0) != 0.0]      # NaN and inf too
-    if len(off):
-        raise AssemblyError(f"{what} coefficient {float(off[0])!r} is not a multiple "
-                            f"of 1/2; the float elimination would not be exact")
+def free_columns(mesh: MeshConfig) -> np.ndarray:
+    """Catalog columns of the free functions y, ascending: the paper's
+    resolution scheme, in ``J_t`` layer indices.
+
+    Every interior jump u(n, m) for m = 2..2M-4 is free.  For odd N so are
+    the central waves w+(0, m) and w-(0, m) for m = 2..2M-2; for even N
+    the waves w-(+1, m) for m = 2..2M-2, w+(-1, m) for m = 4..2M-2 and
+    w-(-1, 2M-2).  That is N_s = N*M + M - 2N functions."""
+    N, M = mesh.N, mesh.M
+    wave, jump = _layout(mesh)
+    c = N // 2                      # the segment of k = 0 (odd N) or k = +1
+    if N % 2:
+        waves = [wave[c, 1:M].ravel()]
+    else:
+        waves = [wave[c, 1:M, 1], wave[c - 1, 2:M, 0], wave[c - 1, M - 1:M, 1]]
+    return np.sort(np.concatenate([jump[1:-1, 1:M - 1].ravel()] + waves))
+
+
+def _characteristic_rows(system: EdgeSystem) -> tuple:
+    """The rows :func:`eliminate` solves: for each pair of
+    ``_PAIRED_KINDS``, the sum of the i-th rows of the two kinds (in the
+    place of the first) and their difference (in the place of the second),
+    and every other row as it is.  On the interior pairs they are the
+    transport relations along the two characteristics,
+
+        2 w+(n-1, m+2) - 2 w+(n+1, m) = u(n, m)
+        2 w-(n-1, m) - 2 w-(n+1, m+2) = -u(n, m),
+
+    and on the initial and terminal pairs 2 w+ and 2 w-(lam - z) equal
+    the sum and the difference of the data.  Returns (row, entry, coef,
+    orient) of the terms, sorted by row, and (row, column, coef) of the
+    right-hand sides, the coefficients as floats and the terms that
+    cancel dropped."""
+    n_v = system.catalog.N_v
+    by_kind = np.argsort(system.kind, kind="stable")
+    bounds = np.cumsum([0] + np.bincount(system.kind, minlength=len(EDGE_KINDS)).tolist())
+    sum_row = np.arange(system.n_rows)         # each row's copy with sign +1
+    diff_row = np.zeros(system.n_rows, np.intp)
+    diff_sign = np.zeros(system.n_rows)        # and its copy with this sign
+    for first, second in _PAIRED_KINDS:
+        i, j = EDGE_KINDS.index(first), EDGE_KINDS.index(second)
+        a, b = by_kind[bounds[i]:bounds[i + 1]], by_kind[bounds[j]:bounds[j + 1]]
+        if len(a) != len(b):
+            raise AssemblyError(f"{len(a)} {first} rows do not pair with "
+                                f"{len(b)} {second} rows")
+        sum_row[b] = a
+        diff_row[a] = diff_row[b] = b
+        diff_sign[a], diff_sign[b] = 1.0, -1.0
+
+    def copies(rows, cols, coefs):
+        """The key (new row, column) and coefficient of every copy."""
+        two = np.flatnonzero(diff_sign[rows])
+        return (np.concatenate([sum_row[rows], diff_row[rows[two]]]),
+                np.concatenate([cols, cols[two]]),
+                np.concatenate([coefs, coefs[two] * diff_sign[rows[two]]]))
+
+    rows, cols, coefs = copies(system.row, 2 * system.entry + (system.orient < 0),
+                               system.coef.astype(float))
+    keys, coefs = _combine(rows * 2 * n_v + cols, coefs)
+    n_cols = system.mesh.N + _n_windows(system.mesh) + len(CONST_KEYS)
+    rows, cols, rhs = copies(system.rhs_row, system.rhs_col, system.rhs_coef.astype(float))
+    rhs_keys, rhs = _combine(rows * n_cols + cols, rhs)
+    return (keys // (2 * n_v), keys // 2 % n_v, coefs, 1 - 2 * (keys % 2),
+            rhs_keys // n_cols, rhs_keys % n_cols, rhs)
+
+
+def _reflected(cols: np.ndarray, vals: np.ndarray, n_s: int, N: int) -> np.ndarray:
+    """The columns (free functions, gamma, data keys) of row terms read at
+    lambda - z: a window key becomes the other window of its segment, a
+    constant or gamma stays, and a free function raises."""
+    if np.any((cols < n_s) & (vals != 0.0)):
+        raise AssemblyError("a free function is read at the reflected argument")
+    q = cols - (n_s + N)
+    return np.where((q >= 0) & (q < 8 * N), cols + np.where(q // N % 2, -N, N), cols)
+
+
+def _schedule(n_v: int, free: np.ndarray, row: np.ndarray, entry: np.ndarray) -> tuple:
+    """Levels of the substitution: level l takes every row not yet used
+    with exactly one unsolved entry, its pivot.  Returns the entries each
+    level solves (its rows ascending), and each row's level, pivot term
+    and place in its level.  Two rows of a level with one pivot entry, or
+    rows and entries left unsolved, raise :class:`AssemblyError`."""
+    n_rows = int(row[-1]) + 1 if len(row) else 0
+    unsolved = np.ones(n_v, bool)
+    unsolved[free] = False
+    n_unsolved = n_v - len(free)
+    waiting = np.ones(n_rows, bool)
+    level, pivot, place = (np.zeros(n_rows, np.intp) for _ in range(3))
+    targets = []
+    while n_unsolved:
+        is_open = unsolved[entry]
+        ready = waiting & (np.bincount(row, is_open, n_rows) == 1)
+        piv = np.flatnonzero(is_open & ready[row])     # one term per ready row
+        if not len(piv):
+            break
+        ents = entry[piv]
+        unsolved[ents] = False
+        n_unsolved -= len(ents)
+        if np.count_nonzero(unsolved) != n_unsolved:
+            raise AssemblyError("two edge rows of one level solve the same entry")
+        rows = row[piv]
+        waiting[rows] = False
+        level[rows], pivot[rows], place[rows] = len(targets), piv, np.arange(len(piv))
+        targets.append(ents)
+    if n_unsolved or waiting.any():
+        raise AssemblyError(
+            f"the edge rows are not triangular over the free functions: "
+            f"{np.count_nonzero(waiting)} rows and {n_unsolved} entries are left unsolved")
+    return targets, level, pivot, place
 
 
 def eliminate(system: EdgeSystem) -> Parametrization:
     """Resolve the edge system exactly, returning the parametrization,
     bound to no state.
 
-    Initial and terminal rows are solved in closed form first (half-sum /
-    half-difference of the data, with the '-' waves reflected); the
-    remaining rows couple unknowns at equal arguments only and are reduced
-    by Gauss-Jordan elimination with a deterministic pivot order: each
-    column of :func:`_pivot_priority` pivots on the first unpivoted row
-    that holds it.  A column-to-rows index finds that row and the rows to
-    update without a scan.
+    The free functions are the closed-form set of :func:`free_columns`.
+    Every other entry is solved by one triangular substitution over the
+    rows of :func:`_characteristic_rows`, level by level
+    (:func:`_schedule`): each level solves all of its pivots at once,
+    pivot = (R - the other terms) / pivot coefficient.  An entry's
+    solution is a sparse row over the columns (free functions, gamma,
+    data keys), held padded to a common width while the levels run; a
+    row read at the reflected argument lambda - z maps each window key to
+    the other window of its segment (:func:`_reflected`).
 
-    The arithmetic is in floats, and it is exact: every pivot is +/-1/2,
-    +/-1 or +/-2, and every value met is a small dyadic rational.  Two
-    guards keep it so: a pivot whose magnitude is not a power of two, and
-    a final coefficient of A, C_gamma or a data term that is not a
-    multiple of 1/2, raise :class:`AssemblyError`.
+    The arithmetic is in floats, and every build proves it exact: a level
+    in which two rows solve one entry, rows or entries left unsolved (the
+    rows are not triangular over the free set), a pivot whose magnitude
+    is not a power of two, a final coefficient of A, C_gamma or the data
+    that is not a multiple of 1/2, and an edge row of ``system`` that the
+    solution does not satisfy exactly (:func:`_check_rows`) each raise
+    :class:`AssemblyError`.
     """
     mesh = system.mesh
     if mesh.M == 1:
         raise InfeasibleError(feasibility_check(mesh.N, mesh.M).reason)
     cat = system.catalog
-    M2 = 2 * mesh.M
-    half = 0.5
+    n_v, N = cat.N_v, mesh.N
+    free = free_columns(mesh)
+    n_s = len(free)
+    data0 = n_s + N                       # the first data-key column
+    width = data0 + _n_windows(mesh) + len(CONST_KEYS)
+    ents, cols, vals = _solve_levels(system, free, width)
+    off = np.flatnonzero(np.mod(2.0 * vals, 1.0) != 0.0)      # NaN and inf too
+    if len(off):
+        col = cols[off[0]]
+        what = "A" if col < n_s else "C_gamma" if col < data0 else "data"
+        raise AssemblyError(f"{what} coefficient {float(vals[off[0]])!r} is not a multiple "
+                            f"of 1/2; the float elimination would not be exact")
+    _check_rows(system, ents, cols, vals, n_s, width)
+    in_a, in_data = cols < n_s, cols >= data0
+    in_c = ~in_a & ~in_data
+    a_mat = np.zeros((n_v, n_s))
+    a_mat[ents[in_a], cols[in_a]] = vals[in_a]
+    c_mat = np.zeros((n_v, N))
+    c_mat[ents[in_c], cols[in_c] - n_s] = vals[in_c]
+    free_map = [cat.entries[c] for c in free]
+    return Parametrization(mesh, cat, free_map, a_mat, c_mat,
+                           (ents[in_data], cols[in_data] - data0, vals[in_data]))
 
-    solved: dict = {}
-    for k in mesh.J_s:
-        solved[cat.index[wave_key(+1, k, 0)]] = DataExpr(
-            {("v0", +1, k - 1): half, ("r0", +1, k - 1): half})
-        solved[cat.index[wave_key(-1, k, 0)]] = DataExpr(
-            {("v0", -1, k + 1): half, ("r0", -1, k + 1): -half})
-        solved[cat.index[wave_key(+1, k, M2)]] = DataExpr(
-            {("v1", +1, k - 1): half, ("r1", +1, k - 1): half},
-            gammas={k: half})
-        solved[cat.index[wave_key(-1, k, M2)]] = DataExpr(
-            {("v1", -1, k + 1): half, ("r1", -1, k + 1): -half},
-            gammas={k: -half})
 
-    # Working rows: data-resolved entries substituted into the rhs.
-    lins, rhss = [], []
-    for row in system.rows:
-        if row.kind.startswith(("initial", "terminal")):
-            continue
-        lin: dict = {}
-        rhs = row.rhs.copy()
-        for col, coef, orient in row.terms:
-            if orient != +1:
-                raise AssemblyError("unexpected reflected unknown outside "
-                                    "initial/terminal rows")
-            if col in solved:
-                rhs.add_scaled(solved[col], float(-coef))
-            else:
-                lin[col] = lin.get(col, 0.0) + coef
-        lins.append(lin)
-        rhss.append(rhs)
+def _solve_levels(system: EdgeSystem, free: np.ndarray, width: int) -> tuple:
+    """Every entry's row over the columns (free functions, then gamma,
+    then data keys) by the level substitution of :func:`eliminate`: the
+    nonzeros (entry, column, value), entries ascending and each entry's
+    columns ascending."""
+    n_v, N, n_s = system.catalog.N_v, system.mesh.N, len(free)
+    row, entry, coef, orient, rhs_row, rhs_col, rhs_coef = _characteristic_rows(system)
+    targets, level, pivot, place = _schedule(n_v, free, row, entry)
+    p_coef, p_orient = coef[pivot], orient[pivot]
+    bad = np.frexp(np.abs(p_coef))[0] != 0.5
+    if bad.any():
+        raise AssemblyError(f"pivot {float(p_coef[bad][0])!r} is not a power of two; "
+                            f"the float elimination would not be exact")
 
-    holders: dict = {}               # column -> rows with a nonzero entry there
-    for i, lin in enumerate(lins):
-        for col, v in lin.items():
-            if v:
-                holders.setdefault(col, set()).add(i)
-    pivots = [None] * len(lins)
-    for col in _pivot_priority(mesh, cat):
-        open_rows = [i for i in holders.get(col, ()) if pivots[i] is None]
-        if not open_rows:
-            continue
-        t = min(open_rows)
-        pivot = lins[t][col]
-        if math.frexp(abs(pivot))[0] != 0.5:
-            raise AssemblyError(f"pivot {pivot!r} is not a power of two; the "
-                                f"float elimination would not be exact")
-        inv = 1.0 / pivot
-        if inv != 1:
-            lins[t] = {c: v * inv for c, v in lins[t].items()}
-            scaled = DataExpr()
-            scaled.add_scaled(rhss[t], inv)
-            rhss[t] = scaled
-        pivots[t] = col
-        target = lins[t]
-        for i in holders[col] - {t}:
-            lin = lins[i]
-            c = lin[col]
-            for cc, v in target.items():
-                old = lin.get(cc)
-                new = (0.0 if old is None else old) - c * v
-                if new == 0:
-                    if old is not None:
-                        del lin[cc]
-                        holders[cc].discard(i)
-                else:
-                    if old is None:
-                        holders.setdefault(cc, set()).add(i)
-                    lin[cc] = new
-            rhss[i].add_scaled(rhss[t], -c)
+    # the other terms and the right-hand sides, level by level, keyed by
+    # (place, column) and scaled by 1 / pivot coefficient
+    known = np.flatnonzero(np.arange(len(row)) != pivot[row])
+    known = known[np.argsort(level[row[known]], kind="stable")]
+    known_ents = entry[known]
+    known_base = (place[row[known]] * width)[:, None]
+    known_factor = (-coef[known] / p_coef[row[known]])[:, None]
+    known_flip = orient[known] != p_orient[row[known]]
+    rhs = np.argsort(level[rhs_row], kind="stable")
+    rhs_keys = rhs_col[rhs] + n_s
+    flip = p_orient[rhs_row[rhs]] < 0
+    rhs_keys[flip] = _reflected(rhs_keys[flip], rhs_coef[rhs][flip], n_s, N)
+    rhs_keys += place[rhs_row[rhs]] * width
+    rhs_vals = rhs_coef[rhs] / p_coef[rhs_row[rhs]]
+    steps = np.arange(len(targets) + 1)
+    bounds = np.searchsorted(level[row[known]], steps).tolist()
+    rhs_bounds = np.searchsorted(level[rhs_row[rhs]], steps).tolist()
+    flips = (np.bincount(level[row[known[known_flip]]], minlength=len(targets)) > 0).tolist()
 
-    unpivoted = pivots.count(None)
-    if unpivoted:
-        raise AssemblyError(
-            f"{unpivoted} edge rows could not be pivoted; the coefficient "
-            f"matrix is rank-deficient (assembly bug or infeasible mesh)")
+    x_cols = np.zeros((n_v, 16), np.intp)
+    x_vals = np.zeros((n_v, 16))
+    x_cols[free, 0], x_vals[free, 0] = np.arange(n_s), 1.0
+    for lev, ents in enumerate(targets):
+        k = slice(bounds[lev], bounds[lev + 1])
+        r = slice(rhs_bounds[lev], rhs_bounds[lev + 1])
+        cols, vals = x_cols[known_ents[k]], x_vals[known_ents[k]] * known_factor[k]
+        if flips[lev]:
+            flip = known_flip[k]
+            cols[flip] = _reflected(cols[flip], vals[flip], n_s, N)
+        sums = np.bincount(np.concatenate([(cols + known_base[k]).ravel(), rhs_keys[r]]),
+                           np.concatenate([vals.ravel(), rhs_vals[r]]), len(ents) * width)
+        keys = np.flatnonzero(sums)
+        at, cols = np.divmod(keys, width)
+        slot = np.arange(len(keys)) - np.searchsorted(at, at)
+        if slot.max(initial=0) >= x_cols.shape[1]:
+            grow = max(x_cols.shape[1], int(slot.max()) + 1 - x_cols.shape[1])
+            x_cols = np.concatenate([x_cols, np.zeros((n_v, grow), np.intp)], axis=1)
+            x_vals = np.concatenate([x_vals, np.zeros((n_v, grow))], axis=1)
+        x_cols[ents[at], slot], x_vals[ents[at], slot] = cols, sums[keys]
+    ents, slot = np.nonzero(x_vals)
+    return ents, x_cols[ents, slot], x_vals[ents, slot]
 
-    resolved_cols = set(solved) | set(pivots)
-    free_cols = [c for c in range(cat.N_v) if c not in resolved_cols]
-    sc = counts(mesh.N, mesh.M)
-    if len(free_cols) != sc.N_s:
-        raise AssemblyError(
-            f"elimination left {len(free_cols)} free functions, "
-            f"expected N_s = {sc.N_s}")
-    free_pos = {c: j for j, c in enumerate(free_cols)}
 
-    a_rows = [{} for _ in range(cat.N_v)]
-    g_exprs = [None] * cat.N_v
-    for col, expr in solved.items():
-        g_exprs[col] = expr
-    for j, col in enumerate(free_cols):
-        a_rows[col] = {j: 1.0}
-        g_exprs[col] = DataExpr()
-    for col, lin, rhs in zip(pivots, lins, rhss):
-        # pivot entry = rhs - sum(lin over free columns)
-        coeffs = {}
-        for cc, v in lin.items():
-            if cc == col:
-                continue
-            if cc not in free_pos:
-                raise AssemblyError("non-free column survived elimination")
-            coeffs[free_pos[cc]] = -v
-        a_rows[col] = coeffs
-        g_exprs[col] = rhs
-    _dyadic((c for row in a_rows for c in row.values()), "A")
-    _dyadic((c for e in g_exprs for c in e.gammas.values()), "C_gamma")
-    _dyadic((c for e in g_exprs for part in (e.terms, e.consts) for c in part.values()),
-            "data")
-
-    free_map = [cat.entries[c] for c in free_cols]
-    return Parametrization(mesh, cat, free_map, a_rows, g_exprs)
+def _check_rows(system: EdgeSystem, ents: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                n_s: int, width: int) -> None:
+    """Raise unless the edge rows of ``system`` hold exactly for the
+    solved rows (entry, column, value), entries ascending: W X - R is 0.0
+    in every column of every row.  Every value is a multiple of 1/2, so
+    the sums are exact."""
+    start = np.searchsorted(ents, np.arange(system.catalog.N_v + 1))
+    lens = np.diff(start)[system.entry]
+    term = np.repeat(np.arange(len(lens)), lens)
+    idx = np.arange(len(term)) + np.repeat(start[system.entry] - np.cumsum(lens) + lens, lens)
+    term_cols, term_vals = cols[idx], vals[idx] * system.coef[term]
+    flip = system.orient[term] < 0
+    term_cols[flip] = _reflected(term_cols[flip], term_vals[flip], n_s, system.mesh.N)
+    keys, sums = _combine(
+        np.concatenate([system.row[term] * width + term_cols,
+                        system.rhs_row * width + system.rhs_col + n_s]),
+        np.concatenate([term_vals, -system.rhs_coef.astype(float)]))
+    if len(keys):
+        bad = int(keys[0] // width)
+        raise AssemblyError(f"edge row {bad} ({EDGE_KINDS[system.kind[bad]]}) does not hold "
+                            f"exactly: residual {float(sums[0])!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -734,19 +837,39 @@ def eliminate(system: EdgeSystem) -> Parametrization:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexRow:
-    """Continuity condition at a mesh vertex: sum coef*entry(at) = 0.
+@dataclass(frozen=True, eq=False)
+class JunctionRows:
+    """Junction rows ``sum coef * entry(at) = 0`` as index arrays.
 
-    ``at`` is 0 for the piece value at z = 0 and 1 for the value at
-    z = lambda.
-    """
+    Term t is ``coef[t]`` times the value of catalog entry ``entry[t]``
+    at z = 0 (``at[t]`` 0) or at z = lambda (``at[t]`` 1), in row
+    ``row[t]``; the terms are sorted by row, a row's z = 0 term first.
+    ``labels[r]`` names row r."""
 
-    label: tuple
-    terms: tuple  # ((key, at, coef), ...)
+    labels: tuple
+    row: np.ndarray = field(repr=False)
+    entry: np.ndarray = field(repr=False)
+    at: np.ndarray = field(repr=False)
+    coef: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
 
-def assemble_vertex_conditions(mesh: MeshConfig) -> tuple:
+def _junctions(labels: list, starts: list, ends: list) -> JunctionRows:
+    """The rows ``start(0) - end(lambda) = 0`` of the catalog entries in
+    ``starts`` and ``ends`` (lists of arrays); an end of -1 leaves the row
+    ``start(0) = 0``."""
+    starts, ends = np.concatenate(starts), np.concatenate(ends)
+    n = len(labels)
+    keep = np.stack([np.ones(n, bool), ends >= 0], 1).ravel()
+    return JunctionRows(
+        labels=tuple(labels), row=np.repeat(np.arange(n), 2)[keep],
+        entry=np.stack([starts, ends], 1).ravel()[keep],
+        at=np.tile([0, 1], n)[keep], coef=np.tile([1, -1], n)[keep])
+
+
+def assemble_vertex_conditions(mesh: MeshConfig) -> JunctionRows:
     """The complete vertex continuity rows: ``counts(N, M).N_r`` rows,
     independent, that span every junction of :func:`guard_rows` once the
     edge rows are eliminated.
@@ -766,31 +889,29 @@ def assemble_vertex_conditions(mesh: MeshConfig) -> tuple:
     junction row stacked behind them, for N in 1..16 x M in 2..10 (the
     tests) and at (24, 24), (32, 8) and (32, 32).
     """
-    M2 = 2 * mesh.M
-    rows = []
-    interior = mesh.interior_interfaces()
-    for n in interior:
-        for m in range(2, M2 - 1, 2):
-            rows.append(VertexRow(
-                label=("u", n, m),
-                terms=((jump_key(n, m), 0, 1), (jump_key(n, m - 2), 1, -1))))
-    if mesh.N % 2 == 1:
-        waves = [(side, 0, m) for side in (+1, -1) for m in range(2, M2 + 1, 2)]
+    N, M, M2 = mesh.N, mesh.M, 2 * mesh.M
+    wave, jump = _layout(mesh)
+    labels = [("u", n, m) for n in mesh.interior_interfaces() for m in range(2, M2 - 1, 2)]
+    starts, ends = [jump[1:-1, 1:].ravel()], [jump[1:-1, :-1].ravel()]
+    c = N // 2                      # the segment of k = 0 (odd N) or k = +1
+    if N % 2:
+        labels += [("w", side, 0, m) for side in (+1, -1) for m in range(2, M2 + 1, 2)]
+        starts.append(wave[c, 1:].T.ravel())
+        ends.append(wave[c, :-1].T.ravel())
     else:
-        rows.append(VertexRow(label=("u0",), terms=((jump_key(0, 0), 0, 1),)))
-        waves = [(side, k, m) for side, k in ((+1, -1), (-1, +1))
-                 for m in range(4, M2 + 1, 2)] + [(-1, -1, M2)]
-    for side, k, m in waves:
-        rows.append(VertexRow(
-            label=("w", side, k, m),
-            terms=((wave_key(side, k, m), 0, 1), (wave_key(side, k, m - 2), 1, -1))))
+        labels.append(("u0",))
+        labels += [("w", side, k, m) for side, k in ((+1, -1), (-1, +1))
+                   for m in range(4, M2 + 1, 2)] + [("w", -1, -1, M2)]
+        starts += [[jump[c, 0]], wave[c - 1, 2:, 0], wave[c, 2:, 1], [wave[c - 1, M, 1]]]
+        ends += [[-1], wave[c - 1, 1:-1, 0], wave[c, 1:-1, 1], [wave[c - 1, M - 1, 1]]]
+    rows = _junctions(labels, starts, ends)
     expected = counts(mesh.N, mesh.M).N_r
     if len(rows) != expected:
         raise AssemblyError(f"assembled {len(rows)} vertex rows, expected {expected}")
-    return tuple(rows)
+    return rows
 
 
-def boundary_null_vector(vertex_rows) -> np.ndarray:
+def boundary_null_vector(vertex_rows: JunctionRows) -> np.ndarray:
     """The null vector z of G^T, G = [B1 - B0, -B_gamma] the coefficients
     of (alpha, gamma) in the essential rows of ``vertex_rows``
     (:func:`assemble_vertex_conditions`), read off the row labels: 1 on
@@ -799,16 +920,12 @@ def boundary_null_vector(vertex_rows) -> np.ndarray:
     Odd N has neither jump label, and its wave rows are those of the
     central segment.  The entries are dyadic, so G^T z is exact in floats:
     :func:`boundary_structure` proves it 0 on every mesh it builds."""
-    def entry(label) -> float:
-        if label[0] == "w":
-            return 1.0
-        if label == ("u0",):
-            return 0.5
-        return -0.5 if label[:2] == ("u", 0) else 0.0
-    return np.array([entry(row.label) for row in vertex_rows])
+    return np.array([1.0 if label[0] == "w" else 0.5 if label == ("u0",)
+                     else -0.5 if label[:2] == ("u", 0) else 0.0
+                     for label in vertex_rows.labels])
 
 
-def guard_rows(mesh: MeshConfig) -> tuple:
+def guard_rows(mesh: MeshConfig) -> JunctionRows:
     """Every junction of every wave, every jump junction, and the zero
     start of every jump.
 
@@ -818,27 +935,22 @@ def guard_rows(mesh: MeshConfig) -> tuple:
     rows.
     """
     M2 = 2 * mesh.M
-    rows = []
-    for k in mesh.J_s:
-        for side in (+1, -1):
-            for m in range(2, M2 + 1, 2):
-                rows.append(VertexRow(
-                    label=("guard_w", side, k, m),
-                    terms=((wave_key(side, k, m), 0, 1),
-                           (wave_key(side, k, m - 2), 1, -1))))
-    for n in mesh.J_x:
-        rows.append(VertexRow(label=("guard_u0", n),
-                              terms=((jump_key(n, 0), 0, 1),)))
-        for m in range(2, M2 - 1, 2):
-            rows.append(VertexRow(
-                label=("guard_u", n, m),
-                terms=((jump_key(n, m), 0, 1), (jump_key(n, m - 2), 1, -1))))
-    return tuple(rows)
+    wave, jump = _layout(mesh)
+    wave = wave.transpose(0, 2, 1)          # [segment, side, layer]
+    labels = ([("guard_w", side, k, m) for k in mesh.J_s for side in (+1, -1)
+               for m in range(2, M2 + 1, 2)]
+              + [("guard_u", n, m) if m else ("guard_u0", n)
+                 for n in mesh.J_x for m in range(0, M2 - 1, 2)])
+    first = np.arange(jump.size) % mesh.M == 0
+    return _junctions(labels, [wave[:, :, 1:].ravel(), jump.ravel()],
+                      [wave[:, :, :-1].ravel(), np.where(first, -1, jump.ravel() - 1)])
 
 
 # A junction row whose residual on a solution exceeds JUNCTION_TOL times the
 # largest |end value| of any entry (at least 1) contradicts the solved rows.
 JUNCTION_TOL = 1e-8
+
+
 
 
 @dataclass(frozen=True)
@@ -912,32 +1024,46 @@ class BoundaryStructure:
                      for i in np.flatnonzero(~(np.abs(res) <= tol)))
 
 
-def _row_slots(cat: UnknownCatalog, rows) -> list:
-    """Term slots of vertex rows: (rows, entries, end sample 0 or -1,
-    float coefficients), each row's terms in its own order."""
-    return [(r, ents, np.where(ats == 1, -1, 0), coefs.astype(float))
-            for r, ents, ats, coefs in _slots(
-                [[(cat.index[key], at, coef) for key, at, coef in row.terms]
-                 for row in rows])]
+def _end_slots(rows: JunctionRows) -> list:
+    """Term slots of junction rows, the first and the second terms of the
+    rows: (rows, entries, end sample 0 or -1, float coefficients)."""
+    return _by_place(rows.row, rows.entry, -rows.at, rows.coef.astype(float))
 
 
-def boundary_structure(par: Parametrization, vertex_rows) -> BoundaryStructure:
+def _end_gather(a: np.ndarray, rows: JunctionRows, at: int) -> np.ndarray:
+    """coef * a[entry] of each row's term at end ``at`` (0 on a row with
+    none), gathered straight into the result."""
+    t = np.flatnonzero(rows.at == at)
+    if np.bincount(rows.row[t], minlength=len(rows)).max(initial=0) > 1:
+        raise AssemblyError(f"a junction row has two terms at z = {at} * lambda")
+    src = np.zeros(len(rows), np.intp)
+    coef = np.zeros(len(rows))
+    src[rows.row[t]] = rows.entry[t]
+    coef[rows.row[t]] = rows.coef[t]
+    out = a.take(src, axis=0)
+    out *= coef[:, None]
+    return out
+
+
+def boundary_structure(par: Parametrization, vertex_rows: JunctionRows) -> BoundaryStructure:
     """Rewrite the vertex rows through the parametrization, and gather the
     junction rows of :func:`guard_rows` that each solution is checked
-    against.  Nothing here reads the state's data.  G^T z, z the null
-    vector of the rows' labels, is a sum of multiples of 1/4, so exact;
-    an entry other than 0 raises :class:`AssemblyError`."""
-    n_rows = len(vertex_rows)
-    # sum coef*entry(at) = 0  <=>  B1 y(lam) - B0 y(0) = B_gamma gamma + b0,
-    # accumulated term slot by term slot in each row's own term order
-    B1 = np.zeros((n_rows, par.n_free))
-    B0 = np.zeros((n_rows, par.n_free))
-    Bg = np.zeros((n_rows, par.n_gamma))
-    slots = _row_slots(par.catalog, vertex_rows)
-    for rows, ents, ends, coefs in slots:
-        end = ends == -1
-        B1[rows[end]] += coefs[end, None] * par.A[ents[end]]
-        B0[rows[~end]] -= coefs[~end, None] * par.A[ents[~end]]
+    against.  Nothing here reads the state's data.
+
+    A vertex row has one term at each end at most, so B0 and B1 are one
+    gather of A's rows each, scaled in place: sum coef*entry(at) = 0 is
+    B1 y(lam) - B0 y(0) = B_gamma gamma + b0, B1 = 0 + coef*A[entry at
+    lambda] and B0 = 0 - coef*A[entry at 0], the bits of a sum that
+    starts from 0.  G^T z, z the null vector of the rows' labels, is a
+    sum of multiples of 1/4, so exact; an entry other than 0 raises
+    :class:`AssemblyError`."""
+    B1 = _end_gather(par.A, vertex_rows, 1)
+    np.add(B1, 0.0, out=B1)                 # -0.0 + 0.0 is 0.0
+    B0 = _end_gather(par.A, vertex_rows, 0)
+    np.subtract(0.0, B0, out=B0)
+    Bg = np.zeros((len(vertex_rows), par.n_gamma))
+    slots = _end_slots(vertex_rows)
+    for rows, ents, _, coefs in slots:
         Bg[rows] -= coefs[:, None] * par.C_gamma[ents]
     z = boundary_null_vector(vertex_rows)
     gtz = np.concatenate([B1.T @ z - B0.T @ z, -(Bg.T @ z)])
@@ -949,9 +1075,8 @@ def boundary_structure(par: Parametrization, vertex_rows) -> BoundaryStructure:
         mat.setflags(write=False)       # shared by the rows of every state
     checks = guard_rows(par.mesh)
     return BoundaryStructure(
-        slots=tuple(slots), checks=tuple(_row_slots(par.catalog, checks)),
-        check_labels=tuple(row.label for row in checks),
-        B0=B0, B1=B1, B_gamma=Bg, z=z)
+        slots=tuple(slots), checks=tuple(_end_slots(checks)),
+        check_labels=checks.labels, B0=B0, B1=B1, B_gamma=Bg, z=z)
 
 
 def boundary_matrices(structure: BoundaryStructure, par: Parametrization) -> EssentialBC:

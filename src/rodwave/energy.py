@@ -28,7 +28,7 @@ import numpy as np
 from .errors import AssemblyError, InvalidArgumentError
 from .mesh import MeshConfig
 from .sampled import simpson_weights
-from .edge import EssentialBC, Parametrization, build_catalog
+from .edge import EssentialBC, Parametrization
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,15 @@ def build_weights(mesh: MeshConfig, p: int = 129) -> EnergyWeights:
     wave domain, so with z = ``linspace(0, lam, p)`` its weight is z on
     the first layer, lam - z on the last, and exactly lam in between.
     The three pieces are written straight from z, not from the rounded
-    domain offsets, so every interior midpoint weight is lam itself.
+    domain offsets, so every interior midpoint weight is lam itself.  The
+    wave entries are laid out (segment, layer, side) in catalog order, so
+    the first and last layers are two slices of that layout.
     """
     z = np.linspace(0.0, mesh.lam, p)
-    cat = build_catalog(mesh)
-    w_nodes = np.full((cat.N_w, p), mesh.lam)
-    for k in mesh.J_s:
-        for side in (+1, -1):
-            w_nodes[cat.index[("w", side, k, mesh.J_t[0])]] = z
-            w_nodes[cat.index[("w", side, k, mesh.J_t[-1])]] = mesh.lam - z
+    w_nodes = np.full((mesh.N, mesh.M + 1, 2, p), mesh.lam)
+    w_nodes[:, 0] = z
+    w_nodes[:, -1] = mesh.lam - z
+    w_nodes = w_nodes.reshape(-1, p)
     w_mid = 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])
     w_mid.setflags(write=False)
     return EnergyWeights(mesh=mesh, p=p, w_mid=w_mid)

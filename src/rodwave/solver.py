@@ -221,8 +221,8 @@ class ELSystem:
         if n_s and not diag.min() > 1e-6 * diag.max():
             raise SolverError(f"euler_lagrange: A^T A is degenerate (Cholesky "
                               f"diagonal {diag.max():.3e} to {diag.min():.3e})")
-        self.data_rows = np.array([e for e, expr in enumerate(par.g_exprs[:par.catalog.N_w])
-                                   if expr.terms or expr.consts], dtype=int)
+        self.data_rows = np.flatnonzero(np.bincount(par.data_entry, minlength=par.catalog.N_v)
+                                        [:par.catalog.N_w])
         self.a_data = par.A[self.data_rows]
 
         singular = "euler_lagrange: boundary system residual not bounded: "

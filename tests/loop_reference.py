@@ -8,7 +8,11 @@ energy-weight table, state resampling, sample reflection, a field grid
 held as whole arrays), the program
 assembled in sample space with its sparse H and C, the sparse-LU KKT
 solve the difference-variable solve replaced, and the least-squares
-closed form the once-per-mesh factorization replaced.
+closed form the once-per-mesh factorization replaced.  The edge, vertex
+and junction rows are kept here as row objects, assembled one row at a
+time, with the Gauss-Jordan elimination over Fractions that the
+characteristic substitution replaced; ``edge_rows`` and ``junction_rows``
+read the array forms of ``rodwave.edge`` into the same objects.
 """
 
 import csv
@@ -22,8 +26,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import lil_matrix
 
-from rodwave.edge import (DataExpr, EssentialBC, StateSpec, _pivot_priority, guard_rows,
-                          jump_key, wave_key)
+from rodwave.edge import (EDGE_KINDS, EssentialBC, StateSpec,
+                          build_catalog, data_keys, guard_rows, jump_key, wave_key)
 from rodwave.energy import blockwise_simpson_weights, evaluate_objective
 from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError, SolverError
 from rodwave.mesh import counts
@@ -31,6 +35,202 @@ from rodwave.oracle import SimResult, _node_weights
 from rodwave.reconstruct import _DWM, _DWM_EARLY, _DWP, _DWP_EARLY, _pick_q
 from rodwave.sampled import SampledFunction, fd_derivative, simpson_weights
 from rodwave.solver import Solution, check_feasible
+
+
+class DataExpr:
+    """Affine combination of data windows, boundary constants, and the
+    free terminal constants: ``terms[(name, orient, shift)] = coef``
+    stands for ``coef * name(orient*z + shift*lam/2)``,
+    ``consts[(name, end)] = coef`` for ``coef * name(end)`` and
+    ``gammas[k]`` is the coefficient of segment k's free terminal
+    constant.  ``evaluate`` adds the terms up in dict order."""
+
+    __slots__ = ("terms", "consts", "gammas")
+
+    def __init__(self, terms=None, consts=None, gammas=None):
+        self.terms = dict(terms or {})
+        self.consts = dict(consts or {})
+        self.gammas = dict(gammas or {})
+
+
+@dataclass(frozen=True)
+class EdgeRow:
+    """One edge constraint: sum of coef * entry(orient*z ...) = rhs(z);
+    ``terms`` holds (column, integer coef, orient)."""
+
+    kind: str
+    label: tuple
+    terms: tuple
+    rhs: DataExpr
+
+
+@dataclass(frozen=True)
+class JunctionRow:
+    """sum coef * entry(at) = 0, at 0 for z = 0 and 1 for z = lambda;
+    ``terms`` holds (key, at, coef)."""
+
+    label: tuple
+    terms: tuple
+
+
+def assemble_edge_rows(mesh):
+    """The edge rows, one row at a time, in the order of
+    ``rodwave.edge.assemble_edge_constraints``."""
+    ix = build_catalog(mesh).index
+    M2 = 2 * mesh.M
+    rows = []
+    for k in mesh.J_s:
+        rows.append(EdgeRow("initial_v", (k,), ((ix[wave_key(+1, k, 0)], 1, +1),
+                                               (ix[wave_key(-1, k, 0)], 1, -1)),
+                            DataExpr({("v0", +1, k - 1): 1.0})))
+        rows.append(EdgeRow("initial_r", (k,), ((ix[wave_key(+1, k, 0)], 1, +1),
+                                               (ix[wave_key(-1, k, 0)], -1, -1)),
+                            DataExpr({("r0", +1, k - 1): 1.0})))
+    for k in mesh.J_s:
+        rows.append(EdgeRow("terminal_v", (k,), ((ix[wave_key(+1, k, M2)], 1, +1),
+                                                (ix[wave_key(-1, k, M2)], 1, -1)),
+                            DataExpr({("v1", +1, k - 1): 1.0})))
+        rows.append(EdgeRow("terminal_r", (k,), ((ix[wave_key(+1, k, M2)], 1, +1),
+                                                (ix[wave_key(-1, k, M2)], -1, -1)),
+                            DataExpr({("r1", +1, k - 1): 1.0}, gammas={k: 1.0})))
+    kl, kr = 1 - mesh.N, mesh.N - 1
+    for m in mesh.J_t[:-1]:
+        rows.append(EdgeRow("boundary_left", (m,), ((ix[wave_key(-1, kl, m + 2)], 1, +1),
+                                                   (ix[wave_key(+1, kl, m)], -1, +1),
+                                                   (ix[jump_key(-mesh.N, m)], -1, +1)),
+                            DataExpr(consts={("r0", -1): -1.0})))
+        rows.append(EdgeRow("boundary_right", (m,), ((ix[wave_key(+1, kr, m + 2)], 1, +1),
+                                                    (ix[wave_key(-1, kr, m)], -1, +1),
+                                                    (ix[jump_key(mesh.N, m)], -1, +1)),
+                            DataExpr(consts={("r0", +1): 1.0})))
+    for n in mesh.interior_interfaces():
+        for m in mesh.J_t[:-1]:
+            rows.append(EdgeRow("inter_v", (n, m), (
+                (ix[wave_key(+1, n - 1, m + 2)], 1, +1), (ix[wave_key(-1, n - 1, m)], 1, +1),
+                (ix[wave_key(+1, n + 1, m)], -1, +1), (ix[wave_key(-1, n + 1, m + 2)], -1, +1)),
+                DataExpr()))
+            rows.append(EdgeRow("inter_r", (n, m), (
+                (ix[wave_key(+1, n - 1, m + 2)], 1, +1), (ix[wave_key(-1, n - 1, m)], -1, +1),
+                (ix[wave_key(+1, n + 1, m)], -1, +1), (ix[wave_key(-1, n + 1, m + 2)], 1, +1),
+                (ix[jump_key(n, m)], -1, +1)), DataExpr()))
+    return rows
+
+
+def edge_rows(system):
+    """The rows of an array ``EdgeSystem`` as ``EdgeRow`` objects (labels
+    empty), each row's terms in array order."""
+    keys = data_keys(system.mesh)
+    gamma_map = system.mesh.J_s
+    rows = [EdgeRow(EDGE_KINDS[kind], (), [], DataExpr()) for kind in system.kind.tolist()]
+    for r, e, c, o in zip(system.row.tolist(), system.entry.tolist(), system.coef.tolist(),
+                          system.orient.tolist()):
+        rows[r].terms.append((e, c, o))
+    for r, col, c in zip(system.rhs_row.tolist(), system.rhs_col.tolist(),
+                         system.rhs_coef.tolist()):
+        rhs = rows[r].rhs
+        if col < len(gamma_map):
+            rhs.gammas[gamma_map[col]] = float(c)
+        else:
+            key = keys[col - len(gamma_map)]
+            (rhs.consts if len(key) == 2 else rhs.terms)[key] = float(c)
+    return [EdgeRow(row.kind, row.label, tuple(row.terms), row.rhs) for row in rows]
+
+
+def vertex_rows_loop(mesh):
+    """The complete vertex rows, one row at a time, in the order of
+    ``rodwave.edge.assemble_vertex_conditions``."""
+    M2 = 2 * mesh.M
+    rows = []
+    for n in mesh.interior_interfaces():
+        for m in range(2, M2 - 1, 2):
+            rows.append(JunctionRow(("u", n, m), ((jump_key(n, m), 0, 1),
+                                                  (jump_key(n, m - 2), 1, -1))))
+    if mesh.N % 2 == 1:
+        waves = [(side, 0, m) for side in (+1, -1) for m in range(2, M2 + 1, 2)]
+    else:
+        rows.append(JunctionRow(("u0",), ((jump_key(0, 0), 0, 1),)))
+        waves = [(side, k, m) for side, k in ((+1, -1), (-1, +1))
+                 for m in range(4, M2 + 1, 2)] + [(-1, -1, M2)]
+    for side, k, m in waves:
+        rows.append(JunctionRow(("w", side, k, m), ((wave_key(side, k, m), 0, 1),
+                                                    (wave_key(side, k, m - 2), 1, -1))))
+    return rows
+
+
+def guard_rows_loop(mesh):
+    """Every junction of every wave and jump and every jump's zero start,
+    one row at a time, in the order of ``rodwave.edge.guard_rows``."""
+    M2 = 2 * mesh.M
+    rows = []
+    for k in mesh.J_s:
+        for side in (+1, -1):
+            for m in range(2, M2 + 1, 2):
+                rows.append(JunctionRow(("guard_w", side, k, m), (
+                    (wave_key(side, k, m), 0, 1), (wave_key(side, k, m - 2), 1, -1))))
+    for n in mesh.J_x:
+        rows.append(JunctionRow(("guard_u0", n), ((jump_key(n, 0), 0, 1),)))
+        for m in range(2, M2 - 1, 2):
+            rows.append(JunctionRow(("guard_u", n, m), (
+                (jump_key(n, m), 0, 1), (jump_key(n, m - 2), 1, -1))))
+    return rows
+
+
+def junction_rows(rows, catalog):
+    """The rows of an array ``JunctionRows`` as ``JunctionRow`` objects."""
+    terms = [[] for _ in rows.labels]
+    for r, e, at, c in zip(rows.row.tolist(), rows.entry.tolist(), rows.at.tolist(),
+                           rows.coef.tolist()):
+        terms[r].append((catalog.entries[e], at, c))
+    return [JunctionRow(label, tuple(t)) for label, t in zip(rows.labels, terms)]
+
+
+def data_exprs(par):
+    """Each entry's data part as a ``DataExpr``, its terms and constants in
+    the parametrization's key order and its gammas from C_gamma."""
+    exprs = [DataExpr() for _ in range(par.catalog.N_v)]
+    for e, q, c in zip(par.data_entry.tolist(), par.data_key.tolist(),
+                       par.data_coef.tolist()):
+        key = par.data_keys[q]
+        (exprs[e].consts if len(key) == 2 else exprs[e].terms)[key] = c
+    for e, i in zip(*np.nonzero(par.C_gamma)):
+        exprs[e].gammas[par.gamma_map[i]] = float(par.C_gamma[e, i])
+    return exprs
+
+
+def pivot_priority(mesh, catalog):
+    """Column order for pivot selection, mirroring the resolution scheme:
+    boundary jumps, then first/last-layer interior jumps, then waves from
+    the outermost segments inward, leaving central waves and middle-layer
+    interior jumps free."""
+    M2 = 2 * mesh.M
+    order = []
+    for m in mesh.J_t[:-1]:
+        order.append(jump_key(-mesh.N, m))
+        order.append(jump_key(mesh.N, m))
+    for n in mesh.interior_interfaces():
+        for m in dict.fromkeys((0, M2 - 2)):
+            order.append(jump_key(n, m))
+    mids = [m for m in mesh.J_t if m not in (0, M2)]
+    for k in sorted(mesh.J_s, key=lambda k: (-abs(k), -k)):
+        if k == 0:
+            continue
+        sides = (+1, -1) if k > 0 else (-1, +1)
+        if abs(k) == 1 and mesh.N % 2 == 0:
+            sides = (+1,) if k > 0 else (-1,)
+        for side in sides:
+            for m in mids:
+                order.append(wave_key(side, k, m))
+    # fallback tiers: central-adjacent waves, then middle interior jumps
+    seen = set(order)
+    for key in catalog.entries:
+        if key not in seen and key[0] == "w" and key[3] not in (0, M2):
+            order.append(key)
+            seen.add(key)
+    for key in catalog.entries:
+        if key not in seen and key[0] == "u":
+            order.append(key)
+            seen.add(key)
+    return [catalog.index[k] for k in order]
 
 
 def blockwise_derivative_1d(values, h, kink_mask):
@@ -272,10 +472,10 @@ def boundary_matrices(par, vertex_rows, include_guards=True):
     n_s = par.n_free
     n_g = par.n_gamma
 
-    all_rows = list(vertex_rows)
+    all_rows = junction_rows(vertex_rows, cat)
     n_vertex = len(all_rows)
     if include_guards:
-        all_rows.extend(guard_rows(mesh))
+        all_rows.extend(junction_rows(guard_rows(mesh), cat))
 
     raw = []
     for vrow in all_rows:
@@ -327,7 +527,7 @@ def junction_residuals(par, y, gamma):
     w_all = par.entry_values(y, gamma)
     ends = w_all[:, [0, -1]]
     res = []
-    for row in guard_rows(par.mesh):
+    for row in junction_rows(guard_rows(par.mesh), par.catalog):
         total = 0.0
         for key, at, coef in row.terms:
             total += coef * w_all[par.catalog.index[key], -1 if at == 1 else 0]
@@ -460,7 +660,7 @@ def eliminate(system):
             gammas={k: -half})
 
     work = []
-    for row in system.rows:
+    for row in edge_rows(system):
         if row.kind.startswith(("initial", "terminal")):
             continue
         lin = {}
@@ -475,7 +675,7 @@ def eliminate(system):
                 lin[col] = lin.get(col, Fraction(0)) + coef
         work.append({"lin": lin, "rhs": rhs, "pivot": None})
 
-    for col in _pivot_priority(mesh, cat):
+    for col in pivot_priority(mesh, cat):
         target = None
         for row in work:
             if row["pivot"] is None and row["lin"].get(col):
@@ -561,8 +761,9 @@ def gamma_dict(par, gamma):
 def edge_residuals(system, state, entry_values, gamma, p):
     """Max-abs residual of every edge row given the state, sampled entry
     values and the terminal constants (segment -> value)."""
-    res = np.zeros(len(system.rows))
-    for i, row in enumerate(system.rows):
+    rows = edge_rows(system)
+    res = np.zeros(len(rows))
+    for i, row in enumerate(rows):
         acc = np.zeros(p)
         for col, coef, orient in row.terms:
             vals = entry_values[col]
@@ -575,8 +776,8 @@ def edge_residuals(system, state, entry_values, gamma, p):
 def partition(system):
     """Row count per edge-row kind."""
     out = {}
-    for row in system.rows:
-        out[row.kind] = out.get(row.kind, 0) + 1
+    for kind in system.kind.tolist():
+        out[EDGE_KINDS[kind]] = out.get(EDGE_KINDS[kind], 0) + 1
     return out
 
 

@@ -611,13 +611,30 @@ class TestOracleSettings:
         raw = {"N": 2, "M": 2, "P": 33, "preset": "paper_example"}
         assert validate_config(raw).oracle_cfl is None
         run_verify(validate_config(raw))
-        assert seen[-1] == (1.0, 500)
+        assert seen[-1] == (1.0, 2000)           # max(500, ceil(4000 / N)) at N = 2
         seen.clear()
         # one CPU: solve runs the ladder in this process, where the spy sees it
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert run_solve(validate_config(dict(raw, oracle=True,
                                               out_dir=str(tmp_path)))) == EXIT_OK
         assert seen[-1] == (0.9, 125)
+
+
+@pytest.mark.parametrize("n,m,cfl,points", [
+    (1, 2, None, 4000), (2, 2, None, 2000), (3, 3, None, 1334), (7, 5, None, 572),
+    (8, 8, None, 500), (32, 32, None, 500),
+    # lowered to the most that fits: 1 * p * 128 * ceil(p / 2) <= 256e6
+    (1, 64, None, 2000), (2, 64, None, 1414), (1, 64, 0.5, 1414),
+    # never below 500, where the size check then refuses the oracle
+    (64, 64, None, 500)])
+def test_verify_oracle_points_scale_with_the_segments(n, m, cfl, points):
+    config = cli.RunConfig(N=n, M=m, oracle_cfl=cfl)
+    got_cfl, got = cli._verify_oracle_defaults(config)
+    assert (got_cfl, got) == (1.0 if cfl is None else cfl, points)
+    size = lambda p: (cli.cell_steps(n, m, p, got_cfl) <= cli.ORACLE_MAX_CELL_STEPS
+                      and cli.time_steps(m, p, got_cfl) <= cli.ORACLE_MAX_STEPS)
+    assert size(got) == (n < 64)
+    assert got == max(500, -(-4000 // n)) or not size(got + 1)
 
 
 class TestVerifyDataScale:

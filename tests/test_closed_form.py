@@ -79,8 +79,7 @@ def label_rule_z(mesh, vertex_rows) -> np.ndarray:
     wave junction row, +1/2 on the zero anchor ("u0",) and -1/2 on every
     jump junction ("u", 0, m) of the central interface."""
     z = np.zeros(len(vertex_rows))
-    for i, row in enumerate(vertex_rows):
-        label = row.label
+    for i, label in enumerate(vertex_rows.labels):
         if mesh.N % 2:
             z[i] = 1.0 if label[0] == "w" and label[2] == 0 else 0.0
         elif label[0] == "w":

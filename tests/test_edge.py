@@ -12,6 +12,7 @@ from rodwave.edge import (
     build_catalog,
     eliminate,
     feasibility_check,
+    guard_rows,
     jump_key,
     wave_key,
 )
@@ -49,7 +50,7 @@ class TestCatalogAndAssembly:
     def test_row_partition_worked_example(self):
         mesh = build_mesh(4, 4)
         system = assemble_edge_constraints(mesh)
-        assert len(system.rows) == 48
+        assert system.n_rows == 48
         part = partition(system)
         assert part["initial_v"] + part["initial_r"] == 8
         assert part["terminal_v"] + part["terminal_r"] == 8
@@ -66,9 +67,25 @@ class TestCatalogAndAssembly:
         # interelement r-rows carry four waves plus one jump
         mesh = build_mesh(4, 3)
         system = assemble_edge_constraints(mesh)
-        widths = [len(row.terms) for row in system.rows]
+        widths = np.bincount(system.row)
         assert max(widths) == 5
         assert all(w <= 5 for w in widths)
+
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 3), (3, 2), (4, 4), (5, 3), (8, 2)])
+    def test_rows_match_row_by_row_assembly(self, n, m):
+        # the index arrays are the rows of the row-by-row loop, in order,
+        # each row's terms and right-hand side as the loop writes them
+        mesh = build_mesh(n, m)
+        loop = ref.assemble_edge_rows(mesh)
+        got = ref.edge_rows(assemble_edge_constraints(mesh))
+        assert [(r.kind, r.terms) for r in got] == [(r.kind, r.terms) for r in loop]
+        for new, old in zip(got, loop, strict=True):
+            for part in ("terms", "consts", "gammas"):
+                assert getattr(new.rhs, part) == getattr(old.rhs, part)
+        cat = build_catalog(mesh)
+        for rows, want in ((assemble_vertex_conditions(mesh), ref.vertex_rows_loop(mesh)),
+                           (guard_rows(mesh), ref.guard_rows_loop(mesh))):
+            assert ref.junction_rows(rows, cat) == want
 
     def test_coefficients_are_unit(self):
         mesh = build_mesh(3, 2)
@@ -154,7 +171,7 @@ class TestElimination:
         mesh = build_mesh(n, m)
         system = assemble_edge_constraints(mesh)
         sc = counts(n, m)
-        assert len(system.rows) == sc.N_e
+        assert system.n_rows == sc.N_e
         assert system.catalog.N_v == sc.N_v
         assert eliminate(system).n_free == sc.N_s
 

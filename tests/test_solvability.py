@@ -23,6 +23,7 @@ data of a seeded random state contradict.
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from rodwave.edge import (
     DATA_NAMES,
     assemble_edge_constraints,
@@ -38,14 +39,15 @@ def end_block(mesh, data):
     """G and b of the end samples (s = 0 at z = 0, s = 1 at z = lambda),
     and the number of edge rows in G."""
     system = assemble_edge_constraints(mesh)
-    vertex_rows = assemble_vertex_conditions(mesh)
     cat = system.catalog
+    rows = ref.edge_rows(system)
+    vertex_rows = ref.junction_rows(assemble_vertex_conditions(mesh), cat)
     n_v = cat.N_v
     gamma_col = {k: 2 * n_v + i for i, k in enumerate(mesh.J_s)}
-    g = np.zeros((2 * len(system.rows) + len(vertex_rows), 2 * n_v + mesh.N))
+    g = np.zeros((2 * len(rows) + len(vertex_rows), 2 * n_v + mesh.N))
     b = np.zeros(len(g))
     half, center = (P - 1) // 2, mesh.N * (P - 1) // 2
-    for i, row in enumerate(system.rows):
+    for i, row in enumerate(rows):
         for s in (0, 1):
             r = 2 * i + s
             for col, coef, orient in row.terms:
@@ -58,8 +60,8 @@ def end_block(mesh, data):
                 b[r] += coef * data[name][0 if end < 0 else -1]
     for i, row in enumerate(vertex_rows):
         for key, at, coef in row.terms:
-            g[2 * len(system.rows) + i, 2 * cat.index[key] + at] += coef
-    return g, b, 2 * len(system.rows)
+            g[2 * len(rows) + i, 2 * cat.index[key] + at] += coef
+    return g, b, 2 * len(rows)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -99,7 +99,7 @@ def test_field_lines_match_loop_form(solved):
 
 def test_g_matrix_matches_loop_form(solved):
     par, mesh, p = solved["par"], solved["mesh"], solved["p"]
-    assert_bits(par.g_matrix(p), ref.g_matrix(par.g_exprs, solved["state"], mesh, p))
+    assert_bits(par.g_matrix(p), ref.g_matrix(ref.data_exprs(par), solved["state"], mesh, p))
 
 
 # --- per-mesh data ------------------------------------------------------------
@@ -137,7 +137,7 @@ def test_rebound_copies_share_the_index_arrays():
     # both copies made before the first g_matrix call
     first, second, coarse = (par.rebind(state) for state in states)
     for bound, p in ((first, 33), (second, 33), (coarse, 17)):
-        assert_bits(bound.g_matrix(p), ref.g_matrix(par.g_exprs, bound.state, mesh, p))
+        assert_bits(bound.g_matrix(p), ref.g_matrix(ref.data_exprs(par), bound.state, mesh, p))
     assert first._g_gathers(33) is second._g_gathers(33) is par._g_gathers(33)
     assert coarse._g_gathers(17) is par._g_gathers(17)
     assert first._g_gathers(33) is not first._g_gathers(17)
