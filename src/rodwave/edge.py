@@ -395,7 +395,7 @@ class Parametrization:
     (the terminal state fixes the potential only up to such constants).
     A and C_gamma are exact: every entry is a multiple of 1/2, held as a
     float.  g is the data part: entry ``data_entry[i]`` holds
-    ``data_coef[i]`` times the data key ``data_keys[data_key[i]]``
+    ``data_coef[i]`` times the data key ``data_keys(mesh)[data_key[i]]``
     (:func:`data_keys`), the nonzero data coefficients entry by entry, an
     entry's keys ascending.  g is sampled against the bound state profiles
     by a gather over term slots that depends only on the mesh.
@@ -441,11 +441,6 @@ class Parametrization:
         # shared by every rebound copy, whenever that copy is made
         self._g_indices: dict = {}
         self._g_cache: dict = {}
-
-    @functools.cached_property
-    def data_keys(self) -> tuple:
-        """The columns of the data coefficients, :func:`data_keys`."""
-        return data_keys(self.mesh)
 
     def rebind(self, state: StateSpec) -> "Parametrization":
         """The same parametrization bound to ``state``, a state on its mesh.

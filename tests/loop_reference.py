@@ -188,9 +188,10 @@ def data_exprs(par):
     """Each entry's data part as a ``DataExpr``, its terms and constants in
     the parametrization's key order and its gammas from C_gamma."""
     exprs = [DataExpr() for _ in range(par.catalog.N_v)]
+    keys = data_keys(par.mesh)
     for e, q, c in zip(par.data_entry.tolist(), par.data_key.tolist(),
                        par.data_coef.tolist()):
-        key = par.data_keys[q]
+        key = keys[q]
         (exprs[e].consts if len(key) == 2 else exprs[e].terms)[key] = c
     for e, i in zip(*np.nonzero(par.C_gamma)):
         exprs[e].gammas[par.gamma_map[i]] = float(par.C_gamma[e, i])

@@ -22,8 +22,8 @@ import pytest
 import loop_reference as ref
 from conftest import example_state
 from rodwave import cli, edge
-from rodwave.edge import (EDGE_KINDS, assemble_edge_constraints, build_catalog, eliminate,
-                          free_columns, jump_key, wave_key)
+from rodwave.edge import (EDGE_KINDS, assemble_edge_constraints, build_catalog, data_keys,
+                          eliminate, free_columns, jump_key, wave_key)
 from rodwave.energy import build_weights
 from rodwave.errors import AssemblyError
 from rodwave.mesh import build_mesh, counts
@@ -58,13 +58,13 @@ def check_parametrization(system, state, p):
     assert [{j: Fraction(c) for j, c in enumerate(row.tolist()) if c}
             for row in par.A] == a_rows
     # each entry's data terms, as an exact mapping, in the key order
-    exprs = ref.data_exprs(par)
+    exprs, keys = ref.data_exprs(par), data_keys(system.mesh)
     for new, old in zip(exprs, g_exprs, strict=True):
         for part in ("terms", "consts", "gammas"):
             got = getattr(new, part)
             assert got == getattr(old, part)
             assert all(type(c) is float for c in got.values())
-        order = [par.data_keys.index(key) for key in list(new.terms) + list(new.consts)]
+        order = [keys.index(key) for key in list(new.terms) + list(new.consts)]
         assert order == sorted(order)
     assert_bits(par.g_matrix(p), ref.g_matrix(exprs, state, system.mesh, p))
     return par, exprs
