@@ -51,11 +51,16 @@ weights folded onto the line samples each window sample reads.  Q's
 stencils read only the segment's own lines on window columns 1..2qx-2:
 there g and h are sums of 1-D residual lines read at the same two places
 (on t-rows 0 and nt-1, g is the one-sided t stencil of three strided
-reads of each wave).  Columns 0, 2qx-1 and 2qx, whose x stencils are
-one-sided or read the neighbour's trace, are evaluated from field values.
-The weights depend only on the mesh, the field step and the line
-geometry, (N, M, qt, qx, st, sx), and the last set built is kept, so many
-states solved on one mesh build it once.
+reads of each wave).  On the interior t-rows Q is then, like E_grid, a
+dot product of squared residual lines with folded weights, plus a cross
+term that is exactly 0 when the t and x steps are equal (qt == qx, every
+grid the CLI builds); the steps are lam/(2*qt) and lam/(2*qx)
+(``FieldGrid.ht``, ``FieldGrid.hx``), so equal steps are equal to the
+bit.  Columns 0, 2qx-1 and 2qx, whose x stencils are one-sided or read
+the neighbour's trace, are evaluated from field values.  The weights
+depend only on the mesh, the field step and the line geometry, (N, M, qt,
+qx, st, sx), and the last set built is kept, so many states solved on
+one mesh build it once.
 
 A :class:`FieldGrid` holds the wave lines, stacked per family into (N, L)
 arrays, and the control histories on the t grid: O(N*M*P) floats, never
@@ -397,6 +402,18 @@ class FieldGrid:
     interface_jump_v: float
     interface_jump_r: float
 
+    @property
+    def ht(self) -> float:
+        """The t step, lam/(2*qt).  With qt == qx it is ``hx`` bit for
+        bit, which ``t[1] - t[0]`` and ``x[1] - x[0]`` are not (they may
+        differ by an ulp)."""
+        return self.mesh.lam / (2 * self.qt)
+
+    @property
+    def hx(self) -> float:
+        """The x step, lam/(2*qx)."""
+        return self.mesh.lam / (2 * self.qx)
+
     def column_segments(self) -> np.ndarray:
         """Per x column, the segment whose traces the column holds: the
         right one at an interface."""
@@ -559,14 +576,18 @@ class WindowKinks:
 
     ``q_weights[i, j]`` is the weight of window sample (i, j) in Q: a
     quarter of the composite Simpson t-weight times x-weight, and 0 where
-    ``drop`` (:func:`drop_mask`) is set.  ``energy_weights[0][k]`` is the sum of the blockwise Simpson weights of
-    :func:`rodwave.energy.mean_energy` over the window samples that read
-    plus-wave line sample k, ``energy_weights[1]`` the same for the minus
-    wave."""
+    ``drop`` (:func:`drop_mask`) is set.  ``q_line_weights[0][k]`` is the
+    sum of ``q_weights`` over the interior samples (t-rows 1..nt-2,
+    columns 1..2qx-2) that read plus-wave line sample k,
+    ``q_line_weights[1]`` the same for the minus wave.
+    ``energy_weights`` folds the blockwise Simpson weights of
+    :func:`rodwave.energy.mean_energy` over the whole window onto the line
+    samples the same way."""
 
     kinks: np.ndarray = field(repr=False)
     drop: np.ndarray = field(repr=False)
     q_weights: np.ndarray = field(repr=False)
+    q_line_weights: np.ndarray = field(repr=False)
     energy_weights: np.ndarray = field(repr=False)
 
 
@@ -579,8 +600,8 @@ def window_kinks(fg) -> WindowKinks:
     """The :class:`WindowKinks` every segment window of field grid ``fg``
     shares: row i and window column j is a kink when i*qx + j*qt or
     i*qx - j*qt is a multiple of qt*qx (see the module docstring), on
-    2*M*qt + 1 rows and the grid's t and x steps; the energy weights fold
-    the window onto line samples i*st + j*sx (plus wave) and
+    2*M*qt + 1 rows and the grid's steps ``fg.ht`` and ``fg.hx``; the line
+    weights fold the window onto line samples i*st + j*sx (plus wave) and
     (P - 1) + i*st - j*sx (minus wave).  One entry is kept, for the last
     (N, M, qt, qx, st, sx) asked for; another key replaces it, and a
     build that fails leaves none."""
@@ -589,7 +610,7 @@ def window_kinks(fg) -> WindowKinks:
     if _window_kinks is None or _window_kinks[0] != key:
         _window_kinks = None
         nt, width = 2 * fg.mesh.M * fg.qt + 1, 2 * fg.qx + 1
-        ht, hx = fg.t[1] - fg.t[0], fg.x[1] - fg.x[0]
+        ht, hx = fg.ht, fg.hx
         period = fg.qt * fg.qx
         t_res = (np.arange(nt) * fg.qx % period)[:, None]
         x_res = np.arange(width) * fg.qt % period
@@ -613,23 +634,30 @@ def window_kinks(fg) -> WindowKinks:
         plus = np.arange(nt)[:, None] * fg.st + np.arange(width) * fg.sx
         minus = plus[:, ::-1]               # (P - 1) + i*st - j*sx
         length = plus[-1, -1] + 1
-        energy_weights = np.stack([np.bincount(index.ravel(), weights.ravel(), length)
-                                   for index in (plus, minus)])
 
-        _window_kinks = (key, WindowKinks(kinks=kinks, drop=drop, q_weights=q_weights,
-                                          energy_weights=energy_weights))
+        def fold(w, rows=slice(None), cols=slice(None)):
+            return np.stack([np.bincount(index[rows, cols].ravel(), w[rows, cols].ravel(), length)
+                             for index in (plus, minus)])
+
+        _window_kinks = (key, WindowKinks(
+            kinks=kinks, drop=drop, q_weights=q_weights,
+            q_line_weights=fold(q_weights, slice(1, -1), slice(1, -2)),
+            energy_weights=fold(weights)))
     return _window_kinks[1]
 
 
-def _residual_lines(fg: FieldGrid, ht: float, hx: float) -> np.ndarray:
-    """The residual lines of every segment, a new (4, N, L) array: g+,
-    g-, h+ and h-, with g±[k] = (w±[k + st] - w±[k - st]) / (2*ht) - w±'[k]
-    from the late lines, and h± the same at stride sx and step hx.  The
+def _residual_lines(fg: FieldGrid) -> np.ndarray:
+    """The residual lines of every segment: g+ and g-, with
+    g±[k] = (w±[k + st] - w±[k - st]) / (2*ht) - w±'[k] from the late
+    lines, then h+ and h-, the same at stride sx and step hx.  With
+    qt == qx, st == sx and ht == hx, so h± are g± and a new (2, N, L)
+    array holds the one pair; otherwise a (4, N, L) array holds both.  The
     samples within one stride of either end, where the stencil would leave
     the line, are NaN."""
     waves, slopes = fg.lines[_WP:_WM + 1], fg.lines[_DWP:_DWM + 1]
-    out = np.empty((4,) + waves.shape[1:])
-    for res, stride, h in ((out[:2], fg.st, ht), (out[2:], fg.sx, hx)):
+    steps = [(fg.st, fg.ht)] if fg.qt == fg.qx else [(fg.st, fg.ht), (fg.sx, fg.hx)]
+    out = np.empty((2 * len(steps),) + waves.shape[1:])
+    for res, (stride, h) in zip((out[:2], out[2:]), steps):
         res[..., :stride] = np.nan
         res[..., -stride:] = np.nan
         mid = res[..., stride:-stride]
@@ -654,17 +682,24 @@ def residual_Q(fg: FieldGrid) -> float:
     kink, whose one-sided stencil spans it; every other stencil lies in
     one smooth block.  On exact solutions the retained integrand is
     O(h^4).  The samples left out and the Simpson weights of the rest are
-    those of :func:`window_kinks`, the same in every window.
+    those of :func:`window_kinks`, the same in every window, and the steps
+    are ``fg.ht`` and ``fg.hx``.
 
-    The integrand is evaluated in two parts, neither from t-row blocks.
+    The integrand is evaluated in three parts, none from t-row blocks.
 
-    * Window columns 1..2qx-2, every t-row: both stencils read the
-      segment's own lines only.  Since v = w+ + w-, p = w+' + w-' and
-      s - f = w+' - w-', there h = h+[i*st + j*sx] - h-[(P - 1) + i*st -
-      j*sx] with the 1-D residual lines of :func:`_residual_lines`, and
-      on t-rows 1..nt-2 likewise g = g+[...] + g-[...]: per segment one
-      add and one subtract of strided views.  On t-rows 0 and nt-1, g is
-      the one-sided t stencil of ``fd_derivative``, (-3, 4, -1)/(2*ht) or
+    * Window columns 1..2qx-2 on t-rows 1..nt-2, the interior: both
+      stencils read the segment's own lines only.  Since v = w+ + w-,
+      p = w+' + w-' and s - f = w+' - w-', there g = g+[a] + g-[b] and
+      h = h+[a] - h-[b], with a = i*st + j*sx, b = (P - 1) + i*st - j*sx
+      and the 1-D residual lines of :func:`_residual_lines`.  So
+      g^2 + h^2 = (g+^2 + h+^2)[a] + (g-^2 + h-^2)[b]
+      + 2*(g+[a]*g-[b] - h+[a]*h-[b]), and the first two terms sum, as
+      E_grid does, to dot products of the squared lines with the line
+      weights W± (``window_kinks(fg).q_line_weights``).  With qt == qx,
+      h± are g±, so the cross term is exactly 0 and is not summed;
+      otherwise it is summed over the interior of every window.
+    * Window columns 1..2qx-2 on t-rows 0 and nt-1: h as above, and g the
+      one-sided t stencil of ``fd_derivative``, (-3, 4, -1)/(2*ht) or
       (1, -4, 3)/(2*ht), on three strided rows of w+ + w-, less w+' + w-'.
     * Columns 0, 2qx-1 and 2qx, every t-row: the x stencils that are
       one-sided or read the neighbour's interface trace, evaluated from
@@ -674,9 +709,10 @@ def residual_Q(fg: FieldGrid) -> float:
     Every temporary is either O(N*M*P), like the lines, or at most one
     segment window; none is (nt, nx).
     """
-    w = window_kinks(fg).q_weights
+    kinks = window_kinks(fg)
+    w = kinks.q_weights
     n_seg, nt, two_q = fg.mesh.N, len(fg.t), 2 * fg.qx
-    ht, hx = fg.t[1] - fg.t[0], fg.x[1] - fg.x[0]
+    ht, hx = fg.ht, fg.hx
 
     # columns 0, 2qx - 1 and 2qx: their places in the (2, 3) column layout
     # of _edge_columns (one field at a time, each freed after use, to keep
@@ -696,10 +732,10 @@ def residual_Q(fg: FieldGrid) -> float:
         return total
 
     width = two_q - 2
-    lines = _residual_lines(fg, ht, hx)
-    # on t-rows 0 and nt - 1 only h+ and h- are read: g+ and g- may be NaN there
-    gp, gm, hp, hm = (fg._wave(line, plus, 0, nt, 0, n_seg, 1, width)
-                      for line, plus in zip(lines, (True, False, True, False)))
+    lines = _residual_lines(fg)
+    # h+ and h- are the last two lines (g+ and g- themselves when qt == qx)
+    hp, hm = (fg._wave(line, plus, 0, nt, 0, n_seg, 1, width)
+              for line, plus in ((lines[-2], True), (lines[-1], False)))
     # t-rows 0 and nt - 1: the one-sided t stencils of fd_derivative on
     # t-rows 0..2 and nt-3..nt-1 of w+ + w-, less w+' + w-' on the end row
     for lo, end, stencil in ((0, 0, (-3.0, 4.0, -1.0)), (nt - 3, 2, (1.0, -4.0, 3.0))):
@@ -711,18 +747,23 @@ def residual_Q(fg: FieldGrid) -> float:
         h = hp[lo + end] - hm[lo + end]
         total += float(np.einsum("sj,j->", g * g + h * h, w[lo + end, 1:-2]))
 
-    # t-rows 1..nt-2: central stencils on the residual lines
+    # t-rows 1..nt-2: the squared residual lines dotted with W+ and W-,
+    # which are 0 beyond the samples the interior reads, so the NaN ends
+    # of each line are left out
+    def squared_lines(pair, stride):
+        mid = slice(stride, -stride)
+        return float(np.einsum("fsk,fsk,fk->", pair[..., mid], pair[..., mid],
+                               kinks.q_line_weights[:, mid]))
+
+    if fg.qt == fg.qx:
+        return total + 2.0 * squared_lines(lines, fg.st)
+    total += squared_lines(lines[:2], fg.st) + squared_lines(lines[2:], fg.sx)
+    gp, gm = (fg._wave(line, plus, 1, nt - 2, 0, n_seg, 1, width)
+              for line, plus in ((lines[0], True), (lines[1], False)))
     w_interior = w[1:-1, 1:-2]
-    g = np.empty(w_interior.shape)
-    h = np.empty(w_interior.shape)
-    for seg in range(n_seg):
-        np.add(gp[1:-1, seg], gm[1:-1, seg], out=g)
-        np.subtract(hp[1:-1, seg], hm[1:-1, seg], out=h)
-        g *= g
-        h *= h
-        g += h
-        total += float(np.einsum("ij,ij->", g, w_interior))
-    return total
+    cross = (np.einsum("isj,isj,ij->", gp, gm, w_interior)
+             - np.einsum("isj,isj,ij->", hp[1:-1], hm[1:-1], w_interior))
+    return total + 2.0 * float(cross)
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +801,7 @@ def terminal_error(fg: FieldGrid, state: StateSpec) -> TerminalError:
     if stride * 2 * fg.qx != p - 1:
         raise InvalidArgumentError("field grid is not aligned with the data grid")
 
-    hx = fg.x[1] - fg.x[0]
-    wx = simpson_weights(len(fg.x), hx)
+    wx = simpson_weights(len(fg.x), fg.hx)
 
     def norms(err):
         return float(np.max(np.abs(err))), float(math.sqrt(max(wx @ err ** 2, 0.0)))
@@ -937,7 +977,9 @@ def _format_values(values: np.ndarray, out: np.ndarray, sep) -> int:
 
     if not slow.any():
         return 0
-    at = np.nonzero(slow)
+    # np.nonzero scans the mask once per axis; unravelling the few flat
+    # indices is cheaper
+    at = np.unravel_index(np.flatnonzero(slow), slow.shape)
     text = np.array(["%.12g" % v for v in x[at].tolist()], dtype="S22")
     out.view(np.uint8)[at + (slice(2, None),)] = text.view(np.uint8).reshape(-1, 22)
     return len(text)

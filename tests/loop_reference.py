@@ -271,8 +271,7 @@ def axis_derivative(arr, h, kinks, axis):
 
 def residual_Q(fg):
     """Constitutive residual (rho = kappa = 1) from the loop derivatives."""
-    ht = fg.t[1] - fg.t[0]
-    hx = fg.x[1] - fg.x[0]
+    ht, hx = fg.ht, fg.hx
     plus, minus = kink_masks(fg)
     kinks = plus | minus
     v, p, s = fg.v, fg.p, fg.s
@@ -950,6 +949,16 @@ class ArrayGrid:
     interface_jump_v: float = 0.0
     interface_jump_r: float = 0.0
 
+    @property
+    def ht(self):
+        """The t step as ``FieldGrid`` takes it, lam/(2*qt), not t[1] - t[0]."""
+        return self.mesh.lam / (2 * self.qt)
+
+    @property
+    def hx(self):
+        """The x step, lam/(2*qx): equal to ``ht`` when qt == qx."""
+        return self.mesh.lam / (2 * self.qx)
+
     def segment_windows(self):
         """Column windows [j0, j1] of each segment (interfaces repeated)."""
         return [(i * 2 * self.qx, (i + 1) * 2 * self.qx) for i in range(self.mesh.N)]
@@ -1106,8 +1115,7 @@ def blockwise_derivative(values, h, kink_mask, axis=-1):
 def residual_Q_windows(fg):
     """Constitutive residual with the blockwise stencil sets rebuilt per
     window."""
-    ht = fg.t[1] - fg.t[0]
-    hx = fg.x[1] - fg.x[0]
+    ht, hx = fg.ht, fg.hx
     plus, minus = kink_masks(fg)
     kinks = plus | minus
     v, p, s = fg.v, fg.p, fg.s
@@ -1131,8 +1139,7 @@ def residual_Q_windows(fg):
 
 def mean_energy(fg):
     """Grid mean energy with row weights looked up row by row per window."""
-    ht = fg.t[1] - fg.t[0]
-    hx = fg.x[1] - fg.x[0]
+    ht, hx = fg.ht, fg.hx
     plus, minus = kink_masks(fg)
     kinks = plus | minus
     nt = len(fg.t)

@@ -10,8 +10,9 @@ lines with the one kink window of ``reconstruct.window_kinks``;
 ``residual_Q_windows`` and ``mean_energy`` of ``loop_reference`` take
 the same quadrature of the same samples from whole per-window arrays,
 with the per-window blockwise stencil sets on full-grid kink masks and
-row-by-row weights.  The sums run in another order, so Q must agree to
-``Q_REL`` and E_grid to ``E_REL``, relative.
+row-by-row weights, and with the grid's steps ``ht`` and ``hx``.  The
+sums run in another order, so Q must agree to ``Q_REL`` and E_grid to
+``E_REL``, relative.
 """
 
 import dataclasses
@@ -119,6 +120,45 @@ def test_windows_share_one_kink_plan():
         cols = slice(2 * fg.qx * seg, 2 * fg.qx * (seg + 1) + 1)
         assert np.array_equal((plus | minus)[:, cols], kinks.kinks)
     assert rec.window_kinks(rec.fields(*solved(6, 6, 129, trig_params(2)))) is kinks
+
+
+@pytest.mark.parametrize("qt,qx", [(2, 2), (8, 8), (32, 32), (16, 8), (2, 16)])
+def test_line_weights_fold_the_interior_weights(qt, qx):
+    # W+ and W- each carry the whole interior of q_weights (t-rows
+    # 1..nt-2, columns 1..2qx-2), and none of it within st + sx of a line
+    # end, where the residual lines are NaN; only unequal steps need the
+    # h lines apart from the g lines
+    fg = rec.fields(*solved(5, 4, 129, trig_params(qt + qx)), qt=qt, qx=qx)
+    assert len(rec._residual_lines(fg)) == (2 if qt == qx else 4)
+    kinks = rec.window_kinks(fg)
+    line_weights = kinks.q_line_weights
+    assert line_weights.shape == (2, fg.lines.shape[-1])
+    for w in line_weights:
+        assert w.sum() == pytest.approx(kinks.q_weights[1:-1, 1:-2].sum(), rel=1e-14)
+        reach = fg.st + fg.sx
+        assert not w[:reach].any() and not w[-reach:].any()
+
+
+@pytest.mark.parametrize("q", [2, 8, 32])
+def test_line_weights_equal_the_window_sum_at_one_step(q):
+    # with qt == qx the h lines are the g lines: the interior of Q summed
+    # window sample by window sample, g = g+[a] + g-[b] and
+    # h = g+[a] - g-[b], equals twice the squared lines dotted with W+-
+    fg = rec.fields(*solved(6, 6, 129, trig_params(q)), qt=q, qx=q)
+    assert fg.ht == fg.hx
+    kinks = rec.window_kinks(fg)
+    lines = rec._residual_lines(fg)
+    assert lines.shape[0] == 2
+    nt, width = len(fg.t), 2 * fg.qx + 1
+    plus = np.arange(nt)[:, None] * fg.st + np.arange(width) * fg.sx
+    a, b = plus[1:-1, 1:-2], plus[:, ::-1][1:-1, 1:-2]
+    w = kinks.q_weights[1:-1, 1:-2]
+    by_window = sum(float(np.sum(w * ((gp[a] + gm[b]) ** 2 + (gp[a] - gm[b]) ** 2)))
+                    for gp, gm in zip(*lines))
+    squared = np.nan_to_num(lines) ** 2
+    by_line = 2.0 * float(np.einsum("fsk,fk->", squared, kinks.q_line_weights))
+    assert by_window > 0.0
+    assert_close(by_line, by_window, 1e-13)
 
 
 @pytest.mark.parametrize("table, side", [("pieces", +1), ("pieces", -1),

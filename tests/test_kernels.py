@@ -121,8 +121,10 @@ def test_kink_masks_match_full_grid_residues(qt, qx):
     for n in range(1, 9):
         for m in range(2, 7):
             mesh = build_mesh(n, m)
-            # st and sx of pieces of P = 2*qt*qx + 1 samples
+            # st and sx of pieces of P = 2*qt*qx + 1 samples; the steps as
+            # FieldGrid takes them
             grid = SimpleNamespace(mesh=mesh, qt=qt, qx=qx, st=qx, sx=qt,
+                                   ht=mesh.lam / (2 * qt), hx=mesh.lam / (2 * qx),
                                    t=np.linspace(0.0, mesh.T, 2 * m * qt + 1),
                                    x=np.linspace(-1.0, 1.0, 2 * n * qx + 1))
             kinks = rec.window_kinks(grid).kinks
