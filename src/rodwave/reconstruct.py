@@ -29,11 +29,12 @@ belong to the existing piece either way.
 
 Characteristic kinks thus sit on known sample diagonals.  Q differentiates
 the displacement with the plain second-order stencils of
-:func:`rodwave.sampled.fd_derivative` and leaves out the samples where a
-stencil spans a kink: the kinks themselves and an end sample next to one;
-every stencil it keeps lies in one smooth block.  Every segment window
-always has the same kinks.  In units of lam/(2*qt*qx), t-row i lies at
-i*qx and grid column J at (J - N*qx)*qt from the rod center, and the
+:func:`rodwave.sampled.fd_derivative`, central inside a segment window and
+one-sided at its edges, and leaves out the samples where a stencil spans
+a kink: the kinks themselves and an end sample next to one; every stencil
+it keeps lies in one smooth block.  Every segment window always has the
+same kinks.  In units of lam/(2*qt*qx), t-row i lies at i*qx and grid
+column J at (J - N*qx)*qt from the rod center, and the
 characteristic lines t + x and t - x fall every lam/2, that is every qt*qx
 units.  Column j of segment seg's window is grid column 2*qx*seg + j, at
 j*qt + (2*seg - N)*qt*qx: j*qt plus whole periods.  So window sample
@@ -47,20 +48,21 @@ are separable: v, p and s - f are sums or differences of a plus wave read
 at t + x and a minus wave read at t - x.  The sector-averaged energy
 density is a sum of squared derivative lines, so E_grid is a dot product
 of those lines with per-line-sample weights, the window's quadrature
-weights folded onto the line samples each window sample reads.  Q's
-stencils read only the segment's own lines on window columns 1..2qx-2:
-there g and h are sums of 1-D residual lines read at the same two places
-(on t-rows 0 and nt-1, g is the one-sided t stencil of three strided
-reads of each wave).  On the interior t-rows Q is then, like E_grid, a
-dot product of squared residual lines with folded weights, plus a cross
-term that is exactly 0 when the t and x steps are equal (qt == qx, every
-grid the CLI builds); the steps are lam/(2*qt) and lam/(2*qx)
-(``FieldGrid.ht``, ``FieldGrid.hx``), so equal steps are equal to the
-bit.  Columns 0, 2qx-1 and 2qx, whose x stencils are one-sided or read
-the neighbour's trace, are evaluated from field values.  The weights
-depend only on the mesh, the field step and the line geometry, (N, M, qt,
-qx, st, sx), and the last set built is kept, so many states solved on
-one mesh build it once.
+weights folded onto the line samples each window sample reads.  Q reads
+each segment window from the segment's own lines only, since v and r are
+continuous across an interface (:func:`fields` checks it): at every window
+sample g and h are sums or differences of 1-D residual lines, one stencil
+of a wave less its late derivative line, read at the same two places.  On
+the interior, t-rows 1..nt-2 and columns 1..2qx-1, every stencil is
+central, and Q is, like E_grid, a dot product of squared residual lines
+with folded weights, plus a cross term that is exactly 0 when the t and x
+steps are equal (qt == qx, every grid the CLI builds); the steps are
+lam/(2*qt) and lam/(2*qx) (``FieldGrid.ht``, ``FieldGrid.hx``), so equal
+steps are equal to the bit.  The ring around it, columns 0 and 2qx and
+t-rows 0 and nt-1, takes the one-sided stencils from residual lines of
+their own, read as strided views.  The weights depend only on the mesh,
+the field step and the line geometry, (N, M, qt, qx, st, sx), and the
+last set built is kept, so many states solved on one mesh build it once.
 
 A :class:`FieldGrid` holds the wave lines, stacked per family into (N, L)
 arrays, and the control histories on the t grid: O(N*M*P) floats, never
@@ -68,9 +70,8 @@ an (nt, nx) array.  Every field sample is one add or subtract of two line
 samples (plus a control value), so the grid evaluates fields on demand,
 with a fixed number of numpy calls per block: blocks of t-rows
 (:meth:`FieldGrid.rows`) for the terminal rows, the oracle comparison and
-the fields CSV, and the six edge columns of every segment window at once
-for Q.  Whole (nt, nx) arrays of v, r, p, s and the per-segment energy
-windows would take 23.7 MB at N = M = 12, P = 129 and 168 MB at
+the fields CSV.  Whole (nt, nx) arrays of v, r, p, s and the per-segment
+energy windows would take 23.7 MB at N = M = 12, P = 129 and 168 MB at
 N = M = 32; the lines take 0.96 MB and 6.5 MB.  A view whose first or
 last sample would fall outside its line is a ``ReconstructionError``, so
 no view reads past its buffer.
@@ -477,36 +478,16 @@ class FieldGrid:
                 tail += values[-1]
         return out
 
-    def _edge_columns(self, names: str) -> np.ndarray:
-        """The fields ``names`` (letters of "vps") at window columns 0, 1,
-        2 and 2qx-2, 2qx-1, 2qx of every segment on every t-row: a new
-        (len(names), N, 2, 3, nt) array, axis 2 the left and the right
-        group.  Column 2qx holds the next segment's trace, or the last
-        segment's own, as in :meth:`rows`."""
-        nt, n_seg, two_q = len(self.t), self.mesh.N, 2 * self.qx
-        out = np.empty((len(names), n_seg, 2, 3, nt))
-        for name, arr in zip(names, out):
-            a, b, combine, history = _FIELD_FORMS[name]
-            for group, col in enumerate((0, two_q - 2)):
-                # (seg, column, t-row) views, so the t-rows run innermost
-                combine(self._wave(self.lines[a], True, 0, nt, 0, n_seg, col, 3).transpose(1, 2, 0),
-                        self._wave(self.lines[b], False, 0, nt, 0, n_seg, col, 3).transpose(1, 2, 0),
-                        out=arr[:, group])
-            if history is not None:
-                arr += getattr(self, history)[:, None, None, :]
-            arr[:-1, 1, 2] = arr[1:, 0, 0]
-            if two_q == 2:
-                # the groups are the same three columns
-                arr[:, 0] = arr[:, 1]
-        return out
-
 
 def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
            qt: Optional[int] = None, qx: Optional[int] = None) -> FieldGrid:
     """The field grid of v, r, p, s on an aligned rectangular grid (steps
     as in :func:`grid_steps`): the wave lines of every segment, evaluated
     on demand (:class:`FieldGrid`).  A wave line too short for the grid is
-    a ``ReconstructionError``."""
+    a ``ReconstructionError``, and so is a jump of v or r across an
+    interface above ``CONTINUITY_ERROR`` relative to the largest w± or u
+    sample, ``1e-6 * (1 + max|w±, u|)``, as in
+    :func:`waves_from_solution`: Q reads each window's own traces only."""
     p = waves.p
     qt, qx = grid_steps(p, qt, qx)
     st = (p - 1) // (2 * qt)      # wave samples per t-grid step
@@ -531,6 +512,12 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
     _late_line(controls.integral_stack[1:-1], u_seg, st)
     _late_line(controls.force_stack[1:-1], f_seg, st)
     jump_v, jump_r = _interface_jumps(lines, u_seg, st, nt, p)
+    scale = max(float(np.max(np.abs(lines[_WP:_DWP]))), float(np.max(np.abs(u_seg))))
+    if not max(jump_v, jump_r) <= CONTINUITY_ERROR * (1.0 + scale):
+        raise ReconstructionError(
+            f"v and r jump across an interface by {jump_v:.3e} and {jump_r:.3e} "
+            f"(tolerance {CONTINUITY_ERROR:g} * (1 + {scale:.3e})); the waves and "
+            f"controls violate interface continuity")
     return FieldGrid(mesh=mesh, qt=qt, qx=qx, st=st, sx=sx,
                      t=np.linspace(0.0, mesh.T, nt), x=np.linspace(-1.0, 1.0, nx),
                      lines=lines, u_seg=u_seg, f_seg=f_seg,
@@ -578,7 +565,8 @@ class WindowKinks:
     quarter of the composite Simpson t-weight times x-weight, and 0 where
     ``drop`` (:func:`drop_mask`) is set.  ``q_line_weights[0][k]`` is the
     sum of ``q_weights`` over the interior samples (t-rows 1..nt-2,
-    columns 1..2qx-2) that read plus-wave line sample k,
+    columns 1..2qx-1, where every stencil of Q is central) that read
+    plus-wave line sample k,
     ``q_line_weights[1]`` the same for the minus wave.
     ``energy_weights`` folds the blockwise Simpson weights of
     :func:`rodwave.energy.mean_energy` over the whole window onto the line
@@ -641,29 +629,44 @@ def window_kinks(fg) -> WindowKinks:
 
         _window_kinks = (key, WindowKinks(
             kinks=kinks, drop=drop, q_weights=q_weights,
-            q_line_weights=fold(q_weights, slice(1, -1), slice(1, -2)),
+            q_line_weights=fold(q_weights, slice(1, -1), slice(1, -1)),
             energy_weights=fold(weights)))
     return _window_kinks[1]
 
 
-def _residual_lines(fg: FieldGrid) -> np.ndarray:
-    """The residual lines of every segment: g+ and g-, with
-    g±[k] = (w±[k + st] - w±[k - st]) / (2*ht) - w±'[k] from the late
-    lines, then h+ and h-, the same at stride sx and step hx.  With
-    qt == qx, st == sx and ht == hx, so h± are g± and a new (2, N, L)
-    array holds the one pair; otherwise a (4, N, L) array holds both.  The
-    samples within one stride of either end, where the stencil would leave
-    the line, are NaN."""
-    waves, slopes = fg.lines[_WP:_WM + 1], fg.lines[_DWP:_DWM + 1]
+# Second-order stencils of a first derivative, as (offset in strides,
+# coefficient) pairs over twice the step: central, and the one-sided
+# forward and backward ones of fd_derivative
+_CENTRAL = ((-1, -1.0), (1, 1.0))
+_FORWARD = ((0, -3.0), (1, 4.0), (2, -1.0))
+_BACKWARD = ((-2, 1.0), (-1, -4.0), (0, 3.0))
+
+
+def _residual_lines(fg: FieldGrid, stencil) -> np.ndarray:
+    """The residual lines of every segment for one derivative stencil
+    (``_CENTRAL``, ``_FORWARD`` or ``_BACKWARD``): g+ and g-, with
+    g±[k] = sum(c * w±[k + o*st]) / (2*ht) - w±'[k] over the stencil's
+    (o, c) pairs, from the late lines, then h+ and h-, the same at stride
+    sx and step hx.  With qt == qx, st == sx and ht == hx, so h± are g±
+    and a new (2, N, L) array holds the one pair; otherwise a (4, N, L)
+    array holds both.  The samples where the stencil would leave the line
+    are NaN."""
+    # the plus and minus lines end to end, one flat array per family
+    waves, slopes = (np.ascontiguousarray(fg.lines[fams]).reshape(-1)
+                     for fams in (slice(_WP, _WM + 1), slice(_DWP, _DWM + 1)))
     steps = [(fg.st, fg.ht)] if fg.qt == fg.qx else [(fg.st, fg.ht), (fg.sx, fg.hx)]
-    out = np.empty((2 * len(steps),) + waves.shape[1:])
+    out = np.empty((2 * len(steps),) + fg.lines.shape[1:])
     for res, (stride, h) in zip((out[:2], out[2:]), steps):
-        res[..., :stride] = np.nan
-        res[..., -stride:] = np.nan
-        mid = res[..., stride:-stride]
-        np.subtract(waves[..., 2 * stride:], waves[..., :-2 * stride], out=mid)
+        # every line at once; the samples whose stencil reaches into the
+        # next line are then set NaN
+        before, after = -stencil[0][0] * stride, stencil[-1][0] * stride
+        n = waves.size - before - after
+        mid = res.reshape(-1)[before:before + n]
+        mid[...] = sum(c * waves[before + o * stride:][:n] for o, c in stencil)
         mid /= 2.0 * h
-        mid -= slopes[..., stride:-stride]
+        mid -= slopes[before:before + n]
+        res[..., :before] = np.nan
+        res[..., res.shape[-1] - after:] = np.nan
     return out
 
 
@@ -671,83 +674,66 @@ def residual_Q(fg: FieldGrid) -> float:
     """Constitutive residual: Q = integral of (g^2 + h^2)/4.
 
     The residual functions g = v_t - p and h = v_x - s + f are formed from
-    second-order differences of the displacement
-    (:func:`rodwave.sampled.fd_derivative`) against the momentum and
-    force, segment by segment on the grid's segment windows: columns
-    2*qx*seg .. 2*qx*(seg + 1) of the grid, the last of them the next
-    segment's trace, with the segment's own applied force.  Samples on the
-    characteristic lattice are excluded from the quadrature: there the
-    stored derivative traces are one-sided and the difference of one-sided
-    limits is not a discretization error.  So is an end sample next to a
-    kink, whose one-sided stencil spans it; every other stencil lies in
-    one smooth block.  On exact solutions the retained integrand is
-    O(h^4).  The samples left out and the Simpson weights of the rest are
-    those of :func:`window_kinks`, the same in every window, and the steps
-    are ``fg.ht`` and ``fg.hx``.
+    second-order differences of the displacement against the momentum and
+    force, segment by segment on the grid's segment windows (columns
+    2*qx*seg .. 2*qx*(seg + 1) of the grid), each window from its own
+    lines only: v and r are continuous across an interface, which
+    :func:`fields` checks.  Samples on the characteristic lattice are
+    excluded from the quadrature: there the stored derivative traces are
+    one-sided and the difference of one-sided limits is not a
+    discretization error.  So is an end sample next to a kink, whose
+    one-sided stencil spans it; every other stencil lies in one smooth
+    block.  On exact solutions the retained integrand is O(h^4).  The
+    samples left out and the Simpson weights of the rest are those of
+    :func:`window_kinks`, the same in every window, and the steps are
+    ``fg.ht`` and ``fg.hx``.
 
-    The integrand is evaluated in three parts, none from t-row blocks.
+    Since v = w+ + w-, p = w+' + w-' and s - f = w+' - w-', at window
+    sample (i, j) g = g+[a] + g-[b] and h = h+[a] - h-[b], with
+    a = i*st + j*sx, b = (P - 1) + i*st - j*sx and the 1-D residual lines
+    of :func:`_residual_lines`.  The t stencil is forward on t-row 0,
+    backward on t-row nt-1 and central elsewhere; the x stencil is central
+    on columns 1..2qx-1, and on column 0 (2qx) forward (backward) in j,
+    which is forward (backward) along the plus line and backward (forward)
+    along the minus line.
 
-    * Window columns 1..2qx-2 on t-rows 1..nt-2, the interior: both
-      stencils read the segment's own lines only.  Since v = w+ + w-,
-      p = w+' + w-' and s - f = w+' - w-', there g = g+[a] + g-[b] and
-      h = h+[a] - h-[b], with a = i*st + j*sx, b = (P - 1) + i*st - j*sx
-      and the 1-D residual lines of :func:`_residual_lines`.  So
-      g^2 + h^2 = (g+^2 + h+^2)[a] + (g-^2 + h-^2)[b]
+    * t-rows 1..nt-2 on columns 1..2qx-1, the interior: every stencil is
+      central, so g^2 + h^2 = (g+^2 + h+^2)[a] + (g-^2 + h-^2)[b]
       + 2*(g+[a]*g-[b] - h+[a]*h-[b]), and the first two terms sum, as
       E_grid does, to dot products of the squared lines with the line
       weights W± (``window_kinks(fg).q_line_weights``).  With qt == qx,
       h± are g±, so the cross term is exactly 0 and is not summed;
       otherwise it is summed over the interior of every window.
-    * Window columns 1..2qx-2 on t-rows 0 and nt-1: h as above, and g the
-      one-sided t stencil of ``fd_derivative``, (-3, 4, -1)/(2*ht) or
-      (1, -4, 3)/(2*ht), on three strided rows of w+ + w-, less w+' + w-'.
-    * Columns 0, 2qx-1 and 2qx, every t-row: the x stencils that are
-      one-sided or read the neighbour's interface trace, evaluated from
-      field values in one pass over the six edge columns of every
-      segment window (:meth:`FieldGrid._edge_columns`).
+    * The ring, columns 0 and 2qx on every t-row and t-rows 0 and nt-1 on
+      columns 1..2qx-1: g^2 and h^2 summed apart, each over blocks of
+      window samples that share their stencils, read as strided views of
+      the lines (:meth:`FieldGrid._wave`).
 
-    Every temporary is either O(N*M*P), like the lines, or at most one
-    segment window; none is (nt, nx).
+    Every temporary is O(N*M*P), like the lines; none is (nt, nx).
     """
     kinks = window_kinks(fg)
-    w = kinks.q_weights
     n_seg, nt, two_q = fg.mesh.N, len(fg.t), 2 * fg.qx
-    ht, hx = fg.ht, fg.hx
+    central, forward, backward = (_residual_lines(fg, stencil)
+                                  for stencil in (_CENTRAL, _FORWARD, _BACKWARD))
+    # g from the first pair of lines and h from the last (the same pair
+    # when qt == qx): (plus line, minus line, how they combine, first
+    # t-row, t-rows, first column, columns)
+    ring = [(forward[0], forward[1], np.add, 0, 1, 0, two_q + 1),
+            (backward[0], backward[1], np.add, nt - 1, 1, 0, two_q + 1),
+            (central[0], central[1], np.add, 1, nt - 2, 0, 1),
+            (central[0], central[1], np.add, 1, nt - 2, two_q, 1),
+            (forward[-2], backward[-1], np.subtract, 0, nt, 0, 1),
+            (backward[-2], forward[-1], np.subtract, 0, nt, two_q, 1),
+            (central[-2], central[-1], np.subtract, 0, 1, 1, two_q - 1),
+            (central[-2], central[-1], np.subtract, nt - 1, 1, 1, two_q - 1)]
+    total = 0.0
+    for plus, minus, combine, lo, n, col, width in ring:
+        res = combine(fg._wave(plus, True, lo, n, 0, n_seg, col, width),
+                      fg._wave(minus, False, lo, n, 0, n_seg, col, width))
+        total += float(np.einsum("isj,isj,ij->", res, res,
+                                 kinks.q_weights[lo:lo + n, col:col + width]))
 
-    # columns 0, 2qx - 1 and 2qx: their places in the (2, 3) column layout
-    # of _edge_columns (one field at a time, each freed after use, to keep
-    # the peak low)
-    edge = [0, 4, 5]
-    v = fg._edge_columns("v").reshape(n_seg, 6, nt)
-    g = fd_derivative(v[:, edge], ht)
-    # x-stencils within each group of three columns
-    h = fd_derivative(np.moveaxis(v.reshape(n_seg, 2, 3, nt), 2, -1), hx)
-    h = np.moveaxis(h, -1, 2).reshape(n_seg, 6, nt)[:, edge]
-    del v
-    g -= fg._edge_columns("p").reshape(n_seg, 6, nt)[:, edge]
-    h -= fg._edge_columns("s").reshape(n_seg, 6, nt)[:, edge]
-    h += fg.f_seg[:, None]
-    total = float(np.einsum("sji,ij->", g * g + h * h, w[:, [0, two_q - 1, two_q]]))
-    if two_q == 2:
-        return total
-
-    width = two_q - 2
-    lines = _residual_lines(fg)
-    # h+ and h- are the last two lines (g+ and g- themselves when qt == qx)
-    hp, hm = (fg._wave(line, plus, 0, nt, 0, n_seg, 1, width)
-              for line, plus in ((lines[-2], True), (lines[-1], False)))
-    # t-rows 0 and nt - 1: the one-sided t stencils of fd_derivative on
-    # t-rows 0..2 and nt-3..nt-1 of w+ + w-, less w+' + w-' on the end row
-    for lo, end, stencil in ((0, 0, (-3.0, 4.0, -1.0)), (nt - 3, 2, (1.0, -4.0, 3.0))):
-        v, p = (fg._wave(fg.lines[fam_p], True, lo, 3, 0, n_seg, 1, width)
-                + fg._wave(fg.lines[fam_m], False, lo, 3, 0, n_seg, 1, width)
-                for fam_p, fam_m in ((_WP, _WM), (_DWP, _DWM)))
-        g = np.tensordot(stencil, v, 1) / (2.0 * ht)
-        g -= p[end]
-        h = hp[lo + end] - hm[lo + end]
-        total += float(np.einsum("sj,j->", g * g + h * h, w[lo + end, 1:-2]))
-
-    # t-rows 1..nt-2: the squared residual lines dotted with W+ and W-,
+    # the interior: the squared residual lines dotted with W+ and W-,
     # which are 0 beyond the samples the interior reads, so the NaN ends
     # of each line are left out
     def squared_lines(pair, stride):
@@ -756,13 +742,13 @@ def residual_Q(fg: FieldGrid) -> float:
                                kinks.q_line_weights[:, mid]))
 
     if fg.qt == fg.qx:
-        return total + 2.0 * squared_lines(lines, fg.st)
-    total += squared_lines(lines[:2], fg.st) + squared_lines(lines[2:], fg.sx)
-    gp, gm = (fg._wave(line, plus, 1, nt - 2, 0, n_seg, 1, width)
-              for line, plus in ((lines[0], True), (lines[1], False)))
-    w_interior = w[1:-1, 1:-2]
+        return total + 2.0 * squared_lines(central, fg.st)
+    total += squared_lines(central[:2], fg.st) + squared_lines(central[2:], fg.sx)
+    gp, gm, hp, hm = (fg._wave(line, plus, 1, nt - 2, 0, n_seg, 1, two_q - 1)
+                      for line, plus in zip(central, (True, False) * 2))
+    w_interior = kinks.q_weights[1:-1, 1:-1]
     cross = (np.einsum("isj,isj,ij->", gp, gm, w_interior)
-             - np.einsum("isj,isj,ij->", hp[1:-1], hm[1:-1], w_interior))
+             - np.einsum("isj,isj,ij->", hp, hm, w_interior))
     return total + 2.0 * float(cross)
 
 

@@ -1,11 +1,12 @@
 """The field grid's evaluators against the arrays it once stored.
 
 ``FieldGrid`` holds the traveling-wave lines and evaluates fields on
-demand: t-row blocks (``rows``) and the edge columns of each segment
-window that ``residual_Q`` evaluates from field values
-(``_edge_columns``, all segments in one array).  Concatenated blocks and
-the edge columns must equal, bit for bit, the whole-grid arrays of the
-fancy-index gather form (``loop_reference.fields``); no production path
+demand: t-row blocks (``rows``), and the segment windows that
+``residual_Q`` reads through ``_wave``, each from its own lines.
+Concatenated blocks and the window columns must equal, bit for bit, the
+whole-grid arrays of the fancy-index gather form (``loop_reference.fields``),
+but for the last column of an inner window, the segment's own trace at an
+interface where the grid holds the next segment's; no production path
 may evaluate all t-rows in one block, and the quadratures of Q and E_grid
 no t-row block at all.
 """
@@ -46,16 +47,27 @@ def test_row_blocks_concatenate_to_the_grid(grids, block):
 
 
 def test_windows_are_the_grid_columns(grids):
-    # window columns 0, 1, 2 and 2qx-2, 2qx-1, 2qx of each segment: the
-    # last one the next segment's trace, or the last segment's own
+    # every segment window read through FieldGrid._wave, as residual_Q
+    # reads it: columns 0..2qx-1 are the grid's; column 2qx is the
+    # segment's own trace, the last column of the grid for the last
+    # segment and within the interface jump of the next segment's trace
+    # (the grid's interface column) for the others
     fg, want = grids
-    nt, two_q = len(fg.t), 2 * fg.qx
-    cols = np.array([0, 1, 2, two_q - 2, two_q - 1, two_q])
-    strips = fg._edge_columns("vps")
-    assert strips.shape == (3, fg.mesh.N, 2, 3, nt)
-    for seg, (j0, _) in enumerate(want.segment_windows()):
-        for got, name in zip(strips[:, seg], "vps"):
-            assert_bits(got.reshape(6, nt).T, getattr(want, name)[:, j0 + cols])
+    nt, width, n_seg = len(fg.t), 2 * fg.qx + 1, fg.mesh.N
+    for name in "vrps":
+        a, b, combine, history = rec._FIELD_FORMS[name]
+        windows = combine(fg._wave(fg.lines[a], True, 0, nt, 0, n_seg, 0, width),
+                          fg._wave(fg.lines[b], False, 0, nt, 0, n_seg, 0, width))
+        if history is not None:
+            windows += getattr(fg, history).T[:, :, None]
+        grid = getattr(want, name)
+        for seg, (j0, j1) in enumerate(want.segment_windows()):
+            assert_bits(windows[:, seg, :-1], grid[:, j0:j1])
+            if seg == n_seg - 1:
+                assert_bits(windows[:, seg, -1], grid[:, j1])
+            elif name in "vr":
+                jump = getattr(fg, "interface_jump_" + name)
+                assert np.max(np.abs(windows[:, seg, -1] - grid[:, j1])) <= jump
 
 
 def test_whole_grid_properties_match(grids):

@@ -125,16 +125,16 @@ def test_windows_share_one_kink_plan():
 @pytest.mark.parametrize("qt,qx", [(2, 2), (8, 8), (32, 32), (16, 8), (2, 16)])
 def test_line_weights_fold_the_interior_weights(qt, qx):
     # W+ and W- each carry the whole interior of q_weights (t-rows
-    # 1..nt-2, columns 1..2qx-2), and none of it within st + sx of a line
+    # 1..nt-2, columns 1..2qx-1), and none of it within st + sx of a line
     # end, where the residual lines are NaN; only unequal steps need the
     # h lines apart from the g lines
     fg = rec.fields(*solved(5, 4, 129, trig_params(qt + qx)), qt=qt, qx=qx)
-    assert len(rec._residual_lines(fg)) == (2 if qt == qx else 4)
+    assert len(rec._residual_lines(fg, rec._CENTRAL)) == (2 if qt == qx else 4)
     kinks = rec.window_kinks(fg)
     line_weights = kinks.q_line_weights
     assert line_weights.shape == (2, fg.lines.shape[-1])
     for w in line_weights:
-        assert w.sum() == pytest.approx(kinks.q_weights[1:-1, 1:-2].sum(), rel=1e-14)
+        assert w.sum() == pytest.approx(kinks.q_weights[1:-1, 1:-1].sum(), rel=1e-14)
         reach = fg.st + fg.sx
         assert not w[:reach].any() and not w[-reach:].any()
 
@@ -147,12 +147,12 @@ def test_line_weights_equal_the_window_sum_at_one_step(q):
     fg = rec.fields(*solved(6, 6, 129, trig_params(q)), qt=q, qx=q)
     assert fg.ht == fg.hx
     kinks = rec.window_kinks(fg)
-    lines = rec._residual_lines(fg)
+    lines = rec._residual_lines(fg, rec._CENTRAL)
     assert lines.shape[0] == 2
     nt, width = len(fg.t), 2 * fg.qx + 1
     plus = np.arange(nt)[:, None] * fg.st + np.arange(width) * fg.sx
-    a, b = plus[1:-1, 1:-2], plus[:, ::-1][1:-1, 1:-2]
-    w = kinks.q_weights[1:-1, 1:-2]
+    a, b = plus[1:-1, 1:-1], plus[:, ::-1][1:-1, 1:-1]
+    w = kinks.q_weights[1:-1, 1:-1]
     by_window = sum(float(np.sum(w * ((gp[a] + gm[b]) ** 2 + (gp[a] - gm[b]) ** 2)))
                     for gp, gm in zip(*lines))
     squared = np.nan_to_num(lines) ** 2

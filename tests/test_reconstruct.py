@@ -7,6 +7,7 @@ import pytest
 from rodwave.mesh import build_mesh
 from rodwave.edge import StateSpec
 from rodwave.energy import assemble_qp, mean_energy
+from rodwave.errors import ReconstructionError
 from rodwave.sampled import fd_derivative, simpson_weights
 from rodwave.solver import solve_qp
 from rodwave import reconstruct as rec
@@ -251,12 +252,24 @@ class TestResidualQ:
         assert raised - base == pytest.approx(expected, rel=0.01)
 
     def test_corrupted_controls_detected(self, solved):
-        # scaling the applied force by 1.1 must light up the h-residual
-        # where a window reads its neighbour's force, at the interfaces
+        # Q reads each window's own traces, so a control history out of
+        # step with the waves shows as a jump of r across an interface,
+        # which fields() refuses
+        controls = solved["controls"]
+        scaled = dataclasses.replace(controls, integral_stack=1.1 * controls.integral_stack,
+                                     force_stack=1.1 * controls.force_stack)
+        with pytest.raises(ReconstructionError, match="interface continuity"):
+            rec.fields(solved["waves"], scaled, solved["mesh"])
+
+    def test_reads_only_the_four_late_lines(self, solved):
+        # the applied force, the control integral and the early w+-'
+        # lines are NaN; Q keeps its bits
         fg = solved["fg"]
-        base = rec.residual_Q(fg)
-        scaled = dataclasses.replace(fg, f_seg=1.1 * fg.f_seg)
-        assert rec.residual_Q(scaled) > 100 * max(base, 1e-12)
+        lines = fg.lines.copy()
+        lines[rec._DWP_EARLY:] = np.nan
+        blind = dataclasses.replace(fg, lines=lines, u_seg=np.full_like(fg.u_seg, np.nan),
+                                    f_seg=np.full_like(fg.f_seg, np.nan))
+        assert rec.residual_Q(blind).hex() == rec.residual_Q(fg).hex()
 
 
 class TestPinnedDiagnostics:
@@ -278,17 +291,12 @@ class TestPinnedDiagnostics:
 def _reached_measure(fg, n_samples):
     """Simpson weight of the samples Q keeps, over every segment window,
     whose p and s read one of the first ``n_samples`` samples of a w+'
-    line: window sample (i, j) reads sample i*st + j*sx of its own line,
-    and column 2qx of an inner window sample i*st of the next one's."""
+    line: window sample (i, j) reads sample i*st + j*sx of its own line."""
     nt, width = len(fg.t), 2 * fg.qx + 1
-    weights = np.outer(simpson_weights(nt, fg.t[1] - fg.t[0]),
-                       simpson_weights(width, fg.x[1] - fg.x[0]))
+    weights = np.outer(simpson_weights(nt, fg.ht), simpson_weights(width, fg.hx))
     weights[rec.window_kinks(fg).drop] = 0.0
     own = np.arange(nt)[:, None] * fg.st + np.arange(width) * fg.sx
-    inner = own.copy()
-    inner[:, -1] = own[:, 0]
-    reads = [inner] * (fg.mesh.N - 1) + [own]
-    return sum(float(weights[read < n_samples].sum()) for read in reads)
+    return fg.mesh.N * float(weights[own < n_samples].sum())
 
 
 def read_fields_csv(path):
