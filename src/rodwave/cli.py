@@ -273,18 +273,23 @@ def _trig(params):
     return lambda x: amp * np.cos(freq * x)
 
 
-def build_state(config: RunConfig, mesh: MeshConfig) -> StateSpec:
-    """The state a config prescribes, sampled on the mesh's data grid.
+def build_state(config: RunConfig, mesh: MeshConfig,
+                grid: Optional[np.ndarray] = None) -> StateSpec:
+    """The state a config prescribes, sampled on the mesh's data grid:
+    ``grid`` where the caller holds it (``SolveOperator.data_grid``), else
+    ``linspace(-1, 1, N*(P - 1) + 1)``, one grid for all four profiles.
 
     Every sampled value of v0, r0, v1 and r1 must be finite and at most
     ``STATE_MAX_ABS`` in magnitude; otherwise :class:`ConfigurationError`
     names the profile and its largest |value|.  Sampling does not warn
     about the overflow this check reports."""
+    if grid is None:
+        grid = np.linspace(-1.0, 1.0, mesh.N * (config.P - 1) + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        state = _sample_state(config, mesh)
-    for name in DATA_NAMES:
-        values = getattr(state, name).values
-        largest = float(np.max(np.abs(values)))      # NaN if any value is
+        state = _sample_state(config, mesh, grid)
+    # each profile's largest |value|, NaN where any value is
+    peaks = np.max(np.abs([getattr(state, name).values for name in DATA_NAMES]), axis=1)
+    for name, largest in zip(DATA_NAMES, peaks.tolist()):
         if not largest <= STATE_MAX_ABS:
             raise ConfigurationError([
                 f"{name}: sampled state data must be finite and at most "
@@ -292,12 +297,12 @@ def build_state(config: RunConfig, mesh: MeshConfig) -> StateSpec:
     return state
 
 
-def _sample_state(config: RunConfig, mesh: MeshConfig) -> StateSpec:
+def _sample_state(config: RunConfig, mesh: MeshConfig, grid: np.ndarray) -> StateSpec:
     if config.preset == "paper_example":
         return StateSpec.from_callables(
             mesh, config.P,
             v0=lambda x: np.cos(3.0 * x), r0=lambda x: -np.cos(3.0 * x),
-            v1=lambda x: 0.0 * x, r1=lambda x: 0.0 * x)
+            v1=lambda x: 0.0 * x, r1=lambda x: 0.0 * x, grid=grid)
     if config.preset == "zero":
         return StateSpec.zero(mesh, config.P)
     if config.preset == "trig":
@@ -305,8 +310,8 @@ def _sample_state(config: RunConfig, mesh: MeshConfig) -> StateSpec:
         return StateSpec.from_callables(
             mesh, config.P,
             v0=_trig(pp.get("v0", [0, 0])), r0=_trig(pp.get("r0", [0, 0])),
-            v1=_trig(pp.get("v1", [0, 0])), r1=_trig(pp.get("r1", [0, 0])))
-    return _state_from_files(config, mesh)
+            v1=_trig(pp.get("v1", [0, 0])), r1=_trig(pp.get("r1", [0, 0])), grid=grid)
+    return _state_from_files(config, grid)
 
 
 def _read_profile(path) -> SampledFunction:
@@ -340,7 +345,7 @@ def _read_profile(path) -> SampledFunction:
     return SampledFunction(-1.0, 1.0, np.interp(grid, xs, ys))
 
 
-def _state_from_files(config: RunConfig, mesh: MeshConfig) -> StateSpec:
+def _state_from_files(config: RunConfig, grid: np.ndarray) -> StateSpec:
     prof = {k: _read_profile(v) for k, v in config.profiles.items()}
     zero = SampledFunction.zeros(-1.0, 1.0, 5)
     v0 = prof.get("v0", zero)
@@ -349,8 +354,6 @@ def _state_from_files(config: RunConfig, mesh: MeshConfig) -> StateSpec:
         raise ConfigurationError(["profiles: give r0 or p0, not both"])
     if "p1" in prof and "r1" in prof:
         raise ConfigurationError(["profiles: give r1 or p1, not both"])
-    pd = mesh.N * (config.P - 1) + 1
-    grid = np.linspace(-1.0, 1.0, pd)
     onto = lambda f: SampledFunction(-1.0, 1.0, f(grid))
     v0, v1 = onto(v0), onto(v1)
     if "p0" in prof:
@@ -388,8 +391,10 @@ class SolveOperator:
     complete vertex rows, the edge rows, their elimination (bound to no
     state; a solve binds its own with ``par.rebind``), the essential-row
     structure (with the junction rows every solution is checked against),
-    the energy weights and the factored closed-form boundary system.  The
-    KKT cross-check of ``solver: both`` keeps nothing here."""
+    the energy weights (with the pieces' z-grid) and the factored
+    closed-form boundary system, and the data grid ``data_grid``, the
+    N*(P - 1) + 1 samples of [-1, 1] a state is sampled on.  The KKT
+    cross-check of ``solver: both`` keeps nothing here."""
 
     key: tuple
     mesh: MeshConfig
@@ -399,26 +404,34 @@ class SolveOperator:
     boundary: BoundaryStructure
     weights: EnergyWeights
     el: ELSystem
+    data_grid: np.ndarray
 
 
 _operator: Optional[SolveOperator] = None    # the one cache entry: the last mesh solved
+
+
+def _cached_operator(n: int, m: int, p: int) -> Optional[SolveOperator]:
+    """The cached operator of (n, m, p), or None; builds nothing."""
+    return _operator if _operator is not None and _operator.key == (n, m, p) else None
 
 
 def solve_operator(n: int, m: int, p: int) -> SolveOperator:
     """The cached operator of (n, m, p); another key replaces the entry.
     The entry is stored only once its build has succeeded."""
     global _operator
-    if _operator is None or _operator.key != (n, m, p):
+    if _cached_operator(n, m, p) is None:
         _operator = None           # release the old mesh's structure first
         mesh = build_mesh(n, m)
         vertex_rows = assemble_vertex_conditions(mesh)
         system = assemble_edge_constraints(mesh)
         par = eliminate(system)
         boundary = boundary_structure(par, vertex_rows)
+        data_grid = np.linspace(-1.0, 1.0, n * (p - 1) + 1)
+        data_grid.setflags(write=False)
         _operator = SolveOperator(
             key=(n, m, p), mesh=mesh, vertex_rows=vertex_rows, system=system,
             par=par, boundary=boundary, weights=build_weights(mesh, p),
-            el=ELSystem(par, boundary))
+            el=ELSystem(par, boundary), data_grid=data_grid)
     return _operator
 
 
@@ -437,9 +450,11 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
     closed form's objective.  The state is built and checked first; the
     state-independent work is then done once per (N, M, P) and kept in the
     :func:`solve_operator` cache, so a repeated mesh costs only the
-    state's data parts.  A feasible mesh past ``MESH_MAX`` or
-    ``SAMPLES_MAX`` is a :class:`ConfigurationError`, raised before anything
-    is built."""
+    state's data parts: the state is sampled on the operator's data grid,
+    and one product A y gives the objective, the junction check and the
+    reconstruction (``Solution.entries``).  A feasible mesh past
+    ``MESH_MAX`` or ``SAMPLES_MAX`` is a :class:`ConfigurationError`,
+    raised before anything is built."""
     if config.solver not in _SOLVERS:
         raise ConfigurationError([f"solver: must be one of {', '.join(_SOLVERS)}"])
     feas = feasibility_check(config.N, config.M)
@@ -450,14 +465,18 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
         raise ConfigurationError([f"{size} exceeds N, M <= {MESH_MAX}"])
     if config.N * config.M * config.P > SAMPLES_MAX:
         raise ConfigurationError([f"{size} exceeds N * M * P <= {SAMPLES_MAX:,}"])
-    state = build_state(config, build_mesh(config.N, config.M))
-    op = solve_operator(config.N, config.M, config.P)
+    op = _cached_operator(config.N, config.M, config.P)
+    if op is None:
+        state = build_state(config, build_mesh(config.N, config.M))
+        op = solve_operator(config.N, config.M, config.P)
+    else:
+        state = build_state(config, op.mesh, op.data_grid)
     mesh, system, weights = op.mesh, op.system, op.weights
     par = op.par.rebind(state)
     bc = boundary_matrices(op.boundary, par)
 
     primary = solve_euler_lagrange(par, bc, weights, config.P, op.el)
-    violated = op.boundary.violated_junctions(par, primary.y, primary.gamma)
+    violated = op.boundary.violated_junctions(primary.entries)
     if violated:
         raise InvariantViolationError(_junction_report(violated))
     solutions = {"el": primary}
@@ -477,10 +496,9 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
                 "bc": bc, "weights": weights, "solutions": solutions,
                 "primary": primary, "comparison": comparison}
 
-    entries = par.entry_values(primary.y, primary.gamma)
-    waves = rec.waves_from_solution(par, entries)
+    waves = rec.waves_from_solution(par, primary.entries)
     controls = rec.controls_from_jumps(
-        mesh, rec.jump_pieces_from_solution(par, entries))
+        mesh, rec.jump_pieces_from_solution(par, primary.entries))
     steps = rec.grid_steps(config.P, config.field_samples, config.field_samples)
     fg = rec.fields(waves, controls, mesh, *steps)
     terr = rec.terminal_error(fg, state)

@@ -114,11 +114,19 @@ class StateSpec:
             raise ConfigurationError("state profiles must live on [-1, 1]")
 
     @classmethod
-    def from_callables(cls, mesh: MeshConfig, p: int, v0, r0, v1, r1) -> "StateSpec":
+    def from_callables(cls, mesh: MeshConfig, p: int, v0, r0, v1, r1,
+                       grid: Optional[np.ndarray] = None) -> "StateSpec":
+        """The four profiles sampled on one data grid of N*(p - 1) + 1
+        samples of [-1, 1]: ``grid`` where the caller holds it (the
+        per-mesh ``cli.SolveOperator.data_grid``), else
+        ``linspace(-1, 1, N*(p - 1) + 1)``.  A profile may return a
+        scalar; each value is f(x) + 0.0, so -0.0 is stored as 0.0."""
         pd = mesh.N * (p - 1) + 1
-        make = lambda f: SampledFunction.from_vectorized(
-            lambda x: np.asarray(f(x), dtype=float) + np.zeros_like(x), -1.0, 1.0, pd)
-        return cls(v0=make(v0), r0=make(r0), v1=make(v1), r1=make(r1))
+        x = np.linspace(-1.0, 1.0, pd) if grid is None else grid
+        values = np.empty((len(DATA_NAMES), pd))
+        for out, f in zip(values, (v0, r0, v1, r1)):
+            np.add(f(x), 0.0, out=out)
+        return cls(*(SampledFunction(-1.0, 1.0, row) for row in values))
 
     @classmethod
     def zero(cls, mesh: MeshConfig, p: int) -> "StateSpec":
@@ -398,7 +406,8 @@ class Parametrization:
     ``data_coef[i]`` times the data key ``data_keys(mesh)[data_key[i]]``
     (:func:`data_keys`), the nonzero data coefficients entry by entry, an
     entry's keys ascending.  g is sampled against the bound state profiles
-    by a gather over term slots that depends only on the mesh.
+    by one gather of every term (:meth:`g_matrix`), whose indices depend
+    only on the mesh and p.
 
     ``wave_index[side, seg, piece]`` is the catalog entry of wave piece
     (side + then -, segment ``J_s[seg]``, layer ``J_t[piece]``) and
@@ -420,20 +429,30 @@ class Parametrization:
         self.A = _read_only(A)                # shared by every rebound copy
         self.C_gamma = _read_only(C_gamma)
         self.data_entry, self.data_key, self.data_coef = (_read_only(a) for a in data)
-        # slot s: the s-th window (constant) term of every entry that has one
+        # every data term, slot-major: slot s holds the s-th term (in key
+        # order) of every entry that has one, the entries ordered by their
+        # number of terms, most first, so that slot s is the first n_s
+        # entries of slot 0 (see g_matrix)
+        place = np.arange(len(self.data_entry)) - np.searchsorted(self.data_entry,
+                                                                  self.data_entry)
+        count = np.bincount(self.data_entry, minlength=catalog.N_v)
+        by_count = np.argsort(-count, kind="stable")
+        rank = np.empty_like(by_count)
+        rank[by_count] = np.arange(len(by_count))
+        order = np.lexsort((rank[self.data_entry], place))
+        keys = self.data_key[order]
         n_win = _n_windows(mesh)
-        q = np.arange(n_win)
-        names, orients = q // (2 * mesh.N), np.where(q // mesh.N % 2, -1, 1)
-        shifts = 2 * (q % mesh.N) + 1 - mesh.N - orients
-        win = self.data_key < n_win
-        keys = self.data_key[win]
-        self._term_slots = _by_place(self.data_entry[win], names[keys], orients[keys],
-                                     shifts[keys], self.data_coef[win])
-        const_names = np.array([DATA_NAMES.index(name) for name, _ in CONST_KEYS])
-        const_ends = np.array([0 if end < 0 else -1 for _, end in CONST_KEYS])
-        keys = self.data_key[~win] - n_win
-        self._const_slots = _by_place(self.data_entry[~win], const_names[keys],
-                                      const_ends[keys], self.data_coef[~win])
+        win = keys < n_win
+        q = np.minimum(keys, n_win - 1)
+        # window terms: profile, orientation and shift of the key; constant
+        # terms: orientation 0, and shift the index into CONST_KEYS
+        orients = np.where(win, np.where(q // mesh.N % 2, -1, 1), 0)
+        self._g_terms = [
+            np.where(win, q // (2 * mesh.N), 0), orients,
+            np.where(win, 2 * (q % mesh.N) + 1 - mesh.N - orients, keys - n_win),
+            _read_only(self.data_coef[order, None])]
+        self._g_target = _read_only(by_count[:np.count_nonzero(count)])
+        self._g_widths = tuple(np.bincount(place).tolist())
         wave, jump = _layout(mesh)
         self.wave_index = _read_only(wave.transpose(2, 0, 1))
         self.jump_index = _read_only(jump)
@@ -487,13 +506,17 @@ class Parametrization:
     def g_matrix(self, p: int) -> np.ndarray:
         """Data part g(z) for every entry, sampled on the p-point z-grid.
 
-        Term slot by term slot, then const slot by const slot, one gather
-        each: a term reads p consecutive samples of one profile, forward
-        or reflected, so each slot gathers its terms' windows as rows of
-        one sliding-window view of the four profiles laid end to end,
-        then the same reversed (:meth:`_g_gathers`).  Every entry adds its
-        terms up in key order (:func:`data_keys`), as a term-by-term loop
-        over the entry's keys would.
+        A term reads p consecutive samples of one profile, forward or
+        reflected, or p copies of a boundary constant, so every term is a
+        row of one sliding-window view of the state's data laid out by
+        :meth:`_g_gathers`: one gather of every term's row, scaled by its
+        coefficient, in slot-major order.  Every entry then adds its terms
+        up from 0.0 in key order (:func:`data_keys`: windows before
+        constants), as a term-by-term loop over the entry's keys would:
+        the entries are ordered by their number of terms, so slot s is a
+        leading block of the entries that have data, added in place.  A
+        mesh with many more terms than entries is gathered a few slots at
+        a time, so the gathered terms stay within twice the size of g.
         """
         if p not in self._g_cache:
             state = self.bound_state
@@ -501,57 +524,80 @@ class Parametrization:
             if state.v0.p != pd:
                 raise ConfigurationError(
                     f"state resolution {state.v0.p} does not match grid p={p}")
-            terms, consts = self._g_gathers(p)
-            arrays = state.arrays()
-            data = np.concatenate([arrays[name] for name in DATA_NAMES])
-            data = np.concatenate([data, data[::-1]])
+            rows, chunks, const_at = self._g_indices.get(p) or self._g_gathers(p)
+            length = len(DATA_NAMES) * pd
+            data = np.empty(2 * length + len(const_at) * p)
+            np.concatenate([getattr(state, name).values for name in DATA_NAMES],
+                           out=data[:length])
+            data[length:2 * length] = data[length - 1::-1]
+            data[2 * length:].reshape(len(const_at), p)[...] = data[const_at, None]
             # row r is data[r:r + p]
             windows = np.ndarray((len(data) - p + 1, p), data.dtype, data, 0, 2 * data.strides)
+            coefs = self._g_terms[3]
+            sums = np.zeros((len(self._g_target), p))
+            for lo, hi, widths in chunks:
+                terms = windows[rows[lo:hi]]
+                terms *= coefs[lo:hi]
+                at = 0
+                for width in widths:
+                    sums[:width] += terms[at:at + width]
+                    at += width
             g = np.zeros((self.catalog.N_v, p))
-            for ents, rows, coefs in terms:
-                g[ents] += coefs * windows[rows]
-            for ents, flat, coefs in consts:
-                g[ents] += (coefs * data[flat])[:, None]
+            g[self._g_target] = sums
             self._g_cache[p] = g
         return self._g_cache[p]
 
     def _g_gathers(self, p: int) -> tuple:
-        """The term slots and the const slots of g on the p-point z-grid:
-        (entries, first data index of each term's window, coefficients)
-        and (entries, data index, coefficients).  The data are the four
-        profiles of N*(p - 1) + 1 samples laid end to end in
-        ``DATA_NAMES`` order, L samples, then the same reversed, so a
+        """The gathers of g on the p-point z-grid: the data row of every
+        term, slot-major (``_g_terms``), the chunks the terms are gathered
+        in, as (first term, end, entries per slot), and the data index of
+        each boundary constant of ``CONST_KEYS``.
+
+        The data are the four profiles of N*(p - 1) + 1 samples laid end to
+        end in ``DATA_NAMES`` order, L samples, then the same reversed, so a
         reflected window (orient -1) starting at sample i is the forward
-        one starting at 2L - 1 - i.  They depend only on the mesh and p,
-        so they are built and bounds-checked once and shared by every
-        rebound copy; a window that leaves its profile raises
-        :class:`AssemblyError`."""
+        one starting at 2L - 1 - i, then p copies of each boundary
+        constant.  They depend only on the mesh and p, so they are built
+        and bounds-checked once and shared by every rebound copy; a window
+        that leaves its profile raises :class:`AssemblyError`."""
         if p not in self._g_indices:
+            names, orients, shifts, _ = self._g_terms
             pd = self.mesh.N * (p - 1) + 1
             length = len(DATA_NAMES) * pd
             half = (p - 1) // 2                  # lam/2 in data samples
             center = self.mesh.N * (p - 1) // 2  # x = 0 in data samples
-            terms = []
-            for ents, names, orients, shifts, coefs in self._term_slots:
-                starts = center + shifts * half
-                ends = starts + orients * (p - 1)
-                bad = (np.minimum(starts, ends) < 0) | (np.maximum(starts, ends) > pd - 1)
-                if np.any(bad):
-                    raise AssemblyError("data window out of range for "
-                                        f"{DATA_NAMES[names[np.argmax(bad)]]}")
-                first = names * pd + starts
-                rows = np.where(orients > 0, first, 2 * length - 1 - first)
-                terms.append((ents, _read_only(rows), _read_only(coefs[:, None])))
-            consts = [(ents, _read_only(names * pd + ends % pd), coefs)
-                      for ents, names, ends, coefs in self._const_slots]
-            self._g_indices[p] = (tuple(terms), tuple(consts))
+            win = orients != 0
+            starts = center + shifts * half
+            ends = starts + orients * (p - 1)
+            bad = win & ((np.minimum(starts, ends) < 0) | (np.maximum(starts, ends) > pd - 1))
+            if np.any(bad):
+                raise AssemblyError("data window out of range for "
+                                    f"{DATA_NAMES[names[np.argmax(bad)]]}")
+            first = names * pd + starts
+            rows = np.where(win, np.where(orients > 0, first, 2 * length - 1 - first),
+                            2 * length + shifts * p)
+            # whole slots, at most max(2 * N_v, one slot) terms a chunk
+            budget = max([2 * self.catalog.N_v] + list(self._g_widths))
+            chunks, lo, widths = [], 0, []
+            for width in self._g_widths:
+                if sum(widths) + width > budget:
+                    chunks.append((lo, lo + sum(widths), tuple(widths)))
+                    lo, widths = lo + sum(widths), []
+                widths.append(width)
+            chunks.append((lo, lo + sum(widths), tuple(widths)))
+            const_at = [DATA_NAMES.index(name) * pd + (0 if end < 0 else pd - 1)
+                        for name, end in CONST_KEYS]
+            self._g_indices[p] = (_read_only(rows), tuple(chunks), _read_only(np.array(const_at)))
         return self._g_indices[p]
 
-    def entry_values(self, y: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-        """Sampled values of every catalog entry for free samples y (N_s, p)."""
+    def entry_values(self, y: np.ndarray, gamma: np.ndarray,
+                     ay: Optional[np.ndarray] = None) -> np.ndarray:
+        """Sampled values of every catalog entry for free samples y (N_s, p):
+        (A y + C_gamma gamma) + g, with ``ay`` the product A y where the
+        caller has formed it."""
         p = y.shape[1]
         gamma = np.asarray(gamma, dtype=float)
-        return (self.A @ y + (self.C_gamma @ gamma)[:, None]
+        return ((self.A @ y if ay is None else ay) + (self.C_gamma @ gamma)[:, None]
                 + self.g_matrix(p))
 
 
@@ -997,20 +1043,19 @@ class BoundaryStructure:
     B_gamma: np.ndarray = field(repr=False)
     z: np.ndarray = field(repr=False)
 
-    def violated_junctions(self, par: Parametrization, y: np.ndarray,
-                           gamma: np.ndarray) -> tuple:
-        """(label, residual) of every junction row the solution (y, gamma)
-        violates, in :func:`guard_rows` order.
+    def violated_junctions(self, entries: np.ndarray) -> tuple:
+        """(label, residual) of every junction row a solution violates, in
+        :func:`guard_rows` order, from ``entries``, the sampled values of
+        every catalog entry (:meth:`Parametrization.entry_values`).
 
-        The rows are evaluated at the entry end values
-        A y + C_gamma gamma + g at z = 0 and z = lambda.  The solved rows
-        span every junction, so a solution of consistent data satisfies
-        them all to rounding; a row is violated when its |residual|
-        exceeds ``JUNCTION_TOL`` * max(1, largest |end value| of any
-        entry), or is NaN.
+        The rows are evaluated at the entry end values, columns 0 and -1
+        of ``entries`` (z = 0 and z = lambda).  The solved rows span every
+        junction, so a solution of consistent data satisfies them all to
+        rounding; a row is violated when its |residual| exceeds
+        ``JUNCTION_TOL`` * max(1, largest |end value| of any entry), or is
+        NaN.
         """
-        ends = (par.A @ y[:, [0, -1]] + (par.C_gamma @ gamma)[:, None]
-                + par.g_matrix(y.shape[1])[:, [0, -1]])
+        ends = entries[:, [0, -1]]
         res = np.zeros(len(self.check_labels))
         for rows, ents, at, coefs in self.checks:
             res[rows] += coefs * ends[ents, at]

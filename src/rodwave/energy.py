@@ -22,6 +22,7 @@ proof in :mod:`rodwave.solver` work on the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -41,6 +42,7 @@ class EnergyWeights:
     mesh: MeshConfig
     p: int
     w_mid: np.ndarray = field(repr=False, compare=False)  # (N_w, p - 1), read-only
+    z: np.ndarray = field(repr=False, compare=False)      # linspace(0, lam, p), read-only
 
 
 def build_weights(mesh: MeshConfig, p: int = 129) -> EnergyWeights:
@@ -61,7 +63,8 @@ def build_weights(mesh: MeshConfig, p: int = 129) -> EnergyWeights:
     w_nodes = w_nodes.reshape(-1, p)
     w_mid = 0.5 * (w_nodes[:, :-1] + w_nodes[:, 1:])
     w_mid.setflags(write=False)
-    return EnergyWeights(mesh=mesh, p=p, w_mid=w_mid)
+    z.setflags(write=False)
+    return EnergyWeights(mesh=mesh, p=p, w_mid=w_mid, z=z)
 
 
 @dataclass(frozen=True)
@@ -150,13 +153,14 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
 
 
 def evaluate_objective(par: Parametrization, weights: EnergyWeights,
-                       y: np.ndarray) -> float:
+                       y: np.ndarray, ay: Optional[np.ndarray] = None) -> float:
     """Weighted mean-energy value of a sampled free vector (any solver).
 
     Uses the same midpoint quadrature as :func:`assemble_qp`, so that the
     QP minimizer is guaranteed not to exceed any other feasible solution
     under this evaluator; it is the single evaluator used when comparing
-    solutions from different paths.
+    solutions from different paths.  It reads the wave rows of A y + g,
+    with ``ay`` the product A y where the caller has formed it.
     """
     mesh, cat = par.mesh, par.catalog
     p = y.shape[1]
@@ -164,8 +168,12 @@ def evaluate_objective(par: Parametrization, weights: EnergyWeights,
         raise InvalidArgumentError("weight grid does not match y samples")
     n_w = cat.N_w
     h = mesh.lam / (p - 1)
-    wd = np.diff(par.A[:n_w] @ y + par.g_matrix(p)[:n_w], axis=1) / h
-    return float(np.sum(weights.w_mid * wd * wd) * h / mesh.T)
+    a_y = par.A[:n_w] @ y if ay is None else ay[:n_w]
+    wd = np.diff(a_y + par.g_matrix(p)[:n_w], axis=1)
+    wd /= h
+    density = weights.w_mid * wd
+    density *= wd
+    return float(np.sum(density) * h / mesh.T)
 
 
 def blockwise_simpson_weights(n: int, h: float, splits) -> np.ndarray:

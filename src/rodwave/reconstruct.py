@@ -96,7 +96,7 @@ from .errors import InvalidArgumentError, ReconstructionError
 from .mesh import MeshConfig
 from .sampled import fd_derivative, simpson_weights
 from .energy import blockwise_simpson_weights
-from .edge import Parametrization, StateSpec
+from .edge import DATA_NAMES, Parametrization, StateSpec
 
 CONTINUITY_ERROR = 1e-6
 
@@ -159,6 +159,11 @@ class WaveTable:
         return self._keyed(self.dpiece_stack)
 
 
+def _largest_abs(a: np.ndarray) -> float:
+    """max|a|, NaN if any value is, without an |a| temporary."""
+    return float(np.maximum(a.max(), -a.min()))
+
+
 def waves_from_solution(par: Parametrization, entries: np.ndarray) -> WaveTable:
     """Stitch the wave pieces of a solution from the sampled values of
     every catalog entry, ``entries`` = ``par.entry_values(sol.y, sol.gamma)``:
@@ -171,7 +176,7 @@ def waves_from_solution(par: Parametrization, entries: np.ndarray) -> WaveTable:
     stack = entries[par.wave_index]                  # (2, N, M + 1, p)
     p = stack.shape[-1]
     cont = float(np.max(np.abs(stack[..., :-1, -1] - stack[..., 1:, 0]), initial=0.0))
-    scale = float(np.max(np.abs(stack)))
+    scale = _largest_abs(stack)
     if not cont <= CONTINUITY_ERROR * (1.0 + scale):
         raise ReconstructionError(
             f"traveling-wave pieces disagree at junctions by {cont:.3e} "
@@ -421,46 +426,35 @@ class FieldGrid:
         return np.minimum(np.arange(len(self.x)) // (2 * self.qx), self.mesh.N - 1)
 
     def _wave(self, lines: np.ndarray, plus: bool, lo: int, n: int, seg: int,
-              n_seg: int, col: int, width: int) -> np.ndarray:
+              n_seg: int, col: int, width: int, step: int = 1) -> np.ndarray:
         """Read-only view ``out[i, c, j]`` of line ``seg + c`` of the
         (N, L) stack ``lines``, read as a plus (``plus``) or minus wave, at
-        t-row ``lo + i`` and window column ``col + j``.
+        t-row ``lo + i*step`` and window column ``col + j``.
 
         The plus wave at window column jj of segment seg is line sample
         ``i*st + jj*sx``, the minus wave ``(P - 1) + i*st - jj*sx``: the
         window start x0 = (2*seg - N)*(P - 1)/2 cancels the segment's
-        wave-domain offset.  The view is made on the stack's buffer with
-        the strides given, which numpy checks only against the whole
-        buffer, so the extreme samples of each line are checked first."""
-        n_lines, length = lines.shape
+        wave-domain offset.  A segment outside the stack, or a sample
+        outside its line (:func:`_line_view`), is a
+        ``ReconstructionError``."""
+        if n and not 0 <= seg <= seg + n_seg <= len(lines):
+            raise ReconstructionError(
+                f"field grid reads lines {seg}..{seg + n_seg - 1} outside {len(lines)} lines")
         step_x = self.sx if plus else -self.sx
         first = lo * self.st + (0 if plus else 2 * self.qx * self.sx) + col * step_x
-        span_x = (width - 1) * step_x
-        low = first + min(span_x, 0)
-        high = first + (n - 1) * self.st + max(span_x, 0)
-        if n and (seg < 0 or seg + n_seg > n_lines or low < 0 or high >= length):
-            raise ReconstructionError(
-                f"field grid reads wave samples {low}..{high} of "
-                f"lines {seg}..{seg + n_seg - 1} outside {n_lines} lines of {length}")
-        if n == 0 or n_seg == 0 or width == 0:
-            view = np.empty((n, n_seg, width))      # reads no sample
-        else:
-            item = lines.itemsize
-            view = np.ndarray((n, n_seg, width), lines.dtype, np.ascontiguousarray(lines),
-                              (seg * length + first) * item,
-                              (self.st * item, length * item, step_x * item))
-        view.flags.writeable = False
-        return view
+        return _line_view(lines[seg:seg + n_seg], first, (n, width),
+                          (step * self.st, step_x)).transpose(1, 0, 2)
 
-    def rows(self, lo: int, hi: int, names: str = "vrps") -> np.ndarray:
-        """The fields ``names`` (letters of "vrps") on t-rows [lo, hi): a
-        new C-ordered (len(names), hi - lo, nx) array.  An interface column
-        holds the trace of the segment to its right, and the column at
-        x = 1 the last segment's own.  Elementwise, v = w+ + w-,
-        r = (w+ - w-) + u, p = w+' + w-' and s = (w+' - w-') + f."""
-        if not 0 <= lo <= hi <= len(self.t):
-            raise InvalidArgumentError(f"t-rows [{lo}, {hi}) outside a grid of {len(self.t)}")
-        n, n_seg, two_q = hi - lo, self.mesh.N, 2 * self.qx
+    def rows(self, lo: int, hi: int, names: str = "vrps", step: int = 1) -> np.ndarray:
+        """The fields ``names`` (letters of "vrps") on every ``step``-th
+        t-row of [lo, hi): a new C-ordered (len(names), n, nx) array.  An
+        interface column holds the trace of the segment to its right, and
+        the column at x = 1 the last segment's own.  Elementwise,
+        v = w+ + w-, r = (w+ - w-) + u, p = w+' + w-' and s = (w+' - w-') + f."""
+        if not (0 <= lo <= hi <= len(self.t) and step >= 1):
+            raise InvalidArgumentError(f"t-rows [{lo}, {hi}) by {step} outside a grid "
+                                       f"of {len(self.t)}")
+        n, n_seg, two_q = len(range(lo, hi, step)), self.mesh.N, 2 * self.qx
         out = np.empty((len(names), n, len(self.x)))
         for name, arr in zip(names, out):
             a, b, combine, history = _FIELD_FORMS[name]
@@ -468,12 +462,13 @@ class FieldGrid:
             # splits only the contiguous last axis, so always a view of arr
             body = arr[:, :-1].reshape(n, n_seg, two_q)
             tail = arr[:, -1]
-            combine(self._wave(a, True, lo, n, 0, n_seg, 0, two_q),
-                    self._wave(b, False, lo, n, 0, n_seg, 0, two_q), out=body)
-            combine(self._wave(a, True, lo, n, n_seg - 1, 1, two_q, 1)[:, 0, 0],
-                    self._wave(b, False, lo, n, n_seg - 1, 1, two_q, 1)[:, 0, 0], out=tail)
+            combine(self._wave(a, True, lo, n, 0, n_seg, 0, two_q, step),
+                    self._wave(b, False, lo, n, 0, n_seg, 0, two_q, step), out=body)
+            combine(self._wave(a, True, lo, n, n_seg - 1, 1, two_q, 1, step)[:, 0, 0],
+                    self._wave(b, False, lo, n, n_seg - 1, 1, two_q, 1, step)[:, 0, 0],
+                    out=tail)
             if history is not None:
-                values = getattr(self, history)[:, lo:hi]
+                values = getattr(self, history)[:, lo:hi:step]
                 body += values.T[:, :, None]
                 tail += values[-1]
         return out
@@ -487,12 +482,14 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
     a ``ReconstructionError``, and so is a jump of v or r across an
     interface above ``CONTINUITY_ERROR`` relative to the largest w± or u
     sample, ``1e-6 * (1 + max|w±, u|)``, as in
-    :func:`waves_from_solution`: Q reads each window's own traces only."""
+    :func:`waves_from_solution`: Q reads each window's own traces only.
+    The grid's t and x are those of its :func:`window_kinks` entry, made
+    once per mesh and field step, read-only."""
     p = waves.p
     qt, qx = grid_steps(p, qt, qx)
     st = (p - 1) // (2 * qt)      # wave samples per t-grid step
     sx = (p - 1) // (2 * qx)      # wave samples per x-grid step
-    nt, nx = 2 * mesh.M * qt + 1, 2 * mesh.N * qx + 1
+    nt = 2 * mesh.M * qt + 1
     length = (mesh.M + 1) * (p - 1) + 1     # line samples the grid reads
     pieces, dpieces = waves.piece_stack, waves.dpiece_stack
     n_pieces = min(pieces.shape[-2], dpieces.shape[-2])
@@ -512,14 +509,14 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
     _late_line(controls.integral_stack[1:-1], u_seg, st)
     _late_line(controls.force_stack[1:-1], f_seg, st)
     jump_v, jump_r = _interface_jumps(lines, u_seg, st, nt, p)
-    scale = max(float(np.max(np.abs(lines[_WP:_DWP]))), float(np.max(np.abs(u_seg))))
+    scale = max(_largest_abs(lines[_WP:_DWP]), _largest_abs(u_seg))
     if not max(jump_v, jump_r) <= CONTINUITY_ERROR * (1.0 + scale):
         raise ReconstructionError(
             f"v and r jump across an interface by {jump_v:.3e} and {jump_r:.3e} "
             f"(tolerance {CONTINUITY_ERROR:g} * (1 + {scale:.3e})); the waves and "
             f"controls violate interface continuity")
-    return FieldGrid(mesh=mesh, qt=qt, qx=qx, st=st, sx=sx,
-                     t=np.linspace(0.0, mesh.T, nt), x=np.linspace(-1.0, 1.0, nx),
+    kinks = _window_kinks_of(mesh, qt, qx, st, sx)
+    return FieldGrid(mesh=mesh, qt=qt, qx=qx, st=st, sx=sx, t=kinks.t, x=kinks.x,
                      lines=lines, u_seg=u_seg, f_seg=f_seg,
                      interface_jump_v=jump_v, interface_jump_r=jump_r)
 
@@ -570,13 +567,24 @@ class WindowKinks:
     ``q_line_weights[1]`` the same for the minus wave.
     ``energy_weights`` folds the blockwise Simpson weights of
     :func:`rodwave.energy.mean_energy` over the whole window onto the line
-    samples the same way."""
+    samples the same way.  ``ring_weights`` holds the Q weights of the
+    ring's four blocks as :func:`residual_Q` reads them: columns 0 and 2qx
+    (2, nt), t-rows 0 and nt-1 (2, 2qx + 1), columns 0 and 2qx of t-rows
+    1..nt-2, and t-rows 0 and nt-1 of columns 1..2qx-1.  ``t`` and ``x``
+    are the sample coordinates of the field grid, and ``x_weights`` the
+    composite Simpson weights over x that :func:`terminal_error` takes its
+    L2 norms with: they depend on the same key, so they are kept here,
+    read-only, and every field grid of that key shares them."""
 
     kinks: np.ndarray = field(repr=False)
     drop: np.ndarray = field(repr=False)
     q_weights: np.ndarray = field(repr=False)
     q_line_weights: np.ndarray = field(repr=False)
     energy_weights: np.ndarray = field(repr=False)
+    ring_weights: tuple = field(repr=False)
+    t: np.ndarray = field(repr=False)
+    x: np.ndarray = field(repr=False)
+    x_weights: np.ndarray = field(repr=False)
 
 
 # the one cache entry of window_kinks: (N, M, qt, qx, st, sx) and its
@@ -593,16 +601,28 @@ def window_kinks(fg) -> WindowKinks:
     (P - 1) + i*st - j*sx (minus wave).  One entry is kept, for the last
     (N, M, qt, qx, st, sx) asked for; another key replaces it, and a
     build that fails leaves none."""
+    return _window_kinks_of(fg.mesh, fg.qt, fg.qx, fg.st, fg.sx)
+
+
+def _window_kinks_of(mesh: MeshConfig, qt: int, qx: int, st: int, sx: int) -> WindowKinks:
+    """:func:`window_kinks` of the grid with these steps on ``mesh``.
+
+    Row i's residue i*qx mod qt*qx depends on i mod qt only, so the kink
+    rows repeat with period qt: the kinks and the blockwise Simpson
+    weights of each row are built for one period, once per distinct row
+    pattern, and gathered for the rest."""
     global _window_kinks
-    key = (fg.mesh.N, fg.mesh.M, fg.qt, fg.qx, fg.st, fg.sx)
+    key = (mesh.N, mesh.M, qt, qx, st, sx)
     if _window_kinks is None or _window_kinks[0] != key:
         _window_kinks = None
-        nt, width = 2 * fg.mesh.M * fg.qt + 1, 2 * fg.qx + 1
-        ht, hx = fg.ht, fg.hx
-        period = fg.qt * fg.qx
-        t_res = (np.arange(nt) * fg.qx % period)[:, None]
-        x_res = np.arange(width) * fg.qt % period
-        kinks = (t_res == -x_res % period) | (t_res == x_res)
+        nt, width = 2 * mesh.M * qt + 1, 2 * qx + 1
+        ht, hx = mesh.lam / (2 * qt), mesh.lam / (2 * qx)
+        period = qt * qx
+        t_res = (np.arange(qt) * qx)[:, None]
+        x_res = np.arange(width) * qt % period
+        one_period = (t_res == -x_res % period) | (t_res == x_res)
+        in_period = np.arange(nt) % qt
+        kinks = one_period[in_period]
         drop = drop_mask(kinks)
 
         q_weights = np.outer(simpson_weights(nt, ht), simpson_weights(width, hx))
@@ -610,16 +630,17 @@ def window_kinks(fg) -> WindowKinks:
         q_weights[drop] = 0.0
 
         # blockwise Simpson weights of each row, split at its kinks, built
-        # once per distinct row pattern, times those of the time profile,
-        # split at the t-rows where kink lines meet the mesh lines
+        # once per distinct row pattern of the period, times those of the
+        # time profile, split at the t-rows where kink lines meet the mesh
+        # lines
         by_pattern: dict = {}
-        for row in kinks:
+        for row in one_period:
             key_row = row.tobytes()
             if key_row not in by_pattern:
                 by_pattern[key_row] = blockwise_simpson_weights(width, hx, np.flatnonzero(row))
-        weights = np.stack([by_pattern[row.tobytes()] for row in kinks])
-        weights *= blockwise_simpson_weights(nt, ht, np.arange(fg.qt, nt - 1, fg.qt))[:, None]
-        plus = np.arange(nt)[:, None] * fg.st + np.arange(width) * fg.sx
+        weights = np.stack([by_pattern[row.tobytes()] for row in one_period])[in_period]
+        weights *= blockwise_simpson_weights(nt, ht, np.arange(qt, nt - 1, qt))[:, None]
+        plus = np.arange(nt)[:, None] * st + np.arange(width) * sx
         minus = plus[:, ::-1]               # (P - 1) + i*st - j*sx
         length = plus[-1, -1] + 1
 
@@ -627,30 +648,72 @@ def window_kinks(fg) -> WindowKinks:
             return np.stack([np.bincount(index[rows, cols].ravel(), w[rows, cols].ravel(), length)
                              for index in (plus, minus)])
 
+        nx = 2 * mesh.N * qx + 1
+        grid = (np.linspace(0.0, mesh.T, nt), np.linspace(-1.0, 1.0, nx),
+                simpson_weights(nx, hx))
+        for arr in grid:
+            arr.setflags(write=False)
+        ring = (q_weights[:, [0, -1]].T.copy(), q_weights[[0, -1]],
+                q_weights[1:-1, [0, -1]].T.copy(), q_weights[[0, -1], 1:-1])
         _window_kinks = (key, WindowKinks(
             kinks=kinks, drop=drop, q_weights=q_weights,
             q_line_weights=fold(q_weights, slice(1, -1), slice(1, -1)),
-            energy_weights=fold(weights)))
+            energy_weights=fold(weights), ring_weights=ring,
+            t=grid[0], x=grid[1], x_weights=grid[2]))
     return _window_kinks[1]
 
 
-# Second-order stencils of a first derivative, as (offset in strides,
-# coefficient) pairs over twice the step: central, and the one-sided
-# forward and backward ones of fd_derivative
-_CENTRAL = ((-1, -1.0), (1, 1.0))
-_FORWARD = ((0, -3.0), (1, 4.0), (2, -1.0))
-_BACKWARD = ((-2, 1.0), (-1, -4.0), (0, 3.0))
+# The one-sided second-order stencils of a first derivative at a window
+# edge, those of fd_derivative, as coefficients of three consecutive
+# samples over twice the step: forward at the first sample (row 0) and
+# backward at the last (row 1)
+_ONE_SIDED = np.array([[-3.0, 4.0, -1.0], [1.0, -4.0, 3.0]])
 
 
-def _residual_lines(fg: FieldGrid, stencil) -> np.ndarray:
-    """The residual lines of every segment for one derivative stencil
-    (``_CENTRAL``, ``_FORWARD`` or ``_BACKWARD``): g+ and g-, with
-    g±[k] = sum(c * w±[k + o*st]) / (2*ht) - w±'[k] over the stencil's
-    (o, c) pairs, from the late lines, then h+ and h-, the same at stride
-    sx and step hx.  With qt == qx, st == sx and ht == hx, so h± are g±
-    and a new (2, N, L) array holds the one pair; otherwise a (4, N, L)
-    array holds both.  The samples where the stencil would leave the line
-    are NaN."""
+def _line_view(lines: np.ndarray, first: int, shape: tuple, steps: tuple) -> np.ndarray:
+    """Read-only view ``out[..., i_1, ..., i_d]`` of every line of the
+    stack ``lines`` (..., L), C-ordered in its last axis: line sample
+    ``first + i_1*steps[0] + ... + i_d*steps[-1]``.  The view is made on the
+    stack's buffer with the strides given, which numpy checks only against
+    the whole buffer, so the extreme samples are checked against one line
+    first: a view reaching outside it is a ``ReconstructionError``."""
+    length = lines.shape[-1]
+    spans = [(n - 1) * step for n, step in zip(shape, steps)]
+    low = first + sum(min(span, 0) for span in spans)
+    high = first + sum(max(span, 0) for span in spans)
+    if not (all(shape) and lines.size):
+        view = np.empty(lines.shape[:-1] + tuple(shape))      # reads no sample
+    elif low < 0 or high >= length:
+        raise ReconstructionError(
+            f"field grid reads wave samples {low}..{high} outside a line of {length}")
+    else:
+        lines = np.ascontiguousarray(lines)
+        item = lines.itemsize
+        view = np.ndarray(lines.shape[:-1] + tuple(shape), lines.dtype, lines, first * item,
+                          lines.strides[:-1] + tuple(step * item for step in steps))
+    view.flags.writeable = False
+    return view
+
+
+def _one_sided(samples: np.ndarray, h: float) -> np.ndarray:
+    """The one-sided derivative of three consecutive samples (the last
+    axis of ``samples``) at step h, in a new array: forward where the
+    third-last axis is 0, backward where it is 1 (``_ONE_SIDED``), summed
+    in sample order and divided by 2h, as :func:`_residual_lines` does."""
+    out = samples[..., 0] * _ONE_SIDED[:, 0:1]
+    out += samples[..., 1] * _ONE_SIDED[:, 1:2]
+    out += samples[..., 2] * _ONE_SIDED[:, 2:3]
+    out /= 2.0 * h
+    return out
+
+
+def _residual_lines(fg: FieldGrid) -> np.ndarray:
+    """The central residual lines of every segment: g+ and g-, with
+    g±[k] = (w±[k + st] - w±[k - st]) / (2*ht) - w±'[k] from the late
+    lines, then h+ and h-, the same at stride sx and step hx.  With
+    qt == qx, st == sx and ht == hx, so h± are g± and a new (2, N, L) array
+    holds the one pair; otherwise a (4, N, L) array holds both.  The
+    samples where the stencil would leave the line are NaN."""
     # the plus and minus lines end to end, one flat array per family
     waves, slopes = (np.ascontiguousarray(fg.lines[fams]).reshape(-1)
                      for fams in (slice(_WP, _WM + 1), slice(_DWP, _DWM + 1)))
@@ -659,14 +722,13 @@ def _residual_lines(fg: FieldGrid, stencil) -> np.ndarray:
     for res, (stride, h) in zip((out[:2], out[2:]), steps):
         # every line at once; the samples whose stencil reaches into the
         # next line are then set NaN
-        before, after = -stencil[0][0] * stride, stencil[-1][0] * stride
-        n = waves.size - before - after
-        mid = res.reshape(-1)[before:before + n]
-        mid[...] = sum(c * waves[before + o * stride:][:n] for o, c in stencil)
+        n = waves.size - 2 * stride
+        mid = res.reshape(-1)[stride:stride + n]
+        np.subtract(waves[2 * stride:], waves[:n], out=mid)
         mid /= 2.0 * h
-        mid -= slopes[before:before + n]
-        res[..., :before] = np.nan
-        res[..., res.shape[-1] - after:] = np.nan
+        mid -= slopes[stride:stride + n]
+        res[..., :stride] = np.nan
+        res[..., res.shape[-1] - stride:] = np.nan
     return out
 
 
@@ -690,48 +752,61 @@ def residual_Q(fg: FieldGrid) -> float:
 
     Since v = w+ + w-, p = w+' + w-' and s - f = w+' - w-', at window
     sample (i, j) g = g+[a] + g-[b] and h = h+[a] - h-[b], with
-    a = i*st + j*sx, b = (P - 1) + i*st - j*sx and the 1-D residual lines
-    of :func:`_residual_lines`.  The t stencil is forward on t-row 0,
-    backward on t-row nt-1 and central elsewhere; the x stencil is central
-    on columns 1..2qx-1, and on column 0 (2qx) forward (backward) in j,
-    which is forward (backward) along the plus line and backward (forward)
-    along the minus line.
+    a = i*st + j*sx, b = (P - 1) + i*st - j*sx and 1-D residual lines: a
+    stencil of a wave less its late derivative line, read at a or b.  The
+    t stencil is forward on t-row 0, backward on t-row nt-1 and central
+    elsewhere; the x stencil is central on columns 1..2qx-1, and on column
+    0 (2qx) forward (backward) in j, which is forward (backward) along the
+    plus line and backward (forward) along the minus line.
 
     * t-rows 1..nt-2 on columns 1..2qx-1, the interior: every stencil is
       central, so g^2 + h^2 = (g+^2 + h+^2)[a] + (g-^2 + h-^2)[b]
       + 2*(g+[a]*g-[b] - h+[a]*h-[b]), and the first two terms sum, as
-      E_grid does, to dot products of the squared lines with the line
-      weights W± (``window_kinks(fg).q_line_weights``).  With qt == qx,
-      h± are g±, so the cross term is exactly 0 and is not summed;
-      otherwise it is summed over the interior of every window.
+      E_grid does, to dot products of the squared central lines
+      (:func:`_residual_lines`, the one set of whole lines Q builds) with
+      the line weights W± (``window_kinks(fg).q_line_weights``).  With
+      qt == qx, h± are g±, so the cross term is exactly 0 and is not
+      summed; otherwise it is summed over the interior of every window.
     * The ring, columns 0 and 2qx on every t-row and t-rows 0 and nt-1 on
-      columns 1..2qx-1: g^2 and h^2 summed apart, each over blocks of
-      window samples that share their stencils, read as strided views of
-      the lines (:meth:`FieldGrid._wave`).
+      columns 1..2qx-1, in four blocks of strided views
+      (:func:`_line_view`): its one-sided stencils are taken only at its
+      own samples, from the wave and derivative lines (columns 0 and 2qx
+      read the plus line at i*st and (P - 1) + i*st and the minus line the
+      other way round; t-rows 0 and nt-1 read the plus line at column j
+      where the minus line reads column 2qx - j), and its central ones are
+      read from the central lines.
 
     Every temporary is O(N*M*P), like the lines; none is (nt, nx).
     """
     kinks = window_kinks(fg)
     n_seg, nt, two_q = fg.mesh.N, len(fg.t), 2 * fg.qx
-    central, forward, backward = (_residual_lines(fg, stencil)
-                                  for stencil in (_CENTRAL, _FORWARD, _BACKWARD))
-    # g from the first pair of lines and h from the last (the same pair
-    # when qt == qx): (plus line, minus line, how they combine, first
-    # t-row, t-rows, first column, columns)
-    ring = [(forward[0], forward[1], np.add, 0, 1, 0, two_q + 1),
-            (backward[0], backward[1], np.add, nt - 1, 1, 0, two_q + 1),
-            (central[0], central[1], np.add, 1, nt - 2, 0, 1),
-            (central[0], central[1], np.add, 1, nt - 2, two_q, 1),
-            (forward[-2], backward[-1], np.subtract, 0, nt, 0, 1),
-            (backward[-2], forward[-1], np.subtract, 0, nt, two_q, 1),
-            (central[-2], central[-1], np.subtract, 0, 1, 1, two_q - 1),
-            (central[-2], central[-1], np.subtract, nt - 1, 1, 1, two_q - 1)]
-    total = 0.0
-    for plus, minus, combine, lo, n, col, width in ring:
-        res = combine(fg._wave(plus, True, lo, n, 0, n_seg, col, width),
-                      fg._wave(minus, False, lo, n, 0, n_seg, col, width))
-        total += float(np.einsum("isj,isj,ij->", res, res,
-                                 kinks.q_weights[lo:lo + n, col:col + width]))
+    st, sx = fg.st, fg.sx
+    reach = two_q * sx                  # P - 1
+    w_cols, w_rows, w_central_cols, w_central_rows = kinks.ring_weights
+    waves, slopes = fg.lines[_WP:_WM + 1], fg.lines[_DWP:_DWM + 1]
+    central = _residual_lines(fg)
+    # (family, segment, column 0 | 2qx, t-row, stencil sample): the x
+    # stencil forward at line sample i*st, backward at (P - 1) + i*st; h
+    # at column 0 is plus forward less minus backward, at 2qx the reverse
+    res = _one_sided(_line_view(waves, 0, (2, nt, 3), (reach - 2 * sx, st, sx)), fg.hx)
+    res -= _line_view(slopes, 0, (2, nt), (reach, st))
+    h = res[0] - res[1, :, ::-1]
+    total = np.einsum("sci,sci,ci->", h, h, w_cols)
+    # (family, segment, t-row 0 | nt-1, column, stencil sample): the t
+    # stencil forward on t-row 0, backward on nt-1
+    res = _one_sided(_line_view(waves, 0, (2, two_q + 1, 3), ((nt - 3) * st, sx, st)), fg.ht)
+    res -= _line_view(slopes, 0, (2, two_q + 1), ((nt - 1) * st, sx))
+    g = res[0] + res[1, ..., ::-1]
+    total += np.einsum("srj,srj,rj->", g, g, w_rows)
+    # the central stencils of the ring: g on columns 0 and 2qx of t-rows
+    # 1..nt-2, h on t-rows 0 and nt-1 of columns 1..2qx-1
+    g = _line_view(central[:2], st, (2, nt - 2), (reach, st))
+    g = g[0] + g[1, :, ::-1]
+    total += np.einsum("sci,sci,ci->", g, g, w_central_cols)
+    h = _line_view(central[-2:], sx, (2, two_q - 1), ((nt - 1) * st, sx))
+    h = h[0] - h[1, ..., ::-1]
+    total += np.einsum("srj,srj,rj->", h, h, w_central_rows)
+    total = float(total)
 
     # the interior: the squared residual lines dotted with W+ and W-,
     # which are 0 beyond the samples the interior reads, so the NaN ends
@@ -742,8 +817,8 @@ def residual_Q(fg: FieldGrid) -> float:
                                kinks.q_line_weights[:, mid]))
 
     if fg.qt == fg.qx:
-        return total + 2.0 * squared_lines(central, fg.st)
-    total += squared_lines(central[:2], fg.st) + squared_lines(central[2:], fg.sx)
+        return total + 2.0 * squared_lines(central, st)
+    total += squared_lines(central[:2], st) + squared_lines(central[2:], sx)
     gp, gm, hp, hm = (fg._wave(line, plus, 1, nt - 2, 0, n_seg, 1, two_q - 1)
                       for line, plus in zip(central, (True, False) * 2))
     w_interior = kinks.q_weights[1:-1, 1:-1]
@@ -779,7 +854,9 @@ def terminal_error(fg: FieldGrid, state: StateSpec) -> TerminalError:
     The terminal potential is prescribed only up to the free constant c1,
     so the r-error at t = T is taken after subtracting the plain mean of
     the difference over the grid columns (reported as ``r1_offset``).
-    Only v and r are evaluated, on t-rows 0 and nt - 1.
+    Only v and r are evaluated, on t-rows 0 and nt - 1; the errors of the
+    four profiles are one (4, nx) array, and the Simpson x-weights of the
+    L2 norms are the grid's (``window_kinks(fg).x_weights``).
     """
     mesh = fg.mesh
     p = state.grid_p(mesh)
@@ -787,24 +864,16 @@ def terminal_error(fg: FieldGrid, state: StateSpec) -> TerminalError:
     if stride * 2 * fg.qx != p - 1:
         raise InvalidArgumentError("field grid is not aligned with the data grid")
 
-    wx = simpson_weights(len(fg.x), fg.hx)
-
-    def norms(err):
-        return float(np.max(np.abs(err))), float(math.sqrt(max(wx @ err ** 2, 0.0)))
-
-    (v0,), (r0,) = fg.rows(0, 1, "vr")
-    (v1,), (r1,) = fg.rows(len(fg.t) - 1, len(fg.t), "vr")
-    ev0 = v0 - state.v0.values[::stride]
-    er0 = r0 - state.r0.values[::stride]
-    ev1 = v1 - state.v1.values[::stride]
-    dr1 = r1 - state.r1.values[::stride]
-    offset = float(np.mean(dr1))
-    er1 = dr1 - offset
-
-    v0s, v0l = norms(ev0)
-    r0s, r0l = norms(er0)
-    v1s, v1l = norms(ev1)
-    r1s, r1l = norms(er1)
+    nt = len(fg.t)
+    # v and r on t-rows 0 and nt - 1, as v0, r0, v1, r1, less the data
+    err = fg.rows(0, nt, "vr", nt - 1).transpose(1, 0, 2).reshape(4, -1)
+    err -= np.stack([getattr(state, name).values[::stride] for name in DATA_NAMES])
+    offset = float(np.mean(err[3]))
+    err[3] -= offset
+    sup = np.max(np.abs(err), axis=1).tolist()
+    wx = window_kinks(fg).x_weights
+    (v0s, r0s, v1s, r1s), (v0l, r0l, v1l, r1l) = sup, [
+        float(math.sqrt(max(wx @ squared, 0.0))) for squared in np.square(err)]
     return TerminalError(v0_sup=v0s, v0_l2=v0l, r0_sup=r0s, r0_l2=r0l,
                          v1_sup=v1s, v1_l2=v1l, r1_sup=r1s, r1_l2=r1l,
                          r1_offset=offset)

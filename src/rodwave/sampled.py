@@ -29,7 +29,8 @@ def fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
     if v.shape[-1] < 3:
         raise InvalidArgumentError("need at least 3 samples to differentiate")
     d = np.empty_like(v)
-    d[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+    np.subtract(v[..., 2:], v[..., :-2], out=d[..., 1:-1])
+    d[..., 1:-1] /= 2.0 * h
     d[..., 0] = (-3.0 * v[..., 0] + 4.0 * v[..., 1] - v[..., 2]) / (2.0 * h)
     d[..., -1] = (3.0 * v[..., -1] - 4.0 * v[..., -2] + v[..., -3]) / (2.0 * h)
     return d

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import InvalidArgumentError, SolverError
 from .edge import BoundaryStructure, EssentialBC, Parametrization
 from .energy import EnergyWeights, QuadraticProgram, evaluate_objective
 
@@ -56,6 +57,8 @@ class Solution:
     objective: float
     method: str
     diagnostics: dict = field(default_factory=dict)
+    # (N_v, p) sampled values of every catalog entry, A y + C_gamma gamma + g
+    entries: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def constraint_residual(bc: EssentialBC, y: np.ndarray, gamma: np.ndarray) -> float:
@@ -74,6 +77,18 @@ def check_feasible(bc: EssentialBC, y: np.ndarray, gamma: np.ndarray, method: st
         raise SolverError(f"{method}: essential boundary residual {res:.3e} "
                           f"exceeds {FEASIBILITY_TOL:.0e} * (1 + |b0|)")
     return res
+
+
+def sampled_solution(par: Parametrization, weights: EnergyWeights, y: np.ndarray,
+                     gamma: np.ndarray) -> tuple:
+    """The objective of the free samples ``y`` and the sampled values of
+    every catalog entry, from one product A y: the one objective evaluator
+    of both solvers.  The objective (:func:`rodwave.energy.evaluate_objective`)
+    reads the wave rows of A y + g, where C_gamma gamma, constant in z,
+    does not enter; the entries are (A y + C_gamma gamma) + g, the bits of
+    :meth:`Parametrization.entry_values`."""
+    ay = par.A @ y
+    return evaluate_objective(par, weights, y, ay), par.entry_values(y, gamma, ay)
 
 
 def _divergence(flux: np.ndarray) -> np.ndarray:
@@ -166,12 +181,12 @@ def solve_qp(qp: QuadraticProgram, par: Parametrization, bc: EssentialBC,
         raise SolverError(f"KKT residual {resid:.3e}")
 
     res = check_feasible(bc, y, gamma, "qp")
-    obj = evaluate_objective(par, weights, y)
+    obj, entries = sampled_solution(par, weights, y, gamma)
     diagnostics = {"kkt_size": qp.n_x + n_b, "kkt_residual": resid,
                    "feasibility_residual": res,
                    "objective_quadrature": qp.objective(x)}
     return Solution(y=y, gamma=gamma, h=mult, objective=obj, method="qp",
-                    diagnostics=diagnostics)
+                    diagnostics=diagnostics, entries=entries)
 
 
 class ELSystem:
@@ -261,10 +276,13 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
     to (alpha, gamma, c), with beta = c w and h = c z (see
     :class:`ELSystem`); a state solves them by one product with the stored
     inverse of S, proved by its residual S (alpha, gamma, c) - rhs: above
-    1e-8 * (1 + |rhs|), or NaN, it raises :class:`SolverError`.
+    1e-8 * (1 + |rhs|), or NaN, it raises :class:`SolverError`.  The
+    z-grid is the weights' (``weights.z``), built once per (mesh, p).
     """
     n_s, n_g = par.n_free, par.n_gamma
-    z = np.linspace(0.0, par.mesh.lam, p)
+    if weights.p != p:
+        raise InvalidArgumentError("weight grid does not match y samples")
+    z = weights.z
 
     y_part = -el.proj @ par.g_matrix(p)[el.data_rows]
     rhs = bc.b0 - bc.B1 @ y_part[:, -1] + bc.B0 @ y_part[:, 0]
@@ -280,10 +298,10 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
     c = sol[-1]
     y = y_part + alpha[:, None] + (c * el.w)[:, None] * z[None, :]
     res = check_feasible(bc, y, gamma, "euler_lagrange")
-    obj = evaluate_objective(par, weights, y)
+    obj, entries = sampled_solution(par, weights, y, gamma)
     diag = {"feasibility_residual": res, "boundary_residual": residual}
     return Solution(y=y, gamma=gamma, h=c * el.z, objective=obj,
-                    method="euler_lagrange", diagnostics=diag)
+                    method="euler_lagrange", diagnostics=diag, entries=entries)
 
 
 @dataclass(frozen=True)

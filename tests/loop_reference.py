@@ -12,7 +12,9 @@ closed form the once-per-mesh factorization replaced.  The edge, vertex
 and junction rows are kept here as row objects, assembled one row at a
 time, with the Gauss-Jordan elimination over Fractions that the
 characteristic substitution replaced; ``edge_rows`` and ``junction_rows``
-read the array forms of ``rodwave.edge`` into the same objects.
+read the array forms of ``rodwave.edge`` into the same objects.  The data
+part slot by slot (``g_slots``) and the kink window row by row
+(``window_kinks``) are the loop forms of the one-pass builds.
 """
 
 import csv
@@ -26,13 +28,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import lil_matrix
 
-from rodwave.edge import (EDGE_KINDS, EssentialBC, StateSpec,
-                          build_catalog, data_keys, guard_rows, jump_key, wave_key)
+from rodwave.edge import (CONST_KEYS, DATA_NAMES, EDGE_KINDS, EssentialBC, StateSpec,
+                          _by_place, build_catalog, data_keys, guard_rows, jump_key,
+                          wave_key)
 from rodwave.energy import blockwise_simpson_weights, evaluate_objective
 from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError, SolverError
 from rodwave.mesh import counts
 from rodwave.oracle import SimResult, _node_weights
-from rodwave.reconstruct import _DWM, _DWM_EARLY, _DWP, _DWP_EARLY, _pick_q
+from rodwave.reconstruct import _DWM, _DWM_EARLY, _DWP, _DWP_EARLY, _pick_q, drop_mask
 from rodwave.sampled import SampledFunction, fd_derivative, simpson_weights
 from rodwave.solver import Solution, check_feasible
 
@@ -751,6 +754,77 @@ def evaluate(expr, state, mesh, p, gamma=None):
 def g_matrix(g_exprs, state, mesh, p):
     """The data part of every entry, evaluated entry by entry."""
     return np.array([evaluate(expr, state, mesh, p) for expr in g_exprs])
+
+
+def g_slots(par, p):
+    """The data part g of the state ``par`` is bound to, slot by slot, as
+    ``Parametrization.g_matrix`` once formed it: term slot s gathers the
+    s-th window term of every entry that has one as rows of a sliding-window
+    view of the four profiles laid end to end, then the same reversed, and
+    adds them into g; then the constant slots likewise."""
+    mesh = par.mesh
+    n_win = 2 * len(DATA_NAMES) * mesh.N
+    q = np.arange(n_win)
+    names, orients = q // (2 * mesh.N), np.where(q // mesh.N % 2, -1, 1)
+    shifts = 2 * (q % mesh.N) + 1 - mesh.N - orients
+    win = par.data_key < n_win
+    keys = par.data_key[win]
+    term_slots = _by_place(par.data_entry[win], names[keys], orients[keys], shifts[keys],
+                           par.data_coef[win])
+    const_names = np.array([DATA_NAMES.index(name) for name, _ in CONST_KEYS])
+    const_ends = np.array([0 if end < 0 else -1 for _, end in CONST_KEYS])
+    keys = par.data_key[~win] - n_win
+    const_slots = _by_place(par.data_entry[~win], const_names[keys], const_ends[keys],
+                            par.data_coef[~win])
+    pd = mesh.N * (p - 1) + 1
+    length = len(DATA_NAMES) * pd
+    half, center = (p - 1) // 2, mesh.N * (p - 1) // 2
+    arrays = par.bound_state.arrays()
+    data = np.concatenate([arrays[name] for name in DATA_NAMES])
+    data = np.concatenate([data, data[::-1]])
+    windows = np.ndarray((len(data) - p + 1, p), data.dtype, data, 0, 2 * data.strides)
+    g = np.zeros((par.catalog.N_v, p))
+    for ents, names, orients, shifts, coefs in term_slots:
+        first = names * pd + center + shifts * half
+        rows = np.where(orients > 0, first, 2 * length - 1 - first)
+        g[ents] += coefs[:, None] * windows[rows]
+    for ents, names, ends, coefs in const_slots:
+        g[ents] += (coefs * data[names * pd + ends % pd])[:, None]
+    return g
+
+
+def window_kinks(fg):
+    """The kink window of the field grid ``fg`` built row by row, as
+    ``reconstruct.window_kinks`` once built it: (kinks, drop, q_weights,
+    q_line_weights, energy_weights), each row's blockwise Simpson weights
+    looked up by its pattern of kinks."""
+    nt, width = 2 * fg.mesh.M * fg.qt + 1, 2 * fg.qx + 1
+    ht, hx = fg.ht, fg.hx
+    period = fg.qt * fg.qx
+    t_res = (np.arange(nt) * fg.qx % period)[:, None]
+    x_res = np.arange(width) * fg.qt % period
+    kinks = (t_res == -x_res % period) | (t_res == x_res)
+    drop = drop_mask(kinks)
+    q_weights = np.outer(simpson_weights(nt, ht), simpson_weights(width, hx))
+    q_weights *= 0.25
+    q_weights[drop] = 0.0
+    by_pattern = {}
+    for row in kinks:
+        key_row = row.tobytes()
+        if key_row not in by_pattern:
+            by_pattern[key_row] = blockwise_simpson_weights(width, hx, np.flatnonzero(row))
+    weights = np.stack([by_pattern[row.tobytes()] for row in kinks])
+    weights *= blockwise_simpson_weights(nt, ht, np.arange(fg.qt, nt - 1, fg.qt))[:, None]
+    plus = np.arange(nt)[:, None] * fg.st + np.arange(width) * fg.sx
+    minus = plus[:, ::-1]
+    length = plus[-1, -1] + 1
+
+    def fold(w, rows=slice(None), cols=slice(None)):
+        return np.stack([np.bincount(index[rows, cols].ravel(), w[rows, cols].ravel(), length)
+                         for index in (plus, minus)])
+
+    return (kinks, drop, q_weights, fold(q_weights, slice(1, -1), slice(1, -1)),
+            fold(weights))
 
 
 def gamma_dict(par, gamma):

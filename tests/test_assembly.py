@@ -157,11 +157,11 @@ def test_perturbed_data_flags_rows(n, m, entry, flagged):
     mesh, _, _, par, clean, weights = assemble_all(n, m, 9)
     structure = boundary_structure(par, assemble_vertex_conditions(mesh))
     sol = solve_closed_form(par, clean, weights, 9)
-    assert structure.violated_junctions(par, sol.y, sol.gamma) == ()
+    assert structure.violated_junctions(sol.entries) == ()
     par.g_matrix(9)[entry, -1] += 0.5      # the cached data part, in place
     bc = check_both(par, weights, 9, assemble_vertex_conditions(mesh))
     sol = solve_closed_form(par, bc, weights, 9)
-    violated = structure.violated_junctions(par, sol.y, sol.gamma)
+    violated = structure.violated_junctions(sol.entries)
     res, scale = ref.junction_residuals(par, sol.y, sol.gamma)
     assert [label for label, r in violated] == [
         label for label, r in res if abs(r) > 1e-8 * scale]

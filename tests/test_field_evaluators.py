@@ -107,10 +107,10 @@ def no_whole_grid(monkeypatch):
     forked children."""
     rows = rec.FieldGrid.rows
 
-    def guarded(self, lo, hi, names="vrps"):
-        if (lo, hi) == (0, len(self.t)):
+    def guarded(self, lo, hi, names="vrps", step=1):
+        if (lo, hi, step) == (0, len(self.t), 1):
             raise AssertionError("a whole-grid block of FieldGrid on a production path")
-        return rows(self, lo, hi, names)
+        return rows(self, lo, hi, names, step)
 
     monkeypatch.setattr(rec.FieldGrid, "rows", guarded)
 
@@ -148,7 +148,7 @@ def test_pipeline_reads_no_whole_grid(no_whole_grid):
 @pytest.fixture
 def no_row_blocks(monkeypatch):
     """Make FieldGrid.rows refuse every call."""
-    def refused(self, lo, hi, names="vrps"):
+    def refused(self, lo, hi, names="vrps", step=1):
         raise AssertionError(f"a block of t-rows [{lo}, {hi}) of FieldGrid")
 
     monkeypatch.setattr(rec.FieldGrid, "rows", refused)

@@ -27,7 +27,6 @@ import loop_reference as ref
 from rodwave import cli
 from rodwave import reconstruct as rec
 from rodwave.cli import EXIT_INVARIANT, EXIT_OK, main
-from rodwave.edge import Parametrization
 from rodwave.energy import mean_energy
 from rodwave.errors import ReconstructionError
 from test_assembly import assert_bits
@@ -129,7 +128,7 @@ def test_line_weights_fold_the_interior_weights(qt, qx):
     # end, where the residual lines are NaN; only unequal steps need the
     # h lines apart from the g lines
     fg = rec.fields(*solved(5, 4, 129, trig_params(qt + qx)), qt=qt, qx=qx)
-    assert len(rec._residual_lines(fg, rec._CENTRAL)) == (2 if qt == qx else 4)
+    assert len(rec._residual_lines(fg)) == (2 if qt == qx else 4)
     kinks = rec.window_kinks(fg)
     line_weights = kinks.q_line_weights
     assert line_weights.shape == (2, fg.lines.shape[-1])
@@ -147,7 +146,7 @@ def test_line_weights_equal_the_window_sum_at_one_step(q):
     fg = rec.fields(*solved(6, 6, 129, trig_params(q)), qt=q, qx=q)
     assert fg.ht == fg.hx
     kinks = rec.window_kinks(fg)
-    lines = rec._residual_lines(fg, rec._CENTRAL)
+    lines = rec._residual_lines(fg)
     assert lines.shape[0] == 2
     nt, width = len(fg.t), 2 * fg.qx + 1
     plus = np.arange(nt)[:, None] * fg.st + np.arange(width) * fg.sx
@@ -196,18 +195,18 @@ def test_large_data_solves(tmp_path, capsys, amplitude):
 
 @pytest.mark.parametrize("amplitude", [1.0, 1e9])
 def test_junction_mismatch_still_exits_4(tmp_path, capsys, monkeypatch, amplitude):
-    entry_values = Parametrization.entry_values
+    waves_from_solution = rec.waves_from_solution
 
-    def mismatched(self, y, gamma):
+    def mismatched(par, entries):
         # move the first interior junction sample of one wave by 1e-3 of
-        # the largest wave sample
-        out = entry_values(self, y, gamma)
-        key = ("w", +1, self.mesh.J_s[0], 2)
-        waves = out[:self.catalog.N_w]
-        out[self.catalog.index[key], 0] += 1e-3 * np.max(np.abs(waves))
-        return out
+        # the largest wave sample, in the entries the waves are stitched from
+        out = entries.copy()
+        key = ("w", +1, par.mesh.J_s[0], 2)
+        waves = out[:par.catalog.N_w]
+        out[par.catalog.index[key], 0] += 1e-3 * np.max(np.abs(waves))
+        return waves_from_solution(par, out)
 
-    monkeypatch.setattr(Parametrization, "entry_values", mismatched)
+    monkeypatch.setattr(rec, "waves_from_solution", mismatched)
     code, err = solve_main(tmp_path, capsys, {"v0": [amplitude, 1.0]})
     assert code == EXIT_INVARIANT
     assert "traveling-wave pieces disagree at junctions" in err

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import conjugate_vector
-from rodwave import cli, edge
+from rodwave import cli, edge, energy, sampled
 from rodwave import reconstruct as rec
 from rodwave.edge import Parametrization, boundary_matrices
 from rodwave.energy import assemble_qp
@@ -128,6 +128,50 @@ def test_cache_hit_builds_no_operator(monkeypatch):
     assert first["par"].state is first["state"] and warm["par"].state is warm["state"]
     assert warm["system"] is op.system
     same_result(warm, cold(trig_config(4, 4, 2)))
+
+
+def refuse_per_mesh_arrays(monkeypatch):
+    """Make every build of a per-mesh array refuse, as no_row_blocks does
+    for FieldGrid.rows: np.linspace (the data grid, the z-grid, the field
+    grid's t and x), the Simpson weights of the quadratures and of the
+    terminal L2 norms, and the gathers of g.  Returns the field grids
+    _residual_lines builds lines for, one entry per call."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a per-mesh array built again for a repeated mesh")
+
+    for owner, name in ((np, "linspace"), (sampled, "simpson_weights"),
+                        (rec, "simpson_weights"), (energy, "simpson_weights"),
+                        (energy, "blockwise_simpson_weights"),
+                        (rec, "blockwise_simpson_weights"), (Parametrization, "_g_gathers")):
+        monkeypatch.setattr(owner, name, refused)
+    calls = []
+    lines = rec._residual_lines
+    monkeypatch.setattr(rec, "_residual_lines", lambda fg: calls.append(fg) or lines(fg))
+    return calls
+
+
+@pytest.mark.parametrize("n, m, field_samples, solver", [
+    (6, 6, None, "el"), (1, 3, 2, "el"), (4, 4, 8, "both"), (3, 2, 16, "el")])
+def test_repeated_mesh_builds_no_per_mesh_array(monkeypatch, n, m, field_samples, solver):
+    def config(seed):
+        rng = np.random.default_rng(seed)
+        params = {key: [float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 4.0))]
+                  for key in ("v0", "r0", "v1", "r1")}
+        raw = {"N": n, "M": m, "P": P, "preset": "trig", "preset_params": params,
+               "solver": solver}
+        if field_samples is not None:
+            raw["field_samples"] = field_samples
+        return validate_config(raw)
+
+    solve_pipeline(config(1))
+    grids = refuse_per_mesh_arrays(monkeypatch)
+    with pytest.raises(AssertionError, match="built again"):
+        np.linspace(0.0, 1.0, 3)
+    warm = solve_pipeline(config(2))
+    # qt == qx on every grid the CLI builds: one set of residual lines
+    assert len(grids) == 1 and grids[0] is warm["fields"]
+    monkeypatch.undo()
+    same_result(warm, cold(config(2)))
 
 
 def test_failed_build_stores_no_entry(monkeypatch, tmp_path, capsys):

@@ -5,11 +5,13 @@ their loop forms, and the separation of per-mesh data.
 ``controls_from_jumps`` gather every piece of a state through the index
 arrays of its ``Parametrization`` into one stack each; ``fields`` builds
 the wave lines and control histories by reshaping those stacks, and
-``Parametrization.g_matrix`` reads each term slot through flat data
-indices built once per (mesh, P).  ``tests/loop_reference.py`` does the
-same work key by key, piece by piece and entry by entry: every array and
-every diagnostic must match it bit for bit, and keyed access must read
-the right stack row for every index, negative ones included.
+``Parametrization.g_matrix`` gathers every term in one pass through
+data indices built once per (mesh, P).  ``tests/loop_reference.py`` does
+the same work key by key, piece by piece, entry by entry and slot by
+slot, and builds the kink window row by row: every array and every
+diagnostic must match it bit for bit, signed zeros included, and keyed
+access must read the right stack row for every index, negative ones
+included.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from rodwave.edge import StateSpec, assemble_edge_constraints, eliminate
 from rodwave.errors import AssemblyError
 from rodwave.mesh import build_mesh
 from test_assembly import assert_bits
-from test_field_views import trig_params
+from test_field_views import solved as solved_waves, trig_params
 
 CASES = [(n, m, p) for n in (1, 2, 3, 6, 12) for m in (2, 3, 7) for p in (17, 129)]
 
@@ -102,6 +104,48 @@ def test_g_matrix_matches_loop_form(solved):
     assert_bits(par.g_matrix(p), ref.g_matrix(ref.data_exprs(par), solved["state"], mesh, p))
 
 
+def test_g_matrix_matches_slot_loop(solved):
+    # the one gather and ordered in-place sums against the slot-by-slot
+    # loop it replaced; tobytes tells -0.0 from 0.0
+    par, p = solved["par"], solved["p"]
+    assert_bits(par.g_matrix(p), ref.g_slots(par, p))
+
+
+def assert_kink_window(waves, controls, mesh, qt=None, qx=None):
+    """The window_kinks entry a new field grid builds, by one period of
+    kink rows, against the row-by-row build; the grid's coordinates are
+    the entry's."""
+    rec._window_kinks = None
+    fg = rec.fields(waves, controls, mesh, qt, qx)
+    kinks = rec.window_kinks(fg)
+    for got, want in zip((kinks.kinks, kinks.drop, kinks.q_weights, kinks.q_line_weights,
+                          kinks.energy_weights), ref.window_kinks(fg)):
+        assert_bits(got, want)
+    nt, nx = 2 * fg.mesh.M * fg.qt + 1, 2 * fg.mesh.N * fg.qx + 1
+    assert_bits(kinks.t, np.linspace(0.0, fg.mesh.T, nt))
+    assert_bits(kinks.x, np.linspace(-1.0, 1.0, nx))
+    assert_bits(kinks.x_weights, ref.simpson_weights(nx, fg.hx))
+    q = kinks.q_weights
+    for got, want in zip(kinks.ring_weights, (q[:, [0, -1]].T, q[[0, -1]], q[1:-1, [0, -1]].T,
+                                              q[[0, -1], 1:-1])):
+        assert_bits(got, want)
+    assert fg.t is kinks.t and fg.x is kinks.x
+    for arr in (kinks.t, kinks.x, kinks.x_weights):
+        assert not arr.flags.writeable
+
+
+def test_window_kinks_match_row_loop(solved):
+    assert_kink_window(solved["waves"], solved["controls"], solved["mesh"])
+
+
+# (N, M, qt, qx): unequal steps either way, q = 1 and 2, and N = 1
+@pytest.mark.parametrize("n, m, qt, qx", [(1, 3, 2, 2), (1, 2, 1, 1), (3, 2, 4, 1), (5, 4, 16, 4),
+                                          (2, 3, 1, 2), (6, 6, 2, 2), (4, 3, 8, 32),
+                                          (2, 5, 64, 64)])
+def test_window_kinks_match_row_loop_on_steps(n, m, qt, qx):
+    assert_kink_window(*solved_waves(n, m, 129, trig_params(5 * n + m)), qt, qx)
+
+
 # --- per-mesh data ------------------------------------------------------------
 
 def _solve(n, m, p, seed):
@@ -141,8 +185,9 @@ def test_rebound_copies_share_the_index_arrays():
     assert first._g_gathers(33) is second._g_gathers(33) is par._g_gathers(33)
     assert coarse._g_gathers(17) is par._g_gathers(17)
     assert first._g_gathers(33) is not first._g_gathers(17)
-    for (_, f1, c1), (_, f2, c2) in zip(first._g_gathers(33)[0], second._g_gathers(33)[0]):
-        assert f1 is f2 and c1 is c2 and not f1.flags.writeable
+    rows, _, const_at = first._g_gathers(33)
+    assert not rows.flags.writeable and not const_at.flags.writeable
+    assert first._g_terms[3] is second._g_terms[3] and not first._g_terms[3].flags.writeable
     assert first.wave_index is second.wave_index is par.wave_index
     assert first.jump_index is par.jump_index
     # the data parts themselves stay per state
@@ -152,11 +197,13 @@ def test_rebound_copies_share_the_index_arrays():
 
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_a_window_outside_its_profile_raises_on_every_call(shift):
-    # one term slot moved half a rod past either end of the profiles
+    # the window terms of the first term slot moved half a rod past either
+    # end of the profiles
     mesh = build_mesh(3, 3)
     par = eliminate(assemble_edge_constraints(mesh))
-    ents, names, orients, shifts, coefs = par._term_slots[0]
-    par._term_slots[0] = [ents, names, orients, shifts + shift * 2 * mesh.N, coefs]
+    _, orients, shifts, _ = par._g_terms
+    first = np.arange(len(shifts)) < par._g_widths[0]
+    par._g_terms[2] = np.where(first & (orients != 0), shifts + shift * 2 * mesh.N, shifts)
     bound = par.rebind(StateSpec.from_callables(mesh, 33, np.sin, np.cos, np.sin, np.cos))
     for _ in range(2):
         with pytest.raises(AssemblyError, match="data window out of range for [vr][01]$"):
