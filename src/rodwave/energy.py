@@ -185,15 +185,41 @@ def blockwise_simpson_weights(n: int, h: float, splits) -> np.ndarray:
     two adjacent blocks cancel).  Blocks with an odd interval count lose
     one Simpson panel to a trapezoid step, taken at the block start.
     """
-    bounds = [0] + sorted({int(s) for s in splits if 0 < s < n - 1}) + [n - 1]
-    w = np.zeros(n)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if (b - a) % 2 == 1:
-            w[a:a + 2] += 0.5 * h
-            a += 1
-        if b > a:
-            w[a:b + 1] += simpson_weights(b - a + 1, h)
-    return w
+    mask = np.zeros((1, n), bool)
+    mask[0, [int(s) for s in splits if 0 < s < n - 1]] = True
+    return blockwise_simpson_rows(mask, h)[0]
+
+
+def blockwise_simpson_rows(splits: np.ndarray, h: float) -> np.ndarray:
+    """:func:`blockwise_simpson_weights` of every row of ``splits``, an
+    (R, n) boolean array, True at each row's split samples (its first and
+    last samples end a block anyway), in a fixed number of array
+    operations.
+
+    A sample inside a block [a, b] takes the Simpson weight of its place
+    t in the Simpson part, which starts at a + 1 in a block of odd length
+    (after the trapezoid step) and at a otherwise: 4h/3 at odd t, 2h/3 at
+    even t, and h/2 + h/3 at a + 1 of an odd block.  A block end takes h/3
+    or h/2 from the block it ends (h/2 when that block is one step) and
+    from the block it starts (h/2 when that block is of odd length).  No
+    sample takes more than two terms, whose sum does not depend on their
+    order, so every weight has the bits of the block-by-block sum."""
+    n = splits.shape[-1]
+    k = np.arange(n)
+    bound = splits.copy()
+    bound[:, [0, -1]] = True
+    # the last block end at or before each sample, and the first at or after
+    prev = np.maximum.accumulate(np.where(bound, k, 0), axis=1)
+    nxt = np.minimum.accumulate(np.where(bound, k, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    half, third = 0.5 * h, h / 3.0
+    odd = (nxt - prev) % 2 == 1
+    t = k - prev - odd
+    inner = np.where(t % 2 == 1, 4.0, 2.0) * third
+    inner[odd & (t == 0)] = half + third
+    ends = np.zeros(bound.shape)
+    ends[:, 1:] = np.where(k[1:] - prev[:, :-1] == 1, half, third)
+    ends[:, :-1] += np.where((nxt[:, 1:] - k[:-1]) % 2 == 1, half, third)
+    return np.where(bound, ends, inner)
 
 
 def mean_energy(field_grid) -> float:

@@ -95,7 +95,7 @@ import numpy as np
 from .errors import InvalidArgumentError, ReconstructionError
 from .mesh import MeshConfig
 from .sampled import fd_derivative, simpson_weights
-from .energy import blockwise_simpson_weights
+from .energy import blockwise_simpson_rows, blockwise_simpson_weights
 from .edge import DATA_NAMES, Parametrization, StateSpec
 
 CONTINUITY_ERROR = 1e-6
@@ -609,8 +609,9 @@ def _window_kinks_of(mesh: MeshConfig, qt: int, qx: int, st: int, sx: int) -> Wi
 
     Row i's residue i*qx mod qt*qx depends on i mod qt only, so the kink
     rows repeat with period qt: the kinks and the blockwise Simpson
-    weights of each row are built for one period, once per distinct row
-    pattern, and gathered for the rest."""
+    weights of each row are built for one period, in one pass
+    (:func:`rodwave.energy.blockwise_simpson_rows`), and gathered for the
+    rest."""
     global _window_kinks
     key = (mesh.N, mesh.M, qt, qx, st, sx)
     if _window_kinks is None or _window_kinks[0] != key:
@@ -629,16 +630,10 @@ def _window_kinks_of(mesh: MeshConfig, qt: int, qx: int, st: int, sx: int) -> Wi
         q_weights *= 0.25
         q_weights[drop] = 0.0
 
-        # blockwise Simpson weights of each row, split at its kinks, built
-        # once per distinct row pattern of the period, times those of the
-        # time profile, split at the t-rows where kink lines meet the mesh
-        # lines
-        by_pattern: dict = {}
-        for row in one_period:
-            key_row = row.tobytes()
-            if key_row not in by_pattern:
-                by_pattern[key_row] = blockwise_simpson_weights(width, hx, np.flatnonzero(row))
-        weights = np.stack([by_pattern[row.tobytes()] for row in one_period])[in_period]
+        # blockwise Simpson weights of each row of the period, split at its
+        # kinks, times those of the time profile, split at the t-rows where
+        # kink lines meet the mesh lines
+        weights = blockwise_simpson_rows(one_period, hx)[in_period]
         weights *= blockwise_simpson_weights(nt, ht, np.arange(qt, nt - 1, qt))[:, None]
         plus = np.arange(nt)[:, None] * st + np.arange(width) * sx
         minus = plus[:, ::-1]               # (P - 1) + i*st - j*sx
@@ -678,9 +673,10 @@ def _line_view(lines: np.ndarray, first: int, shape: tuple, steps: tuple) -> np.
     the whole buffer, so the extreme samples are checked against one line
     first: a view reaching outside it is a ``ReconstructionError``."""
     length = lines.shape[-1]
-    spans = [(n - 1) * step for n, step in zip(shape, steps)]
-    low = first + sum(min(span, 0) for span in spans)
-    high = first + sum(max(span, 0) for span in spans)
+    low = high = first
+    for n, step in zip(shape, steps):
+        span = (n - 1) * step
+        low, high = low + min(span, 0), high + max(span, 0)
     if not (all(shape) and lines.size):
         view = np.empty(lines.shape[:-1] + tuple(shape))      # reads no sample
     elif low < 0 or high >= length:

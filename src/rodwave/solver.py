@@ -57,7 +57,8 @@ class Solution:
     objective: float
     method: str
     diagnostics: dict = field(default_factory=dict)
-    # (N_v, p) sampled values of every catalog entry, A y + C_gamma gamma + g
+    # (N_v, p) sampled values of every catalog entry, A y + C_gamma gamma + g,
+    # where the solve formed them (the closed form)
     entries: Optional[np.ndarray] = field(default=None, repr=False)
 
 
@@ -77,18 +78,6 @@ def check_feasible(bc: EssentialBC, y: np.ndarray, gamma: np.ndarray, method: st
         raise SolverError(f"{method}: essential boundary residual {res:.3e} "
                           f"exceeds {FEASIBILITY_TOL:.0e} * (1 + |b0|)")
     return res
-
-
-def sampled_solution(par: Parametrization, weights: EnergyWeights, y: np.ndarray,
-                     gamma: np.ndarray) -> tuple:
-    """The objective of the free samples ``y`` and the sampled values of
-    every catalog entry, from one product A y: the one objective evaluator
-    of both solvers.  The objective (:func:`rodwave.energy.evaluate_objective`)
-    reads the wave rows of A y + g, where C_gamma gamma, constant in z,
-    does not enter; the entries are (A y + C_gamma gamma) + g, the bits of
-    :meth:`Parametrization.entry_values`."""
-    ay = par.A @ y
-    return evaluate_objective(par, weights, y, ay), par.entry_values(y, gamma, ay)
 
 
 def _divergence(flux: np.ndarray) -> np.ndarray:
@@ -181,12 +170,12 @@ def solve_qp(qp: QuadraticProgram, par: Parametrization, bc: EssentialBC,
         raise SolverError(f"KKT residual {resid:.3e}")
 
     res = check_feasible(bc, y, gamma, "qp")
-    obj, entries = sampled_solution(par, weights, y, gamma)
+    obj = evaluate_objective(par, weights, y)
     diagnostics = {"kkt_size": qp.n_x + n_b, "kkt_residual": resid,
                    "feasibility_residual": res,
                    "objective_quadrature": qp.objective(x)}
     return Solution(y=y, gamma=gamma, h=mult, objective=obj, method="qp",
-                    diagnostics=diagnostics, entries=entries)
+                    diagnostics=diagnostics)
 
 
 class ELSystem:
@@ -278,6 +267,13 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
     inverse of S, proved by its residual S (alpha, gamma, c) - rhs: above
     1e-8 * (1 + |rhs|), or NaN, it raises :class:`SolverError`.  The
     z-grid is the weights' (``weights.z``), built once per (mesh, p).
+
+    One product A y serves the objective, which reads the wave rows of
+    A y + g (:func:`rodwave.energy.evaluate_objective`, as for the KKT
+    solution; C_gamma gamma, constant in z, does not enter), and the
+    sampled values of every catalog entry, (A y + C_gamma gamma) + g
+    (``Solution.entries``, :meth:`Parametrization.entry_values`), which
+    the junction check and the reconstruction read.
     """
     n_s, n_g = par.n_free, par.n_gamma
     if weights.p != p:
@@ -298,7 +294,9 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
     c = sol[-1]
     y = y_part + alpha[:, None] + (c * el.w)[:, None] * z[None, :]
     res = check_feasible(bc, y, gamma, "euler_lagrange")
-    obj, entries = sampled_solution(par, weights, y, gamma)
+    ay = par.A @ y
+    obj = evaluate_objective(par, weights, y, ay)
+    entries = par.entry_values(y, gamma, ay)
     diag = {"feasibility_residual": res, "boundary_residual": residual}
     return Solution(y=y, gamma=gamma, h=c * el.z, objective=obj,
                     method="euler_lagrange", diagnostics=diag, entries=entries)

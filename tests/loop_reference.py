@@ -31,7 +31,7 @@ from scipy.sparse import lil_matrix
 from rodwave.edge import (CONST_KEYS, DATA_NAMES, EDGE_KINDS, EssentialBC, StateSpec,
                           _by_place, build_catalog, data_keys, guard_rows, jump_key,
                           wave_key)
-from rodwave.energy import blockwise_simpson_weights, evaluate_objective
+from rodwave.energy import evaluate_objective
 from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError, SolverError
 from rodwave.mesh import counts
 from rodwave.oracle import SimResult, _node_weights
@@ -302,6 +302,20 @@ def kink_masks(fg):
     plus = (iu * fg.qx + (ju - fg.mesh.N * fg.qx) * fg.qt) % step
     minus = (iu * fg.qx - (ju - fg.mesh.N * fg.qx) * fg.qt) % step
     return plus == 0, minus == 0
+
+
+def blockwise_simpson_weights(n, h, splits):
+    """Composite Simpson weights split at interior sample indices, block by
+    block, as ``energy.blockwise_simpson_weights`` once summed them."""
+    bounds = [0] + sorted({int(s) for s in splits if 0 < s < n - 1}) + [n - 1]
+    w = np.zeros(n)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if (b - a) % 2 == 1:
+            w[a:a + 2] += 0.5 * h
+            a += 1
+        if b > a:
+            w[a:b + 1] += simpson_weights(b - a + 1, h)
+    return w
 
 
 def blockwise_simpson(values, h, splits):
@@ -797,7 +811,7 @@ def window_kinks(fg):
     """The kink window of the field grid ``fg`` built row by row, as
     ``reconstruct.window_kinks`` once built it: (kinks, drop, q_weights,
     q_line_weights, energy_weights), each row's blockwise Simpson weights
-    looked up by its pattern of kinks."""
+    looked up by its pattern of kinks and summed block by block."""
     nt, width = 2 * fg.mesh.M * fg.qt + 1, 2 * fg.qx + 1
     ht, hx = fg.ht, fg.hx
     period = fg.qt * fg.qx

@@ -203,7 +203,7 @@ class TestVertexConditions:
     def test_no_inconsistent_rows_on_worked_example(self, worked_example):
         par, bc = worked_example["par"], worked_example["bc"]
         for sol in (worked_example["sol_el"], worked_example["sol_qp"]):
-            assert structure_of(par).violated_junctions(sol.entries) == ()
+            assert structure_of(par).violated_junctions(par.entry_values(sol.y, sol.gamma)) == ()
 
 
 @pytest.mark.parametrize("m", range(2, 11))

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rodwave import cli
 from rodwave import reconstruct as rec
-from rodwave.energy import blockwise_simpson_weights
+from rodwave.energy import blockwise_simpson_rows, blockwise_simpson_weights
 from rodwave.errors import InvalidArgumentError
 from rodwave.mesh import build_mesh
 from rodwave.oracle import SimConfig, simulate, write_sim_csv
@@ -98,6 +98,15 @@ def test_simpson_weights_match_loop(n, splits, seed):
     scale = ref.blockwise_simpson(np.abs(values), h, splits)
     assert abs(float(weights @ values) - want) <= 1e-14 * max(scale, 1e-300)
     assert weights.sum() == pytest.approx((n - 1) * h, rel=1e-14, abs=1e-300)
+    # the one-pass weights against the block-by-block sum, bit for bit,
+    # alone and as one row among others
+    assert weights.tobytes() == ref.blockwise_simpson_weights(n, h, splits).tobytes()
+    rows = np.zeros((3, n), bool)
+    rows[1, [s for s in splits if 0 <= s < n]] = True
+    rows[2, ::3] = True
+    got = blockwise_simpson_rows(rows, h)
+    for row, mask in zip(got, rows):
+        assert row.tobytes() == ref.blockwise_simpson_weights(n, h, np.flatnonzero(mask)).tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -142,7 +142,8 @@ def refuse_per_mesh_arrays(monkeypatch):
     for owner, name in ((np, "linspace"), (sampled, "simpson_weights"),
                         (rec, "simpson_weights"), (energy, "simpson_weights"),
                         (energy, "blockwise_simpson_weights"),
-                        (rec, "blockwise_simpson_weights"), (Parametrization, "_g_gathers")):
+                        (rec, "blockwise_simpson_weights"), (energy, "blockwise_simpson_rows"),
+                        (rec, "blockwise_simpson_rows"), (Parametrization, "_g_gathers")):
         monkeypatch.setattr(owner, name, refused)
     calls = []
     lines = rec._residual_lines
