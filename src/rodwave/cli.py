@@ -499,6 +499,9 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
     waves = rec.waves_from_solution(par, primary.entries)
     controls = rec.controls_from_jumps(
         mesh, rec.jump_pieces_from_solution(par, primary.entries))
+    # the waves and controls hold copies of what the run reads of the
+    # entries, so the result does not keep them through its artifacts
+    primary.entries = None
     steps = rec.grid_steps(config.P, config.field_samples, config.field_samples)
     fg = rec.fields(waves, controls, mesh, *steps)
     terr = rec.terminal_error(fg, state)

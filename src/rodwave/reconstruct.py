@@ -59,10 +59,12 @@ with folded weights, plus a cross term that is exactly 0 when the t and x
 steps are equal (qt == qx, every grid the CLI builds); the steps are
 lam/(2*qt) and lam/(2*qx) (``FieldGrid.ht``, ``FieldGrid.hx``), so equal
 steps are equal to the bit.  The ring around it, columns 0 and 2qx and
-t-rows 0 and nt-1, takes the one-sided stencils from residual lines of
-their own, read as strided views.  The weights depend only on the mesh,
-the field step and the line geometry, (N, M, qt, qx, st, sx), and the
-last set built is kept, so many states solved on one mesh build it once.
+t-rows 0 and nt-1, takes its one-sided stencils at its own samples only,
+from strided views of the wave lines, and its central ones from the
+interior's residual lines.  The weights depend only on the mesh, the
+field step and the line geometry, (N, M, qt, qx, st, sx), and the last
+set built is kept, with the grid's coordinates, so many states solved on
+one mesh build it once.
 
 A :class:`FieldGrid` holds the wave lines, stacked per family into (N, L)
 arrays, and the control histories on the t grid: O(N*M*P) floats, never

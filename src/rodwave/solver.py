@@ -58,7 +58,8 @@ class Solution:
     method: str
     diagnostics: dict = field(default_factory=dict)
     # (N_v, p) sampled values of every catalog entry, A y + C_gamma gamma + g,
-    # where the solve formed them (the closed form)
+    # where the solve formed them (the closed form); a reconstructing
+    # cli.solve_pipeline releases them once the waves and controls are built
     entries: Optional[np.ndarray] = field(default=None, repr=False)
 
 
