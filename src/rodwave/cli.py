@@ -476,7 +476,10 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
     bc = boundary_matrices(op.boundary, par)
 
     primary = solve_euler_lagrange(par, bc, weights, config.P, op.el)
-    violated = op.boundary.violated_junctions(primary.entries)
+    # the run reads the entry samples here and keeps copies of what it
+    # needs of them (waves, controls); the solution it returns holds none
+    entries, primary.entries = primary.entries, None
+    violated = op.boundary.violated_junctions(entries)
     if violated:
         raise InvariantViolationError(_junction_report(violated))
     solutions = {"el": primary}
@@ -496,12 +499,8 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
                 "bc": bc, "weights": weights, "solutions": solutions,
                 "primary": primary, "comparison": comparison}
 
-    waves = rec.waves_from_solution(par, primary.entries)
-    controls = rec.controls_from_jumps(
-        mesh, rec.jump_pieces_from_solution(par, primary.entries))
-    # the waves and controls hold copies of what the run reads of the
-    # entries, so the result does not keep them through its artifacts
-    primary.entries = None
+    waves = rec.waves_from_solution(par, entries)
+    controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, entries))
     steps = rec.grid_steps(config.P, config.field_samples, config.field_samples)
     fg = rec.fields(waves, controls, mesh, *steps)
     terr = rec.terminal_error(fg, state)

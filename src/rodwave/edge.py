@@ -593,12 +593,14 @@ class Parametrization:
     def entry_values(self, y: np.ndarray, gamma: np.ndarray,
                      ay: Optional[np.ndarray] = None) -> np.ndarray:
         """Sampled values of every catalog entry for free samples y (N_s, p):
-        (A y + C_gamma gamma) + g, with ``ay`` the product A y where the
-        caller has formed it."""
+        (A y + C_gamma gamma) + g, summed in place in the product A y, which
+        is ``ay`` where the caller has formed it (and is then overwritten)."""
         p = y.shape[1]
         gamma = np.asarray(gamma, dtype=float)
-        return ((self.A @ y if ay is None else ay) + (self.C_gamma @ gamma)[:, None]
-                + self.g_matrix(p))
+        out = self.A @ y if ay is None else ay
+        out += (self.C_gamma @ gamma)[:, None]
+        out += self.g_matrix(p)
+        return out
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

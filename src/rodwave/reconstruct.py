@@ -697,7 +697,7 @@ def _one_sided(samples: np.ndarray, h: float) -> np.ndarray:
     """The one-sided derivative of three consecutive samples (the last
     axis of ``samples``) at step h, in a new array: forward where the
     third-last axis is 0, backward where it is 1 (``_ONE_SIDED``), summed
-    in sample order and divided by 2h, as :func:`_residual_lines` does."""
+    in sample order, then divided by 2h."""
     out = samples[..., 0] * _ONE_SIDED[:, 0:1]
     out += samples[..., 1] * _ONE_SIDED[:, 1:2]
     out += samples[..., 2] * _ONE_SIDED[:, 2:3]

@@ -58,8 +58,8 @@ class Solution:
     method: str
     diagnostics: dict = field(default_factory=dict)
     # (N_v, p) sampled values of every catalog entry, A y + C_gamma gamma + g,
-    # where the solve formed them (the closed form); a reconstructing
-    # cli.solve_pipeline releases them once the waves and controls are built
+    # where the solve formed them (the closed form); cli.solve_pipeline
+    # takes them out of the solution it returns
     entries: Optional[np.ndarray] = field(default=None, repr=False)
 
 
@@ -297,7 +297,7 @@ def solve_euler_lagrange(par: Parametrization, bc: EssentialBC,
     res = check_feasible(bc, y, gamma, "euler_lagrange")
     ay = par.A @ y
     obj = evaluate_objective(par, weights, y, ay)
-    entries = par.entry_values(y, gamma, ay)
+    entries = par.entry_values(y, gamma, ay)      # in place in ay
     diag = {"feasibility_residual": res, "boundary_residual": residual}
     return Solution(y=y, gamma=gamma, h=c * el.z, objective=obj,
                     method="euler_lagrange", diagnostics=diag, entries=entries)
