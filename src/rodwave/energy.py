@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import AssemblyError, InvalidArgumentError
 from .mesh import MeshConfig
-from .sampled import simpson_weights
 from .edge import EssentialBC, Parametrization
 
 

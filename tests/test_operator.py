@@ -140,8 +140,7 @@ def refuse_per_mesh_arrays(monkeypatch):
         raise AssertionError("a per-mesh array built again for a repeated mesh")
 
     for owner, name in ((np, "linspace"), (sampled, "simpson_weights"),
-                        (rec, "simpson_weights"), (energy, "simpson_weights"),
-                        (energy, "blockwise_simpson_weights"),
+                        (rec, "simpson_weights"), (energy, "blockwise_simpson_weights"),
                         (rec, "blockwise_simpson_weights"), (energy, "blockwise_simpson_rows"),
                         (rec, "blockwise_simpson_rows"), (Parametrization, "_g_gathers")):
         monkeypatch.setattr(owner, name, refused)
