@@ -501,8 +501,7 @@ def solve_pipeline(config: RunConfig, reconstruct: bool = True):
 
     waves = rec.waves_from_solution(par, entries)
     controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, entries))
-    steps = rec.grid_steps(config.P, config.field_samples, config.field_samples)
-    fg = rec.fields(waves, controls, mesh, *steps)
+    fg = rec.fields(waves, controls, mesh, config.field_samples)
     terr = rec.terminal_error(fg, state)
     q_resid = rec.residual_Q(fg)
     e_grid = mean_energy(fg)

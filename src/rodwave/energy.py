@@ -240,11 +240,12 @@ def mean_energy(field_grid) -> float:
 
     The integrand is separable.  With v_t = w+' + w-' and
     v_x = w+' - w-', the density is (w+')^2 + (w-')^2, and its sector
-    average on a segment window is
-    ((w+'_late)^2 + (w+'_early)^2)/2 at line sample i*st + j*sx plus the
-    same of w-' at (P - 1) + i*st - j*sx.  So the quadrature is a dot
-    product of the squared derivative lines with per-line weights d+ and
-    d-, the quadrature weights of the samples that read each line sample:
+    average at sample (i, j) of a segment window is
+    ((w+'_late)^2 + (w+'_early)^2)/2 at line sample (i + j)*s plus the
+    same of w-' at (P - 1) + (i - j)*s, s wave samples a grid step
+    (``FieldGrid.s``).  So the quadrature is a dot product of the squared
+    derivative lines with per-line weights d+ and d-, the quadrature
+    weights of the samples that read each line sample:
     ``window_kinks(fg).energy_weights``, built once per mesh and field
     step (:func:`rodwave.reconstruct.window_kinks`).  E is
     (1/2T) * sum over segments of

@@ -16,16 +16,18 @@ histories of the field grid reshapes of those stacks.  Keyed access
 (``WaveTable.pieces[(side, k)]``, ``ControlSet.integrals[k]``) is a dict
 of views into them, so a negative index k is a key, never a position.
 
-Grid alignment.  Field grids place samples so that interfaces, layer
-instants, and the characteristic lattice all fall exactly on sample
-points; wave and control pieces are then indexed exactly (no
-interpolation).  Each wave is read as a strided view of its assembled
-line: the plus wave at grid sample (i, j) of a segment window is line
-sample ``i*st + j*sx``, the minus wave ``(P - 1) + i*st - j*sx``, because
-the window start cancels the segment's wave-domain offset.  At a junction
-of two pieces the "late" line holds the following piece (the upwind,
-right limit) and the "early" line the preceding one; the domain ends
-belong to the existing piece either way.
+Grid alignment.  A field grid has one step, h = lam/(2q), in t and in x:
+q samples per half-layer either way, s = (P - 1)/(2q) wave samples per
+grid step.  The fields are traveling waves along t + x and t - x at unit
+speed, so interfaces, layer instants and the characteristic lattice all
+fall exactly on sample points; wave and control pieces are then indexed
+exactly (no interpolation).  Each wave is read as a strided view of its
+assembled line: the plus wave at grid sample (i, j) of a segment window
+is line sample ``(i + j)*s``, the minus wave ``(P - 1) + (i - j)*s``,
+because the window start cancels the segment's wave-domain offset.  At a
+junction of two pieces the "late" line holds the following piece (the
+upwind, right limit) and the "early" line the preceding one; the domain
+ends belong to the existing piece either way.
 
 Characteristic kinks thus sit on known sample diagonals.  Q differentiates
 the displacement with the plain second-order stencils of
@@ -33,15 +35,15 @@ the displacement with the plain second-order stencils of
 one-sided at its edges, and leaves out the samples where a stencil spans
 a kink: the kinks themselves and an end sample next to one; every stencil
 it keeps lies in one smooth block.  Every segment window always has the
-same kinks.  In units of lam/(2*qt*qx), t-row i lies at i*qx and grid
-column J at (J - N*qx)*qt from the rod center, and the
-characteristic lines t + x and t - x fall every lam/2, that is every qt*qx
-units.  Column j of segment seg's window is grid column 2*qx*seg + j, at
-j*qt + (2*seg - N)*qt*qx: j*qt plus whole periods.  So window sample
-(i, j) is a kink exactly when i*qx + j*qt or i*qx - j*qt is a multiple of
-qt*qx, whatever N and the segment.  The samples Q leaves out and the
-quadrature weights of that one window (:func:`window_kinks`) serve every
-segment of :func:`residual_Q` and :func:`rodwave.energy.mean_energy`.
+same kinks.  In grid steps from the rod center, t-row i lies at i and
+grid column J at J - N*q, and the characteristic lines t + x and t - x
+fall every lam/2, that is every q steps.  Column j of segment seg's
+window is grid column 2*q*seg + j, at j + (2*seg - N)*q: j plus whole
+periods.  So window sample (i, j) is a kink exactly when i + j or i - j
+is a multiple of q, whatever N and the segment.  The samples Q leaves
+out and the quadrature weights of that one window (:func:`window_kinks`)
+serve every segment of :func:`residual_Q` and
+:func:`rodwave.energy.mean_energy`.
 
 Both quadratures integrate on the wave lines, because their integrands
 are separable: v, p and s - f are sums or differences of a plus wave read
@@ -53,18 +55,16 @@ each segment window from the segment's own lines only, since v and r are
 continuous across an interface (:func:`fields` checks it): at every window
 sample g and h are sums or differences of 1-D residual lines, one stencil
 of a wave less its late derivative line, read at the same two places.  On
-the interior, t-rows 1..nt-2 and columns 1..2qx-1, every stencil is
-central, and Q is, like E_grid, a dot product of squared residual lines
-with folded weights, plus a cross term that is exactly 0 when the t and x
-steps are equal (qt == qx, every grid the CLI builds); the steps are
-lam/(2*qt) and lam/(2*qx) (``FieldGrid.ht``, ``FieldGrid.hx``), so equal
-steps are equal to the bit.  The ring around it, columns 0 and 2qx and
-t-rows 0 and nt-1, takes its one-sided stencils at its own samples only,
-from strided views of the wave lines, and its central ones from the
-interior's residual lines.  The weights depend only on the mesh, the
-field step and the line geometry, (N, M, qt, qx, st, sx), and the last
-set built is kept, with the grid's coordinates, so many states solved on
-one mesh build it once.
+the interior, t-rows 1..nt-2 and columns 1..2q-1, every stencil is
+central, and the t and x stencils are one stencil of the line, so g and h
+are g+[a] + g-[b] and g+[a] - g-[b] of one residual pair g±, and
+g^2 + h^2 = 2*(g+[a]^2 + g-[b]^2): Q is, like E_grid, a dot product of
+squared residual lines with folded weights.  The ring around it, columns
+0 and 2q and t-rows 0 and nt-1, takes its one-sided stencils at its own
+samples only, from strided views of the wave lines, and its central ones
+from the interior's residual lines.  The weights depend only on the mesh
+and the field step, (N, M, q, s), and the last set built is kept, with
+the grid's coordinates, so many states solved on one mesh build it once.
 
 A :class:`FieldGrid` holds the wave lines, stacked per family into (N, L)
 arrays, and the control histories on the t grid: O(N*M*P) floats, never
@@ -189,13 +189,12 @@ def waves_from_solution(par: Parametrization, entries: np.ndarray) -> WaveTable:
                      continuity_max=cont)
 
 
-def jump_pieces_from_solution(par: Parametrization,
-                              entries: np.ndarray) -> Dict[int, np.ndarray]:
-    """Per-piece samples of the control-integral jumps u_n, n in J_x, from
-    the sampled values of every catalog entry (see
-    :func:`waves_from_solution`): (M, p) views into one gather through
-    ``par.jump_index``."""
-    return dict(zip(par.mesh.J_x, entries[par.jump_index]))
+def jump_pieces_from_solution(par: Parametrization, entries: np.ndarray) -> np.ndarray:
+    """Per-piece samples of the control-integral jumps u_n from the sampled
+    values of every catalog entry (see :func:`waves_from_solution`): one
+    gather through ``par.jump_index`` into an (N+1, M, p) stack, row i
+    the jump of interface ``J_x[i]``."""
+    return entries[par.jump_index]
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +292,25 @@ class ControlSet:
         return float(np.max(np.abs(fj - dj)))
 
 
-def controls_from_jumps(mesh: MeshConfig, jump_pieces: Dict[int, np.ndarray]) -> ControlSet:
-    """Recover all N+2 control integrals and forces from the N+1 jumps.
+def controls_from_jumps(mesh: MeshConfig, jump_stack: np.ndarray) -> ControlSet:
+    """Recover all N+2 control integrals and forces from the (N+1, M, p)
+    stack of jump pieces (:func:`jump_pieces_from_solution`), which the
+    returned set keeps as its ``jump_stack``.
 
     At every time sample the chain system {u_{n+1} - u_{n-1} = jump_n,
     sum over controls = 0} is square and nonsingular; forces follow by
     per-piece differentiation (never across a junction), one derivative
-    of the (N+2, M, p) stack.
+    of the (N+2, M, p) stack.  A stack of another shape raises
+    :class:`InvalidArgumentError`.
     """
-    if set(jump_pieces) != set(mesh.J_x):
-        raise InvalidArgumentError("need exactly one jump history per interface")
-    stacked = np.stack([jump_pieces[n] for n in mesh.J_x])     # (N+1, M, p)
-    resolved = resolve_zero_sum_chain(stacked)                 # (N+2, M, p)
-    h = mesh.lam / (stacked.shape[-1] - 1)
-    return ControlSet(mesh=mesh, jump_stack=stacked, integral_stack=resolved,
+    jump_stack = np.asarray(jump_stack)
+    if jump_stack.ndim != 3 or jump_stack.shape[:2] != (mesh.N + 1, mesh.M):
+        raise InvalidArgumentError(
+            f"jump pieces of shape {jump_stack.shape}; need (N+1, M, p) = "
+            f"({mesh.N + 1}, {mesh.M}, p)")
+    resolved = resolve_zero_sum_chain(jump_stack)              # (N+2, M, p)
+    h = mesh.lam / (jump_stack.shape[-1] - 1)
+    return ControlSet(mesh=mesh, jump_stack=jump_stack, integral_stack=resolved,
                       force_stack=fd_derivative(resolved, h))
 
 
@@ -315,23 +319,19 @@ def controls_from_jumps(mesh: MeshConfig, jump_pieces: Dict[int, np.ndarray]) ->
 # ---------------------------------------------------------------------------
 
 
-def grid_steps(p: int, qt: Optional[int] = None,
-               qx: Optional[int] = None) -> Tuple[int, int]:
-    """The (qt, qx) of a field grid on pieces of p samples: one given
-    step serves both directions, and with neither given both are the
-    largest even divisor of (p - 1)/2 up to 32, so every characteristic
-    kink lies on a sample.  A step that does not divide the piece grid
+def grid_step(p: int, q: Optional[int] = None) -> int:
+    """The step q of a field grid on pieces of p samples, in samples per
+    half-layer in t and in x: by default the largest even divisor of
+    (p - 1)/2 up to 32, so every characteristic kink lies on a sample.  A
+    q that is not a positive integer, or does not divide the piece grid,
     raises :class:`InvalidArgumentError`."""
-    if qt is None and qx is None:
-        qt = qx = _pick_q(p, 32)
-    elif qt is None:
-        qt = qx
-    elif qx is None:
-        qx = qt
-    for q, name in ((qt, "qt"), (qx, "qx")):
-        if (p - 1) % (2 * q) != 0:
-            raise InvalidArgumentError(f"{name}={q} does not divide the piece grid")
-    return qt, qx
+    if q is None:
+        return _pick_q(p, 32)
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1:
+        raise InvalidArgumentError(f"field step q={q!r} is not a positive integer")
+    if (p - 1) % (2 * q) != 0:
+        raise InvalidArgumentError(f"field step q={q} does not divide the piece grid")
+    return int(q)
 
 
 def _energy_density(p: np.ndarray, s: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -379,17 +379,17 @@ class FieldGrid:
     from the traveling-wave lines on demand.
 
     v displacement, r dynamic potential, p momentum density, s internal
-    force, e energy density.  ``qt``/``qx`` are samples per half-layer in
-    each direction; interfaces sit at ``x`` indices that are multiples of
-    ``2*qx``.
+    force, e energy density.  ``q`` is samples per half-layer in t and in
+    x, ``h`` the one step; interfaces sit at ``x`` indices that are
+    multiples of ``2*q``.
 
     ``lines[family, seg]`` holds one assembled line of segment seg (see
     the module docstring and ``_WP``); ``u_seg`` and ``f_seg`` the
     control integral and applied force of each segment on the t grid (both
-    constant in x within a segment).  ``st`` and ``sx`` are wave samples
-    per t and x grid step.  ``interface_jump_v`` and ``interface_jump_r``
-    are the largest jumps of v and r across an interior interface, taken
-    once by :func:`fields`.  The grid stores no (nt, nx) array:
+    constant in x within a segment), and ``s`` the wave samples per grid
+    step.  ``interface_jump_v`` and ``interface_jump_r`` are the largest
+    jumps of v and r across an interior interface, taken once by
+    :func:`fields`.  The grid stores no (nt, nx) array:
     :meth:`rows` gives v, r, p and s, or some of them, on a block of
     t-rows in a new array, an interface column holding the right segment's
     trace and the columns at x = -1 and 1 the outer segments' own.
@@ -398,10 +398,8 @@ class FieldGrid:
     """
 
     mesh: MeshConfig
-    qt: int
-    qx: int
-    st: int
-    sx: int
+    q: int
+    s: int
     t: np.ndarray
     x: np.ndarray
     lines: np.ndarray = field(repr=False)    # (6, N, L) wave lines
@@ -411,21 +409,15 @@ class FieldGrid:
     interface_jump_r: float
 
     @property
-    def ht(self) -> float:
-        """The t step, lam/(2*qt).  With qt == qx it is ``hx`` bit for
-        bit, which ``t[1] - t[0]`` and ``x[1] - x[0]`` are not (they may
-        differ by an ulp)."""
-        return self.mesh.lam / (2 * self.qt)
-
-    @property
-    def hx(self) -> float:
-        """The x step, lam/(2*qx)."""
-        return self.mesh.lam / (2 * self.qx)
+    def h(self) -> float:
+        """The step in t and in x, lam/(2*q), which ``t[1] - t[0]`` and
+        ``x[1] - x[0]`` need not be (they may differ by an ulp)."""
+        return self.mesh.lam / (2 * self.q)
 
     def column_segments(self) -> np.ndarray:
         """Per x column, the segment whose traces the column holds: the
         right one at an interface."""
-        return np.minimum(np.arange(len(self.x)) // (2 * self.qx), self.mesh.N - 1)
+        return np.minimum(np.arange(len(self.x)) // (2 * self.q), self.mesh.N - 1)
 
     def _wave(self, lines: np.ndarray, plus: bool, lo: int, n: int, seg: int,
               n_seg: int, col: int, width: int, step: int = 1) -> np.ndarray:
@@ -434,7 +426,7 @@ class FieldGrid:
         t-row ``lo + i*step`` and window column ``col + j``.
 
         The plus wave at window column jj of segment seg is line sample
-        ``i*st + jj*sx``, the minus wave ``(P - 1) + i*st - jj*sx``: the
+        ``(i + jj)*s``, the minus wave ``(P - 1) + (i - jj)*s``: the
         window start x0 = (2*seg - N)*(P - 1)/2 cancels the segment's
         wave-domain offset.  A segment outside the stack, or a sample
         outside its line (:func:`_line_view`), is a
@@ -442,10 +434,10 @@ class FieldGrid:
         if n and not 0 <= seg <= seg + n_seg <= len(lines):
             raise ReconstructionError(
                 f"field grid reads lines {seg}..{seg + n_seg - 1} outside {len(lines)} lines")
-        step_x = self.sx if plus else -self.sx
-        first = lo * self.st + (0 if plus else 2 * self.qx * self.sx) + col * step_x
+        step_x = self.s if plus else -self.s
+        first = lo * self.s + (0 if plus else 2 * self.q * self.s) + col * step_x
         return _line_view(lines[seg:seg + n_seg], first, (n, width),
-                          (step * self.st, step_x)).transpose(1, 0, 2)
+                          (step * self.s, step_x)).transpose(1, 0, 2)
 
     def rows(self, lo: int, hi: int, names: str = "vrps", step: int = 1) -> np.ndarray:
         """The fields ``names`` (letters of "vrps") on every ``step``-th
@@ -456,7 +448,7 @@ class FieldGrid:
         if not (0 <= lo <= hi <= len(self.t) and step >= 1):
             raise InvalidArgumentError(f"t-rows [{lo}, {hi}) by {step} outside a grid "
                                        f"of {len(self.t)}")
-        n, n_seg, two_q = len(range(lo, hi, step)), self.mesh.N, 2 * self.qx
+        n, n_seg, two_q = len(range(lo, hi, step)), self.mesh.N, 2 * self.q
         out = np.empty((len(names), n, len(self.x)))
         for name, arr in zip(names, out):
             a, b, combine, history = _FIELD_FORMS[name]
@@ -477,21 +469,20 @@ class FieldGrid:
 
 
 def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
-           qt: Optional[int] = None, qx: Optional[int] = None) -> FieldGrid:
-    """The field grid of v, r, p, s on an aligned rectangular grid (steps
-    as in :func:`grid_steps`): the wave lines of every segment, evaluated
-    on demand (:class:`FieldGrid`).  A wave line too short for the grid is
-    a ``ReconstructionError``, and so is a jump of v or r across an
-    interface above ``CONTINUITY_ERROR`` relative to the largest w± or u
-    sample, ``1e-6 * (1 + max|w±, u|)``, as in
+           q: Optional[int] = None) -> FieldGrid:
+    """The field grid of v, r, p, s on an aligned square grid, q samples
+    per half-layer (:func:`grid_step`): the wave lines of every segment,
+    evaluated on demand (:class:`FieldGrid`).  A wave line too short for
+    the grid is a ``ReconstructionError``, and so is a jump of v or r
+    across an interface above ``CONTINUITY_ERROR`` relative to the largest
+    w± or u sample, ``1e-6 * (1 + max|w±, u|)``, as in
     :func:`waves_from_solution`: Q reads each window's own traces only.
     The grid's t and x are those of its :func:`window_kinks` entry, made
     once per mesh and field step, read-only."""
     p = waves.p
-    qt, qx = grid_steps(p, qt, qx)
-    st = (p - 1) // (2 * qt)      # wave samples per t-grid step
-    sx = (p - 1) // (2 * qx)      # wave samples per x-grid step
-    nt = 2 * mesh.M * qt + 1
+    q = grid_step(p, q)
+    s = (p - 1) // (2 * q)        # wave samples per grid step
+    nt = 2 * mesh.M * q + 1
     length = (mesh.M + 1) * (p - 1) + 1     # line samples the grid reads
     pieces, dpieces = waves.piece_stack, waves.dpiece_stack
     n_pieces = min(pieces.shape[-2], dpieces.shape[-2])
@@ -508,28 +499,28 @@ def fields(waves: WaveTable, controls: ControlSet, mesh: MeshConfig,
     _early_line(dpieces, lines[_DWP_EARLY:])
     # the segments are controls 1..N of J_c
     u_seg, f_seg = np.empty((mesh.N, nt)), np.empty((mesh.N, nt))
-    _late_line(controls.integral_stack[1:-1], u_seg, st)
-    _late_line(controls.force_stack[1:-1], f_seg, st)
-    jump_v, jump_r = _interface_jumps(lines, u_seg, st, nt, p)
+    _late_line(controls.integral_stack[1:-1], u_seg, s)
+    _late_line(controls.force_stack[1:-1], f_seg, s)
+    jump_v, jump_r = _interface_jumps(lines, u_seg, s, nt, p)
     scale = max(_largest_abs(lines[_WP:_DWP]), _largest_abs(u_seg))
     if not max(jump_v, jump_r) <= CONTINUITY_ERROR * (1.0 + scale):
         raise ReconstructionError(
             f"v and r jump across an interface by {jump_v:.3e} and {jump_r:.3e} "
             f"(tolerance {CONTINUITY_ERROR:g} * (1 + {scale:.3e})); the waves and "
             f"controls violate interface continuity")
-    kinks = _window_kinks_of(mesh, qt, qx, st, sx)
-    return FieldGrid(mesh=mesh, qt=qt, qx=qx, st=st, sx=sx, t=kinks.t, x=kinks.x,
+    kinks = _window_kinks_of(mesh, q, s)
+    return FieldGrid(mesh=mesh, q=q, s=s, t=kinks.t, x=kinks.x,
                      lines=lines, u_seg=u_seg, f_seg=f_seg,
                      interface_jump_v=jump_v, interface_jump_r=jump_r)
 
 
-def _interface_jumps(lines: np.ndarray, u_seg: np.ndarray, st: int, nt: int,
+def _interface_jumps(lines: np.ndarray, u_seg: np.ndarray, s: int, nt: int,
                      p: int) -> Tuple[float, float]:
     """The largest jumps of v and r across an interior interface: the
     left segment's last column against the right one's first.  On t-row i
-    the left segment reads w+ at line sample i*st + (P - 1) and w- at
-    i*st, the right one the other way round."""
-    from_0, from_p = (slice(first, first + (nt - 1) * st + 1, st) for first in (0, p - 1))
+    the left segment reads w+ at line sample i*s + (P - 1) and w- at
+    i*s, the right one the other way round."""
+    from_0, from_p = (slice(first, first + (nt - 1) * s + 1, s) for first in (0, p - 1))
     lp, lm = lines[_WP, :-1, from_p], lines[_WM, :-1, from_0]
     rp, rm = lines[_WP, 1:, from_0], lines[_WM, 1:, from_p]
     jump_v = np.max(np.abs((lp + lm) - (rp + rm)), axis=1)
@@ -564,15 +555,15 @@ class WindowKinks:
     quarter of the composite Simpson t-weight times x-weight, and 0 where
     ``drop`` (:func:`drop_mask`) is set.  ``q_line_weights[0][k]`` is the
     sum of ``q_weights`` over the interior samples (t-rows 1..nt-2,
-    columns 1..2qx-1, where every stencil of Q is central) that read
-    plus-wave line sample k,
-    ``q_line_weights[1]`` the same for the minus wave.
+    columns 1..2q-1, where every stencil of Q is central) that read
+    plus-wave line sample k, ``q_line_weights[1]`` the same for the minus
+    wave.
     ``energy_weights`` folds the blockwise Simpson weights of
     :func:`rodwave.energy.mean_energy` over the whole window onto the line
     samples the same way.  ``ring_weights`` holds the Q weights of the
-    ring's four blocks as :func:`residual_Q` reads them: columns 0 and 2qx
-    (2, nt), t-rows 0 and nt-1 (2, 2qx + 1), columns 0 and 2qx of t-rows
-    1..nt-2, and t-rows 0 and nt-1 of columns 1..2qx-1.  ``t`` and ``x``
+    ring's four blocks as :func:`residual_Q` reads them: columns 0 and 2q
+    (2, nt), t-rows 0 and nt-1 (2, 2q + 1), columns 0 and 2q of t-rows
+    1..nt-2, and t-rows 0 and nt-1 of columns 1..2q-1.  ``t`` and ``x``
     are the sample coordinates of the field grid, and ``x_weights`` the
     composite Simpson weights over x that :func:`terminal_error` takes its
     L2 norms with: they depend on the same key, so they are kept here,
@@ -589,65 +580,63 @@ class WindowKinks:
     x_weights: np.ndarray = field(repr=False)
 
 
-# the one cache entry of window_kinks: (N, M, qt, qx, st, sx) and its
-# WindowKinks
+# the one cache entry of window_kinks: (N, M, q, s) and its WindowKinks
 _window_kinks: Optional[tuple] = None
 
 
 def window_kinks(fg) -> WindowKinks:
     """The :class:`WindowKinks` every segment window of field grid ``fg``
-    shares: row i and window column j is a kink when i*qx + j*qt or
-    i*qx - j*qt is a multiple of qt*qx (see the module docstring), on
-    2*M*qt + 1 rows and the grid's steps ``fg.ht`` and ``fg.hx``; the line
-    weights fold the window onto line samples i*st + j*sx (plus wave) and
-    (P - 1) + i*st - j*sx (minus wave).  One entry is kept, for the last
-    (N, M, qt, qx, st, sx) asked for; another key replaces it, and a
-    build that fails leaves none."""
-    return _window_kinks_of(fg.mesh, fg.qt, fg.qx, fg.st, fg.sx)
+    shares: row i and window column j is a kink when i + j or i - j is a
+    multiple of q (see the module docstring), on 2*M*q + 1 rows and the
+    grid's step ``fg.h``; the line weights fold the window onto line
+    samples (i + j)*s (plus wave) and (P - 1) + (i - j)*s (minus wave).
+    One entry is kept, for the last (N, M, q, s) asked for; another key
+    replaces it, and a build that fails leaves none."""
+    return _window_kinks_of(fg.mesh, fg.q, fg.s)
 
 
-def _window_kinks_of(mesh: MeshConfig, qt: int, qx: int, st: int, sx: int) -> WindowKinks:
-    """:func:`window_kinks` of the grid with these steps on ``mesh``.
+def _window_kinks_of(mesh: MeshConfig, q: int, s: int) -> WindowKinks:
+    """:func:`window_kinks` of the grid with step q on ``mesh``, s wave
+    samples a step.
 
-    Row i's residue i*qx mod qt*qx depends on i mod qt only, so the kink
-    rows repeat with period qt: the kinks and the blockwise Simpson
+    Whether row i has a kink at column j depends on i mod q only, so the
+    kink rows repeat with period q: the kinks and the blockwise Simpson
     weights of each row are built for one period, in one pass
     (:func:`rodwave.energy.blockwise_simpson_rows`), and gathered for the
     rest."""
     global _window_kinks
-    key = (mesh.N, mesh.M, qt, qx, st, sx)
+    key = (mesh.N, mesh.M, q, s)
     if _window_kinks is None or _window_kinks[0] != key:
         _window_kinks = None
-        nt, width = 2 * mesh.M * qt + 1, 2 * qx + 1
-        ht, hx = mesh.lam / (2 * qt), mesh.lam / (2 * qx)
-        period = qt * qx
-        t_res = (np.arange(qt) * qx)[:, None]
-        x_res = np.arange(width) * qt % period
-        one_period = (t_res == -x_res % period) | (t_res == x_res)
-        in_period = np.arange(nt) % qt
+        nt, width = 2 * mesh.M * q + 1, 2 * q + 1
+        h = mesh.lam / (2 * q)
+        i = np.arange(q)[:, None]
+        j = np.arange(width)
+        one_period = ((i + j) % q == 0) | ((i - j) % q == 0)
+        in_period = np.arange(nt) % q
         kinks = one_period[in_period]
         drop = drop_mask(kinks)
 
-        q_weights = np.outer(simpson_weights(nt, ht), simpson_weights(width, hx))
+        q_weights = np.outer(simpson_weights(nt, h), simpson_weights(width, h))
         q_weights *= 0.25
         q_weights[drop] = 0.0
 
         # blockwise Simpson weights of each row of the period, split at its
         # kinks, times those of the time profile, split at the t-rows where
         # kink lines meet the mesh lines
-        weights = blockwise_simpson_rows(one_period, hx)[in_period]
-        weights *= blockwise_simpson_weights(nt, ht, np.arange(qt, nt - 1, qt))[:, None]
-        plus = np.arange(nt)[:, None] * st + np.arange(width) * sx
-        minus = plus[:, ::-1]               # (P - 1) + i*st - j*sx
+        weights = blockwise_simpson_rows(one_period, h)[in_period]
+        weights *= blockwise_simpson_weights(nt, h, np.arange(q, nt - 1, q))[:, None]
+        plus = np.arange(nt)[:, None] * s + np.arange(width) * s
+        minus = plus[:, ::-1]               # (P - 1) + (i - j)*s
         length = plus[-1, -1] + 1
 
         def fold(w, rows=slice(None), cols=slice(None)):
             return np.stack([np.bincount(index[rows, cols].ravel(), w[rows, cols].ravel(), length)
                              for index in (plus, minus)])
 
-        nx = 2 * mesh.N * qx + 1
+        nx = 2 * mesh.N * q + 1
         grid = (np.linspace(0.0, mesh.T, nt), np.linspace(-1.0, 1.0, nx),
-                simpson_weights(nx, hx))
+                simpson_weights(nx, h))
         for arr in grid:
             arr.setflags(write=False)
         ring = (q_weights[:, [0, -1]].T.copy(), q_weights[[0, -1]],
@@ -706,27 +695,24 @@ def _one_sided(samples: np.ndarray, h: float) -> np.ndarray:
 
 
 def _residual_lines(fg: FieldGrid) -> np.ndarray:
-    """The central residual lines of every segment: g+ and g-, with
-    g±[k] = (w±[k + st] - w±[k - st]) / (2*ht) - w±'[k] from the late
-    lines, then h+ and h-, the same at stride sx and step hx.  With
-    qt == qx, st == sx and ht == hx, so h± are g± and a new (2, N, L) array
-    holds the one pair; otherwise a (4, N, L) array holds both.  The
-    samples where the stencil would leave the line are NaN."""
-    # the plus and minus lines end to end, one flat array per family
+    """The central residual lines of every segment, g+ and g-, in a new
+    (2, N, L) array: g±[k] = (w±[k + s] - w±[k - s]) / (2*h) - w±'[k] from
+    the late lines.  The samples where the stencil would leave the line
+    are NaN."""
+    # the plus and minus lines end to end, one flat array per family; every
+    # line at once, and the samples whose stencil reaches into the next
+    # line are then set NaN
     waves, slopes = (np.ascontiguousarray(fg.lines[fams]).reshape(-1)
                      for fams in (slice(_WP, _WM + 1), slice(_DWP, _DWM + 1)))
-    steps = [(fg.st, fg.ht)] if fg.qt == fg.qx else [(fg.st, fg.ht), (fg.sx, fg.hx)]
-    out = np.empty((2 * len(steps),) + fg.lines.shape[1:])
-    for res, (stride, h) in zip((out[:2], out[2:]), steps):
-        # every line at once; the samples whose stencil reaches into the
-        # next line are then set NaN
-        n = waves.size - 2 * stride
-        mid = res.reshape(-1)[stride:stride + n]
-        np.subtract(waves[2 * stride:], waves[:n], out=mid)
-        mid /= 2.0 * h
-        mid -= slopes[stride:stride + n]
-        res[..., :stride] = np.nan
-        res[..., res.shape[-1] - stride:] = np.nan
+    s = fg.s
+    out = np.empty((2,) + fg.lines.shape[1:])
+    n = waves.size - 2 * s
+    mid = out.reshape(-1)[s:s + n]
+    np.subtract(waves[2 * s:], waves[:n], out=mid)
+    mid /= 2.0 * fg.h
+    mid -= slopes[s:s + n]
+    out[..., :s] = np.nan
+    out[..., out.shape[-1] - s:] = np.nan
     return out
 
 
@@ -736,8 +722,8 @@ def residual_Q(fg: FieldGrid) -> float:
     The residual functions g = v_t - p and h = v_x - s + f are formed from
     second-order differences of the displacement against the momentum and
     force, segment by segment on the grid's segment windows (columns
-    2*qx*seg .. 2*qx*(seg + 1) of the grid), each window from its own
-    lines only: v and r are continuous across an interface, which
+    2*q*seg .. 2*q*(seg + 1) of the grid), each window from its own lines
+    only: v and r are continuous across an interface, which
     :func:`fields` checks.  Samples on the characteristic lattice are
     excluded from the quadrature: there the stored derivative traces are
     one-sided and the difference of one-sided limits is not a
@@ -745,84 +731,70 @@ def residual_Q(fg: FieldGrid) -> float:
     one-sided stencil spans it; every other stencil lies in one smooth
     block.  On exact solutions the retained integrand is O(h^4).  The
     samples left out and the Simpson weights of the rest are those of
-    :func:`window_kinks`, the same in every window, and the steps are
-    ``fg.ht`` and ``fg.hx``.
+    :func:`window_kinks`, the same in every window, and the step is
+    ``fg.h``.
 
     Since v = w+ + w-, p = w+' + w-' and s - f = w+' - w-', at window
-    sample (i, j) g = g+[a] + g-[b] and h = h+[a] - h-[b], with
-    a = i*st + j*sx, b = (P - 1) + i*st - j*sx and 1-D residual lines: a
-    stencil of a wave less its late derivative line, read at a or b.  The
-    t stencil is forward on t-row 0, backward on t-row nt-1 and central
-    elsewhere; the x stencil is central on columns 1..2qx-1, and on column
-    0 (2qx) forward (backward) in j, which is forward (backward) along the
-    plus line and backward (forward) along the minus line.
+    sample (i, j) g and h are sums and differences of 1-D residual lines,
+    a stencil of a wave less its late derivative line, read at plus-line
+    sample a = (i + j)*s and minus-line sample b = (P - 1) + (i - j)*s.
+    The t stencil is forward on t-row 0, backward on t-row nt-1 and
+    central elsewhere; the x stencil is central on columns 1..2q-1, and on
+    column 0 (2q) forward (backward) in j, which is forward (backward)
+    along the plus line and backward (forward) along the minus line.
 
-    * t-rows 1..nt-2 on columns 1..2qx-1, the interior: every stencil is
-      central, so g^2 + h^2 = (g+^2 + h+^2)[a] + (g-^2 + h-^2)[b]
-      + 2*(g+[a]*g-[b] - h+[a]*h-[b]), and the first two terms sum, as
-      E_grid does, to dot products of the squared central lines
-      (:func:`_residual_lines`, the one set of whole lines Q builds) with
-      the line weights W± (``window_kinks(fg).q_line_weights``).  With
-      qt == qx, h± are g±, so the cross term is exactly 0 and is not
-      summed; otherwise it is summed over the interior of every window.
-    * The ring, columns 0 and 2qx on every t-row and t-rows 0 and nt-1 on
-      columns 1..2qx-1, in four blocks of strided views
+    * t-rows 1..nt-2 on columns 1..2q-1, the interior: both stencils are
+      the central one of the line, so g = g+[a] + g-[b] and
+      h = g+[a] - g-[b] with the central lines g± (:func:`_residual_lines`,
+      the one set of whole lines Q builds), and g^2 + h^2 = 2*(g+[a]^2 +
+      g-[b]^2).  That sums, as E_grid does, to dot products of the
+      squared central lines with the line weights W±
+      (``window_kinks(fg).q_line_weights``).
+    * The ring, columns 0 and 2q on every t-row and t-rows 0 and nt-1 on
+      columns 1..2q-1, in four blocks of strided views
       (:func:`_line_view`): its one-sided stencils are taken only at its
-      own samples, from the wave and derivative lines (columns 0 and 2qx
-      read the plus line at i*st and (P - 1) + i*st and the minus line the
+      own samples, from the wave and derivative lines (columns 0 and 2q
+      read the plus line at i*s and (P - 1) + i*s and the minus line the
       other way round; t-rows 0 and nt-1 read the plus line at column j
-      where the minus line reads column 2qx - j), and its central ones are
+      where the minus line reads column 2q - j), and its central ones are
       read from the central lines.
 
     Every temporary is O(N*M*P), like the lines; none is (nt, nx).
     """
     kinks = window_kinks(fg)
-    n_seg, nt, two_q = fg.mesh.N, len(fg.t), 2 * fg.qx
-    st, sx = fg.st, fg.sx
-    reach = two_q * sx                  # P - 1
+    nt, two_q, s = len(fg.t), 2 * fg.q, fg.s
+    reach = two_q * s                   # P - 1
     w_cols, w_rows, w_central_cols, w_central_rows = kinks.ring_weights
     waves, slopes = fg.lines[_WP:_WM + 1], fg.lines[_DWP:_DWM + 1]
     central = _residual_lines(fg)
-    # (family, segment, column 0 | 2qx, t-row, stencil sample): the x
-    # stencil forward at line sample i*st, backward at (P - 1) + i*st; h
-    # at column 0 is plus forward less minus backward, at 2qx the reverse
-    res = _one_sided(_line_view(waves, 0, (2, nt, 3), (reach - 2 * sx, st, sx)), fg.hx)
-    res -= _line_view(slopes, 0, (2, nt), (reach, st))
+    # (family, segment, column 0 | 2q, t-row, stencil sample): the x
+    # stencil forward at line sample i*s, backward at (P - 1) + i*s; h
+    # at column 0 is plus forward less minus backward, at 2q the reverse
+    res = _one_sided(_line_view(waves, 0, (2, nt, 3), (reach - 2 * s, s, s)), fg.h)
+    res -= _line_view(slopes, 0, (2, nt), (reach, s))
     h = res[0] - res[1, :, ::-1]
     total = np.einsum("sci,sci,ci->", h, h, w_cols)
     # (family, segment, t-row 0 | nt-1, column, stencil sample): the t
     # stencil forward on t-row 0, backward on nt-1
-    res = _one_sided(_line_view(waves, 0, (2, two_q + 1, 3), ((nt - 3) * st, sx, st)), fg.ht)
-    res -= _line_view(slopes, 0, (2, two_q + 1), ((nt - 1) * st, sx))
+    res = _one_sided(_line_view(waves, 0, (2, two_q + 1, 3), ((nt - 3) * s, s, s)), fg.h)
+    res -= _line_view(slopes, 0, (2, two_q + 1), ((nt - 1) * s, s))
     g = res[0] + res[1, ..., ::-1]
     total += np.einsum("srj,srj,rj->", g, g, w_rows)
-    # the central stencils of the ring: g on columns 0 and 2qx of t-rows
-    # 1..nt-2, h on t-rows 0 and nt-1 of columns 1..2qx-1
-    g = _line_view(central[:2], st, (2, nt - 2), (reach, st))
+    # the central stencils of the ring: g on columns 0 and 2q of t-rows
+    # 1..nt-2, h on t-rows 0 and nt-1 of columns 1..2q-1
+    g = _line_view(central, s, (2, nt - 2), (reach, s))
     g = g[0] + g[1, :, ::-1]
     total += np.einsum("sci,sci,ci->", g, g, w_central_cols)
-    h = _line_view(central[-2:], sx, (2, two_q - 1), ((nt - 1) * st, sx))
+    h = _line_view(central, s, (2, two_q - 1), ((nt - 1) * s, s))
     h = h[0] - h[1, ..., ::-1]
     total += np.einsum("srj,srj,rj->", h, h, w_central_rows)
-    total = float(total)
-
-    # the interior: the squared residual lines dotted with W+ and W-,
-    # which are 0 beyond the samples the interior reads, so the NaN ends
-    # of each line are left out
-    def squared_lines(pair, stride):
-        mid = slice(stride, -stride)
-        return float(np.einsum("fsk,fsk,fk->", pair[..., mid], pair[..., mid],
-                               kinks.q_line_weights[:, mid]))
-
-    if fg.qt == fg.qx:
-        return total + 2.0 * squared_lines(central, st)
-    total += squared_lines(central[:2], st) + squared_lines(central[2:], sx)
-    gp, gm, hp, hm = (fg._wave(line, plus, 1, nt - 2, 0, n_seg, 1, two_q - 1)
-                      for line, plus in zip(central, (True, False) * 2))
-    w_interior = kinks.q_weights[1:-1, 1:-1]
-    cross = (np.einsum("isj,isj,ij->", gp, gm, w_interior)
-             - np.einsum("isj,isj,ij->", hp, hm, w_interior))
-    return total + 2.0 * float(cross)
+    # the interior: the squared central lines dotted with W+ and W-, which
+    # are 0 beyond the samples the interior reads, so the NaN ends of each
+    # line are left out
+    mid = slice(s, -s)
+    interior = np.einsum("fsk,fsk,fk->", central[..., mid], central[..., mid],
+                         kinks.q_line_weights[:, mid])
+    return float(total) + 2.0 * float(interior)
 
 
 # ---------------------------------------------------------------------------
@@ -858,8 +830,8 @@ def terminal_error(fg: FieldGrid, state: StateSpec) -> TerminalError:
     """
     mesh = fg.mesh
     p = state.grid_p(mesh)
-    stride = (p - 1) // (2 * fg.qx)
-    if stride * 2 * fg.qx != p - 1:
+    stride = (p - 1) // (2 * fg.q)
+    if stride * 2 * fg.q != p - 1:
         raise InvalidArgumentError("field grid is not aligned with the data grid")
 
     nt = len(fg.t)

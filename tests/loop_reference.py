@@ -274,34 +274,34 @@ def axis_derivative(arr, h, kinks, axis):
 
 def residual_Q(fg):
     """Constitutive residual (rho = kappa = 1) from the loop derivatives."""
-    ht, hx = fg.ht, fg.hx
+    h = fg.h
     plus, minus = kink_masks(fg)
     kinks = plus | minus
     v, p, s = fg.v, fg.p, fg.s
-    vt, ok_t = axis_derivative(v, ht, kinks, axis=0)
+    vt, ok_t = axis_derivative(v, h, kinks, axis=0)
     g_res = vt - p
-    wt = simpson_weights(len(fg.t), ht)
+    wt = simpson_weights(len(fg.t), h)
     total = 0.0
     for seg, (j0, j1) in enumerate(fg.segment_windows()):
         cols = slice(j0, j1 + 1)
         kseg = kinks[:, cols]
-        vx, ok_x = axis_derivative(v[:, cols], hx, kseg, axis=1)
+        vx, ok_x = axis_derivative(v[:, cols], h, kseg, axis=1)
         h_res = vx - s[:, cols] + fg.f_seg[seg][:, None]
         q = g_res[:, cols] ** 2 / 4.0 + h_res ** 2 / 4.0
         q = np.where(ok_t[:, cols] & ok_x & ~kseg, q, 0.0)
-        wx = simpson_weights(j1 - j0 + 1, hx)
+        wx = simpson_weights(j1 - j0 + 1, h)
         total += float(wt @ q @ wx)
     return total
 
 
 def kink_masks(fg):
-    """The two characteristic-lattice masks from full-grid residues."""
+    """The two characteristic-lattice masks from full-grid residues: in
+    grid steps from the rod center, sample (i, J) lies on a line t + x or
+    t - x through a vertex when i + (J - N*q) or i - (J - N*q) is a
+    multiple of q."""
     iu = np.arange(len(fg.t))[:, None]
-    ju = np.arange(len(fg.x))[None, :]
-    step = fg.qt * fg.qx
-    plus = (iu * fg.qx + (ju - fg.mesh.N * fg.qx) * fg.qt) % step
-    minus = (iu * fg.qx - (ju - fg.mesh.N * fg.qx) * fg.qt) % step
-    return plus == 0, minus == 0
+    ju = np.arange(len(fg.x))[None, :] - fg.mesh.N * fg.q
+    return (iu + ju) % fg.q == 0, (iu - ju) % fg.q == 0
 
 
 def blockwise_simpson_weights(n, h, splits):
@@ -812,24 +812,22 @@ def window_kinks(fg):
     ``reconstruct.window_kinks`` once built it: (kinks, drop, q_weights,
     q_line_weights, energy_weights), each row's blockwise Simpson weights
     looked up by its pattern of kinks and summed block by block."""
-    nt, width = 2 * fg.mesh.M * fg.qt + 1, 2 * fg.qx + 1
-    ht, hx = fg.ht, fg.hx
-    period = fg.qt * fg.qx
-    t_res = (np.arange(nt) * fg.qx % period)[:, None]
-    x_res = np.arange(width) * fg.qt % period
-    kinks = (t_res == -x_res % period) | (t_res == x_res)
+    nt, width, h = 2 * fg.mesh.M * fg.q + 1, 2 * fg.q + 1, fg.h
+    i = np.arange(nt)[:, None]
+    j = np.arange(width)
+    kinks = ((i + j) % fg.q == 0) | ((i - j) % fg.q == 0)
     drop = drop_mask(kinks)
-    q_weights = np.outer(simpson_weights(nt, ht), simpson_weights(width, hx))
+    q_weights = np.outer(simpson_weights(nt, h), simpson_weights(width, h))
     q_weights *= 0.25
     q_weights[drop] = 0.0
     by_pattern = {}
     for row in kinks:
         key_row = row.tobytes()
         if key_row not in by_pattern:
-            by_pattern[key_row] = blockwise_simpson_weights(width, hx, np.flatnonzero(row))
+            by_pattern[key_row] = blockwise_simpson_weights(width, h, np.flatnonzero(row))
     weights = np.stack([by_pattern[row.tobytes()] for row in kinks])
-    weights *= blockwise_simpson_weights(nt, ht, np.arange(fg.qt, nt - 1, fg.qt))[:, None]
-    plus = np.arange(nt)[:, None] * fg.st + np.arange(width) * fg.sx
+    weights *= blockwise_simpson_weights(nt, h, np.arange(fg.q, nt - 1, fg.q))[:, None]
+    plus = (i + j) * fg.s
     minus = plus[:, ::-1]
     length = plus[-1, -1] + 1
 
@@ -986,17 +984,17 @@ def _early(pieces):
     return np.array([pieces[0][0]] + [x for piece in pieces for x in piece[1:]])
 
 
-def field_lines(pieces, dpieces, integrals, forces, mesh, st):
+def field_lines(pieces, dpieces, integrals, forces, mesh, s):
     """The wave lines of a field grid, segment by segment and family by
     family (late w+, w-, w+', w-', early w+', w-'), and the control
-    integral and force of each segment on the t grid (every st-th sample
+    integral and force of each segment on the t grid (every s-th sample
     of its late line)."""
     lines = np.array([[join(table[(side, k)]) for k in mesh.J_s]
                       for join, table, side in ((_late, pieces, +1), (_late, pieces, -1),
                                                 (_late, dpieces, +1), (_late, dpieces, -1),
                                                 (_early, dpieces, +1), (_early, dpieces, -1))])
-    u_seg = np.array([_late(integrals[k])[::st] for k in mesh.J_s])
-    f_seg = np.array([_late(forces[k])[::st] for k in mesh.J_s])
+    u_seg = np.array([_late(integrals[k])[::s] for k in mesh.J_s])
+    f_seg = np.array([_late(forces[k])[::s] for k in mesh.J_s])
     return lines, u_seg, f_seg
 
 
@@ -1024,8 +1022,7 @@ class ArrayGrid:
     None."""
 
     mesh: object
-    qt: int
-    qx: int
+    q: int
     t: np.ndarray
     x: np.ndarray
     v: np.ndarray
@@ -1038,18 +1035,13 @@ class ArrayGrid:
     interface_jump_r: float = 0.0
 
     @property
-    def ht(self):
-        """The t step as ``FieldGrid`` takes it, lam/(2*qt), not t[1] - t[0]."""
-        return self.mesh.lam / (2 * self.qt)
-
-    @property
-    def hx(self):
-        """The x step, lam/(2*qx): equal to ``ht`` when qt == qx."""
-        return self.mesh.lam / (2 * self.qx)
+    def h(self):
+        """The step as ``FieldGrid`` takes it, lam/(2*q), not t[1] - t[0]."""
+        return self.mesh.lam / (2 * self.q)
 
     def segment_windows(self):
         """Column windows [j0, j1] of each segment (interfaces repeated)."""
-        return [(i * 2 * self.qx, (i + 1) * 2 * self.qx) for i in range(self.mesh.N)]
+        return [(i * 2 * self.q, (i + 1) * 2 * self.q) for i in range(self.mesh.N)]
 
     def column_segments(self):
         """Per x column, the segment whose traces it holds: the right one
@@ -1067,8 +1059,8 @@ def energy_windows(fg):
     """The sector-averaged energy density of each segment window of the
     ``FieldGrid`` ``fg``, gathered from its derivative lines by fancy
     index and combined as :func:`fields` combines its gathers."""
-    nt, width = len(fg.t), 2 * fg.qx + 1
-    plus = np.arange(nt)[:, None] * fg.st + np.arange(width) * fg.sx
+    nt, width = len(fg.t), 2 * fg.q + 1
+    plus = (np.arange(nt)[:, None] + np.arange(width)) * fg.s
     minus = plus[:, ::-1]
     windows = []
     for seg in range(fg.mesh.N):
@@ -1083,25 +1075,20 @@ def array_grid(fg, **changes):
     with the energy windows of :func:`energy_windows`, as an
     :class:`ArrayGrid`, with ``changes`` replacing some of its arrays."""
     v, r, p, s = fg.rows(0, len(fg.t))
-    grid = dict(mesh=fg.mesh, qt=fg.qt, qx=fg.qx, t=fg.t, x=fg.x, v=v, r=r, p=p, s=s,
+    grid = dict(mesh=fg.mesh, q=fg.q, t=fg.t, x=fg.x, v=v, r=r, p=p, s=s,
                 e_quad_segments=energy_windows(fg),
                 f_seg=fg.f_seg, interface_jump_v=fg.interface_jump_v,
                 interface_jump_r=fg.interface_jump_r)
     return ArrayGrid(**{**grid, **changes})
 
 
-def fields(waves, controls, mesh, qt=None, qx=None):
+def fields(waves, controls, mesh, q=None):
     """The field grid with six fancy-index gathers per segment."""
     p = waves.p
-    if qt is None and qx is None:
-        qt = qx = _pick_q(p, 32)
-    elif qt is None:
-        qt = qx
-    elif qx is None:
-        qx = qt
-    st = (p - 1) // (2 * qt)
-    sx = (p - 1) // (2 * qx)
-    nt, nx = 2 * mesh.M * qt + 1, 2 * mesh.N * qx + 1
+    if q is None:
+        q = _pick_q(p, 32)
+    step = (p - 1) // (2 * q)
+    nt, nx = 2 * mesh.M * q + 1, 2 * mesh.N * q + 1
     tgrid = np.linspace(0.0, mesh.T, nt)
     xgrid = np.linspace(-1.0, 1.0, nx)
 
@@ -1113,18 +1100,18 @@ def fields(waves, controls, mesh, qt=None, qx=None):
     jump_v = 0.0
     jump_r = 0.0
 
-    iu = np.arange(nt)[:, None] * st
+    iu = np.arange(nt)[:, None] * step
     half_units = (p - 1) // 2
     per = 2 * half_units
 
-    t_units = np.arange(nt) * st
+    t_units = np.arange(nt) * step
     u_time = {k: _gather(controls.integrals[k], t_units, per) for k in mesh.J_c}
     f_time = {k: _gather(controls.forces[k], t_units, per) for k in mesh.J_c}
     f_seg = np.stack([f_time[k] for k in mesh.J_s])
 
     for seg, k in enumerate(mesh.J_s):
-        j0, j1 = seg * 2 * qx, (seg + 1) * 2 * qx
-        ju = (np.arange(j0, j1 + 1) - mesh.N * qx)[None, :] * sx
+        j0, j1 = seg * 2 * q, (seg + 1) * 2 * q
+        ju = (np.arange(j0, j1 + 1) - mesh.N * q)[None, :] * step
         plus_units = iu + ju - (k - 1) * half_units
         minus_units = iu - ju - (-(k + 1)) * half_units
 
@@ -1151,7 +1138,7 @@ def fields(waves, controls, mesh, qt=None, qx=None):
         s[:, j0:j1 + 1] = s_seg
         e_segs.append(e_seg)
 
-    return ArrayGrid(mesh=mesh, qt=qt, qx=qx, t=tgrid, x=xgrid,
+    return ArrayGrid(mesh=mesh, q=q, t=tgrid, x=xgrid,
                      v=v, r=r, p=pm, s=s,
                      e_quad_segments=tuple(e_segs), f_seg=f_seg,
                      interface_jump_v=jump_v, interface_jump_r=jump_r)
@@ -1203,31 +1190,31 @@ def blockwise_derivative(values, h, kink_mask, axis=-1):
 def residual_Q_windows(fg):
     """Constitutive residual with the blockwise stencil sets rebuilt per
     window."""
-    ht, hx = fg.ht, fg.hx
+    h = fg.h
     plus, minus = kink_masks(fg)
     kinks = plus | minus
     v, p, s = fg.v, fg.p, fg.s
 
-    wt = simpson_weights(len(fg.t), ht)
+    wt = simpson_weights(len(fg.t), h)
     total = 0.0
     for seg, (j0, j1) in enumerate(fg.segment_windows()):
         cols = slice(j0, j1 + 1)
         vseg = v[:, cols]
         kseg = kinks[:, cols]
-        vt, ok_t = blockwise_derivative(vseg, ht, kseg, axis=0)
-        vx, ok_x = blockwise_derivative(vseg, hx, kseg, axis=1)
+        vt, ok_t = blockwise_derivative(vseg, h, kseg, axis=0)
+        vx, ok_x = blockwise_derivative(vseg, h, kseg, axis=1)
         g_res = vt - p[:, cols]
         h_res = vx - s[:, cols] + fg.f_seg[seg][:, None]
         q = g_res ** 2 / 4.0 + h_res ** 2 / 4.0
         q = np.where(ok_t & ok_x & ~kseg, q, 0.0)
-        wx = simpson_weights(j1 - j0 + 1, hx)
+        wx = simpson_weights(j1 - j0 + 1, h)
         total += float(wt @ q @ wx)
     return total
 
 
 def mean_energy(fg):
     """Grid mean energy with row weights looked up row by row per window."""
-    ht, hx = fg.ht, fg.hx
+    h = fg.h
     plus, minus = kink_masks(fg)
     kinks = plus | minus
     nt = len(fg.t)
@@ -1239,11 +1226,11 @@ def mean_energy(fg):
             key = pattern.tobytes()
             if key not in row_weights:
                 row_weights[key] = blockwise_simpson_weights(
-                    len(pattern), hx, np.flatnonzero(pattern))
+                    len(pattern), h, np.flatnonzero(pattern))
             rows.append(row_weights[key])
         profile += np.einsum("ij,ij->i", vals, np.stack(rows))
-    t_splits = np.arange(fg.qt, nt - 1, fg.qt)
-    return blockwise_simpson(profile, ht, t_splits) / fg.mesh.T
+    t_splits = np.arange(fg.q, nt - 1, fg.q)
+    return blockwise_simpson(profile, h, t_splits) / fg.mesh.T
 
 
 def solve_qp(qp, par, bc, weights):

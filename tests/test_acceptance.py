@@ -124,7 +124,7 @@ def test_criterion_4_independent_verification():
     waves = rec.waves_from_solution(par, entries)
     controls = rec.controls_from_jumps(
         mesh, rec.jump_pieces_from_solution(par, entries))
-    fg = rec.fields(waves, controls, mesh, qt=256, qx=256)
+    fg = rec.fields(waves, controls, mesh, 256)
     sims = [simulate(mesh, controls, state,
                      SimConfig(points_per_segment=nper, cfl=1.0))
             for nper in (125, 250, 500)]

@@ -204,7 +204,7 @@ def _wave_grid(mesh, q, wave, slope):
         lines[rec._WP, seg], lines[rec._WM, seg] = wave(z_plus), wave(z_minus)
         for plus, minus in ((rec._DWP, rec._DWM), (rec._DWP_EARLY, rec._DWM_EARLY)):
             lines[plus, seg], lines[minus, seg] = slope(z_plus), slope(z_minus)
-    return rec.FieldGrid(mesh=mesh, qt=q, qx=q, st=1, sx=1,
+    return rec.FieldGrid(mesh=mesh, q=q, s=1,
                          t=np.linspace(0.0, mesh.T, nt),
                          x=np.linspace(-1.0, 1.0, 2 * n_seg * q + 1), lines=lines,
                          u_seg=np.zeros((n_seg, nt)), f_seg=np.zeros((n_seg, nt)),

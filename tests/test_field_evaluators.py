@@ -21,19 +21,20 @@ from rodwave.cli import EXIT_OK, RunConfig, run_solve, run_verify
 from rodwave.energy import mean_energy
 from rodwave.errors import InvalidArgumentError
 from test_assembly import assert_bits
-from test_field_views import E_REL, Q_REL, assert_close, solved, trig_params
+from test_field_views import E_REL, Q_REL, assert_close, solved, step_ids, trig_params
 
-# (N, M, qt, qx); None is the default step
-GRIDS = [(n, m, q, q) for n, m in ((1, 3), (6, 6), (12, 12)) for q in (2, 8, None)]
-GRIDS += [(5, 4, 16, 4), (3, 2, 4, 1)]
+# (N, M, q); None is the default step.  At q = 1 every sample is a kink,
+# and at q = 64 a window spans a whole piece of P = 129 samples.
+GRIDS = [(n, m, q) for n, m in ((1, 3), (6, 6), (12, 12)) for q in (2, 8, None)]
+GRIDS += [(5, 4, 64), (3, 2, 1)]
 
 
-@pytest.fixture(scope="module", params=GRIDS, ids=lambda g: "N%d-M%d-qt%s-qx%s" % g)
+# the ids name q twice, for t and for x, as step_ids does
+@pytest.fixture(scope="module", params=GRIDS, ids=lambda g: "N%d-M%d-qt%s-qx%s" % (g + g[-1:]))
 def grids(request):
-    n, m, qt, qx = request.param
+    n, m, q = request.param
     waves, controls, mesh = solved(n, m, 129, trig_params(7 * n + m))
-    return (rec.fields(waves, controls, mesh, qt=qt, qx=qx),
-            ref.fields(waves, controls, mesh, qt=qt, qx=qx))
+    return rec.fields(waves, controls, mesh, q), ref.fields(waves, controls, mesh, q)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, None])
@@ -48,12 +49,12 @@ def test_row_blocks_concatenate_to_the_grid(grids, block):
 
 def test_windows_are_the_grid_columns(grids):
     # every segment window read through FieldGrid._wave, as residual_Q
-    # reads it: columns 0..2qx-1 are the grid's; column 2qx is the
+    # reads it: columns 0..2q-1 are the grid's; column 2q is the
     # segment's own trace, the last column of the grid for the last
     # segment and within the interface jump of the next segment's trace
     # (the grid's interface column) for the others
     fg, want = grids
-    nt, width, n_seg = len(fg.t), 2 * fg.qx + 1, fg.mesh.N
+    nt, width, n_seg = len(fg.t), 2 * fg.q + 1, fg.mesh.N
     for name in "vrps":
         a, b, combine, history = rec._FIELD_FORMS[name]
         windows = combine(fg._wave(fg.lines[a], True, 0, nt, 0, n_seg, 0, width),
@@ -88,14 +89,16 @@ def test_row_ranges_are_checked(grids):
             fg.rows(lo, hi)
 
 
-@pytest.mark.parametrize("n, m, p, qt, qx", [(1, 3, 33, None, None), (6, 6, 33, None, None),
-                                           (5, 4, 129, 16, 4)])
-def test_fields_csv_matches_the_whole_arrays(n, m, p, qt, qx, tmp_path):
+CSV_CASES = [(1, 3, 33, None), (6, 6, 33, None), (5, 4, 129, 16)]
+
+
+@pytest.mark.parametrize("n, m, p, q", CSV_CASES, ids=step_ids(CSV_CASES))
+def test_fields_csv_matches_the_whole_arrays(n, m, p, q, tmp_path):
     # e included: the CSV writer's energy density against the one
     # loop_reference computes from the whole arrays
     waves, controls, mesh = solved(n, m, p, trig_params(n + m))
-    rec.write_fields_csv(rec.fields(waves, controls, mesh, qt, qx), tmp_path / "got.csv")
-    ref.write_fields_csv(ref.fields(waves, controls, mesh, qt, qx), tmp_path / "want.csv")
+    rec.write_fields_csv(rec.fields(waves, controls, mesh, q), tmp_path / "got.csv")
+    ref.write_fields_csv(ref.fields(waves, controls, mesh, q), tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -154,14 +157,16 @@ def no_row_blocks(monkeypatch):
     monkeypatch.setattr(rec.FieldGrid, "rows", refused)
 
 
-# (N, M, qt, qx): at qx = 2 the own-line columns of a window are 2 wide,
-# at qx = 1 none; at N = 1 the last window column is the grid's own
-@pytest.mark.parametrize("n, m, qt, qx", [(6, 6, 2, 2), (1, 3, None, None), (1, 4, 2, 2),
-                                          (3, 2, 4, 1)])
-def test_quadratures_read_no_rows(no_row_blocks, n, m, qt, qx):
+# (N, M, q): at q = 2 the own-line columns of a window are 2 wide, at
+# q = 1 none; at N = 1 the last window column is the grid's own
+NO_ROW_CASES = [(6, 6, 2), (1, 3, None), (1, 4, 2), (3, 2, 1)]
+
+
+@pytest.mark.parametrize("n, m, q", NO_ROW_CASES, ids=step_ids(NO_ROW_CASES))
+def test_quadratures_read_no_rows(no_row_blocks, n, m, q):
     waves, controls, mesh = solved(n, m, 129, trig_params(11 * n + m))
-    fg = rec.fields(waves, controls, mesh, qt, qx)
-    want = ref.fields(waves, controls, mesh, qt, qx)
+    fg = rec.fields(waves, controls, mesh, q)
+    want = ref.fields(waves, controls, mesh, q)
     with pytest.raises(AssertionError, match="t-rows"):
         fg.rows(0, 1)
     assert_close(rec.residual_Q(fg), ref.residual_Q_windows(want), Q_REL)

@@ -10,7 +10,7 @@ lines with the one kink window of ``reconstruct.window_kinks``;
 ``residual_Q_windows`` and ``mean_energy`` of ``loop_reference`` take
 the same quadrature of the same samples from whole per-window arrays,
 with the per-window blockwise stencil sets on full-grid kink masks and
-row-by-row weights, and with the grid's steps ``ht`` and ``hx``.  The
+row-by-row weights, and with the grid's step ``h``.  The
 sums run in another order, so Q must agree to ``Q_REL`` and E_grid to
 ``E_REL``, relative.
 """
@@ -28,7 +28,7 @@ from rodwave import cli
 from rodwave import reconstruct as rec
 from rodwave.cli import EXIT_INVARIANT, EXIT_OK, main
 from rodwave.energy import mean_energy
-from rodwave.errors import ReconstructionError
+from rodwave.errors import InvalidArgumentError, ReconstructionError
 from test_assembly import assert_bits
 
 ARRAYS = ("t", "x", "v", "r", "p", "s", "f_seg")
@@ -60,10 +60,10 @@ def solved(n, m, p, params):
     return waves, controls, mesh
 
 
-def check_grid(waves, controls, mesh, qt=None, qx=None):
-    new = rec.fields(waves, controls, mesh, qt=qt, qx=qx)
-    old = ref.fields(waves, controls, mesh, qt=qt, qx=qx)
-    assert (new.qt, new.qx) == (old.qt, old.qx)
+def check_grid(waves, controls, mesh, q=None):
+    new = rec.fields(waves, controls, mesh, q)
+    old = ref.fields(waves, controls, mesh, q)
+    assert new.q == old.q
     whole = ref.array_grid(new)
     for name in ARRAYS:
         assert_bits(getattr(whole, name), getattr(old, name))
@@ -82,10 +82,22 @@ def test_fields_match_gathers_on_sweep_cells(n, m):
     check_grid(*solved(n, m, 129, trig_params(100 * n + m)))
 
 
-@pytest.mark.parametrize("qt,qx", [(8, 8), (16, 8), (8, 32), (32, 2), (2, 16)])
-def test_fields_match_gathers_at_other_samplings(qt, qx):
-    n, m = (6, 6) if qt == qx else (5, 4)
-    check_grid(*solved(n, m, 129, trig_params(qt * 100 + qx)), qt=qt, qx=qx)
+def step_ids(cases):
+    """Test ids of cases whose last value is the field step q, naming q
+    twice, for t and for x; a case may be q alone."""
+    cases = [case if isinstance(case, tuple) else (case,) for case in cases]
+    return ["-".join(map(str, case + case[-1:])) for case in cases]
+
+
+STEPS = [8, 1, 2, 64]
+
+
+# q = 1 puts a kink on every sample, q = 64 makes a window of 129 columns
+# at P = 129
+@pytest.mark.parametrize("q", STEPS, ids=step_ids(STEPS))
+def test_fields_match_gathers_at_other_samplings(q):
+    n, m = (6, 6) if q == 8 else (5, 4)
+    check_grid(*solved(n, m, 129, trig_params(q * 101)), q)
 
 
 @pytest.mark.parametrize("p", [17, 33, 129])
@@ -94,12 +106,25 @@ def test_field_samples_setting_matches_gathers(q, p):
     config = cli.validate_config({"N": 6, "M": 6, "P": p, "preset": "trig",
                                   "preset_params": trig_params(q), "field_samples": q})
     out = cli.solve_pipeline(config)
-    want = ref.fields(out["waves"], out["controls"], out["mesh"], qt=q, qx=q)
+    want = ref.fields(out["waves"], out["controls"], out["mesh"], q)
     whole = ref.array_grid(out["fields"])
     for name in ARRAYS:
         assert_bits(getattr(whole, name), getattr(want, name))
     assert_close(out["Q"], ref.residual_Q_windows(want), Q_REL)
     assert_close(out["E_grid"], ref.mean_energy(want), E_REL)
+
+
+# a step that is not a positive integer, or whose 2q does not divide
+# P - 1 = 32
+@pytest.mark.parametrize("q, match", [(0, "positive integer"), (-2, "positive integer"),
+                                      (2.0, "positive integer"), (True, "positive integer"),
+                                      ("2", "positive integer"), (3, "does not divide"),
+                                      (32, "does not divide")])
+def test_field_step_is_checked(q, match):
+    waves, controls, mesh = solved(2, 2, 33, trig_params(1))
+    with pytest.raises(InvalidArgumentError, match=match):
+        rec.fields(waves, controls, mesh, q)
+    assert rec.grid_step(33, np.int64(4)) == 4 and rec.grid_step(33) == 16
 
 
 @settings(max_examples=25, deadline=None)
@@ -111,45 +136,42 @@ def test_fields_match_gathers_on_random_states(n, m, p, seed):
 
 def test_windows_share_one_kink_plan():
     # every segment window of the full-grid masks is the one kink window,
-    # and a second grid on the same (N, M, qt, qx) reuses it
+    # and a second grid on the same (N, M, q) reuses it
     fg = check_grid(*solved(6, 6, 129, trig_params(1)))
     kinks = rec.window_kinks(fg)
     plus, minus = ref.kink_masks(fg)
     for seg in range(6):
-        cols = slice(2 * fg.qx * seg, 2 * fg.qx * (seg + 1) + 1)
+        cols = slice(2 * fg.q * seg, 2 * fg.q * (seg + 1) + 1)
         assert np.array_equal((plus | minus)[:, cols], kinks.kinks)
     assert rec.window_kinks(rec.fields(*solved(6, 6, 129, trig_params(2)))) is kinks
 
 
-@pytest.mark.parametrize("qt,qx", [(2, 2), (8, 8), (32, 32), (16, 8), (2, 16)])
-def test_line_weights_fold_the_interior_weights(qt, qx):
+@pytest.mark.parametrize("q", STEPS + [32], ids=step_ids(STEPS + [32]))
+def test_line_weights_fold_the_interior_weights(q):
     # W+ and W- each carry the whole interior of q_weights (t-rows
-    # 1..nt-2, columns 1..2qx-1), and none of it within st + sx of a line
-    # end, where the residual lines are NaN; only unequal steps need the
-    # h lines apart from the g lines
-    fg = rec.fields(*solved(5, 4, 129, trig_params(qt + qx)), qt=qt, qx=qx)
-    assert len(rec._residual_lines(fg)) == (2 if qt == qx else 4)
+    # 1..nt-2, columns 1..2q-1), and none of it within 2s of a line end,
+    # where the residual lines are NaN
+    fg = rec.fields(*solved(5, 4, 129, trig_params(2 * q)), q)
+    assert rec._residual_lines(fg).shape == (2,) + fg.lines.shape[1:]
     kinks = rec.window_kinks(fg)
     line_weights = kinks.q_line_weights
     assert line_weights.shape == (2, fg.lines.shape[-1])
     for w in line_weights:
         assert w.sum() == pytest.approx(kinks.q_weights[1:-1, 1:-1].sum(), rel=1e-14)
-        reach = fg.st + fg.sx
+        reach = 2 * fg.s
         assert not w[:reach].any() and not w[-reach:].any()
 
 
 @pytest.mark.parametrize("q", [2, 8, 32])
 def test_line_weights_equal_the_window_sum_at_one_step(q):
-    # with qt == qx the h lines are the g lines: the interior of Q summed
-    # window sample by window sample, g = g+[a] + g-[b] and
+    # the t and x stencils are one stencil of the line: the interior of Q
+    # summed window sample by window sample, g = g+[a] + g-[b] and
     # h = g+[a] - g-[b], equals twice the squared lines dotted with W+-
-    fg = rec.fields(*solved(6, 6, 129, trig_params(q)), qt=q, qx=q)
-    assert fg.ht == fg.hx
+    fg = rec.fields(*solved(6, 6, 129, trig_params(q)), q)
     kinks = rec.window_kinks(fg)
     lines = rec._residual_lines(fg)
-    assert lines.shape[0] == 2
-    nt, width = len(fg.t), 2 * fg.qx + 1
-    plus = np.arange(nt)[:, None] * fg.st + np.arange(width) * fg.sx
+    nt, width = len(fg.t), 2 * fg.q + 1
+    plus = (np.arange(nt)[:, None] + np.arange(width)) * fg.s
     a, b = plus[1:-1, 1:-1], plus[:, ::-1][1:-1, 1:-1]
     w = kinks.q_weights[1:-1, 1:-1]
     by_window = sum(float(np.sum(w * ((gp[a] + gm[b]) ** 2 + (gp[a] - gm[b]) ** 2)))

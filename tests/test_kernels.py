@@ -18,6 +18,7 @@ from rodwave.oracle import SimConfig, simulate, write_sim_csv
 from rodwave.sampled import fd_derivative
 
 import loop_reference as ref
+from test_field_views import step_ids
 
 
 @st.composite
@@ -111,35 +112,39 @@ def test_simpson_weights_match_loop(n, splits, seed):
 
 @pytest.fixture(scope="module")
 def field_grid(worked_example):
-    """Field grid of the worked example at (qt, qx) samples per half-layer."""
+    """Field grid of the worked example at q samples per half-layer."""
     par, mesh, sol = (worked_example[k] for k in ("par", "mesh", "sol_qp"))
     entries = par.entry_values(sol.y, sol.gamma)
     waves = rec.waves_from_solution(par, entries)
     controls = rec.controls_from_jumps(mesh, rec.jump_pieces_from_solution(par, entries))
-    return lambda qt, qx: rec.fields(waves, controls, mesh, qt=qt, qx=qx)
+    return lambda q: rec.fields(waves, controls, mesh, q)
 
 
 @pytest.fixture(scope="module")
 def small_grid(field_grid):
-    return field_grid(2, 2)
+    return field_grid(2)
 
 
-@pytest.mark.parametrize("qt, qx", [(2, 2), (4, 2), (2, 8), (32, 32), (16, 4)])
-def test_kink_masks_match_full_grid_residues(qt, qx):
+# q = 3 is odd, q = 1 makes every sample a kink
+KINK_STEPS = [2, 32, 1, 3, 64]
+
+
+@pytest.mark.parametrize("q", KINK_STEPS, ids=step_ids(KINK_STEPS))
+def test_kink_masks_match_full_grid_residues(q):
     # the one kink window is every segment's slice of the full-grid masks
     for n in range(1, 9):
         for m in range(2, 7):
             mesh = build_mesh(n, m)
-            # st and sx of pieces of P = 2*qt*qx + 1 samples; the steps as
-            # FieldGrid takes them
-            grid = SimpleNamespace(mesh=mesh, qt=qt, qx=qx, st=qx, sx=qt,
-                                   ht=mesh.lam / (2 * qt), hx=mesh.lam / (2 * qx),
-                                   t=np.linspace(0.0, mesh.T, 2 * m * qt + 1),
-                                   x=np.linspace(-1.0, 1.0, 2 * n * qx + 1))
+            # pieces of P = 2*q + 1 samples, one a step; the step as
+            # FieldGrid takes it
+            grid = SimpleNamespace(mesh=mesh, q=q, s=1, h=mesh.lam / (2 * q),
+                                   t=np.linspace(0.0, mesh.T, 2 * m * q + 1),
+                                   x=np.linspace(-1.0, 1.0, 2 * n * q + 1))
             kinks = rec.window_kinks(grid).kinks
             plus, minus = ref.kink_masks(grid)
+            assert plus.shape == (len(grid.t), len(grid.x))
             for seg in range(n):
-                window = (plus | minus)[:, 2 * qx * seg:2 * qx * (seg + 1) + 1]
+                window = (plus | minus)[:, 2 * q * seg:2 * q * (seg + 1) + 1]
                 assert np.array_equal(kinks, window), (n, m, seg)
 
 

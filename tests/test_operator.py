@@ -168,7 +168,7 @@ def test_repeated_mesh_builds_no_per_mesh_array(monkeypatch, n, m, field_samples
     with pytest.raises(AssertionError, match="built again"):
         np.linspace(0.0, 1.0, 3)
     warm = solve_pipeline(config(2))
-    # qt == qx on every grid the CLI builds: one set of residual lines
+    # one set of residual lines
     assert len(grids) == 1 and grids[0] is warm["fields"]
     monkeypatch.undo()
     same_result(warm, cold(config(2)))

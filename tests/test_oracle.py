@@ -14,8 +14,7 @@ PARAMS = RodParams(1.0, 1.0, 1.0)
 
 
 def zero_controls(mesh, p=33):
-    jumps = {n: np.zeros((mesh.M, p)) for n in mesh.J_x}
-    return rec.controls_from_jumps(mesh, jumps)
+    return rec.controls_from_jumps(mesh, np.zeros((mesh.N + 1, mesh.M, p)))
 
 
 class TestConfig:
@@ -77,7 +76,7 @@ def synthesis():
     waves = rec.waves_from_solution(par, entries)
     controls = rec.controls_from_jumps(
         mesh, rec.jump_pieces_from_solution(par, entries))
-    fg = rec.fields(waves, controls, mesh, qt=64, qx=64)
+    fg = rec.fields(waves, controls, mesh, 64)
     return mesh, state, controls, fg
 
 

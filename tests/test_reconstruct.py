@@ -183,7 +183,7 @@ class TestFields:
             clean &= ~kinks[1 + di:resid.shape[0] + 1 + di, 1:-1]
             clean &= ~kinks[1:-1, 1 + di:resid.shape[1] + 1 + di]
         cols = np.arange(1, len(fg.x) - 1)
-        clean[:, cols % (2 * fg.qx) == 0] = False
+        clean[:, cols % (2 * fg.q) == 0] = False
         assert np.max(np.abs(resid[clean])) <= 1e-6
 
     def test_boundary_condition_on_internal_force(self, solved):
@@ -210,7 +210,7 @@ class TestFields:
         rx = (r[:, 2:] - r[:, :-2]) / (2 * hx)
         clean = ~(kinks[:, :-2] | kinks[:, 1:-1] | kinks[:, 2:])
         cols = np.arange(1, len(fg.x) - 1)
-        clean[:, cols % (2 * fg.qx) == 0] = False
+        clean[:, cols % (2 * fg.q) == 0] = False
         diff = np.abs(rx - p[:, 1:-1])[clean]
         assert np.max(diff) <= 5e-3     # O(h^2 r''') at this resolution
 
@@ -232,7 +232,7 @@ class TestResidualQ:
     def test_refinement_order(self, solved):
         qs = (8, 16, 32)
         vals = [rec.residual_Q(rec.fields(solved["waves"], solved["controls"],
-                                          solved["mesh"], qt=q, qx=q))
+                                          solved["mesh"], q))
                 for q in qs]
         assert vals[0] / vals[1] > 8     # around fourth order
         assert vals[1] / vals[2] > 8
@@ -291,11 +291,11 @@ class TestPinnedDiagnostics:
 def _reached_measure(fg, n_samples):
     """Simpson weight of the samples Q keeps, over every segment window,
     whose p and s read one of the first ``n_samples`` samples of a w+'
-    line: window sample (i, j) reads sample i*st + j*sx of its own line."""
-    nt, width = len(fg.t), 2 * fg.qx + 1
-    weights = np.outer(simpson_weights(nt, fg.ht), simpson_weights(width, fg.hx))
+    line: window sample (i, j) reads sample (i + j)*s of its own line."""
+    nt, width = len(fg.t), 2 * fg.q + 1
+    weights = np.outer(simpson_weights(nt, fg.h), simpson_weights(width, fg.h))
     weights[rec.window_kinks(fg).drop] = 0.0
-    own = np.arange(nt)[:, None] * fg.st + np.arange(width) * fg.sx
+    own = (np.arange(nt)[:, None] + np.arange(width)) * fg.s
     return fg.mesh.N * float(weights[own < n_samples].sum())
 
 

@@ -21,10 +21,10 @@ import loop_reference as ref
 from rodwave import cli
 from rodwave import reconstruct as rec
 from rodwave.edge import StateSpec, assemble_edge_constraints, eliminate
-from rodwave.errors import AssemblyError
+from rodwave.errors import AssemblyError, InvalidArgumentError
 from rodwave.mesh import build_mesh
 from test_assembly import assert_bits
-from test_field_views import solved as solved_waves, trig_params
+from test_field_views import solved as solved_waves, step_ids, trig_params
 
 CASES = [(n, m, p) for n in (1, 2, 3, 6, 12) for m in (2, 3, 7) for p in (17, 129)]
 
@@ -60,10 +60,12 @@ def test_controls_match_loop_form(solved):
     controls, mesh = solved["controls"], solved["mesh"]
     jumps = ref.jump_pieces(solved["par"], solved["entries"])
     integrals, forces = ref.control_histories(mesh, jumps)
-    assert list(solved["jumps"]) == list(mesh.J_x)
+    # the gathered stack is the control set's, row i interface J_x[i]
+    assert controls.jump_stack is solved["jumps"]
+    assert solved["jumps"].shape == (mesh.N + 1, mesh.M, solved["p"])
     assert list(controls.jumps) == list(mesh.J_x)
-    for n in mesh.J_x:
-        assert_bits(solved["jumps"][n], jumps[n])
+    for row, n in zip(solved["jumps"], mesh.J_x):
+        assert_bits(row, jumps[n])
         assert_bits(controls.jumps[n], jumps[n])
     # every control, the end loads -N-1 and N+1 and the negative segments
     # among them, reads its own row
@@ -90,7 +92,7 @@ def test_field_lines_match_loop_form(solved):
     integrals, forces = ref.control_histories(
         mesh, ref.jump_pieces(solved["par"], solved["entries"]))
     fg = rec.fields(waves, controls, mesh)
-    lines, u_seg, f_seg = ref.field_lines(pieces, dpieces, integrals, forces, mesh, fg.st)
+    lines, u_seg, f_seg = ref.field_lines(pieces, dpieces, integrals, forces, mesh, fg.s)
     assert_bits(fg.lines, lines)
     assert_bits(fg.u_seg, u_seg)
     assert_bits(fg.f_seg, f_seg)
@@ -111,20 +113,20 @@ def test_g_matrix_matches_slot_loop(solved):
     assert_bits(par.g_matrix(p), ref.g_slots(par, p))
 
 
-def assert_kink_window(waves, controls, mesh, qt=None, qx=None):
+def assert_kink_window(waves, controls, mesh, q=None):
     """The window_kinks entry a new field grid builds, by one period of
     kink rows, against the row-by-row build; the grid's coordinates are
     the entry's."""
     rec._window_kinks = None
-    fg = rec.fields(waves, controls, mesh, qt, qx)
+    fg = rec.fields(waves, controls, mesh, q)
     kinks = rec.window_kinks(fg)
     for got, want in zip((kinks.kinks, kinks.drop, kinks.q_weights, kinks.q_line_weights,
                           kinks.energy_weights), ref.window_kinks(fg)):
         assert_bits(got, want)
-    nt, nx = 2 * fg.mesh.M * fg.qt + 1, 2 * fg.mesh.N * fg.qx + 1
+    nt, nx = 2 * fg.mesh.M * fg.q + 1, 2 * fg.mesh.N * fg.q + 1
     assert_bits(kinks.t, np.linspace(0.0, fg.mesh.T, nt))
     assert_bits(kinks.x, np.linspace(-1.0, 1.0, nx))
-    assert_bits(kinks.x_weights, ref.simpson_weights(nx, fg.hx))
+    assert_bits(kinks.x_weights, ref.simpson_weights(nx, fg.h))
     q = kinks.q_weights
     for got, want in zip(kinks.ring_weights, (q[:, [0, -1]].T, q[[0, -1]], q[1:-1, [0, -1]].T,
                                               q[[0, -1], 1:-1])):
@@ -138,12 +140,23 @@ def test_window_kinks_match_row_loop(solved):
     assert_kink_window(solved["waves"], solved["controls"], solved["mesh"])
 
 
-# (N, M, qt, qx): unequal steps either way, q = 1 and 2, and N = 1
-@pytest.mark.parametrize("n, m, qt, qx", [(1, 3, 2, 2), (1, 2, 1, 1), (3, 2, 4, 1), (5, 4, 16, 4),
-                                          (2, 3, 1, 2), (6, 6, 2, 2), (4, 3, 8, 32),
-                                          (2, 5, 64, 64)])
-def test_window_kinks_match_row_loop_on_steps(n, m, qt, qx):
-    assert_kink_window(*solved_waves(n, m, 129, trig_params(5 * n + m)), qt, qx)
+# (N, M, q): q = 1 (every sample a kink) up to 64 (one window a piece), and N = 1
+STEP_CASES = [(1, 3, 2), (1, 2, 1), (3, 2, 1), (5, 4, 16), (2, 3, 2), (6, 6, 2), (4, 3, 32),
+              (2, 5, 64)]
+
+
+@pytest.mark.parametrize("n, m, q", STEP_CASES, ids=step_ids(STEP_CASES))
+def test_window_kinks_match_row_loop_on_steps(n, m, q):
+    assert_kink_window(*solved_waves(n, m, 129, trig_params(5 * n + m)), q)
+
+
+def test_controls_refuse_a_jump_stack_of_another_shape():
+    mesh = build_mesh(3, 2)
+    for bad in (np.zeros((3, 2, 9)), np.zeros((4, 3, 9)), np.zeros((4, 2)),
+                {n: np.zeros((2, 9)) for n in mesh.J_x}):
+        with pytest.raises(InvalidArgumentError, match="jump pieces of shape"):
+            rec.controls_from_jumps(mesh, bad)
+    assert rec.controls_from_jumps(mesh, np.zeros((4, 2, 9))).integral_stack.shape == (5, 2, 9)
 
 
 # --- per-mesh data ------------------------------------------------------------
