@@ -64,7 +64,6 @@ from .edge import (
     DATA_NAMES,
     BoundaryStructure,
     EdgeSystem,
-    JunctionRows,
     Parametrization,
     StateSpec,
     assemble_edge_constraints,
@@ -388,9 +387,9 @@ def _junction_report(violated) -> str:
 class SolveOperator:
     """Everything a solve on one (N, M, P) computes that does not depend
     on the state, built whole from the mesh by :func:`solve_operator`: the
-    complete vertex rows, the edge rows, their elimination (bound to no
-    state; a solve binds its own with ``par.rebind``), the essential-row
-    structure (with the junction rows every solution is checked against),
+    edge rows, their elimination (bound to no state; a solve binds its own
+    with ``par.rebind``), the essential-row structure (with the complete
+    vertex rows and the junction rows every solution is checked against),
     the energy weights (with the pieces' z-grid) and the factored
     closed-form boundary system, and the data grid ``data_grid``, the
     N*(P - 1) + 1 samples of [-1, 1] a state is sampled on.  The KKT
@@ -398,7 +397,6 @@ class SolveOperator:
 
     key: tuple
     mesh: MeshConfig
-    vertex_rows: JunctionRows
     system: EdgeSystem
     par: Parametrization
     boundary: BoundaryStructure
@@ -422,14 +420,13 @@ def solve_operator(n: int, m: int, p: int) -> SolveOperator:
     if _cached_operator(n, m, p) is None:
         _operator = None           # release the old mesh's structure first
         mesh = build_mesh(n, m)
-        vertex_rows = assemble_vertex_conditions(mesh)
         system = assemble_edge_constraints(mesh)
         par = eliminate(system)
-        boundary = boundary_structure(par, vertex_rows)
+        boundary = boundary_structure(par, assemble_vertex_conditions(mesh))
         data_grid = np.linspace(-1.0, 1.0, n * (p - 1) + 1)
         data_grid.setflags(write=False)
         _operator = SolveOperator(
-            key=(n, m, p), mesh=mesh, vertex_rows=vertex_rows, system=system,
+            key=(n, m, p), mesh=mesh, system=system,
             par=par, boundary=boundary, weights=build_weights(mesh, p),
             el=ELSystem(par, boundary), data_grid=data_grid)
     return _operator
@@ -977,7 +974,7 @@ def main(argv=None) -> int:
         sp.add_argument("--config", help="JSON config path")
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--p-grid", type=int, dest="p_grid",
-                        help="samples per reference piece (odd)")
+                        help="samples per reference piece: P = 1 mod 4, at least 5")
         sp.add_argument("--solver", choices=_SOLVERS,
                         help="el: closed form (default); both: add the KKT cross-check")
         sp.add_argument("--oracle", action="store_true",

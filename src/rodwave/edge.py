@@ -43,8 +43,11 @@ y and the per-segment free terminal constants gamma:
   constants.
 
 Mesh-vertex continuity then becomes the two-point boundary condition
-``B1 y(lambda) - B0 y(0) = B_gamma gamma + b0`` on the free functions,
-with the vertex rows index arrays too (:class:`JunctionRows`).
+``B1 y(lambda) - B0 y(0) = B_gamma gamma + b0`` on the free functions.
+Each vertex row ties one entry's value at z = 0 to another's at
+z = lambda, or sets it to 0, so the rows are (start, end) entry pairs
+(:class:`JunctionRows`), and B0, B1, B_gamma and b0 are direct gathers of
+the rows of A, C_gamma and g.
 
 Only the data parts depend on the state: the edge rows, their elimination
 and :func:`boundary_structure` are built once per mesh, a state is bound by
@@ -609,16 +612,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _by_place(ids: np.ndarray, *fields) -> list:
-    """The items in slots: slot s holds the s-th item of every run of
-    equal ``ids`` (sorted ids), as ``ids`` and each of ``fields`` sliced."""
-    place = np.arange(len(ids)) - np.searchsorted(ids, ids)
-    order = np.argsort(place, kind="stable")
-    bounds = np.searchsorted(place[order], np.arange(place.max(initial=-1) + 2))
-    cols = [ids[order]] + [f[order] for f in fields]
-    return [[c[lo:hi] for c in cols] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-
-
 def _combine(keys: np.ndarray, vals: np.ndarray) -> tuple:
     """The sums of ``vals`` over equal ``keys``: the keys whose sum is not
     0, ascending, and their sums."""
@@ -882,34 +875,27 @@ def _check_rows(system: EdgeSystem, ents: np.ndarray, cols: np.ndarray, vals: np
 
 @dataclass(frozen=True, eq=False)
 class JunctionRows:
-    """Junction rows ``sum coef * entry(at) = 0`` as index arrays.
+    """Junction rows ``start(0) - end(lambda) = 0`` as catalog entry pairs.
 
-    Term t is ``coef[t]`` times the value of catalog entry ``entry[t]``
-    at z = 0 (``at[t]`` 0) or at z = lambda (``at[t]`` 1), in row
-    ``row[t]``; the terms are sorted by row, a row's z = 0 term first.
-    ``labels[r]`` names row r."""
+    Row r ties the value of entry ``start[r]`` at z = 0 to the value of
+    entry ``end[r]`` at z = lambda; an ``end`` of -1 leaves the row
+    ``start(0) = 0``.  ``labels[r]`` names row r."""
 
     labels: tuple
-    row: np.ndarray = field(repr=False)
-    entry: np.ndarray = field(repr=False)
-    at: np.ndarray = field(repr=False)
-    coef: np.ndarray = field(repr=False)
+    start: np.ndarray = field(repr=False)
+    end: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.labels)
 
-
-def _junctions(labels: list, starts: list, ends: list) -> JunctionRows:
-    """The rows ``start(0) - end(lambda) = 0`` of the catalog entries in
-    ``starts`` and ``ends`` (lists of arrays); an end of -1 leaves the row
-    ``start(0) = 0``."""
-    starts, ends = np.concatenate(starts), np.concatenate(ends)
-    n = len(labels)
-    keep = np.stack([np.ones(n, bool), ends >= 0], 1).ravel()
-    return JunctionRows(
-        labels=tuple(labels), row=np.repeat(np.arange(n), 2)[keep],
-        entry=np.stack([starts, ends], 1).ravel()[keep],
-        at=np.tile([0, 1], n)[keep], coef=np.tile([1, -1], n)[keep])
+    def residuals(self, at_0: np.ndarray, at_lam: np.ndarray) -> np.ndarray:
+        """start(0) - end(lambda) of every row, from the values of every
+        catalog entry at z = 0 (``at_0``) and at z = lambda (``at_lam``),
+        summed from 0.0: the start term, then the end term."""
+        res = np.add(0.0, at_0[self.start])
+        tied = self.end >= 0
+        res[tied] -= at_lam[self.end[tied]]
+        return res
 
 
 def assemble_vertex_conditions(mesh: MeshConfig) -> JunctionRows:
@@ -947,7 +933,7 @@ def assemble_vertex_conditions(mesh: MeshConfig) -> JunctionRows:
                    for m in range(4, M2 + 1, 2)] + [("w", -1, -1, M2)]
         starts += [[jump[c, 0]], wave[c - 1, 2:, 0], wave[c, 2:, 1], [wave[c - 1, M, 1]]]
         ends += [[-1], wave[c - 1, 1:-1, 0], wave[c, 1:-1, 1], [wave[c - 1, M - 1, 1]]]
-    rows = _junctions(labels, starts, ends)
+    rows = JunctionRows(tuple(labels), np.concatenate(starts), np.concatenate(ends))
     expected = counts(mesh.N, mesh.M).N_r
     if len(rows) != expected:
         raise AssemblyError(f"assembled {len(rows)} vertex rows, expected {expected}")
@@ -985,15 +971,14 @@ def guard_rows(mesh: MeshConfig) -> JunctionRows:
               + [("guard_u", n, m) if m else ("guard_u0", n)
                  for n in mesh.J_x for m in range(0, M2 - 1, 2)])
     first = np.arange(jump.size) % mesh.M == 0
-    return _junctions(labels, [wave[:, :, 1:].ravel(), jump.ravel()],
-                      [wave[:, :, :-1].ravel(), np.where(first, -1, jump.ravel() - 1)])
+    return JunctionRows(tuple(labels), np.concatenate([wave[:, :, 1:].ravel(), jump.ravel()]),
+                        np.concatenate([wave[:, :, :-1].ravel(),
+                                        np.where(first, -1, jump.ravel() - 1)]))
 
 
 # A junction row whose residual on a solution exceeds JUNCTION_TOL times the
 # largest |end value| of any entry (at least 1) contradicts the solved rows.
 JUNCTION_TOL = 1e-8
-
-
 
 
 @dataclass(frozen=True)
@@ -1030,16 +1015,14 @@ class BoundaryStructure:
     """The state-independent part of the essential rows of one mesh.
 
     ``B0``, ``B1`` and ``B_gamma`` are the homogeneous part of the solved
-    rows, and ``z`` the null vector of G^T = [B1 - B0, -B_gamma]^T
-    (:func:`boundary_null_vector`, unscaled).  ``slots`` gathers their
-    data part: for each term slot, the rows that have a term there, its
-    catalog entry, its end sample (0 or -1) and its coefficient.  ``checks`` gathers the rows of
-    :func:`guard_rows` in the same form, and ``check_labels`` names them.
+    rows ``vertex_rows`` (:func:`assemble_vertex_conditions`), and ``z``
+    the null vector of G^T = [B1 - B0, -B_gamma]^T
+    (:func:`boundary_null_vector`, unscaled).  ``guards`` are the rows of
+    :func:`guard_rows`, which every solution is checked against.
     """
 
-    slots: tuple = field(repr=False)
-    checks: tuple = field(repr=False)
-    check_labels: tuple = field(repr=False)
+    vertex_rows: JunctionRows = field(repr=False)
+    guards: JunctionRows = field(repr=False)
     B0: np.ndarray = field(repr=False)
     B1: np.ndarray = field(repr=False)
     B_gamma: np.ndarray = field(repr=False)
@@ -1058,55 +1041,32 @@ class BoundaryStructure:
         NaN.
         """
         ends = entries[:, [0, -1]]
-        res = np.zeros(len(self.check_labels))
-        for rows, ents, at, coefs in self.checks:
-            res[rows] += coefs * ends[ents, at]
+        res = self.guards.residuals(ends[:, 0], ends[:, 1])
         tol = JUNCTION_TOL * max(1.0, float(np.max(np.abs(ends))))
-        return tuple((self.check_labels[i], float(res[i]))
+        return tuple((self.guards.labels[i], float(res[i]))
                      for i in np.flatnonzero(~(np.abs(res) <= tol)))
 
 
-def _end_slots(rows: JunctionRows) -> list:
-    """Term slots of junction rows, the first and the second terms of the
-    rows: (rows, entries, end sample 0 or -1, float coefficients)."""
-    return _by_place(rows.row, rows.entry, -rows.at, rows.coef.astype(float))
-
-
-def _end_gather(a: np.ndarray, rows: JunctionRows, at: int) -> np.ndarray:
-    """coef * a[entry] of each row's term at end ``at`` (0 on a row with
-    none), gathered straight into the result."""
-    t = np.flatnonzero(rows.at == at)
-    if np.bincount(rows.row[t], minlength=len(rows)).max(initial=0) > 1:
-        raise AssemblyError(f"a junction row has two terms at z = {at} * lambda")
-    src = np.zeros(len(rows), np.intp)
-    coef = np.zeros(len(rows))
-    src[rows.row[t]] = rows.entry[t]
-    coef[rows.row[t]] = rows.coef[t]
-    out = a.take(src, axis=0)
-    out *= coef[:, None]
-    return out
-
-
 def boundary_structure(par: Parametrization, vertex_rows: JunctionRows) -> BoundaryStructure:
-    """Rewrite the vertex rows through the parametrization, and gather the
+    """Rewrite the vertex rows through the parametrization, and take the
     junction rows of :func:`guard_rows` that each solution is checked
     against.  Nothing here reads the state's data.
 
-    A vertex row has one term at each end at most, so B0 and B1 are one
-    gather of A's rows each, scaled in place: sum coef*entry(at) = 0 is
-    B1 y(lam) - B0 y(0) = B_gamma gamma + b0, B1 = 0 + coef*A[entry at
-    lambda] and B0 = 0 - coef*A[entry at 0], the bits of a sum that
-    starts from 0.  G^T z, z the null vector of the rows' labels, is a
+    Row start(0) - end(lambda) = 0 is B1 y(lambda) - B0 y(0) = B_gamma
+    gamma + b0 with B0 = 0 - A[start], B1 = 0 - A[end] (0 on a row with no
+    end) and B_gamma = (0 - C_gamma[start]) + C_gamma[end]: one gather of
+    A's rows each for B0 and B1, negated in place, and the bits of a sum
+    that starts from 0.  G^T z, z the null vector of the rows' labels, is a
     sum of multiples of 1/4, so exact; an entry other than 0 raises
     :class:`AssemblyError`."""
-    B1 = _end_gather(par.A, vertex_rows, 1)
-    np.add(B1, 0.0, out=B1)                 # -0.0 + 0.0 is 0.0
-    B0 = _end_gather(par.A, vertex_rows, 0)
-    np.subtract(0.0, B0, out=B0)
-    Bg = np.zeros((len(vertex_rows), par.n_gamma))
-    slots = _end_slots(vertex_rows)
-    for rows, ents, _, coefs in slots:
-        Bg[rows] -= coefs[:, None] * par.C_gamma[ents]
+    start, end = vertex_rows.start, vertex_rows.end
+    tied = end >= 0
+    B0, B1 = par.A[start], par.A[end]       # an end of -1 reads a row zeroed below
+    for mat in (B0, B1):
+        np.subtract(0.0, mat, out=mat)
+    B1[~tied] = 0.0
+    Bg = np.subtract(0.0, par.C_gamma[start])
+    Bg[tied] += par.C_gamma[end[tied]]
     z = boundary_null_vector(vertex_rows)
     gtz = np.concatenate([B1.T @ z - B0.T @ z, -(Bg.T @ z)])
     if np.any(gtz != 0.0):
@@ -1115,25 +1075,20 @@ def boundary_structure(par: Parametrization, vertex_rows: JunctionRows) -> Bound
                             f"for the null vector z of the vertex labels")
     for mat in (B0, B1, Bg, z):
         mat.setflags(write=False)       # shared by the rows of every state
-    checks = guard_rows(par.mesh)
-    return BoundaryStructure(
-        slots=tuple(slots), checks=tuple(_end_slots(checks)),
-        check_labels=checks.labels, B0=B0, B1=B1, B_gamma=Bg, z=z)
+    return BoundaryStructure(vertex_rows=vertex_rows, guards=guard_rows(par.mesh),
+                             B0=B0, B1=B1, B_gamma=Bg, z=z)
 
 
 def boundary_matrices(structure: BoundaryStructure, par: Parametrization) -> EssentialBC:
     """Essential rows of the state ``par`` is bound to: the matrices of
     ``structure`` (:func:`boundary_structure`) and the data part b0 of its
-    solved rows, gathered from the state's g."""
+    solved rows, b0 = -(g[start](0) - g[end](lambda)) from the state's g."""
     g = par.g_matrix(par.bound_state.grid_p(par.mesh))
-    data = np.zeros(len(structure.B0))
-    for rows, ents, ends, coefs in structure.slots:
-        data[rows] += coefs * g[ents, ends]
     return EssentialBC(
         B0=structure.B0,
         B1=structure.B1,
         B_gamma=structure.B_gamma,
-        b0=-data,
-        n_assembled=len(data) + len(structure.check_labels),
+        b0=-structure.vertex_rows.residuals(g[:, 0], g[:, -1]),
+        n_assembled=len(structure.vertex_rows) + len(structure.guards),
         guard_rows_kept=0 if par.mesh.N % 2 else 3,   # see assemble_vertex_conditions
     )

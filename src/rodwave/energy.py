@@ -147,7 +147,7 @@ def assemble_qp(par: Parametrization, bc: EssentialBC,
     c0 = float(np.sum(w_cells * g_d * g_d))
 
     return QuadraticProgram(mesh=mesh, p=p, n_free=par.n_free, n_gamma=par.n_gamma,
-                            c0=c0, d=bc.b0.copy() if bc.n_rows else np.zeros(0),
+                            c0=c0, d=bc.b0.copy(),
                             kernel=c * par.ata, lin_cells=lin_cells)
 
 

@@ -64,8 +64,6 @@ class Solution:
 
 
 def constraint_residual(bc: EssentialBC, y: np.ndarray, gamma: np.ndarray) -> float:
-    if bc.n_rows == 0:
-        return 0.0
     r = bc.B1 @ y[:, -1] - bc.B0 @ y[:, 0] - bc.B_gamma @ gamma - bc.b0
     return float(np.max(np.abs(r)))
 
@@ -74,7 +72,7 @@ def check_feasible(bc: EssentialBC, y: np.ndarray, gamma: np.ndarray, method: st
     """Essential-row residual of a solution; above FEASIBILITY_TOL * (1 + |b0|),
     or NaN, it raises :class:`SolverError`."""
     res = constraint_residual(bc, y, gamma)
-    scale = 1.0 + (float(np.max(np.abs(bc.b0))) if bc.n_rows else 0.0)
+    scale = 1.0 + float(np.max(np.abs(bc.b0)))
     if not res <= FEASIBILITY_TOL * scale:
         raise SolverError(f"{method}: essential boundary residual {res:.3e} "
                           f"exceeds {FEASIBILITY_TOL:.0e} * (1 + |b0|)")
@@ -223,7 +221,7 @@ class ELSystem:
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"euler_lagrange: A^T A is degenerate "
                               f"(Cholesky failed: {exc})") from exc
-        if n_s and not diag.min() > 1e-6 * diag.max():
+        if not diag.min() > 1e-6 * diag.max():
             raise SolverError(f"euler_lagrange: A^T A is degenerate (Cholesky "
                               f"diagonal {diag.max():.3e} to {diag.min():.3e})")
         self.data_rows = np.flatnonzero(np.bincount(par.data_entry, minlength=par.catalog.N_v)

@@ -29,8 +29,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import lil_matrix
 
 from rodwave.edge import (CONST_KEYS, DATA_NAMES, EDGE_KINDS, EssentialBC, StateSpec,
-                          _by_place, build_catalog, data_keys, guard_rows, jump_key,
-                          wave_key)
+                          build_catalog, data_keys, guard_rows, jump_key, wave_key)
 from rodwave.energy import evaluate_objective
 from rodwave.errors import AssemblyError, ConfigurationError, InfeasibleError, SolverError
 from rodwave.mesh import counts
@@ -179,12 +178,16 @@ def guard_rows_loop(mesh):
 
 
 def junction_rows(rows, catalog):
-    """The rows of an array ``JunctionRows`` as ``JunctionRow`` objects."""
-    terms = [[] for _ in rows.labels]
-    for r, e, at, c in zip(rows.row.tolist(), rows.entry.tolist(), rows.at.tolist(),
-                           rows.coef.tolist()):
-        terms[r].append((catalog.entries[e], at, c))
-    return [JunctionRow(label, tuple(t)) for label, t in zip(rows.labels, terms)]
+    """The rows of an array ``JunctionRows`` as ``JunctionRow`` objects:
+    the start entry at z = 0 with coefficient 1, then the end entry at
+    z = lambda with coefficient -1 where the row has one."""
+    out = []
+    for label, start, end in zip(rows.labels, rows.start.tolist(), rows.end.tolist()):
+        terms = ((catalog.entries[start], 0, 1),)
+        if end >= 0:
+            terms += ((catalog.entries[end], 1, -1),)
+        out.append(JunctionRow(label, terms))
+    return out
 
 
 def data_exprs(par):
@@ -768,6 +771,16 @@ def evaluate(expr, state, mesh, p, gamma=None):
 def g_matrix(g_exprs, state, mesh, p):
     """The data part of every entry, evaluated entry by entry."""
     return np.array([evaluate(expr, state, mesh, p) for expr in g_exprs])
+
+
+def _by_place(ids, *fields):
+    """The items in slots: slot s holds the s-th item of every run of
+    equal ``ids`` (sorted ids), as ``ids`` and each of ``fields`` sliced."""
+    place = np.arange(len(ids)) - np.searchsorted(ids, ids)
+    order = np.argsort(place, kind="stable")
+    bounds = np.searchsorted(place[order], np.arange(place.max(initial=-1) + 2))
+    cols = [ids[order]] + [f[order] for f in fields]
+    return [[c[lo:hi] for c in cols] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 def g_slots(par, p):

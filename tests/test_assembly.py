@@ -1,11 +1,12 @@
 """Array-wide per-mesh assembly against the loop forms it replaced.
 
-``boundary_matrices`` (one gather per term slot, every vertex row solved)
-and ``assemble_qp`` (one kernel per mesh) must return the same bits as
-the row-by-row sweep, which keeps every vertex row, and the dict-of-blocks
-LIL assembly kept in ``loop_reference``, whose per-cell einsum kernels lie
-within 2 ulps of the one kernel.  The junction rows a solution violates
-must be those a row-by-row evaluation flags.  The KKT rows and the
+``boundary_matrices`` (direct gathers at the (start, end) entry pairs of
+the vertex rows, every vertex row solved) and ``assemble_qp`` (one kernel
+per mesh) must return the same bits as the row-by-row sweep, which keeps
+every vertex row, and the dict-of-blocks LIL assembly kept in
+``loop_reference``, whose per-cell einsum kernels lie within 2 ulps of the
+one kernel.  The junction rows a solution violates, and their residuals,
+must be those a row-by-row evaluation gives, bit for bit.  The KKT rows and the
 objective the solver evaluates from the kernel must equal those of the
 assembled H, C and b.
 """
@@ -153,7 +154,7 @@ def test_random_state():
 def test_perturbed_data_flags_rows(n, m, entry, flagged):
     # a shifted end sample of one entry's data part contradicts the solved
     # rows; the junction rows the solution violates are those a row-by-row
-    # evaluation flags
+    # evaluation flags, with the same residuals bit for bit
     mesh, _, _, par, clean, weights = assemble_all(n, m, 9)
     structure = boundary_structure(par, assemble_vertex_conditions(mesh))
     sol = solve_closed_form(par, clean, weights, 9)
@@ -163,8 +164,8 @@ def test_perturbed_data_flags_rows(n, m, entry, flagged):
     sol = solve_closed_form(par, bc, weights, 9)
     violated = structure.violated_junctions(sol.entries)
     res, scale = ref.junction_residuals(par, sol.y, sol.gamma)
-    assert [label for label, r in violated] == [
-        label for label, r in res if abs(r) > 1e-8 * scale]
+    assert [(label, r.hex()) for label, r in violated] == [
+        (label, float(r).hex()) for label, r in res if abs(r) > 1e-8 * scale]
     assert tuple(label for label, _ in violated) == flagged
 
 

@@ -414,6 +414,15 @@ class TestMainEntry:
             assert err == "config error: P: must be an odd integer >= 5\n"
         assert not (tmp_path / "out").exists()
 
+    def test_p_grid_help_states_the_rule(self, capsys):
+        # validate_config admits P = 1 mod 4, at least 5; P = 7 is odd and
+        # exits 2
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--p-grid P_GRID samples per reference piece: P = 1 mod 4, at least 5" in help_text
+
     @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
     def test_empty_out_dir_exits_2(self, tmp_path, capsys, monkeypatch, command):
         monkeypatch.chdir(tmp_path)

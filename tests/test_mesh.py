@@ -81,6 +81,16 @@ class TestCounts:
         else:
             assert sc.N_b == m * n + m - n
 
+    def test_every_solved_mesh_has_boundary_rows(self):
+        # eliminate refuses M = 1, and every mesh it admits has free
+        # functions and essential rows, so no solve meets an empty boundary
+        # system: N_s = M(N+1) - 2N >= 2 and N_r >= N + 3, both at M = 2
+        for n in range(1, 65):
+            for m in range(2, 65):
+                sc = counts(n, m)
+                assert sc.N_s >= 2 and sc.N_r >= n + 3
+            assert counts(n, 2).N_s == 2 and counts(n, 2).N_r == n + 3
+
 
 class TestNondimensionalize:
     def test_unit_scales(self):

@@ -270,7 +270,7 @@ def test_cold_solve_sweeps_no_rows(monkeypatch, n, m):
 
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
     bc = solve_pipeline(trig_config(n, m, 3, "el"))["bc"]
-    assert bc.n_rows == bc.rank == len(cli.solve_operator(n, m, P).vertex_rows)
+    assert bc.n_rows == bc.rank == len(cli.solve_operator(n, m, P).boundary.vertex_rows)
 
 
 def test_mesh_change_evicts_the_entry(eliminations):
